@@ -23,7 +23,7 @@ from repro.config import OCTANT_RECORD_SIZE
 from repro.errors import ReproError, StorageError
 from repro.nvbm.records import OctantRecord, pack_record, unpack_record
 from repro.octree import morton
-from repro.octree.store import Payload, ZERO_PAYLOAD
+from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
 from repro.storage.block import BlockDevice
 from repro.storage.btree import BTree
 
@@ -32,7 +32,7 @@ from repro.storage.btree import BTree
 ETREE_MAX_LEVEL = 16
 
 
-class EtreeOctree:
+class EtreeOctree(LoopBackedAccess):
     """AdaptiveTree over paged storage with a B-tree Z-value index."""
 
     def __init__(self, device: BlockDevice, dim: int = 2,

@@ -430,7 +430,7 @@ def _cmd_bench(args) -> int:
         with open(args.current) as fh:
             env = json.load(fh)
     else:
-        env = run_bench(pr=args.pr, wall=args.wall)
+        env = run_bench(pr=args.pr)
     problems = validate_envelope(env)
     if problems:
         for p in problems:
@@ -593,9 +593,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--current", metavar="CURRENT.json",
                    help="use this pre-computed envelope instead of running "
                         "the suite (file-to-file comparison)")
-    p.add_argument("--wall", action="store_true",
-                   help="also run the machine-dependent wall-clock kernel "
-                        "bench (scalar vs vectorized) and its gates")
     p.add_argument("--json", action="store_true",
                    help="emit machine-readable JSON")
     p.set_defaults(func=_cmd_bench)

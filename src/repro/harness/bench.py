@@ -16,11 +16,7 @@ across machines and commits cleanly as ``BENCH_pr<N>.json``.
 :func:`compare_envelopes` applies the :data:`GATES` tolerances between a
 committed baseline and a fresh run — the CI regression gate.
 
-The one exception is the opt-in wall-clock layer (``run_bench(wall=True)``,
-CLI ``--wall``): :func:`bench_kernels` times the *host* execution of the
-advect sweep, scalar vs SoA-vectorized, and gates the speedup ratio via
-:data:`WALL_GATES`.  Wall numbers vary across machines, so they are kept
-out of the default (byte-deterministic) envelope.
+Host wall-clock is measured end to end by ``python3 bench/run.py``, not here.
 """
 
 from __future__ import annotations
@@ -54,7 +50,6 @@ from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.obs import Observability, snapshot_clock, snapshot_wear
 from repro.parallel.faults import FaultyNetwork, LinkFaults, NetworkFaultPlan
 from repro.parallel.network import Network
-from repro.solver.advection import advect_vof
 from repro.solver.simulation import DropletSimulation
 
 #: (metric, relative tolerance, direction).  ``lower`` means lower is
@@ -95,15 +90,6 @@ GATES: List[Dict[str, Any]] = [
     {"metric": "pipeline.overlap_fraction", "tolerance": 0.05,
      "direction": "higher"},
     {"metric": "droplet.stall_ns", "tolerance": 0.25, "direction": "lower"},
-]
-
-#: Gates applied only to the opt-in wall-clock layer (``wall=True``).
-#: The speedup ratio is scalar/vectorized host time; with the committed
-#: baseline around 10x, the 0.7 tolerance fails the gate below ~3x — the
-#: floor the SoA kernels must hold on any machine.
-WALL_GATES: List[Dict[str, Any]] = [
-    {"metric": "droplet.wall_speedup", "tolerance": 0.7,
-     "direction": "higher"},
 ]
 
 SUITE = "droplet+recovery+replication+partition+media"
@@ -365,77 +351,15 @@ def bench_media(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     }
 
 
-def bench_kernels(steps: int = 12, max_level: int = 5,
-                  reps: int = 3) -> Dict[str, float]:
-    """Host wall-clock of the advect sweep, scalar vs SoA-vectorized.
-
-    Unlike every other bench these are *real* nanoseconds, so they are
-    machine-dependent and only enter the envelope under ``wall=True``.
-    The mesh is the droplet bench mesh after ``steps`` steps; each variant
-    is warmed once and timed best-of-``reps`` (the minimum is the least
-    noisy wall estimator).  A second row on a one-level-deeper tree shows
-    the speedup growing with mesh size — the element-scale extrapolation
-    the ROADMAP's "raw-speed unlock" asks for.
-    """
-    import time as _time
-
-    def mesh(level: int) -> DropletSimulation:
-        clock, dram, nvbm, tree = _rig(max_inflight=0)
-        solver = SolverConfig(dim=2, min_level=2, max_level=level, dt=0.01)
-        sim = DropletSimulation(tree, solver, clock=clock)
-        sim.run(steps)
-        return sim
-
-    def best_ns(sim: DropletSimulation, vectorized: bool) -> float:
-        advect_vof(sim.tree, sim.geometry, sim.config, sim.t,
-                   vectorized=vectorized)  # warm numpy dispatch + caches
-        best = None
-        for _ in range(reps):
-            t0 = _time.perf_counter_ns()
-            advect_vof(sim.tree, sim.geometry, sim.config, sim.t,
-                       vectorized=vectorized)
-            dt = _time.perf_counter_ns() - t0
-            best = dt if best is None or dt < best else best
-        return float(best)
-
-    sim = mesh(max_level)
-    leaves = float(sum(1 for _ in sim.tree.leaves()))
-    vec_ns = best_ns(sim, True)
-    scalar_ns = best_ns(sim, False)
-    big = mesh(max_level + 1)
-    big_leaves = float(sum(1 for _ in big.tree.leaves()))
-    big_vec_ns = best_ns(big, True)
-    big_scalar_ns = best_ns(big, False)
-    return {
-        "droplet.wall_ns": vec_ns,
-        "droplet.scalar_wall_ns": scalar_ns,
-        "droplet.wall_speedup": scalar_ns / vec_ns,
-        "kernels.batch_elems": leaves,
-        "kernels.large_tree_leaves": big_leaves,
-        "kernels.large_wall_ns": big_vec_ns,
-        "kernels.large_scalar_wall_ns": big_scalar_ns,
-        "kernels.large_wall_speedup": big_scalar_ns / big_vec_ns,
-    }
-
-
-def run_bench(pr: int = 0, wall: bool = False) -> Dict[str, Any]:
-    """Run the pinned suite and return the versioned envelope.
-
-    ``wall=True`` appends the machine-dependent :func:`bench_kernels`
-    wall-clock metrics and their :data:`WALL_GATES`; the default envelope
-    stays byte-deterministic.
-    """
+def run_bench(pr: int = 0) -> Dict[str, Any]:
+    """Run the pinned suite and return the versioned envelope."""
     metrics: Dict[str, float] = {}
     metrics.update(bench_droplet())
     metrics.update(bench_recovery())
     metrics.update(bench_replication())
     metrics.update(bench_partition())
     metrics.update(bench_media())
-    gates = GATES
-    if wall:
-        metrics.update(bench_kernels())
-        gates = GATES + WALL_GATES
-    return bench_envelope(pr=pr, suite=SUITE, metrics=metrics, gates=gates)
+    return bench_envelope(pr=pr, suite=SUITE, metrics=metrics, gates=GATES)
 
 
 # ------------------------------------------------------------------ comparison

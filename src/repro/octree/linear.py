@@ -76,15 +76,7 @@ class LinearOctree:
     def from_tree(cls, tree: AdaptiveTree) -> "LinearOctree":
         """Linearize an adaptive tree's leaves (payloads included)."""
         locs = list(tree.leaves())
-        if not locs:
-            payloads = np.zeros((0, 4))
-        elif hasattr(tree, "batch_read_payloads"):
-            # metered exactly like the per-leaf loop (see PMOctree)
-            payloads = tree.batch_read_payloads(locs)
-        else:
-            payloads = np.array([tree.get_payload(leaf) for leaf in locs],
-                                dtype=np.float64)
-        return cls(tree.dim, locs, payloads)
+        return cls(tree.dim, locs, tree.batch_read_payloads(locs))
 
     def index_of(self, loc: int) -> int:
         """Index of an exact leaf code, or -1."""

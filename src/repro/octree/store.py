@@ -11,7 +11,17 @@ private business.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Protocol, Tuple, runtime_checkable
+from typing import (
+    Iterable,
+    Iterator,
+    List,
+    Protocol,
+    Sequence,
+    Tuple,
+    runtime_checkable,
+)
+
+import numpy as np
 
 Payload = Tuple[float, float, float, float]
 
@@ -21,7 +31,17 @@ ZERO_PAYLOAD: Payload = (0.0, 0.0, 0.0, 0.0)
 
 @runtime_checkable
 class AdaptiveTree(Protocol):
-    """Minimal surface the meshing/solving routines require."""
+    """The surface the meshing/solving routines require.
+
+    Structure (``exists``/``is_leaf``/``leaves``/``refine``/``coarsen``) is
+    queried per octant — on an out-of-core tree each query is an index
+    search, and that cost is part of what the evaluation compares.  Data is
+    read and written per octant (``get_payload``/``get_field``/...) or in
+    batches (``batch_*``); a batch call is *defined* as the per-octant calls
+    in order, so a tree may aggregate the device charge (PM-octree does) but
+    never change its total.  :class:`LoopBackedAccess` derives everything
+    past ``get_payload``/``set_payload`` for trees with nothing to aggregate.
+    """
 
     dim: int
 
@@ -45,12 +65,41 @@ class AdaptiveTree(Protocol):
         """Total live octants, internal nodes included."""
         ...
 
+    def num_leaves(self) -> int:
+        """Number of leaves (without enumerating them)."""
+        ...
+
     def get_payload(self, loc: int) -> Payload:
         """Read the solver payload of an octant."""
         ...
 
     def set_payload(self, loc: int, payload: Payload) -> None:
         """Write the solver payload of an octant."""
+        ...
+
+    def get_field(self, loc: int, slot: int) -> float:
+        """Read one payload slot of an octant."""
+        ...
+
+    def set_field(self, loc: int, slot: int, value: float) -> None:
+        """Write one payload slot of an octant."""
+        ...
+
+    def batch_read_payloads(self, locs: Sequence[int]) -> np.ndarray:
+        """``(n, 4)`` float64 payload rows, as ``n`` ``get_payload`` calls."""
+        ...
+
+    def batch_read_fields(self, locs: Sequence[int], slot: int) -> np.ndarray:
+        """One slot per loc, as ``n`` ``get_field`` calls."""
+        ...
+
+    def batch_set_payloads(self, items: Iterable[Tuple[int, Payload]]) -> None:
+        """Apply ``(loc, payload)`` stores in order."""
+        ...
+
+    def batch_set_fields(self, items: Iterable[Tuple[int, float]],
+                         slot: int) -> None:
+        """Apply ``(loc, value)`` stores to one slot in order."""
         ...
 
     def refine(self, loc: int) -> List[int]:
@@ -64,6 +113,41 @@ class AdaptiveTree(Protocol):
     def coarsen(self, loc: int) -> None:
         """Delete the (leaf) children of ``loc``, making it a leaf again."""
         ...
+
+
+class LoopBackedAccess:
+    """Field and batch accessors built only on ``get_payload``/``set_payload``.
+
+    For trees whose smallest access is a whole payload (a DRAM record, a
+    4 KB page): a slot write is a payload read-modify-write and a batch is
+    the plain loop, so the device is charged exactly what the per-octant
+    calls charge.
+    """
+
+    def get_field(self, loc: int, slot: int) -> float:
+        return self.get_payload(loc)[slot]
+
+    def set_field(self, loc: int, slot: int, value: float) -> None:
+        payload = list(self.get_payload(loc))
+        payload[slot] = value
+        self.set_payload(loc, tuple(payload))
+
+    def batch_read_payloads(self, locs: Sequence[int]) -> np.ndarray:
+        return np.array([self.get_payload(loc) for loc in locs],
+                        dtype=np.float64).reshape(len(locs), 4)
+
+    def batch_read_fields(self, locs: Sequence[int], slot: int) -> np.ndarray:
+        return np.array([self.get_field(loc, slot) for loc in locs],
+                        dtype=np.float64)
+
+    def batch_set_payloads(self, items: Iterable[Tuple[int, Payload]]) -> None:
+        for loc, payload in items:
+            self.set_payload(loc, payload)
+
+    def batch_set_fields(self, items: Iterable[Tuple[int, float]],
+                         slot: int) -> None:
+        for loc, value in items:
+            self.set_field(loc, slot, value)
 
 
 def leaf_levels(tree: AdaptiveTree) -> List[int]:

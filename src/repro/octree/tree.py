@@ -20,10 +20,10 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.pointers import NULL_HANDLE
 from repro.nvbm.records import OctantRecord
 from repro.octree import morton
-from repro.octree.store import Payload, ZERO_PAYLOAD
+from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
 
 
-class PointerOctree:
+class PointerOctree(LoopBackedAccess):
     """A mutable octree whose octants are records in one arena."""
 
     def __init__(self, arena: MemoryArena, dim: int = 2,

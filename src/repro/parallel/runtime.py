@@ -104,9 +104,6 @@ class RunConfig:
     #: bounded in-flight window of the asynchronous persist pipeline
     #: (PM-octree backend only); 0 = synchronous stop-the-world persist.
     max_inflight_epochs: int = 1
-    #: SoA batch solver kernels (repro.solver.soa) on trees that support
-    #: them; False pins the scalar oracle path.  Bit-identical either way.
-    vectorized: bool = True
     seed: int = 2017
 
 
@@ -243,8 +240,7 @@ def run_parallel(cfg: RunConfig, obs=None) -> RunResult:
             tree.attach_obs(obs)
     if cfg.workload == "droplet":
         sim = DropletSimulation(tree, cfg.solver, clock=probe,
-                                persistence=persistence,
-                                vectorized=cfg.vectorized)
+                                persistence=persistence)
     elif cfg.workload == "wave":
         from repro.solver.wave import WaveConfig, WaveSimulation
 
@@ -255,8 +251,7 @@ def run_parallel(cfg: RunConfig, obs=None) -> RunResult:
             dt=cfg.solver.dt,
         )
         sim = WaveSimulation(tree, wave_cfg, clock=probe,
-                             persistence=persistence,
-                             vectorized=cfg.vectorized)
+                             persistence=persistence)
     else:
         raise ValueError(f"unknown workload {cfg.workload!r}")
 

@@ -2,7 +2,10 @@
 
 Every octant record carries four float64 payload slots; the solver uses them
 as its cell-centred fields.  ``FieldView`` gives read/modify/write access by
-name over any :class:`~repro.octree.store.AdaptiveTree`.
+name over any :class:`~repro.octree.store.AdaptiveTree`; single-slot traffic
+goes through the protocol's ``get_field``/``set_field``, so what it costs —
+an 8-byte single-line access on PM-octree, a payload or page
+read-modify-write on the baselines — is each tree's business.
 """
 
 from __future__ import annotations
@@ -21,42 +24,23 @@ FIELD_NAMES = {"vof": VOF, "pressure": PRESSURE, "u": U, "v": V}
 
 
 class FieldView:
-    """Slot-wise field access with a per-slot write API.
-
-    On trees with field-granular accessors (PM-octree's
-    ``get_field``/``set_field``), single-slot reads and writes go through
-    them, so one quantity costs an 8-byte single-line access instead of a
-    whole-payload round-trip — the meter then reflects what the solver
-    actually touched.  Backends without them keep the read-modify-write
-    payload path.
-    """
+    """Slot-wise field access with a per-slot write API."""
 
     def __init__(self, tree: AdaptiveTree):
         self.tree = tree
-        self._get_field = getattr(tree, "get_field", None)
-        self._set_field = getattr(tree, "set_field", None)
 
     def get(self, loc: int, slot: int) -> float:
-        if self._get_field is not None:
-            return self._get_field(loc, slot)
-        return self.tree.get_payload(loc)[slot]
+        return self.tree.get_field(loc, slot)
 
     def set(self, loc: int, slot: int, value: float) -> None:
-        if self._set_field is not None:
-            self._set_field(loc, slot, value)
-            return
-        payload = list(self.tree.get_payload(loc))
-        payload[slot] = value
-        self.tree.set_payload(loc, tuple(payload))
+        self.tree.set_field(loc, slot, value)
 
     def set_many(self, loc: int, updates: Dict[int, float]) -> None:
-        """One read-modify-write for several slots (cheaper than N sets).
-
-        A single-slot update degenerates to a field-granular store when
-        the tree supports one — no read, 8 bytes written."""
-        if len(updates) == 1 and self._set_field is not None:
+        """One read-modify-write for several slots (cheaper than N sets);
+        a single-slot update is a plain field store — no read."""
+        if len(updates) == 1:
             ((slot, value),) = updates.items()
-            self._set_field(loc, slot, value)
+            self.tree.set_field(loc, slot, value)
             return
         payload = list(self.tree.get_payload(loc))
         for slot, value in updates.items():
@@ -89,14 +73,10 @@ class FieldView:
 def liquid_leaves(tree: AdaptiveTree, threshold: float = 0.5) -> List[int]:
     """Leaves that are mostly liquid (used by droplet counting).
 
-    Reads only the VOF slot of each leaf — batched on trees with the SoA
-    accessor (identical read/line counts to per-leaf field reads), one
-    field-granular or payload read per leaf otherwise."""
+    Reads only the VOF slot of each leaf, as one batch."""
     locs = list(tree.leaves())
-    if hasattr(tree, "batch_read_fields"):
-        vals = tree.batch_read_fields(locs, VOF)
-        return [loc for loc, v in zip(locs, vals) if v > threshold]
-    return [loc for loc in locs if tree.get_payload(loc)[VOF] > threshold]
+    vals = tree.batch_read_fields(locs, VOF)
+    return [loc for loc, v in zip(locs, vals) if v > threshold]
 
 
 def count_droplets(tree: AdaptiveTree, threshold: float = 0.5) -> int:

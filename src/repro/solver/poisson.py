@@ -88,7 +88,7 @@ def pressure_solve(tree: AdaptiveTree, rtol: float = 1e-8) -> Dict[str, float]:
 
 
 def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
-                    vectorized: bool = True, obs=None) -> Dict[str, float]:
+                    obs=None) -> Dict[str, float]:
     """Red-black relaxation sweeps of the same finite-volume operator.
 
     The cheap companion to :func:`pressure_solve`: instead of a full CG
@@ -97,14 +97,13 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
     parity; on an adaptive mesh parity is not a strict 2-coloring across
     level jumps, so each color updates from a consistent pre-color
     snapshot).  Reads one VOF and one PRESSURE slot per leaf, writes the
-    changed pressures — all field-granular.
+    changed pressures — all field-granular, as batches.
 
-    Both implementations consume the same precomputed topology
-    (neighbor/transmissibility lists in ``face_neighbor_leaves`` order,
-    Dirichlet boundary terms on the diagonal) and accumulate neighbor
-    terms in the same k-ascending order, so the vectorized path
-    (``vectorized=True`` on trees with batch accessors) is bit-identical
-    to the scalar one in values and device metering.
+    The topology (neighbor/transmissibility lists in
+    ``face_neighbor_leaves`` order, Dirichlet boundary terms on the
+    diagonal) comes from structural walks on the tree; neighbor terms are
+    accumulated in k-ascending order, which keeps the padded-array
+    relaxation bit-identical to the per-octant oracle in ``tests/oracles``.
     """
     leaves: List[int] = sorted(tree.leaves())
     n = len(leaves)
@@ -113,7 +112,7 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
     idx = {loc: i for i, loc in enumerate(leaves)}
     dim = tree.dim
 
-    # shared topology — structural walks only, no payload traffic
+    # topology — structural walks only, no payload traffic
     nb_idx: List[List[int]] = [[] for _ in range(n)]
     nb_t: List[List[float]] = [[] for _ in range(n)]
     diag = np.zeros(n)
@@ -135,62 +134,35 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
                 if morton.neighbor_of(loc, dim, axis, direction) is None:
                     diag[i] += h_i ** (dim - 1) / (0.5 * h_i)
 
-    use_batch = vectorized and hasattr(tree, "batch_read_fields")
-    fields = FieldView(tree)
-    if use_batch:
-        if obs is not None:
-            obs.metrics.counter("kernel.batch_elems").inc(n)
-        rhs = tree.batch_read_fields(leaves, VOF)
-        p = tree.batch_read_fields(leaves, PRESSURE)
-    else:
-        if vectorized and obs is not None:
-            obs.metrics.counter("kernel.scalar_fallbacks").inc()
-        rhs = np.array([fields.get(loc, VOF) for loc in leaves])
-        p = np.array([fields.get(loc, PRESSURE) for loc in leaves])
+    if obs is not None:
+        obs.metrics.counter("kernel.batch_elems").inc(n)
+    rhs = tree.batch_read_fields(leaves, VOF)
+    p = tree.batch_read_fields(leaves, PRESSURE)
     p0 = p.copy()
 
-    if use_batch:
-        maxdeg = max((len(row) for row in nb_idx), default=0)
-        nb_pad = np.zeros((n, maxdeg), dtype=np.int64)
-        t_pad = np.zeros((n, maxdeg), dtype=np.float64)
-        for i, (row_j, row_t) in enumerate(zip(nb_idx, nb_t)):
-            if row_j:
-                nb_pad[i, :len(row_j)] = row_j
-                t_pad[i, :len(row_t)] = row_t
-        color_pos = [np.nonzero(colors == c)[0] for c in (0, 1)]
-        for _ in range(sweeps):
-            for pos in color_pos:
-                if not pos.size:
-                    continue
-                sub_nb = nb_pad[pos]
-                sub_t = t_pad[pos]
-                acc = np.zeros(pos.size)
-                for k in range(maxdeg):
-                    # padded columns contribute an exact ±0.0 — a no-op on
-                    # the accumulator, matching the scalar early stop
-                    acc = acc + sub_t[:, k] * p[sub_nb[:, k]]
-                p[pos] = (rhs[pos] + acc) / diag[pos]
-    else:
-        color_lists = [np.nonzero(colors == c)[0] for c in (0, 1)]
-        for _ in range(sweeps):
-            for members in color_lists:
-                new_vals = []
-                for i in members:
-                    acc = 0.0
-                    row_j = nb_idx[i]
-                    row_t = nb_t[i]
-                    for k in range(len(row_j)):
-                        acc = acc + row_t[k] * p[row_j[k]]
-                    new_vals.append((rhs[i] + acc) / diag[i])
-                for i, v in zip(members, new_vals):
-                    p[i] = v
+    maxdeg = max((len(row) for row in nb_idx), default=0)
+    nb_pad = np.zeros((n, maxdeg), dtype=np.int64)
+    t_pad = np.zeros((n, maxdeg), dtype=np.float64)
+    for i, (row_j, row_t) in enumerate(zip(nb_idx, nb_t)):
+        if row_j:
+            nb_pad[i, :len(row_j)] = row_j
+            t_pad[i, :len(row_t)] = row_t
+    color_pos = [np.nonzero(colors == c)[0] for c in (0, 1)]
+    for _ in range(sweeps):
+        for pos in color_pos:
+            if not pos.size:
+                continue
+            sub_nb = nb_pad[pos]
+            sub_t = t_pad[pos]
+            acc = np.zeros(pos.size)
+            for k in range(maxdeg):
+                # padded columns contribute an exact ±0.0 — a no-op on the
+                # accumulator, matching the oracle's early stop
+                acc = acc + sub_t[:, k] * p[sub_nb[:, k]]
+            p[pos] = (rhs[pos] + acc) / diag[pos]
 
     changed = np.nonzero(np.abs(p - p0) > 1e-12)[0]
-    if use_batch:
-        tree.batch_set_fields(
-            [(leaves[i], float(p[i])) for i in changed], PRESSURE)
-    else:
-        for i in changed:
-            fields.set(leaves[i], PRESSURE, float(p[i]))
+    tree.batch_set_fields(
+        [(leaves[i], float(p[i])) for i in changed], PRESSURE)
     return {"n": float(n), "written": float(len(changed)),
             "sweeps": float(sweeps)}

@@ -53,8 +53,7 @@ class DropletSimulation:
     def __init__(self, tree: AdaptiveTree, config: Optional[SolverConfig] = None,
                  clock: Optional[SimClock] = None,
                  persistence: Optional[Callable[["DropletSimulation"], None]] = None,
-                 pressure_every: int = 0, vectorized: bool = True,
-                 pressure_smooth: int = 0):
+                 pressure_every: int = 0, pressure_smooth: int = 0):
         self.tree = tree
         self.config = config or SolverConfig(dim=tree.dim)
         if self.config.dim != tree.dim:
@@ -63,9 +62,6 @@ class DropletSimulation:
         self.clock = clock
         self.persistence = persistence
         self.pressure_every = pressure_every
-        #: SoA batch kernels when the tree supports them (scalar oracle
-        #: otherwise / when False) — see repro.solver.soa
-        self.vectorized = vectorized
         #: red-black smoothing sweeps per step (0 = off)
         self.pressure_smooth = pressure_smooth
         self.step_count = 0
@@ -142,11 +138,10 @@ class DropletSimulation:
                 balance_tree(self.tree, max_level=self.config.max_level)
             with self._phase("solve"):
                 counters = advect_vof(self.tree, self.geometry, self.config,
-                                      self.t, vectorized=self.vectorized,
-                                      obs=self.obs)
+                                      self.t, obs=self.obs)
                 if self.pressure_smooth:
                     smooth_pressure(self.tree, sweeps=self.pressure_smooth,
-                                    vectorized=self.vectorized, obs=self.obs)
+                                    obs=self.obs)
                 if self.pressure_every \
                         and self.step_count % self.pressure_every == 0:
                     pressure_solve(self.tree)
@@ -166,9 +161,7 @@ class DropletSimulation:
         report = StepReport(
             step=self.step_count,
             t=self.t,
-            leaves=self.tree.num_leaves()
-            if hasattr(self.tree, "num_leaves")
-            else sum(1 for _ in self.tree.leaves()),
+            leaves=self.tree.num_leaves(),
             octants=self.tree.num_octants(),
             refined=res.refined,
             coarsened=res.coarsened,

@@ -1,28 +1,34 @@
-"""Level-major structure-of-arrays (SoA) views of a tree's leaves.
+"""Structure-of-arrays (SoA) views of a tree's leaves.
 
-The solver hot paths (VOF transport, the wave sweep, the red-black
-smoother, work-weight extraction) are per-octant Python loops over tuple
-payload accessors; at realistic tree sizes the interpreter — not the
-simulated memory device — is the binding constraint.  This module provides
-the batch layer those kernels vectorise over:
+The solver kernels (VOF transport, the wave sweep, the red-black smoother,
+work-weight extraction) have one body each, written over arrays: at
+realistic tree sizes a per-octant Python loop over tuple payloads — not the
+simulated memory device — would be the binding constraint.  This module is
+the batch layer they share:
 
 * vectorised locational-code arithmetic (:func:`levels_of_codes`,
-  :func:`coords_of_codes`, :func:`locs_from_coords`, :func:`zorder_keys`) that is
-  *integer-exact* against :mod:`repro.octree.morton` — codes are plain
-  int64 bit patterns, so the numpy forms produce identical values, not
-  approximations;
+  :func:`coords_of_codes`, :func:`zorder_keys`) that is *integer-exact*
+  against :mod:`repro.octree.morton` — codes are plain int64 bit patterns,
+  so the numpy forms produce identical values, not approximations;
 * exact cell geometry (:func:`cell_geometry`) replaying
   ``morton.cell_bounds``/``cell_center`` arithmetic elementwise, so every
-  float matches the scalar path to the last ulp;
+  float matches the scalar form to the last ulp;
 * :class:`LeafBatch` — the gathered per-leaf arrays (``locs``, ``levels``,
   payload columns, bounds, centers) in the tree's ``leaves()`` iteration
-  order plus a Z-sorted view for neighbor resolution.
+  order, filled by :func:`gather` through the tree protocol's
+  ``batch_read_payloads``.
+
+Only *data* is batched.  Structure — which leaf sits below this one, does
+this code exist — stays a per-octant query on the tree (``leaf_neighbor``,
+``is_leaf``): on the out-of-core baseline each such query is a B-tree
+search, one of the §5.4 costs the evaluation measures, and resolving
+neighbors from the gathered arrays would silently skip it.
 
 Bit-identity discipline
 -----------------------
-The vectorised kernels must be *provably* equivalent to the scalar oracle
-(see ``tests/solver/test_vectorized_differential.py``), which constrains
-the arithmetic allowed here:
+The kernels must be *provably* equivalent to the per-octant scalar oracle
+(``tests/oracles``, driven by the differential battery under
+``tests/solver``), which constrains the arithmetic allowed here:
 
 * only elementwise IEEE-754 ops (``+ - * /``, ``np.minimum``, ``np.abs``,
   comparisons) shared with the scalar expressions — these are exact per
@@ -31,7 +37,7 @@ the arithmetic allowed here:
   array shapes (no size-dependent vector paths for the values we feed
   them), and ``np.sqrt``/``np.cos`` agree bitwise with ``math.sqrt``/
   ``math.cos``; ``math.exp`` and ``math.dist`` do NOT agree with their
-  numpy counterparts and are therefore banned from dual-path code;
+  numpy counterparts and are therefore banned from kernel arithmetic;
 * powers-of-two cell sizes go through ``np.ldexp`` (exact), never
   ``1.0 / float(1 << level)`` loops.
 """
@@ -91,19 +97,6 @@ def coords_of_codes(locs, levels: np.ndarray, dim: int) -> np.ndarray:
     return coords
 
 
-def locs_from_coords(levels: np.ndarray, coords: np.ndarray,
-                     dim: int) -> np.ndarray:
-    """Vectorised ``morton.loc_from_coords`` (coords must be in range)."""
-    n = len(levels)
-    bits = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return bits
-    for i in range(int(levels.max())):
-        for axis in range(dim):
-            bits |= ((coords[:, axis] >> i) & 1) << np.int64(dim * i + axis)
-    return (np.int64(1) << (dim * levels)) | bits
-
-
 def zorder_keys(locs, levels: np.ndarray, dim: int,
                 max_level: int) -> np.ndarray:
     """Vectorised ``morton.zorder_key`` (uint64, identical bit patterns)."""
@@ -134,13 +127,11 @@ def cell_geometry(coords: np.ndarray, levels: np.ndarray):
 
 
 class LeafBatch:
-    """Gathered SoA view of a tree's leaves, level-major on demand.
+    """Gathered SoA view of a tree's leaves.
 
-    ``locs``/``payloads`` keep the tree's ``leaves()`` iteration order —
-    the order the scalar kernels visit and therefore the order any
-    write-back must replay so copy-on-write allocation decisions match the
-    scalar path exactly.  ``sorted_*`` arrays give the Z-order view used
-    for neighbor resolution (``find_enclosing`` over all leaves at once).
+    Every array keeps the tree's ``leaves()`` iteration order — the order
+    the scalar oracle visits and therefore the order any write-back must
+    replay so copy-on-write allocation decisions match it exactly.
     """
 
     def __init__(self, dim: int, locs: Sequence[int],
@@ -150,69 +141,17 @@ class LeafBatch:
         self.locs = _as_int64(self.loc_list)
         self.payloads = payloads
         self.levels = levels_of_codes(self.locs, dim)
-        self.max_level = int(self.levels.max()) if len(self.levels) else 0
         self.coords = coords_of_codes(self.locs, self.levels, dim)
         self.h, self.mins, self.maxs, self.centers = cell_geometry(
             self.coords, self.levels
         )
-        self._order = None
-        self._sorted_keys = None
 
     def __len__(self) -> int:
         return len(self.loc_list)
 
-    @property
-    def order(self) -> np.ndarray:
-        """Permutation taking gather order to Z order (level-major within
-        each curve position, as ``zorder_key`` ties break by level)."""
-        if self._order is None:
-            keys = zorder_keys(self.locs, self.levels, self.dim,
-                               self.max_level)
-            self._order = np.argsort(keys, kind="stable")
-            self._sorted_keys = keys[self._order]
-        return self._order
-
-    @property
-    def sorted_keys(self) -> np.ndarray:
-        self.order  # noqa: B018 - builds the cache
-        return self._sorted_keys
-
-    def find_enclosing(self, codes: np.ndarray,
-                       levels: np.ndarray) -> np.ndarray:
-        """Vectorised ``LinearOctree.find_enclosing`` over the leaf set.
-
-        For each query code (at its own level), returns the gather-order
-        index of the stored leaf equal to it or an ancestor of it, or -1
-        when the query's region is covered by *finer* leaves (or out of
-        range).  Replicates the scalar walk's semantics: the unique leaf
-        at-or-above the query wins; a finer region has no such leaf.
-        """
-        order = self.order
-        keys = zorder_keys(codes, levels, self.dim, self.max_level)
-        pos = np.searchsorted(self.sorted_keys, keys, side="right") - 1
-        valid = pos >= 0
-        pos_c = np.maximum(pos, 0)
-        cand_idx = order[pos_c]
-        cand_loc = self.locs[cand_idx]
-        cand_level = self.levels[cand_idx]
-        shift = (self.dim * np.maximum(levels - cand_level, 0)).astype(
-            np.int64)
-        hit = valid & (cand_level <= levels) \
-            & ((codes >> shift) == cand_loc)
-        return np.where(hit, cand_idx, np.int64(-1))
-
 
 def gather(tree, locs: Sequence[int]) -> LeafBatch:
-    """Gather payload rows for ``locs`` into a :class:`LeafBatch`.
-
-    Uses the tree's metered batch accessor when it has one (charging
-    exactly what per-leaf ``get_payload`` calls would); falls back to the
-    scalar accessor otherwise.
-    """
+    """Gather payload rows for ``locs`` into a :class:`LeafBatch`, charged
+    exactly what per-leaf ``get_payload`` calls would be."""
     loc_list = list(locs)
-    if hasattr(tree, "batch_read_payloads"):
-        payloads = tree.batch_read_payloads(loc_list)
-    else:
-        payloads = np.array([tree.get_payload(loc) for loc in loc_list],
-                            dtype=np.float64).reshape(len(loc_list), 4)
-    return LeafBatch(tree.dim, loc_list, payloads)
+    return LeafBatch(tree.dim, loc_list, tree.batch_read_payloads(loc_list))

@@ -102,8 +102,7 @@ class WaveSimulation:
 
     def __init__(self, tree: AdaptiveTree, config: Optional[WaveConfig] = None,
                  clock: Optional[SimClock] = None,
-                 persistence: Optional[Callable[["WaveSimulation"], None]] = None,
-                 vectorized: bool = True):
+                 persistence: Optional[Callable[["WaveSimulation"], None]] = None):
         self.tree = tree
         self.config = config or WaveConfig(dim=tree.dim)
         if self.config.dim != tree.dim:
@@ -111,7 +110,6 @@ class WaveSimulation:
         self.field = WaveField(self.config)
         self.clock = clock
         self.persistence = persistence
-        self.vectorized = vectorized
         self.obs = None
         self.step_count = 0
         self.t = 0.0
@@ -132,7 +130,6 @@ class WaveSimulation:
             level = morton.level_of(loc, cfg.dim)
             # refine wherever the pulse (evaluated over the cell, padded by
             # one cell width) is significant
-            lo, hi = morton.cell_bounds(loc, cfg.dim)
             h = morton.cell_size(loc, cfg.dim)
             center = morton.cell_center(loc, cfg.dim)
             r = math.dist(center, cfg.epicenter)
@@ -179,27 +176,12 @@ class WaveSimulation:
         return engine.adapt(self.tree, rounds=self.config.max_level)
 
     def _sweep(self) -> int:
-        """Write the pulse value into every cell whose value changed."""
-        if self.vectorized and hasattr(self.tree, "batch_read_payloads"):
-            return self._sweep_batched()
-        if self.vectorized and self.obs is not None:
-            self.obs.metrics.counter("kernel.scalar_fallbacks").inc()
-        written = 0
-        for loc in list(self.tree.leaves()):
-            new = self.field.cell_value(loc, self.t)
-            payload = self.tree.get_payload(loc)
-            if abs(payload[0] - new) > 1e-12:
-                self.tree.set_payload(
-                    loc, (new, payload[1], payload[2], payload[3])
-                )
-                written += 1
-        return written
+        """Write the pulse value into every cell whose value changed.
 
-    def _sweep_batched(self) -> int:
-        """SoA sweep: gather every leaf, evaluate the pulse elementwise
-        with the exact :meth:`WaveField.value` arithmetic, write back the
-        changed cells in leaf order (bit-identical to the scalar sweep in
-        values and device metering)."""
+        Gathers every leaf, evaluates the pulse elementwise with the exact
+        :meth:`WaveField.value` arithmetic and writes back the changed
+        cells in leaf order (bit-identical to the per-octant oracle in
+        ``tests/oracles`` in values and device metering)."""
         cfg = self.config
         batch = soa.gather(self.tree, self.tree.leaves())
         n = len(batch)
@@ -241,6 +223,8 @@ class WaveSimulation:
         report = WaveStepReport(
             step=self.step_count,
             t=self.t,
+            # enumerated, not num_leaves(): on Etree this walk is a metered
+            # index scan, and the pinned Etree x wave digests include it
             leaves=sum(1 for _ in self.tree.leaves()),
             refined=res.refined,
             coarsened=res.coarsened,

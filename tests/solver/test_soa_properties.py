@@ -1,17 +1,17 @@
-"""Seeded property tests for the SoA batch layer.
+"""Seeded property tests for the SoA batch layer and the tree protocol.
 
 Three families:
 
 * the vectorised locational-code arithmetic in :mod:`repro.solver.soa` is
-  integer-exact against the scalar :mod:`repro.octree.morton` loops, and
-  ``LeafBatch.find_enclosing`` replicates the scalar
-  ``leaf_neighbor``/``is_leaf`` probe on random adaptive meshes;
-* gather/scatter round-trips: a batch write-back of gathered payloads is a
-  no-op on values, and random payloads written through the batch path read
-  back exactly;
-* metering conservation: a batch of writes charges the memory device
-  *exactly* the sum of the per-element ``lines_spanned`` charges — same
-  counters, same wear, same simulated clock as the scalar loop.
+  integer-exact against the scalar :mod:`repro.octree.morton` loops;
+* gather/scatter round-trips on every :class:`AdaptiveTree` implementation
+  (PMOctree, InCoreOctree, EtreeOctree): a batch write-back of gathered
+  payloads is a no-op on values, and random payloads written through the
+  batch path read back exactly;
+* metering conservation, same three trees: the batch accessors charge the
+  device *exactly* what the per-element calls charge — same counters, same
+  wear, same simulated clock (PMOctree aggregates the charge, the
+  baselines inherit the loop-backed accessors).
 """
 
 import random
@@ -19,17 +19,21 @@ import random
 import numpy as np
 import pytest
 
-from repro.config import DRAM_SPEC, NVBM_SPEC, PMOctreeConfig
+from repro.baselines.etree import EtreeOctree
+from repro.baselines.incore import InCoreOctree
+from repro.config import DRAM_SPEC, NVBM_FS_SPEC, NVBM_SPEC, PMOctreeConfig
 from repro.core.api import pm_create
+from repro.core.pmoctree import PMOctree
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.device import lines_spanned
+from repro.nvbm.device import MemoryDevice, lines_spanned
 from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree import morton
-from repro.octree.neighbors import leaf_neighbor
+from repro.octree.store import AdaptiveTree
 from repro.octree.tree import PointerOctree
 from repro.solver import soa
+from repro.storage.block import BlockDevice
 
 MAX_LEVEL = 5
 
@@ -85,12 +89,10 @@ def test_code_arithmetic_matches_morton(seed, dim):
     max_level = int(levels.max())
     keys = soa.zorder_keys(locs, levels, dim, max_level)
     h, mins, maxs, centers = soa.cell_geometry(coords, levels)
-    rebuilt = soa.locs_from_coords(levels, coords, dim)
     for i, loc in enumerate(int(v) for v in locs):
         assert int(levels[i]) == morton.level_of(loc, dim)
         assert tuple(int(c) for c in coords[i]) == morton.coords_of(loc, dim)
         assert int(keys[i]) == morton.zorder_key(loc, dim, max_level)
-        assert int(rebuilt[i]) == loc
         lo, hi = morton.cell_bounds(loc, dim)
         assert tuple(mins[i]) == lo
         assert tuple(maxs[i]) == hi
@@ -98,34 +100,7 @@ def test_code_arithmetic_matches_morton(seed, dim):
         assert float(h[i]) == morton.cell_size(loc, dim)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2, 3])
-def test_find_enclosing_matches_leaf_neighbor(seed):
-    """The batched neighbor probe agrees with the scalar walk for every
-    leaf, axis and direction (hits AND misses)."""
-    dim = 2
-    tree = _random_tree(seed, dim=dim)
-    batch = soa.gather(tree, tree.leaves())
-    index_of = {loc: i for i, loc in enumerate(batch.loc_list)}
-    for axis in range(dim):
-        for direction in (-1, 1):
-            ncoords = batch.coords.copy()
-            ncoords[:, axis] += direction
-            span = np.int64(1) << batch.levels
-            in_range = (ncoords[:, axis] >= 0) & (ncoords[:, axis] < span)
-            ncodes = soa.locs_from_coords(
-                batch.levels, np.clip(ncoords, 0, None), dim)
-            nidx = batch.find_enclosing(ncodes, batch.levels)
-            nidx = np.where(in_range, nidx, np.int64(-1))
-            for i, loc in enumerate(batch.loc_list):
-                nb = leaf_neighbor(tree, loc, axis, direction)
-                scalar_hit = nb is not None and tree.is_leaf(nb)
-                if scalar_hit:
-                    assert int(nidx[i]) == index_of[nb]
-                else:
-                    assert int(nidx[i]) == -1
-
-
-def _pm_rig(seed: int = 11):
+def _pm_rig(seed: int):
     default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
@@ -133,12 +108,35 @@ def _pm_rig(seed: int = 11):
     cfg = PMOctreeConfig(dram_capacity_octants=24, seed=seed,
                          max_inflight_epochs=0)
     tree = pm_create(dram, nvbm, dim=2, config=cfg)
-    return clock, dram, nvbm, tree
+    return clock, tree, [dram.device, nvbm.device]
+
+
+def _incore_rig(seed: int):
+    clock = SimClock()
+    dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
+    return clock, InCoreOctree(dram, dim=2), [dram.device]
+
+
+def _etree_rig(seed: int):
+    clock = SimClock()
+    device = BlockDevice(NVBM_FS_SPEC, clock)
+    return clock, EtreeOctree(device, dim=2), [device]
+
+
+RIGS = {"pm": _pm_rig, "incore": _incore_rig, "etree": _etree_rig}
+
+#: (tree kind, seed); PMOctree cases keep their pre-protocol ids
+TREE_CASES = [
+    pytest.param(kind, seed,
+                 id=str(seed) if kind == "pm" else f"{kind}-{seed}")
+    for kind in RIGS for seed in (0, 1, 2)
+]
 
 
 def _grow(tree, seed: int):
-    """Refine a few random leaves (some evicted to NVBM by the tight
-    budget), persist once so COW paths are live, and seed payloads."""
+    """Refine a few random leaves (on PMOctree some are evicted to NVBM by
+    the tight budget), seed payloads, and on PMOctree persist once so COW
+    paths are live."""
     rng = random.Random(seed)
     for _ in range(3):
         cands = sorted(
@@ -150,14 +148,17 @@ def _grow(tree, seed: int):
                 tree.refine(loc)
     for i, loc in enumerate(sorted(tree.leaves())):
         tree.set_payload(loc, (rng.random(), float(i), 0.0, 1.0))
-    tree.persist()
-    tree.drain_persists()
+    if isinstance(tree, PMOctree):
+        tree.persist()
+        tree.drain_persists()
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_gather_scatter_round_trip(seed):
-    clock, dram, nvbm, tree = _pm_rig(seed)
+@pytest.mark.parametrize("kind,seed", TREE_CASES)
+def test_gather_scatter_round_trip(kind, seed):
+    clock, tree, devices = RIGS[kind](seed)
+    assert isinstance(tree, AdaptiveTree)
     _grow(tree, seed)
+    assert tree.num_leaves() == len(list(tree.leaves()))
     batch = soa.gather(tree, tree.leaves())
     # write back exactly what was read: values must be unchanged
     tree.batch_set_payloads(
@@ -175,39 +176,40 @@ def test_gather_scatter_round_trip(seed):
         soa.gather(tree, tree.leaves()).payloads, fresh)
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_batch_metering_equals_scalar_metering(seed):
-    """Twin rigs, same logical writes: the batch path's single aggregated
-    device charge equals the scalar loop's per-element charges in every
+@pytest.mark.parametrize("kind,seed", TREE_CASES)
+def test_batch_metering_equals_scalar_metering(kind, seed):
+    """Twin rigs, same logical accesses: the batch accessors equal the
+    per-element calls in the values they return and in every device/block
     counter, in wear, and on the simulated clock."""
     rigs = {}
-    for kind in ("batch", "scalar"):
-        clock, dram, nvbm, tree = _pm_rig(seed)
+    for mode in ("batch", "scalar"):
+        clock, tree, devices = RIGS[kind](seed)
         _grow(tree, seed)
         locs = sorted(tree.leaves())
         vals = np.random.default_rng(seed + 99).random((len(locs), 4))
         items = [(loc, tuple(vals[i])) for i, loc in enumerate(locs)]
-        if kind == "batch":
+        if mode == "batch":
             tree.batch_set_payloads(items)
             tree.batch_set_fields(
                 [(loc, float(vals[i][1])) for i, loc in enumerate(locs)], 1)
-            tree.batch_read_payloads(locs)
-            tree.batch_read_fields(locs, 0)
+            payloads = tree.batch_read_payloads(locs)
+            slot0 = tree.batch_read_fields(locs, 0)
         else:
             for loc, payload in items:
                 tree.set_payload(loc, payload)
             for i, loc in enumerate(locs):
                 tree.set_field(loc, 1, float(vals[i][1]))
-            for loc in locs:
-                tree.get_payload(loc)
-            for loc in locs:
-                tree.get_field(loc, 0)
-        rigs[kind] = (clock, dram, nvbm, tree)
-    cb, db, nb, tb = rigs["batch"]
-    cs, ds, ns, ts = rigs["scalar"]
-    assert db.device.stats == ds.device.stats
-    assert nb.device.stats == ns.device.stats
-    assert np.array_equal(nb.device._wear, ns.device._wear)
+            payloads = np.array([tree.get_payload(loc) for loc in locs])
+            slot0 = np.array([tree.get_field(loc, 0) for loc in locs])
+        rigs[mode] = (clock, devices, payloads, slot0)
+    cb, devs_b, payloads_b, slot0_b = rigs["batch"]
+    cs, devs_s, payloads_s, slot0_s = rigs["scalar"]
+    assert np.array_equal(payloads_b, payloads_s)
+    assert np.array_equal(slot0_b, slot0_s)
+    for dev_b, dev_s in zip(devs_b, devs_s):
+        assert dev_b.stats == dev_s.stats
+        if isinstance(dev_b, MemoryDevice):
+            assert np.array_equal(dev_b._wear, dev_s._wear)
     assert cb.now_ns == cs.now_ns
 
 

@@ -1,24 +1,37 @@
-"""Differential equivalence battery: SoA kernels vs the scalar oracle.
+"""Differential equivalence battery for the solver kernels.
 
-The vectorized (``vectorized=True``) solver kernels must be *bit-identical*
-to the per-octant scalar path — not approximately equal: same recovered
-NVBM state after a crash, same device byte/line counters, same wear maps,
-same simulated clock.  Any divergence means the SoA layer either computed
-a different float or charged the memory device differently, both bugs.
+``src`` holds one (batch) body per kernel; two things keep it honest:
 
-Two scenarios (droplet ejection and the seismic wavefront), swept over the
-epoch-pipeline depths ``max_inflight_epochs in {0, 1, 2}`` and over rank
-counts ``P in {1, 2, 4}`` through the parallel runtime.
+* **Pinned digests** recorded at the last commit that still shipped the
+  scalar twins (PR 11, ``930f3fe``): clock, device/block counters, wear,
+  history and crash-recovered state of droplet+wave on PMOctree, and
+  clock/counters/leaf state on ``InCoreOctree`` and ``EtreeOctree`` over
+  NVBM-fs and HDD.  The baselines ran the scalar sweep then and run the
+  batch kernel over the loop-backed accessors now, so these pins are what
+  says the three-way comparison did not move.  Etree ``page_reads`` is the
+  value that drifts if the upwind neighbor is ever resolved in memory
+  instead of through ``tree.exists``/``tree.is_leaf`` (B-tree searches).
+* **src vs oracle**: the scalar kernels in ``tests/oracles`` are injected
+  under the drivers' module-level names and the whole run must be
+  *bit-identical* — same recovered NVBM state after a crash, same device
+  byte/line counters, same wear maps, same simulated clock — over the
+  epoch-pipeline depths ``max_inflight_epochs in {0, 1, 2}`` and over rank
+  counts ``P in {1, 2, 4}`` through the parallel runtime.
 """
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
 
 from repro.analysis.sweep import _signature
+from repro.baselines.etree import EtreeOctree
+from repro.baselines.incore import InCoreOctree
 from repro.config import (
+    DISK_SPEC,
     DRAM_SPEC,
+    NVBM_FS_SPEC,
     NVBM_SPEC,
     PMOctreeConfig,
     SolverConfig,
@@ -31,6 +44,8 @@ from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.parallel.runtime import Backend, RunConfig, run_parallel
 from repro.solver.simulation import DropletSimulation
 from repro.solver.wave import WaveConfig, WaveSimulation
+from repro.storage.block import BlockDevice
+from tests.oracles import scalar_kernels
 
 SEED = 7
 
@@ -51,23 +66,27 @@ def _persistence(sim):
     sim.tree.gc()
 
 
-def _droplet(vectorized: bool, max_inflight: int, steps: int = 6):
-    clock, dram, nvbm, cfg, tree = _rig(max_inflight)
-    sim = DropletSimulation(
+def _droplet_sim(tree, clock, persistence=None):
+    # pressure_smooth so the red-black smoother is under test too
+    return DropletSimulation(
         tree, SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01),
-        clock=clock, persistence=_persistence, vectorized=vectorized,
+        clock=clock, persistence=persistence, pressure_smooth=2,
     )
-    sim.run(steps)
-    tree.drain_persists()
-    return clock, dram, nvbm, cfg, tree, sim
 
 
-def _wave(vectorized: bool, max_inflight: int, steps: int = 6):
-    clock, dram, nvbm, cfg, tree = _rig(max_inflight)
-    sim = WaveSimulation(
+def _wave_sim(tree, clock, persistence=None):
+    return WaveSimulation(
         tree, WaveConfig(dim=2, min_level=2, max_level=5, dt=0.02),
-        clock=clock, persistence=_persistence, vectorized=vectorized,
+        clock=clock, persistence=persistence,
     )
+
+
+SIMS = {"droplet": _droplet_sim, "wave": _wave_sim}
+
+
+def _run_pm(scenario: str, max_inflight: int, steps: int = 6):
+    clock, dram, nvbm, cfg, tree = _rig(max_inflight)
+    sim = SIMS[scenario](tree, clock, _persistence)
     sim.run(steps)
     tree.drain_persists()
     return clock, dram, nvbm, cfg, tree, sim
@@ -90,15 +109,155 @@ def _observables(clock, dram, nvbm, cfg, tree, sim):
     }
 
 
-SCENARIOS = {"droplet": _droplet, "wave": _wave}
+# ------------------------------------------------------------ pinned digests
+
+def _digest(obj) -> str:
+    return hashlib.sha256(repr(obj).encode()).hexdigest()[:16]
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+def _state_digest(signature) -> str:
+    return _digest(sorted(signature.items()))
+
+
+def _pinnable(obs):
+    return {
+        "clock_ns": obs["clock_ns"],
+        "dram_stats": obs["dram_stats"],
+        "nvbm_stats": obs["nvbm_stats"],
+        "wear": _digest(obs["wear"]),
+        "history": _digest(obs["history"]),
+        "recovered": _state_digest(obs["recovered"]),
+    }
+
+
+PINNED_PM = {
+    # (scenario, max_inflight_epochs): _pinnable(_observables(...)) at 930f3fe
+    ("droplet", 0): {
+        "clock_ns": 1650510.0,
+        "dram_stats": {"reads": 2542, "writes": 689, "bytes_read": 105248,
+                      "bytes_written": 41632, "lines_read": 3026,
+                      "lines_written": 972},
+        "nvbm_stats": {"reads": 6305, "writes": 2306, "bytes_read": 270743,
+                      "bytes_written": 136275, "lines_read": 7830,
+                      "lines_written": 3281},
+        "wear": "5af6d2e6cdaf27c8", "history": "e883713e7faff257",
+        "recovered": "d0f9fffa0ecd864d",
+    },
+    ("droplet", 1): {
+        "clock_ns": 1484760.0,
+        "dram_stats": {"reads": 2542, "writes": 689, "bytes_read": 105248,
+                      "bytes_written": 41632, "lines_read": 3026,
+                      "lines_written": 972},
+        "nvbm_stats": {"reads": 6023, "writes": 2021, "bytes_read": 270080,
+                      "bytes_written": 135948, "lines_read": 7545,
+                      "lines_written": 2996},
+        "wear": "2111f99b5d5d4c38", "history": "e883713e7faff257",
+        "recovered": "d0f9fffa0ecd864d",
+    },
+    ("wave", 0): {
+        "clock_ns": 3609530.0,
+        "dram_stats": {"reads": 2345, "writes": 565, "bytes_read": 120256,
+                      "bytes_written": 42464, "lines_read": 2816,
+                      "lines_written": 832},
+        "nvbm_stats": {"reads": 16012, "writes": 6621, "bytes_read": 745297,
+                      "bytes_written": 389236, "lines_read": 19712,
+                      "lines_written": 9443},
+        "wear": "c9511796d165531c", "history": "95580896a2f6fcd3",
+        "recovered": "49c81ee27da83deb",
+    },
+    ("wave", 1): {
+        "clock_ns": 3255830.0,
+        "dram_stats": {"reads": 2345, "writes": 565, "bytes_read": 120256,
+                      "bytes_written": 42464, "lines_read": 2816,
+                      "lines_written": 832},
+        "nvbm_stats": {"reads": 15009, "writes": 5614, "bytes_read": 744040,
+                      "bytes_written": 388187, "lines_read": 18707,
+                      "lines_written": 8436},
+        "wear": "a8df3f3451a9f208", "history": "95580896a2f6fcd3",
+        "recovered": "49c81ee27da83deb",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario,max_inflight", sorted(PINNED_PM))
+def test_pmoctree_matches_pinned_parent(scenario, max_inflight):
+    got = _pinnable(_observables(*_run_pm(scenario, max_inflight)))
+    assert got == PINNED_PM[(scenario, max_inflight)]
+
+
+def _baseline_rig(kind: str):
+    clock = SimClock()
+    if kind == "incore":
+        dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
+        return clock, InCoreOctree(dram, dim=2), dram.device
+    spec = {"etree-nvbmfs": NVBM_FS_SPEC, "etree-hdd": DISK_SPEC}[kind]
+    device = BlockDevice(spec, clock)
+    return clock, EtreeOctree(device, dim=2), device
+
+
+def _run_baseline(kind: str, scenario: str, steps: int = 4):
+    clock, tree, device = _baseline_rig(kind)
+    SIMS[scenario](tree, clock).run(steps)
+    # counters first: reading the leaf state back is itself metered
+    return {
+        "clock_ns": clock.now_ns,
+        "stats": dataclasses.asdict(device.stats),
+        "leaves": _state_digest(_signature(tree)),
+    }
+
+
+PINNED_BASELINES = {
+    # (tree kind, scenario): _run_baseline(...) at 930f3fe
+    ("incore", "droplet"): {
+        "clock_ns": 386280.0,
+        "stats": {"reads": 3459, "writes": 1060, "bytes_read": 120768,
+                  "bytes_written": 71360, "lines_read": 3564,
+                  "lines_written": 1450},
+        "leaves": "1b0bc1af0c0970e7",
+    },
+    ("incore", "wave"): {
+        "clock_ns": 531480.0,
+        "stats": {"reads": 5249, "writes": 2074, "bytes_read": 200704,
+                  "bytes_written": 180992, "lines_read": 5590,
+                  "lines_written": 3268},
+        "leaves": "9dffee69b47da4b1",
+    },
+    ("etree-nvbmfs", "droplet"): {
+        "clock_ns": 34898592.0,
+        "stats": {"page_reads": 24921, "page_writes": 1400},
+        "leaves": "3fdef313b2fd90cf",
+    },
+    ("etree-nvbmfs", "wave"): {
+        "clock_ns": 46472104.0,
+        "stats": {"page_reads": 31234, "page_writes": 3633},
+        "leaves": "d5a0cc19b17b4fe2",
+    },
+    ("etree-hdd", "droplet"): {
+        "clock_ns": 132323824213.38377,
+        "stats": {"page_reads": 24921, "page_writes": 1400},
+        "leaves": "3fdef313b2fd90cf",
+    },
+    ("etree-hdd", "wave"): {
+        "clock_ns": 175287101546.6457,
+        "stats": {"page_reads": 31234, "page_writes": 3633},
+        "leaves": "d5a0cc19b17b4fe2",
+    },
+}
+
+
+@pytest.mark.parametrize("kind,scenario", sorted(PINNED_BASELINES))
+def test_baseline_matches_pinned_parent(kind, scenario):
+    assert _run_baseline(kind, scenario) == PINNED_BASELINES[(kind, scenario)]
+
+
+# ------------------------------------------------------------- src vs oracle
+
+@pytest.mark.parametrize("scenario", sorted(SIMS))
 @pytest.mark.parametrize("max_inflight", [0, 1, 2])
-def test_vectorized_matches_scalar(scenario, max_inflight):
-    run = SCENARIOS[scenario]
-    vec = _observables(*run(True, max_inflight))
-    scalar = _observables(*run(False, max_inflight))
+def test_vectorized_matches_scalar(scenario, max_inflight, monkeypatch):
+    vec = _observables(*_run_pm(scenario, max_inflight))
+    scalar_kernels.inject(monkeypatch)
+    scalar = _observables(*_run_pm(scenario, max_inflight))
     assert vec["recovered"] == scalar["recovered"]
     assert vec["clock_ns"] == scalar["clock_ns"]
     assert vec["dram_stats"] == scalar["dram_stats"]
@@ -107,27 +266,28 @@ def test_vectorized_matches_scalar(scenario, max_inflight):
     assert vec["history"] == scalar["history"]
 
 
-@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
-def test_live_state_matches_scalar(scenario):
+@pytest.mark.parametrize("scenario", sorted(SIMS))
+def test_live_state_matches_scalar(scenario, monkeypatch):
     """Pre-crash (live) leaf payloads agree too, not just recovered ones."""
-    run = SCENARIOS[scenario]
-    tree_v = run(True, 1)[4]
-    tree_s = run(False, 1)[4]
+    tree_v = _run_pm(scenario, 1)[4]
+    scalar_kernels.inject(monkeypatch)
+    tree_s = _run_pm(scenario, 1)[4]
     assert _signature(tree_v) == _signature(tree_s)
 
 
 @pytest.mark.parametrize("workload", ["droplet", "wave"])
 @pytest.mark.parametrize("nranks", [1, 2, 4])
-def test_parallel_runtime_matches_scalar(workload, nranks):
-    def run(vectorized):
+def test_parallel_runtime_matches_scalar(workload, nranks, monkeypatch):
+    def run():
         return run_parallel(RunConfig(
             backend=Backend.PM_OCTREE, nranks=nranks,
             target_elements=1e6 * nranks, steps=4,
             solver=SolverConfig(dim=2, min_level=2, max_level=4, dt=0.01),
-            workload=workload, vectorized=vectorized, seed=2017,
+            workload=workload, seed=2017,
         ))
-    vec = run(True)
-    scalar = run(False)
+    vec = run()
+    scalar_kernels.inject(monkeypatch)
+    scalar = run()
     assert vec.makespan_s == scalar.makespan_s
     assert vec.nvbm_writes == scalar.nvbm_writes
     assert vec.evictions == scalar.evictions
