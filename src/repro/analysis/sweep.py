@@ -34,7 +34,7 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
-from repro.octree import morton
+from repro.octree import morton, soa
 
 from repro.analysis.tracker import OrderingTracker, install_tracker
 
@@ -119,10 +119,10 @@ def _setup_workload(rig: _Rig) -> List[int]:
         for leaf in list(tree.leaves()):
             tree.refine(leaf)
     hot = [morton.loc_from_coords(1, (0, 0), 2)]
-    tree.register_feature(
+    tree.register_feature(soa.per_octant(
         lambda loc, p: loc != morton.ROOT_LOC
         and morton.ancestor_at(loc, 2, 1) == hot[0]
-    )
+    ))
     return hot
 
 

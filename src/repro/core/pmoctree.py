@@ -43,13 +43,12 @@ from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
 from repro.nvbm.records import (FLAG_DELETED, FLAG_LEAF, PAYLOAD_SPAN,
                                 OctantRecord)
 from repro.octree import morton
+from repro.octree.soa import Predicate
 from repro.octree.store import Payload, ZERO_PAYLOAD
 
 #: Root-slot names in the NVBM arena.
 SLOT_PREV = "V_prev"
 SLOT_CURR = "V_curr"
-
-FeatureFn = Callable[[int, Payload], bool]
 
 _F64 = struct.Struct("<d")
 
@@ -118,7 +117,7 @@ class PMOctree:
         self.stats = PMStats()
         self.epoch = 1
         self.merging = False
-        self.features: List[FeatureFn] = []
+        self.features: List[Predicate] = []
         #: attached remote replica (§3.4's V^P), shipped to at every persist
         self.replica = None
         self.on_replica_ship: Optional[Callable[[int], None]] = None
@@ -687,9 +686,10 @@ class PMOctree:
 
     # ------------------------------------------------------------------- features
 
-    def register_feature(self, fn: FeatureFn) -> None:
-        """Register an application feature function (§3.3): a predicate over
-        ``(loc, payload)`` marking octants the next routines will touch."""
+    def register_feature(self, fn: Predicate) -> None:
+        """Register an application feature function (§3.3): an array
+        predicate over a gathered :class:`~repro.octree.soa.LeafBatch`
+        marking the octants the next routines will touch."""
         self.features.append(fn)
 
     # ------------------------------------------------------------------ lifecycle

@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.nvbm import sites
 from repro.nvbm.pointers import is_dram
-from repro.octree import morton
+from repro.octree import morton, soa
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
@@ -68,9 +68,9 @@ def sample_frequency(pmo: "PMOctree", root_loc: int,
                      rng: np.random.Generator) -> Tuple[float, int]:
     """Feature-directed access-frequency estimate for one subtree.
 
-    Samples ``N_sample = min(n_sample_max, size)`` octants, pre-executes
-    every registered feature function on them, and returns
-    ``(total hits, subtree size)``.
+    Samples ``N_sample = min(n_sample_max, size)`` octants with one
+    gather, pre-executes every registered feature function over the batch,
+    and returns ``(total hits, subtree size)``.
     """
     locs = subtree_locs(pmo, root_loc)
     size = len(locs)
@@ -78,14 +78,11 @@ def sample_frequency(pmo: "PMOctree", root_loc: int,
         return 0.0, size
     n = min(pmo.config.n_sample_max, size)
     picks = rng.choice(size, size=n, replace=False)
-    hits = 0
-    for i in picks:
-        loc = locs[int(i)]
-        payload = pmo.get_payload(loc)
-        for fn in pmo.features:
-            if fn(loc, payload):
-                hits += 1
-                break  # an octant is "of interest" once any feature fires
+    batch = soa.gather(pmo, [locs[i] for i in picks.tolist()])
+    hot = np.zeros(n, dtype=bool)  # "of interest" once any feature fires
+    for fn in pmo.features:
+        hot |= np.asarray(fn(batch), dtype=bool)
+    hits = int(np.count_nonzero(hot))
     # normalise to the whole subtree so different sample sizes compare
     return hits * (size / n), size
 

@@ -31,7 +31,7 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.parallel.runtime import Backend, RunConfig, RunResult, run_parallel
 from repro.solver.simulation import DropletSimulation
 from repro.storage.block import BlockDevice
@@ -178,10 +178,10 @@ def exp_fig5(max_level: int = 5) -> Fig5Result:
         tree.config = PMOctreeConfig(dram_capacity_octants=quadrant // 2)
         tree.persist(transform=False)
         region = hot if aware else cold
-        tree.register_feature(
+        tree.register_feature(soa.per_octant(
             lambda loc, p: loc != morton.ROOT_LOC
             and morton.ancestor_at(loc, 2, 1) == region
-        )
+        ))
         detect_and_transform(tree)
         w0 = nvbm.device.stats.writes
         # the update burst hits every leaf of the hot quadrant

@@ -14,7 +14,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import ConsistencyError
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree, Payload
 
 
@@ -47,8 +47,6 @@ class LinearOctree:
     def __init__(self, dim: int, locs: Sequence[int],
                  payloads: Optional[np.ndarray] = None,
                  max_level: Optional[int] = None):
-        from repro.solver import soa
-
         self.dim = dim
         locs = list(locs)
         loc_arr = np.asarray(locs, dtype=np.int64)

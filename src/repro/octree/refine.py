@@ -1,31 +1,33 @@
 """Criterion-driven refinement/coarsening (the *Refine & Coarsen* routine).
 
-A refinement *criterion* is a callable ``(loc, payload) -> Action`` — this
-is precisely the "feature function" the paper's feature-directed sampling
-pre-executes (§3.3), so the same object is shared between the solver and
-PM-octree's layout policy.
+A refinement *criterion* is an array predicate (:data:`soa.Predicate`): it
+takes the sweep's gathered leaves and returns one :class:`Action` code per
+leaf — the callable shape of the "feature function" the paper's
+feature-directed sampling pre-executes (§3.3), so the solver and PM-octree's
+layout policy share it.  :func:`soa.per_octant` lifts a per-octant
+``(loc, payload) -> Action`` callable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
+from enum import IntEnum
 from typing import Callable
 
-from repro.octree import morton
+import numpy as np
+
+from repro.octree import morton, soa
 from repro.octree.balance import balance_tree
-from repro.octree.store import AdaptiveTree, Payload
+from repro.octree.store import AdaptiveTree
 
 
-class Action(Enum):
-    """What the criterion wants done with a leaf."""
+class Action(IntEnum):
+    """What the criterion wants done with a leaf (the int8 codes of a
+    criterion's result array)."""
 
     KEEP = 0
     REFINE = 1
     COARSEN = 2
-
-
-Criterion = Callable[[int, Payload], Action]
 
 
 @dataclass
@@ -49,7 +51,7 @@ class RefinementEngine:
     Gerris also uses).
     """
 
-    def __init__(self, criterion: Criterion, min_level: int = 0,
+    def __init__(self, criterion: soa.Predicate, min_level: int = 0,
                  max_level: int = 30, balance: bool = True):
         if min_level > max_level:
             raise ValueError("min_level must not exceed max_level")
@@ -73,31 +75,32 @@ class RefinementEngine:
     def _sweep(self, tree: AdaptiveTree) -> RefinementResult:
         dim = tree.dim
         res = RefinementResult()
-        to_refine = []
-        votes = {}  # parent loc -> #children voting COARSEN
-        new_leaves = []
-        for loc in list(tree.leaves()):
-            level = morton.level_of(loc, dim)
-            action = self.criterion(loc, tree.get_payload(loc))
-            if action is Action.REFINE and level < self.max_level:
-                to_refine.append(loc)
-            elif action is Action.COARSEN and level > self.min_level:
-                parent = morton.parent_of(loc, dim)
-                votes[parent] = votes.get(parent, 0) + 1
-        for loc in to_refine:
-            if tree.is_leaf(loc):  # may have been consumed by coarsening
-                new_leaves.extend(tree.refine(loc))
+        # one gather and one criterion call per round; nothing mutates the
+        # tree until every leaf has been read, so the batch is metered as
+        # the per-leaf get_payload calls in the same order
+        batch = soa.gather(tree, tree.leaves())
+        actions = np.asarray(self.criterion(batch))
+        to_refine = batch.locs[(actions == Action.REFINE)
+                               & (batch.levels < self.max_level)]
+        voters = batch.locs[(actions == Action.COARSEN)
+                            & (batch.levels > self.min_level)]
+        for loc in to_refine.tolist():
+            if tree.is_leaf(loc):  # a metered index search out of core
+                tree.refine(loc)
                 res.refined += 1
-        fanout = morton.fanout(dim)
-        for parent, n in votes.items():
+        # A parent coarsens when all its children voted.  Parents are
+        # visited in the order their first vote was cast (leaf order), so
+        # the copy-on-write allocations happen in the per-leaf order.
+        parents, first, votes = np.unique(voters >> dim, return_index=True,
+                                          return_counts=True)
+        agreed = votes == morton.fanout(dim)
+        for parent in parents[agreed][np.argsort(first[agreed])].tolist():
             # Re-check children are all still leaves (none refined above).
-            if n == fanout and tree.exists(parent) \
-                    and not tree.is_leaf(parent) \
+            if tree.exists(parent) and not tree.is_leaf(parent) \
                     and all(tree.is_leaf(c)
                             for c in morton.children_of(parent, dim)):
                 tree.coarsen(parent)
                 res.coarsened += 1
-                new_leaves.append(parent)
         if self.balance and (res.refined or res.coarsened):
             res.balance_refined = balance_tree(
                 tree, max_level=self.max_level,

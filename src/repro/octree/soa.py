@@ -1,10 +1,11 @@
 """Structure-of-arrays (SoA) views of a tree's leaves.
 
 The solver kernels (VOF transport, the wave sweep, the red-black smoother,
-work-weight extraction) have one body each, written over arrays: at
-realistic tree sizes a per-octant Python loop over tuple payloads — not the
-simulated memory device — would be the binding constraint.  This module is
-the batch layer they share:
+work-weight extraction), the refine sweep's criterion and the §3.3 feature
+sampler have one body each, written over arrays: at realistic tree sizes a
+per-octant Python loop over tuple payloads — not the simulated memory
+device — would be the binding constraint.  This module is the batch layer
+they share:
 
 * vectorised locational-code arithmetic (:func:`levels_of_codes`,
   :func:`coords_of_codes`, :func:`zorder_keys`) that is *integer-exact*
@@ -16,7 +17,9 @@ the batch layer they share:
 * :class:`LeafBatch` — the gathered per-leaf arrays (``locs``, ``levels``,
   payload columns, bounds, centers) in the tree's ``leaves()`` iteration
   order, filled by :func:`gather` through the tree protocol's
-  ``batch_read_payloads``.
+  ``batch_read_payloads``.  A refinement criterion and a PM-octree feature
+  function are both ``(LeafBatch) -> ndarray``; :func:`per_octant` lifts a
+  ``(loc, payload)`` callable to that shape with a plain loop.
 
 Only *data* is batched.  Structure — which leaf sits below this one, does
 this code exist — stays a per-octant query on the tree (``leaf_neighbor``,
@@ -44,7 +47,7 @@ The kernels must be *provably* equivalent to the per-octant scalar oracle
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Callable, List, Sequence
 
 import numpy as np
 
@@ -126,6 +129,13 @@ def cell_geometry(coords: np.ndarray, levels: np.ndarray):
     return h, mins, maxs, centers
 
 
+def code_geometry(locs, dim: int):
+    """:func:`cell_geometry` of locational codes nobody gathered (parents
+    of a batch, leaves about to be initialised): no payload is read."""
+    levels = levels_of_codes(locs, dim)
+    return cell_geometry(coords_of_codes(locs, levels, dim), levels)
+
+
 class LeafBatch:
     """Gathered SoA view of a tree's leaves.
 
@@ -155,3 +165,25 @@ def gather(tree, locs: Sequence[int]) -> LeafBatch:
     exactly what per-leaf ``get_payload`` calls would be."""
     loc_list = list(locs)
     return LeafBatch(tree.dim, loc_list, tree.batch_read_payloads(loc_list))
+
+
+#: The one callable shape of a refinement criterion (an ``Action`` code per
+#: octant) and of a PM-octree feature function (a bool per octant).
+Predicate = Callable[[LeafBatch], np.ndarray]
+
+
+def per_octant(fn: Callable) -> Predicate:
+    """Lift a per-octant ``fn(loc, payload)`` to the batch shape.
+
+    The loop-backed counterpart of the array predicates (what
+    :class:`repro.octree.store.LoopBackedAccess` is to the batch
+    accessors): one call per octant, in batch order, with the payload as
+    the tuple ``get_payload`` returns."""
+
+    def batched(batch: LeafBatch) -> np.ndarray:
+        return np.array([
+            fn(loc, tuple(row))
+            for loc, row in zip(batch.loc_list, batch.payloads.tolist())
+        ])
+
+    return batched

@@ -13,7 +13,7 @@ blend keeps both properties the evaluation needs: solver-like traffic and a
 crisp, moving interface.
 
 The sweep has one body, written over arrays: gather every leaf into a
-:class:`repro.solver.soa.LeafBatch` through the tree protocol's
+:class:`repro.octree.soa.LeafBatch` through the tree protocol's
 ``batch_read_payloads``, resolve each leaf's upwind neighbor with
 ``leaf_neighbor`` + ``is_leaf`` (a structural query *on the tree* — on the
 Etree baseline it is the B-tree search §5.4 charges for, so it is never
@@ -34,24 +34,26 @@ from typing import Dict
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.octree import morton
+from repro.octree import soa
 from repro.octree.neighbors import leaf_neighbor
 from repro.octree.store import AdaptiveTree
-from repro.solver import soa
 from repro.solver.fields import PRESSURE, U, V, VOF, FieldView
 from repro.solver.geometry import DropletGeometry
 
 
 def initialize_vof(tree: AdaptiveTree, geometry: DropletGeometry,
                    t: float = 0.0) -> None:
-    """Fill the VOF and velocity fields from the geometry at time ``t``."""
+    """Fill the VOF and velocity fields from the geometry at time ``t``.
+
+    The geometry is evaluated once over all leaves; the stores stay one
+    read-modify-write per leaf, in leaf order."""
     fields = FieldView(tree)
-    dim = tree.dim
-    for loc in tree.leaves():
-        lo, hi = morton.cell_bounds(loc, dim)
-        vof = geometry.vof_of_cell(lo, hi, t)
-        vel = geometry.velocity(morton.cell_center(loc, dim), t)
-        fields.set_many(loc, {VOF: vof, U: vel[0], V: vel[-1]})
+    locs = list(tree.leaves())
+    _h, mins, maxs, centers = soa.code_geometry(locs, tree.dim)
+    vof = geometry.vof_of_cells(mins, maxs, t).tolist()
+    speed = geometry.vertical_velocities(centers, t).tolist()
+    for loc, f, v in zip(locs, vof, speed):
+        fields.set_many(loc, {VOF: f, U: 0.0, V: v})
 
 
 def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,

@@ -3,17 +3,17 @@
 One definition, two consumers — which is the paper's point about
 feature-directed sampling imposing no extra programming burden (§3.3): the
 refine/coarsen predicate the simulation already owns *is* the feature
-function handed to the PM-octree library.
+function handed to the PM-octree library.  Both are array predicates over a
+gathered :class:`~repro.octree.soa.LeafBatch`; the per-octant spellings
+they must equal elementwise live in ``tests/oracles``.
 """
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.refine import Action
 from repro.octree.store import Payload
 from repro.solver.fields import VOF
@@ -29,22 +29,20 @@ INTERFACE_WORK = 4.0
 CHURN_WORK = 1.0
 
 
-def interface_band_feature(geometry: DropletGeometry, dim: int,
-                           t: float) -> Callable[[int, Payload], bool]:
+def interface_band_feature(geometry: DropletGeometry,
+                           t: float) -> soa.Predicate:
     """Feature: is this octant in the interface band at time ``t``?
 
     PM-octree pre-executes this on sampled octants to find hot subtrees.
     """
 
-    def fn(loc: int, payload: Payload) -> bool:
-        lo, hi = morton.cell_bounds(loc, dim)
-        return geometry.near_interface(lo, hi, t)
+    def fn(batch: soa.LeafBatch) -> np.ndarray:
+        return geometry.near_interface_cells(batch.mins, batch.maxs, t)
 
     return fn
 
 
-def change_feature(geometry: DropletGeometry, config: SolverConfig,
-                   t_next: float) -> Callable[[int, Payload], bool]:
+def change_feature(geometry: DropletGeometry, t_next: float) -> soa.Predicate:
     """Feature: will the solver *write* this octant next step?
 
     Pre-executes the update predicate: a cell is hot when its analytic
@@ -54,22 +52,21 @@ def change_feature(geometry: DropletGeometry, config: SolverConfig,
     sampling beat history (§3.3): the set follows the moving front, and it
     is much smaller than the full interface band.
     """
-    dim = config.dim
 
-    def fn(loc: int, payload: Payload) -> bool:
-        lo, hi = morton.cell_bounds(loc, dim)
-        analytic = geometry.vof_of_cell(lo, hi, t_next)
-        return abs(analytic - payload[VOF]) > 1e-9
+    def fn(batch: soa.LeafBatch) -> np.ndarray:
+        analytic = geometry.vof_of_cells(batch.mins, batch.maxs, t_next)
+        return np.abs(analytic - batch.payloads[:, VOF]) > 1e-9
 
     return fn
 
 
-def mixed_cell_feature(dim: int) -> Callable[[int, Payload], bool]:
+def mixed_cell_feature(dim: int) -> soa.Predicate:
     """Feature based on the current VOF value instead of the geometry: a
     mixed cell (0 < vof < 1) is where the solver will do interface work."""
 
-    def fn(loc: int, payload: Payload) -> bool:
-        return 1e-6 < payload[VOF] < 1.0 - 1e-6
+    def fn(batch: soa.LeafBatch) -> np.ndarray:
+        vof = batch.payloads[:, VOF]
+        return (1e-6 < vof) & (vof < 1.0 - 1e-6)
 
     return fn
 
@@ -99,8 +96,6 @@ def partition_work_weights(lin) -> np.ndarray:
     n = len(lin)
     if n == 0:
         return np.zeros(0, dtype=np.float64)
-    from repro.solver import soa
-
     w = np.ones(n, dtype=np.float64)
     vof = lin.payloads[:, VOF]
     w += np.where((vof > 1e-6) & (vof < 1.0 - 1e-6), INTERFACE_WORK, 0.0)
@@ -110,7 +105,7 @@ def partition_work_weights(lin) -> np.ndarray:
 
 
 def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
-                        t: float) -> Callable[[int, Payload], Action]:
+                        t: float) -> soa.Predicate:
     """AMR criterion: max resolution in the interface band, coarse far away.
 
     Matches the droplet workload in the paper: the fine region follows the
@@ -121,24 +116,19 @@ def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
     on the next sweep, or the adaptation loop ping-pongs forever.
     """
     dim = config.dim
-    near_cache: dict = {}
 
-    def near(loc: int) -> bool:
-        hit = near_cache.get(loc)
-        if hit is None:
-            lo, hi = morton.cell_bounds(loc, dim)
-            hit = geometry.near_interface(lo, hi, t)
-            near_cache[loc] = hit
-        return hit
-
-    def criterion(loc: int, payload: Payload) -> Action:
-        level = morton.level_of(loc, dim)
-        if near(loc):
-            if level < config.max_level:
-                return Action.REFINE
-            return Action.KEEP
-        if level > config.min_level and not near(morton.parent_of(loc, dim)):
-            return Action.COARSEN
-        return Action.KEEP
+    def criterion(batch: soa.LeafBatch) -> np.ndarray:
+        near = geometry.near_interface_cells(batch.mins, batch.maxs, t)
+        actions = np.full(len(batch), Action.KEEP, dtype=np.int8)
+        actions[near & (batch.levels < config.max_level)] = Action.REFINE
+        cand = np.nonzero(~near & (batch.levels > config.min_level))[0]
+        if cand.size:
+            # siblings share a parent: evaluate each parent's band once
+            parents, inverse = np.unique(batch.locs[cand] >> dim,
+                                         return_inverse=True)
+            _h, los, his, _centers = soa.code_geometry(parents, dim)
+            parent_near = geometry.near_interface_cells(los, his, t)
+            actions[cand[~parent_near[inverse]]] = Action.COARSEN
+        return actions
 
     return criterion

@@ -224,3 +224,13 @@ class DropletGeometry:
         padded_hi = [h + pad for h in hi]
         frac = self.vof_of_cell(padded_lo, padded_hi, t, samples=samples)
         return 0.0 < frac < 1.0
+
+    def near_interface_cells(self, los: np.ndarray, his: np.ndarray,
+                             t: float, samples: int = 3) -> np.ndarray:
+        """:meth:`near_interface` of many cells at once (the same pad and
+        :meth:`vof_of_cells`, so every answer equals the per-cell one)."""
+        los = np.asarray(los, dtype=np.float64)
+        his = np.asarray(his, dtype=np.float64)
+        pad = (self.config.interface_band * (his - los).max(axis=1))[:, None]
+        frac = self.vof_of_cells(los - pad, his + pad, t, samples=samples)
+        return (0.0 < frac) & (frac < 1.0)

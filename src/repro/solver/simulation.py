@@ -74,10 +74,9 @@ class DropletSimulation:
         if hasattr(tree, "register_feature"):
             tree.register_feature(self._next_step_feature)
 
-    def _next_step_feature(self, loc, payload) -> bool:
-        """Feature bound to the next step: will this octant be written?"""
-        fn = change_feature(self.geometry, self.config, self.t + self.config.dt)
-        return fn(loc, payload)
+    def _next_step_feature(self, batch):
+        """Feature bound to the next step: which octants will be written?"""
+        return change_feature(self.geometry, self.t + self.config.dt)(batch)
 
     def _phase(self, name: str):
         """Clock-phase context; doubles as a trace span when obs is attached."""

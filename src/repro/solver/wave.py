@@ -27,11 +27,10 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.nvbm.clock import SimClock
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.balance import balance_tree
 from repro.octree.refine import Action, RefinementEngine
-from repro.octree.store import AdaptiveTree, Payload
-from repro.solver import soa
+from repro.octree.store import AdaptiveTree
 
 
 @dataclass
@@ -72,6 +71,20 @@ class WaveField:
         r = math.sqrt(s)
         z = (r - self.config.speed * t) / self.config.width
         return float(np.exp(-z * z))
+
+    def radii(self, centers: np.ndarray) -> np.ndarray:
+        """Distance of many points from the epicenter — the arithmetic of
+        :meth:`value` elementwise (left-to-right sum of squares, sqrt)."""
+        d = centers - np.asarray(self.config.epicenter, dtype=np.float64)
+        s = d[:, 0] * d[:, 0]
+        for axis in range(1, self.config.dim):
+            s = s + d[:, axis] * d[:, axis]
+        return np.sqrt(s)
+
+    def values(self, centers: np.ndarray, t: float) -> np.ndarray:
+        """:meth:`value` at many points (bit-identical per element)."""
+        z = (self.radii(centers) - self.config.speed * t) / self.config.width
+        return np.exp(-z * z)
 
     def cell_value(self, loc: int, t: float) -> float:
         """Pulse amplitude at the cell center (adequate: the pulse is wider
@@ -117,29 +130,25 @@ class WaveSimulation:
         if hasattr(tree, "register_feature"):
             tree.register_feature(self._next_step_feature)
 
-    def _next_step_feature(self, loc: int, payload: Payload) -> bool:
-        """Will this octant change next step? (the §3.3 feature function)"""
+    def _next_step_feature(self, batch: soa.LeafBatch) -> np.ndarray:
+        """Which octants change next step? (the §3.3 feature function)"""
         t_next = self.t + self.config.dt
-        return abs(self.field.cell_value(loc, t_next) - payload[0]) > 1e-6
+        return np.abs(self.field.values(batch.centers, t_next)
+                      - batch.payloads[:, 0]) > 1e-6
 
     def _criterion(self, t: float):
         cfg = self.config
-        fld = self.field
+        front = self.field.front_radius(t)
 
-        def criterion(loc: int, payload: Payload) -> Action:
-            level = morton.level_of(loc, cfg.dim)
+        def criterion(batch: soa.LeafBatch) -> np.ndarray:
             # refine wherever the pulse (evaluated over the cell, padded by
             # one cell width) is significant
-            h = morton.cell_size(loc, cfg.dim)
-            center = morton.cell_center(loc, cfg.dim)
-            r = math.dist(center, cfg.epicenter)
-            front = fld.front_radius(t)
-            near = abs(r - front) < (cfg.width * 2.5 + h)
-            if near and level < cfg.max_level:
-                return Action.REFINE
-            if not near and level > cfg.min_level:
-                return Action.COARSEN
-            return Action.KEEP
+            near = np.abs(self.field.radii(batch.centers) - front) \
+                < (cfg.width * 2.5 + batch.h)
+            actions = np.full(len(batch), Action.KEEP, dtype=np.int8)
+            actions[near & (batch.levels < cfg.max_level)] = Action.REFINE
+            actions[~near & (batch.levels > cfg.min_level)] = Action.COARSEN
+            return actions
 
         return criterion
 
@@ -182,20 +191,13 @@ class WaveSimulation:
         :meth:`WaveField.value` arithmetic and writes back the changed
         cells in leaf order (bit-identical to the per-octant oracle in
         ``tests/oracles`` in values and device metering)."""
-        cfg = self.config
         batch = soa.gather(self.tree, self.tree.leaves())
         n = len(batch)
         if self.obs is not None:
             self.obs.metrics.counter("kernel.batch_elems").inc(n)
         if n == 0:
             return 0
-        d = batch.centers - np.asarray(cfg.epicenter, dtype=np.float64)
-        s = d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1]
-        for axis in range(2, cfg.dim):
-            s = s + d[:, axis] * d[:, axis]
-        r = np.sqrt(s)
-        z = (r - cfg.speed * self.t) / cfg.width
-        new = np.exp(-z * z)
+        new = self.field.values(batch.centers, self.t)
         payloads = batch.payloads
         write_pos = np.nonzero(np.abs(payloads[:, 0] - new) > 1e-12)[0]
         loc_list = batch.loc_list

@@ -3,6 +3,7 @@
 
 from repro.config import SolverConfig
 from repro.core.autotune import C0AutoTuner, autotuned_persistence
+from repro.octree import soa
 from repro.solver.simulation import DropletSimulation
 from tests.core.conftest import PMRig
 
@@ -22,7 +23,7 @@ def test_grows_under_eviction_pressure():
     t = rig.tree
     tuner = C0AutoTuner(min_budget=8, grow_step=32)
     # force eviction churn: load + refine beyond the tiny budget
-    t.register_feature(lambda loc, p: True)
+    t.register_feature(soa.per_octant(lambda loc, p: True))
     from repro.core.transform import detect_and_transform
 
     detect_and_transform(t)
@@ -178,6 +179,6 @@ def test_transform_reports_hot_spills():
 
     rig = _persisted_rig(budget=16)
     t = rig.tree
-    t.register_feature(lambda loc, p: True)  # everything is hot
+    t.register_feature(soa.per_octant(lambda loc, p: True))  # all hot
     detect_and_transform(t)
     assert t.stats.hot_spills > 0

@@ -8,7 +8,7 @@ Whatever happens, `pm_restore` must reproduce the last persisted state.
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import SimulatedCrash
-from repro.octree import morton
+from repro.octree import morton, soa
 from tests.core.conftest import PMRig
 
 SITES = [
@@ -44,7 +44,8 @@ def test_any_crash_is_recoverable(site, hit, seed, use_transform):
         for leaf in list(t.leaves()):
             t.refine(leaf)
     if use_transform:
-        t.register_feature(lambda loc, p: morton.level_of(loc, 2) >= 1)
+        t.register_feature(
+            soa.per_octant(lambda loc, p: morton.level_of(loc, 2) >= 1))
     t.persist(transform=use_transform)
     persisted_sig = _signature(t)
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GCDisabledError
-from repro.octree import morton
+from repro.octree import morton, soa
 
 
 def _two_level_persisted(rig):
@@ -92,7 +92,7 @@ def test_gc_keeps_dram_origins(rig):
     from repro.core.transform import detect_and_transform
 
     t = _two_level_persisted(rig)
-    t.register_feature(lambda loc, p: True)
+    t.register_feature(soa.per_octant(lambda loc, p: True))
     detect_and_transform(t)
     assert t._origin
     origin_handles = set(t._origin.values())

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.balance import balance_tree, is_balanced
 from repro.octree.mesh import extract_mesh
 from repro.octree.refine import Action, RefinementEngine
@@ -87,7 +87,7 @@ def test_refinement_engine_runs_on_pmoctree(rig):
         lo, _ = morton.cell_bounds(loc, 2)
         return Action.REFINE if lo[0] < 0.25 else Action.KEEP
 
-    engine = RefinementEngine(crit, max_level=3)
+    engine = RefinementEngine(soa.per_octant(crit), max_level=3)
     engine.adapt(rig.tree, rounds=5)
     validate_tree(rig.tree)
     rig.tree.check_invariants()

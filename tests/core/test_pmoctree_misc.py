@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ReproError
-from repro.octree import morton
+from repro.octree import morton, soa
 from tests.core.conftest import PMRig
 
 
@@ -74,7 +74,7 @@ def test_memory_usage_counts_both_arenas(rig):
 
 
 def test_register_feature(rig):
-    fn = lambda loc, p: True
+    fn = soa.per_octant(lambda loc, p: True)
     rig.tree.register_feature(fn)
     assert fn in rig.tree.features
 

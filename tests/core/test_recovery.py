@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro.errors import RecoveryError, SimulatedCrash
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.store import validate_tree
 
 
@@ -98,7 +98,7 @@ def test_crash_mid_merge_preserves_old_version(rig, site, hit):
     t = rig.tree
     # pull the (whole, small) tree into DRAM so the next persist has a real
     # C0 merge to crash in
-    t.register_feature(lambda loc, payload: True)
+    t.register_feature(soa.per_octant(lambda loc, payload: True))
     detect_and_transform(t)
     assert t.c0_size() > 0
     rig.injector.reset_hits()

@@ -8,7 +8,7 @@ from repro.core.transform import (
     subtree_level,
 )
 from repro.nvbm.pointers import is_dram
-from repro.octree import morton
+from repro.octree import morton, soa
 from tests.core.conftest import PMRig
 
 
@@ -31,7 +31,7 @@ def _hot_region_feature(hot_quadrant):
             return True
         return morton.ancestor_at(loc, 2, 1) == hot_quadrant
 
-    return fn
+    return soa.per_octant(fn)
 
 
 def test_subtree_level_eq1():
@@ -117,7 +117,7 @@ def test_hot_swap_replaces_cold_subtree():
 def test_ratio_threshold_blocks_marginal_swaps():
     """Equal heat on both sides -> Ratio_access ~ 1 < T_transform: no swap."""
     rig, t = _persisted(levels=3, dram=30)
-    t.register_feature(lambda loc, p: True)  # everything equally hot
+    t.register_feature(soa.per_octant(lambda loc, p: True))  # all equally hot
     detect_and_transform(t)
     first = list(t._c0_roots)
     res = detect_and_transform(t)
@@ -155,3 +155,53 @@ def test_transformation_reduces_nvbm_writes():
     aware = run(transform=True)
     assert aware == 0  # all served from DRAM
     assert oblivious > 16
+
+
+def test_batch_sampler_matches_per_pick_oracle():
+    """One gather + array features == one ``get_payload`` per pick + scalar
+    features: same hits, same ``rng`` draws, same clock and ``DeviceStats``,
+    with picks resident in DRAM *and* in NVBM."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.config import SolverConfig
+    from repro.core.merge import subtree_locs
+    from repro.solver.features import change_feature, mixed_cell_feature
+    from repro.solver.simulation import DropletSimulation
+    from tests.oracles import scalar_kernels as oracle
+
+    def rig_after_steps():
+        rig = PMRig(dram_octants=96, n_sample_max=40)
+        sim = DropletSimulation(
+            rig.tree, SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01),
+            clock=rig.clock, persistence=lambda s: s.tree.persist())
+        sim.run(3)
+        return rig, sim
+
+    def observe(rig, sampler, feats):
+        t = rig.tree
+        t.features = feats
+        rng = np.random.default_rng(11)
+        locs = subtree_locs(t, morton.ROOT_LOC)
+        picks = np.random.default_rng(11).choice(len(locs), size=40,
+                                                 replace=False)
+        homes = {is_dram(t.handle_of(locs[i])) for i in picks.tolist()}
+        assert homes == {True, False}
+        out = [sampler(t, root, rng)
+               for root in [morton.ROOT_LOC, *candidate_roots(t, 1)]]
+        return (out, rng.bit_generator.state, rig.clock.now_ns,
+                dataclasses.asdict(rig.dram.device.stats),
+                dataclasses.asdict(rig.nvbm.device.stats),
+                {r: s.accesses for r, s in t._c0_roots.items()})
+
+    rig_b, sim_b = rig_after_steps()
+    rig_s, sim_s = rig_after_steps()
+    t_next = sim_b.t + sim_b.config.dt
+    batch = observe(rig_b, sample_frequency, [
+        change_feature(sim_b.geometry, t_next), mixed_cell_feature(2)])
+    scalar = observe(rig_s, oracle.sample_frequency, [
+        soa.per_octant(oracle.change_feature(sim_s.geometry, t_next)),
+        soa.per_octant(oracle.mixed_cell_feature(2))])
+    assert batch == scalar
+    assert 0 < batch[0][0][0] < batch[0][0][1]  # some picks hot, not all

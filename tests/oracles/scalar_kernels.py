@@ -8,6 +8,15 @@ kernel.  Each visits one leaf at a time through the per-octant accessors
 access sequence the batch kernels must reproduce bit for bit in values *and*
 in device metering.
 
+The same holds for the predicates: the per-octant ``(loc, payload)`` bodies
+of ``interface_criterion``, ``change_feature``, the wave criterion and the
+wave feature, the per-leaf ``RefinementEngine._sweep``, the per-pick
+``sample_frequency`` loop and the per-leaf ``initialize_vof`` moved here
+when ``src`` made criteria and features array predicates over a
+``LeafBatch``.  The wave criterion's distance is the explicit sum of
+squares + ``sqrt`` (``math.dist`` has no bit-equal numpy twin), the
+``WaveField.value`` spelling.
+
 :func:`inject` swaps them in under the module-level names the drivers call
 (the same names ``bench/trace.py`` patches), so a whole simulation — or a
 whole ``run_parallel`` — runs on the oracle.
@@ -15,16 +24,32 @@ whole ``run_parallel`` — runs on the oracle.
 
 from __future__ import annotations
 
-from typing import Dict, List
+import math
+from functools import partial
+from typing import Callable, Dict, List
 
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.octree import morton
+from repro.core.merge import subtree_locs
+from repro.octree import morton, soa
+from repro.octree.balance import balance_tree
 from repro.octree.neighbors import face_neighbor_leaves, leaf_neighbor
-from repro.octree.store import AdaptiveTree
+from repro.octree.refine import Action, RefinementResult
+from repro.octree.store import AdaptiveTree, Payload
 from repro.solver.fields import PRESSURE, U, V, VOF, FieldView
 from repro.solver.geometry import DropletGeometry
+
+
+def initialize_vof(tree: AdaptiveTree, geometry: DropletGeometry,
+                   t: float = 0.0) -> None:
+    fields = FieldView(tree)
+    dim = tree.dim
+    for loc in tree.leaves():
+        lo, hi = morton.cell_bounds(loc, dim)
+        vof = geometry.vof_of_cell(lo, hi, t)
+        vel = geometry.velocity(morton.cell_center(loc, dim), t)
+        fields.set_many(loc, {VOF: vof, U: vel[0], V: vel[-1]})
 
 
 def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,
@@ -153,8 +178,177 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
             "sweeps": float(sweeps)}
 
 
+# ------------------------------------------------------------- predicates
+
+def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
+                        t: float) -> Callable[[int, Payload], Action]:
+    dim = config.dim
+    near_cache: dict = {}
+
+    def near(loc: int) -> bool:
+        hit = near_cache.get(loc)
+        if hit is None:
+            lo, hi = morton.cell_bounds(loc, dim)
+            hit = geometry.near_interface(lo, hi, t)
+            near_cache[loc] = hit
+        return hit
+
+    def criterion(loc: int, payload: Payload) -> Action:
+        level = morton.level_of(loc, dim)
+        if near(loc):
+            if level < config.max_level:
+                return Action.REFINE
+            return Action.KEEP
+        if level > config.min_level and not near(morton.parent_of(loc, dim)):
+            return Action.COARSEN
+        return Action.KEEP
+
+    return criterion
+
+
+def interface_band_feature(geometry: DropletGeometry,
+                           t: float) -> Callable[[int, Payload], bool]:
+    dim = geometry.config.dim
+
+    def fn(loc: int, payload: Payload) -> bool:
+        lo, hi = morton.cell_bounds(loc, dim)
+        return geometry.near_interface(lo, hi, t)
+
+    return fn
+
+
+def change_feature(geometry: DropletGeometry,
+                   t_next: float) -> Callable[[int, Payload], bool]:
+    dim = geometry.config.dim
+
+    def fn(loc: int, payload: Payload) -> bool:
+        lo, hi = morton.cell_bounds(loc, dim)
+        analytic = geometry.vof_of_cell(lo, hi, t_next)
+        return abs(analytic - payload[VOF]) > 1e-9
+
+    return fn
+
+
+def mixed_cell_feature(dim: int) -> Callable[[int, Payload], bool]:
+    def fn(loc: int, payload: Payload) -> bool:
+        return 1e-6 < payload[VOF] < 1.0 - 1e-6
+
+    return fn
+
+
+def wave_criterion(self, t: float) -> Callable[[int, Payload], Action]:
+    """Scalar ``WaveSimulation._criterion``."""
+    cfg = self.config
+    fld = self.field
+
+    def criterion(loc: int, payload: Payload) -> Action:
+        level = morton.level_of(loc, cfg.dim)
+        # refine wherever the pulse (evaluated over the cell, padded by
+        # one cell width) is significant
+        h = morton.cell_size(loc, cfg.dim)
+        s = 0.0
+        for p, e in zip(morton.cell_center(loc, cfg.dim), cfg.epicenter):
+            d = p - e
+            s += d * d
+        r = math.sqrt(s)
+        front = fld.front_radius(t)
+        near = abs(r - front) < (cfg.width * 2.5 + h)
+        if near and level < cfg.max_level:
+            return Action.REFINE
+        if not near and level > cfg.min_level:
+            return Action.COARSEN
+        return Action.KEEP
+
+    return criterion
+
+
+def wave_next_step_feature(self, loc: int, payload: Payload) -> bool:
+    """Scalar ``WaveSimulation._next_step_feature``."""
+    t_next = self.t + self.config.dt
+    return abs(self.field.cell_value(loc, t_next) - payload[0]) > 1e-6
+
+
+# --------------------------------------------- refine sweep, feature sampler
+
+def _one(tree, loc: int, payload: Payload) -> soa.LeafBatch:
+    return soa.LeafBatch(tree.dim, [loc],
+                         np.array([payload], dtype=np.float64))
+
+
+def refine_sweep(self, tree: AdaptiveTree) -> RefinementResult:
+    """Per-leaf ``RefinementEngine._sweep``: one ``get_payload`` and one
+    criterion call per leaf (on a one-leaf batch)."""
+    dim = tree.dim
+    res = RefinementResult()
+    to_refine = []
+    votes = {}  # parent loc -> #children voting COARSEN
+    for loc in list(tree.leaves()):
+        level = morton.level_of(loc, dim)
+        action = self.criterion(_one(tree, loc, tree.get_payload(loc)))[0]
+        if action == Action.REFINE and level < self.max_level:
+            to_refine.append(loc)
+        elif action == Action.COARSEN and level > self.min_level:
+            parent = morton.parent_of(loc, dim)
+            votes[parent] = votes.get(parent, 0) + 1
+    for loc in to_refine:
+        if tree.is_leaf(loc):  # may have been consumed by coarsening
+            tree.refine(loc)
+            res.refined += 1
+    fanout = morton.fanout(dim)
+    for parent, n in votes.items():
+        # Re-check children are all still leaves (none refined above).
+        if n == fanout and tree.exists(parent) \
+                and not tree.is_leaf(parent) \
+                and all(tree.is_leaf(c)
+                        for c in morton.children_of(parent, dim)):
+            tree.coarsen(parent)
+            res.coarsened += 1
+    if self.balance and (res.refined or res.coarsened):
+        res.balance_refined = balance_tree(tree, max_level=self.max_level)
+    return res
+
+
+def sample_frequency(pmo, root_loc: int, rng: np.random.Generator):
+    """Per-pick ``repro.core.transform.sample_frequency``: one
+    ``get_payload`` per sampled octant, features tried until one fires."""
+    locs = subtree_locs(pmo, root_loc)
+    size = len(locs)
+    if size == 0 or not pmo.features:
+        return 0.0, size
+    n = min(pmo.config.n_sample_max, size)
+    picks = rng.choice(size, size=n, replace=False)
+    hits = 0
+    for i in picks:
+        loc = locs[int(i)]
+        one = _one(pmo, loc, pmo.get_payload(loc))
+        for fn in pmo.features:
+            if fn(one)[0]:
+                hits += 1
+                break  # an octant is "of interest" once any feature fires
+    # normalise to the whole subtree so different sample sizes compare
+    return hits * (size / n), size
+
+
 def inject(monkeypatch) -> None:
-    """Run the drivers on the scalar kernels for the rest of the test."""
+    """Run the drivers on the scalar kernels, the per-octant predicates
+    (lifted by ``soa.per_octant``), the per-leaf refine sweep and the
+    per-pick sampler for the rest of the test."""
+    lift = soa.per_octant
+    monkeypatch.setattr("repro.solver.simulation.initialize_vof",
+                        initialize_vof)
+    monkeypatch.setattr("repro.solver.simulation.interface_criterion",
+                        lambda *a: lift(interface_criterion(*a)))
+    monkeypatch.setattr("repro.solver.simulation.change_feature",
+                        lambda *a: lift(change_feature(*a)))
+    monkeypatch.setattr("repro.solver.wave.WaveSimulation._criterion",
+                        lambda self, t: lift(wave_criterion(self, t)))
+    monkeypatch.setattr(
+        "repro.solver.wave.WaveSimulation._next_step_feature",
+        lambda self, batch: lift(partial(wave_next_step_feature, self))(batch))
+    monkeypatch.setattr("repro.octree.refine.RefinementEngine._sweep",
+                        refine_sweep)
+    monkeypatch.setattr("repro.core.transform.sample_frequency",
+                        sample_frequency)
     monkeypatch.setattr("repro.solver.simulation.advect_vof", advect_vof)
     monkeypatch.setattr("repro.solver.simulation.smooth_pressure",
                         smooth_pressure)

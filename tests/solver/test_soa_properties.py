@@ -2,7 +2,7 @@
 
 Three families:
 
-* the vectorised locational-code arithmetic in :mod:`repro.solver.soa` is
+* the vectorised locational-code arithmetic in :mod:`repro.octree.soa` is
   integer-exact against the scalar :mod:`repro.octree.morton` loops;
 * gather/scatter round-trips on every :class:`AdaptiveTree` implementation
   (PMOctree, InCoreOctree, EtreeOctree): a batch write-back of gathered
@@ -29,10 +29,9 @@ from repro.nvbm.clock import SimClock
 from repro.nvbm.device import MemoryDevice, lines_spanned
 from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree
 from repro.octree.tree import PointerOctree
-from repro.solver import soa
 from repro.storage.block import BlockDevice
 
 MAX_LEVEL = 5

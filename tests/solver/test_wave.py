@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.balance import is_balanced
 from repro.octree.store import validate_tree
 from repro.solver.wave import WaveConfig, WaveField, WaveSimulation
@@ -94,10 +94,8 @@ def test_wave_feature_predicts_front(quadtree):
     sim.run(3)
     # the feature fires near the (next) front, not in the far field
     front = sim.field.front_radius(sim.t + cfg.dt)
-    hot = [
-        loc for loc in quadtree.leaves()
-        if sim._next_step_feature(loc, quadtree.get_payload(loc))
-    ]
+    batch = soa.gather(quadtree, quadtree.leaves())
+    hot = batch.locs[sim._next_step_feature(batch)].tolist()
     assert hot
     for loc in hot:
         r = math.dist(morton.cell_center(loc, 2), cfg.epicenter)

@@ -4,6 +4,10 @@
   ``scalar_fallbacks`` counter, and no ``hasattr``/``getattr`` probe for a
   data-access method that is part of the :class:`AdaptiveTree` protocol (the
   scalar oracle lives in ``tests/oracles``).
+* criteria and features are array predicates: no per-octant
+  ``def criterion(loc``/``def fn(loc`` body and no ``near_cache`` in ``src``,
+  and ``soa`` (under ``repro.octree``, so nothing needs to hide a cycle) is
+  imported at module top only.
 * every backticked ``repro.*`` dotted name in DESIGN.md, README.md and
   ``docs/*.md`` imports or resolves, so the docs cannot drift to modules
   that no longer exist.
@@ -22,6 +26,9 @@ FORBIDDEN = re.compile(
     r"vectorized|scalar_fallbacks"
     r"|\b(?:has|get)attr\([^)\n]*"
     r"[\"'](?:batch_\w+|get_field|set_field|num_leaves)[\"']"
+    r"|def (?:criterion|fn)\(loc\b|near_cache"
+    r"|^[ \t]+(?:from|import)\b[^\n]*\bsoa\b",
+    re.MULTILINE,
 )
 
 
