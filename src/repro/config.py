@@ -171,12 +171,10 @@ class PMOctreeConfig:
     """
 
     dram_capacity_octants: int = 4096
-    nvbm_capacity_octants: int = 1 << 20
     threshold_dram: float = 0.10
     threshold_nvbm: float = 0.10
     t_transform: float = 1.5
     n_sample_max: int = 100
-    replication: bool = False
     max_inflight_epochs: int = 0
     seed: int = 2017
 

@@ -104,12 +104,8 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
             pmo._detach(origin)
         pmo.injector.site(sites.MERGE_OCTANT)
     pmo.stats.merges += 1
-    pmo._obs_count("pm.merges")
-    pmo._obs_count("pm.merge_octants_shared", shared)
-    pmo._obs_count("pm.merge_octants_written", len(merged) - shared)
-    if not keep_resident:
-        # C0 -> C1 migration: the subtree leaves DRAM for NVBM
-        pmo._obs_count("pm.c0_to_c1_octants", len(merged))
+    pmo.stats.merge_octants_shared += shared
+    pmo.stats.merge_octants_written += len(merged) - shared
 
     if keep_resident:
         # the DRAM copies stay; the NVBM shadow becomes their new origin
@@ -121,6 +117,7 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
         stats.locs = set(merged)
     else:
         # eviction: release DRAM and point the working version at NVBM
+        pmo.stats.c0_to_c1_octants += len(merged)
         for loc, nv_handle in merged.items():
             dram_handle = pmo._index[loc]
             pmo.dram.free(dram_handle)
@@ -144,12 +141,12 @@ def splice_into_parent(pmo: "PMOctree", root_loc: int, new_handle: int) -> None:
     ph = pmo._index[parent_loc]
     if is_dram(ph):
         pmo.dram.write_child_slot(ph, child_idx, new_handle)
-        pmo._count_partial_write()
+        pmo.stats.partial_writes += 1
         pmo._dirty.add(parent_loc)
         return
     ph = pmo._ensure_writable(parent_loc)
     pmo.nvbm.write_child_slot(ph, child_idx, new_handle)
-    pmo._count_partial_write()
+    pmo.stats.partial_writes += 1
 
 
 def evict_subtree(pmo: "PMOctree", root_loc: int) -> int:
@@ -223,7 +220,6 @@ def load_subtree(pmo: "PMOctree", root_loc: int) -> bool:
     for c0 in nested:
         evict_subtree(pmo, c0)
         pmo.stats.evictions += 1
-        pmo._obs_count("pm.evictions")
     handle = pmo._index[root_loc]
     if is_dram(handle):
         return True  # already resident (was a nested-or-equal C0 root)
@@ -250,12 +246,11 @@ def load_subtree(pmo: "PMOctree", root_loc: int) -> bool:
             pmo.dram.write_child_slot(
                 ph, morton.child_index_of(loc, pmo.dim), dh
             )
-            pmo._count_partial_write()
+            pmo.stats.partial_writes += 1
         pmo.injector.site(sites.LOAD_OCTANT)
     for loc, dh in copied.items():
         pmo._index[loc] = dh
     pmo._c0_roots[root_loc] = C0Stats(size=len(locs), locs=set(locs))
-    # C1 -> C0 migration: the subtree became DRAM-resident
-    pmo._obs_count("pm.c1_to_c0_octants", len(locs))
+    pmo.stats.c1_to_c0_octants += len(locs)
     splice_into_parent(pmo, root_loc, copied[root_loc])
     return True

@@ -41,7 +41,7 @@ epoch *i* or *i−1*, never a blend.  The registered crash sites
 (``epoch.enqueue.mid``, ``epoch.drain.mid``, ``epoch.commit.pre_publish``,
 ``epoch.overlap.next_step``) pin exactly those windows for the sweep.
 
-``overlap_fraction = 1 - stall_ns / drain_ns`` is the headline gauge: the
+``overlap_fraction = 1 - stall_ns / drain_ns`` is the headline number: the
 fraction of total drain time that disappeared behind compute.
 """
 
@@ -281,7 +281,6 @@ class EpochPipeline:
                     clock.advance(wait, Category.MEM_NVBM)
                 self.stats.stall_ns += wait
             self._settle(entry)
-        self._publish_gauges()
 
     def _settle(self, entry: InFlightEpoch) -> None:
         """Execute one epoch's durability actions (its time is already on
@@ -312,7 +311,6 @@ class EpochPipeline:
                         # published root cannot reach them.
                         nvbm.set_flags(old, flags | FLAG_DELETED)
                         pmo.stats.marked_deleted += 1
-                        pmo._obs_count("pm.marked_deleted")
                         marked.append(old)
                 nvbm.flush_records(marked)
         tracer = getattr(nvbm, "tracer", None)
@@ -320,15 +318,6 @@ class EpochPipeline:
         if epoch_close is not None and entry.window:
             epoch_close(entry.window)
         self.stats.drained += 1
-        self._publish_gauges()
-
-    def _publish_gauges(self) -> None:
-        obs = self.pmo.obs
-        if obs is not None:
-            obs.metrics.gauge("pipeline.overlap_fraction").set(
-                self.overlap_fraction())
-            obs.metrics.gauge("pipeline.stall_ns").set(self.stats.stall_ns)
-            obs.metrics.gauge("pipeline.inflight").set(len(self._queue))
 
     # -- crash / teardown ---------------------------------------------------
 

@@ -80,6 +80,12 @@ class PMStats:
     partial_reads: int = 0   #: field-granular record loads
     partial_writes: int = 0  #: field-granular record stores
     hot_spills: int = 0      #: transformation could not fit a hot subtree
+    merge_octants_shared: int = 0   #: merged octants re-linked to V_{i-1}
+    merge_octants_written: int = 0  #: merged octants written as new records
+    c0_to_c1_octants: int = 0  #: octants that left DRAM in eviction merges
+    c1_to_c0_octants: int = 0  #: octants loaded into DRAM subtrees
+    transform_evicted_subtrees: int = 0
+    transform_loaded_subtrees: int = 0
 
 
 class PMOctree:
@@ -90,21 +96,28 @@ class PMOctree:
     run on it unchanged.
     """
 
-    #: attached repro.obs.Observability; class-level default because the
-    #: recovery path (attach_and_restore) constructs instances via __new__
-    obs = None
-    #: bound pm.partial_* counters (attach_obs); class-level None for the
-    #: same __new__ reason, and so the hot path is one attribute test
-    _m_partial_reads = None
-    _m_partial_writes = None
-    #: attached EpochPipeline (asynchronous persistence); None means the
-    #: synchronous persist path — class-level for the __new__ reason above
-    _pipeline = None
-
     def __init__(self, dram: MemoryArena, nvbm: MemoryArena, dim: int = 2,
                  config: Optional[PMOctreeConfig] = None,
                  injector: Optional[FailureInjector] = None,
                  root_payload: Payload = ZERO_PAYLOAD):
+        self._init_state(dram, nvbm, dim, config, injector)
+        # The initial tree is a single root leaf in DRAM (the whole tree is
+        # C0 until pressure or a persist pushes octants to NVBM).
+        root = OctantRecord(loc=morton.ROOT_LOC, level=0, epoch=self.epoch,
+                            payload=root_payload)
+        h = self.dram.new_octant(root)
+        self._index[morton.ROOT_LOC] = h
+        self._leaf_set.add(morton.ROOT_LOC)
+        self._c0_roots[morton.ROOT_LOC] = C0Stats(size=1,
+                                                  locs={morton.ROOT_LOC})
+        self.nvbm.roots.set(SLOT_PREV, NULL_HANDLE)
+        self.nvbm.roots.set(SLOT_CURR, h)
+
+    def _init_state(self, dram: MemoryArena, nvbm: MemoryArena, dim: int,
+                    config: Optional[PMOctreeConfig],
+                    injector: Optional[FailureInjector]) -> None:
+        """Everything but the tree itself: ``__init__`` then allocates the
+        root leaf, ``recovery.attach_and_restore`` then restores."""
         if dim not in (2, 3):
             raise ValueError(f"only dim 2 and 3 supported, got {dim}")
         self.dram = dram
@@ -114,6 +127,8 @@ class PMOctree:
         self.injector = injector or FailureInjector()
         if nvbm.roots.injector is None:
             nvbm.roots.injector = self.injector
+        #: attached repro.obs.Observability (attach_obs), or None
+        self.obs = None
         self.stats = PMStats()
         self.epoch = 1
         self.merging = False
@@ -139,47 +154,25 @@ class PMOctree:
         #: only maintained when an epoch pipeline is attached (the
         #: synchronous mark walks V_{i-1} itself and needs no delta).
         self._detached: List[int] = []
-
+        #: attached EpochPipeline (asynchronous persistence); None means
+        #: the synchronous persist path
+        self._pipeline = None
         if self.config.max_inflight_epochs > 0:
             from repro.core.pipeline import EpochPipeline
 
             self._pipeline = EpochPipeline(
                 self, max_inflight=self.config.max_inflight_epochs)
 
-        # The initial tree is a single root leaf in DRAM (the whole tree is
-        # C0 until pressure or a persist pushes octants to NVBM).
-        root = OctantRecord(loc=morton.ROOT_LOC, level=0, epoch=self.epoch,
-                            payload=root_payload)
-        h = self.dram.new_octant(root)
-        self._index[morton.ROOT_LOC] = h
-        self._leaf_set.add(morton.ROOT_LOC)
-        self._c0_roots[morton.ROOT_LOC] = C0Stats(size=1,
-                                                  locs={morton.ROOT_LOC})
-        self.nvbm.roots.set(SLOT_PREV, NULL_HANDLE)
-        self.nvbm.roots.set(SLOT_CURR, h)
-
     # -------------------------------------------------------------- observability
 
     def attach_obs(self, obs) -> None:
-        """Report ``pm.*`` counters and persist spans to an
+        """Report :class:`PMStats` as ``pm.*`` counters (the pipeline's
+        stats as ``pipeline.*``) and persist spans to an
         :class:`repro.obs.Observability` (see docs/observability.md)."""
         self.obs = obs
-        self._m_partial_reads = obs.metrics.counter("pm.partial_reads")
-        self._m_partial_writes = obs.metrics.counter("pm.partial_writes")
-
-    def _count_partial_read(self) -> None:
-        self.stats.partial_reads += 1
-        if self._m_partial_reads is not None:
-            self._m_partial_reads.inc()
-
-    def _count_partial_write(self) -> None:
-        self.stats.partial_writes += 1
-        if self._m_partial_writes is not None:
-            self._m_partial_writes.inc()
-
-    def _obs_count(self, name: str, v: int = 1) -> None:
-        if self.obs is not None:
-            self.obs.metrics.counter(name).inc(v)
+        obs.metrics.fold("pm", self.stats)
+        if self._pipeline is not None:
+            obs.metrics.fold("pipeline", self._pipeline.stats)
 
     def _obs_span(self, name: str, **labels):
         if self.obs is not None:
@@ -218,7 +211,7 @@ class PMOctree:
     def get_payload(self, loc: int) -> Payload:
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
-        self._count_partial_read()
+        self.stats.partial_reads += 1
         return self._arena_of(handle).read_payload(handle)
 
     def set_payload(self, loc: int, payload: Payload) -> None:
@@ -226,14 +219,13 @@ class PMOctree:
         self._touch_c0(loc, handle)
         if is_dram(handle):
             self.dram.write_payload(handle, tuple(payload))
-            self._count_partial_write()
+            self.stats.partial_writes += 1
             self._dirty.add(loc)
             self.stats.inplace_updates += 1
-            self._obs_count("pm.inplace_updates")
             return
         handle = self._ensure_writable(loc)
         self.nvbm.write_payload(handle, tuple(payload))
-        self._count_partial_write()
+        self.stats.partial_writes += 1
         self.injector.site(sites.PAYLOAD_PARTIAL)
 
     # ------------------------------------------------- field-granular access
@@ -246,7 +238,7 @@ class PMOctree:
         whole 32-byte payload."""
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
-        self._count_partial_read()
+        self.stats.partial_reads += 1
         offset = PAYLOAD_SPAN[0] + 8 * slot
         data = self._arena_of(handle).read_field(handle, offset, 8)
         return _F64.unpack(data)[0]
@@ -263,14 +255,13 @@ class PMOctree:
         data = _F64.pack(value)
         if is_dram(handle):
             self.dram.write_field(handle, offset, data)
-            self._count_partial_write()
+            self.stats.partial_writes += 1
             self._dirty.add(loc)
             self.stats.inplace_updates += 1
-            self._obs_count("pm.inplace_updates")
             return
         handle = self._ensure_writable(loc)
         self.nvbm.write_field(handle, offset, data)
-        self._count_partial_write()
+        self.stats.partial_writes += 1
         self.injector.site(sites.PAYLOAD_PARTIAL)
 
     # ---------------------------------------------------- batched SoA access
@@ -282,11 +273,7 @@ class PMOctree:
             handle = self.handle_of(loc)
             self._touch_c0(loc, handle)
             handles.append(handle)
-        n = len(handles)
-        if n:
-            self.stats.partial_reads += n
-            if self._m_partial_reads is not None:
-                self._m_partial_reads.inc(n)
+        self.stats.partial_reads += len(handles)
         return handles
 
     def _split_read(self, handles, out, reader):
@@ -401,7 +388,6 @@ class PMOctree:
             stats.size += fanout
             stats.locs.update(child_locs)
         self.stats.inplace_updates += 1
-        self._obs_count("pm.inplace_updates")
         return child_locs
 
     def _refine_nvbm(self, loc: int) -> List[int]:
@@ -489,9 +475,8 @@ class PMOctree:
                     # is dead the moment its DRAM copy goes
                     flags = self.nvbm.read_flags(origin)
                     self.nvbm.set_flags(origin, flags | FLAG_DELETED)
-                    self._count_partial_write()
+                    self.stats.partial_writes += 1
                     self.stats.marked_deleted += 1
-                    self._obs_count("pm.marked_deleted")
                 elif origin is not None and self.nvbm.contains(origin):
                     # old-epoch origin: a published predecessor still
                     # references it — it merely left the working version
@@ -501,9 +486,8 @@ class PMOctree:
                 # the child is a leaf, so its flags are exactly FLAG_LEAF;
                 # the deletion mark is a single-line absolute store
                 self.nvbm.set_flags(ch, FLAG_LEAF | FLAG_DELETED)
-                self._count_partial_write()
+                self.stats.partial_writes += 1
                 self.stats.marked_deleted += 1
-                self._obs_count("pm.marked_deleted")
             else:
                 # old-epoch child: shared with V_{i-1}, which still needs
                 # it — record the detach instead of marking
@@ -514,8 +498,7 @@ class PMOctree:
         fanout = morton.fanout(self.dim)
         self.nvbm.write_child_slots(handle, 0, [NULL_HANDLE] * fanout)
         self.nvbm.set_flags(handle, FLAG_LEAF)
-        self._count_partial_write()
-        self._count_partial_write()
+        self.stats.partial_writes += 2
         self._leaf_set.add(loc)
 
     # --------------------------------------------------------------- COW machinery
@@ -546,7 +529,7 @@ class PMOctree:
         """In-place writable: DRAM, or an NVBM record of the current epoch."""
         if is_dram(handle):
             return True
-        self._count_partial_read()
+        self.stats.partial_reads += 1
         return self.nvbm.read_epoch(handle) == self.epoch
 
     def _ensure_writable(self, loc: int) -> int:
@@ -555,7 +538,7 @@ class PMOctree:
         handle = self._index[loc]
         if is_dram(handle):
             raise ConsistencyError(f"{loc:#x} is in DRAM; COW is for NVBM octants")
-        self._count_partial_read()
+        self.stats.partial_reads += 1
         if self.nvbm.read_epoch(handle) == self.epoch:
             return handle
         path = self._path_to(loc)
@@ -578,7 +561,6 @@ class PMOctree:
                 rec.parent = self._index[path[i - 1]]
             new = self.nvbm.new_octant(rec)
             self.stats.cow_copies += 1
-            self._obs_count("pm.cow_copies")
             self._superseded.append(old)
             self._index[ploc] = new
             self.injector.site(sites.COW_AFTER_COPY)
@@ -593,7 +575,7 @@ class PMOctree:
                     parena.write_child_slot(
                         ph, morton.child_index_of(ploc, self.dim), new
                     )
-                    self._count_partial_write()
+                    self.stats.partial_writes += 1
                     if is_dram(ph):
                         self._dirty.add(parent_loc)
             else:
@@ -603,7 +585,7 @@ class PMOctree:
                 self.nvbm.write_child_slot(
                     ph, morton.child_index_of(ploc, self.dim), new
                 )
-                self._count_partial_write()
+                self.stats.partial_writes += 1
             new_handle = new
         return new_handle
 
@@ -675,13 +657,11 @@ class PMOctree:
                 if protected_root is not None:
                     evict_subtree(self, protected_root)
                     self.stats.evictions += 1
-                    self._obs_count("pm.evictions")
                     return False
                 return self.c0_free >= needed
             _, victim = heapq.heappop(heap)
             evict_subtree(self, victim)
             self.stats.evictions += 1
-            self._obs_count("pm.evictions")
         return True
 
     # ------------------------------------------------------------------- features
@@ -712,13 +692,9 @@ class PMOctree:
         """
         if self._pipeline is not None:
             with self._obs_span("pm.persist.enqueue", epoch=self.epoch):
-                root = self._pipeline.enqueue(transform, keep_resident)
-            self._obs_count("pm.persists")
-            return root
+                return self._pipeline.enqueue(transform, keep_resident)
         with self._obs_span("pm.persist", epoch=self.epoch):
-            root = self._persist_impl(transform, keep_resident)
-        self._obs_count("pm.persists")
-        return root
+            return self._persist_impl(transform, keep_resident)
 
     def drain_persists(self) -> None:
         """Barrier: wait out and settle every in-flight persist epoch.
@@ -777,9 +753,8 @@ class PMOctree:
                     # to V_{i-2} only; the freshly published root cannot
                     # reach them.
                     self.nvbm.set_flags(old, flags | FLAG_DELETED)
-                    self._count_partial_write()
+                    self.stats.partial_writes += 1
                     self.stats.marked_deleted += 1
-                    self._obs_count("pm.marked_deleted")
             self._superseded.clear()
             self.nvbm.flush()
         finally:
@@ -873,10 +848,7 @@ class PMOctree:
         if self.merging:
             raise GCDisabledError("GC is disabled while a merge is in flight")
         with self._obs_span("pm.gc"):
-            res = mark_and_sweep(self)
-        self._obs_count("pm.gc_runs")
-        self._obs_count("pm.octants_reclaimed", res.swept)
-        return res
+            return mark_and_sweep(self)
 
     def restore(self):
         """Recover from the last persist point (see repro.core.recovery)."""

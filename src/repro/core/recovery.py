@@ -148,36 +148,7 @@ def attach_and_restore(dram: MemoryArena, nvbm: MemoryArena, dim: int = 2,
     from repro.core.pmoctree import PMOctree
 
     pmo = PMOctree.__new__(PMOctree)
-    pmo.dram = dram
-    pmo.nvbm = nvbm
-    if dim not in (2, 3):
-        raise ValueError(f"only dim 2 and 3 supported, got {dim}")
-    pmo.dim = dim
-    pmo.config = config or PMOctreeConfig()
-    pmo.injector = injector or FailureInjector()
-    if nvbm.roots.injector is None:
-        nvbm.roots.injector = pmo.injector
-    from repro.core.pmoctree import PMStats
-
-    pmo.stats = PMStats()
-    pmo.epoch = 1
-    pmo.merging = False
-    pmo.features = []
-    pmo.replica = None
-    pmo.on_replica_ship = None
-    pmo.replicator = None
-    pmo._index = {}
-    pmo._leaf_set = set()
-    pmo._c0_roots = {}
-    pmo._origin = {}
-    pmo._dirty = set()
-    pmo._superseded = []
-    pmo._detached = []
-    if pmo.config.max_inflight_epochs > 0:
-        from repro.core.pipeline import EpochPipeline
-
-        pmo._pipeline = EpochPipeline(
-            pmo, max_inflight=pmo.config.max_inflight_epochs)
+    pmo._init_state(dram, nvbm, dim, config, injector)
     restore_inplace(pmo, replica=replica, transport=transport)
     return pmo
 
@@ -368,6 +339,9 @@ class ScrubReport:
     retired_lines: int = 0      #: cache lines permanently taken out of rotation
     unrepaired: Tuple[int, ...] = ()  #: subtree-root locs with no redundancy left
 
+    def note_detected(self, kind: str) -> None:
+        self.detected[kind] = self.detected.get(kind, 0) + 1
+
     @property
     def detected_total(self) -> int:
         return sum(self.detected.values())
@@ -390,12 +364,6 @@ def _read_retrying(pmo: "PMOctree", handle: int):
         except MediaError as e:  # noqa: PERF203 - retry loop is the point
             exc = e
     raise exc
-
-
-def _note_detected(pmo: "PMOctree", report: ScrubReport, kind: str) -> None:
-    report.detected[kind] = report.detected.get(kind, 0) + 1
-    if pmo.obs is not None:
-        pmo.obs.metrics.counter("media.ue_detected", kind=kind).inc()
 
 
 def _rebuild_source(pmo: "PMOctree", path, replica, transport):
@@ -498,7 +466,6 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
         # the medium itself is bad: take the slot's lines out of rotation
         nvbm.retire(bad_old)
         report.retired_lines += LINES_PER_RECORD
-        pmo._obs_count("media.retired_lines", LINES_PER_RECORD)
     else:
         # rot/CRC corruption: a rewrite refreshes the cells, slot reusable
         nvbm.free(bad_old)
@@ -514,7 +481,6 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
         frame[1] = nh
         frame[2] = rec
     report.relocated += 1
-    pmo._obs_count("media.relocated")
 
 
 def scrub(pmo: "PMOctree", replica=None, transport=None) -> ScrubReport:
@@ -542,7 +508,8 @@ def scrub(pmo: "PMOctree", replica=None, transport=None) -> ScrubReport:
         _scrub_visit(pmo, [[morton.ROOT_LOC, root, None]], replica,
                      transport, report, unrepaired)
     report.unrepaired = tuple(sorted(unrepaired))
-    pmo._obs_count("media.scrubs")
+    if pmo.obs is not None:
+        pmo.obs.metrics.fold("media", report)
     return report
 
 
@@ -554,12 +521,11 @@ def _scrub_visit(pmo: "PMOctree", path, replica, transport,
     try:
         rec, first_exc = _read_retrying(pmo, handle)
         if first_exc is not None:
-            _note_detected(pmo, report, first_exc.kind)
+            report.note_detected(first_exc.kind)
             report.repaired_retry += 1
-            pmo._obs_count("media.ue_repaired")
         path[-1][2] = rec
     except MediaError as exc:
-        _note_detected(pmo, report, exc.kind)
+        report.note_detected(exc.kind)
         src, source = _rebuild_source(pmo, path, replica, transport)
         if src is None:
             # no redundancy: the whole subtree under loc is unreadable
@@ -571,7 +537,6 @@ def _scrub_visit(pmo: "PMOctree", path, replica, transport,
             report.repaired_replica += 1
         else:
             report.repaired_local += 1
-        pmo._obs_count("media.ue_repaired")
         pmo.injector.site(sites.MEDIA_SCRUB_MID)
         rec = path[-1][2]
     if rec.is_leaf:

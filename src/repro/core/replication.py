@@ -301,38 +301,19 @@ class ReplicaSession:
         self.next_seq = 1
         self.peer_root = NULL_HANDLE
         self.stats = SessionStats()
-        #: bound obs handles (attach_obs); None in normal operation
-        self._m_ships = None
-        self._m_retries = None
-        self._m_resyncs = None
-        self._m_acks_lost = None
-        self._m_deltas_lost = None
-        self._m_dups = None
-        self._m_bytes = None
-        self._m_wait_ns = None
+        #: attempts-per-acknowledged-ship histogram (attach_obs), or None
         self._m_attempts = None
-        self._obs = None
 
     def attach_obs(self, obs, peer: str = "peer") -> None:
-        """Bind protocol counters from an :class:`repro.obs.Observability`.
-
-        Every :class:`SessionStats` field gets a mirrored counter labeled by
-        ``peer`` so multi-session rigs stay distinguishable, plus a histogram
-        of attempts-per-acknowledged-ship.
-        """
-        m = obs.metrics
-        self._m_ships = m.counter("replication.ships", peer=peer)
-        self._m_retries = m.counter("replication.retries", peer=peer)
-        self._m_resyncs = m.counter("replication.resyncs", peer=peer)
-        self._m_acks_lost = m.counter("replication.acks_lost", peer=peer)
-        self._m_deltas_lost = m.counter("replication.deltas_lost", peer=peer)
-        self._m_dups = m.counter("replication.duplicates_ignored", peer=peer)
-        self._m_bytes = m.counter("replication.bytes_shipped", peer=peer)
-        self._m_wait_ns = m.counter("replication.wait_ns", peer=peer)
-        self._m_attempts = m.histogram("replication.ship_attempts",
-                                       buckets=(1.0, 2.0, 4.0, 8.0, 16.0),
-                                       peer=peer)
-        self._obs = obs
+        """Report :class:`SessionStats` as ``replication.*`` counters of an
+        :class:`repro.obs.Observability`, labeled by ``peer`` so
+        multi-session rigs stay distinguishable, plus a histogram of
+        attempts-per-acknowledged-ship (the one quantity with no stats
+        field)."""
+        obs.metrics.fold("replication", self.stats, peer=peer)
+        self._m_attempts = obs.metrics.histogram(
+            "replication.ship_attempts",
+            buckets=(1.0, 2.0, 4.0, 8.0, 16.0), peer=peer)
 
     # -- helpers -------------------------------------------------------------
 
@@ -397,10 +378,7 @@ class ReplicaSession:
                         self.stats.ships += 1
                         self.stats.bytes_shipped += shipped
                         self.stats.duplicates_ignored += dups
-                        if self._m_ships is not None:
-                            self._m_ships.inc()
-                            self._m_bytes.inc(shipped)
-                            self._m_dups.inc(dups)
+                        if self._m_attempts is not None:
                             self._m_attempts.observe(attempts)
                         return ShipReport(
                             seq=seq, bytes_shipped=shipped,
@@ -409,21 +387,15 @@ class ReplicaSession:
                             wait_ns=wait_ns,
                         )
                     self.stats.acks_lost += 1
-                    if self._m_acks_lost is not None:
-                        self._m_acks_lost.inc()
                     last_reason = "ack lost"
                 else:  # diverged: switch to a full resync and resend now
                     self.injector.site(sites.REPLICA_RESYNC_BEGIN)
                     resync = resynced = True
                     self.stats.resyncs += 1
-                    if self._m_resyncs is not None:
-                        self._m_resyncs.inc()
                     records = {h: self.pmo.nvbm.read(h) for h in reachable}
                     continue  # the NACK came back; no timeout to wait out
             else:
                 self.stats.deltas_lost += 1
-                if self._m_deltas_lost is not None:
-                    self._m_deltas_lost.inc()
                 last_reason = f"delta lost ({d.reason})" if d.reason \
                     else "delta lost"
             pause = self.policy.ack_timeout_ns + self.policy.backoff_ns(attempts)
@@ -431,9 +403,6 @@ class ReplicaSession:
             wait_ns += pause
             self.stats.retries += 1
             self.stats.wait_ns += pause
-            if self._m_retries is not None:
-                self._m_retries.inc()
-                self._m_wait_ns.inc(pause)
         raise ReplicationTimeoutError(seq, attempts, last_reason)
 
     def _peer_receive(self, seq: int, base: int, records: Dict[int, bytes],

@@ -141,23 +141,19 @@ def detect_and_transform(pmo: "PMOctree",
                         break  # victim is not clearly colder
                     evict_subtree(pmo, victim)
                     pmo.stats.evictions += 1
-                    pmo._obs_count("pm.evictions")
-                    pmo._obs_count("pm.transform_evicted_subtrees")
+                    pmo.stats.transform_evicted_subtrees += 1
                     result.evicted.append(victim)
                     free = pmo.c0_free
                 if free < sizes[hot]:
                     # a hot subtree stays spilled to NVBM: the C0 budget is
                     # the bottleneck — the autotuner's grow signal
                     pmo.stats.hot_spills += 1
-                    pmo._obs_count("pm.transform_hot_spills")
                     break  # cannot make room without an unjustified swap
             pmo.injector.site(sites.TRANSFORM_MID)
             if not load_subtree(pmo, hot):
                 pmo.stats.hot_spills += 1
-                pmo._obs_count("pm.transform_hot_spills")
                 break  # still does not fit (capacity fragmentation)
             result.loaded.append(hot)
             pmo.stats.transformations += 1
-            pmo._obs_count("pm.transformations")
-            pmo._obs_count("pm.transform_loaded_subtrees")
+            pmo.stats.transform_loaded_subtrees += 1
     return result

@@ -149,7 +149,8 @@ def bench_droplet(steps: int = 12, max_level: int = 5,
         "droplet.nvbm_bytes_written":
             m.get("device.bytes_written", device=nvbm.name).value,
         "droplet.nvbm_lines_touched":
-            m.get("device.lines_touched", device=nvbm.name).value,
+            m.get("device.lines_read", device=nvbm.name).value
+            + m.get("device.lines_written", device=nvbm.name).value,
         "droplet.partial_reads": m.total("pm.partial_reads"),
         "droplet.partial_writes": m.total("pm.partial_writes"),
         "droplet.flushes": m.get("arena.flush_calls", arena=nvbm.name).value,

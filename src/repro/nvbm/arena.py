@@ -24,6 +24,7 @@ Crash model
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterator, Optional
 
 import numpy as np
@@ -114,6 +115,19 @@ class RootSlots:
         return iter(self._slots)
 
 
+@dataclass
+class ArenaStats:
+    """Record-level traffic of one arena."""
+
+    stores: int = 0
+    #: metered flushes only: one replayed under ``unmetered()`` for its
+    #: durability effect was pre-charged elsewhere and is not counted
+    flush_calls: int = 0
+    flush_records: int = 0
+    allocs: int = 0
+    frees: int = 0
+
+
 class MemoryArena:
     """Record-granular memory of one technology (DRAM or NVBM) on one node."""
 
@@ -131,15 +145,10 @@ class MemoryArena:
         self.spec = spec
         self.name = name or spec.name
         self.device = MemoryDevice(spec, clock)
+        self.stats = ArenaStats()
         #: optional ordering observer (see repro.analysis.tracker); checked
         #: on every store/flush/free, None in normal operation.
         self.tracer = None
-        #: bound obs counters (attach_obs); None in normal operation
-        self._m_stores = None
-        self._m_flush_calls = None
-        self._m_flush_records = None
-        self._m_allocs = None
-        self._m_frees = None
         if wear_leveling:
             from repro.nvbm.allocator import WearLevelingAllocator
 
@@ -167,16 +176,11 @@ class MemoryArena:
         self.roots = RootSlots(self.device, injector=injector)
 
     def attach_obs(self, obs) -> None:
-        """Bind record-level counters (and the device's access counters)
-        from an :class:`repro.obs.Observability`, labeled by arena name."""
+        """Report :class:`ArenaStats` as ``arena.*`` counters (and the
+        device's as ``device.*``) of an :class:`repro.obs.Observability`,
+        labeled by arena name."""
         self.device.attach_obs(obs, device=self.name)
-        m = obs.metrics
-        self._m_stores = m.counter("arena.stores", arena=self.name)
-        self._m_flush_calls = m.counter("arena.flush_calls", arena=self.name)
-        self._m_flush_records = m.counter("arena.flush_records",
-                                          arena=self.name)
-        self._m_allocs = m.counter("arena.allocs", arena=self.name)
-        self._m_frees = m.counter("arena.frees", arena=self.name)
+        obs.metrics.fold("arena", self.stats, arena=self.name)
 
     # -- capacity ----------------------------------------------------------
 
@@ -206,8 +210,7 @@ class MemoryArena:
 
     def alloc(self) -> int:
         """Allocate a record slot and return its handle (contents undefined)."""
-        if self._m_allocs is not None:
-            self._m_allocs.inc()
+        self.stats.allocs += 1
         return make_handle(self.arena_id, self.allocator.alloc())
 
     def free(self, handle: int) -> None:
@@ -215,8 +218,7 @@ class MemoryArena:
         idx = self._check(handle)
         if self.tracer is not None:
             self.tracer.on_free(handle)
-        if self._m_frees is not None:
-            self._m_frees.inc()
+        self.stats.frees += 1
         self.allocator.free(idx)
         self._backing.pop(idx, None)
         self._cache.pop(idx, None)
@@ -233,8 +235,7 @@ class MemoryArena:
         idx = self._check(handle)
         if self.tracer is not None:
             self.tracer.on_free(handle)
-        if self._m_frees is not None:
-            self._m_frees.inc()
+        self.stats.frees += 1
         self.allocator.retire(idx)
         self._backing.pop(idx, None)
         self._cache.pop(idx, None)
@@ -298,8 +299,7 @@ class MemoryArena:
         self.device.on_write(OCTANT_RECORD_SIZE, slot=idx)
         if self.tracer is not None:
             self.tracer.on_store(handle, cached=not self.spec.volatile)
-        if self._m_stores is not None:
-            self._m_stores.inc()
+        self.stats.stores += 1
         if self.spec.volatile:
             self._backing[idx] = data
         else:
@@ -371,8 +371,7 @@ class MemoryArena:
                              line0=offset // CACHE_LINE_SIZE)
         if self.tracer is not None:
             self.tracer.on_store(handle, cached=not self.spec.volatile)
-        if self._m_stores is not None:
-            self._m_stores.inc()
+        self.stats.stores += 1
         if self.spec.volatile:
             self._backing[idx] = merged
         else:
@@ -507,18 +506,17 @@ class MemoryArena:
         seal table.  Only a completed flush seals — bytes torn onto the
         medium by a crash carry no integrity claim.
         """
+        # unmetered means *all* charging is suppressed, stats included: the
+        # epoch pipeline pre-charges its fences through the drain cost model
+        # and replays the flush here only for its durability effect.
         if not self.device._unmetered:
             self.device.clock.advance(FENCE_NS, self.device._category)
+            self.stats.flush_calls += 1
+            self.stats.flush_records += len(self._cache)
         if self.tracer is not None:
             self.tracer.on_flush(
                 [make_handle(self.arena_id, idx) for idx in self._cache]
             )
-        # unmetered means *all* charging is suppressed, stats included: the
-        # epoch pipeline pre-charges its fences through the drain cost model
-        # and replays the flush here only for its durability effect.
-        if self._m_flush_calls is not None and not self.device._unmetered:
-            self._m_flush_calls.inc()
-            self._m_flush_records.inc(len(self._cache))
         self._backing.update(self._cache)
         if not self.spec.volatile:
             for idx, data in self._cache.items():
@@ -540,13 +538,12 @@ class MemoryArena:
                 if arena_of(h) == self.arena_id and index_of(h) in self._cache]
         if not self.device._unmetered:
             self.device.clock.advance(FENCE_NS, self.device._category)
+            self.stats.flush_calls += 1
+            self.stats.flush_records += len(idxs)
         if self.tracer is not None:
             self.tracer.on_flush(
                 [make_handle(self.arena_id, idx) for idx in idxs]
             )
-        if self._m_flush_calls is not None and not self.device._unmetered:
-            self._m_flush_calls.inc()
-            self._m_flush_records.inc(len(idxs))
         for idx in idxs:
             data = self._cache.pop(idx)
             self._backing[idx] = data

@@ -185,19 +185,20 @@ class MemoryDevice:
         Latency/endurance characteristics (e.g. :data:`repro.config.NVBM_SPEC`).
     clock:
         The simulated clock to charge.  A rank's arenas share one clock.
-    track_wear:
-        When true, keeps a per-cache-line write counter so benches can report
-        endurance headroom (writes/line vs ``spec.endurance_writes``) and the
-        media-fault model can trigger wear-out faults.  Wear is indexed by
-        *global line id* (``slot * LINES_PER_RECORD + line``): a multi-line
-        write ages every line it spans, not just the record's first.
+
+    A per-cache-line write counter lets benches report endurance headroom
+    (writes/line vs ``spec.endurance_writes``) and the media-fault model
+    trigger wear-out faults.  Wear is indexed by *global line id*
+    (``slot * LINES_PER_RECORD + line``): a multi-line write ages every
+    line it spans, not just the record's first.
     """
 
-    def __init__(self, spec: DeviceSpec, clock: SimClock, track_wear: bool = True):
+    def __init__(self, spec: DeviceSpec, clock: SimClock):
         self.spec = spec
         self.clock = clock
+        #: the one place accesses are counted; obs folds this very object
+        #: (attach_obs), so it is never replaced
         self.stats = DeviceStats()
-        self.track_wear = track_wear
         #: attached MediaFaultModel, or None (the common, zero-overhead case)
         self.fault_model: Optional[MediaFaultModel] = None
         self._wear = np.zeros(0, dtype=np.int64)
@@ -206,37 +207,26 @@ class MemoryDevice:
         self._unmetered = 0
         #: active deferred-writes sink, or None.  When set, the *clock*
         #: charge of each write is redirected into the sink instead of
-        #: advancing the clock — stats, wear, obs and the fault model still
+        #: advancing the clock — stats, wear and the fault model still
         #: update, because the stores really happen (write-back model); only
         #: their device time is deferred, to be drained later as background
         #: work by the epoch pipeline.  Reads stay synchronous.
         self._deferred_sink = None
         #: active batched-writes accumulator, or None (see batched_writes)
         self._write_batch = None
-        # bound metric handles (attach_obs); None keeps the hot path a
-        # single attribute test per access
-        self._m_reads = None
-        self._m_writes = None
-        self._m_bytes_read = None
-        self._m_bytes_written = None
-        self._m_lines = None
 
     def attach_obs(self, obs, device: str = None) -> None:
-        """Bind access counters from an :class:`repro.obs.Observability`."""
-        label = device if device is not None else self.spec.name
-        m = obs.metrics
-        self._m_reads = m.counter("device.reads", device=label)
-        self._m_writes = m.counter("device.writes", device=label)
-        self._m_bytes_read = m.counter("device.bytes_read", device=label)
-        self._m_bytes_written = m.counter("device.bytes_written", device=label)
-        self._m_lines = m.counter("device.lines_touched", device=label)
+        """Report :class:`DeviceStats` as ``device.*`` counters of an
+        :class:`repro.obs.Observability`."""
+        obs.metrics.fold("device", self.stats,
+                         device=device or self.spec.name)
 
     def _lines(self, nbytes: int) -> int:
         return max(1, -(-nbytes // CACHE_LINE_SIZE))
 
     @contextmanager
     def unmetered(self) -> Iterator[None]:
-        """Suppress all charging (clock, stats, wear, obs) inside the block.
+        """Suppress all charging (clock, stats, wear) inside the block.
 
         This is the *inspection* mode: structural queries such as
         ``overlap_ratio()`` or ``check_invariants()`` read the same records
@@ -259,7 +249,7 @@ class MemoryDevice:
         pipeline passes a :class:`~repro.core.pipeline.DrainCost`).  Inside
         the block each metered write accumulates ``lines * write_latency_ns``
         onto ``sink.ns`` instead of advancing the clock; everything else
-        about the write (stats, wear, obs counters, fault-model refresh) is
+        about the write (stats, wear, fault-model refresh) is
         unchanged.  Reads are unaffected — a compute-path read of a cached
         record is synchronous whether or not its store has drained.
 
@@ -283,7 +273,7 @@ class MemoryDevice:
         deferred sink or the clock exactly as the unbatched write would
         be), and its spanned global line ids — then one commit at scope
         exit applies the summed stats, a single clock advance (or sink
-        add), one obs increment per counter, and a vectorised wear update.
+        add) and a vectorised wear update.
         All latencies are integer nanoseconds far below 2**53, so the
         single summed advance is bit-identical to the per-write advance
         sequence; totals, wear histograms and fault-model refreshes are
@@ -316,11 +306,7 @@ class MemoryDevice:
             b.sink.ns += b.sink_ns
         if b.clock_ns:
             self.clock.advance(b.clock_ns, self._category)
-        if self._m_writes is not None:
-            self._m_writes.inc(b.count)
-            self._m_bytes_written.inc(b.nbytes)
-            self._m_lines.inc(b.lines)
-        if self.track_wear and b.line_ids:
+        if b.line_ids:
             ids = np.asarray(b.line_ids, dtype=np.int64)
             end = int(ids.max()) + 1
             if end > self._wear.size:
@@ -341,7 +327,7 @@ class MemoryDevice:
         Semantically the sum of ``count`` :meth:`on_read` calls: identical
         stats totals, one clock advance of the summed latency (exact —
         every per-read charge is an integer number of nanoseconds, so the
-        float sum associates), one obs increment per counter.
+        float sum associates).
         """
         if self._unmetered or count <= 0:
             return
@@ -349,10 +335,6 @@ class MemoryDevice:
         self.stats.bytes_read += nbytes
         self.stats.lines_read += lines
         self.clock.advance(lines * self.spec.read_latency_ns, self._category)
-        if self._m_reads is not None:
-            self._m_reads.inc(count)
-            self._m_bytes_read.inc(nbytes)
-            self._m_lines.inc(lines)
 
     def on_read(self, nbytes: int, lines: int = 0) -> None:
         """Charge one read of ``nbytes`` (one latency per cache line).
@@ -369,10 +351,6 @@ class MemoryDevice:
         self.stats.bytes_read += nbytes
         self.stats.lines_read += lines
         self.clock.advance(lines * self.spec.read_latency_ns, self._category)
-        if self._m_reads is not None:
-            self._m_reads.inc()
-            self._m_bytes_read.inc(nbytes)
-            self._m_lines.inc(lines)
 
     def on_write(self, nbytes: int, slot: int = -1, lines: int = 0,
                  line0: int = 0) -> None:
@@ -403,7 +381,7 @@ class MemoryDevice:
                 b.sink_ns += ns
             else:
                 b.clock_ns += ns
-            if self.track_wear and slot >= 0:
+            if slot >= 0:
                 base = slot * LINES_PER_RECORD + line0
                 b.line_ids.extend(range(base, base + lines))
             return
@@ -415,11 +393,7 @@ class MemoryDevice:
         else:
             self.clock.advance(lines * self.spec.write_latency_ns,
                                self._category)
-        if self._m_writes is not None:
-            self._m_writes.inc()
-            self._m_bytes_written.inc(nbytes)
-            self._m_lines.inc(lines)
-        if self.track_wear and slot >= 0:
+        if slot >= 0:
             base = slot * LINES_PER_RECORD + line0
             end = base + lines
             if end > self._wear.size:
@@ -475,7 +449,3 @@ class MemoryDevice:
         if self.spec.endurance_writes <= 0:
             return 0.0
         return 1.0 - self.wear_max() / self.spec.endurance_writes
-
-    def reset_stats(self) -> None:
-        self.stats = DeviceStats()
-        self._wear = np.zeros(0, dtype=np.int64)

@@ -8,6 +8,7 @@ phase timers) into the registry.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -33,6 +34,20 @@ def observe_session(obs: "Observability", session) -> None:
 def observe_simulation(obs: "Observability", sim) -> None:
     """Attach phase/step spans to a simulation driver."""
     sim.obs = obs
+
+
+def sim_phase(sim, name: str) -> ExitStack:
+    """Context for one phase of a simulation driver (``sim.clock``,
+    ``sim.obs``, ``sim.step_count``): a ``SimClock`` phase, doubling as a
+    ``sim.<name>`` trace span when obs is attached.  Phases nest; clock
+    time goes to the innermost one."""
+    stack = ExitStack()
+    if sim.clock is not None:
+        stack.enter_context(sim.clock.phase(name))
+    if sim.obs is not None:
+        stack.enter_context(
+            sim.obs.tracer.span("sim." + name, step=sim.step_count))
+    return stack
 
 
 def observe_rig(obs: "Observability", *, arenas: Iterable = (),

@@ -16,6 +16,8 @@ documented in ``docs/observability.md``.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
+from numbers import Real
 from typing import Any, Dict, IO, Iterator, List, Optional, Sequence, Tuple
 
 #: Default histogram bucket upper bounds: powers of two, wide enough for
@@ -157,12 +159,19 @@ class MetricsRegistry:
     The registry enforces one *kind* per name: registering ``pm.merges`` as
     a counter and later asking for a gauge of the same name is a bug, not a
     new time series.
+
+    Components do not push their counts here: they keep one ``*Stats``
+    dataclass and register it with :meth:`fold`; every read derives the
+    counters from the registered objects, so a counter cannot drift from
+    the stats it reports and costs nothing between reads.
     """
 
     def __init__(self, clock=None):
         self.clock = clock
         self._metrics: Dict[Tuple[str, LabelSet], _Metric] = {}
         self._kinds: Dict[str, str] = {}
+        #: (prefix, labelset) -> the stats objects folded under it
+        self._folds: Dict[Tuple[str, LabelSet], List[Any]] = {}
 
     def bind_clock(self, clock) -> None:
         """Late-bind the simulated clock (harnesses that build it later)."""
@@ -200,16 +209,47 @@ class MetricsRegistry:
                   **labels) -> Histogram:
         return self._get_or_create(Histogram, name, labels, buckets=buckets)
 
+    # -- folds ---------------------------------------------------------------
+
+    def fold(self, prefix: str, stats, **labels) -> None:
+        """Register a ``*Stats`` dataclass instance as a counter *source*.
+
+        From now on every read reports counter ``<prefix>.<field>`` (under
+        ``labels``) as the sum of that numeric field over all sources
+        folded under the same ``(prefix, labels)``: a rebuilt component
+        folded again adds to its predecessor, two ranks' arenas sharing a
+        name sum, and folding the same object twice is a no-op.  The
+        object is read, never written, and it does not matter how much it
+        counted before it was folded.
+        """
+        sources = self._folds.setdefault((prefix, _labelset(labels)), [])
+        if not any(s is stats for s in sources):
+            sources.append(stats)
+
+    def _sync(self) -> None:
+        """Bring every folded counter up to its sources' current sums."""
+        for (prefix, labels), sources in self._folds.items():
+            for f in fields(sources[0]):
+                values = [getattr(s, f.name) for s in sources]
+                if not isinstance(values[0], Real):
+                    continue
+                counter = self._get_or_create(
+                    Counter, f"{prefix}.{f.name}", dict(labels))
+                total = sum(values)
+                if counter.value != total:
+                    counter.value = total
+                    counter._stamp()
+
     # -- queries -------------------------------------------------------------
 
     def get(self, name: str, **labels) -> Optional[_Metric]:
+        self._sync()
         return self._metrics.get((name, _labelset(labels)))
 
     def series(self, name: str) -> Iterator[_Metric]:
         """All time series registered under one name."""
-        for (n, _), metric in self._metrics.items():
-            if n == name:
-                yield metric
+        self._sync()
+        return iter([m for (n, _), m in self._metrics.items() if n == name])
 
     def total(self, name: str) -> float:
         """Sum of a counter/gauge across its label sets (0.0 when absent)."""
@@ -226,12 +266,14 @@ class MetricsRegistry:
         }
 
     def __len__(self) -> int:
+        self._sync()
         return len(self._metrics)
 
     # -- export --------------------------------------------------------------
 
     def samples(self) -> List[Dict[str, Any]]:
         """One dict per time series, sorted by (name, labels)."""
+        self._sync()
         return [
             self._metrics[key].sample()
             for key in sorted(self._metrics)

@@ -225,8 +225,8 @@ def run_parallel(cfg: RunConfig, obs=None) -> RunResult:
 
     ``obs`` (optional :class:`repro.obs.Observability`) is late-bound to the
     run's probe clock (unless a clock is already bound), attached to every
-    memory arena and the tree, and fed per-step trace spans plus per-rank
-    phase gauges at the final barrier.
+    memory arena, the tree and the driver, and fed per-step trace spans plus
+    per-rank phase gauges at the final barrier.
     """
     probe = SimClock()
     if obs is not None and obs.metrics.clock is None:
@@ -254,6 +254,7 @@ def run_parallel(cfg: RunConfig, obs=None) -> RunResult:
                              persistence=persistence)
     else:
         raise ValueError(f"unknown workload {cfg.workload!r}")
+    sim.obs = obs
 
     ranks = [RankContext(rank=r, node=r // cfg.cluster.cores_per_node)
              for r in range(cfg.nranks)]
@@ -272,7 +273,6 @@ def run_parallel(cfg: RunConfig, obs=None) -> RunResult:
             else max(8, int(cfg.dram_fraction * actual0))
         tree.config = PMOctreeConfig(
             dram_capacity_octants=budget,
-            nvbm_capacity_octants=tree.config.nvbm_capacity_octants,
             t_transform=tree.config.t_transform,
             max_inflight_epochs=cfg.max_inflight_epochs,
             seed=cfg.seed,

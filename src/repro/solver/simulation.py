@@ -12,12 +12,12 @@ the Fig 7/8b breakdowns.
 
 from __future__ import annotations
 
-from contextlib import ExitStack, nullcontext
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
 from repro.config import SolverConfig
 from repro.nvbm.clock import SimClock
+from repro.obs.instrument import sim_phase
 from repro.octree import morton
 from repro.octree.balance import balance_tree
 from repro.octree.refine import RefinementEngine
@@ -78,23 +78,12 @@ class DropletSimulation:
         """Feature bound to the next step: which octants will be written?"""
         return change_feature(self.geometry, self.t + self.config.dt)(batch)
 
-    def _phase(self, name: str):
-        """Clock-phase context; doubles as a trace span when obs is attached."""
-        stack = ExitStack()
-        if self.clock is not None:
-            stack.enter_context(self.clock.phase(name))
-        if self.obs is not None:
-            stack.enter_context(
-                self.obs.tracer.span("sim." + name, step=self.step_count)
-            )
-        return stack
-
     # -- lifecycle -----------------------------------------------------------
 
     def construct(self) -> None:
         """Build the initial mesh (*Construct*): refine to the base level,
         then adapt to the initial interface and fill the fields."""
-        with self._phase("construct"):
+        with sim_phase(self, "construct"):
             frontier = [
                 leaf for leaf in self.tree.leaves()
                 if morton.level_of(leaf, self.tree.dim) < self.config.min_level
@@ -126,16 +115,12 @@ class DropletSimulation:
         """Advance one time step; returns the step report."""
         self.step_count += 1
         self.t = self.step_count * self.config.dt
-        step_span = (
-            self.obs.tracer.span("sim.step", step=self.step_count)
-            if self.obs is not None else nullcontext()
-        )
-        with step_span:
-            with self._phase("refine"):
+        with sim_phase(self, "step"):
+            with sim_phase(self, "refine"):
                 res = self._adapt()
-            with self._phase("balance"):
+            with sim_phase(self, "balance"):
                 balance_tree(self.tree, max_level=self.config.max_level)
-            with self._phase("solve"):
+            with sim_phase(self, "solve"):
                 counters = advect_vof(self.tree, self.geometry, self.config,
                                       self.t, obs=self.obs)
                 if self.pressure_smooth:
@@ -155,7 +140,7 @@ class DropletSimulation:
                 # "persist.drain" phase, so the span tree attributes flush
                 # waits to the drain, not to compute.  The synchronous path
                 # simply spends its whole persist inside this span.
-                with self._phase("persist.enqueue"):
+                with sim_phase(self, "persist.enqueue"):
                     self.persistence(self)
         report = StepReport(
             step=self.step_count,

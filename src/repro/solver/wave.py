@@ -27,6 +27,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 
 from repro.nvbm.clock import SimClock
+from repro.obs.instrument import sim_phase
 from repro.octree import morton, soa
 from repro.octree.balance import balance_tree
 from repro.octree.refine import Action, RefinementEngine
@@ -152,14 +153,8 @@ class WaveSimulation:
 
         return criterion
 
-    def _phase(self, name: str):
-        from contextlib import nullcontext
-
-        return self.clock.phase(name) if self.clock is not None\
-            else nullcontext()
-
     def construct(self) -> None:
-        with self._phase("construct"):
+        with sim_phase(self, "construct"):
             frontier = [
                 leaf for leaf in self.tree.leaves()
                 if morton.level_of(leaf, self.tree.dim) < self.config.min_level
@@ -213,15 +208,16 @@ class WaveSimulation:
     def step(self) -> WaveStepReport:
         self.step_count += 1
         self.t = self.step_count * self.config.dt
-        with self._phase("refine"):
-            res = self._adapt()
-        with self._phase("balance"):
-            balance_tree(self.tree, max_level=self.config.max_level)
-        with self._phase("solve"):
-            written = self._sweep()
-        if self.persistence is not None:
-            with self._phase("persist.enqueue"):
-                self.persistence(self)
+        with sim_phase(self, "step"):
+            with sim_phase(self, "refine"):
+                res = self._adapt()
+            with sim_phase(self, "balance"):
+                balance_tree(self.tree, max_level=self.config.max_level)
+            with sim_phase(self, "solve"):
+                written = self._sweep()
+            if self.persistence is not None:
+                with sim_phase(self, "persist.enqueue"):
+                    self.persistence(self)
         report = WaveStepReport(
             step=self.step_count,
             t=self.t,

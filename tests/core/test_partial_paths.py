@@ -128,10 +128,13 @@ def test_inspection_does_not_pollute_obs():
     rig.tree.attach_obs(obs)
     rig.dram.attach_obs(obs)
     rig.nvbm.attach_obs(obs)
+    # a fold reports what the rig did before obs was attached, so "no
+    # pollution" is a zero *delta* across the probes, not a zero total
+    before = obs.metrics.to_jsonl()
+    assert obs.metrics.total("device.reads") > 0
     rig.tree.overlap_ratio()
     rig.tree.check_invariants()
-    assert obs.metrics.total("device.reads") == 0
-    assert obs.metrics.total("device.lines_touched") == 0
+    assert obs.metrics.to_jsonl() == before
 
 
 # -- heap-based LFU eviction -------------------------------------------------

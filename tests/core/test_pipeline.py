@@ -192,19 +192,21 @@ def test_backpressure_stall_is_charged_to_the_sim_clock():
 
 
 def test_overlap_fraction_gauge_and_phase_split():
-    """The observability mirror of the pipeline: the droplet run reports
+    """The observability view of the pipeline: the droplet run reports
     its persist time under ``persist.enqueue`` (plus ``persist.drain`` for
-    stalls), never under a bare ``persist``, and the overlap gauge matches
-    the pipeline's own accounting."""
+    stalls), never under a bare ``persist``, and the folded
+    ``pipeline.stall_ns``/``drain_ns`` counters reproduce the pipeline's
+    own overlap accounting."""
     obs = Observability()
     clock, dram, nvbm, tree = _droplet_rig(max_inflight=1, obs=obs)
     tree.drain_persists()
     assert "persist" not in clock.by_phase
     assert clock.phase_ns("persist.enqueue") > 0
     pipe = tree._pipeline
-    assert obs.metrics.gauge("pipeline.overlap_fraction").value \
-        == pipe.overlap_fraction()
-    assert obs.metrics.gauge("pipeline.stall_ns").value == pipe.stats.stall_ns
+    stall = obs.metrics.total("pipeline.stall_ns")
+    drain = obs.metrics.total("pipeline.drain_ns")
+    assert (stall, drain) == (pipe.stats.stall_ns, pipe.stats.drain_ns)
+    assert max(0.0, 1.0 - stall / drain) == pipe.overlap_fraction() > 0
     # every drained epoch produced one pm.persist.drain span
     drain_spans = [s for s in obs.tracer.spans
                    if s.name == "pm.persist.drain"]

@@ -55,15 +55,15 @@ def test_wear_tracking_grows_lazily():
     assert 0.0 < dev.wear_headroom() < 1.0
 
 
-def test_wear_disabled():
-    dev = MemoryDevice(NVBM_SPEC, SimClock(), track_wear=False)
-    dev.on_write(8, slot=1)
-    assert dev.wear_max() == 0
-
-
-def test_reset_stats():
+def test_stats_object_is_never_replaced():
+    """obs folds bind ``dev.stats`` itself, so every charge path must count
+    into that one object (a fresh device is the only reset)."""
     dev = MemoryDevice(NVBM_SPEC, SimClock())
+    stats = dev.stats
     dev.on_write(8, slot=1)
-    dev.reset_stats()
-    assert dev.stats.writes == 0
-    assert dev.wear_max() == 0
+    with dev.batched_writes():
+        dev.on_write(8, slot=1)
+    dev.on_read(8)
+    dev.on_read_batch(2, 16, 2)
+    assert dev.stats is stats
+    assert (stats.writes, stats.reads) == (2, 3)

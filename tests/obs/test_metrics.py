@@ -1,5 +1,6 @@
 """Unit tests for the metrics registry."""
 
+import dataclasses
 import io
 import json
 
@@ -121,3 +122,47 @@ def test_values_by_labelset(reg):
     vals = reg.values("n")
     assert vals[(("rank", "0"),)] == 1
     assert vals[(("rank", "1"),)] == 2
+
+
+# -- folds: counters derived from a component's stats dataclass --------------
+
+
+@dataclasses.dataclass
+class _Stats:
+    hits: int = 0
+    wait_ns: float = 0.0
+    kinds: dict = dataclasses.field(default_factory=dict)  # not numeric
+
+
+def test_fold_reads_the_stats_object(reg):
+    s = _Stats(hits=2)  # counted before the fold: reported all the same
+    reg.fold("cache", s, rank=0)
+    assert reg.get("cache.hits", rank=0).value == 2
+    s.hits += 3
+    s.wait_ns += 1.5
+    assert reg.total("cache.hits") == 5
+    assert reg.total("cache.wait_ns") == 1.5
+    assert reg.get("cache.kinds", rank=0) is None
+    assert len(reg) == 2
+    assert [r["value"] for r in reg.samples()] == [5, 1.5]
+
+
+def test_fold_sums_sources_and_ignores_a_repeat(reg):
+    a, b = _Stats(hits=1), _Stats(hits=1)  # equal, but two objects
+    for stats in (a, b, a):
+        reg.fold("cache", stats)
+    reg.fold("cache", _Stats(hits=100), rank=1)
+    assert reg.get("cache.hits").value == 2
+    b.hits += 8
+    assert reg.values("cache.hits") == {(): 10, (("rank", "1"),): 100}
+
+
+def test_folded_counter_is_stamped_when_a_read_sees_it_change(clock, reg):
+    s = _Stats()
+    reg.fold("cache", s)
+    clock.advance(10.0)
+    s.hits += 1
+    clock.advance(5.0)
+    assert reg.get("cache.hits").updated_ns == 15.0
+    clock.advance(5.0)
+    assert reg.get("cache.hits").updated_ns == 15.0  # value unchanged

@@ -8,6 +8,11 @@
   ``def criterion(loc``/``def fn(loc`` body and no ``near_cache`` in ``src``,
   and ``soa`` (under ``repro.octree``, so nothing needs to hide a cycle) is
   imported at module top only.
+* components count in one place, their ``*Stats`` dataclass, and obs folds
+  it (``MetricsRegistry.fold``): no bound ``_m_x = None`` counter handle
+  (the ``replication.ship_attempts`` histogram has no stats twin and is
+  the one handle left), no ``_obs_count``/``_count_partial_`` mirror and no
+  ``.inc(`` push anywhere under ``repro/nvbm`` or ``repro/core``.
 * every backticked ``repro.*`` dotted name in DESIGN.md, README.md and
   ``docs/*.md`` imports or resolves, so the docs cannot drift to modules
   that no longer exist.
@@ -32,18 +37,39 @@ FORBIDDEN = re.compile(
 )
 
 
-def test_no_kernel_twins_or_capability_probes_in_src():
-    offenders = []
+def _offenders(pattern, packages=None):
+    """``file:line: match`` for every hit in ``src/repro`` (or only in the
+    named sub-packages)."""
+    out = []
     for path in sorted(SRC_DIR.rglob("*.py")):
+        if packages and path.parent.name not in packages:
+            continue
         text = path.read_text()
-        for m in FORBIDDEN.finditer(text):
+        for m in pattern.finditer(text):
             line = text.count("\n", 0, m.start()) + 1
-            offenders.append(
-                f"{path.relative_to(ROOT)}:{line}: {m.group(0)}")
+            out.append(f"{path.relative_to(ROOT)}:{line}: {m.group(0)}")
+    return out
+
+
+def test_no_kernel_twins_or_capability_probes_in_src():
+    offenders = _offenders(FORBIDDEN)
     assert not offenders, (
         "kernel twin / capability probe in src (the tree protocol defines "
         "these; the scalar oracle belongs in tests/oracles):\n"
         + "\n".join(offenders)
+    )
+
+
+MIRRORS = re.compile(
+    r"_m_(?!attempts\b)\w+ = None|_obs_count|_count_partial_")
+PUSH = re.compile(r"\.inc\(")
+
+
+def test_stats_are_the_only_ledger():
+    offenders = _offenders(MIRRORS) + _offenders(PUSH, ("nvbm", "core"))
+    assert not offenders, (
+        "hand-pushed obs mirror in src (count in the *Stats dataclass and "
+        "fold it):\n" + "\n".join(offenders)
     )
 
 
