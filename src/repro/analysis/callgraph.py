@@ -36,7 +36,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 NOISE = frozenset({
     # persistence primitives (classified as effects, not edges)
     "write", "write_octant", "new_octant", "write_field", "write_payload",
-    "write_child_slot", "write_child_slots", "set_flags", "flush", "set",
+    "write_child_slot", "write_child_slots", "write_rows", "set_flags",
+    "flush", "set",
     "swap", "site", "published", "retired",
     # collections / builtins / IO
     "append", "add", "extend", "insert", "remove", "discard", "pop",

@@ -44,11 +44,11 @@ from repro.nvbm import sites as default_sites_module
 #: attribute names whose call on an NVBM receiver counts as a store.
 WRITE_ATTRS = ("write", "write_octant", "new_octant", "write_field",
                "write_payload", "write_child_slot", "write_child_slots",
-               "set_flags")
+               "write_rows", "set_flags")
 #: attribute names that can mutate an *existing* record in place.
 INPLACE_WRITE_ATTRS = ("write", "write_octant", "write_field",
                        "write_payload", "write_child_slot",
-                       "write_child_slots", "set_flags")
+                       "write_child_slots", "write_rows", "set_flags")
 #: names of the slot constants / literals whose store is a commit point.
 PUBLISH_SLOT_CONSTS = ("SLOT_PREV",)
 PUBLISH_SLOT_LITERALS = ("V_prev",)

@@ -29,8 +29,11 @@ raised by :meth:`repro.core.pmoctree.PMOctree.gc`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Set
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.core import walks
 from repro.nvbm.pointers import NULL_HANDLE, is_nvbm
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -51,68 +54,50 @@ class GCResult:
         return self.swept
 
 
-def _mark(pmo: "PMOctree") -> Set[int]:
-    """BFS over NVBM records from all live roots.
-
-    Synchronous mode traverses both root slots: ``V_{i-1}`` and the working
-    version share almost every record, so the visited set makes the second
-    walk nearly free.  Under the epoch pipeline the published root lags the
-    working version by up to ``max_inflight`` epochs and a traversal of the
-    old tree would *re-read* every record unique to it — exactly the volume
-    the deferred drain hides, cancelling the overlap win.  Instead the
-    pipelined mark walks only the working version and **pins** the
-    per-epoch deltas (COW originals and detached records): version *k*'s
-    reachable set is the working version's plus the deltas of every later
-    epoch, so the union is exact, with zero reads.
-    """
-    seen: Set[int] = set()
+def _mark(pmo: "PMOctree") -> np.ndarray:
+    """The slots reachable from the live roots, as a bool mask over the
+    arena's slots: one gather per tree level (:func:`walks.reach`) from the
+    roots, plus the pins (module docstring) — no reads for those."""
+    nvbm = pmo.nvbm
     roots = []
-    pins: Set[int] = set()
+    pins = []
     if pmo._pipeline is not None:
         # pin, don't traverse: old-version-only records plus the root
         # slots and in-flight roots themselves (their interiors are
         # covered by the working-version walk + the pins).  The union
         # happens *after* the walk — a pin that is also a working-version
         # record must still be traversed normally.
-        raw = pmo._pipeline.pinned_handles()
-        raw.extend(pmo._superseded)
-        raw.extend(pmo._detached)
-        raw.extend(pmo._pipeline.live_roots())
+        pins = pmo._pipeline.pinned_handles()
+        pins.extend(pmo._superseded)
+        pins.extend(pmo._detached)
+        pins.extend(pmo._pipeline.live_roots())
         for slot in (SLOT_PREV, SLOT_CURR):
-            raw.append(pmo.nvbm.roots.get(slot))
-        pins.update(h for h in raw
-                    if h != NULL_HANDLE and is_nvbm(h)
-                    and pmo.nvbm.contains(h))
+            pins.append(nvbm.roots.get(slot))
     else:
         for slot in (SLOT_PREV, SLOT_CURR):
-            h = pmo.nvbm.roots.get(slot)
+            h = nvbm.roots.get(slot)
             if h != NULL_HANDLE and is_nvbm(h):
                 roots.append(h)
-    roots.extend(h for h in pmo._index.values() if is_nvbm(h))
-    roots.extend(h for h in pmo._origin.values() if is_nvbm(h))
+    roots.extend(pmo._index.values())
+    roots.extend(pmo._origin.values())
 
-    stack = [h for h in roots if pmo.nvbm.contains(h)]
-    while stack:
-        h = stack.pop()
-        if h in seen:
-            continue
-        seen.add(h)
-        rec = pmo.nvbm.read_octant(h)
-        for ch in rec.live_children():
-            if is_nvbm(ch) and ch not in seen and pmo.nvbm.contains(ch):
-                stack.append(ch)
-    seen |= pins
-    return seen
+    marked = np.zeros(nvbm.slots, dtype=bool)
+    levels, _ = walks.reach(nvbm, np.array(roots, dtype=np.uint64), pmo.dim)
+    for slots in levels:
+        marked[slots] = True
+    pins = np.array(pins, dtype=np.uint64)
+    marked[nvbm.slots_of(pins[nvbm.contains_mask(pins)])] = True
+    return marked
 
 
 def mark_and_sweep(pmo: "PMOctree") -> GCResult:
     """Free every NVBM record unreachable from the live roots."""
     marked = _mark(pmo)
-    swept = 0
-    for h in list(pmo.nvbm.live_handles()):
-        if h not in marked:
-            pmo.nvbm.free(h)
-            swept += 1
+    nvbm = pmo.nvbm
+    live = nvbm.allocator.live_indices()
+    dead = nvbm.handles_of(live[~marked[live]]).tolist()
+    for h in dead:
+        nvbm.free(h)
     pmo.stats.gc_runs += 1
-    pmo.stats.octants_reclaimed += swept
-    return GCResult(marked=len(marked), swept=swept)
+    pmo.stats.octants_reclaimed += len(dead)
+    return GCResult(marked=int(np.count_nonzero(marked)), swept=len(dead))

@@ -47,6 +47,7 @@ fraction of total drain time that disappeared behind compute.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Deque, List, Optional
@@ -56,7 +57,6 @@ from repro.nvbm import sites
 from repro.nvbm.arena import FENCE_NS
 from repro.nvbm.clock import Category
 from repro.nvbm.pointers import is_nvbm
-from repro.nvbm.records import FLAG_DELETED
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
@@ -111,12 +111,19 @@ class EpochPipeline:
             raise ValueError(
                 f"max_inflight must be >= 1, got {max_inflight}"
             )
-        self.pmo = pmo
+        self._pmo = weakref.ref(pmo)
         self.max_inflight = max_inflight
         self.stats = PipelineStats()
         self._queue: Deque[InFlightEpoch] = deque()
         #: when the single FIFO flush engine frees up (sim ns)
         self._engine_free_ns = 0.0
+
+    @property
+    def pmo(self) -> "PMOctree":
+        """The tree this pipeline belongs to.  The tree owns its pipeline;
+        the way back is weak, so a tree a restore replaced dies by
+        reference count instead of waiting for the cyclic collector."""
+        return self._pmo()
 
     # -- introspection -----------------------------------------------------
 
@@ -302,17 +309,7 @@ class EpochPipeline:
                 # Superseded records were reachable from the root published
                 # a moment ago's *predecessor*; only now that V_{i-1} moved
                 # past them may they be marked as GC food.
-                marked = []
-                for old in entry.superseded:
-                    if nvbm.contains(old):
-                        flags = nvbm.read_flags(old)
-                        # pmlint: allow-direct-write — superseded records
-                        # belong to retired versions only; the freshly
-                        # published root cannot reach them.
-                        nvbm.set_flags(old, flags | FLAG_DELETED)
-                        pmo.stats.marked_deleted += 1
-                        marked.append(old)
-                nvbm.flush_records(marked)
+                nvbm.flush_records(pmo._mark_deleted(entry.superseded))
         tracer = getattr(nvbm, "tracer", None)
         epoch_close = getattr(tracer, "on_epoch_close", None)
         if epoch_close is not None and entry.window:

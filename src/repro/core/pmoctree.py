@@ -30,20 +30,23 @@ import heapq
 import struct
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Set
+from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.config import PMOctreeConfig
+from repro.core import walks
 from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.failure import FailureInjector
-from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
-from repro.nvbm.records import (FLAG_DELETED, FLAG_LEAF, PAYLOAD_SPAN,
-                                OctantRecord)
+from repro.nvbm.pointers import (_INDEX_BITS, ARENA_DRAM, NULL_HANDLE,
+                                 is_dram, is_nvbm)
+from repro.nvbm.records import (EPOCH_SPAN, FLAG_DELETED, FLAG_LEAF,
+                                FLAGS_SPAN, PAYLOAD_SPAN, OctantRecord,
+                                as_records, pack_payload)
 from repro.octree import morton
-from repro.octree.soa import Predicate
+from repro.octree.soa import Predicate, levels_of_codes
 from repro.octree.store import Payload, ZERO_PAYLOAD
 
 #: Root-slot names in the NVBM arena.
@@ -62,6 +65,40 @@ class C0Stats:
     #: every loc in this subtree, kept in step with refine/coarsen/merge so
     #: ``subtree_locs`` answers in O(size) instead of scanning the index
     locs: Set[int] = field(default_factory=set)
+
+
+class C0Roots(dict):
+    """The registered C0 subtree roots, ``loc -> C0Stats``, which also knows
+    the *levels* its roots sit at (deepest first).  The C0 root covering an
+    octant is its nearest registered ancestor-or-self, so only the ancestors
+    at those levels need testing — one, level 0, while the whole tree is
+    resident — instead of a climb parent by parent."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+        self.levels: Tuple[int, ...] = ()
+
+    def _relevel(self) -> None:
+        self.levels = tuple(sorted(
+            {morton.level_of(loc, self.dim) for loc in self}, reverse=True))
+
+    def __setitem__(self, loc: int, stats: C0Stats) -> None:
+        super().__setitem__(loc, stats)
+        self._relevel()
+
+    def __delitem__(self, loc: int) -> None:
+        super().__delitem__(loc)
+        self._relevel()
+
+    def pop(self, loc: int, default=None):
+        stats = super().pop(loc, default)
+        self._relevel()
+        return stats
+
+    def clear(self) -> None:
+        super().clear()
+        self.levels = ()
 
 
 @dataclass
@@ -143,7 +180,7 @@ class PMOctree:
         # volatile acceleration state (rebuilt by recovery)
         self._index: Dict[int, int] = {}
         self._leaf_set: Set[int] = set()
-        self._c0_roots: Dict[int, C0Stats] = {}
+        self._c0_roots = C0Roots(dim)
         self._origin: Dict[int, int] = {}
         self._dirty: Set[int] = set()
         self._superseded: List[int] = []
@@ -214,19 +251,22 @@ class PMOctree:
         self.stats.partial_reads += 1
         return self._arena_of(handle).read_payload(handle)
 
-    def set_payload(self, loc: int, payload: Payload) -> None:
+    def _store_span(self, loc: int, offset: int, data: bytes) -> None:
+        """One field-granular store: DRAM octants update in place, shared
+        NVBM octants copy-on-write first; only the spanned lines dirty."""
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
+        self.stats.partial_writes += 1
         if is_dram(handle):
-            self.dram.write_payload(handle, tuple(payload))
-            self.stats.partial_writes += 1
+            self.dram.write_field(handle, offset, data)
             self._dirty.add(loc)
             self.stats.inplace_updates += 1
             return
-        handle = self._ensure_writable(loc)
-        self.nvbm.write_payload(handle, tuple(payload))
-        self.stats.partial_writes += 1
+        self.nvbm.write_field(self._ensure_writable(loc), offset, data)
         self.injector.site(sites.PAYLOAD_PARTIAL)
+
+    def set_payload(self, loc: int, payload: Payload) -> None:
+        self._store_span(loc, PAYLOAD_SPAN[0], pack_payload(payload))
 
     # ------------------------------------------------- field-granular access
 
@@ -244,46 +284,43 @@ class PMOctree:
         return _F64.unpack(data)[0]
 
     def set_field(self, loc: int, slot: int, value: float) -> None:
-        """Store one payload slot in place (8-byte field-granular write).
-
-        Same placement semantics as :meth:`set_payload` — DRAM octants
-        update in place, shared NVBM octants copy-on-write first — but the
-        store dirties only the single line the slot lives in."""
-        handle = self.handle_of(loc)
-        self._touch_c0(loc, handle)
-        offset = PAYLOAD_SPAN[0] + 8 * slot
-        data = _F64.pack(value)
-        if is_dram(handle):
-            self.dram.write_field(handle, offset, data)
-            self.stats.partial_writes += 1
-            self._dirty.add(loc)
-            self.stats.inplace_updates += 1
-            return
-        handle = self._ensure_writable(loc)
-        self.nvbm.write_field(handle, offset, data)
-        self.stats.partial_writes += 1
-        self.injector.site(sites.PAYLOAD_PARTIAL)
+        """Store one payload slot in place (8-byte field-granular write):
+        :meth:`set_payload` that dirties only the line the slot lives in."""
+        self._store_span(loc, PAYLOAD_SPAN[0] + 8 * slot, _F64.pack(value))
 
     # ---------------------------------------------------- batched SoA access
 
-    def _batch_handles(self, locs) -> list:
-        """Resolve + touch handles for a batch, counting n partial reads."""
-        handles = []
-        for loc in locs:
-            handle = self.handle_of(loc)
-            self._touch_c0(loc, handle)
-            handles.append(handle)
-        self.stats.partial_reads += len(handles)
-        return handles
+    def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray]:
+        """``handle_of`` + ``_touch_c0`` of a whole batch: the handles
+        (uint64) and which of them are DRAM handles."""
+        index = self._index
+        try:
+            handles = np.array([index[loc] for loc in locs], dtype=np.uint64)
+        except KeyError as exc:
+            raise ReproError(
+                f"octant {exc.args[0]:#x} not in PM-octree") from None
+        dram = (handles >> np.uint64(_INDEX_BITS)) == ARENA_DRAM
+        if dram.any():
+            dram_locs = np.asarray(locs, dtype=np.int64)[dram]
+            roots, counts = np.unique(self._c0_roots_of(dram_locs),
+                                      return_counts=True)
+            for root, count in zip(roots.tolist(), counts.tolist()):
+                if root:
+                    self._c0_roots[root].accesses += count
+        return handles, dram
 
-    def _split_read(self, handles, out, reader):
-        dram_pos = [i for i, h in enumerate(handles) if is_dram(h)]
-        if dram_pos:
-            out[dram_pos] = reader(self.dram,
-                                   [handles[i] for i in dram_pos])
-        if len(dram_pos) != len(handles):
-            nv_pos = [i for i, h in enumerate(handles) if not is_dram(h)]
-            out[nv_pos] = reader(self.nvbm, [handles[i] for i in nv_pos])
+    def _batch_read(self, locs, offset: int, size: int) -> np.ndarray:
+        """Bytes ``[offset, offset + size)`` of the records of ``locs``,
+        as ``(n, size) uint8``: ``n`` field-granular reads, one gather and
+        one summed device charge per arena."""
+        handles, dram = self._batch_handles(locs)
+        self.stats.partial_reads += len(handles)
+        if dram.all():
+            return self.dram.read_rows(handles, offset, size)
+        out = np.empty((len(handles), size), dtype=np.uint8)
+        if dram.any():
+            out[dram] = self.dram.read_rows(handles[dram], offset, size)
+        out[~dram] = self.nvbm.read_rows(handles[~dram], offset, size)
         return out
 
     def batch_read_payloads(self, locs) -> np.ndarray:
@@ -291,44 +328,49 @@ class PMOctree:
 
         Metered exactly like ``n`` :meth:`get_payload` calls: same C0
         touch and ``pm.partial_reads`` totals, per-record media/CRC
-        verification, and one summed device charge per arena (see
-        :meth:`repro.nvbm.device.MemoryDevice.on_read_batch`)."""
-        handles = self._batch_handles(locs)
-        out = np.empty((len(handles), 4), dtype=np.float64)
-        return self._split_read(
-            handles, out, lambda arena, hs: arena.read_payload_batch(hs))
+        verification (see :meth:`repro.nvbm.arena.MemoryArena.read_rows`)."""
+        return self._batch_read(locs, *PAYLOAD_SPAN).view("<f8")
 
     def batch_read_fields(self, locs, slot: int) -> np.ndarray:
         """One payload slot per loc, metered exactly like ``n``
         :meth:`get_field` calls (8 bytes / 1 line each)."""
-        offset = PAYLOAD_SPAN[0] + 8 * slot
-        handles = self._batch_handles(locs)
-        out = np.empty(len(handles), dtype=np.float64)
-        return self._split_read(
-            handles, out,
-            lambda arena, hs: arena.read_f64_field_batch(hs, offset))
+        return self._batch_read(
+            locs, PAYLOAD_SPAN[0] + 8 * slot, 8).view("<f8")[:, 0]
+
+    def _batch_store(self, items, offset: int, width: int,
+                     scalar_store: Callable) -> None:
+        """Store ``items[i][1]`` (``width`` float64s) at ``offset`` of the
+        record of ``items[i][0]``: ``scalar_store(*item)`` per item.
+
+        The DRAM-resident octants take one scatter and one summed charge.
+        An NVBM store may copy-on-write its root path and is a crash site,
+        so those go through ``scalar_store`` one by one, in order, after the
+        scatter (a crash in between loses DRAM either way)."""
+        items = list(items)
+        locs = [loc for loc, _ in items]
+        handles, dram = self._batch_handles(locs)
+        hits = np.flatnonzero(dram).tolist()
+        if hits:
+            data = np.array([items[i][1] for i in hits],
+                            dtype="<f8").reshape(len(hits), width)
+            self.dram.write_rows(handles[hits], offset, data.view(np.uint8))
+            self.stats.partial_writes += len(hits)
+            self.stats.inplace_updates += len(hits)
+            self._dirty.update(locs[i] for i in hits)
+        for i in np.flatnonzero(~dram).tolist():
+            scalar_store(*items[i])
 
     def batch_set_payloads(self, items) -> None:
-        """Apply ``(loc, payload)`` stores in order with batched charges.
-
-        Each store runs the full scalar :meth:`set_payload` path — COW
-        copies, injector sites, dirty tracking, pm counters, immediate
-        data landing — inside the arenas'
-        :meth:`~repro.nvbm.device.MemoryDevice.batched_writes` scopes, so
-        only the device charges are aggregated (bit-identical totals)."""
-        with self.dram.device.batched_writes(), \
-                self.nvbm.device.batched_writes():
-            for loc, payload in items:
-                self.set_payload(loc, payload)
+        """Apply ``(loc, payload)`` stores: ``n`` :meth:`set_payload`
+        calls (see :meth:`_batch_store`)."""
+        self._batch_store(items, PAYLOAD_SPAN[0], 4, self.set_payload)
 
     def batch_set_fields(self, items, slot: int) -> None:
-        """Apply ``(loc, value)`` single-slot stores in order with batched
-        device charges (the field-granular analogue of
-        :meth:`batch_set_payloads`)."""
-        with self.dram.device.batched_writes(), \
-                self.nvbm.device.batched_writes():
-            for loc, value in items:
-                self.set_field(loc, slot, value)
+        """Apply ``(loc, value)`` single-slot stores: ``n``
+        :meth:`set_field` calls (see :meth:`_batch_store`)."""
+        self._batch_store(
+            items, PAYLOAD_SPAN[0] + 8 * slot, 1,
+            lambda loc, value: self.set_field(loc, slot, value))
 
     def get_record(self, loc: int) -> OctantRecord:
         handle = self.handle_of(loc)
@@ -516,6 +558,19 @@ class PMOctree:
         if self._pipeline is not None:
             self._detached.append(handle)
 
+    def _mark_deleted(self, handles) -> List[int]:
+        """Set ``FLAG_DELETED`` on the still-allocated records among
+        ``handles`` — a flag read and a single-line store each, no crash
+        site in between; returns the handles marked."""
+        handles = np.array(handles, dtype=np.uint64)
+        live = handles[self.nvbm.contains_mask(handles)]
+        flags = self.nvbm.read_rows(live, *FLAGS_SPAN)
+        # pmlint: allow-direct-write — superseded records belong to retired
+        # versions only; the freshly published root cannot reach them.
+        self.nvbm.write_rows(live, FLAGS_SPAN[0], flags | FLAG_DELETED)
+        self.stats.marked_deleted += live.size
+        return live.tolist()
+
     def _path_to(self, loc: int) -> List[int]:
         """Locational codes root -> loc."""
         path = [loc]
@@ -592,14 +647,29 @@ class PMOctree:
     # --------------------------------------------------------------- C0 management
 
     def _c0_root_of(self, loc: int) -> Optional[int]:
-        """The registered C0 subtree root covering ``loc``, if any."""
-        walk = loc
-        while True:
-            if walk in self._c0_roots:
-                return walk
-            if walk == morton.ROOT_LOC:
-                return None
-            walk = morton.parent_of(walk, self.dim)
+        """The registered C0 subtree root covering ``loc``, if any: its
+        nearest registered ancestor-or-self."""
+        roots = self._c0_roots
+        dim = self.dim
+        level = (loc.bit_length() - 1) // dim
+        for root_level in roots.levels:
+            if root_level <= level:
+                ancestor = loc >> (dim * (level - root_level))
+                if ancestor in roots:
+                    return ancestor
+        return None
+
+    def _c0_roots_of(self, locs: np.ndarray) -> np.ndarray:
+        """:meth:`_c0_root_of` of an int64 array of locs (0 where none)."""
+        roots = np.fromiter(self._c0_roots, np.int64, len(self._c0_roots))
+        out = np.zeros(locs.size, dtype=np.int64)
+        levels = levels_of_codes(locs, self.dim)
+        for root_level in self._c0_roots.levels:
+            todo = np.flatnonzero((out == 0) & (levels >= root_level))
+            ancestors = locs[todo] >> (self.dim * (levels[todo] - root_level))
+            hit = np.isin(ancestors, roots)  # a code carries its level
+            out[todo[hit]] = ancestors[hit]
+        return out
 
     def _touch_c0(self, loc: int, handle: int) -> None:
         if is_dram(handle):
@@ -746,15 +816,8 @@ class PMOctree:
                 self._load_static_chunk()
             # Mark records superseded by COW during the finished step: they
             # are V_{i-2}-only now and become GC food.
-            for old in self._superseded:
-                if self.nvbm.contains(old):
-                    flags = self.nvbm.read_flags(old)
-                    # pmlint: allow-direct-write — superseded records belong
-                    # to V_{i-2} only; the freshly published root cannot
-                    # reach them.
-                    self.nvbm.set_flags(old, flags | FLAG_DELETED)
-                    self.stats.partial_writes += 1
-                    self.stats.marked_deleted += 1
+            self.stats.partial_writes += len(
+                self._mark_deleted(self._superseded))
             self._superseded.clear()
             self.nvbm.flush()
         finally:
@@ -891,22 +954,23 @@ class PMOctree:
             yield
 
     def reachable_from(self, root_handle: int) -> Set[int]:
-        """NVBM handles reachable from an NVBM root (DRAM pointers skipped)."""
-        seen: Set[int] = set()
+        """NVBM handles reachable from an NVBM root (DRAM pointers skipped).
+
+        One gather per tree level (:mod:`repro.core.walks`); the set is
+        filled in depth-first visit order, which its iteration order —
+        and through it the order replica deltas are built in — depends on.
+        """
         if not is_nvbm(root_handle):
-            return seen
+            return set()
+        nvbm = self.nvbm
         with self.unmetered_inspection():
-            stack = [root_handle]
-            while stack:
-                h = stack.pop()
-                if h in seen or not self.nvbm.contains(h):
-                    continue
-                seen.add(h)
-                rec = self.nvbm.read_octant(h)
-                for ch in rec.live_children():
-                    if is_nvbm(ch):
-                        stack.append(ch)
-        return seen
+            level_slots, level_keys = walks.reach(
+                nvbm, np.array([root_handle], dtype=np.uint64), self.dim)
+        if not level_slots:
+            return set()
+        order = walks.dfs_order(level_keys, self.dim)
+        return set(
+            nvbm.handles_of(np.concatenate(level_slots)[order]).tolist())
 
     def overlap_ratio(self) -> float:
         """|octants shared by V_{i-1} and V_i| / |octants of V_i| (§3.1).
@@ -952,20 +1016,30 @@ class PMOctree:
             self._check_invariants_impl()
 
     def _check_invariants_impl(self) -> None:
-        for loc, handle in self._index.items():
-            arena = self._arena_of(handle)
-            rec = arena.read_octant(handle)
-            if rec.loc != loc:
-                raise ConsistencyError(f"index {loc:#x} -> record {rec.loc:#x}")
-            if rec.is_deleted:
-                raise ConsistencyError(f"live index entry {loc:#x} marked deleted")
-            in_c0 = self._c0_root_of(loc) is not None
-            if in_c0 != is_dram(handle):
+        n = len(self._index)
+        locs = np.fromiter(self._index, np.int64, n)
+        handles = np.fromiter(self._index.values(), np.uint64, n)
+        dram = (handles >> np.uint64(_INDEX_BITS)) == ARENA_DRAM
+        in_c0 = self._c0_roots_of(locs) != 0
+        leaf = np.fromiter((loc in self._leaf_set for loc in self._index),
+                           bool, n)
+
+        def require(ok: np.ndarray, at: np.ndarray, message: str) -> None:
+            if not ok.all():
                 raise ConsistencyError(
-                    f"I1 violated at {loc:#x}: c0={in_c0}, dram={is_dram(handle)}"
-                )
-            if rec.is_leaf != (loc in self._leaf_set):
-                raise ConsistencyError(f"leaf flag mismatch at {loc:#x}")
+                    message.format(int(at[int(ok.argmin())])))
+
+        for arena, sel in ((self.dram, dram), (self.nvbm, ~dram)):
+            recs = as_records(arena.read_rows(handles[sel]))
+            flags = recs["flags"]
+            require(recs["loc"] == locs[sel].astype(np.uint64), locs[sel],
+                    "index {:#x} does not match its record's loc")
+            require((flags & FLAG_DELETED) == 0, locs[sel],
+                    "live index entry {:#x} marked deleted")
+            require(((flags & FLAG_LEAF) != 0) == leaf[sel], locs[sel],
+                    "leaf flag mismatch at {:#x}")
+        require(in_c0 == dram, locs,
+                "I1 violated at {:#x}: in a C0 subtree iff in DRAM")
         for root, stats in self._c0_roots.items():
             actual: Set[int] = set()
             stack = [root]
@@ -988,10 +1062,9 @@ class PMOctree:
                 )
         prev_root = self.nvbm.roots.get(SLOT_PREV)
         if prev_root != NULL_HANDLE:
-            for h in self.reachable_from(prev_root):
-                rec = self.nvbm.read_octant(h)
-                if rec.epoch >= self.epoch:
-                    raise ConsistencyError(
-                        f"I2 violated: persistent record {h:#x} has epoch "
-                        f"{rec.epoch} >= current {self.epoch}"
-                    )
+            published = np.fromiter(self.reachable_from(prev_root), np.uint64)
+            epochs = self.nvbm.read_rows(
+                published, *EPOCH_SPAN).view("<u4")[:, 0]
+            require(epochs < self.epoch, published,
+                    "I2 violated: persistent record {:#x} is not older "
+                    f"than the current epoch {self.epoch}")

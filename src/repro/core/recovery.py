@@ -18,7 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
+import numpy as np
+
 from repro.config import OCTANT_RECORD_SIZE, PMOctreeConfig
+from repro.core import walks
 from repro.errors import (
     ConsistencyError,
     MediaError,
@@ -32,8 +35,10 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import Category
 from repro.nvbm.device import LINES_PER_RECORD
 from repro.nvbm.failure import FailureInjector
-from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
-from repro.nvbm.records import OctantRecord, pack_record, unpack_record
+from repro.nvbm.pointers import (_INDEX_BITS, ARENA_NVBM, NULL_HANDLE,
+                                 is_dram, is_nvbm)
+from repro.nvbm.records import (FLAG_DELETED, FLAG_LEAF, OctantRecord,
+                                as_records, pack_record, unpack_record)
 from repro.octree import morton
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -93,46 +98,61 @@ def _restore_traverse(pmo: "PMOctree") -> int:
     pmo._superseded.clear()
     pmo._detached.clear()
 
+    # One gather per tree level; ``locs``/``keys`` are what the walk
+    # *expects* at each handle, derived from the parent's.
+    nvbm = pmo.nvbm
+    dim = pmo.dim
+    fanout = morton.fanout(dim)
+    child_slots = np.arange(fanout, dtype=np.uint64)
+    handles = np.array([root], dtype=np.uint64)
+    locs = np.array([morton.ROOT_LOC], dtype=np.uint64)
+    keys = np.zeros(1, dtype=np.uint64)
+    level = 0
     max_epoch = 0
-    stack = [(root, morton.ROOT_LOC, 0)]
-    count = 0
-    while stack:
-        handle, expect_loc, expect_level = stack.pop()
-        if not pmo.nvbm.contains(handle):
+    visited = []  # per level: (locs, handles, leaf mask, keys)
+    while handles.size:
+        _audit(~nvbm.contains_mask(handles), handles,
+               "persistent tree references unallocated record {:#x}")
+        recs = as_records(nvbm.read_rows(handles))
+        wrong = (recs["loc"] != locs) | (recs["level"] != level)
+        if wrong.any():
+            at = int(wrong.argmax())
             raise ConsistencyError(
-                f"persistent tree references unallocated record {handle:#x}"
+                f"record {int(handles[at]):#x} claims "
+                f"loc={int(recs['loc'][at]):#x}/L{int(recs['level'][at])}, "
+                f"expected {int(locs[at]):#x}/L{level}"
             )
-        rec = pmo.nvbm.read_octant(handle)
-        if rec.loc != expect_loc or rec.level != expect_level:
-            raise ConsistencyError(
-                f"record {handle:#x} claims loc={rec.loc:#x}/L{rec.level}, "
-                f"expected {expect_loc:#x}/L{expect_level}"
-            )
-        if rec.is_deleted:
-            raise ConsistencyError(
-                f"persistent tree references deleted record {handle:#x}"
-            )
-        max_epoch = max(max_epoch, rec.epoch)
-        pmo._index[expect_loc] = handle
-        if rec.is_leaf:
-            pmo._leaf_set.add(expect_loc)
-        else:
-            for idx, ch in enumerate(rec.children[: morton.fanout(pmo.dim)]):
-                if ch == NULL_HANDLE:
-                    raise ConsistencyError(
-                        f"internal record {handle:#x} has a null child slot"
-                    )
-                if not is_nvbm(ch):
-                    raise ConsistencyError(
-                        f"persistent record {handle:#x} points into DRAM"
-                    )
-                stack.append(
-                    (ch, morton.child_of(expect_loc, pmo.dim, idx),
-                     expect_level + 1)
-                )
-        count += 1
+        _audit((recs["flags"] & FLAG_DELETED) != 0, handles,
+               "persistent tree references deleted record {:#x}")
+        max_epoch = max(max_epoch, int(recs["epoch"].max()))
+        leaf = (recs["flags"] & FLAG_LEAF) != 0
+        visited.append((locs, handles, leaf, keys))
+        inner = np.flatnonzero(~leaf)
+        children = recs["children"][inner, :fanout]
+        _audit((children == NULL_HANDLE).any(axis=1), handles[inner],
+               "internal record {:#x} has a null child slot")
+        _audit(((children >> np.uint64(_INDEX_BITS)) != ARENA_NVBM).any(axis=1),
+               handles[inner], "persistent record {:#x} points into DRAM")
+        handles = children.ravel()
+        locs = ((locs[inner] << np.uint64(dim))[:, None] | child_slots).ravel()
+        keys = walks.child_keys(keys[inner][:, None], child_slots, dim).ravel()
+        level += 1
+
+    # the index and the leaf set are filled in the order the record-by-record
+    # depth-first walk visits, which later allocation orders depend on
+    order = walks.dfs_order([v[3] for v in visited], dim)
+    locs, handles, leaf = (np.concatenate([v[i] for v in visited])[order]
+                           for i in range(3))
+    pmo._index.update(zip(locs.tolist(), handles.tolist()))
+    pmo._leaf_set.update(locs[leaf].tolist())
     pmo.epoch = max_epoch + 1
-    return count
+    return locs.size
+
+
+def _audit(bad: np.ndarray, handles: np.ndarray, message: str) -> None:
+    """The restore audit: raise naming the first record ``bad`` flags."""
+    if bad.any():
+        raise ConsistencyError(message.format(int(handles[int(bad.argmax())])))
 
 
 def attach_and_restore(dram: MemoryArena, nvbm: MemoryArena, dim: int = 2,

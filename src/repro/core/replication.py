@@ -22,8 +22,11 @@ pointer must be rewritten for the new arena — the pointer-swizzling chore
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+
+import numpy as np
 
 from repro.config import OCTANT_RECORD_SIZE, PMOctreeConfig
 from repro.errors import RecoveryError, ReplicationTimeoutError
@@ -32,7 +35,7 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import NULL_HANDLE
-from repro.nvbm.records import unpack_record
+from repro.nvbm.records import as_records
 from repro.parallel.faults import ACK_BYTES, Delivery, FaultyNetwork
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -145,12 +148,17 @@ def compute_delta(pmo: "PMOctree", replica: ReplicaStore
     if root == NULL_HANDLE:
         raise RecoveryError("nothing persisted yet; no delta to replicate")
     reachable = pmo.reachable_from(root)
-    delta = {
-        h: pmo.nvbm.read(h)
-        for h in reachable
-        if h not in replica.records
-    }
+    delta = _record_images(
+        pmo.nvbm, [h for h in reachable if h not in replica.records])
     return delta, root, reachable
+
+
+def _record_images(nvbm: MemoryArena, handles) -> Dict[int, bytes]:
+    """``handle -> record bytes`` for ``handles``, in order: one metered
+    :meth:`~repro.nvbm.arena.MemoryArena.read` each, as one gather."""
+    blob = nvbm.read_rows(np.array(handles, dtype=np.uint64)).tobytes()
+    return {h: blob[i * OCTANT_RECORD_SIZE:(i + 1) * OCTANT_RECORD_SIZE]
+            for i, h in enumerate(handles)}
 
 
 def ship_delta(pmo: "PMOctree", replica: ReplicaStore) -> int:
@@ -291,7 +299,7 @@ class ReplicaSession:
                  policy: Optional[RetryPolicy] = None,
                  injector: Optional[FailureInjector] = None,
                  break_acks: bool = False):
-        self.pmo = pmo
+        self._pmo = weakref.ref(pmo)
         self.replica = replica if replica is not None else ReplicaStore()
         self.transport = transport or PerfectTransport()
         self.clock = clock if clock is not None else pmo.nvbm.device.clock
@@ -303,6 +311,13 @@ class ReplicaSession:
         self.stats = SessionStats()
         #: attempts-per-acknowledged-ship histogram (attach_obs), or None
         self._m_attempts = None
+
+    @property
+    def pmo(self) -> "PMOctree":
+        """The tree this session ships.  Weak, like ``EpochPipeline.pmo``:
+        ``pmo.replicator`` points back here, and a tree a restore replaced
+        should die by reference count."""
+        return self._pmo()
 
     def attach_obs(self, obs, peer: str = "peer") -> None:
         """Report :class:`SessionStats` as ``replication.*`` counters of an
@@ -392,7 +407,7 @@ class ReplicaSession:
                     self.injector.site(sites.REPLICA_RESYNC_BEGIN)
                     resync = resynced = True
                     self.stats.resyncs += 1
-                    records = {h: self.pmo.nvbm.read(h) for h in reachable}
+                    records = _record_images(self.pmo.nvbm, list(reachable))
                     continue  # the NACK came back; no timeout to wait out
             else:
                 self.stats.deltas_lost += 1
@@ -432,31 +447,35 @@ def restore_from_replica(replica: ReplicaStore, dram: MemoryArena,
 
     if replica.root == NULL_HANDLE or not replica.records:
         raise RecoveryError("replica is empty; cannot recover from it")
-    translation: Dict[int, int] = {
-        old: nvbm.alloc() for old in replica.records
-    }
+    old = np.fromiter(replica.records, np.uint64, len(replica.records))
+    new = np.array([nvbm.alloc() for _ in replica.records], dtype=np.uint64)
+    by_old = np.argsort(old)
+    old_sorted, new_sorted = old[by_old], new[by_old]
 
-    def swizzle(handle: int) -> int:
-        if handle == NULL_HANDLE:
-            return NULL_HANDLE
+    def swizzle(handles: np.ndarray) -> np.ndarray:
         # Pointers into lost DRAM or to records outside the replica cannot
         # be followed on the new node; recovery never needs them.
-        return translation.get(handle, NULL_HANDLE)
+        at = np.minimum(np.searchsorted(old_sorted, handles), old.size - 1)
+        return np.where(old_sorted[at] == handles, new_sorted[at],
+                        np.uint64(NULL_HANDLE))
 
-    for old, data in replica.records.items():
-        rec = unpack_record(data)
-        rec.parent = swizzle(rec.parent)
-        rec.children = [swizzle(c) for c in rec.children]
-        # pmlint: allow-direct-write — every target slot was freshly
-        # allocated above; nothing persistent can reach it yet.
-        # pmlint: allow[raw-write]: materialising a replica record fills
-        # every byte of a just-allocated slot — there is no smaller field
-        # set to store.
-        nvbm.write_octant(translation[old], rec)
+    rows = np.frombuffer(b"".join(replica.records.values()),
+                         dtype=np.uint8).reshape(-1, OCTANT_RECORD_SIZE).copy()
+    recs = as_records(rows)
+    recs["parent"] = swizzle(recs["parent"])
+    recs["children"] = swizzle(recs["children"])
+    recs["pad"] = 0
+    recs["tail"] = 0
+    # pmlint: allow-direct-write — every target slot was freshly
+    # allocated above; nothing persistent can reach it yet.
+    # pmlint: allow[raw-write]: materialising a replica record fills
+    # every byte of a just-allocated slot — there is no smaller field
+    # set to store.
+    nvbm.write_rows(new, 0, rows)
     nvbm.flush()
     if injector is not None:
         injector.site(sites.REPLICA_BEFORE_PUBLISH)
-    new_root = translation[replica.root]
+    new_root = int(swizzle(np.array([replica.root], dtype=np.uint64))[0])
     nvbm.roots.set(SLOT_PREV, new_root)
     return attach_and_restore(dram, nvbm, dim=dim, config=config,
                               injector=injector)

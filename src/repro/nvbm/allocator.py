@@ -16,7 +16,7 @@ measures the difference.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterator, List, Set
+from typing import Deque, List, Set
 
 import numpy as np
 
@@ -39,6 +39,9 @@ class RecordAllocator:
         self._bump = 0
         self._free: List[int] = []
         self._allocated = np.zeros(capacity, dtype=bool)
+        #: the same flags through the buffer protocol: a scalar test or set
+        #: is a plain byte access, not a numpy scalar round trip
+        self._alloc_mv = memoryview(self._allocated)
         self._retired: Set[int] = set()
 
     @property
@@ -68,13 +71,13 @@ class RecordAllocator:
                 raise OutOfMemoryError(self.name, self.capacity)
             if idx not in self._retired:
                 break
-        self._allocated[idx] = True
+        self._alloc_mv[idx] = True
         return idx
 
     def free(self, index: int) -> None:
         """Return an index to the free list."""
         self._validate(index)
-        self._allocated[index] = False
+        self._alloc_mv[index] = False
         self._free.append(index)
 
     def retire(self, index: int) -> None:
@@ -85,24 +88,24 @@ class RecordAllocator:
         (``free_fraction`` treats retired slots as spent).
         """
         self._validate(index)
-        self._allocated[index] = False
+        self._alloc_mv[index] = False
         self._retired.add(index)
 
     def is_retired(self, index: int) -> bool:
         return index in self._retired
 
     def is_allocated(self, index: int) -> bool:
-        return 0 <= index < self.capacity and bool(self._allocated[index])
+        return 0 <= index < self.capacity and self._alloc_mv[index]
 
     def _validate(self, index: int) -> None:
         if not (0 <= index < self.capacity):
             raise InvalidHandleError(f"{self.name}: index {index} out of range")
-        if not self._allocated[index]:
+        if not self._alloc_mv[index]:
             raise InvalidHandleError(f"{self.name}: index {index} is not allocated")
 
-    def live_indices(self) -> Iterator[int]:
-        """Iterate over currently-allocated indices (for GC sweeps)."""
-        return iter(np.flatnonzero(self._allocated[: self._bump]))
+    def live_indices(self) -> np.ndarray:
+        """Currently-allocated indices, ascending (for GC sweeps)."""
+        return np.flatnonzero(self._allocated[: self._bump])
 
     def reset(self) -> None:
         """Drop all allocations (used when a volatile arena loses power)."""
@@ -139,12 +142,12 @@ class WearLevelingAllocator(RecordAllocator):
                 raise OutOfMemoryError(self.name, self.capacity)
             if idx not in self._retired:
                 break
-        self._allocated[idx] = True
+        self._alloc_mv[idx] = True
         return idx
 
     def free(self, index: int) -> None:
         self._validate(index)
-        self._allocated[index] = False
+        self._alloc_mv[index] = False
         self._fifo.append(index)
 
     @property

@@ -44,7 +44,8 @@ class SimClock:
         if ns < 0:
             raise ValueError(f"cannot advance clock by negative time: {ns}")
         self.now_ns += ns
-        key = category.value
+        # ``_value_`` is the plain attribute behind the ``value`` descriptor
+        key = category._value_
         self.by_category[key] = self.by_category.get(key, 0.0) + ns
         if self._phase_stack:
             ph = self._phase_stack[-1]

@@ -128,6 +128,18 @@ class MediaFaultModel:
 
     # -- device callbacks --------------------------------------------------
 
+    @property
+    def armed(self) -> bool:
+        """True when a rate-driven mechanism is on (a read's outcome then
+        depends on the clock, the wear or the read count)."""
+        return (self.wear_fraction > 0.0 or self.rot_mtbf_ns > 0.0
+                or self.transient_rate > 0.0)
+
+    @property
+    def quiescent(self) -> bool:
+        """Nothing armed and nothing planted: no read can fault."""
+        return not (self._stuck or self._rotted or self.armed)
+
     def note_write(self, gline: int, now_ns: float) -> None:
         """A metered write refreshed this line's cells."""
         self._rotted.discard(gline)
@@ -159,21 +171,13 @@ class MediaFaultModel:
                 return "transient"
         return None
 
-
-class _WriteBatch:
-    """Accumulated charges for one :meth:`MemoryDevice.batched_writes` scope."""
-
-    __slots__ = ("count", "nbytes", "lines", "clock_ns", "sink_ns", "sink",
-                 "line_ids")
-
-    def __init__(self):
-        self.count = 0
-        self.nbytes = 0
-        self.lines = 0
-        self.clock_ns = 0.0
-        self.sink_ns = 0.0
-        self.sink = None
-        self.line_ids: list = []
+    def planted_among(self, glines: np.ndarray) -> bool:
+        """True when a planted (stuck or rotted) line is among ``glines``.
+        With no rate armed that is all a read's outcome depends on, so a
+        whole batch of reads is cleared by one set intersection."""
+        planted = self._stuck | self._rotted
+        return bool(np.isin(
+            glines, np.fromiter(planted, np.int64, len(planted))).any())
 
 
 class MemoryDevice:
@@ -185,6 +189,14 @@ class MemoryDevice:
         Latency/endurance characteristics (e.g. :data:`repro.config.NVBM_SPEC`).
     clock:
         The simulated clock to charge.  A rank's arenas share one clock.
+
+    There is **one charge body per direction**: :meth:`on_read_batch` and
+    :meth:`on_write_batch` take a ``(count, bytes, lines)`` total and are the
+    only code that counts into :class:`DeviceStats`, advances the clock for
+    a device access and ages lines.  :meth:`on_read` / :meth:`on_write` are
+    the ``count == 1`` spelling of the same call.  Every per-access charge
+    is an integer number of nanoseconds far below 2**53, so one summed
+    advance is bit-identical to the per-access advance sequence.
 
     A per-cache-line write counter lets benches report endurance headroom
     (writes/line vs ``spec.endurance_writes``) and the media-fault model
@@ -202,6 +214,7 @@ class MemoryDevice:
         #: attached MediaFaultModel, or None (the common, zero-overhead case)
         self.fault_model: Optional[MediaFaultModel] = None
         self._wear = np.zeros(0, dtype=np.int64)
+        self._wear_mv = memoryview(self._wear)
         self._category = Category.MEM_DRAM if spec.volatile else Category.MEM_NVBM
         #: depth of nested unmetered() sections; >0 suppresses all charging
         self._unmetered = 0
@@ -212,17 +225,12 @@ class MemoryDevice:
         #: their device time is deferred, to be drained later as background
         #: work by the epoch pipeline.  Reads stay synchronous.
         self._deferred_sink = None
-        #: active batched-writes accumulator, or None (see batched_writes)
-        self._write_batch = None
 
     def attach_obs(self, obs, device: str = None) -> None:
         """Report :class:`DeviceStats` as ``device.*`` counters of an
         :class:`repro.obs.Observability`."""
         obs.metrics.fold("device", self.stats,
                          device=device or self.spec.name)
-
-    def _lines(self, nbytes: int) -> int:
-        return max(1, -(-nbytes // CACHE_LINE_SIZE))
 
     @contextmanager
     def unmetered(self) -> Iterator[None]:
@@ -263,94 +271,72 @@ class MemoryDevice:
         finally:
             self._deferred_sink = prev
 
-    @contextmanager
-    def batched_writes(self) -> Iterator[None]:
-        """Aggregate the device charges of every metered write in the block.
-
-        The SoA write-back path wraps its scatter loop in this scope: each
-        ``on_write`` inside it accumulates its count/bytes/lines, its
-        latency (``lines * write_latency_ns``, routed to the active
-        deferred sink or the clock exactly as the unbatched write would
-        be), and its spanned global line ids — then one commit at scope
-        exit applies the summed stats, a single clock advance (or sink
-        add) and a vectorised wear update.
-        All latencies are integer nanoseconds far below 2**53, so the
-        single summed advance is bit-identical to the per-write advance
-        sequence; totals, wear histograms and fault-model refreshes are
-        order-free.  The data path is untouched — stores still land
-        immediately, so crash/tear semantics are unchanged.  The only
-        observable drift is *within* the scope: the clock lags the scalar
-        trajectory until commit, which matters only to a rot-enabled fault
-        model sampling ``now_ns`` mid-batch (see docs/performance.md).
-
-        Nested scopes join the outermost batch.
-        """
-        if self._write_batch is not None:
-            yield
-            return
-        batch = _WriteBatch()
-        self._write_batch = batch
-        try:
-            yield
-        finally:
-            self._write_batch = None
-            self._commit_write_batch(batch)
-
-    def _commit_write_batch(self, b: _WriteBatch) -> None:
-        if not b.count:
-            return
-        self.stats.writes += b.count
-        self.stats.bytes_written += b.nbytes
-        self.stats.lines_written += b.lines
-        if b.sink is not None and b.sink_ns:
-            b.sink.ns += b.sink_ns
-        if b.clock_ns:
-            self.clock.advance(b.clock_ns, self._category)
-        if b.line_ids:
-            ids = np.asarray(b.line_ids, dtype=np.int64)
-            end = int(ids.max()) + 1
-            if end > self._wear.size:
-                grown = np.zeros(max(end, 2 * self._wear.size, 1024),
-                                 dtype=np.int64)
-                grown[: self._wear.size] = self._wear
-                self._wear = grown
-            np.add.at(self._wear, ids, 1)
-            if self.fault_model is not None:
-                now = self.clock.now_ns
-                for g in b.line_ids:
-                    self.fault_model.note_write(g, now)
+    # -- the charge path ---------------------------------------------------
 
     def on_read_batch(self, count: int, nbytes: int, lines: int) -> None:
         """Charge ``count`` reads totalling ``nbytes`` bytes / ``lines``
-        cache lines in one call.
-
-        Semantically the sum of ``count`` :meth:`on_read` calls: identical
-        stats totals, one clock advance of the summed latency (exact —
-        every per-read charge is an integer number of nanoseconds, so the
-        float sum associates).
-        """
+        cache lines: the one read charge (one latency per line)."""
         if self._unmetered or count <= 0:
             return
-        self.stats.reads += count
-        self.stats.bytes_read += nbytes
-        self.stats.lines_read += lines
+        stats = self.stats
+        stats.reads += count
+        stats.bytes_read += nbytes
+        stats.lines_read += lines
         self.clock.advance(lines * self.spec.read_latency_ns, self._category)
 
     def on_read(self, nbytes: int, lines: int = 0) -> None:
-        """Charge one read of ``nbytes`` (one latency per cache line).
+        """Charge one read of ``nbytes``.
 
         ``lines`` overrides the line count for field-granular accesses whose
         spanned lines differ from ``ceil(nbytes / 64)`` (an unaligned field
         can straddle a boundary; a sub-line field still costs a full line).
         """
-        if self._unmetered:
+        self.on_read_batch(1, nbytes,
+                           lines if lines > 0 else lines_spanned(0, nbytes))
+
+    def on_write_batch(self, count: int, nbytes: int, lines: int,
+                       line_ids=None) -> None:
+        """Charge ``count`` writes totalling ``nbytes`` bytes / ``lines``
+        cache lines and age ``line_ids``: the one write charge.
+
+        ``line_ids`` holds the global id of every line written, once per
+        write that spans it — a ``range`` for one record's contiguous lines
+        (the scalar stores), an int64 array for a scatter.  The latency goes
+        to the active :meth:`deferred_writes` sink, else to the clock.  An
+        attached fault model sees every line refreshed at the post-charge
+        clock.
+        """
+        if self._unmetered or count <= 0:
             return
-        if lines <= 0:
-            lines = self._lines(nbytes)
-        self.stats.reads += 1
-        self.stats.bytes_read += nbytes
-        self.stats.lines_read += lines
-        self.clock.advance(lines * self.spec.read_latency_ns, self._category)
+        stats = self.stats
+        stats.writes += count
+        stats.bytes_written += nbytes
+        stats.lines_written += lines
+        ns = lines * self.spec.write_latency_ns
+        if self._deferred_sink is not None:
+            self._deferred_sink.ns += ns
+        else:
+            self.clock.advance(ns, self._category)
+        if line_ids is None:
+            return
+        scalar = type(line_ids) is range
+        end = line_ids.stop if scalar else int(line_ids.max()) + 1
+        if end > self._wear.size:
+            grown = np.zeros(max(end, 2 * self._wear.size, 1024),
+                             dtype=np.int64)
+            grown[: self._wear.size] = self._wear
+            self._wear = grown
+            self._wear_mv = memoryview(grown)
+        if scalar:
+            wear = self._wear_mv
+            for g in line_ids:
+                wear[g] += 1
+        else:
+            np.add.at(self._wear, line_ids, 1)
+        if self.fault_model is not None:
+            now = self.clock.now_ns
+            for g in (line_ids if scalar else line_ids.tolist()):
+                self.fault_model.note_write(g, now)
 
     def on_write(self, nbytes: int, slot: int = -1, lines: int = 0,
                  line0: int = 0) -> None:
@@ -362,49 +348,11 @@ class MemoryDevice:
         2-line record write ages both lines, a 1-byte flag flip only the
         line holding it.
         """
-        if self._unmetered:
-            return
         if lines <= 0:
-            lines = self._lines(nbytes)
-        if self._write_batch is not None:
-            b = self._write_batch
-            b.count += 1
-            b.nbytes += nbytes
-            b.lines += lines
-            ns = lines * self.spec.write_latency_ns
-            sink = self._deferred_sink
-            if sink is not None:
-                if b.sink is not None and b.sink is not sink:
-                    b.sink.ns += b.sink_ns
-                    b.sink_ns = 0.0
-                b.sink = sink
-                b.sink_ns += ns
-            else:
-                b.clock_ns += ns
-            if slot >= 0:
-                base = slot * LINES_PER_RECORD + line0
-                b.line_ids.extend(range(base, base + lines))
-            return
-        self.stats.writes += 1
-        self.stats.bytes_written += nbytes
-        self.stats.lines_written += lines
-        if self._deferred_sink is not None:
-            self._deferred_sink.ns += lines * self.spec.write_latency_ns
-        else:
-            self.clock.advance(lines * self.spec.write_latency_ns,
-                               self._category)
-        if slot >= 0:
-            base = slot * LINES_PER_RECORD + line0
-            end = base + lines
-            if end > self._wear.size:
-                grown = np.zeros(max(end, 2 * self._wear.size, 1024), dtype=np.int64)
-                grown[: self._wear.size] = self._wear
-                self._wear = grown
-            self._wear[base:end] += 1
-            if self.fault_model is not None:
-                now = self.clock.now_ns
-                for g in range(base, end):
-                    self.fault_model.note_write(g, now)
+            lines = lines_spanned(0, nbytes)
+        base = slot * LINES_PER_RECORD + line0
+        self.on_write_batch(1, nbytes, lines,
+                            range(base, base + lines) if slot >= 0 else None)
 
     # -- media faults ------------------------------------------------------
 
@@ -423,14 +371,14 @@ class MemoryDevice:
         measurement probes never trip media faults.
         """
         fm = self.fault_model
-        if fm is None or self._unmetered:
+        if fm is None or self._unmetered or fm.quiescent:
             return
         if lines <= 0:
             lines = LINES_PER_RECORD
         base = slot * LINES_PER_RECORD + line0
         now = self.clock.now_ns
         for g in range(base, base + lines):
-            wear = int(self._wear[g]) if g < self._wear.size else 0
+            wear = self._wear_mv[g] if g < self._wear.size else 0
             kind = fm.check(g, now, wear)
             if kind is not None:
                 raise UncorrectableError(self.spec.name, slot, kind, lines=(g,))

@@ -28,6 +28,8 @@ import zlib
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
+import numpy as np
+
 from repro.config import OCTANT_RECORD_SIZE
 from repro.nvbm.pointers import NULL_HANDLE
 
@@ -59,6 +61,27 @@ EPOCH_SPAN = (12, 4)
 PAYLOAD_SPAN = (16, 8 * PAYLOAD_SLOTS)
 PARENT_SPAN = (48, 8)
 CHILDREN_OFFSET = 56
+
+#: The same layout as a numpy structured dtype, for decoding a gathered
+#: block of records at once (see :func:`as_records`).
+RECORD_DTYPE = np.dtype([
+    ("loc", "<u8"), ("level", "u1"), ("flags", "u1"), ("pad", "<u2"),
+    ("epoch", "<u4"), ("payload", "<f8", (PAYLOAD_SLOTS,)),
+    ("parent", "<u8"), ("children", "<u8", (MAX_CHILDREN,)),
+    ("tail", "u1", (_PAD,)),
+])
+assert RECORD_DTYPE.itemsize == OCTANT_RECORD_SIZE
+
+
+
+def as_records(rows: np.ndarray) -> np.ndarray:
+    """View an ``(n, 128) uint8`` block of records as ``n`` structured
+    records: ``as_records(rows)["children"]`` is an ``(n, 8)`` uint64 view,
+    ``["loc"]``/``["level"]``/``["flags"]``/``["epoch"]`` are ``(n,)`` — no
+    copy, no per-record unpack.  What the level-at-a-time structure walks
+    decode a whole frontier with."""
+    return rows.view(RECORD_DTYPE)[:, 0]
+
 
 _PAYLOAD_STRUCT = struct.Struct("<4d")
 _HANDLE_STRUCT = struct.Struct("<Q")
@@ -113,8 +136,8 @@ def pack_payload(payload) -> bytes:
     return _PAYLOAD_STRUCT.pack(*payload)
 
 
-def unpack_payload(data: bytes) -> Tuple[float, float, float, float]:
-    return _PAYLOAD_STRUCT.unpack(data)
+#: ``(buffer, offset=0) -> the 4-float payload tuple``
+unpack_payload = _PAYLOAD_STRUCT.unpack_from
 
 
 def pack_handles(handles) -> bytes:
@@ -122,8 +145,8 @@ def pack_handles(handles) -> bytes:
     return b"".join(_HANDLE_STRUCT.pack(h) for h in handles)
 
 
-def unpack_epoch(data: bytes) -> int:
-    return _EPOCH_STRUCT.unpack(data)[0]
+def unpack_epoch(data, offset: int = 0) -> int:
+    return _EPOCH_STRUCT.unpack_from(data, offset)[0]
 
 
 @dataclass
@@ -189,21 +212,18 @@ def pack_record(rec: OctantRecord) -> bytes:
     )
 
 
-def unpack_record(data: bytes) -> OctantRecord:
-    """Deserialize a 128-byte record."""
-    if len(data) != OCTANT_RECORD_SIZE:
-        raise ValueError(f"expected {OCTANT_RECORD_SIZE} bytes, got {len(data)}")
-    fields = _STRUCT.unpack(data[: _STRUCT.size])
-    loc, level, flags, _pad, epoch = fields[:5]
-    payload = fields[5:9]
-    parent = fields[9]
-    children = list(fields[10:18])
+def unpack_record(data, offset: int = 0) -> OctantRecord:
+    """Deserialize the 128-byte record at ``offset`` of a buffer."""
+    if len(data) - offset < OCTANT_RECORD_SIZE:
+        raise ValueError(
+            f"expected {OCTANT_RECORD_SIZE} bytes, got {len(data) - offset}")
+    fields = _STRUCT.unpack_from(data, offset)
     return OctantRecord(
-        loc=loc,
-        level=level,
-        flags=flags,
-        epoch=epoch,
-        payload=payload,
-        parent=parent,
-        children=children,
+        loc=fields[0],
+        level=fields[1],
+        flags=fields[2],
+        epoch=fields[4],
+        payload=fields[5:9],
+        parent=fields[9],
+        children=list(fields[10:18]),
     )

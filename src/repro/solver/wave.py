@@ -221,9 +221,7 @@ class WaveSimulation:
         report = WaveStepReport(
             step=self.step_count,
             t=self.t,
-            # enumerated, not num_leaves(): on Etree this walk is a metered
-            # index scan, and the pinned Etree x wave digests include it
-            leaves=sum(1 for _ in self.tree.leaves()),
+            leaves=self.tree.num_leaves(),
             refined=res.refined,
             coarsened=res.coarsened,
             cells_written=written,

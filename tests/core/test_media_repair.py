@@ -79,7 +79,7 @@ def test_rot_rebuilt_from_replica_frees_slot():
     assert report.retired_lines == 0       # rot frees; it does not retire
     idx = index_of(root)
     assert not rig.nvbm.allocator.is_retired(idx)
-    assert idx not in rig.nvbm._backing    # slot genuinely reclaimed
+    assert not rig.nvbm._present[idx]      # slot genuinely reclaimed
     new_root, published = _published(rig)
     assert new_root != root
     assert root not in published

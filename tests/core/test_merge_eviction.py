@@ -150,3 +150,69 @@ def test_persist_after_heavy_adaptation():
     t.gc()
     validate_tree(t)
     t.check_invariants()
+
+
+def _climb(tree, loc):
+    """The parent-by-parent search ``_c0_root_of`` used to be."""
+    while True:
+        if loc in tree._c0_roots:
+            return loc
+        if loc == morton.ROOT_LOC:
+            return None
+        loc = morton.parent_of(loc, tree.dim)
+
+
+def _check_c0_lookup(tree):
+    import numpy as np
+
+    roots = tree._c0_roots
+    assert roots.levels == tuple(sorted(
+        {morton.level_of(root, tree.dim) for root in roots}, reverse=True))
+    locs = list(tree._index)
+    want = [_climb(tree, loc) for loc in locs]
+    assert [tree._c0_root_of(loc) for loc in locs] == want
+    assert tree._c0_roots_of(np.array(locs, dtype=np.int64)).tolist() \
+        == [root or 0 for root in want]
+
+
+def test_c0_root_lookup_by_level_equals_the_climb():
+    """Through every mutation site of the registry: construction, eviction
+    (``del``), ``load_subtree``, coarsening a loaded size-1 subtree
+    (``pop``), restore (``clear``)."""
+    from repro.core.merge import load_subtree
+
+    rig = PMRig(dram_octants=64)
+    t = rig.tree
+    _check_c0_lookup(t)
+    for _ in range(3):
+        for leaf in sorted(t.leaves()):
+            if t.is_leaf(leaf):
+                t.refine(leaf)
+        _check_c0_lookup(t)
+    assert t.stats.evictions > 0
+    t.persist(transform=False)
+    _check_c0_lookup(t)
+    # roots at three different levels, one of them a single leaf, each in
+    # its own quadrant so none nests inside another
+    leaves = sorted(t.leaves())
+    by_quadrant = {}
+    for leaf in leaves:
+        by_quadrant.setdefault(morton.ancestor_at(leaf, t.dim, 1), leaf)
+    (q0, deep_leaf), (q1, other), (q2, _) = list(by_quadrant.items())[:3]
+    for loc in (deep_leaf, morton.ancestor_at(other, t.dim, 2), q2):
+        assert load_subtree(t, loc)
+    assert len(t._c0_roots.levels) == 3
+    _check_c0_lookup(t)
+    # one batch touches each covered octant's root once per octant
+    before = {r: s.accesses for r, s in t._c0_roots.items()}
+    locs = sorted(t.leaves())
+    t.batch_read_payloads(locs)
+    for root, stats in t._c0_roots.items():
+        covered = sum(1 for loc in locs if _climb(t, loc) == root)
+        assert stats.accesses - before[root] == covered
+    t.coarsen(morton.parent_of(deep_leaf, t.dim))
+    assert deep_leaf not in t._c0_roots and len(t._c0_roots.levels) == 2
+    _check_c0_lookup(t)
+    t.persist(transform=False)
+    rig.crash()
+    _check_c0_lookup(rig.restore())

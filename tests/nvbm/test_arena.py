@@ -269,3 +269,130 @@ def test_free_fraction_drives_thresholds(nvbm):
     for _ in range(32):
         nvbm.new_octant(_rec())
     assert nvbm.free_fraction == pytest.approx(0.5)
+
+
+# -- store semantics a dense array makes easy to lose ------------------------
+
+class _ScriptedRng:
+    """``rng.random()`` from a script; the calls are the record of which
+    dirty lines the crash tore, in which order."""
+
+    def __init__(self, *draws):
+        self.draws = list(draws)
+        self.calls = 0
+
+    def random(self):
+        self.calls += 1
+        return self.draws.pop(0)
+
+
+def test_flush_records_tolerates_a_repeated_handle(nvbm):
+    h = nvbm.new_octant(_rec(loc=7))
+    other = nvbm.new_octant(_rec(loc=8))
+    nvbm.flush_records([h, h])  # used to raise KeyError on the second pop
+    assert nvbm.stats.flush_records == 1
+    assert nvbm.dirty_handles() == [other]
+    nvbm.crash(_ScriptedRng(1.0, 1.0))  # `other` is dropped, `h` is durable
+    assert nvbm.read_octant(h).loc == 7
+
+
+def test_never_persisted_slot_reads_as_dangling_whatever_its_row_holds(nvbm):
+    """Presence is a side array, not "the row is non-zero": a crash that
+    persists no dirty line writes nothing, and a recycled slot's stale bytes
+    are not a record."""
+    fresh = nvbm.new_octant(_rec(loc=3))
+    nvbm.crash(_ScriptedRng(1.0, 1.0))
+    with pytest.raises(ConsistencyError):
+        nvbm.read(fresh)
+    with pytest.raises(ConsistencyError):
+        nvbm.read_rows([fresh])
+    with pytest.raises(ConsistencyError):
+        nvbm.read_payload(fresh)
+
+    old = nvbm.new_octant(_rec(loc=5))
+    nvbm.flush()  # the row now holds real bytes
+    nvbm.free(old)
+    again = nvbm.alloc()
+    assert again == old  # LIFO recycling: same slot, stale row
+    with pytest.raises(ConsistencyError):
+        nvbm.read(again)
+    nvbm.write_octant(again, _rec(loc=6))
+    nvbm.crash(_ScriptedRng(1.0, 1.0))
+    with pytest.raises(ConsistencyError):
+        nvbm.read(again)
+    with pytest.raises(ConsistencyError):  # a field store needs a record
+        nvbm.write_payload(again, (1.0,) * 4)
+
+
+def test_crash_draws_per_dirty_line_in_cache_insertion_order(nvbm):
+    """One draw per *dirty* line: records in the order they entered the
+    cache (a re-store keeps its place, flush_records + re-store goes to the
+    end), lines ascending.  The seeded crash-recovered digests pin this."""
+    a, b, c = (nvbm.new_octant(_rec(loc=loc)) for loc in (1, 2, 3))
+    nvbm.flush()
+    for h, loc in ((a, 11), (b, 12)):
+        nvbm.write_octant(h, _rec(loc=loc))      # dirty: lines 0 and 1
+    nvbm.write_payload(c, (9.0,) * 4)            # dirty: line 0 only
+    nvbm.write_octant(a, _rec(loc=21))           # re-store: a stays first
+    nvbm.flush_records([b])
+    nvbm.write_octant(b, _rec(loc=22))           # b re-enters at the end
+    assert nvbm.dirty_handles() == [a, c, b]
+    # draws: a0 a1 c0 b0 b1 — persist a's line 0, c's line 0 and b's line 0
+    rng = _ScriptedRng(0.0, 0.9, 0.0, 0.0, 0.9)
+    nvbm.crash(rng)
+    assert rng.calls == 5 and not rng.draws
+    assert nvbm.read_octant(a).loc == 21         # line 0 carries loc
+    assert nvbm.read_payload(c) == (9.0,) * 4
+    assert nvbm.read_octant(b).loc == 22
+    assert nvbm.dirty_records == 0
+    nvbm.crash(_ScriptedRng())                   # nothing dirty: no draw
+
+
+def test_crash_tear_equals_line_merge(nvbm):
+    """Byte-level: a torn record is old and new lines side by side."""
+    h = nvbm.new_octant(_rec(loc=1))
+    nvbm.flush()
+    old = nvbm.read(h)
+    new = pack_record(OctantRecord(loc=2, children=[9] * 8))
+    nvbm.write(h, new)
+    nvbm.crash(_ScriptedRng(0.9, 0.0))  # drop line 0, persist line 1
+    assert nvbm.read(h) == old[:CACHE_LINE_SIZE] + new[CACHE_LINE_SIZE:]
+
+
+@pytest.mark.parametrize("release", ["free", "retire"])
+def test_release_voids_backing_cache_dirty_mask_and_seal(nvbm, release):
+    h = nvbm.new_octant(_rec(loc=4))
+    nvbm.flush()                          # present + sealed
+    nvbm.write_payload(h, (2.0,) * 4)     # cached + one dirty line
+    idx = h & 0xFFFF
+    assert nvbm._present[idx] and nvbm._seal[idx] >= 0
+    assert nvbm._dirty_mask[idx] and idx in nvbm._cdir
+    getattr(nvbm, release)(h)
+    assert not nvbm._present[idx] and nvbm._seal[idx] == -1
+    assert not nvbm._dirty_mask[idx] and nvbm._crow[idx] == -1
+    assert idx not in nvbm._cdir and nvbm.dirty_records == 0
+    nvbm.crash(_ScriptedRng())            # nothing left to tear: no draw
+    if release == "free":
+        again = nvbm.alloc()
+        assert again == h
+        with pytest.raises(ConsistencyError):
+            nvbm.read(again)
+
+
+def test_store_grows_lazily_and_survives_growth(clock):
+    """The arrays cover only what was allocated (a 2**20-slot arena is not
+    256 MB up front) and growing them loses nothing, cached or durable."""
+    big = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=1 << 20)
+    assert big.slots == 0
+    durable = big.new_octant(_rec(loc=1))
+    big.flush()
+    cached = big.new_octant(_rec(loc=2))
+    first = big.slots
+    assert 0 < first <= 4096
+    handles = [big.new_octant(_rec(loc=10 + i)) for i in range(3 * first)]
+    assert first < big.slots <= 8 * first
+    assert big.read_octant(durable).loc == 1
+    assert big.read_octant(cached).loc == 2
+    assert [r.loc for r in map(big.read_octant, handles[-3:])] \
+        == [10 + 3 * first - 3 + i for i in range(3)]
+    assert big.dirty_records == 1 + len(handles)

@@ -1,5 +1,6 @@
 """MemoryDevice: latency charging, stats merging, wear accounting."""
 
+import numpy as np
 
 from repro.config import DRAM_SPEC, NVBM_SPEC
 from repro.nvbm.clock import Category, SimClock
@@ -61,8 +62,7 @@ def test_stats_object_is_never_replaced():
     dev = MemoryDevice(NVBM_SPEC, SimClock())
     stats = dev.stats
     dev.on_write(8, slot=1)
-    with dev.batched_writes():
-        dev.on_write(8, slot=1)
+    dev.on_write_batch(1, 8, 1, np.array([2]))
     dev.on_read(8)
     dev.on_read_batch(2, 16, 2)
     assert dev.stats is stats

@@ -1,5 +1,7 @@
 """Media-fault model, CRC sealing and per-line wear accounting."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -103,9 +105,7 @@ def test_backing_corruption_raises_crc_media_error(clock, nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()  # sealing point
     idx = index_of(h)
-    raw = bytearray(nvbm._backing[idx])
-    raw[4] ^= 0xFF  # silent medium corruption, no fault model involved
-    nvbm._backing[idx] = bytes(raw)
+    nvbm._rows[idx, 4] ^= 0xFF  # silent medium corruption, no fault model
     with pytest.raises(MediaError) as ei:
         nvbm.read(h)
     assert ei.value.kind == "crc"
@@ -118,9 +118,7 @@ def test_cache_hit_skips_media_checks(nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
     idx = index_of(h)
-    raw = bytearray(nvbm._backing[idx])
-    raw[4] ^= 0xFF
-    nvbm._backing[idx] = bytes(raw)
+    nvbm._rows[idx, 4] ^= 0xFF
     rec = _rec(loc=5)
     nvbm.write_octant(h, rec)  # re-dirties the cache
     assert nvbm.read_octant(h).loc == 5
@@ -144,9 +142,7 @@ def test_flush_reseals_and_unmetered_skips_checks(nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
     idx = index_of(h)
-    raw = bytearray(nvbm._backing[idx])
-    raw[4] ^= 0xFF
-    nvbm._backing[idx] = bytes(raw)
+    nvbm._rows[idx, 4] ^= 0xFF
     with nvbm.device.unmetered():  # inspection probes never trip faults
         nvbm.read(h)
     with pytest.raises(MediaError):
@@ -245,6 +241,119 @@ def test_fault_model_is_deterministic():
     got_b = [b.check(g, t, wear=0) for g, t in seq]
     assert got_a == got_b
     assert any(k is not None for k in got_a)  # the model actually fires
+
+
+# ------------------------------------------------------------ batch media check
+
+
+def _batch_rig(**model_kwargs):
+    """32 sealed records, a re-dirtied (cache-served) one among them, and a
+    fault model with two planted lines."""
+    clock = SimClock()
+    nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=64)
+    handles = [nvbm.new_octant(_rec(loc=i + 1)) for i in range(32)]
+    nvbm.flush()
+    nvbm.write_payload(handles[5], (1.0,) * 4)  # served from the cache
+    model = MediaFaultModel(seed=21, **model_kwargs)
+    nvbm.attach_fault_model(model)
+    model.plant_rot(_gline(handles[20], line=1))
+    model.plant_stuck(_gline(handles[11], line=0))
+    model.plant_rot(_gline(handles[5], line=0))  # masked by the cache
+    return clock, nvbm, handles
+
+
+def _outcome(clock, nvbm, fn):
+    try:
+        value = fn()
+    except MediaError as exc:
+        value = (type(exc).__name__, exc.kind, exc.slot, exc.lines, str(exc))
+    return (value, dataclasses.asdict(nvbm.device.stats), clock.now_ns,
+            dict(nvbm.device.fault_model._reads))
+
+
+@pytest.mark.parametrize("span", [(0, OCTANT_RECORD_SIZE), PAYLOAD_SPAN,
+                                  (64, 8)],
+                         ids=["record", "payload", "line1-field"])
+@pytest.mark.parametrize("model_kwargs", [
+    {},                                          # planted faults only
+    {"transient_rate": 0.08},                    # counts reads
+    {"rot_mtbf_ns": 4e4},                        # samples the clock per read
+    {"transient_rate": 0.05, "rot_mtbf_ns": 2e5, "wear_fraction": 1e-7},
+], ids=["planted", "transient", "rot", "all-armed"])
+def test_batch_media_check_equals_per_read_sequence(span, model_kwargs):
+    """``read_rows`` raises what the per-record loop raises — the first
+    faulting record in batch order, same error fields — after the same
+    charges, and leaves the fault model in the same state."""
+    offset, size = span
+
+    def scalar(nvbm, handles):
+        return b"".join(nvbm.read_field(h, offset, size) for h in handles)
+
+    def batch(nvbm, handles):
+        return nvbm.read_rows(handles, offset, size).tobytes()
+
+    got = []
+    for read in (scalar, batch):
+        clock, nvbm, handles = _batch_rig(**model_kwargs)
+        first = _outcome(clock, nvbm, lambda: read(nvbm, handles))
+        # and again from the faulting state (transient draws moved on)
+        second = _outcome(clock, nvbm, lambda: read(nvbm, handles[12:]))
+        got.append((first, second))
+    assert got[0] == got[1]
+    (value, *_), _ = got[0]
+    if not model_kwargs and size == OCTANT_RECORD_SIZE:
+        # planted only: record 11 (stuck, line 0) precedes record 20
+        assert value[:3] == ("UncorrectableError", "stuck",
+                             index_of(handles[11]))
+
+
+def test_batch_samples_the_rot_deadline_per_read():
+    """A line whose rot deadline passes *during* the batch faults exactly
+    where the per-record loop finds it: each read is evaluated at the clock
+    its own charge leaves, not at the clock the batch started on."""
+    mid_batch = 0
+    for seed in range(12):
+        outcomes = []
+        for batch in (False, True):
+            clock = SimClock()
+            nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock,
+                               capacity_octants=128)
+            handles = [nvbm.new_octant(_rec(loc=i + 1)) for i in range(64)]
+            nvbm.flush()
+            model = MediaFaultModel(seed=seed, rot_mtbf_ns=3e5)
+            nvbm.attach_fault_model(model)
+            at_start = [model.check(g, clock.now_ns, 0)
+                        for g in range(2 * len(handles))]
+            outcomes.append(_outcome(
+                clock, nvbm,
+                (lambda: nvbm.read_rows(handles).tobytes()) if batch else
+                (lambda: b"".join(nvbm.read(h) for h in handles))))
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0][0], tuple) and not any(at_start):
+            mid_batch += 1
+    assert mid_batch >= 3  # the scenario does occur at this MTBF
+
+
+def test_batch_crc_failure_charges_like_the_loop():
+    rigs = []
+    for batch in (False, True):
+        clock = SimClock()
+        nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=64)
+        handles = [nvbm.new_octant(_rec(loc=i + 1)) for i in range(8)]
+        nvbm.flush()
+        nvbm._rows[index_of(handles[3]), 70] ^= 0x01  # line 1 of record 3
+        with pytest.raises(MediaError) as ei:
+            if batch:
+                nvbm.read_rows(handles, *PAYLOAD_SPAN)
+            else:
+                for h in handles:
+                    nvbm.read_payload(h)
+        assert ei.value.kind == "crc" and ei.value.slot == index_of(handles[3])
+        rigs.append((ei.value.lines, dataclasses.asdict(nvbm.device.stats),
+                     clock.now_ns))
+    assert rigs[0] == rigs[1]
+    # three clean reads, then the faulting one: charged before it is verified
+    assert rigs[0][1]["reads"] == 4
 
 
 # ------------------------------------------------------------ retire semantics

@@ -12,7 +12,7 @@ import pytest
 
 from repro.config import DRAM_SPEC, NVBM_SPEC, OCTANT_RECORD_SIZE
 from repro.errors import ConsistencyError
-from repro.nvbm.arena import MemoryArena, _line_mask
+from repro.nvbm.arena import MemoryArena, _lines_of
 from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.device import lines_spanned
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, NULL_HANDLE
@@ -59,10 +59,11 @@ def test_lines_spanned():
 
 
 def test_line_mask_matches_spans():
-    assert _line_mask(*FLAGS_SPAN) == 0b01
-    assert _line_mask(*child_span(1)) == 0b10
-    assert _line_mask(*child_span(0, 8)) == 0b11
-    assert _line_mask(0, OCTANT_RECORD_SIZE) == 0b11
+    # _lines_of -> (first line, line count, line bitmask)
+    assert _lines_of(*FLAGS_SPAN) == (0, 1, 0b01)
+    assert _lines_of(*child_span(1)) == (1, 1, 0b10)
+    assert _lines_of(*child_span(0, 8)) == (0, 2, 0b11)
+    assert _lines_of(0, OCTANT_RECORD_SIZE) == (0, 2, 0b11)
 
 
 # -- field round-trips -------------------------------------------------------
@@ -196,9 +197,9 @@ def test_full_write_after_partial_dirties_everything(nvbm):
 def test_flush_clears_dirty_lines(nvbm):
     h = nvbm.new_octant(_rec())
     nvbm.write_payload(h, (0.0,) * 4)
-    assert nvbm._dirty_lines
+    assert nvbm._dirty_mask.any()
     nvbm.flush()
-    assert not nvbm._dirty_lines
+    assert not nvbm._dirty_mask.any()
     nvbm.crash(_NeverPersist())  # nothing in flight: nothing to lose
     assert nvbm.read_payload(h) == (0.0,) * 4
 
@@ -207,7 +208,7 @@ def test_dram_partial_write_is_immediate(dram):
     """On a volatile arena field stores hit the backing store directly."""
     h = dram.new_octant(_rec())
     dram.write_payload(h, (5.0,) * 4)
-    assert not dram._dirty_lines and not dram._cache
+    assert not dram._dirty_mask.any() and not dram._cdir
     assert dram.read_payload(h) == (5.0,) * 4
 
 

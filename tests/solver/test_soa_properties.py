@@ -11,7 +11,9 @@ Three families:
 * metering conservation, same three trees: the batch accessors charge the
   device *exactly* what the per-element calls charge — same counters, same
   wear, same simulated clock (PMOctree aggregates the charge, the
-  baselines inherit the loop-backed accessors).
+  baselines inherit the loop-backed accessors) — and so do the arenas' own
+  ``read_rows``/``write_rows`` underneath, through a crash and a media
+  fault.
 """
 
 import random
@@ -21,14 +23,18 @@ import pytest
 
 from repro.baselines.etree import EtreeOctree
 from repro.baselines.incore import InCoreOctree
-from repro.config import DRAM_SPEC, NVBM_FS_SPEC, NVBM_SPEC, PMOctreeConfig
+from repro.config import (DRAM_SPEC, NVBM_FS_SPEC, NVBM_SPEC,
+                          OCTANT_RECORD_SIZE, PMOctreeConfig)
 from repro.core.api import pm_create
 from repro.core.pmoctree import PMOctree
+from repro.errors import MediaError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.device import MemoryDevice, lines_spanned
+from repro.nvbm.device import (LINES_PER_RECORD, MediaFaultModel,
+                               MemoryDevice, lines_spanned)
 from repro.nvbm.failure import default_injector
-from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
+from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, index_of
+from repro.nvbm.records import PAYLOAD_SPAN, child_span
 from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree
 from repro.octree.tree import PointerOctree
@@ -175,11 +181,65 @@ def test_gather_scatter_round_trip(kind, seed):
         soa.gather(tree, tree.leaves()).payloads, fresh)
 
 
+def _arena_level_accesses(mode: str, tree: PMOctree, seed: int) -> dict:
+    """The arena's own batch accessors against the per-record calls they
+    are defined as, on both arenas of a PM rig: whole-record and child-slot
+    reads, field and whole-record stores, the tear of the dirty lines those
+    stores leave, and the media error a planted rot raises."""
+    out = {}
+    for name, arena in (("dram", tree.dram), ("nvbm", tree.nvbm)):
+        handles = [h for h in tree._index.values() if arena.contains(h)]
+        rng = np.random.default_rng(seed + 7)
+        child_off, child_size = child_span(0, 4)
+        payloads = rng.random((len(handles), 4))
+        images = [bytes(rng.integers(0, 256, OCTANT_RECORD_SIZE,
+                                     dtype=np.uint8)) for _ in handles[:5]]
+        if mode == "batch":
+            records = arena.read_rows(handles).tobytes()
+            slots = arena.read_rows(handles, child_off, child_size).tobytes()
+            arena.write_rows(handles, PAYLOAD_SPAN[0],
+                             payloads.view(np.uint8))
+            arena.write_rows(handles[:5], 0, np.frombuffer(
+                b"".join(images), np.uint8).reshape(-1, OCTANT_RECORD_SIZE))
+        else:
+            records = b"".join(arena.read(h) for h in handles)
+            slots = b"".join(arena.read_field(h, child_off, child_size)
+                             for h in handles)
+            for h, row in zip(handles, payloads):
+                arena.write_payload(h, tuple(row))
+            for h, image in zip(handles[:5], images):
+                arena.write(h, image)
+        out[name] = (records, slots, arena.dirty_handles(),
+                     arena.stats.stores)
+    # tear what the stores left dirty, then read the medium back
+    nvbm = tree.nvbm
+    nvbm.crash(np.random.default_rng(seed + 8))
+    live = [h for h in nvbm.live_handles() if nvbm._present[index_of(h)]]
+    with nvbm.device.unmetered():
+        out["torn"] = b"".join(nvbm.read(h) for h in live)
+    # planted rot on the line-1 of one survivor: same error, same charges
+    model = MediaFaultModel(seed=seed)
+    nvbm.attach_fault_model(model)
+    model.plant_rot(index_of(live[len(live) // 2]) * LINES_PER_RECORD + 1)
+    with pytest.raises(MediaError) as err:
+        if mode == "batch":
+            nvbm.read_rows(live)
+        else:
+            for h in live:
+                nvbm.read(h)
+    out["media"] = (type(err.value).__name__, err.value.kind, err.value.slot,
+                    err.value.lines, str(err.value))
+    return out
+
+
 @pytest.mark.parametrize("kind,seed", TREE_CASES)
 def test_batch_metering_equals_scalar_metering(kind, seed):
     """Twin rigs, same logical accesses: the batch accessors equal the
     per-element calls in the values they return and in every device/block
-    counter, in wear, and on the simulated clock."""
+    counter, in wear, and on the simulated clock.  On a PM rig the same
+    holds one layer down, for the arenas' whole-record / child-slot batch
+    reads and batch stores (:func:`_arena_level_accesses`), through a
+    crash and a media fault."""
     rigs = {}
     for mode in ("batch", "scalar"):
         clock, tree, devices = RIGS[kind](seed)
@@ -200,16 +260,20 @@ def test_batch_metering_equals_scalar_metering(kind, seed):
                 tree.set_field(loc, 1, float(vals[i][1]))
             payloads = np.array([tree.get_payload(loc) for loc in locs])
             slot0 = np.array([tree.get_field(loc, 0) for loc in locs])
-        rigs[mode] = (clock, devices, payloads, slot0)
-    cb, devs_b, payloads_b, slot0_b = rigs["batch"]
-    cs, devs_s, payloads_s, slot0_s = rigs["scalar"]
+        below = _arena_level_accesses(mode, tree, seed) \
+            if kind == "pm" else None
+        rigs[mode] = (clock, devices, payloads, slot0, below)
+    cb, devs_b, payloads_b, slot0_b, below_b = rigs["batch"]
+    cs, devs_s, payloads_s, slot0_s, below_s = rigs["scalar"]
     assert np.array_equal(payloads_b, payloads_s)
     assert np.array_equal(slot0_b, slot0_s)
+    assert below_b == below_s
     for dev_b, dev_s in zip(devs_b, devs_s):
         assert dev_b.stats == dev_s.stats
         if isinstance(dev_b, MemoryDevice):
             assert np.array_equal(dev_b._wear, dev_s._wear)
     assert cb.now_ns == cs.now_ns
+    assert cb.by_phase == cs.by_phase and cb.by_category == cs.by_category
 
 
 def test_batch_write_charge_is_sum_of_lines_spanned():

@@ -16,6 +16,12 @@
 * every backticked ``repro.*`` dotted name in DESIGN.md, README.md and
   ``docs/*.md`` imports or resolves, so the docs cannot drift to modules
   that no longer exist.
+* the arena has one store and the device one charge body per direction: no
+  ``Dict[int, bytes]`` in ``nvbm/arena.py``, one site each that counts a
+  read, counts a write and ages a line; the read-only structure walks
+  (GC mark, ``reachable_from``, the restore traversal) gather a frontier
+  per call and never ``read_octant(``; and every name ``bench/trace.py``
+  patches from outside still resolves.
 """
 
 import importlib
@@ -102,3 +108,75 @@ def test_documented_repro_names_resolve(doc):
     names = sorted(set(DOTTED.findall(doc.read_text())))
     stale = [name for name in names if not _resolves(name)]
     assert not stale, f"{doc.name} names code that does not exist: {stale}"
+
+
+# ------------------------------------------------- one store, one charge path
+
+def _function_source(path: pathlib.Path, qualname: str) -> str:
+    """Source text of ``Class.method`` or ``function`` in ``path``."""
+    import ast
+
+    text = path.read_text()
+    scope = ast.parse(text).body
+    node = None
+    for name in qualname.split("."):
+        node = next(n for n in scope if getattr(n, "name", None) == name)
+        scope = getattr(node, "body", [])
+    return ast.get_source_segment(text, node)
+
+
+def test_structure_walks_go_level_by_level():
+    """The read-only walks gather a frontier per call; a ``read_octant(``
+    in one of them is the record-by-record walk creeping back."""
+    core = SRC_DIR / "core"
+    bodies = {
+        "core/gc.py": (core / "gc.py").read_text(),
+        "PMOctree.reachable_from": _function_source(
+            core / "pmoctree.py", "PMOctree.reachable_from"),
+        "recovery._restore_traverse": _function_source(
+            core / "recovery.py", "_restore_traverse"),
+    }
+    for where, body in bodies.items():
+        assert "read_octant(" not in body, where
+        assert re.search(r"walks\.reach\(|read_rows\(", body), where
+    assert "read_rows(" in (core / "walks.py").read_text()
+
+
+def test_arena_has_one_store_and_device_one_charge():
+    arena = (SRC_DIR / "nvbm" / "arena.py").read_text()
+    assert not re.search(r"Dict\[int,\s*bytes\]", arena), \
+        "a per-record dict store is back in nvbm/arena.py"
+    nvbm = arena + (SRC_DIR / "nvbm" / "device.py").read_text()
+    # one place each: counts a read, counts a write, ages a line from a
+    # batch, and advances the clock for a device access (reads + writes;
+    # the arena's own advance is the flush fence)
+    for pattern, count in ((r"\.reads \+=", 1), (r"\.writes \+=", 1),
+                           (r"np\.add\.at\(", 1), (r"wear\[g\] \+= 1", 1),
+                           (r"clock\.advance\(", 3)):
+        found = len(re.findall(pattern, nvbm))
+        assert found == count, f"{pattern!r}: {found} sites, expected {count}"
+
+
+def test_bench_trace_table_resolves():
+    """``bench/`` may not be edited and patches these names from outside: a
+    rename in ``src`` must keep the old name as a thin caller."""
+    import inspect
+
+    from bench.trace import TABLE, _plain_public_methods, _resolve
+
+    for _group, dotted, _kind in TABLE:
+        if dotted.endswith(".*"):
+            owner, name = _resolve(dotted[:-2])
+            assert _plain_public_methods(getattr(owner, name))
+            continue
+        owner, name = _resolve(dotted)
+        target = vars(owner)[name] if inspect.isclass(owner) \
+            else getattr(owner, name)
+        assert callable(target) or isinstance(target, classmethod), dotted
+    # the metering names the ledger counts, spelled out
+    from repro.nvbm.clock import SimClock
+    from repro.nvbm.device import MemoryDevice
+
+    for name in ("on_read", "on_write", "on_read_batch"):
+        assert inspect.isfunction(vars(MemoryDevice)[name])
+    assert inspect.isfunction(vars(SimClock)["advance"])
