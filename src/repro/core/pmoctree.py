@@ -46,7 +46,7 @@ from repro.nvbm.records import (EPOCH_SPAN, FLAG_DELETED, FLAG_LEAF,
                                 FLAGS_SPAN, PAYLOAD_SPAN, OctantRecord,
                                 as_records, pack_payload)
 from repro.octree import morton
-from repro.octree.soa import Predicate, levels_of_codes
+from repro.octree.soa import LeafSetStructure, Predicate, levels_of_codes
 from repro.octree.store import Payload, ZERO_PAYLOAD
 
 #: Root-slot names in the NVBM arena.
@@ -125,7 +125,7 @@ class PMStats:
     transform_loaded_subtrees: int = 0
 
 
-class PMOctree:
+class PMOctree(LeafSetStructure):
     """Persistent merged octree over one DRAM and one NVBM arena.
 
     Implements the :class:`repro.octree.store.AdaptiveTree` protocol, so all

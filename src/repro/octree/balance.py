@@ -9,9 +9,12 @@ a fixed point is reached.
 from __future__ import annotations
 
 from collections import deque
+from itertools import compress
 from typing import Iterable, Optional
 
-from repro.octree import morton
+import numpy as np
+
+from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree
 
 
@@ -22,14 +25,12 @@ def is_balanced(tree: AdaptiveTree) -> bool:
 
 def find_violation(tree: AdaptiveTree) -> Optional[tuple]:
     """Return one ``(coarse_leaf, fine_leaf)`` violating pair, or None."""
-    from repro.octree.neighbors import face_neighbor_leaves
-
-    for loc in tree.leaves():
-        own = morton.level_of(loc, tree.dim)
-        for leaf, _axis, _direction in face_neighbor_leaves(tree, loc):
-            if morton.level_of(leaf, tree.dim) - own > 1:
-                return loc, leaf
-    return None
+    locs = list(tree.leaves())
+    table = tree.face_neighbors(locs)
+    hits = np.nonzero(soa.level_gaps(table, locs, tree.dim) > 1)[0]
+    if not hits.size:
+        return None
+    return locs[table.rows()[hits[0]]], int(table.codes[hits[0]])
 
 
 def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
@@ -38,10 +39,14 @@ def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
 
     ``seeds`` narrows the initial work queue to leaves whose neighborhood may
     have changed (incremental balance after a refinement batch); by default
-    every leaf is examined.
+    every leaf is examined.  Leaves the tree already knows force nothing
+    (``tree.unbalanced``) never enter the queue: refinement only makes
+    neighbors finer, so a leaf that forces nothing when queued forces
+    nothing when popped, and the ``refine`` sequence is the same.
     """
     dim = tree.dim
-    queue = deque(seeds if seeds is not None else tree.leaves())
+    locs = list(seeds if seeds is not None else tree.leaves())
+    queue = deque(compress(locs, tree.unbalanced(locs)))
     refined = 0
     while queue:
         loc = queue.popleft()

@@ -9,10 +9,14 @@ this module does.  This is the pointer-equivalent of Gerris'
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-from repro.octree import morton
-from repro.octree.store import AdaptiveTree
+import numpy as np
+
+from repro.octree import morton, soa
+
+if TYPE_CHECKING:  # store builds its loop-backed default on this module
+    from repro.octree.store import AdaptiveTree
 
 
 def leaf_neighbor(tree: AdaptiveTree, loc: int, axis: int,
@@ -79,8 +83,5 @@ def face_neighbor_leaves(tree: AdaptiveTree, loc: int) -> Iterator[Tuple[int, in
 
 def neighbor_level_gap(tree: AdaptiveTree, loc: int) -> int:
     """Largest |level(loc) - level(neighbor leaf)| over the faces of ``loc``."""
-    own = morton.level_of(loc, tree.dim)
-    worst = 0
-    for leaf, _axis, _direction in face_neighbor_leaves(tree, loc):
-        worst = max(worst, abs(own - morton.level_of(leaf, tree.dim)))
-    return worst
+    gaps = soa.level_gaps(tree.face_neighbors([loc]), [loc], tree.dim)
+    return int(np.abs(gaps).max(initial=0))

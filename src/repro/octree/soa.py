@@ -21,11 +21,20 @@ they share:
   function are both ``(LeafBatch) -> ndarray``; :func:`per_octant` lifts a
   ``(loc, payload)`` callable to that shape with a plain loop.
 
-Only *data* is batched.  Structure — which leaf sits below this one, does
-this code exist — stays a per-octant query on the tree (``leaf_neighbor``,
-``is_leaf``): on the out-of-core baseline each such query is a B-tree
-search, one of the §5.4 costs the evaluation measures, and resolving
-neighbors from the gathered arrays would silently skip it.
+Structure is batched the same way: :func:`face_table` resolves the face
+neighbours of many codes at once from nothing but the leaf codes (one
+stable sort of the leaves' z-order positions, one ``searchsorted`` per
+face), and a batch is *defined* as the per-octant
+``neighbors.face_neighbor_leaves`` calls in order, exactly as a data batch
+is the per-octant accessor calls.  Trees whose ``exists``/``is_leaf`` are
+uncharged in-memory set tests (``PointerOctree``, ``PMOctree``) answer
+``face_neighbors`` through :class:`LeafSetStructure`; the out-of-core
+baseline keeps the loop-backed default in :mod:`repro.octree.store`,
+because there each such query is a B-tree search — one of the §5.4 costs
+the evaluation measures — and resolving neighbours from gathered arrays
+would silently skip it.  The advect kernel's upwind probe
+(``leaf_neighbor``, one face per leaf) deliberately stays per-leaf: it is
+~1.3 % of a step (docs/performance.md).
 
 Bit-identity discipline
 -----------------------
@@ -47,7 +56,7 @@ The kernels must be *provably* equivalent to the per-octant scalar oracle
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence
+from typing import Callable, Iterable, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -187,3 +196,124 @@ def per_octant(fn: Callable) -> Predicate:
         ])
 
     return batched
+
+
+# --------------------------------------------------------- structure batches
+
+class FaceTable(NamedTuple):
+    """Face-neighbour leaves of a batch of codes, in CSR form.
+
+    Row ``i`` (entries ``offsets[i]:offsets[i + 1]``) is what
+    ``neighbors.face_neighbor_leaves`` yields for ``locs[i]``, in order: faces
+    axis-major, −1 before +1; across a finer face every touching leaf, in
+    ``finer_face_neighbors``' stack order (descending child index at every
+    level, i.e. descending z-order); nothing at the domain boundary.
+    """
+
+    offsets: np.ndarray  #: (n + 1,) row offsets
+    codes: np.ndarray    #: neighbour leaf codes
+    axes: np.ndarray     #: face axis of each entry
+    dirs: np.ndarray     #: face direction of each entry (−1 / +1)
+
+    def rows(self) -> np.ndarray:
+        """Row index of every entry (the COO spelling of ``offsets``)."""
+        return np.repeat(np.arange(len(self.offsets) - 1),
+                         np.diff(self.offsets))
+
+
+def face_table(leaf_codes: Iterable[int], locs, dim: int) -> FaceTable:
+    """The :class:`FaceTable` of ``locs`` on the complete tree whose leaves
+    are ``leaf_codes`` — a pure function of the codes.
+
+    A cell's z-order *position* is its min corner at the deepest level in
+    play, so the leaf covering a same-level neighbour code is the last leaf
+    positioned at or before it; when that leaf is finer, the neighbour's
+    descendants are the contiguous run of positions below the code's span.
+    """
+    loc_arr = _as_int64(locs)
+    leaves = np.fromiter(leaf_codes, np.int64)
+    levels = levels_of_codes(leaves, dim)
+    loc_levels = levels_of_codes(loc_arr, dim)
+    depth = int(max(levels.max(initial=0), loc_levels.max(initial=0)))
+    if dim * depth > _KEY_BITS:  # pragma: no cover - absurd depth
+        raise ValueError(f"level {depth} is too deep for int64 positions")
+    start = (leaves - (1 << dim * levels)) << dim * (depth - levels)
+    order = np.argsort(start, kind="stable")
+    leaves, levels, start = leaves[order], levels[order], start[order]
+    last = start + (1 << dim * (depth - levels)) - 1  # max corner
+
+    bits = loc_arr - (1 << dim * loc_levels)
+    in_use = (1 << dim * loc_levels) - 1
+    shift = dim * (depth - loc_levels)
+    nfaces = 2 * dim
+    slots, codes = [], []
+    for axis in range(dim):
+        lane = sum(1 << dim * i + axis for i in range(depth))
+        mask = lane & in_use          # this axis' coordinate bits, per loc
+        along = bits & mask
+        for direction in (-1, 1):
+            # dilated-integer step along one axis of a Morton code
+            if direction < 0:
+                inside, moved = along != 0, (along - 1) & mask
+            else:
+                inside, moved = along != mask, ((bits | ~mask) + 1) & mask
+            sel = np.nonzero(inside)[0]
+            slot = sel * nfaces + 2 * axis + (direction > 0)
+            key = ((moved | (bits & ~mask)) << shift)[sel]
+            pos = np.searchsorted(start, key, side="right") - 1
+            finer = levels[pos] > loc_levels[sel]
+            slots.append(slot[~finer])
+            codes.append(leaves[pos[~finer]])
+            # finer side: walk the neighbour's run of leaves backwards and
+            # keep those whose corner lies on the shared face
+            key, span = key[finer], (1 << shift[sel])[finer]
+            stop = np.searchsorted(start, key + span, side="left")
+            count = stop - pos[finer]
+            run = np.repeat(np.arange(count.size), count)
+            cand = (stop - 1 + np.cumsum(count) - count)[run] \
+                - np.arange(run.size)
+            if direction > 0:
+                touching = (start[cand] & lane) == (key & lane)[run]
+            else:
+                touching = (last[cand] & lane) == ((key + span - 1) & lane)[run]
+            slots.append(slot[finer][run[touching]])
+            codes.append(leaves[cand[touching]])
+    slot = np.concatenate(slots)
+    # each (loc, face) slot was filled by one append, already in order
+    order = np.argsort(slot, kind="stable")
+    slot = slot[order]
+    face = slot % nfaces
+    return FaceTable(
+        offsets=np.searchsorted(slot, np.arange(len(loc_arr) + 1) * nfaces),
+        codes=np.concatenate(codes)[order],
+        axes=face >> 1, dirs=2 * (face & 1) - 1)
+
+
+def level_gaps(table: FaceTable, locs, dim: int) -> np.ndarray:
+    """Per entry: the neighbour leaf's level minus its row's (``locs[i]``'s)
+    level — positive where the neighbour is finer."""
+    return levels_of_codes(table.codes, dim) \
+        - levels_of_codes(locs, dim)[table.rows()]
+
+
+def index_in(locs: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """Index in ``locs`` of each of ``codes``; −1 where it is not there."""
+    order = np.argsort(locs)
+    at = np.searchsorted(locs, codes, sorter=order).clip(max=len(locs) - 1)
+    idx = order[at]
+    return np.where(locs[idx] == codes, idx, -1)
+
+
+class LeafSetStructure:
+    """Batch structure queries for trees that keep their leaf codes in an
+    in-memory ``_leaf_set``: ``exists``/``is_leaf`` are uncharged set tests
+    there, so answering from the codes alone skips nothing metered."""
+
+    def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
+        return face_table(self._leaf_set, locs, self.dim)
+
+    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
+        table = self.face_neighbors(locs)
+        out = np.zeros(len(locs), dtype=bool)
+        out[table.rows()[level_gaps(table, locs, self.dim) < -1]] = True
+        return out

@@ -23,6 +23,9 @@ from typing import (
 
 import numpy as np
 
+from repro.octree.neighbors import face_neighbor_leaves
+from repro.octree.soa import FaceTable
+
 Payload = Tuple[float, float, float, float]
 
 #: Payload of a freshly-created octant.
@@ -33,14 +36,17 @@ ZERO_PAYLOAD: Payload = (0.0, 0.0, 0.0, 0.0)
 class AdaptiveTree(Protocol):
     """The surface the meshing/solving routines require.
 
-    Structure (``exists``/``is_leaf``/``leaves``/``refine``/``coarsen``) is
-    queried per octant — on an out-of-core tree each query is an index
-    search, and that cost is part of what the evaluation compares.  Data is
-    read and written per octant (``get_payload``/``get_field``/...) or in
-    batches (``batch_*``); a batch call is *defined* as the per-octant calls
-    in order, so a tree may aggregate the device charge (PM-octree does) but
-    never change its total.  :class:`LoopBackedAccess` derives everything
-    past ``get_payload``/``set_payload`` for trees with nothing to aggregate.
+    Everything is available per octant (``exists``/``is_leaf``/``refine``/
+    ``coarsen``, ``get_payload``/``get_field``/...) and in batches, and a
+    batch call is *defined* as the per-octant calls in order: ``batch_*`` for
+    data, ``face_neighbors`` for structure (``face_neighbor_leaves`` of each
+    code).  A tree may therefore aggregate the device charge of a batch
+    (PM-octree does) or answer it from arrays when the per-octant queries
+    are uncharged (:class:`repro.octree.soa.LeafSetStructure`), but never
+    change the total: on an out-of-core tree each structure query is an
+    index search, and that cost is part of what the evaluation compares.
+    :class:`LoopBackedAccess` derives every batch from the per-octant calls
+    for trees with nothing to aggregate.
     """
 
     dim: int
@@ -102,6 +108,17 @@ class AdaptiveTree(Protocol):
         """Apply ``(loc, value)`` stores to one slot in order."""
         ...
 
+    def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
+        """Face-neighbour leaves of every code, as ``n``
+        ``neighbors.face_neighbor_leaves`` calls."""
+        ...
+
+    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
+        """One bool per code; False only where the tree can show *without a
+        charged query* that no face of the leaf is covered by a leaf more
+        than one level coarser (Balance has nothing to do there)."""
+        ...
+
     def refine(self, loc: int) -> List[int]:
         """Split a leaf into ``2**dim`` children; returns the child codes.
 
@@ -116,12 +133,14 @@ class AdaptiveTree(Protocol):
 
 
 class LoopBackedAccess:
-    """Field and batch accessors built only on ``get_payload``/``set_payload``.
+    """Batch calls built only on the per-octant ones.
 
     For trees whose smallest access is a whole payload (a DRAM record, a
     4 KB page): a slot write is a payload read-modify-write and a batch is
     the plain loop, so the device is charged exactly what the per-octant
-    calls charge.
+    calls charge.  The same goes for structure: ``face_neighbors`` is the
+    ``face_neighbor_leaves`` loop, every ``exists``/``is_leaf`` in it an
+    index search where the tree keeps its index out of core.
     """
 
     def get_field(self, loc: int, slot: int) -> float:
@@ -148,6 +167,19 @@ class LoopBackedAccess:
                          slot: int) -> None:
         for loc, value in items:
             self.set_field(loc, slot, value)
+
+    def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
+        offsets, entries = [0], []
+        for loc in locs:
+            entries.extend(face_neighbor_leaves(self, loc))
+            offsets.append(len(entries))
+        codes, axes, dirs = np.array(entries, dtype=np.int64) \
+            .reshape(len(entries), 3).T
+        return FaceTable(np.array(offsets), codes, axes, dirs)
+
+    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
+        # deciding costs the index searches Balance makes anyway
+        return np.ones(len(locs), dtype=bool)
 
 
 def leaf_levels(tree: AdaptiveTree) -> List[int]:

@@ -20,10 +20,11 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.pointers import NULL_HANDLE
 from repro.nvbm.records import OctantRecord
 from repro.octree import morton
+from repro.octree.soa import LeafSetStructure
 from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
 
 
-class PointerOctree(LoopBackedAccess):
+class PointerOctree(LeafSetStructure, LoopBackedAccess):
     """A mutable octree whose octants are records in one arena."""
 
     def __init__(self, arena: MemoryArena, dim: int = 2,

@@ -18,7 +18,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree
 
 
@@ -157,14 +157,12 @@ def edge_cut(tree: AdaptiveTree, assignment: Dict[int, int]) -> int:
     This is the ghost-exchange surface a partition induces: every cut face
     is a halo cell to communicate each step.
     """
-    from repro.octree.neighbors import face_neighbor_leaves
-
-    cut = 0
-    for loc, rank in assignment.items():
-        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
-            if other in assignment and assignment[other] != rank:
-                cut += 1
-    return cut // 2  # each crossing counted from both sides
+    locs = list(assignment)
+    ranks = np.array([assignment[loc] for loc in locs], dtype=np.int64)
+    table = tree.face_neighbors(locs)
+    other = soa.index_in(np.array(locs, dtype=np.int64), table.codes)
+    crossing = (other >= 0) & (ranks[other] != ranks[table.rows()])
+    return int(crossing.sum()) // 2  # each crossing counted from both sides
 
 
 def compare_curves(tree: AdaptiveTree, nranks: int) -> Dict[str, int]:

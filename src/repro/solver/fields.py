@@ -12,6 +12,11 @@ from __future__ import annotations
 
 from typing import Dict, List
 
+import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
+
+from repro.octree import soa
 from repro.octree.store import AdaptiveTree
 
 #: Payload slot assignments.
@@ -36,20 +41,11 @@ class FieldView:
         self.tree.set_field(loc, slot, value)
 
     def set_many(self, loc: int, updates: Dict[int, float]) -> None:
-        """One read-modify-write for several slots (cheaper than N sets);
-        a single-slot update is a plain field store — no read."""
-        if len(updates) == 1:
-            ((slot, value),) = updates.items()
-            self.tree.set_field(loc, slot, value)
-            return
+        """One read-modify-write for several slots (cheaper than N sets)."""
         payload = list(self.tree.get_payload(loc))
         for slot, value in updates.items():
             payload[slot] = value
         self.tree.set_payload(loc, tuple(payload))
-
-    def gather(self, slot: int) -> Dict[int, float]:
-        """Field values over all leaves."""
-        return {loc: self.tree.get_payload(loc)[slot] for loc in self.tree.leaves()}
 
     def total(self, slot: int, weighted: bool = True) -> float:
         """Sum (volume-weighted by default) of a field over the leaves.
@@ -85,15 +81,14 @@ def count_droplets(tree: AdaptiveTree, threshold: float = 0.5) -> int:
     This is the observable the workload is about: 1 while the jet is an
     attached column, >1 after pinch-off.
     """
-    import networkx as nx
-
-    from repro.octree.neighbors import face_neighbor_leaves
-
-    liquid = set(liquid_leaves(tree, threshold))
-    g = nx.Graph()
-    g.add_nodes_from(liquid)
-    for loc in liquid:
-        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
-            if other in liquid:
-                g.add_edge(loc, other)
-    return nx.number_connected_components(g) if liquid else 0
+    liquid = liquid_leaves(tree, threshold)
+    if not liquid:
+        return 0
+    table = tree.face_neighbors(liquid)
+    cols = soa.index_in(np.array(liquid, dtype=np.int64), table.codes)
+    wet = cols >= 0
+    adjacency = sp.csr_matrix(
+        (np.ones(int(wet.sum()), dtype=np.int8),
+         (table.rows()[wet], cols[wet])), shape=(len(liquid), len(liquid)))
+    return int(connected_components(adjacency, directed=False,
+                                    return_labels=False))

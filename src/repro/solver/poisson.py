@@ -15,75 +15,79 @@ reproduce the 41-72 % write mix the paper measured (§1).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from repro.octree import morton
-from repro.octree.neighbors import face_neighbor_leaves
+from repro.octree import soa
 from repro.octree.store import AdaptiveTree
-from repro.solver.fields import PRESSURE, VOF, FieldView
+from repro.solver.fields import PRESSURE, VOF
 
 
-def pressure_solve(tree: AdaptiveTree, rtol: float = 1e-8) -> Dict[str, float]:
+def _operator(tree: AdaptiveTree, leaves: List[int]) -> Tuple[
+        soa.FaceTable, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The finite-volume Laplacian over ``leaves`` (sorted): the face table,
+    each entry's neighbor index and transmissibility, the diagonal and the
+    min-corner coordinates.
+
+    Structural queries only, no payload traffic.  Every cell size is a
+    power of two, so areas and distances are exact; the diagonal adds its
+    neighbor terms in table order and then one Dirichlet (p = 0) term per
+    boundary face, the order the per-leaf oracle in ``tests/oracles`` adds
+    them in, so it comes out bit-identical.
+    """
+    dim = tree.dim
+    locs = np.array(leaves, dtype=np.int64)
+    levels = soa.levels_of_codes(locs, dim)
+    coords = soa.coords_of_codes(locs, levels, dim)
+    table = tree.face_neighbors(leaves)
+    rows = table.rows()
+    h_i = np.ldexp(1.0, -levels)
+    h_j = np.ldexp(1.0, -soa.levels_of_codes(table.codes, dim))
+    # face area between two leaves is the smaller face
+    tcoef = np.minimum(h_i[rows], h_j) ** (dim - 1) \
+        / (0.5 * (h_i[rows] + h_j))
+    diag = np.bincount(rows, weights=tcoef, minlength=len(leaves))
+    on_boundary = ((coords == 0).sum(axis=1)
+                   + (coords == ((1 << levels) - 1)[:, None]).sum(axis=1))
+    dirichlet = h_i ** (dim - 1) / (0.5 * h_i)
+    for k in range(2 * dim):
+        diag = diag + np.where(on_boundary > k, dirichlet, 0.0)
+    return table, soa.index_in(locs, table.codes), tcoef, diag, coords
+
+
+def pressure_solve(tree: AdaptiveTree, rtol: float = 1e-8,
+                   obs=None) -> Dict[str, float]:
     """Solve for pressure over the leaves and write it back.
 
     Returns diagnostics: residual norm and matrix size.
     """
-    fields = FieldView(tree)
     leaves: List[int] = sorted(tree.leaves())
     n = len(leaves)
     if n == 0:
         return {"n": 0, "residual": 0.0}
-    idx = {loc: i for i, loc in enumerate(leaves)}
-    dim = tree.dim
-
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[float] = []
-    rhs = np.zeros(n)
-    diag = np.zeros(n)
-
-    for loc in leaves:
-        i = idx[loc]
-        h_i = morton.cell_size(loc, dim)
-        vof = fields.get(loc, VOF)
-        rhs[i] = vof  # liquid pushes; with p=0 on the boundary this gives a
-        # positive pressure hill centred on the liquid
-        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
-            j = idx[other]
-            h_j = morton.cell_size(other, dim)
-            # face area between two leaves is the smaller face
-            area = min(h_i, h_j) ** (dim - 1)
-            dist = 0.5 * (h_i + h_j)
-            tcoef = area / dist
-            rows.append(i)
-            cols.append(j)
-            vals.append(-tcoef)
-            diag[i] += tcoef
-    # Dirichlet p=0 on the domain boundary, applied through the diagonal so
-    # the system is non-singular.
-    for loc in leaves:
-        i = idx[loc]
-        h_i = morton.cell_size(loc, dim)
-        for axis in range(dim):
-            for direction in (-1, 1):
-                if morton.neighbor_of(loc, dim, axis, direction) is None:
-                    diag[i] += h_i ** (dim - 1) / (0.5 * h_i)
-    rows.extend(range(n))
-    cols.extend(range(n))
-    vals.extend(diag)
-    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    table, cols, tcoef, diag, _coords = _operator(tree, leaves)
+    if obs is not None:
+        obs.metrics.counter("kernel.batch_elems").inc(n)
+    # liquid pushes; with p=0 on the boundary this gives a positive
+    # pressure hill centred on the liquid
+    rhs = tree.batch_read_fields(leaves, VOF)
+    # off-diagonals row by row in table order, then the diagonal (Dirichlet
+    # terms included, so the system is non-singular)
+    every = np.arange(n)
+    a = sp.csr_matrix(
+        (np.concatenate([-tcoef, diag]),
+         (np.concatenate([table.rows(), every]),
+          np.concatenate([cols, every]))), shape=(n, n))
 
     p, info = spla.cg(a, rhs, rtol=rtol, maxiter=10 * n)
     if info != 0:  # pragma: no cover - CG on an SPD M-matrix converges
         p = spla.spsolve(a.tocsc(), rhs)
     residual = float(np.linalg.norm(a @ p - rhs))
 
-    for loc in leaves:
-        fields.set(loc, PRESSURE, float(p[idx[loc]]))
+    tree.batch_set_fields(zip(leaves, p.tolist()), PRESSURE)
     return {"n": float(n), "residual": residual}
 
 
@@ -99,40 +103,16 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
     snapshot).  Reads one VOF and one PRESSURE slot per leaf, writes the
     changed pressures — all field-granular, as batches.
 
-    The topology (neighbor/transmissibility lists in
-    ``face_neighbor_leaves`` order, Dirichlet boundary terms on the
-    diagonal) comes from structural walks on the tree; neighbor terms are
-    accumulated in k-ascending order, which keeps the padded-array
-    relaxation bit-identical to the per-octant oracle in ``tests/oracles``.
+    Neighbor terms are accumulated in k-ascending (face-table) order, which
+    keeps the padded-array relaxation bit-identical to the per-octant
+    oracle in ``tests/oracles``.
     """
     leaves: List[int] = sorted(tree.leaves())
     n = len(leaves)
     if n == 0 or sweeps <= 0:
         return {"n": float(n), "written": 0.0, "sweeps": float(sweeps)}
-    idx = {loc: i for i, loc in enumerate(leaves)}
-    dim = tree.dim
-
-    # topology — structural walks only, no payload traffic
-    nb_idx: List[List[int]] = [[] for _ in range(n)]
-    nb_t: List[List[float]] = [[] for _ in range(n)]
-    diag = np.zeros(n)
-    colors = np.zeros(n, dtype=np.int64)
-    for loc in leaves:
-        i = idx[loc]
-        h_i = morton.cell_size(loc, dim)
-        colors[i] = sum(morton.coords_of(loc, dim)) % 2
-        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
-            h_j = morton.cell_size(other, dim)
-            area = min(h_i, h_j) ** (dim - 1)
-            dist = 0.5 * (h_i + h_j)
-            tcoef = area / dist
-            nb_idx[i].append(idx[other])
-            nb_t[i].append(tcoef)
-            diag[i] += tcoef
-        for axis in range(dim):
-            for direction in (-1, 1):
-                if morton.neighbor_of(loc, dim, axis, direction) is None:
-                    diag[i] += h_i ** (dim - 1) / (0.5 * h_i)
+    table, cols, tcoef, diag, coords = _operator(tree, leaves)
+    colors = coords.sum(axis=1) % 2
 
     if obs is not None:
         obs.metrics.counter("kernel.batch_elems").inc(n)
@@ -140,13 +120,14 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
     p = tree.batch_read_fields(leaves, PRESSURE)
     p0 = p.copy()
 
-    maxdeg = max((len(row) for row in nb_idx), default=0)
+    # CSR rows -> padded (n, maxdeg) arrays
+    rows = table.rows()
+    col = np.arange(rows.size) - table.offsets[rows]
+    maxdeg = int(np.diff(table.offsets).max())
     nb_pad = np.zeros((n, maxdeg), dtype=np.int64)
     t_pad = np.zeros((n, maxdeg), dtype=np.float64)
-    for i, (row_j, row_t) in enumerate(zip(nb_idx, nb_t)):
-        if row_j:
-            nb_pad[i, :len(row_j)] = row_j
-            t_pad[i, :len(row_t)] = row_t
+    nb_pad[rows, col] = cols
+    t_pad[rows, col] = tcoef
     color_pos = [np.nonzero(colors == c)[0] for c in (0, 1)]
     for _ in range(sweeps):
         for pos in color_pos:

@@ -128,7 +128,7 @@ class DropletSimulation:
                                     obs=self.obs)
                 if self.pressure_every \
                         and self.step_count % self.pressure_every == 0:
-                    pressure_solve(self.tree)
+                    pressure_solve(self.tree, obs=self.obs)
                 if self.clock is not None:
                     self.clock.advance(
                         COMPUTE_NS_PER_LEAF * counters["reads"]

@@ -20,24 +20,32 @@ squares + ``sqrt`` (``math.dist`` has no bit-equal numpy twin), the
 :func:`inject` swaps them in under the module-level names the drivers call
 (the same names ``bench/trace.py`` patches), so a whole simulation — or a
 whole ``run_parallel`` — runs on the oracle.
+
+The per-leaf topology walks moved here the same way when ``src`` made
+structure a batch (``tree.face_neighbors``): ``pressure_solve``,
+``count_droplets`` (with its networkx graph — a test-only dependency now),
+``find_violation`` and ``balance_tree`` with its unfiltered queue, each
+calling ``face_neighbor_leaves`` / ``exists`` / ``is_leaf`` once per leaf.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from functools import partial
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List, Optional
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from repro.config import SolverConfig
 from repro.core.merge import subtree_locs
 from repro.octree import morton, soa
-from repro.octree.balance import balance_tree
 from repro.octree.neighbors import face_neighbor_leaves, leaf_neighbor
 from repro.octree.refine import Action, RefinementResult
 from repro.octree.store import AdaptiveTree, Payload
-from repro.solver.fields import PRESSURE, U, V, VOF, FieldView
+from repro.solver.fields import PRESSURE, U, V, VOF, FieldView, liquid_leaves
 from repro.solver.geometry import DropletGeometry
 
 
@@ -176,6 +184,126 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
         fields.set(leaves[i], PRESSURE, float(p[i]))
     return {"n": float(n), "written": float(len(changed)),
             "sweeps": float(sweeps)}
+
+
+def pressure_solve(tree: AdaptiveTree, rtol: float = 1e-8,
+                   obs=None) -> Dict[str, float]:
+    fields = FieldView(tree)
+    leaves: List[int] = sorted(tree.leaves())
+    n = len(leaves)
+    if n == 0:
+        return {"n": 0, "residual": 0.0}
+    idx = {loc: i for i, loc in enumerate(leaves)}
+    dim = tree.dim
+
+    rows: List[int] = []
+    cols: List[int] = []
+    vals: List[float] = []
+    rhs = np.zeros(n)
+    diag = np.zeros(n)
+
+    for loc in leaves:
+        i = idx[loc]
+        h_i = morton.cell_size(loc, dim)
+        vof = fields.get(loc, VOF)
+        rhs[i] = vof  # liquid pushes; with p=0 on the boundary this gives a
+        # positive pressure hill centred on the liquid
+        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
+            j = idx[other]
+            h_j = morton.cell_size(other, dim)
+            # face area between two leaves is the smaller face
+            area = min(h_i, h_j) ** (dim - 1)
+            dist = 0.5 * (h_i + h_j)
+            tcoef = area / dist
+            rows.append(i)
+            cols.append(j)
+            vals.append(-tcoef)
+            diag[i] += tcoef
+    # Dirichlet p=0 on the domain boundary, applied through the diagonal so
+    # the system is non-singular.
+    for loc in leaves:
+        i = idx[loc]
+        h_i = morton.cell_size(loc, dim)
+        for axis in range(dim):
+            for direction in (-1, 1):
+                if morton.neighbor_of(loc, dim, axis, direction) is None:
+                    diag[i] += h_i ** (dim - 1) / (0.5 * h_i)
+    rows.extend(range(n))
+    cols.extend(range(n))
+    vals.extend(diag)
+    a = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+    p, info = spla.cg(a, rhs, rtol=rtol, maxiter=10 * n)
+    if info != 0:  # pragma: no cover - CG on an SPD M-matrix converges
+        p = spla.spsolve(a.tocsc(), rhs)
+    residual = float(np.linalg.norm(a @ p - rhs))
+
+    for loc in leaves:
+        fields.set(loc, PRESSURE, float(p[idx[loc]]))
+    return {"n": float(n), "residual": residual}
+
+
+def count_droplets(tree: AdaptiveTree, threshold: float = 0.5) -> int:
+    import networkx as nx
+
+    liquid = set(liquid_leaves(tree, threshold))
+    g = nx.Graph()
+    g.add_nodes_from(liquid)
+    for loc in liquid:
+        for other, _axis, _direction in face_neighbor_leaves(tree, loc):
+            if other in liquid:
+                g.add_edge(loc, other)
+    return nx.number_connected_components(g) if liquid else 0
+
+
+# ---------------------------------------------------------------- Balance
+
+def find_violation(tree: AdaptiveTree) -> Optional[tuple]:
+    for loc in tree.leaves():
+        own = morton.level_of(loc, tree.dim)
+        for leaf, _axis, _direction in face_neighbor_leaves(tree, loc):
+            if morton.level_of(leaf, tree.dim) - own > 1:
+                return loc, leaf
+    return None
+
+
+def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
+                 seeds: Optional[Iterable[int]] = None) -> int:
+    dim = tree.dim
+    queue = deque(seeds if seeds is not None else tree.leaves())
+    refined = 0
+    while queue:
+        loc = queue.popleft()
+        if not tree.exists(loc) or not tree.is_leaf(loc):
+            continue  # stale entry: got refined while queued
+        level = morton.level_of(loc, dim)
+        # A leaf at `level` forces every face-adjacent region to be refined
+        # to at least `level - 1`.
+        if level <= 1:
+            continue
+        for axis in range(dim):
+            for direction in (-1, 1):
+                code = morton.neighbor_of(loc, dim, axis, direction)
+                if code is None:
+                    continue
+                # Find the existing ancestor covering this neighbor code.
+                anc = code
+                while not tree.exists(anc):
+                    anc = morton.parent_of(anc, dim)
+                if not tree.is_leaf(anc):
+                    continue  # neighbor region is at least as fine
+                anc_level = morton.level_of(anc, dim)
+                while anc_level < level - 1:
+                    if max_level is not None and anc_level >= max_level:
+                        break
+                    children = tree.refine(anc)
+                    refined += 1
+                    # Each new child may in turn violate 2:1 with *its*
+                    # neighbors: ripple.
+                    queue.extend(children)
+                    anc = morton.ancestor_at(code, dim, anc_level + 1)
+                    anc_level += 1
+    return refined
 
 
 # ------------------------------------------------------------- predicates
@@ -331,8 +459,8 @@ def sample_frequency(pmo, root_loc: int, rng: np.random.Generator):
 
 def inject(monkeypatch) -> None:
     """Run the drivers on the scalar kernels, the per-octant predicates
-    (lifted by ``soa.per_octant``), the per-leaf refine sweep and the
-    per-pick sampler for the rest of the test."""
+    (lifted by ``soa.per_octant``), the per-leaf refine sweep, the per-pick
+    sampler and the per-leaf topology walks for the rest of the test."""
     lift = soa.per_octant
     monkeypatch.setattr("repro.solver.simulation.initialize_vof",
                         initialize_vof)
@@ -353,3 +481,9 @@ def inject(monkeypatch) -> None:
     monkeypatch.setattr("repro.solver.simulation.smooth_pressure",
                         smooth_pressure)
     monkeypatch.setattr("repro.solver.wave.WaveSimulation._sweep", wave_sweep)
+    monkeypatch.setattr("repro.solver.simulation.pressure_solve",
+                        pressure_solve)
+    monkeypatch.setattr("repro.solver.simulation.count_droplets",
+                        count_droplets)
+    for module in ("solver.simulation", "solver.wave", "octree.refine"):
+        monkeypatch.setattr(f"repro.{module}.balance_tree", balance_tree)

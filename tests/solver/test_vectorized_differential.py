@@ -17,13 +17,23 @@
   byte/line counters, same wear maps, same simulated clock — over the
   epoch-pipeline depths ``max_inflight_epochs in {0, 1, 2}`` and over rank
   counts ``P in {1, 2, 4}`` through the parallel runtime.
+* **batch structure vs per-leaf walks**: the oracle's ``pressure_solve``,
+  ``count_droplets``, ``find_violation`` and ``balance_tree`` call
+  ``face_neighbor_leaves``/``exists``/``is_leaf`` per leaf; ``src`` makes one
+  ``tree.face_neighbors`` call per kernel.  The CSR matrix CG receives, the
+  pressure vector, the residual, the droplet count and the recorded sequence
+  of ``refine`` calls must be equal, and the modelled machine (both
+  ``DeviceStats``, clock tables, wear) unmoved, on PM-octree (tight and
+  roomy C0, sync and pipelined) and in-core.
 """
 
 import dataclasses
 import hashlib
+import random
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from repro.analysis.sweep import _signature
 from repro.baselines.etree import EtreeOctree
@@ -41,7 +51,13 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
+from repro.octree import morton
+from repro.octree.balance import balance_tree, find_violation
+from repro.octree.neighbors import neighbor_level_gap
+from repro.octree.tree import PointerOctree
 from repro.parallel.runtime import Backend, RunConfig, run_parallel
+from repro.solver.fields import VOF, count_droplets
+from repro.solver.poisson import pressure_solve
 from repro.solver.simulation import DropletSimulation
 from repro.solver.wave import WaveConfig, WaveSimulation
 from repro.storage.block import BlockDevice
@@ -297,3 +313,150 @@ def test_parallel_runtime_matches_scalar(workload, nranks, monkeypatch):
     assert vec.merges == scalar.merges
     assert vec.persists == scalar.persists
     assert vec.step_reports == scalar.step_reports
+
+
+# ------------------------------------------- batch structure vs per-leaf walks
+
+def _solve_rig(kind: str, max_inflight: int):
+    """``pm-tight`` (C0 = 96 octants: evictions, NVBM stores, COW under the
+    pressure writes), ``pm-roomy`` (everything C0-resident) or ``incore``."""
+    if kind == "incore":
+        clock = SimClock()
+        dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
+        return clock, [dram], InCoreOctree(dram, dim=2), None
+    default_injector().reset()
+    clock = SimClock()
+    dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
+    nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)
+    cfg = PMOctreeConfig(
+        dram_capacity_octants=96 if kind == "pm-tight" else 1 << 14,
+        seed=SEED, max_inflight_epochs=max_inflight)
+    return clock, [dram, nvbm], pm_create(dram, nvbm, dim=2, config=cfg), \
+        _persistence
+
+
+def _run_solve(kind: str, max_inflight: int, steps: int = 4):
+    clock, arenas, tree, persistence = _solve_rig(kind, max_inflight)
+    sim = DropletSimulation(
+        tree, SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01),
+        clock=clock, persistence=persistence,
+        pressure_every=1, pressure_smooth=2)
+    sim.run(steps)
+    if persistence is not None:
+        tree.drain_persists()
+    return {
+        "clock_ns": clock.now_ns,
+        "by_category": dict(clock.by_category),
+        "by_phase": dict(clock.by_phase),
+        "stats": [dataclasses.asdict(a.device.stats) for a in arenas],
+        "wear": [a.device._wear.tolist() for a in arenas],
+        "history": sim.history,
+        "live": _signature(tree),
+    }, tree
+
+
+SOLVE_RIGS = [("pm-tight", 0), ("pm-tight", 1), ("pm-roomy", 0),
+              ("pm-roomy", 1), ("incore", 0)]
+
+
+@pytest.mark.parametrize("kind,max_inflight", SOLVE_RIGS)
+def test_pressure_solve_matches_oracle(kind, max_inflight, monkeypatch):
+    """Whole runs with the CG solve every step: every matrix handed to CG
+    (CSR arrays as built, not canonicalised), every right-hand side and
+    pressure vector, and the whole modelled machine, bit for bit."""
+    solves = []
+    real_cg = spla.cg
+
+    def recording_cg(a, b, **kwargs):
+        p, info = real_cg(a, b, **kwargs)
+        solves.append([a.indptr, a.indices, a.data, b, p])
+        return p, info
+
+    monkeypatch.setattr(spla, "cg", recording_cg)
+    vec, tree_v = _run_solve(kind, max_inflight)
+    vec_solves, solves[:] = list(solves), []
+    scalar_kernels.inject(monkeypatch)
+    scalar, tree_s = _run_solve(kind, max_inflight)
+    assert vec == scalar
+    assert len(vec_solves) == len(solves) == 4
+    for got, want in zip(vec_solves, solves):
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes()
+    # the returned diagnostics (CG residual), kernel against kernel
+    assert pressure_solve(tree_v) == scalar_kernels.pressure_solve(tree_s)
+    assert _signature(tree_v) == _signature(tree_s)
+
+
+def _random_tree(dim: int, seed: int, splits: int, cap: int = 6):
+    """A PointerOctree refined at ``splits`` random leaves — unbalanced on
+    purpose (level gaps >= 2 are common)."""
+    rng = random.Random(seed)
+    tree = PointerOctree(
+        MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(), 1 << 16), dim=dim)
+    for _ in range(splits):
+        open_leaves = sorted(loc for loc in tree.leaves()
+                             if morton.level_of(loc, dim) < cap)
+        tree.refine(rng.choice(open_leaves))
+    return tree, rng
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(6))
+def test_count_droplets_matches_oracle(dim, seed):
+    tree, rng = _random_tree(dim, seed, splits=30)
+    for loc in tree.leaves():
+        tree.set_field(loc, VOF, rng.random())
+    # ~half the leaves liquid: several components, some of one leaf
+    assert count_droplets(tree) == scalar_kernels.count_droplets(tree)
+    assert count_droplets(tree, threshold=2.0) == 0
+
+
+def _recording(tree):
+    calls = []
+    refine = tree.refine
+
+    def recorded(loc):
+        calls.append(loc)
+        return refine(loc)
+
+    tree.refine = recorded
+    return calls
+
+
+def _gap_max(tree) -> int:
+    return max(neighbor_level_gap(tree, loc) for loc in tree.leaves())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("max_level", [None, 3, 5])
+@pytest.mark.parametrize("seed", range(4))
+def test_balance_refine_sequence_matches_oracle(dim, max_level, seed):
+    """Same ``refine`` calls in the same order — hence the same allocations
+    and COW copies — from the filtered queue, with the ``max_level`` cap
+    biting (cap 3 on trees refined to 6) and gaps >= 2 throughout."""
+    tree_v, _ = _random_tree(dim, seed, splits=25)
+    tree_s, _ = _random_tree(dim, seed, splits=25)
+    assert find_violation(tree_v) == scalar_kernels.find_violation(tree_v)
+    assert _gap_max(tree_v) >= 2
+    calls_v, calls_s = _recording(tree_v), _recording(tree_s)
+    assert balance_tree(tree_v, max_level=max_level) \
+        == scalar_kernels.balance_tree(tree_s, max_level=max_level)
+    assert calls_v == calls_s and calls_v
+    assert list(tree_v.leaves()) == list(tree_s.leaves())
+    assert find_violation(tree_v) == scalar_kernels.find_violation(tree_v)
+    if max_level is None:
+        assert find_violation(tree_v) is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_seeded_balance_matches_oracle(seed):
+    """Incremental Balance: the queue starts from the caller's seeds (stale
+    and balanced ones among them), filtered the same way."""
+    tree_v, rng = _random_tree(2, seed, splits=25)
+    tree_s, _ = _random_tree(2, seed, splits=25)
+    seeds = rng.sample(sorted(tree_v._index), 12)
+    calls_v, calls_s = _recording(tree_v), _recording(tree_s)
+    assert balance_tree(tree_v, seeds=seeds) \
+        == scalar_kernels.balance_tree(tree_s, seeds=seeds)
+    assert calls_v == calls_s

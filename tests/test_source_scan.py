@@ -22,11 +22,17 @@
   (GC mark, ``reachable_from``, the restore traversal) gather a frontier
   per call and never ``read_octant(``; and every name ``bench/trace.py``
   patches from outside still resolves.
+* structure is a batch too: ``face_neighbor_leaves(`` is called only where
+  it is defined (``octree/neighbors.py``) and by the loop-backed default in
+  ``octree/store.py``; and ``src/repro`` imports nothing a clean
+  ``pip install -e .`` does not bring (stdlib, ``numpy``, ``scipy``).
 """
 
+import ast
 import importlib
 import pathlib
 import re
+import sys
 
 import pytest
 
@@ -114,8 +120,6 @@ def test_documented_repro_names_resolve(doc):
 
 def _function_source(path: pathlib.Path, qualname: str) -> str:
     """Source text of ``Class.method`` or ``function`` in ``path``."""
-    import ast
-
     text = path.read_text()
     scope = ast.parse(text).body
     node = None
@@ -180,3 +184,34 @@ def test_bench_trace_table_resolves():
     for name in ("on_read", "on_write", "on_read_batch"):
         assert inspect.isfunction(vars(MemoryDevice)[name])
     assert inspect.isfunction(vars(SimClock)["advance"])
+
+
+# --------------------------------------------------- batch structure queries
+
+def test_face_neighbor_walk_has_one_loop_backed_caller():
+    """Kernels ask the tree for a table; a ``face_neighbor_leaves(`` call
+    anywhere else is a per-leaf topology loop creeping back."""
+    callers = {line.split(":")[0]
+               for line in _offenders(re.compile(r"face_neighbor_leaves\("))}
+    assert callers == {"src/repro/octree/neighbors.py",
+                       "src/repro/octree/store.py"}
+
+
+def test_src_imports_only_declared_dependencies():
+    """pyproject.toml declares numpy and scipy; a clean install has nothing
+    else (``count_droplets`` once imported networkx inside the function)."""
+    allowed = set(sys.stdlib_module_names) | {"numpy", "scipy", "repro"}
+    offenders = []
+    for path in sorted(SRC_DIR.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            offenders += [f"{path.relative_to(ROOT)}:{node.lineno}: {name}"
+                          for name in names
+                          if name.split(".")[0] not in allowed]
+    assert not offenders, "\n".join(offenders)
+    assert not _offenders(re.compile(r"networkx"))
