@@ -1,40 +1,67 @@
 """Exhaustive crash-site sweep: arm every registered site, crash, recover.
 
-For each name in the central registry (:mod:`repro.nvbm.sites`) the harness
-builds a fresh PM-octree rig, runs a workload designed to visit every
-declared site (COW updates, refinement, layout transformation with a moving
-hot region, DRAM-pressure eviction, per-step persists), arms the site, and
-— when the injected crash fires — applies power-loss semantics to both
-arenas and asserts that ``pm_restore`` lands on a persisted state:
+Every crash is judged by one rule — re-run the interrupted operation's
+recovery and land on a committed state — so there is one runner
+(:func:`sweep_site`) and, per site, one :class:`Scenario` supplying only
+what is specific to it: a rig, the *accepted* states, an action that visits
+the site, and the power loss + recovery.  The default scenario runs a
+workload designed to visit every declared site (COW updates, refinement,
+layout transformation with a moving hot region, DRAM-pressure eviction,
+per-step persists) and accepts
 
 * the state of the **last completed persist**, when the crash fired before
   the commit point, or
 * the state the working version had **at the instant of the crash**, when
   it fired after the atomic root publish (the new version committed).
 
-Anything else — a ``ConsistencyError`` during recovery, a signature that
-matches neither persist point, a tracker-recorded ordering violation — is a
-finding.  Sites the default workload cannot reach (``roots.swap.mid``,
-``replica.before_publish``) get dedicated drivers.
+Anything else — a ``ReproError`` during recovery, a state that matches no
+accepted one, a tracker-recorded ordering violation — is a finding.  Sites
+the default workload cannot reach (``roots.swap.mid``, the replication,
+migration, media-repair and epoch-pipeline protocols) get a row in
+:data:`_DRIVERS`; a new site whose window the workload does not cross is
+added there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.config import DRAM_SPEC, NVBM_SPEC, PMOctreeConfig
+from repro.config import DRAM_SPEC, NVBM_SPEC, TITAN, PMOctreeConfig
 from repro.core.api import pm_create, pm_restore
 from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
-from repro.errors import ReproError, SimulatedCrash
+from repro.core.recovery import scrub
+from repro.core.replication import (
+    ReplicaSession,
+    ReplicaStore,
+    restore_from_replica,
+    ship_delta,
+)
+from repro.errors import (
+    ConsistencyError,
+    PartitionError,
+    RecoveryError,
+    ReproError,
+    SimulatedCrash,
+)
 from repro.nvbm import sites as site_registry
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
+from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
 from repro.nvbm.failure import FailureInjector
-from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
+from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, index_of, is_nvbm
 from repro.octree import morton, soa
+from repro.octree.linear import LinearOctree
+from repro.parallel.network import Network
+from repro.parallel.partition import (
+    MigrationState,
+    audit_migration,
+    recover_migration,
+    repartition,
+)
+from repro.parallel.simmpi import RankContext, SimCommunicator
 
 from repro.analysis.tracker import OrderingTracker, install_tracker
 
@@ -65,6 +92,16 @@ class SweepOutcome:
         }
 
 
+def _signature(tree) -> Dict[int, tuple]:
+    return {loc: tuple(tree.get_payload(loc)) for loc in tree.leaves()}
+
+
+def _verified(tree) -> Dict[int, tuple]:
+    """Signature of a recovered tree that first passes its own invariants."""
+    tree.check_invariants()
+    return _signature(tree)
+
+
 class _Rig:
     """A self-contained single-rank PM-octree test bench."""
 
@@ -84,26 +121,72 @@ class _Rig:
         self.tracker = install_tracker(self.nvbm, strict=False,
                                        strict_epochs=strict_epochs)
 
+    def grow(self, rounds: int) -> "_Rig":
+        """Refine every leaf ``rounds`` times (``4 ** rounds`` leaves)."""
+        for _ in range(rounds):
+            for leaf in list(self.tree.leaves()):
+                self.tree.refine(leaf)
+        return self
+
     def crash(self, seed: int) -> None:
         self.dram.crash()
         self.nvbm.crash(np.random.default_rng(seed))
 
-    def restore(self):
+    def restore(self, replica=None):
         self.injector.disarm()
         self.tree = pm_restore(self.dram, self.nvbm, dim=2,
-                               config=self.config, injector=self.injector)
+                               config=self.config, injector=self.injector,
+                               replica=replica)
         return self.tree
 
+    def power_cycle(self, seed: int, replica=None) -> Dict[int, tuple]:
+        """Power loss, then restore: the verified recovered signature.
+        ``replica`` feeds the media-aware restore's repair ladder."""
+        self.crash(seed)
+        return _verified(self.restore(replica))
 
-def _signature(tree) -> Dict[int, tuple]:
-    return {loc: tuple(tree.get_payload(loc)) for loc in tree.leaves()}
+    @staticmethod
+    def blank_node() -> Tuple[MemoryArena, MemoryArena]:
+        """Empty ``(dram, nvbm)`` of a replacement node, on its own clock —
+        what a replica restore materialises into."""
+        clock = SimClock()
+        return (MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 2048),
+                MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 15))
 
 
-def _try_signature(tree) -> Optional[Dict[int, tuple]]:
-    try:
-        return _signature(tree)
-    except ReproError:
-        return None  # crash mid-operation can leave volatile index mid-edit
+@dataclass
+class Scenario:
+    """One crash scenario — the only shape the runner knows.
+
+    ``act`` runs with the site armed on ``injector`` and must die of the
+    injected crash.  ``recover`` then applies the power loss and runs the
+    recovery, yielding one ``(view, state)`` pair per recovered view (a
+    local restore, a replacement node's restore from the replica, ...);
+    each state must equal one of ``accepted``, whose label the outcome
+    reports.  ``accepted`` is read when the crash has fired, so ``act`` may
+    keep it current (the workload moves ``last-persist`` every step).
+    ``unfired`` explains an ``act`` that completes without visiting the
+    site; ``rig`` is the PM rig whose ordering tracker is counted.
+    """
+
+    injector: FailureInjector
+    act: Callable[[], object]
+    recover: Callable[[], Iterable[Tuple[str, object]]]
+    accepted: Dict[str, object]
+    unfired: str
+    rig: Optional[_Rig] = None
+
+    #: what a recovered *state* is wherever a checker compares trees
+    signature = staticmethod(_signature)
+
+    @staticmethod
+    def landed_on(state, accepted: Iterable[Tuple[object, object]]):
+        """Which accepted state is this: the label of the first
+        ``(label, state)`` pair that equals it, ``None`` for none."""
+        for label, want in accepted:
+            if state == want:
+                return label
+        return None
 
 
 # ----------------------------------------------------------------- workload
@@ -114,10 +197,7 @@ def _setup_workload(rig: _Rig) -> List[int]:
     Returns the one-element ``hot`` cell the step function rotates, so every
     layout transformation evicts the stale subtree and loads the fresh one.
     """
-    tree = rig.tree
-    for _ in range(2):
-        for leaf in list(tree.leaves()):
-            tree.refine(leaf)
+    tree = rig.grow(2).tree
     hot = [morton.loc_from_coords(1, (0, 0), 2)]
     tree.register_feature(soa.per_octant(
         lambda loc, p: loc != morton.ROOT_LOC
@@ -140,8 +220,6 @@ def _busy_step(rig: _Rig, hot: List[int], step: int, seed: int) -> None:
         # one so the partial-store coarsen path (and its coarsen.mid site)
         # is visited — earlier steps are left to pure growth so the COW
         # sites stay reachable too
-        from repro.nvbm.pointers import is_nvbm
-
         candidates = sorted(
             (
                 loc for loc in tree._index
@@ -178,150 +256,85 @@ def trace_run(steps: int = 10, seed: int = 7,
     return rig.tracker
 
 
-# ------------------------------------------------------------ default driver
+# ---------------------------------------------------------------- scenarios
+# ``(site, max_steps, seed) -> Scenario``: only what is specific to the
+# protocol; arming, the crash, not-fired, errors and the verdict are the
+# runner's.
 
-def _workload_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _workload(site: str, max_steps: int, seed: int) -> Scenario:
     rig = _Rig()
     tree = rig.tree
     hot = _setup_workload(rig)
     tree.persist(transform=True)
-    persisted_sig = _signature(tree)
+    accepted = {"last-persist": _signature(tree), "committed-at-crash": None}
 
-    rig.injector.reset_hits()
-    rig.injector.arm(site, at_hit=1)
-    fired = False
-    sig_at_crash: Optional[Dict[int, tuple]] = None
-    try:
+    def act() -> None:
         for step in range(max_steps):
             _busy_step(rig, hot, step, seed)
-            persisted_sig = _signature(tree)
-    except SimulatedCrash:
-        fired = True
-        sig_at_crash = _try_signature(tree)
+            accepted["last-persist"] = _signature(tree)
 
-    violations = len(rig.tracker.violations)
-    if not fired:
-        return SweepOutcome(
-            site=site, fired=False, recovered=None, violations=violations,
-            detail=f"never reached in {max_steps} steps",
-        )
+    def recover():
+        # a crash after the atomic root publish keeps the working version
+        # as it stood at that instant
+        try:
+            accepted["committed-at-crash"] = _signature(tree)
+        except ReproError:
+            pass  # crash mid-operation can leave volatile index mid-edit
+        yield "restored state", rig.power_cycle(seed)
 
-    rig.crash(seed)
-    try:
-        restored = rig.restore()
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            violations=violations,
-                            detail=f"recovery failed: {exc}")
-    restored_sig = _signature(restored)
-    if restored_sig == persisted_sig:
-        matched = "last-persist"
-    elif sig_at_crash is not None and restored_sig == sig_at_crash:
-        matched = "committed-at-crash"
-    else:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False, violations=violations,
-            detail="restored state matches neither persist point",
-        )
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched=matched, violations=violations)
+    return Scenario(rig.injector, act, recover, accepted,
+                    f"never reached in {max_steps} steps", rig)
 
 
-# ----------------------------------------------------------- special drivers
-
-def _swap_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _swap(site: str, max_steps: int, seed: int) -> Scenario:
     """roots.swap.mid: the exchange must be all-or-nothing."""
-    rig = _Rig()
-    tree = rig.tree
-    for leaf in list(tree.leaves()):
-        tree.refine(leaf)
-    tree.persist(transform=False)
+    rig = _Rig().grow(1)
+    rig.tree.persist(transform=False)
     # a raw root-slot exchange is itself a publish: discharge any write
     # obligations first (under the epoch pipeline, persist() alone only
     # *enqueues* the flush train)
     rig.nvbm.flush()
-    persisted_sig = _signature(tree)
-    before = (rig.nvbm.roots.get(SLOT_PREV), rig.nvbm.roots.get(SLOT_CURR))
+    accepted = {"last-persist": _signature(rig.tree)}
+    roots = rig.nvbm.roots
+    before = (roots.get(SLOT_PREV), roots.get(SLOT_CURR))
 
-    rig.injector.reset_hits()
-    rig.injector.arm(site, at_hit=1)
-    try:
-        rig.nvbm.roots.swap(SLOT_PREV, SLOT_CURR)
-    except SimulatedCrash:
-        pass
-    else:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="swap completed without visiting the site")
-    after = (rig.nvbm.roots.get(SLOT_PREV), rig.nvbm.roots.get(SLOT_CURR))
-    if after != before:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"mid-swap crash tore the slots: {before} -> {after}",
-        )
-    rig.crash(seed)
-    try:
-        restored = rig.restore()
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"recovery failed: {exc}")
-    if _signature(restored) != persisted_sig:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail="restored state lost the persisted step")
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched="last-persist",
-                        violations=len(rig.tracker.violations))
+    def recover():
+        after = (roots.get(SLOT_PREV), roots.get(SLOT_CURR))
+        if after != before:
+            raise ConsistencyError(
+                f"mid-swap crash tore the slots: {before} -> {after}")
+        yield "restored state", rig.power_cycle(seed)
+
+    return Scenario(rig.injector, lambda: roots.swap(SLOT_PREV, SLOT_CURR),
+                    recover, accepted,
+                    "swap completed without visiting the site", rig)
 
 
-def _replica_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _replica(site: str, max_steps: int, seed: int) -> Scenario:
     """replica.before_publish: node-loss restore interrupted, then retried."""
-    from repro.core.replication import ReplicaStore, restore_from_replica, \
-        ship_delta
-
-    rig = _Rig()
-    tree = rig.tree
-    for leaf in list(tree.leaves()):
-        tree.refine(leaf)
-    tree.persist(transform=False)
-    persisted_sig = _signature(tree)
+    rig = _Rig().grow(1)
+    rig.tree.persist(transform=False)
+    accepted = {"last-persist": _signature(rig.tree)}
     replica = ReplicaStore()
-    ship_delta(tree, replica)
+    ship_delta(rig.tree, replica)
+    injector = FailureInjector()
+    dram2, nvbm2 = _Rig.blank_node()
 
-    clock2 = SimClock()
-    injector2 = FailureInjector()
-    dram2 = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock2, 2048)
-    nvbm2 = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock2, 1 << 15)
-    injector2.arm(site, at_hit=1)
-    try:
-        restore_from_replica(replica, dram2, nvbm2, dim=2,
-                             injector=injector2)
-    except SimulatedCrash:
-        pass
-    else:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="replica restore never visited the site")
-    # the half-materialised arena dies with the replacement node; the
-    # replica survives on its peer, so the restore is simply retried
-    nvbm2.crash(np.random.default_rng(seed))
-    injector2.disarm()
-    clock3 = SimClock()
-    dram3 = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock3, 2048)
-    nvbm3 = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock3, 1 << 15)
-    try:
-        restored = restore_from_replica(replica, dram3, nvbm3, dim=2)
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"replica retry failed: {exc}")
-    if _signature(restored) != persisted_sig:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail="replica restore lost the persisted step")
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched="last-persist")
+    def recover():
+        # the half-materialised arena dies with the replacement node; the
+        # replica survives on its peer, so the restore is simply retried
+        nvbm2.crash(np.random.default_rng(seed))
+        yield "replica retry", _verified(
+            restore_from_replica(replica, *_Rig.blank_node(), dim=2))
+
+    return Scenario(
+        injector,
+        lambda: restore_from_replica(replica, dram2, nvbm2, dim=2,
+                                     injector=injector),
+        recover, accepted, "replica restore never visited the site", rig)
 
 
-def _protocol_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _protocol(site: str, max_steps: int, seed: int) -> Scenario:
     """replica.ship.* / replica.resync.begin: crash inside the replication
     protocol, then verify both recovery paths still work.
 
@@ -331,13 +344,8 @@ def _protocol_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
     gates the local commit), and a fresh session converges the replica so a
     replacement-node restore reproduces the same version.
     """
-    from repro.core.replication import ReplicaSession, restore_from_replica
-
-    rig = _Rig()
+    rig = _Rig().grow(2)
     tree = rig.tree
-    for _ in range(2):
-        for leaf in list(tree.leaves()):
-            tree.refine(leaf)
     tree.persist(transform=False)
     session = ReplicaSession(tree)
     session.ship()  # replica holds version 1
@@ -346,7 +354,7 @@ def _protocol_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
     for i, leaf in enumerate(sorted(tree.leaves())[:4]):
         tree.set_payload(leaf, (float(i), 1.0, 0.0, 0.0))
     tree.persist(transform=False)
-    persisted_sig = _signature(tree)
+    accepted = {"last-persist": _signature(tree)}
     replica = session.replica
 
     if site == site_registry.REPLICA_RESYNC_BEGIN:
@@ -354,84 +362,29 @@ def _protocol_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
         # and restore first, then re-ship through a fresh session — the
         # peer's non-empty store classifies the delta as diverged.
         rig.crash(seed)
-        tree = rig.restore()
-        session = ReplicaSession(tree, replica=replica)
+        session = ReplicaSession(rig.restore(), replica=replica)
 
-    rig.injector.reset_hits()
-    rig.injector.arm(site, at_hit=1)
-    fired = False
-    try:
-        session.ship()
-    except SimulatedCrash:
-        fired = True
-    if not fired:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="ship never visited the site")
-
-    # host power-loss mid-protocol: local restore must land on the persist
-    rig.crash(seed)
-    try:
-        restored = rig.restore()
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"recovery failed: {exc}")
-    if _signature(restored) != persisted_sig:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail="local restore does not match the persisted version",
-        )
-
-    # the protocol must still converge the replica after the crash ...
-    fresh = ReplicaSession(restored, replica=replica)
-    try:
+    def recover():
+        # host power-loss mid-protocol: local restore must land on the persist
+        yield "local restore", rig.power_cycle(seed)
+        # the protocol must still converge the replica after the crash ...
+        fresh = ReplicaSession(rig.tree, replica=replica)
         fresh.ship()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"post-crash ship failed: {exc}")
-    if not fresh.protected:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail="session not protected after re-ship")
-    # ... so a replacement node can materialise the same version from it
-    clock2 = SimClock()
-    dram2 = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock2, 2048)
-    nvbm2 = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock2, 1 << 15)
-    try:
-        from_replica = restore_from_replica(replica, dram2, nvbm2, dim=2)
-        from_replica.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"replica restore failed: {exc}")
-    if _signature(from_replica) != persisted_sig:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail="replica restore does not match the persisted version",
-        )
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched="last-persist",
-                        violations=len(rig.tracker.violations))
+        if not fresh.protected:
+            raise RecoveryError("session not protected after re-ship")
+        # ... so a replacement node can materialise the same version from it
+        yield "replica restore", _verified(
+            restore_from_replica(replica, *_Rig.blank_node(), dim=2))
+
+    return Scenario(rig.injector, session.ship, recover, accepted,
+                    "ship never visited the site", rig)
 
 
-def _migration_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
-    """migrate.*: tear the publish-before-retire octant migration.
-
-    A skewed 4-rank forest is repartitioned by work weight with the site
-    armed; after the simulated power loss, :func:`recover_migration` must
-    leave every octant in exactly one rank's store with its payload intact
-    (rolling partial publishes back, re-driving missing retires), and a
-    re-run of the repartition from the recovered pieces must complete and
-    balance.
-    """
-    from repro.config import TITAN
-    from repro.octree.linear import LinearOctree
-    from repro.parallel.network import Network
-    from repro.parallel.partition import (
-        MigrationState,
-        recover_migration,
-        repartition,
-    )
-    from repro.parallel.simmpi import RankContext, SimCommunicator
-
+def _skewed_forest(seed: int):
+    """A 16-leaf forest dealt out skewed over 4 ranks: rank 0 holds most of
+    the curve, so the weighted cut must ship multi-octant batches across
+    every boundary.  Returns ``(comm, pieces, weights, truth)`` with
+    ``truth`` the ``{loc: payload}`` every recovery must preserve."""
     dim, max_level, nranks = 2, 2, 4
     rng = np.random.default_rng(seed)
     locs = sorted(
@@ -441,85 +394,75 @@ def _migration_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
     )
     payloads = rng.random((len(locs), 4))
     truth = {loc: tuple(payloads[i]) for i, loc in enumerate(locs)}
-    weight_of = {loc: float(1.0 + rng.integers(0, 5)) for loc in locs}
-    # skewed ownership: rank 0 holds most of the curve, so the weighted cut
-    # must ship multi-octant batches across every boundary
+    weights = np.array([float(1.0 + rng.integers(0, 5)) for _ in locs])
     bounds = [0, 10, 12, 14, 16]
     pieces = [
-        LinearOctree(dim, locs[bounds[r]:bounds[r + 1]],
-                     payloads[bounds[r]:bounds[r + 1]], max_level=max_level)
-        for r in range(nranks)
+        LinearOctree(dim, locs[lo:hi], payloads[lo:hi], max_level=max_level)
+        for lo, hi in zip(bounds, bounds[1:])
     ]
-    wlists = [
-        np.array([weight_of[int(loc)] for loc in piece.locs])
-        for piece in pieces
-    ]
+    wlists = [weights[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
     ranks = [RankContext(rank=r, node=r) for r in range(nranks)]
     comm = SimCommunicator(ranks, Network(TITAN.network))
+    return comm, pieces, wlists, truth
+
+
+#: The accepted outcomes of a migration recovery.  The forest itself has one
+#: accepted state and :func:`audit_migration` proves it; what is left to
+#: name is which repair arms ``(re-driven, rolled back)`` got there.
+_REPAIR_ARMS = {"re-driven": (True, False), "rolled-back": (False, True),
+                "re-driven+rolled-back": (True, True)}
+
+
+def _migration(site: str, max_steps: int, seed: int) -> Scenario:
+    """migrate.*: tear the publish-before-retire octant migration.
+
+    A skewed 4-rank forest is repartitioned by work weight with the site
+    armed; after the simulated power loss, :func:`recover_migration` must
+    leave every octant in exactly one rank's store with its payload intact
+    (rolling partial publishes back, re-driving missing retires), and a
+    re-run of the repartition from the recovered pieces must complete and
+    balance — :func:`audit_migration`.
+
+    ``migrate.recover.mid`` loses power *again*, during the recovery: the
+    migration is first torn where a published batch awaits its retire, then
+    the armed action is :func:`recover_migration` itself.  The second,
+    un-armed recovery must finish the repair — both arms are idempotent, so
+    a half-repaired journal is just re-walked.
+    """
+    comm, pieces, wlists, truth = _skewed_forest(seed)
     injector = FailureInjector()
-    injector.arm(site, at_hit=1)
     state = MigrationState()
-    fired = False
-    try:
+
+    def migrate() -> None:
         repartition(comm, pieces, weights=wlists, injector=injector,
                     state=state)
-    except SimulatedCrash:
-        fired = True
-    if not fired:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="migration completed without visiting "
-                                   "the site")
 
-    # power loss mid-migration: the journal survives; recover from it
-    injector.disarm()
-    rec = recover_migration(state)
-    seen: Dict[int, tuple] = {}
-    for store in state.stores:
-        for loc, row in store.items():
-            if loc in seen:
-                return SweepOutcome(
-                    site=site, fired=True, recovered=False,
-                    detail=f"octant {loc:#x} duplicated across ranks")
-            seen[loc] = tuple(float(v) for v in row)
-    if set(seen) != set(truth):
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"octants lost: {len(truth) - len(seen)} missing")
-    torn = [loc for loc in truth if seen[loc] != truth[loc]]
-    if torn:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"payload torn on {len(torn)} octants")
-    if state.log.in_flight:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"{len(state.log.in_flight)} batches left in flight")
+    act, accepted = migrate, _REPAIR_ARMS
+    unfired = "migration completed without visiting the site"
+    if site == site_registry.MIGRATE_RECOVER_MID:
+        injector.arm(site_registry.MIGRATE_PRE_RETIRE, at_hit=1)
+        try:
+            migrate()
+        except SimulatedCrash:
+            pass
 
-    # the repartition is simply re-driven from the recovered pieces
-    pieces2 = state.rebuild_pieces()
-    wlists2 = [
-        np.array([weight_of[int(loc)] for loc in piece.locs])
-        for piece in pieces2
-    ]
-    try:
-        res = repartition(comm, pieces2, weights=wlists2)
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"re-driven repartition failed: {exc}")
-    if not res.balanced:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"re-driven cut unbalanced: {res.imbalance_after:.3f}")
-    if rec.redriven and rec.rolled_back:
-        matched = "re-driven+rolled-back"
-    elif rec.redriven:
-        matched = "re-driven"
-    else:
-        matched = "rolled-back"
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched=matched)
+        act = lambda: recover_migration(state, injector=injector)
+        accepted = {"recovery-re-driven": _REPAIR_ARMS["re-driven"]}
+        unfired = "recovery completed without visiting the site"
+
+    def recover():
+        # power loss mid-migration: the journal survives; recover from it
+        rec = recover_migration(state)
+        breach = audit_migration(state, truth, comm)
+        if breach:
+            raise PartitionError(breach)
+        arms = (rec.redriven > 0, rec.rolled_back > 0)
+        yield "repair (re-driven, rolled back)", arms
+
+    return Scenario(injector, act, recover, accepted, unfired)
 
 
-def _media_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _media(site: str, max_steps: int, seed: int) -> Scenario:
     """media.*: crash inside the scrub/repair ladder, then restore.
 
     One published record gets a planted *stuck* line, so the scrub must
@@ -537,172 +480,26 @@ def _media_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
     * ``media.scrub.mid`` — the repair committed in full; recovery is a
       plain restore.
     """
-    from repro.core.recovery import scrub
-    from repro.core.replication import ReplicaStore, ship_delta
-    from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
-    from repro.nvbm.pointers import index_of
-
-    rig = _Rig()
+    rig = _Rig().grow(2)
     tree = rig.tree
-    for _ in range(2):
-        for leaf in list(tree.leaves()):
-            tree.refine(leaf)
     tree.persist(transform=False)
-    persisted_sig = _signature(tree)
+    accepted = {"last-persist": _signature(tree)}
     replica = ReplicaStore()
     ship_delta(tree, replica)
 
-    root = rig.nvbm.roots.get(SLOT_PREV)
-    published = sorted(tree.reachable_from(root))
+    published = sorted(tree.reachable_from(rig.nvbm.roots.get(SLOT_PREV)))
     bad = published[seed % len(published)]
     model = MediaFaultModel(seed=seed)
     rig.nvbm.attach_fault_model(model)
     model.plant_stuck(index_of(bad) * LINES_PER_RECORD)
 
-    rig.injector.reset_hits()
-    rig.injector.arm(site, at_hit=1)
-    fired = False
-    try:
-        scrub(tree, replica=replica)
-    except SimulatedCrash:
-        fired = True
-    if not fired:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            violations=len(rig.tracker.violations),
-                            detail="scrub never visited the site")
-
-    rig.crash(seed)
-    rig.injector.disarm()
-    violations = len(rig.tracker.violations)
-    try:
-        restored = pm_restore(rig.dram, rig.nvbm, dim=2, config=rig.config,
-                              injector=rig.injector, replica=replica)
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            violations=violations,
-                            detail=f"recovery failed: {exc}")
-    if _signature(restored) != persisted_sig:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False, violations=violations,
-            detail="restored state does not match the persisted version",
-        )
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched="last-persist", violations=violations)
+    return Scenario(
+        rig.injector, lambda: scrub(tree, replica=replica),
+        lambda: [("restored state", rig.power_cycle(seed, replica))],
+        accepted, "scrub never visited the site", rig)
 
 
-def _recover_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
-    """migrate.recover.mid: lose power *again* during migration recovery.
-
-    First crash a migration mid-batch (so the journal holds both a
-    published batch to re-drive and pending batches to roll back), then
-    arm the recovery site and crash inside :func:`recover_migration`
-    itself.  The second recovery run — un-armed — must finish the repair:
-    both arms are idempotent, so a half-repaired journal is just re-walked
-    and every octant still ends in exactly one rank's store.
-    """
-    from repro.config import TITAN
-    from repro.octree.linear import LinearOctree
-    from repro.parallel.network import Network
-    from repro.parallel.partition import (
-        MigrationState,
-        recover_migration,
-        repartition,
-    )
-    from repro.parallel.simmpi import RankContext, SimCommunicator
-
-    dim, max_level, nranks = 2, 2, 4
-    rng = np.random.default_rng(seed)
-    locs = sorted(
-        (morton.loc_from_coords(max_level, (x, y), dim)
-         for x in range(4) for y in range(4)),
-        key=lambda loc: morton.zorder_key(loc, dim, max_level),
-    )
-    payloads = rng.random((len(locs), 4))
-    truth = {loc: tuple(payloads[i]) for i, loc in enumerate(locs)}
-    weight_of = {loc: float(1.0 + rng.integers(0, 5)) for loc in locs}
-    bounds = [0, 10, 12, 14, 16]
-    pieces = [
-        LinearOctree(dim, locs[bounds[r]:bounds[r + 1]],
-                     payloads[bounds[r]:bounds[r + 1]], max_level=max_level)
-        for r in range(nranks)
-    ]
-    wlists = [
-        np.array([weight_of[int(loc)] for loc in piece.locs])
-        for piece in pieces
-    ]
-    ranks = [RankContext(rank=r, node=r) for r in range(nranks)]
-    comm = SimCommunicator(ranks, Network(TITAN.network))
-    injector = FailureInjector()
-    # tear the migration where the journal is at its most mixed: some
-    # batches published, none retired
-    injector.arm(site_registry.MIGRATE_PRE_RETIRE, at_hit=1)
-    state = MigrationState()
-    try:
-        repartition(comm, pieces, weights=wlists, injector=injector,
-                    state=state)
-    except SimulatedCrash:
-        pass
-    else:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="setup migration completed without "
-                                   "tearing")
-
-    injector.disarm()
-    injector.reset_hits()
-    injector.arm(site, at_hit=1)
-    fired = False
-    try:
-        recover_migration(state, injector=injector)
-    except SimulatedCrash:
-        fired = True
-    if not fired:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            detail="recovery completed without visiting "
-                                   "the site")
-
-    # second power loss survived: re-run recovery un-armed
-    injector.disarm()
-    recover_migration(state)
-    seen: Dict[int, tuple] = {}
-    for store in state.stores:
-        for loc, row in store.items():
-            if loc in seen:
-                return SweepOutcome(
-                    site=site, fired=True, recovered=False,
-                    detail=f"octant {loc:#x} duplicated across ranks")
-            seen[loc] = tuple(float(v) for v in row)
-    if set(seen) != set(truth):
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"octants lost: {len(truth) - len(seen)} missing")
-    torn = [loc for loc in truth if seen[loc] != truth[loc]]
-    if torn:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"payload torn on {len(torn)} octants")
-    if state.log.in_flight:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"{len(state.log.in_flight)} batches left in flight")
-    pieces2 = state.rebuild_pieces()
-    wlists2 = [
-        np.array([weight_of[int(loc)] for loc in piece.locs])
-        for piece in pieces2
-    ]
-    try:
-        res = repartition(comm, pieces2, weights=wlists2)
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            detail=f"re-driven repartition failed: {exc}")
-    if not res.balanced:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False,
-            detail=f"re-driven cut unbalanced: {res.imbalance_after:.3f}")
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched="recovery-re-driven")
-
-
-def _epoch_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
+def _epoch(site: str, max_steps: int, seed: int) -> Scenario:
     """epoch.*: tear the asynchronous persistence pipeline mid-flight.
 
     The rig runs pipelined (``max_inflight=1``).  Epoch A is persisted and
@@ -715,86 +512,48 @@ def _epoch_driver(site: str, max_steps: int, seed: int) -> SweepOutcome:
     bit-for-bit on epoch B's state (B's drain committed before the tear) or
     epoch A's (it did not) — never a blend, never anything older.
     """
-    rig = _Rig(max_inflight=1)
+    rig = _Rig(max_inflight=1).grow(2)
     tree = rig.tree
-    for _ in range(2):
-        for leaf in list(tree.leaves()):
-            tree.refine(leaf)
+
+    def enqueue(stamp: float) -> None:
+        for i, leaf in enumerate(sorted(tree.leaves())[:4]):
+            tree.set_payload(leaf, (stamp, float(i), 0.0, 0.0))
+        tree.persist(transform=False)
 
     # epoch A: enqueued, then drained to completion -> published
-    for i, leaf in enumerate(sorted(tree.leaves())[:4]):
-        tree.set_payload(leaf, (1.0, float(i), 0.0, 0.0))
-    tree.persist(transform=False)
+    enqueue(1.0)
     tree.drain_persists()
     sig_a = _signature(tree)
-
     # epoch B: enqueued, deliberately left in flight (the signature probe
     # runs unmetered so it does not burn down B's drain window)
-    for i, leaf in enumerate(sorted(tree.leaves())[:4]):
-        tree.set_payload(leaf, (2.0, float(i), 0.0, 0.0))
-    tree.persist(transform=False)
+    enqueue(2.0)
     with tree.unmetered_inspection():
         sig_b = _signature(tree)
 
-    # epoch C: persisted back-to-back so B is still in flight — its persist
-    # call visits every armed pipeline site (overlap while B drains, B's
-    # backpressure settle with the mid-drain and pre-publish sites, then
-    # C's own mid-enqueue site)
-    rig.injector.reset_hits()
-    rig.injector.arm(site, at_hit=1)
-    fired = False
-    try:
+    def act() -> None:
+        # epoch C: persisted back-to-back so B is still in flight
         tree.persist(transform=False)
         tree.drain_persists()
-    except SimulatedCrash:
-        fired = True
-    violations = len(rig.tracker.violations)
-    if not fired:
-        return SweepOutcome(site=site, fired=False, recovered=None,
-                            violations=violations,
-                            detail="pipelined persist never visited the site")
 
-    rig.crash(seed)
-    try:
-        restored = rig.restore()
-        restored.check_invariants()
-    except ReproError as exc:
-        return SweepOutcome(site=site, fired=True, recovered=False,
-                            violations=violations,
-                            detail=f"recovery failed: {exc}")
-    restored_sig = _signature(restored)
-    if restored_sig == sig_b:
-        matched = "epoch-i"
-    elif restored_sig == sig_a:
-        matched = "epoch-i-1"
-    else:
-        return SweepOutcome(
-            site=site, fired=True, recovered=False, violations=violations,
-            detail="restored state is neither epoch i nor epoch i-1 — "
-                   "a blend or an older version",
-        )
-    return SweepOutcome(site=site, fired=True, recovered=True,
-                        matched=matched, violations=violations)
+    return Scenario(
+        rig.injector, act,
+        lambda: [("restored state", rig.power_cycle(seed))],
+        {"epoch-i": sig_b, "epoch-i-1": sig_a},
+        "pipelined persist never visited the site", rig)
 
 
-_DRIVERS: Dict[str, Callable[[str, int, int], SweepOutcome]] = {
-    site_registry.EPOCH_OVERLAP_NEXT_STEP: _epoch_driver,
-    site_registry.EPOCH_ENQUEUE_MID: _epoch_driver,
-    site_registry.EPOCH_DRAIN_MID: _epoch_driver,
-    site_registry.EPOCH_COMMIT_PRE_PUBLISH: _epoch_driver,
-    site_registry.ROOTS_SWAP_MID: _swap_driver,
-    site_registry.MIGRATE_PRE_PUBLISH: _migration_driver,
-    site_registry.MIGRATE_MID_BATCH: _migration_driver,
-    site_registry.MIGRATE_PRE_RETIRE: _migration_driver,
-    site_registry.MIGRATE_RECOVER_MID: _recover_driver,
-    site_registry.MEDIA_REPAIR_PRE_PUBLISH: _media_driver,
-    site_registry.MEDIA_REPAIR_PRE_RETIRE: _media_driver,
-    site_registry.MEDIA_SCRUB_MID: _media_driver,
-    site_registry.REPLICA_BEFORE_PUBLISH: _replica_driver,
-    site_registry.REPLICA_SHIP_BEFORE_SEND: _protocol_driver,
-    site_registry.REPLICA_SHIP_AFTER_APPLY: _protocol_driver,
-    site_registry.REPLICA_SHIP_BEFORE_ACK: _protocol_driver,
-    site_registry.REPLICA_RESYNC_BEGIN: _protocol_driver,
+#: site -> scenario builder; every site not listed runs :func:`_workload`
+_DRIVERS: Dict[str, Callable[[str, int, int], Scenario]] = {
+    site_registry.ROOTS_SWAP_MID: _swap,
+    site_registry.REPLICA_BEFORE_PUBLISH: _replica,
+    site_registry.REPLICA_SHIP_BEFORE_SEND: _protocol,
+    site_registry.REPLICA_SHIP_AFTER_APPLY: _protocol,
+    site_registry.REPLICA_SHIP_BEFORE_ACK: _protocol,
+    site_registry.REPLICA_RESYNC_BEGIN: _protocol,
+    site_registry.MIGRATE_RECOVER_MID: _migration,
+    **dict.fromkeys(site_registry.MIGRATE_SITES, _migration),
+    **dict.fromkeys(site_registry.MEDIA_SITES, _media),
+    **dict.fromkeys(site_registry.EPOCH_SITES, _epoch),
 }
 
 
@@ -802,11 +561,38 @@ _DRIVERS: Dict[str, Callable[[str, int, int], SweepOutcome]] = {
 
 def sweep_site(site: str, max_steps: int = 8,
                seed: Optional[int] = None) -> SweepOutcome:
-    """Arm one site, run its driver, verify recovery."""
+    """Arm one site, run its scenario, verify recovery — the one runner."""
     if seed is None:
         seed = sum(ord(c) for c in site) % 997
-    driver = _DRIVERS.get(site, _workload_driver)
-    return driver(site, max_steps, seed)
+    sc = _DRIVERS.get(site, _workload)(site, max_steps, seed)
+
+    def outcome(fired: bool, recovered: Optional[bool], matched: str = "",
+                detail: str = "") -> SweepOutcome:
+        violations = len(sc.rig.tracker.violations) if sc.rig else 0
+        return SweepOutcome(site, fired, recovered, matched, detail,
+                            violations)
+
+    sc.injector.reset_hits()
+    sc.injector.arm(site, at_hit=1)
+    try:
+        sc.act()
+    except SimulatedCrash:
+        pass
+    else:
+        return outcome(False, None, detail=sc.unfired)
+    matched = ""
+    try:
+        for view, state in sc.recover():
+            label = Scenario.landed_on(state, sc.accepted.items())
+            if label is None or matched not in ("", label):
+                # every view of one recovery must show the same version
+                return outcome(True, False, detail=(
+                    f"{view} is none of: "
+                    f"{matched or ' / '.join(sc.accepted)}"))
+            matched = label
+    except ReproError as exc:
+        return outcome(True, False, detail=f"recovery failed: {exc}")
+    return outcome(True, True, matched)
 
 
 def sweep_all(names: Optional[Sequence[str]] = None,

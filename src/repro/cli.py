@@ -10,7 +10,9 @@
 
 Every command prints the same tables the benchmark suite asserts on.
 ``analyze`` and ``chaos`` exit non-zero on any finding, so CI can gate
-on them.
+on them.  ``chaos`` has one mode: every seeded schedule draws from one
+event pool (kills, partitions, loss bursts, torn migrations, NVBM media
+faults, mid-drain pipeline kills); ``--break-acks`` is its self-test.
 """
 
 from __future__ import annotations
@@ -385,8 +387,7 @@ def _cmd_chaos(args) -> int:
     from repro.harness.report import render_json
 
     report = run_chaos(trials=args.trials, seed=args.seed, steps=args.steps,
-                       break_acks=args.break_acks, only_trial=args.trial,
-                       media=args.media, pipeline=args.pipeline)
+                       break_acks=args.break_acks, only_trial=args.trial)
 
     if args.json:
         sections = {
@@ -556,7 +557,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "chaos",
-        help="run seeded randomized fault schedules against the recovery "
+        help="run seeded randomized fault schedules (host/peer kills, "
+             "partitions, loss bursts, torn migrations, NVBM media faults, "
+             "mid-drain pipeline kills — one pool) against the recovery "
              "stack and assert the fault-tolerance invariants",
     )
     p.add_argument("--trials", type=int, default=25,
@@ -570,12 +573,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--break-acks", action="store_true",
                    help="deliberately ignore protocol acks (harness "
                         "self-test: the run must fail)")
-    p.add_argument("--media", action="store_true",
-                   help="mix NVBM media-fault events (rot/stuck lines, "
-                        "peer-loss-then-rot) into the schedules")
-    p.add_argument("--pipeline", action="store_true",
-                   help="mix mid-drain kills of the asynchronous epoch "
-                        "pipeline into the schedules")
     p.add_argument("--json", action="store_true",
                    help="emit one machine-readable JSON report")
     p.set_defaults(func=_cmd_chaos)

@@ -1,9 +1,11 @@
 """Seeded chaos harness: random fault schedules against the recovery stack.
 
 Each *trial* derives a :class:`ChaosSchedule` from ``(seed, trial)`` — a set
-of per-link fault probabilities plus scheduled events (host kills with or
-without node reboot, replica-peer kills, concurrent host+peer kills,
-partition windows, message-loss bursts) — and runs the droplet workload on a
+of per-link fault probabilities plus scheduled events drawn from one pool
+(host kills with or without node reboot, replica-peer kills, concurrent
+host+peer kills, partition windows, message-loss bursts, torn octant
+migrations, NVBM media faults, mid-drain kills of the epoch pipeline) — and
+runs the droplet workload on a
 :class:`~repro.parallel.cluster.SimulatedCluster` whose interconnect obeys
 that schedule.  After every recovery, and again at the end of the trial, the
 harness asserts the fault-tolerance invariants:
@@ -13,7 +15,15 @@ harness asserts the fault-tolerance invariants:
   last acknowledged ship (replica restore);
 * replica protection is re-established on a live peer after every recovery,
   or the trial ends in an explicit :class:`~repro.core.recovery.Degraded`
-  outcome — never an unhandled exception.
+  outcome — never an unhandled exception;
+* a media fault that strikes a protected session is repaired without
+  changing a payload byte; one that strikes while the replica lags (or is
+  gone) ends the trial ``degraded`` naming what was lost — never silently.
+
+Crash verdicts are shared with the sweep (:mod:`repro.analysis.sweep`): a
+mid-drain kill *is* ``sweep_site``, a restored tree is located among the
+persisted versions by ``Scenario.landed_on``, a torn migration is judged
+by :func:`~repro.parallel.partition.audit_migration`.
 
 A failing trial is *shrunk*: events are removed one at a time (and the link
 faults zeroed) while the failure reproduces, yielding a minimal seeded
@@ -28,22 +38,40 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.analysis.sweep import Scenario, sweep_site
 from repro.config import PMOctreeConfig, SolverConfig, TITAN
 from repro.core.api import pm_create
 from repro.core.pmoctree import SLOT_PREV
 from repro.core.recovery import Degraded, recover_host, reprotect, scrub
-from repro.core.replication import RetryPolicy
-from repro.errors import ReplicationTimeoutError, ReproError
+from repro.core.replication import RetryPolicy, choose_replica_peer
+from repro.errors import (
+    PartitionError,
+    ReplicationTimeoutError,
+    ReproError,
+    SimulatedCrash,
+)
+from repro.nvbm import sites as site_registry
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
+from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import NULL_HANDLE, index_of, is_nvbm
+from repro.octree.linear import LinearOctree
 from repro.parallel.cluster import SimulatedCluster
 from repro.parallel.detector import DetectorConfig, FailureDetector
 from repro.parallel.faults import LinkFaults, NetworkFaultPlan
+from repro.parallel.partition import (
+    MigrationState,
+    audit_migration,
+    recover_migration,
+    repartition,
+)
+from repro.parallel.simmpi import SimCommunicator
+from repro.solver.features import partition_work_weights
 from repro.solver.simulation import DropletSimulation
 
-#: Event kinds a schedule may contain, with selection weights.
+#: Event kinds a schedule may contain, with selection weights — one pool,
+#: every trial can draw any of them.
 _EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
     ("kill_host", 4),
     ("kill_peer", 3),
@@ -51,25 +79,21 @@ _EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
     ("partition", 3),
     ("loss_burst", 3),
     ("kill_migration", 2),
-)
-
-#: Extra kinds mixed in by ``--media`` runs: a published NVBM line rots or
-#: sticks and the scrub/repair ladder must handle it — including the
-#: no-redundancy case, where the protecting peer is killed *first* and the
-#: trial must end ``degraded``, never silently corrupt.
-_MEDIA_EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
+    # a published NVBM line rots or sticks and the scrub/repair ladder must
+    # handle it — including the no-redundancy case, where the protecting
+    # peer is killed *first* and the trial must end ``degraded``, never
+    # silently corrupt
     ("media_rot", 3),
     ("media_stuck", 3),
     ("kill_peer_then_rot", 2),
-)
-
-#: Extra kinds mixed in by ``--pipeline`` runs: the simulated power cord is
-#: pulled while an epoch's flush train is still draining behind the solver,
-#: at one of the ``epoch.*`` crash sites — recovery must land bit-for-bit
-#: on epoch i or epoch i-1, never a blend.
-_PIPELINE_EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
+    # the simulated power cord is pulled while an epoch's flush train is
+    # still draining behind the solver, at one of the ``epoch.*`` crash
+    # sites — recovery must land bit-for-bit on epoch i or epoch i-1
     ("kill_mid_drain", 2),
 )
+
+#: The kinds that plant an NVBM media fault (``drop`` picks the victim).
+_MEDIA_KINDS = ("media_rot", "media_stuck", "kill_peer_then_rot")
 
 
 @dataclass
@@ -78,8 +102,8 @@ class ChaosEvent:
 
     ``returns`` only applies to ``kill_host`` (the node reboots and its NVBM
     survives); ``duration`` (steps) and ``drop`` only to windowed kinds;
-    ``site`` only to ``kill_migration`` (which ``migrate.*`` crash site
-    tears the octant-migration protocol).
+    ``site`` only to ``kill_migration`` / ``kill_mid_drain`` (which
+    ``migrate.*`` / ``epoch.*`` crash site tears the protocol).
     """
 
     kind: str
@@ -111,8 +135,6 @@ class ChaosSchedule:
     steps: int
     faults: LinkFaults
     events: Tuple[ChaosEvent, ...]
-    media: bool = False      #: schedule drawn from the media-fault kind pool
-    pipeline: bool = False   #: schedule drawn from the epoch-pipeline pool
 
     def describe(self) -> str:
         evs = ", ".join(e.describe() for e in self.events) or "none"
@@ -121,16 +143,8 @@ class ChaosSchedule:
                 f"delay={self.faults.delay:.3f}) events=[{evs}]")
 
 
-def derive_schedule(seed: int, trial: int, steps: int = 10,
-                    media: bool = False,
-                    pipeline: bool = False) -> ChaosSchedule:
-    """The schedule for one trial — pure function of ``(seed, trial)``.
-
-    ``media`` widens the kind pool with :data:`_MEDIA_EVENT_KINDS` and
-    ``pipeline`` with :data:`_PIPELINE_EVENT_KINDS`; with both off the
-    function is byte-for-byte the original derivation, so existing seeded
-    reproducers stay valid.
-    """
+def derive_schedule(seed: int, trial: int, steps: int = 10) -> ChaosSchedule:
+    """The schedule for one trial — pure function of ``(seed, trial)``."""
     rng = random.Random(f"chaos:{seed}:{trial}")
     faults = LinkFaults(
         drop=round(rng.uniform(0.0, 0.25), 3),
@@ -138,13 +152,7 @@ def derive_schedule(seed: int, trial: int, steps: int = 10,
         delay=round(rng.uniform(0.0, 0.30), 3),
         delay_ns=20_000.0,
     )
-    pool = _EVENT_KINDS
-    if media:
-        pool = pool + _MEDIA_EVENT_KINDS
-    if pipeline:
-        pool = pool + _PIPELINE_EVENT_KINDS
-    kinds = [k for k, _ in pool]
-    weights = [w for _, w in pool]
+    kinds, weights = zip(*_EVENT_KINDS)
     events: List[ChaosEvent] = []
     # Leave quiet steps at the tail so post-recovery re-replication has a
     # fault-free-ish window to converge in before the end-of-trial check.
@@ -159,22 +167,17 @@ def derive_schedule(seed: int, trial: int, steps: int = 10,
             if kind == "loss_burst":
                 ev.drop = round(rng.uniform(0.50, 0.85), 3)
         elif kind == "kill_migration":
-            from repro.nvbm import sites as site_registry
-
             ev.site = rng.choice(site_registry.MIGRATE_SITES)
         elif kind == "kill_mid_drain":
-            from repro.nvbm import sites as site_registry
-
             ev.site = rng.choice(site_registry.EPOCH_SITES)
-        elif kind in ("media_rot", "media_stuck", "kill_peer_then_rot"):
+        elif kind in _MEDIA_KINDS:
             # drop doubles as the deterministic victim selector: the event
             # targets published record floor(drop * n) of the sorted set
             ev.drop = round(rng.random(), 3)
         events.append(ev)
     events.sort(key=lambda e: (e.step, e.kind))
     return ChaosSchedule(seed=seed, trial=trial, steps=steps,
-                         faults=faults, events=tuple(events), media=media,
-                         pipeline=pipeline)
+                         faults=faults, events=tuple(events))
 
 
 @dataclass
@@ -192,9 +195,6 @@ class TrialResult:
     ships: int = 0
     retries: int = 0
     resyncs: int = 0
-    duplicates_ignored: int = 0
-    acks_lost: int = 0
-    deltas_lost: int = 0
     wait_ns: float = 0.0
     schedule: Optional[ChaosSchedule] = None
 
@@ -216,21 +216,14 @@ class TrialResult:
         }
 
 
-def _signature(tree) -> Dict[int, tuple]:
-    return {loc: tuple(tree.get_payload(loc)) for loc in tree.leaves()}
-
-
-def _index_of(sig: Dict[int, tuple], history: List[Dict[int, tuple]]) -> int:
-    for i in reversed(range(len(history))):
-        if history[i] == sig:
-            return i
-    return -1
-
-
 class _TrialState:
     """Mutable wiring of one running trial (who serves, who protects)."""
 
-    def __init__(self) -> None:
+    def __init__(self, cluster, policy: RetryPolicy,
+                 break_acks: bool) -> None:
+        self.cluster = cluster
+        self.policy = policy
+        self.break_acks = break_acks
         self.host_rank = 0
         self.tree = None
         self.session = None
@@ -240,7 +233,6 @@ class _TrialState:
         self.history: List[Dict[int, tuple]] = []
         self.last_acked_idx = -1     #: history index of last acked ship
         self.degraded: Optional[Degraded] = None
-        self.recoveries = 0
 
     def adopt_session(self, session, peer: Optional[int]) -> None:
         self.session = session
@@ -249,29 +241,47 @@ class _TrialState:
             self.replica_peer = peer
             self.replica_store = session.replica
 
+    @property
+    def protected(self) -> bool:
+        return self.session is not None and self.session.protected
+
     def note_acked_if_protected(self) -> None:
-        if self.session is not None and self.session.protected:
+        if self.protected:
             self.last_acked_idx = len(self.history) - 1
 
+    def reprotect(self) -> None:
+        """Re-replicate onto a freshly chosen live peer, if there is one."""
+        session, peer, _ = reprotect(self.cluster, self.tree, self.host_rank,
+                                     policy=self.policy,
+                                     break_acks=self.break_acks)
+        self.adopt_session(session, peer)
+        self.note_acked_if_protected()
 
-def _exercise_mid_drain_kill(site: str, seed: int, result) -> None:
-    """Pull the cord at an ``epoch.*`` site while a flush train drains.
+    def reship(self) -> None:
+        """Ship the published version through the live session.  A timeout
+        leaves the host unprotected, not failed — the local version is
+        committed either way and the next persist retries the ship."""
+        try:
+            self.session.ship()
+        except ReplicationTimeoutError:
+            pass
+        self.note_acked_if_protected()
 
-    Runs the epoch-overlap sweep driver on a fresh pipelined mini-rig:
-    epoch A is persisted and fully drained, epoch B is left in flight, and
-    a third persist tears at ``site``.  Recovery must land bit-for-bit on
-    epoch i or epoch i-1 — any blend, any older version, or a site that
-    never fires is a trial violation.
-    """
-    from repro.analysis.sweep import _epoch_driver
+    def kill_peer(self) -> bool:
+        """Kill the protecting peer's node; False when nobody protects."""
+        peer = self.replica_peer
+        if peer is None or not self.cluster.ranks[peer].alive:
+            return False
+        self.cluster.kill_node(self.cluster.ranks[peer].node)
+        return True
 
-    out = _epoch_driver(site, max_steps=8, seed=seed)
-    if not out.fired:
-        result.violations.append(f"{site}: mid-drain kill never fired")
-    elif not out.recovered or out.matched not in ("epoch-i", "epoch-i-1"):
-        result.violations.append(
-            f"{site}: recovery landed on neither epoch i nor i-1 "
-            f"({out.detail or out.matched})")
+    def drop_protection(self) -> None:
+        """Nobody protects the host any more: forget session, store, peer."""
+        self.session = None
+        self.replica_store = None
+        self.replica_peer = None
+        self.tree.replicator = None
+        self.tree.replica = None
 
 
 def _exercise_migration_kill(cluster, tree, site: str, result) -> None:
@@ -281,22 +291,12 @@ def _exercise_migration_kill(cluster, tree, site: str, result) -> None:
     rank owning most of the curve, so the weighted cut must ship real
     batches), the repartition runs with the crash site armed — over the
     trial's own lossy interconnect — and after the simulated power loss
-    :func:`repro.parallel.partition.recover_migration` must leave every
-    octant in exactly one rank's store with its payload intact and an empty
-    in-flight journal; the repartition is then re-driven to completion.
+    :func:`repro.parallel.partition.recover_migration` must restore the
+    migration invariant (:func:`repro.parallel.partition.audit_migration`:
+    every octant in exactly one rank's store with its payload intact, an
+    empty in-flight journal, the repartition re-driven to completion).
     Any breach is a trial violation.
     """
-    from repro.errors import PartitionError, SimulatedCrash
-    from repro.nvbm.failure import FailureInjector
-    from repro.octree.linear import LinearOctree
-    from repro.parallel.partition import (
-        MigrationState,
-        recover_migration,
-        repartition,
-    )
-    from repro.parallel.simmpi import SimCommunicator
-    from repro.solver.features import partition_work_weights
-
     live = [c for c in cluster.ranks if c.alive]
     lin = LinearOctree.from_tree(tree)
     nl = len(live)
@@ -322,44 +322,20 @@ def _exercise_migration_kill(cluster, tree, site: str, result) -> None:
     except ReproError:
         return  # partition window / dead link: migration legitimately refused
     else:
-        result.violations.append(
-            f"migration crash site {site} never fired")
+        result.violations.append(f"migration crash site {site} never fired")
         return
-    injector.disarm()
     recover_migration(state)
-    seen: Dict[int, tuple] = {}
-    for store in state.stores:
-        for loc, row in store.items():
-            if loc in seen:
-                result.violations.append(
-                    f"{site}: octant {loc:#x} duplicated across ranks")
-                return
-            seen[int(loc)] = tuple(float(v) for v in row)
-    if set(seen) != set(truth):
-        result.violations.append(
-            f"{site}: {len(truth) - len(seen)} octants lost in migration")
-    elif any(seen[loc] != truth[loc] for loc in truth):
-        result.violations.append(f"{site}: migrated payloads torn")
-    elif state.log.in_flight:
-        result.violations.append(
-            f"{site}: {len(state.log.in_flight)} batches left in flight "
-            f"after recovery")
-    else:
-        wmap = state.weight_of
-        pieces2 = state.rebuild_pieces()
-        wlists2 = [
-            [wmap[int(loc)] for loc in piece.locs] for piece in pieces2
-        ]
-        try:
-            repartition(comm, pieces2, weights=wlists2)
-        except PartitionError as exc:
-            if "undeliverable" not in str(exc):
-                result.violations.append(
-                    f"{site}: re-driven repartition failed: {exc}")
-            # an unhealed partition window starving the retries is an
-            # interconnect fault, not a recovery bug
-        except ReproError:
-            pass  # interconnect faults again; recovery itself held
+    try:
+        breach = audit_migration(state, truth, comm)
+    except PartitionError as exc:
+        # an unhealed partition window starving the retries is an
+        # interconnect fault, not a recovery bug
+        breach = (None if "undeliverable" in str(exc)
+                  else f"re-driven repartition failed: {exc}")
+    except ReproError:
+        breach = None  # interconnect faults again; recovery itself held
+    if breach:
+        result.violations.append(f"{site}: {breach}")
 
 
 def _detect_failure(cluster, dead_rank: int) -> bool:
@@ -393,7 +369,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
     spec = replace(TITAN, cores_per_node=1)
     cluster = SimulatedCluster(4, spec=spec, fault_plan=plan)
 
-    st = _TrialState()
+    st = _TrialState(cluster, policy, break_acks)
     ctx0 = cluster.ranks[0]
     pmcfg = PMOctreeConfig(dram_capacity_octants=4096)
     st.tree = pm_create(ctx0.resources["dram"], ctx0.resources["nvbm"],
@@ -404,7 +380,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             sim_.tree.persist(transform=False)
         except ReplicationTimeoutError:
             pass  # local persist committed; remote protection stalled
-        st.history.append(_signature(sim_.tree))
+        st.history.append(Scenario.signature(sim_.tree))
         st.note_acked_if_protected()
 
     solver = SolverConfig(dim=2, min_level=2, max_level=4, dt=0.01)
@@ -413,28 +389,13 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
     sim.construct()
     persist_cb(sim)
 
-    session, peer, _ = reprotect(cluster, st.tree, st.host_rank,
-                                 policy=policy, break_acks=break_acks)
-    st.adopt_session(session, peer)
-    st.note_acked_if_protected()
+    st.reprotect()
 
-    open_windows: List[Tuple[int, object]] = []   # (heal_step, window)
-    burst_links: List[Tuple[int, tuple]] = []     # (end_step, link_key)
-    by_step: Dict[int, List[ChaosEvent]] = {}
-    for ev in schedule.events:
-        by_step.setdefault(ev.step, []).append(ev)
+    #: (step, undo) of every open partition window and loss-burst link
+    expiries: List[Tuple[int, Callable[[], object]]] = []
 
     def now() -> float:
         return cluster.ranks[st.host_rank].clock.now_ns
-
-    def rewire_after_recovery(rec) -> None:
-        st.tree = rec.tree
-        st.host_rank = rec.host_rank
-        st.adopt_session(rec.session, rec.replica_peer)
-        sim.tree = rec.tree
-        sim.clock = cluster.ranks[rec.host_rank].clock
-        if hasattr(rec.tree, "register_feature"):
-            rec.tree.register_feature(sim._next_step_feature)
 
     def check_restore(rec) -> None:
         try:
@@ -442,14 +403,15 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         except ReproError as exc:
             result.violations.append(f"restored tree inconsistent: {exc}")
             return
-        sig = _signature(rec.tree)
-        idx = _index_of(sig, st.history)
+        # which persisted version is this — the newest one that matches
+        idx = Scenario.landed_on(Scenario.signature(rec.tree),
+                                 reversed(list(enumerate(st.history))))
         if rec.kind == "local":
             if idx != len(st.history) - 1:
                 result.violations.append(
                     "local restore does not match the last persisted version")
         else:
-            if idx < 0:
+            if idx is None:
                 result.violations.append(
                     "replica restore matches no persisted version")
             elif idx < st.last_acked_idx:
@@ -460,16 +422,8 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             del st.history[idx + 1:]
             st.last_acked_idx = min(st.last_acked_idx, idx)
 
-    def media_model() -> MediaFaultModel:
-        """The current host arena's fault model (attached on first use)."""
-        dev = cluster.ranks[st.host_rank].resources["nvbm"].device
-        if dev.fault_model is None:
-            dev.attach_fault_model(MediaFaultModel(
-                seed=schedule.seed * 7919 + schedule.trial))
-        return dev.fault_model
-
-    def pick_victim(ev: ChaosEvent) -> Tuple[Optional[int], int]:
-        """Deterministic victim: a published record and its first line.
+    def pick_victim(ev: ChaosEvent) -> Optional[int]:
+        """Deterministic victim: the first line of a published record.
 
         ``kill_peer_then_rot`` always condemns the published *root* — an
         internal record the local clean-leaf rung can never rebuild, so
@@ -478,46 +432,49 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         nvbm = cluster.ranks[st.host_rank].resources["nvbm"]
         root = nvbm.roots.get(SLOT_PREV)
         if root == NULL_HANDLE or not is_nvbm(root):
-            return None, 0
-        if ev.kind == "kill_peer_then_rot":
-            return root, index_of(root) * LINES_PER_RECORD
-        published = sorted(st.tree.reachable_from(root))
-        target = published[int(ev.drop * len(published)) % len(published)]
-        return target, index_of(target) * LINES_PER_RECORD
+            return None
+        if ev.kind != "kill_peer_then_rot":
+            published = sorted(st.tree.reachable_from(root))
+            root = published[int(ev.drop * len(published)) % len(published)]
+        return index_of(root) * LINES_PER_RECORD
 
     def apply_media_fault(ev: ChaosEvent, step: int) -> None:
-        before = _signature(st.tree)
-        if ev.kind == "kill_peer_then_rot" and st.replica_peer is not None \
-                and cluster.ranks[st.replica_peer].alive:
-            cluster.kill_node(cluster.ranks[st.replica_peer].node)
-            st.session = None
-            st.replica_store = None
-            st.replica_peer = None
-            st.tree.replicator = None
-            st.tree.replica = None
-        target, gline = pick_victim(ev)
-        if target is None:
+        before = Scenario.signature(st.tree)
+        if ev.kind == "kill_peer_then_rot" and st.kill_peer():
+            st.drop_protection()
+        # The repair ladder looks the bad record up *by handle* in the
+        # replica, and the replica holds what the last acked ship carried:
+        # only a protected session guarantees the fault is repairable.
+        protected = st.protected
+        gline = pick_victim(ev)
+        if gline is None:
             return  # nothing published yet; the fault has nothing to hit
-        model = media_model()
+        dev = cluster.ranks[st.host_rank].resources["nvbm"].device
+        if dev.fault_model is None:  # attached on the host's first fault
+            dev.attach_fault_model(MediaFaultModel(
+                seed=schedule.seed * 7919 + schedule.trial))
         if ev.kind == "media_stuck":
-            model.plant_stuck(gline)
+            dev.fault_model.plant_stuck(gline)
         else:
-            model.plant_rot(gline)
+            dev.fault_model.plant_rot(gline)
         report = scrub(st.tree, replica=st.replica_store)
         if report.unrepaired:
-            if st.replica_store is not None:
+            lost = [hex(loc) for loc in report.unrepaired]
+            if protected:
                 result.violations.append(
-                    f"{ev.kind}: media fault unrepaired despite a live "
-                    f"replica: locs {[hex(loc) for loc in report.unrepaired]}")
-            else:
-                # graceful degradation: the loss is declared, never silent
-                st.degraded = Degraded(
-                    reason=f"NVBM media fault at step {step} with no "
-                           f"replica left: {len(report.unrepaired)} "
-                           f"subtree(s) unreadable",
-                    lost_locs=report.unrepaired)
+                    f"{ev.kind}: media fault unrepaired despite a protected "
+                    f"replica: locs {lost}")
+                return
+            # graceful degradation: the loss is declared, never silent
+            why = ("with no replica left" if st.replica_store is None else
+                   "while the replica lags the published version (last "
+                   f"ship unacknowledged; lost locs {lost})")
+            st.degraded = Degraded(
+                reason=f"NVBM media fault at step {step} {why}: "
+                       f"{len(report.unrepaired)} subtree(s) unreadable",
+                lost_locs=report.unrepaired)
             return
-        if _signature(st.tree) != before:
+        if Scenario.signature(st.tree) != before:
             result.violations.append(
                 f"{ev.kind}: media repair changed payload bytes")
             return
@@ -526,15 +483,21 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         except ReproError as exc:
             result.violations.append(
                 f"{ev.kind}: tree inconsistent after media repair: {exc}")
+            return
+        if report.relocated and st.session is not None:
+            # mandatory reprotect after every recovery: the repair
+            # republished the root->bad chain under fresh handles the
+            # replica has never seen, so a back-to-back fault on it would
+            # find nothing to rebuild from
+            st.reship()
 
     def apply_event(ev: ChaosEvent, step: int) -> None:
         result.events_applied.append(ev.describe())
-        if ev.kind in ("media_rot", "media_stuck", "kill_peer_then_rot"):
+        if ev.kind in _MEDIA_KINDS:
             apply_media_fault(ev, step)
         elif ev.kind in ("kill_host", "kill_both"):
-            if ev.kind == "kill_both" and st.replica_peer is not None \
-                    and cluster.ranks[st.replica_peer].alive:
-                cluster.kill_node(cluster.ranks[st.replica_peer].node)
+            if ev.kind == "kill_both":
+                st.kill_peer()  # the host dies next: nothing left to rewire
             dead = st.host_rank
             cluster.kill_node(cluster.ranks[dead].node)
             if not any(c.alive for c in cluster.ranks):
@@ -560,34 +523,39 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             if rec.degraded:
                 st.degraded = rec
                 return
-            st.recoveries += 1
+            result.recoveries += 1
             check_restore(rec)
-            rewire_after_recovery(rec)
+            # rewire the trial onto the recovered tree and its new host
+            st.tree = sim.tree = rec.tree
+            st.host_rank = rec.host_rank
+            st.adopt_session(rec.session, rec.replica_peer)
+            sim.clock = cluster.ranks[rec.host_rank].clock
+            rec.tree.register_feature(sim._next_step_feature)
         elif ev.kind == "kill_peer":
-            if st.replica_peer is None \
-                    or not cluster.ranks[st.replica_peer].alive:
+            if not st.kill_peer():
                 return  # nothing protecting us; nothing to kill
-            cluster.kill_node(cluster.ranks[st.replica_peer].node)
-            st.session = None
-            st.replica_store = None
-            st.replica_peer = None
-            st.tree.replicator = None
-            st.tree.replica = None
-            session, peer, _ = reprotect(cluster, st.tree, st.host_rank,
-                                         policy=policy,
-                                         break_acks=break_acks)
-            st.adopt_session(session, peer)
-            st.note_acked_if_protected()
+            st.drop_protection()
+            st.reprotect()
         elif ev.kind == "partition":
             others = [c.rank for c in cluster.ranks
                       if c.alive and c.rank != st.host_rank]
             w = plan.start_partition([[st.host_rank], others], now())
-            open_windows.append((step + ev.duration, w))
+            expiries.append((step + ev.duration, lambda: w.heal(now())))
         elif ev.kind == "kill_migration":
             _exercise_migration_kill(cluster, st.tree, ev.site, result)
         elif ev.kind == "kill_mid_drain":
-            _exercise_mid_drain_kill(
-                ev.site, schedule.seed * 8191 + schedule.trial, result)
+            # pull the cord at an ``epoch.*`` site while a flush train
+            # drains — the site's sweep scenario on a fresh pipelined rig:
+            # recovery must land bit-for-bit on epoch i or i-1
+            out = sweep_site(ev.site,
+                             seed=schedule.seed * 8191 + schedule.trial)
+            if not out.fired:
+                result.violations.append(
+                    f"{ev.site}: mid-drain kill never fired")
+            elif not out.recovered:
+                result.violations.append(
+                    f"{ev.site}: recovery landed on neither epoch i nor "
+                    f"i-1 ({out.detail})")
         elif ev.kind == "loss_burst":
             burst = LinkFaults(drop=ev.drop)
             targets = [c.rank for c in cluster.ranks
@@ -596,29 +564,22 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
                 for key in ((st.host_rank, t), (t, st.host_rank)):
                     if key not in plan.links:
                         plan.links[key] = burst
-                        burst_links.append((step + ev.duration, key))
+                        expiries.append((
+                            step + ev.duration,
+                            lambda key=key: plan.links.pop(key, None)))
 
     for step in range(1, schedule.steps + 1):
-        for heal_step, w in list(open_windows):
-            if step >= heal_step:
-                w.heal(now())
-                open_windows.remove((heal_step, w))
-        for end_step, key in list(burst_links):
-            if step >= end_step:
-                plan.links.pop(key, None)
-                burst_links.remove((end_step, key))
-        for ev in by_step.get(step, ()):
+        for due, undo in [e for e in expiries if step >= e[0]]:
+            undo()
+            expiries.remove((due, undo))
+        for ev in (e for e in schedule.events if e.step == step):
             apply_event(ev, step)
             if st.degraded is not None:
                 break
         if st.degraded is not None or result.violations:
             break
         if st.session is None:
-            session, peer, _ = reprotect(cluster, st.tree, st.host_rank,
-                                         policy=policy,
-                                         break_acks=break_acks)
-            st.adopt_session(session, peer)
-            st.note_acked_if_protected()
+            st.reprotect()
         sim.step()
         result.steps_run = step
 
@@ -628,43 +589,26 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         result.degraded_reason = st.degraded.reason
     elif not result.violations:
         for _ in range(3):
-            if st.session is not None and st.session.protected:
+            if st.session is not None and not st.protected:
+                st.reship()
+            if st.protected:
                 break
-            if st.session is not None:
-                try:
-                    st.session.ship()
-                    st.note_acked_if_protected()
-                    continue
-                except ReplicationTimeoutError:
-                    st.session = None
-                    st.tree.replicator = None
-            session, peer, _ = reprotect(cluster, st.tree, st.host_rank,
-                                         policy=policy,
-                                         break_acks=break_acks)
-            st.adopt_session(session, peer)
-            st.note_acked_if_protected()
-        if st.session is not None and st.session.protected:
+            st.drop_protection()  # the ship timed out: try a fresh peer
+            st.reprotect()
+        if st.protected:
             result.outcome = "protected"
+        elif choose_replica_peer(cluster, st.host_rank) is None:
+            result.outcome = "degraded"
+            result.degraded_reason = "no live peer for re-replication"
         else:
-            from repro.core.replication import choose_replica_peer
-
-            if choose_replica_peer(cluster, st.host_rank) is None:
-                result.outcome = "degraded"
-                result.degraded_reason = "no live peer for re-replication"
-            else:
-                result.violations.append(
-                    "replica protection not re-established despite a live "
-                    "peer")
+            result.violations.append(
+                "replica protection not re-established despite a live peer")
     if result.violations:
         result.outcome = "failed"
-    result.recoveries = st.recoveries
     for s in st.sessions:
         result.ships += s.stats.ships
         result.retries += s.stats.retries
         result.resyncs += s.stats.resyncs
-        result.duplicates_ignored += s.stats.duplicates_ignored
-        result.acks_lost += s.stats.acks_lost
-        result.deltas_lost += s.stats.deltas_lost
         result.wait_ns += s.stats.wait_ns
     return result
 
@@ -685,8 +629,6 @@ def shrink_schedule(schedule: ChaosSchedule,
         return not run_trial(cand, break_acks=break_acks).ok
 
     current = schedule
-    if not fails(current):  # pragma: no cover - caller guarantees failure
-        return current
     changed = True
     while changed:
         changed = False
@@ -711,7 +653,6 @@ class ChaosReport:
 
     seed: int
     trials: List[TrialResult]
-    break_acks: bool = False
     reproducer: Optional[Dict[str, object]] = None
 
     @property
@@ -729,20 +670,13 @@ class ChaosReport:
 
 def run_chaos(trials: int = 25, seed: int = 0, steps: int = 10,
               break_acks: bool = False,
-              only_trial: Optional[int] = None,
-              media: bool = False,
-              pipeline: bool = False) -> ChaosReport:
+              only_trial: Optional[int] = None) -> ChaosReport:
     """Run ``trials`` seeded trials; shrink the first failure found.
-
-    ``only_trial`` replays a single trial index (the reproducer path);
-    ``media`` mixes NVBM media-fault events into the schedules and
-    ``pipeline`` mixes mid-drain kills of the epoch persistence pipeline.
-    """
-    report = ChaosReport(seed=seed, trials=[], break_acks=break_acks)
+    ``only_trial`` replays a single trial index (the reproducer path)."""
+    report = ChaosReport(seed=seed, trials=[])
     indices = [only_trial] if only_trial is not None else range(trials)
     for t in indices:
-        schedule = derive_schedule(seed, t, steps=steps, media=media,
-                                   pipeline=pipeline)
+        schedule = derive_schedule(seed, t, steps=steps)
         result = run_trial(schedule, break_acks=break_acks)
         report.trials.append(result)
         if not result.ok and report.reproducer is None:
@@ -751,10 +685,6 @@ def run_chaos(trials: int = 25, seed: int = 0, steps: int = 10,
                    f"--steps {steps}")
             if break_acks:
                 cmd += " --break-acks"
-            if media:
-                cmd += " --media"
-            if pipeline:
-                cmd += " --pipeline"
             report.reproducer = {
                 "seed": seed,
                 "trial": t,

@@ -242,6 +242,41 @@ def recover_migration(state: MigrationState,
     return rec
 
 
+def audit_migration(state: MigrationState, truth: Dict[int, tuple],
+                    comm: SimCommunicator) -> Optional[str]:
+    """The migration invariant, checked after :func:`recover_migration`.
+
+    ``truth`` is the forest's ``{loc: payload}`` before the torn migration.
+    Returns the first breach as text, ``None`` when the invariant holds:
+    no octant in two ranks' stores, none lost, every payload intact, the
+    journal empty, and the repartition — simply re-driven over ``comm``
+    from the recovered stores — completes with a balanced cut.  A re-drive
+    the interconnect refuses raises its :class:`~repro.errors.ReproError`;
+    whether that is a finding is the caller's call (a lossy chaos link is
+    not a recovery bug).
+    """
+    seen: Dict[int, tuple] = {}
+    for store in state.stores:
+        for loc, row in store.items():
+            if loc in seen:
+                return f"octant {loc:#x} duplicated across ranks"
+            seen[int(loc)] = tuple(float(v) for v in row)
+    if set(seen) != set(truth):
+        return f"octants lost: {len(truth) - len(seen)} missing"
+    torn = sum(seen[loc] != tuple(truth[loc]) for loc in truth)
+    if torn:
+        return f"payload torn on {torn} octants"
+    if state.log.in_flight:
+        return f"{len(state.log.in_flight)} batches left in flight"
+    pieces = state.rebuild_pieces()
+    res = repartition(comm, pieces, weights=[
+        [state.weight_of[int(loc)] for loc in piece.locs]
+        for piece in pieces])
+    if not res.balanced:
+        return f"re-driven cut unbalanced: {res.imbalance_after:.3f}"
+    return None
+
+
 # ------------------------------------------------------------- repartition
 
 def _incremental_cut_indices(weights: np.ndarray, old_bounds: np.ndarray,
@@ -410,7 +445,7 @@ def repartition(comm: SimCommunicator,
             f"octants lost in flight: had {total}, "
             f"now {state.total_octants()}")
     if len(state.all_locs()) != total:
-        raise PartitionError("octants duplicated across ranks")
+        raise PartitionError("octants owned by more than one rank")
     new_loads = state.loads()
     imbalance_after = (max(new_loads) / mean_load) if mean_load > 0 else 1.0
     if obs is not None:

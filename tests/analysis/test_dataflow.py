@@ -162,8 +162,8 @@ def test_unregistered_site_does_not_cover(result):
 # ------------------------------------------------- the tree's own verdict
 
 @pytest.fixture(scope="module")
-def repo_result():
-    return analyze_paths([Path(__file__).parents[2] / "src" / "repro"])
+def repo_result(repo_analysis):
+    return repo_analysis
 
 
 def test_real_tree_is_clean(repo_result):

@@ -2,8 +2,10 @@
 driver, fire, and recover onto a persisted state."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis import sweep_all, sweep_site, trace_run
+from repro.analysis import sweep, sweep_all, sweep_site, trace_run
 from repro.analysis.sweep import SweepOutcome
 from repro.nvbm import sites
 
@@ -38,6 +40,21 @@ def test_post_commit_sites_land_on_the_committed_version(outcomes):
         "committed-at-crash"
     # a crash before the flush must fall back to the previous persist
     assert outcomes[sites.PERSIST_BEFORE_FLUSH].matched == "last-persist"
+
+
+@settings(max_examples=100, deadline=None)
+@given(site=st.sampled_from(sorted(sites.all_sites())),
+       seed=st.integers(0, 2 ** 16 - 1))
+def test_generated_seeds_go_through_the_one_runner(site, seed):
+    """Any (site, seed) — not only each site's default seed — holds the
+    one rule: recovery lands on a state its scenario accepts, and the run
+    is a pure function of the pair."""
+    out = sweep_site(site, seed=seed)
+    assert out.ok, out.detail
+    assert sweep_site(site, seed=seed) == out
+    if out.fired:
+        scenario = sweep._DRIVERS.get(site, sweep._workload)(site, 8, seed)
+        assert out.matched in scenario.accepted
 
 
 def test_unreached_site_reports_not_fired():

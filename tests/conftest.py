@@ -9,6 +9,16 @@ from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree.tree import PointerOctree
 
 
+@pytest.fixture(scope="session")
+def repo_analysis():
+    """The interprocedural pass over the real ``src/repro`` tree, computed
+    once per session (~10 s): the dataflow verdict tests and the CLI golden
+    snapshot read the same result."""
+    from repro.analysis import analyze_repo
+
+    return analyze_repo()
+
+
 @pytest.fixture
 def clock():
     return SimClock()

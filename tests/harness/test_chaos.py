@@ -37,9 +37,13 @@ def test_schedule_shape():
         for ev in sched.events:
             assert 2 <= ev.step <= 7
             assert ev.kind in ("kill_host", "kill_peer", "kill_both",
-                               "partition", "loss_burst", "kill_migration")
+                               "partition", "loss_burst", "kill_migration",
+                               "media_rot", "media_stuck",
+                               "kill_peer_then_rot", "kill_mid_drain")
             if ev.kind == "kill_migration":
                 assert ev.site.startswith("migrate.")
+            if ev.kind == "kill_mid_drain":
+                assert ev.site.startswith("epoch.")
         assert 0.0 <= sched.faults.drop <= 0.25
         assert 0.0 <= sched.faults.duplicate <= 0.15
         assert sched.describe()   # human-readable, never raises

@@ -1,7 +1,6 @@
-"""Chaos `--pipeline` mode: mid-drain kills of the asynchronous epoch
-pipeline mix into the schedules, recovery must land on a whole epoch, and
-everything the determinism contract promises still holds — including that
-runs *without* the flag derive byte-identical schedules to before."""
+"""Mid-drain kills of the asynchronous epoch pipeline are part of the one
+chaos pool: recovery must land on a whole epoch, and everything the
+determinism contract promises still holds for trials that draw them."""
 
 import json
 
@@ -19,46 +18,27 @@ def _serialize(report):
     return render_json(sections, report.ok)
 
 
-def test_flag_off_derivation_is_unchanged():
-    """pipeline=False must be byte-for-byte the original derivation, so
-    every seeded reproducer minted before the flag existed stays valid."""
-    for trial in range(8):
-        base = derive_schedule(0, trial, steps=10)
-        off = derive_schedule(0, trial, steps=10, pipeline=False)
-        assert base == off
-        assert not any(e.kind == "kill_mid_drain" for e in base.events)
+def _mid_drain_trials(limit=60):
+    return [t for t in range(limit)
+            if any(e.kind == "kill_mid_drain"
+                   for e in derive_schedule(0, t, steps=10).events)]
 
 
 def test_pipeline_schedules_contain_mid_drain_kills():
-    hits = [t for t in range(30)
-            if any(e.kind == "kill_mid_drain"
-                   for e in derive_schedule(0, t, steps=10,
-                                            pipeline=True).events)]
-    assert hits, "the widened pool never drew kill_mid_drain in 30 trials"
-    sch = derive_schedule(0, hits[0], steps=10, pipeline=True)
+    hits = _mid_drain_trials()
+    assert hits, "the pool never drew kill_mid_drain in 60 trials"
+    sch = derive_schedule(0, hits[0], steps=10)
     ev = next(e for e in sch.events if e.kind == "kill_mid_drain")
     assert ev.site.startswith("epoch.")
     assert f"kill_mid_drain[{ev.site}]" in sch.describe()
 
 
 def test_mid_drain_kill_trials_pass_and_are_deterministic():
-    """Trials drawing the new event must hold the recovery-landing
-    invariant (no violations), and two runs serialize identically."""
-    hit = next(t for t in range(30)
-               if any(e.kind == "kill_mid_drain"
-                      for e in derive_schedule(0, t, steps=10,
-                                               pipeline=True).events))
-    a = run_chaos(trials=1, seed=0, steps=10, only_trial=hit, pipeline=True)
-    b = run_chaos(trials=1, seed=0, steps=10, only_trial=hit, pipeline=True)
+    """Trials drawing the event must hold the recovery-landing invariant
+    (no violations), and two runs serialize identically."""
+    hit = _mid_drain_trials()[0]
+    a = run_chaos(trials=1, seed=0, steps=10, only_trial=hit)
+    b = run_chaos(trials=1, seed=0, steps=10, only_trial=hit)
     assert a.ok, a.trials[0].violations
     assert any("kill_mid_drain" in e for e in a.trials[0].events_applied)
     assert _serialize(a) == _serialize(b)
-
-
-def test_pipeline_reproducer_carries_the_flag():
-    """A failing --pipeline run must mint a reproducer command that
-    replays with the same (widened) schedule derivation."""
-    report = run_chaos(trials=3, seed=0, steps=6, break_acks=True,
-                       pipeline=True)
-    assert not report.ok
-    assert "--pipeline" in report.reproducer["command"]

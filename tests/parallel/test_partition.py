@@ -7,7 +7,11 @@ from repro.errors import PartitionError
 from repro.octree import morton
 from repro.octree.linear import LinearOctree
 from repro.parallel.cluster import SimulatedCluster
-from repro.parallel.partition import repartition
+from repro.parallel.partition import (
+    MigrationState,
+    audit_migration,
+    repartition,
+)
 
 
 def _uniform_leaves(level, dim=2):
@@ -181,6 +185,38 @@ def test_obs_counters_and_migrate_spans():
     res2 = repartition(cluster.comm, res.pieces, threshold=1.5, obs=obs)
     assert res2.skipped
     assert m.get("partition.skipped").value == 1
+
+
+def test_migration_audit_reports_each_breach():
+    """One audit, one breach per hand-corrupted state: duplicate, lost,
+    torn, left in flight — and none on the untouched forest."""
+    cluster = _cluster(2)
+    leaves = _uniform_leaves(2)  # 16 leaves
+    payloads = np.arange(16 * 4, dtype=float).reshape(16, 4)
+    pieces = [LinearOctree(2, leaves[:12], payloads[:12]),
+              LinearOctree(2, leaves[12:], payloads[12:])]
+    truth = {int(loc): tuple(piece.payloads[i])
+             for piece in pieces for i, loc in enumerate(piece.locs)}
+
+    def corrupted(corrupt):
+        state = MigrationState()
+        state.load(pieces, [np.ones(len(p)) for p in pieces], max_level=2)
+        corrupt(state, int(pieces[0].locs[0]))
+        return audit_migration(state, truth, cluster.comm)
+
+    def duplicate(state, loc):
+        state.stores[1][loc] = state.stores[0][loc]
+
+    def tear(state, loc):
+        state.stores[0][loc] = state.stores[0][loc] + 1.0
+
+    assert corrupted(lambda state, loc: None) is None
+    assert "duplicated across ranks" in corrupted(duplicate)
+    assert corrupted(lambda state, loc: state.stores[0].pop(loc)) \
+        == "octants lost: 1 missing"
+    assert corrupted(tear) == "payload torn on 1 octants"
+    assert corrupted(lambda state, loc: state.log.begin(0, 1, [loc])) \
+        == "1 batches left in flight"
 
 
 def test_cluster_node_layout():

@@ -142,12 +142,15 @@ def test_analyze_interprocedural_flags_planted_bug(tmp_path, capsys):
     assert "plant_persist" in out and "plant_store" in out
 
 
-def test_analyze_deep_json_golden_snapshot(capsys):
+def test_analyze_deep_json_golden_snapshot(capsys, monkeypatch,
+                                           repo_analysis):
     """Clean-tree golden envelope: the deep analysis over the real source
-    must report exactly nothing, in the schema-versioned shape CI diffs."""
+    must report exactly nothing, in the schema-versioned shape CI diffs.
+    The 10 s interprocedural pass itself is the session's shared result."""
     import json
     import pathlib
 
+    monkeypatch.setattr("repro.analysis.analyze_repo", lambda: repo_analysis)
     baseline = pathlib.Path(__file__).parents[1] / "ANALYZE_BASELINE.json"
     assert main(["analyze", "--interprocedural", "--coverage",
                  "--baseline", str(baseline), "--json"]) == 0

@@ -26,6 +26,12 @@
   it is defined (``octree/neighbors.py``) and by the loop-backed default in
   ``octree/store.py``; and ``src/repro`` imports nothing a clean
   ``pip install -e .`` does not bring (stdlib, ``numpy``, ``scipy``).
+* one crash runner, one migration audit, one chaos pool: nothing outside
+  ``repro/analysis`` imports a private name from the sweep,
+  ``SweepOutcome(`` is built only inside ``sweep_site``, the migration
+  audit's text and ``def _signature`` occur once under ``src``, and the
+  chaos mode flags (``media=``/``pipeline=``, their pools, ``--media``/
+  ``--pipeline`` in the CLI, docs and CI) stay gone.
 """
 
 import ast
@@ -215,3 +221,42 @@ def test_src_imports_only_declared_dependencies():
                           if name.split(".")[0] not in allowed]
     assert not offenders, "\n".join(offenders)
     assert not _offenders(re.compile(r"networkx"))
+
+
+# ------------------------------------ one runner, one audit, one chaos pool
+
+def test_sweep_has_one_runner_and_privates_stay_private():
+    private_import = re.compile(
+        r"from repro\.analysis\.sweep import\s*(?:\([^)]*|[^\n]*)\b_\w+")
+    outside = [hit for hit in _offenders(private_import)
+               if not hit.startswith("src/repro/analysis/")]
+    assert not outside, "\n".join(outside)
+    built = _offenders(re.compile(r"SweepOutcome\("))
+    assert len(built) == 1 and built[0].startswith(
+        "src/repro/analysis/sweep.py"), built
+    assert "SweepOutcome(" in _function_source(
+        SRC_DIR / "analysis" / "sweep.py", "sweep_site")
+
+
+@pytest.mark.parametrize("text", ["duplicated across ranks",
+                                  "def _signature"])
+def test_shared_checker_pieces_exist_once(text):
+    hits = _offenders(re.compile(re.escape(text)))
+    assert len(hits) == 1, hits
+
+
+def test_chaos_has_one_event_pool_and_no_mode_flags():
+    chaos = (SRC_DIR / "harness" / "chaos.py").read_text()
+    gone = re.findall(
+        r"\b(?:media|pipeline)(?::\s*bool)?\s*=(?!=)"
+        r"|_(?:MEDIA|PIPELINE)_EVENT_KINDS", chaos)
+    assert not gone, gone
+    flagged = [
+        str(path.relative_to(ROOT))
+        for path in [SRC_DIR / "cli.py", ROOT / "EXPERIMENTS.md",
+                     ROOT / ".github" / "workflows" / "ci.yml",
+                     ROOT / ".claude" / "skills" / "verify" / "SKILL.md",
+                     *DOCS]
+        if path.exists() and re.search(r"--media\b|--pipeline\b",
+                                       path.read_text())]
+    assert not flagged, flagged
