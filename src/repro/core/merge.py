@@ -17,12 +17,15 @@ drives the Fig 3 overlap ratios.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import TYPE_CHECKING, Dict, List
+
+import numpy as np
 
 from repro.errors import ConsistencyError
 from repro.nvbm import sites
 from repro.nvbm.pointers import NULL_HANDLE, is_dram
-from repro.nvbm.records import OctantRecord
+from repro.nvbm.records import MAX_CHILDREN, as_records
 from repro.octree import morton
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -49,6 +52,95 @@ def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
     return out
 
 
+#: C0 records one pass of the merge moves per arena call.  Bounded so the
+#: gathered rows stay a few hundred kB whatever the size of C0
+#: (``peak_rss_mb`` is a gated metric; docs/performance.md, "The persist
+#: point as a batch").
+_CHUNK = 1024
+
+_NO_CHILDREN = [NULL_HANDLE] * MAX_CHILDREN
+
+
+def _record_by_record(pmo: "PMOctree") -> bool:
+    """Must the merge visit one record per arena call?  Yes while a crash
+    plan waits between two records, and while a media fault model can fail
+    a read: it judges every read at that read's own clock and wear."""
+    return pmo.injector.armed(sites.MERGE_OCTANT) or any(
+        arena.device.fault_model is not None
+        and not arena.device.fault_model.quiescent
+        for arena in (pmo.dram, pmo.nvbm))
+
+
+def _merge_chunk(pmo: "PMOctree", locs: List[int],
+                 merged: Dict[int, int]) -> int:
+    """Merge ``locs`` — consecutive postorder visits — into NVBM, filling
+    ``merged`` (loc -> NVBM handle); returns how many records it wrote.
+
+    A chunk is its per-record visits in order — load the DRAM record; load
+    the origin of a clean one; re-link to the origin when its child slots
+    are the children's merged handles, else allocate, store the new image,
+    detach the origin and declare ``merge.octant`` — with each kind of
+    arena access gathered into one call: same values, same allocation and
+    cache-directory order, same stats, clock and wear totals.  A chunk of
+    one *is* the per-record sequence.
+    """
+    nvbm, dim, leaf_set = pmo.nvbm, pmo.dim, pmo._leaf_set
+    handles = [pmo._index[loc] for loc in locs]
+    for loc, handle in zip(locs, handles):
+        if not is_dram(handle):
+            raise ConsistencyError(
+                f"I1 violated: {loc:#x} inside C0 subtree but not in DRAM"
+            )
+    origins = [pmo._origin.get(loc) for loc in locs]
+    clean = [i for i, loc in enumerate(locs)
+             if origins[i] is not None and loc not in pmo._dirty]
+    clean_origins = np.array([origins[i] for i in clean], dtype=np.uint64)
+    live = nvbm.contains_mask(clean_origins)
+    if len(locs) > 1 and not live.all():
+        # a freed origin's slot may be handed out again by an allocation of
+        # this very chunk: only the visit itself can tell
+        return sum(_merge_chunk(pmo, [loc], merged) for loc in locs)
+    rows = pmo.dram.read_rows(handles)
+    #: position in the chunk -> child slots of its (clean, live) origin
+    origin_children: Dict[int, List[int]] = {}
+    if live.any():
+        origin_rows = nvbm.read_rows(clean_origins[live])
+        origin_children = dict(zip(
+            compress(clean, live.tolist()),
+            as_records(origin_rows)["children"].tolist()))
+    written: List[int] = []  # positions in the chunk, postorder
+    new_children: List[List[int]] = []
+    null_tail = _NO_CHILDREN[morton.fanout(dim):]
+    for i, loc in enumerate(locs):
+        if loc in leaf_set:
+            children = _NO_CHILDREN
+        else:
+            children = [merged.get(c, NULL_HANDLE)
+                        for c in morton.children_of(loc, dim)] + null_tail
+        if origin_children.get(i) == children:
+            merged[loc] = origins[i]  # unchanged: share with V_{i-1}
+            continue
+        merged[loc] = nvbm.alloc()
+        written.append(i)
+        new_children.append(children)
+    if written:
+        new_rows = rows[written]
+        images = as_records(new_rows)
+        images["epoch"] = pmo.epoch
+        images["parent"] = NULL_HANDLE  # advisory
+        images["children"] = new_children
+        # pmlint: allow-direct-write — the handles were allocated a few
+        # lines up: no version, published or working, references them yet.
+        nvbm.write_rows([merged[locs[i]] for i in written], 0, new_rows)
+        for i in written:
+            if origins[i] is not None:
+                # the shadow was rewritten: the old origin leaves the working
+                # version but published predecessors may still reference it
+                pmo._detach(origins[i])
+        pmo.injector.site(sites.MERGE_OCTANT, count=len(written))
+    return len(written)
+
+
 def merge_subtree(pmo: "PMOctree", root_loc: int,
                   keep_resident: bool = False) -> int:
     """Write the DRAM subtree at ``root_loc`` into NVBM; return its handle.
@@ -64,54 +156,19 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
     """
     if root_loc not in pmo._c0_roots:
         raise ConsistencyError(f"{root_loc:#x} is not a C0 subtree root")
+    locs = _postorder_locs(pmo, root_loc)
+    step = 1 if _record_by_record(pmo) else _CHUNK
     merged: Dict[int, int] = {}
-    shared = 0
-    for loc in _postorder_locs(pmo, root_loc):
-        handle = pmo._index[loc]
-        if not is_dram(handle):
-            raise ConsistencyError(
-                f"I1 violated: {loc:#x} inside C0 subtree but not in DRAM"
-            )
-        rec = pmo.dram.read_octant(handle)
-        child_handles = [
-            merged[c] if c in merged else NULL_HANDLE
-            for c in morton.children_of(loc, pmo.dim)
-        ] + [NULL_HANDLE] * (8 - morton.fanout(pmo.dim))
-        origin = pmo._origin.get(loc)
-        if (
-            origin is not None
-            and loc not in pmo._dirty
-            and pmo.nvbm.contains(origin)
-        ):
-            origin_rec = pmo.nvbm.read_octant(origin)
-            if origin_rec.children == child_handles:
-                merged[loc] = origin  # unchanged: share with V_{i-1}
-                shared += 1
-                continue
-        new_rec = OctantRecord(
-            loc=rec.loc,
-            level=rec.level,
-            flags=rec.flags,
-            epoch=pmo.epoch,
-            payload=tuple(rec.payload),
-            parent=NULL_HANDLE,  # advisory; fixed below for children
-            children=child_handles,
-        )
-        merged[loc] = pmo.nvbm.new_octant(new_rec)
-        if origin is not None:
-            # the shadow was rewritten: the old origin leaves the working
-            # version but published predecessors may still reference it
-            pmo._detach(origin)
-        pmo.injector.site(sites.MERGE_OCTANT)
+    written = sum(_merge_chunk(pmo, locs[lo:lo + step], merged)
+                  for lo in range(0, len(locs), step))
     pmo.stats.merges += 1
-    pmo.stats.merge_octants_shared += shared
-    pmo.stats.merge_octants_written += len(merged) - shared
+    pmo.stats.merge_octants_shared += len(merged) - written
+    pmo.stats.merge_octants_written += written
 
     if keep_resident:
         # the DRAM copies stay; the NVBM shadow becomes their new origin
-        for loc, nv_handle in merged.items():
-            pmo._origin[loc] = nv_handle
-            pmo._dirty.discard(loc)
+        pmo._origin.update(merged)
+        pmo._dirty.difference_update(merged)
         stats = pmo._c0_roots[root_loc]
         stats.size = len(merged)
         stats.locs = set(merged)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,36 +55,54 @@ def subtree_level(pmo: "PMOctree") -> int:
 
 
 def candidate_roots(pmo: "PMOctree", l_sub: int) -> List[int]:
-    """Existing octants at level ``l_sub`` (the transformation candidates)."""
+    """Existing octants at level ``l_sub`` (the transformation candidates),
+    in ``_index`` order — the order the sampler draws for them in."""
     if l_sub == 0:
         return [morton.ROOT_LOC]
-    return [
-        loc for loc in pmo._index
-        if morton.level_of(loc, pmo.dim) == l_sub
-    ]
+    locs = np.fromiter(pmo._index, np.int64, len(pmo._index))
+    return locs[soa.levels_of_codes(locs, pmo.dim) == l_sub].tolist()
+
+
+def sample_frequencies(pmo: "PMOctree", roots: Sequence[int],
+                       rng: np.random.Generator) -> List[Tuple[float, int]]:
+    """Feature-directed access-frequency estimates: ``(total hits, subtree
+    size)`` for each subtree in ``roots``.
+
+    Per subtree, in order, ``N_sample = min(n_sample_max, size)`` octants
+    are drawn; then every pick of every subtree is read with one gather and
+    every registered feature function pre-executed once over that batch (a
+    feature is elementwise, so this is what the per-subtree passes compute).
+    """
+    sizes: List[int] = []
+    counts: List[int] = []
+    picked: List[int] = []
+    for root in roots:
+        locs = subtree_locs(pmo, root)
+        size = len(locs)
+        n = min(pmo.config.n_sample_max, size) if pmo.features else 0
+        if n:
+            picks = rng.choice(size, size=n, replace=False)
+            picked.extend(locs[i] for i in picks.tolist())
+        sizes.append(size)
+        counts.append(n)
+    hits = [0] * len(sizes)
+    if picked:
+        batch = soa.gather(pmo, picked)
+        # an octant is "of interest" once any feature fires
+        hot = np.zeros(len(picked), dtype=bool)
+        for fn in pmo.features:
+            hot |= np.asarray(fn(batch), dtype=bool)
+        owner = np.repeat(np.arange(len(sizes)), counts)
+        hits = np.bincount(owner[hot], minlength=len(sizes)).tolist()
+    # normalise to the whole subtree so different sample sizes compare
+    return [(h * (size / n) if n else 0.0, size)
+            for h, size, n in zip(hits, sizes, counts)]
 
 
 def sample_frequency(pmo: "PMOctree", root_loc: int,
                      rng: np.random.Generator) -> Tuple[float, int]:
-    """Feature-directed access-frequency estimate for one subtree.
-
-    Samples ``N_sample = min(n_sample_max, size)`` octants with one
-    gather, pre-executes every registered feature function over the batch,
-    and returns ``(total hits, subtree size)``.
-    """
-    locs = subtree_locs(pmo, root_loc)
-    size = len(locs)
-    if size == 0 or not pmo.features:
-        return 0.0, size
-    n = min(pmo.config.n_sample_max, size)
-    picks = rng.choice(size, size=n, replace=False)
-    batch = soa.gather(pmo, [locs[i] for i in picks.tolist()])
-    hot = np.zeros(n, dtype=bool)  # "of interest" once any feature fires
-    for fn in pmo.features:
-        hot |= np.asarray(fn(batch), dtype=bool)
-    hits = int(np.count_nonzero(hot))
-    # normalise to the whole subtree so different sample sizes compare
-    return hits * (size / n), size
+    """:func:`sample_frequencies` of one subtree."""
+    return sample_frequencies(pmo, [root_loc], rng)[0]
 
 
 def detect_and_transform(pmo: "PMOctree",
@@ -107,13 +125,10 @@ def detect_and_transform(pmo: "PMOctree",
     # does NOT grow with the mesh, so it gets its own clock phase — the
     # scaling harness must not multiply it by the element-scale factor.
     clock = pmo.nvbm.device.clock
-    freqs: Dict[int, float] = {}
-    sizes: Dict[int, int] = {}
     with clock.phase("sample"):
-        for root in candidates:
-            f, s = sample_frequency(pmo, root, rng)
-            freqs[root] = f
-            sizes[root] = s
+        samples = sample_frequencies(pmo, candidates, rng)
+    freqs = {root: f for root, (f, _) in zip(candidates, samples)}
+    sizes = {root: s for root, (_, s) in zip(candidates, samples)}
     result.candidate_freqs = freqs
 
     # Greedy re-layout.  While free DRAM can hold a hot subtree, loading is

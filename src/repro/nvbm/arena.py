@@ -685,12 +685,14 @@ class MemoryArena:
         no longer cached (already flushed, or freed by GC) are skipped, and
         so is a handle named twice.
         """
-        cdir = self._cdir
-        slots = list(dict.fromkeys(
-            index_of(h) for h in handles
-            if arena_of(h) == self.arena_id and index_of(h) in cdir))
+        h = np.asarray(handles, dtype=np.uint64)
+        idx = self.slots_of(h[(h >> _BITS64) == self.arena_id])
+        idx = idx[idx < self._crow.size]
+        idx = idx[self._crow[idx] >= 0]  # still cached
+        # each slot once, in the order first named
+        slots = idx[np.sort(np.unique(idx, return_index=True)[1])].tolist()
         self._persist(slots)
-        self._crows_free.extend(cdir.pop(idx) for idx in slots)
+        self._crows_free.extend(map(self._cdir.pop, slots))
 
     def crash(self, rng: Optional[np.random.Generator] = None) -> None:
         """Apply power-loss semantics (see module docstring)."""

@@ -139,15 +139,29 @@ class FailureInjector:
         else:
             self._plans.pop(site, None)
 
-    def site(self, name: str) -> None:
-        """Declare a crash site; raises SimulatedCrash when an armed plan fires."""
-        self.hits[name] = self.hits.get(name, 0) + 1
+    def armed(self, site: str) -> bool:
+        """True while a crash plan is armed on ``site``: a batch with that
+        site between its records must then run record by record, so the
+        crash still falls between two of them."""
+        return site in self._plans
+
+    def site(self, name: str, count: int = 1) -> None:
+        """Declare a crash site; raises SimulatedCrash when an armed plan
+        fires.  ``count`` declares that many visits in a row — what a batch
+        owes for the per-record visits it stands for: a bare counter bump
+        while nothing is armed on ``name``, the visits one by one (stopping
+        at the one that fires) otherwise."""
         plan = self._plans.get(name)
-        if plan is not None and plan.fires_at(self.hits[name]):
-            if plan.exhausted_after(self.hits[name]):
-                del self._plans[name]
-            self.fired.append(name)
-            raise SimulatedCrash(name)
+        if plan is None:
+            self.hits[name] = self.hits.get(name, 0) + count
+            return
+        for _ in range(count):
+            hit = self.hits[name] = self.hits.get(name, 0) + 1
+            if plan.fires_at(hit):
+                if plan.exhausted_after(hit):
+                    del self._plans[name]
+                self.fired.append(name)
+                raise SimulatedCrash(name)
 
     def reset_hits(self) -> None:
         self.hits.clear()

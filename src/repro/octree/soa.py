@@ -177,7 +177,12 @@ def gather(tree, locs: Sequence[int]) -> LeafBatch:
 
 
 #: The one callable shape of a refinement criterion (an ``Action`` code per
-#: octant) and of a PM-octree feature function (a bool per octant).
+#: octant) and of a PM-octree feature function (a bool per octant).  A
+#: predicate is *elementwise*: entry ``i`` of its result depends on octant
+#: ``i`` of the batch alone (sharing work between entries, as the droplet
+#: criterion does for sibling parents, is fine), so a caller may evaluate it
+#: over any concatenation of batches — the §3.3 sampler hands it the picks
+#: of every candidate subtree at once.
 Predicate = Callable[[LeafBatch], np.ndarray]
 
 

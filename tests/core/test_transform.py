@@ -1,5 +1,6 @@
 """Dynamic layout transformation with feature-directed sampling (§3.3)."""
 
+import numpy as np
 
 from repro.core.transform import (
     candidate_roots,
@@ -54,8 +55,6 @@ def test_sample_frequency_reflects_features():
     rig, t = _persisted(levels=3, dram=16)
     hot = morton.loc_from_coords(1, (0, 0), 2)
     t.register_feature(_hot_region_feature(hot))
-    import numpy as np
-
     rng = np.random.default_rng(0)
     f_hot, size_hot = sample_frequency(t, hot, rng)
     cold = morton.loc_from_coords(1, (1, 1), 2)
@@ -157,13 +156,24 @@ def test_transformation_reduces_nvbm_writes():
     assert oblivious > 16
 
 
-def test_batch_sampler_matches_per_pick_oracle():
+def test_candidate_roots_keep_index_order():
+    """``candidate_roots`` is the order the sampler draws in: the working
+    version's ``_index`` order, filtered to one level."""
+    rig, t = _persisted(levels=3)
+    for leaf in sorted(t.leaves())[::7]:
+        t.refine(leaf)  # level-4 octants land among the older entries
+    for level in (1, 2, 3, 4):
+        assert candidate_roots(t, level) == [
+            loc for loc in t._index if morton.level_of(loc, 2) == level]
+    assert len(candidate_roots(t, 4)) == 40
+
+
+def test_batch_sampler_matches_per_pick_oracle(monkeypatch):
     """One gather + array features == one ``get_payload`` per pick + scalar
     features: same hits, same ``rng`` draws, same clock and ``DeviceStats``,
-    with picks resident in DRAM *and* in NVBM."""
+    with picks resident in DRAM *and* in NVBM — subtree by subtree, and for
+    a whole detection pass over two dozen candidates."""
     import dataclasses
-
-    import numpy as np
 
     from repro.config import SolverConfig
     from repro.core.merge import subtree_locs
@@ -171,13 +181,22 @@ def test_batch_sampler_matches_per_pick_oracle():
     from repro.solver.simulation import DropletSimulation
     from tests.oracles import scalar_kernels as oracle
 
-    def rig_after_steps():
+    def rig_after_steps(max_level=5):
         rig = PMRig(dram_octants=96, n_sample_max=40)
         sim = DropletSimulation(
-            rig.tree, SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01),
+            rig.tree, SolverConfig(dim=2, min_level=2, max_level=max_level,
+                                   dt=0.01),
             clock=rig.clock, persistence=lambda s: s.tree.persist())
         sim.run(3)
         return rig, sim
+
+    def meters(rig, rng):
+        return (rng.bit_generator.state, rig.clock.now_ns,
+                dict(rig.clock.by_phase),
+                dataclasses.asdict(rig.dram.device.stats),
+                dataclasses.asdict(rig.nvbm.device.stats),
+                dataclasses.asdict(rig.tree.stats),
+                {r: s.accesses for r, s in rig.tree._c0_roots.items()})
 
     def observe(rig, sampler, feats):
         t = rig.tree
@@ -190,18 +209,72 @@ def test_batch_sampler_matches_per_pick_oracle():
         assert homes == {True, False}
         out = [sampler(t, root, rng)
                for root in [morton.ROOT_LOC, *candidate_roots(t, 1)]]
-        return (out, rng.bit_generator.state, rig.clock.now_ns,
-                dataclasses.asdict(rig.dram.device.stats),
-                dataclasses.asdict(rig.nvbm.device.stats),
-                {r: s.accesses for r, s in t._c0_roots.items()})
+        return out, meters(rig, rng)
+
+    def features_of(sim, scalar):
+        t_next = sim.t + sim.config.dt
+        if scalar:
+            return [
+                soa.per_octant(oracle.change_feature(sim.geometry, t_next)),
+                soa.per_octant(oracle.mixed_cell_feature(2))]
+        return [change_feature(sim.geometry, t_next), mixed_cell_feature(2)]
 
     rig_b, sim_b = rig_after_steps()
     rig_s, sim_s = rig_after_steps()
-    t_next = sim_b.t + sim_b.config.dt
-    batch = observe(rig_b, sample_frequency, [
-        change_feature(sim_b.geometry, t_next), mixed_cell_feature(2)])
-    scalar = observe(rig_s, oracle.sample_frequency, [
-        soa.per_octant(oracle.change_feature(sim_s.geometry, t_next)),
-        soa.per_octant(oracle.mixed_cell_feature(2))])
+    batch = observe(rig_b, sample_frequency, features_of(sim_b, False))
+    scalar = observe(rig_s, oracle.sample_frequency, features_of(sim_s, True))
     assert batch == scalar
     assert 0 < batch[0][0][0] < batch[0][0][1]  # some picks hot, not all
+
+    # a whole detection pass, per-candidate per-pick on the oracle's side
+    def detect(rig, sim, scalar):
+        t = rig.tree
+        t.features = features_of(sim, scalar)
+        rng = np.random.default_rng(5)
+        res = detect_and_transform(t, rng)
+        return (list(res.candidate_freqs.items()), res.loaded, res.evicted,
+                meters(rig, rng))
+
+    rig_b, sim_b = rig_after_steps(max_level=6)
+    rig_s, sim_s = rig_after_steps(max_level=6)
+    t = rig_b.tree
+    candidates = candidate_roots(t, subtree_level(t))
+    homes = [is_dram(t.handle_of(root)) for root in candidates]
+    assert len(candidates) >= 20 and 0 < sum(homes) < len(homes)
+    batch = detect(rig_b, sim_b, scalar=False)
+    with monkeypatch.context() as patch:
+        patch.setattr("repro.core.transform.sample_frequencies",
+                      oracle.sample_frequencies)
+        scalar = detect(rig_s, sim_s, scalar=True)
+    assert batch == scalar
+    assert [root for root, _ in batch[0]] == candidates
+    assert sum(1 for _, freq in batch[0] if freq > 0) >= 3
+
+
+def test_one_gather_and_one_pass_per_feature_per_persist():
+    """However many candidates, a persist's detection reads its picks with
+    one ``batch_read_payloads`` and calls each feature once."""
+    rig, t = _persisted(levels=4, dram=16)
+    calls = {"gather": 0, "hot": 0, "all": 0}
+    gather = t.batch_read_payloads
+
+    def counted_gather(locs):
+        calls["gather"] += 1
+        return gather(locs)
+
+    def counting(name, fn):
+        def feature(batch):
+            calls[name] += 1
+            return fn(batch)
+        return feature
+
+    t.batch_read_payloads = counted_gather
+    hot = morton.loc_from_coords(1, (0, 0), 2)
+    t.register_feature(counting("hot", _hot_region_feature(hot)))
+    t.register_feature(counting(
+        "all", lambda batch: np.zeros(len(batch), dtype=bool)))
+    assert len(candidate_roots(t, subtree_level(t))) == 16
+    for persists in (1, 2):
+        t.persist()
+        assert calls == {"gather": persists, "hot": persists,
+                         "all": persists}

@@ -11,7 +11,9 @@ in device metering.
 The same holds for the predicates: the per-octant ``(loc, payload)`` bodies
 of ``interface_criterion``, ``change_feature``, the wave criterion and the
 wave feature, the per-leaf ``RefinementEngine._sweep``, the per-pick
-``sample_frequency`` loop and the per-leaf ``initialize_vof`` moved here
+``sample_frequency`` loop (and, when ``src`` sampled every candidate with
+one gather, its per-candidate driver ``sample_frequencies``) and the
+per-leaf ``initialize_vof`` moved here
 when ``src`` made criteria and features array predicates over a
 ``LeafBatch``.  The wave criterion's distance is the explicit sum of
 squares + ``sqrt`` (``math.dist`` has no bit-equal numpy twin), the
@@ -457,6 +459,12 @@ def sample_frequency(pmo, root_loc: int, rng: np.random.Generator):
     return hits * (size / n), size
 
 
+def sample_frequencies(pmo, roots, rng: np.random.Generator):
+    """Per-candidate ``repro.core.transform.sample_frequencies``: each
+    subtree drawn, read pick by pick and judged before the next one."""
+    return [sample_frequency(pmo, root, rng) for root in roots]
+
+
 def inject(monkeypatch) -> None:
     """Run the drivers on the scalar kernels, the per-octant predicates
     (lifted by ``soa.per_octant``), the per-leaf refine sweep, the per-pick
@@ -475,8 +483,8 @@ def inject(monkeypatch) -> None:
         lambda self, batch: lift(partial(wave_next_step_feature, self))(batch))
     monkeypatch.setattr("repro.octree.refine.RefinementEngine._sweep",
                         refine_sweep)
-    monkeypatch.setattr("repro.core.transform.sample_frequency",
-                        sample_frequency)
+    monkeypatch.setattr("repro.core.transform.sample_frequencies",
+                        sample_frequencies)
     monkeypatch.setattr("repro.solver.simulation.advect_vof", advect_vof)
     monkeypatch.setattr("repro.solver.simulation.smooth_pressure",
                         smooth_pressure)

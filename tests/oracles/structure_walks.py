@@ -7,15 +7,24 @@ visits one record per ``read_octant`` call, depth first off an explicit
 stack, so it is the access sequence — and, where the walk fills ``_index``,
 ``_leaf_set`` or a returned set, the *insertion order* — the level-order
 walks must reproduce, in values and in device metering.
+
+:func:`merge_subtree` moved here the same way when ``src`` made the persist
+merge a chunk of postorder visits per arena call
+(``repro.core.merge._merge_chunk``): one ``read_octant`` of the C0 record,
+one of a clean origin, one ``new_octant`` and one ``merge.octant`` visit per
+octant.  :func:`inject_merge` swaps it in under the name ``evict_subtree``
+and ``merge_all_c0`` call.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict, List, Set
 
 from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
 from repro.errors import ConsistencyError, RecoveryError
-from repro.nvbm.pointers import NULL_HANDLE, is_nvbm
+from repro.nvbm import sites
+from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
+from repro.nvbm.records import OctantRecord
 from repro.octree import morton
 
 
@@ -71,7 +80,6 @@ def _mark(pmo: "PMOctree") -> Set[int]:
                 stack.append(ch)
     seen |= pins
     return seen
-
 
 
 def reachable_from(pmo, root_handle: int) -> Set[int]:
@@ -159,3 +167,96 @@ def _restore_traverse(pmo: "PMOctree") -> int:
         count += 1
     pmo.epoch = max_epoch + 1
     return count
+
+
+def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
+    """Children-before-parents order over the working tree below root_loc."""
+    out: List[int] = []
+    stack = [(root_loc, False)]
+    while stack:
+        loc, expanded = stack.pop()
+        if loc not in pmo._index:
+            continue
+        if expanded or loc in pmo._leaf_set:
+            out.append(loc)
+        else:
+            stack.append((loc, True))
+            stack.extend(
+                (c, False) for c in morton.children_of(loc, pmo.dim)
+            )
+    return out
+
+
+def merge_subtree(pmo: "PMOctree", root_loc: int,
+                  keep_resident: bool = False) -> int:
+    if root_loc not in pmo._c0_roots:
+        raise ConsistencyError(f"{root_loc:#x} is not a C0 subtree root")
+    merged: Dict[int, int] = {}
+    shared = 0
+    for loc in _postorder_locs(pmo, root_loc):
+        handle = pmo._index[loc]
+        if not is_dram(handle):
+            raise ConsistencyError(
+                f"I1 violated: {loc:#x} inside C0 subtree but not in DRAM"
+            )
+        rec = pmo.dram.read_octant(handle)
+        child_handles = [
+            merged[c] if c in merged else NULL_HANDLE
+            for c in morton.children_of(loc, pmo.dim)
+        ] + [NULL_HANDLE] * (8 - morton.fanout(pmo.dim))
+        origin = pmo._origin.get(loc)
+        if (
+            origin is not None
+            and loc not in pmo._dirty
+            and pmo.nvbm.contains(origin)
+        ):
+            origin_rec = pmo.nvbm.read_octant(origin)
+            if origin_rec.children == child_handles:
+                merged[loc] = origin  # unchanged: share with V_{i-1}
+                shared += 1
+                continue
+        new_rec = OctantRecord(
+            loc=rec.loc,
+            level=rec.level,
+            flags=rec.flags,
+            epoch=pmo.epoch,
+            payload=tuple(rec.payload),
+            parent=NULL_HANDLE,  # advisory; fixed below for children
+            children=child_handles,
+        )
+        merged[loc] = pmo.nvbm.new_octant(new_rec)
+        if origin is not None:
+            # the shadow was rewritten: the old origin leaves the working
+            # version but published predecessors may still reference it
+            pmo._detach(origin)
+        pmo.injector.site(sites.MERGE_OCTANT)
+    pmo.stats.merges += 1
+    pmo.stats.merge_octants_shared += shared
+    pmo.stats.merge_octants_written += len(merged) - shared
+
+    if keep_resident:
+        # the DRAM copies stay; the NVBM shadow becomes their new origin
+        for loc, nv_handle in merged.items():
+            pmo._origin[loc] = nv_handle
+            pmo._dirty.discard(loc)
+        stats = pmo._c0_roots[root_loc]
+        stats.size = len(merged)
+        stats.locs = set(merged)
+    else:
+        # eviction: release DRAM and point the working version at NVBM
+        pmo.stats.c0_to_c1_octants += len(merged)
+        for loc, nv_handle in merged.items():
+            dram_handle = pmo._index[loc]
+            pmo.dram.free(dram_handle)
+            pmo._index[loc] = nv_handle
+            pmo._origin.pop(loc, None)
+            pmo._dirty.discard(loc)
+        del pmo._c0_roots[root_loc]
+    return merged[root_loc]
+
+
+def inject_merge(monkeypatch) -> None:
+    """Run every persist-point and eviction merge on the per-record
+    :func:`merge_subtree` for the rest of the test (or ``monkeypatch``
+    context)."""
+    monkeypatch.setattr("repro.core.merge.merge_subtree", merge_subtree)

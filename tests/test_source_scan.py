@@ -22,6 +22,11 @@
   (GC mark, ``reachable_from``, the restore traversal) gather a frontier
   per call and never ``read_octant(``; and every name ``bench/trace.py``
   patches from outside still resolves.
+* the persist point is a batch: the merge moves a chunk of postorder
+  visits per arena call and the §3.3 sampler reads every candidate's picks
+  with one gather — no ``read_octant(``/``new_octant(`` in the merge, one
+  ``soa.gather(`` in ``core/transform.py`` — and ``core`` asks the injector
+  through its public queries, never ``injector._plans``/``injector.hits``.
 * structure is a batch too: ``face_neighbor_leaves(`` is called only where
   it is defined (``octree/neighbors.py``) and by the loop-backed default in
   ``octree/store.py``; and ``src/repro`` imports nothing a clean
@@ -150,6 +155,23 @@ def test_structure_walks_go_level_by_level():
         assert "read_octant(" not in body, where
         assert re.search(r"walks\.reach\(|read_rows\(", body), where
     assert "read_rows(" in (core / "walks.py").read_text()
+
+
+def test_persist_point_is_a_batch():
+    """A ``read_octant(``/``new_octant(`` in the merge is the per-record
+    loop creeping back (its verbatim body: ``tests/oracles``); a second
+    ``soa.gather(`` in the sampler is the per-candidate gather."""
+    core = SRC_DIR / "core"
+    merge = "\n".join(_function_source(core / "merge.py", name)
+                      for name in ("merge_subtree", "_merge_chunk"))
+    transform = (core / "transform.py").read_text()
+    for where, body in (("merge", merge), ("transform.py", transform)):
+        assert not re.search(r"(?:read|new)_octant\(", body), where
+    assert "read_rows(" in merge and "write_rows(" in merge
+    assert len(re.findall(r"soa\.gather\(", transform)) == 1
+    reaching_in = _offenders(re.compile(r"injector\.(?:_plans|hits)\b"),
+                             ("core",))
+    assert not reaching_in, "\n".join(reaching_in)
 
 
 def test_arena_has_one_store_and_device_one_charge():
