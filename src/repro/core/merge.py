@@ -31,7 +31,7 @@ from repro.octree import morton
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
 
-from repro.core.pmoctree import SLOT_CURR, C0Stats
+from repro.core.pmoctree import SLOT_CURR, C0Stats, media_faults_possible
 
 
 def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
@@ -64,11 +64,9 @@ _NO_CHILDREN = [NULL_HANDLE] * MAX_CHILDREN
 def _record_by_record(pmo: "PMOctree") -> bool:
     """Must the merge visit one record per arena call?  Yes while a crash
     plan waits between two records, and while a media fault model can fail
-    a read: it judges every read at that read's own clock and wear."""
-    return pmo.injector.armed(sites.MERGE_OCTANT) or any(
-        arena.device.fault_model is not None
-        and not arena.device.fault_model.quiescent
-        for arena in (pmo.dram, pmo.nvbm))
+    a read."""
+    return pmo.injector.armed(sites.MERGE_OCTANT) \
+        or media_faults_possible(pmo)
 
 
 def _merge_chunk(pmo: "PMOctree", locs: List[int],

@@ -39,21 +39,35 @@ from repro.core import walks
 from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
+from repro.nvbm.device import lines_spanned
 from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import (_INDEX_BITS, ARENA_DRAM, NULL_HANDLE,
                                  is_dram, is_nvbm)
-from repro.nvbm.records import (EPOCH_SPAN, FLAG_DELETED, FLAG_LEAF,
-                                FLAGS_SPAN, PAYLOAD_SPAN, OctantRecord,
-                                as_records, pack_payload)
+from repro.nvbm.records import (CHILDREN_OFFSET, EPOCH_SPAN, FLAG_DELETED,
+                                FLAG_LEAF, FLAGS_SPAN, PAYLOAD_SPAN,
+                                OctantRecord, as_records, child_span,
+                                pack_payload)
 from repro.octree import morton
 from repro.octree.soa import LeafSetStructure, Predicate, levels_of_codes
-from repro.octree.store import Payload, ZERO_PAYLOAD
+from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
 
 #: Root-slot names in the NVBM arena.
 SLOT_PREV = "V_prev"
 SLOT_CURR = "V_curr"
 
 _F64 = struct.Struct("<d")
+
+#: Crash sites between the per-item stores of a copy-on-write batch.
+_COW_SITES = (sites.COW_AFTER_COPY, sites.PAYLOAD_PARTIAL, sites.COARSEN_MID)
+
+
+def media_faults_possible(pmo: "PMOctree") -> bool:
+    """Can a metered read of either arena fail?  A media fault model that
+    is not quiescent judges every read at that read's own clock and wear,
+    so a batch that gathers its reads must then read record by record."""
+    return any(arena.device.fault_model is not None
+               and not arena.device.fault_model.quiescent
+               for arena in (pmo.dram, pmo.nvbm))
 
 
 @dataclass
@@ -290,9 +304,11 @@ class PMOctree(LeafSetStructure):
 
     # ---------------------------------------------------- batched SoA access
 
-    def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray]:
+    def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray,
+                                            np.ndarray]:
         """``handle_of`` + ``_touch_c0`` of a whole batch: the handles
-        (uint64) and which of them are DRAM handles."""
+        (uint64), which of them are DRAM handles, and the C0 root of each
+        DRAM one (0 where none)."""
         index = self._index
         try:
             handles = np.array([index[loc] for loc in locs], dtype=np.uint64)
@@ -300,20 +316,20 @@ class PMOctree(LeafSetStructure):
             raise ReproError(
                 f"octant {exc.args[0]:#x} not in PM-octree") from None
         dram = (handles >> np.uint64(_INDEX_BITS)) == ARENA_DRAM
+        c0_roots = np.zeros(0, dtype=np.int64)
         if dram.any():
-            dram_locs = np.asarray(locs, dtype=np.int64)[dram]
-            roots, counts = np.unique(self._c0_roots_of(dram_locs),
-                                      return_counts=True)
+            c0_roots = self._c0_roots_of(np.asarray(locs, dtype=np.int64)[dram])
+            roots, counts = np.unique(c0_roots, return_counts=True)
             for root, count in zip(roots.tolist(), counts.tolist()):
                 if root:
                     self._c0_roots[root].accesses += count
-        return handles, dram
+        return handles, dram, c0_roots
 
     def _batch_read(self, locs, offset: int, size: int) -> np.ndarray:
         """Bytes ``[offset, offset + size)`` of the records of ``locs``,
         as ``(n, size) uint8``: ``n`` field-granular reads, one gather and
         one summed device charge per arena."""
-        handles, dram = self._batch_handles(locs)
+        handles, dram, _ = self._batch_handles(locs)
         self.stats.partial_reads += len(handles)
         if dram.all():
             return self.dram.read_rows(handles, offset, size)
@@ -343,22 +359,44 @@ class PMOctree(LeafSetStructure):
         record of ``items[i][0]``: ``scalar_store(*item)`` per item.
 
         The DRAM-resident octants take one scatter and one summed charge.
-        An NVBM store may copy-on-write its root path and is a crash site,
-        so those go through ``scalar_store`` one by one, in order, after the
-        scatter (a crash in between loses DRAM either way)."""
+        The NVBM ones follow in order as one copy-on-write batch
+        (:class:`_CowBatch`), one scatter of their rows and their
+        ``payload.partial_store`` visits declared at once; while
+        :meth:`_cow_record_by_record` holds they run ``scalar_store`` one by
+        one instead.  (A crash between the two halves loses DRAM either
+        way.)"""
         items = list(items)
         locs = [loc for loc, _ in items]
-        handles, dram = self._batch_handles(locs)
+        handles, dram, _ = self._batch_handles(locs)
+
+        def rows(picks: List[int]) -> np.ndarray:
+            return np.array([items[i][1] for i in picks], dtype="<f8") \
+                .reshape(len(picks), width).view(np.uint8)
+
         hits = np.flatnonzero(dram).tolist()
         if hits:
-            data = np.array([items[i][1] for i in hits],
-                            dtype="<f8").reshape(len(hits), width)
-            self.dram.write_rows(handles[hits], offset, data.view(np.uint8))
+            self.dram.write_rows(handles[hits], offset, rows(hits))
             self.stats.partial_writes += len(hits)
             self.stats.inplace_updates += len(hits)
             self._dirty.update(locs[i] for i in hits)
-        for i in np.flatnonzero(~dram).tolist():
-            scalar_store(*items[i])
+        rest = np.flatnonzero(~dram).tolist()
+        if not rest:
+            return
+        if self._cow_record_by_record():
+            for i in rest:
+                scalar_store(*items[i])
+            return
+        cow = _CowBatch(self, [locs[i] for i in rest])
+        targets = []
+        for i in rest:
+            targets.append(cow.writable(locs[i]))
+            cow.touch(targets[-1], partial=True)
+        cow.land()
+        # pmlint: allow-direct-write — every target is the in-place
+        # writable handle the copy-on-write batch just returned.
+        self.nvbm.write_rows(targets, offset, rows(rest))
+        self.stats.partial_writes += len(rest)
+        self.injector.site(sites.PAYLOAD_PARTIAL, count=len(rest))
 
     def batch_set_payloads(self, items) -> None:
         """Apply ``(loc, payload)`` stores: ``n`` :meth:`set_payload`
@@ -543,7 +581,201 @@ class PMOctree(LeafSetStructure):
         self.stats.partial_writes += 2
         self._leaf_set.add(loc)
 
+    # ------------------------------------------------- refine/coarsen batches
+
+    def refine_leaves(self, locs) -> int:
+        """Refine each of ``locs`` that is a leaf at its turn — the per-loc
+        :meth:`refine` calls in order — as one batch; returns how many.
+
+        The NVBM leaves copy their shared root paths as one
+        :class:`_CowBatch`; each arena then takes one gather of the parents
+        and one scatter each of the children and the parents, with every
+        allocation made in the per-loc order.  The per-loc calls run
+        instead while :meth:`_cow_record_by_record` holds, when a loc is not
+        a leaf yet (a refine of this very batch may create it), and when
+        C0 could drop below its ``threshold_dram`` headroom before the last
+        DRAM refine (an eviction would fall between two of them)."""
+        locs = list(locs)
+        todo = list(dict.fromkeys(locs))  # a repeat is no leaf at its turn
+        index, leaf_set, fanout = self._index, self._leaf_set, \
+            morton.fanout(self.dim)
+        n_dram = sum(is_dram(index.get(loc, NULL_HANDLE)) for loc in todo)
+        if (self._cow_record_by_record()
+                or not all(loc in leaf_set for loc in todo)
+                or (n_dram and self.c0_free - (n_dram - 1) * fanout
+                    < self._c0_free_floor(fanout))):
+            return LoopBackedAccess.refine_leaves(self, locs)
+        _, dram, c0_roots = self._batch_handles(todo)
+        c0_roots = iter(c0_roots.tolist())
+        nv = [loc for loc, d in zip(todo, dram.tolist()) if not d]
+        cow = _CowBatch(self, nv)
+        #: per arena (keyed "in DRAM?"): refined handles, children, codes
+        done = {True: ([], [], []), False: ([], [], [])}
+        for loc, in_dram in zip(todo, dram.tolist()):
+            arena = self.dram if in_dram else self.nvbm
+            handle = index[loc] if in_dram else cow.writable(loc)
+            children = [arena.alloc() for _ in range(fanout)]
+            if not in_dram:
+                for child in children:
+                    cow.touch(child, partial=False)
+                # a whole-record store, but _land_refines reads the record
+                # back first: a flushed one's cache row must hold its bytes
+                cow.touch(handle, partial=True)
+            child_locs = morton.children_of(loc, self.dim)
+            for cloc, child in zip(child_locs, children):
+                index[cloc] = child
+                leaf_set.add(cloc)
+            leaf_set.discard(loc)
+            if in_dram:
+                self._dirty.add(loc)
+                root = next(c0_roots)
+                if root:
+                    stats = self._c0_roots[root]
+                    stats.size += fanout
+                    stats.locs.update(child_locs)
+                self.stats.inplace_updates += 1
+            parents, kids, kid_locs = done[in_dram]
+            parents.append(handle)
+            kids.extend(children)
+            kid_locs.extend(child_locs)
+        cow.land()
+        for in_dram, (parents, kids, kid_locs) in done.items():
+            if parents:
+                self._land_refines(self.dram if in_dram else self.nvbm,
+                                   parents, kids, kid_locs)
+        return len(todo)
+
+    def _land_refines(self, arena: MemoryArena, parents: List[int],
+                      kids: List[int], kid_locs: List[int]) -> None:
+        """The record stores of refining the (in-place writable) records
+        ``parents`` into ``kids``: each child a leaf carrying its parent's
+        payload, each parent an internal octant pointing at its children —
+        the images :meth:`refine` packs, read and stored one call each."""
+        fanout = morton.fanout(self.dim)
+        rows = arena.read_rows(parents)
+        recs = as_records(rows)
+        kid_rows = np.zeros((len(kids), rows.shape[1]), dtype=np.uint8)
+        images = as_records(kid_rows)
+        images["loc"] = kid_locs
+        images["level"] = np.repeat(recs["level"] + 1, fanout)
+        images["flags"] = FLAG_LEAF
+        images["epoch"] = self.epoch
+        images["payload"] = np.repeat(recs["payload"], fanout, axis=0)
+        images["parent"] = np.repeat(np.array(parents, np.uint64), fanout)
+        recs["children"][:, :fanout] = np.array(kids, np.uint64) \
+            .reshape(len(parents), fanout)
+        recs["flags"] &= np.uint8(~FLAG_LEAF & 0xFF)
+        recs["pad"] = 0
+        recs["tail"] = 0
+        arena.write_rows(kids, 0, kid_rows)
+        arena.write_rows(parents, 0, rows)
+
+    def coarsen_parents(self, parents) -> int:
+        """Coarsen each of ``parents`` that, at its turn, exists, is no
+        leaf and has only leaf children — the per-parent :meth:`coarsen`
+        calls in order — as one batch; returns how many.
+
+        The NVBM parents copy their shared root paths as one
+        :class:`_CowBatch`, read their children's epochs with one gather
+        and store the deletion marks, the nulled child slots and the leaf
+        flags with one scatter each; the DRAM parents free their children
+        in order and rewrite with one gather and one scatter.  The
+        per-parent calls run instead while :meth:`_cow_record_by_record`
+        holds, when a parent's own parent is in the batch (coarsening one
+        can make the other eligible), and when an NVBM parent has a DRAM
+        child (a C0 root of its own)."""
+        parents = list(parents)
+        index, leaf_set, dim = self._index, self._leaf_set, self.dim
+        queued = set(parents)
+        todo = [p for p in dict.fromkeys(parents)
+                if p in index and p not in leaf_set
+                and all(c in leaf_set for c in morton.children_of(p, dim))]
+        if (self._cow_record_by_record()
+                or any(p >> dim in queued for p in parents)
+                or any(not is_dram(index[p])
+                       and any(is_dram(index[c])
+                               for c in morton.children_of(p, dim))
+                       for p in todo)):
+            return LoopBackedAccess.coarsen_parents(self, parents)
+        _, dram, c0_roots = self._batch_handles(todo)
+        c0_roots = iter(c0_roots.tolist())
+        nv = [p for p, d in zip(todo, dram.tolist()) if not d]
+        cow = _CowBatch(self, nv)
+        if nv:
+            kid_epochs = iter(self.nvbm.read_rows(
+                [index[c] for p in nv for c in morton.children_of(p, dim)],
+                *EPOCH_SPAN).view("<u4")[:, 0].tolist())
+        in_dram_parents, nv_parents, deleted = [], [], []
+        for p, in_dram in zip(todo, dram.tolist()):
+            child_locs = morton.children_of(p, dim)
+            if in_dram:
+                for cloc in child_locs:
+                    self.dram.free(index.pop(cloc))
+                    leaf_set.discard(cloc)
+                    origin = self._origin.pop(cloc, None)
+                    if origin is not None:
+                        self._detach(origin)
+                    self._dirty.discard(cloc)
+                self._dirty.add(p)
+                root = next(c0_roots)
+                if root:
+                    stats = self._c0_roots[root]
+                    stats.size -= len(child_locs)
+                    stats.locs.difference_update(child_locs)
+                leaf_set.add(p)
+                in_dram_parents.append(index[p])
+                continue
+            handle = cow.writable(p)
+            for cloc in child_locs:
+                child = index.pop(cloc)
+                leaf_set.discard(cloc)
+                if next(kid_epochs) == self.epoch:
+                    cow.touch(child, partial=True)
+                    deleted.append(child)
+                    self.stats.partial_writes += 1
+                    self.stats.marked_deleted += 1
+                else:
+                    self._detach(child)
+            cow.touch(handle, partial=True)
+            self.stats.partial_writes += 2
+            leaf_set.add(p)
+            nv_parents.append(handle)
+        cow.land()
+        if deleted:
+            # pmlint: allow-direct-write — current-epoch leaves: V_{i-1}
+            # cannot reach them.
+            self.nvbm.write_rows(deleted, FLAGS_SPAN[0], np.full(
+                (len(deleted), 1), FLAG_LEAF | FLAG_DELETED, np.uint8))
+        if nv_parents:
+            self.injector.site(sites.COARSEN_MID, count=len(nv_parents))
+            fanout = morton.fanout(dim)
+            # pmlint: allow-direct-write — writable handles from the batch
+            self.nvbm.write_rows(nv_parents, CHILDREN_OFFSET, np.zeros(
+                (len(nv_parents), 8 * fanout), np.uint8))
+            # pmlint: allow-direct-write — writable handles from the batch
+            self.nvbm.write_rows(nv_parents, FLAGS_SPAN[0], np.full(
+                (len(nv_parents), 1), FLAG_LEAF, np.uint8))
+        if in_dram_parents:
+            rows = self.dram.read_rows(in_dram_parents)
+            recs = as_records(rows)
+            recs["children"][:, :morton.fanout(dim)] = NULL_HANDLE
+            recs["flags"] |= np.uint8(FLAG_LEAF)
+            recs["pad"] = 0
+            recs["tail"] = 0
+            self.dram.write_rows(in_dram_parents, 0, rows)
+        return len(todo)
+
     # --------------------------------------------------------------- COW machinery
+
+    def _cow_record_by_record(self) -> bool:
+        """Must copy-on-write stores run item by item (the scalar calls)?
+        Yes while a crash plan waits on a site between them, while a media
+        fault can fail a read (:func:`media_faults_possible`), and while an
+        ordering tracer watches either arena store by store."""
+        return (any(map(self.injector.armed, _COW_SITES))
+                or self.nvbm.tracer is not None
+                or self.dram.tracer is not None
+                or media_faults_possible(self))
 
     def _detach(self, handle: int) -> None:
         """Record that an NVBM handle left the working version while still
@@ -694,6 +926,11 @@ class PMOctree(LeafSetStructure):
     def c0_free(self) -> int:
         return max(0, self.c0_capacity - self.dram.used)
 
+    def _c0_free_floor(self, needed: int) -> int:
+        """Free C0 slots below which an allocation of ``needed`` evicts
+        first: ``needed``, or the ``threshold_dram`` share of C0."""
+        return max(needed, int(self.config.threshold_dram * self.c0_capacity))
+
     def _ensure_dram_capacity(self, needed: int, protect: Optional[int] = None) -> bool:
         """Evict LFU C0 subtrees until ``needed`` slots are free.
 
@@ -703,10 +940,7 @@ class PMOctree(LeafSetStructure):
         """
         from repro.core.merge import evict_subtree
 
-        threshold_free = max(
-            needed,
-            int(self.config.threshold_dram * self.c0_capacity),
-        )
+        threshold_free = self._c0_free_floor(needed)
         protected_root = self._c0_root_of(protect) if protect is not None else None
         heap: Optional[List] = None
         while self.c0_free < threshold_free:
@@ -1006,9 +1240,10 @@ class PMOctree(LeafSetStructure):
         return sum(s.size for s in self._c0_roots.values())
 
     def tree_depth(self) -> int:
-        return max(
-            (morton.level_of(leaf, self.dim) for leaf in self._leaf_set), default=0
-        )
+        if not self._leaf_set:
+            return 0
+        leaves = np.fromiter(self._leaf_set, np.int64, len(self._leaf_set))
+        return int(levels_of_codes(leaves, self.dim).max())
 
     def check_invariants(self) -> None:
         """Verify I1-I3 plus index/record agreement (test helper)."""
@@ -1068,3 +1303,149 @@ class PMOctree(LeafSetStructure):
             require(epochs < self.epoch, published,
                     "I2 violated: persistent record {:#x} is not older "
                     f"than the current epoch {self.epoch}")
+
+
+class _CowBatch:
+    """Copy-on-write for a batch of NVBM stores (§3.2, Fig 4): the
+    per-item :meth:`PMOctree._ensure_writable` sequence, planned in Python
+    and landed with one arena call per kind of store.
+
+    Built over the batch's locs, it reads the epoch of every record the
+    sequence will read, once each and one gather per tree level: the
+    items' records and the parents of those still shared (a shared
+    record's parent is always read next).  :meth:`writable` is then ``_ensure_writable`` of
+    the next item: the same decisions, allocations and bookkeeping
+    (``_index``, ``_superseded``, :class:`PMStats`, the root publish, the
+    splices into DRAM parents) in the same order, with every NVBM store
+    deferred.  The caller declares each of its own NVBM stores with
+    :meth:`touch` where the per-item sequence makes it, calls :meth:`land`,
+    then stores its own rows.  docs/performance.md, "Copy-on-write as a
+    batch", has why the result is the per-item sequence's.
+    """
+
+    def __init__(self, tree: PMOctree, locs: List[int]) -> None:
+        self.tree = tree
+        #: records read as shared (not of the current epoch); a record the
+        #: sequence reads is one of those read here, or a copy of this batch
+        self.stale: Set[int] = set()
+        self.first_reads = 0              #: records read here, once each
+        self.reads = 0                    #: epoch reads the sequence makes
+        self.originals: List[int] = []
+        self.copies: List[int] = []
+        #: position in ``copies`` -> the copy's parent, where that is a copy
+        #: too (the top copy of a path keeps its original's)
+        self.parents: Dict[int, int] = {}
+        #: child slot -> (records, child handles) spliced at that slot
+        self.splices: Dict[int, Tuple[List[int], List[int]]] = {}
+        #: the NVBM stores in order: record, and is it a field store
+        self.touched: List[int] = []
+        self.partial: List[bool] = []
+        # one gather per level, deepest first: a record at level L is an
+        # item or the parent of a shared record at L + 1, all known by then
+        index, dim = tree._index, tree.dim
+        pending: Dict[int, Dict[int, int]] = {}  # level -> {handle: loc}
+        for loc in locs:
+            pending.setdefault(morton.level_of(loc, dim), {})[index[loc]] = loc
+        while pending:
+            level = max(pending)
+            todo = pending.pop(level)
+            shared = tree.nvbm.read_rows(
+                np.fromiter(todo, np.uint64, len(todo)),
+                *EPOCH_SPAN).view("<u4")[:, 0] != tree.epoch
+            self.first_reads += len(todo)
+            for (handle, loc), old in zip(todo.items(), shared.tolist()):
+                if not old:
+                    continue
+                self.stale.add(handle)
+                if loc != morton.ROOT_LOC and is_nvbm(index[loc >> dim]):
+                    pending.setdefault(level - 1, {})[index[loc >> dim]] = \
+                        loc >> dim
+
+    def _current(self, handle: int) -> bool:
+        self.reads += 1
+        return handle not in self.stale
+
+    def writable(self, loc: int) -> int:
+        """Make the NVBM octant at ``loc`` in-place writable, copying the
+        shared suffix of its root path; returns its handle."""
+        tree = self.tree
+        index, dim = tree._index, tree.dim
+        handle = index[loc]
+        if is_dram(handle):
+            raise ConsistencyError(
+                f"{loc:#x} is in DRAM; COW is for NVBM octants")
+        if self._current(handle):
+            return handle
+        shared = [loc]  # deepest first
+        above = NULL_HANDLE  # the nearest writable ancestor, if any
+        while shared[-1] != morton.ROOT_LOC:
+            parent = index[shared[-1] >> dim]
+            if is_dram(parent) or self._current(parent):
+                above = parent
+                break
+            shared.append(shared[-1] >> dim)
+        stats, mask = tree.stats, morton.fanout(dim) - 1
+        new = NULL_HANDLE
+        for at in reversed(shared):
+            old, prev = index[at], new
+            new = tree.nvbm.alloc()
+            if prev:
+                self.parents[len(self.copies)] = prev
+            self.originals.append(old)
+            self.copies.append(new)
+            stats.cow_copies += 1
+            tree._superseded.append(old)
+            index[at] = new
+            self.touch(new, partial=False)
+            # hook the copy into its parent
+            if prev:
+                self._splice(prev, at & mask, new)
+            elif at == morton.ROOT_LOC:
+                tree.nvbm.roots.set(SLOT_CURR, new)
+            elif is_dram(above):
+                tree.dram.write_child_slot(above, at & mask, new)
+                stats.partial_writes += 1
+                tree._dirty.add(at >> dim)
+            else:
+                self.touch(above, partial=True)
+                self._splice(above, at & mask, new)
+        return new
+
+    def _splice(self, handle: int, slot: int, child: int) -> None:
+        handles, children = self.splices.setdefault(slot, ([], []))
+        handles.append(handle)
+        children.append(child)
+        self.tree.stats.partial_writes += 1
+
+    def touch(self, handle: int, partial: bool) -> None:
+        """A store to the NVBM record ``handle`` comes next in the per-item
+        sequence (``partial``: a field store, not a whole record)."""
+        self.touched.append(handle)
+        self.partial.append(partial)
+
+    def land(self) -> None:
+        """Charge the repeat epoch reads, hand out the write-back cache rows
+        in first-store order, then store the copies and the splices."""
+        tree, nvbm = self.tree, self.tree.nvbm
+        tree.stats.partial_reads += self.reads
+        repeats = self.reads - self.first_reads
+        nvbm.device.on_read_batch(repeats, repeats * EPOCH_SPAN[1],
+                                  repeats * lines_spanned(*EPOCH_SPAN))
+        nvbm.cache_in(self.touched, self.partial)
+        if not self.copies:
+            return
+        rows = nvbm.read_rows(self.originals)
+        images = as_records(rows)
+        images["epoch"] = tree.epoch
+        images["pad"] = 0  # as pack_record writes them
+        images["tail"] = 0
+        images["parent"][list(self.parents)] = list(self.parents.values())
+        # pmlint: allow-direct-write — fresh copies, allocated by writable()
+        nvbm.write_rows(self.copies, 0, rows)
+        for slot, (handles, children) in self.splices.items():
+            # pmlint: allow-direct-write — fresh copies, or the nearest
+            # current-epoch ancestors writable() found: V_{i-1} reaches none
+            nvbm.write_rows(handles, child_span(slot)[0],
+                            np.array(children, dtype="<u8")
+                            .view(np.uint8).reshape(len(children), 8))
+        tree.injector.site(sites.COW_AFTER_COPY, count=len(self.copies))

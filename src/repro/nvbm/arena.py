@@ -244,17 +244,24 @@ class MemoryArena:
                    self._dirty_mv, self._seal_mv):
             mv.release()
 
-    def _cache_rows(self, count: int) -> List[int]:
-        """Claim ``count`` free rows of the write-back cache."""
+    def _cache_rows(self, count: int, stepwise: bool = False) -> List[int]:
+        """Claim ``count`` free rows of the write-back cache.  ``stepwise``
+        grows the row array to the size ``count`` one-row claims would
+        leave it (each 1.5x step taken in turn), not to fit just this
+        claim."""
         free = self._crows_free
         rows = [free.pop() for _ in range(min(count, len(free)))]
         if len(rows) < count:
             start = self._crows_used
             self._crows_used = stop = start + count - len(rows)
             rows.extend(range(start, stop))
-            if stop > len(self._crows):
+            size = len(self._crows)
+            if stop > size:
+                while size < stop:
+                    size = max(size + 1 if stepwise else stop,
+                               3 * size // 2, 256)
                 self._unbind()
-                _extend(self._crows, max(stop, 3 * len(self._crows) // 2, 256))
+                _extend(self._crows, size)
                 self._bind()
         return rows
 
@@ -579,7 +586,12 @@ class MemoryArena:
     def write_rows(self, handles, offset: int, data: np.ndarray) -> None:
         """Store ``data`` (``(n, size) uint8``) at ``offset`` of many
         records: ``n`` :meth:`write_field` calls (``offset == 0`` and
-        ``size == 128``: ``n`` :meth:`write` calls)."""
+        ``size == 128``: ``n`` :meth:`write` calls).
+
+        A handle named more than once is stored to once per row, in call
+        order: each row is charged and ages its lines, the last row's bytes
+        are the ones that stay, and the record takes its cache row at its
+        first occurrence."""
         idx = self._indices(handles)
         n, size = data.shape
         if n != idx.size:
@@ -605,19 +617,56 @@ class MemoryArena:
                 self.tracer.on_store(self._tag | i, cached=not self._volatile)
         self.stats.stores += n
         span = slice(offset, offset + size)
+        if not (self._volatile or cached.all()):
+            self._claim_cache(list(dict.fromkeys(idx[~cached].tolist())),
+                              not whole)
+        if n > 1:
+            last = np.unique(idx[::-1], return_index=True)[1]
+            if last.size < n:
+                # a fancy-index store leaves repeated targets in no defined
+                # order: keep the last row naming each record
+                idx, data = idx[n - 1 - last], data[n - 1 - last]
         if self._volatile:
             self._rows[idx, span] = data
             self._present[idx] = True
             return
-        fresh = list(dict.fromkeys(idx[~cached].tolist()))
-        if fresh:
-            crows = self._cache_rows(len(fresh))
-            self._cdir.update(zip(fresh, crows))
-            self._crow[fresh] = crows
-            if not whole:
-                self._crows[crows] = self._rows[fresh]
         self._crows[self._crow[idx], span] = data
         self._dirty_mask[idx] |= mask
+
+    def _claim_cache(self, slots: List[int], copy,
+                     stepwise: bool = False) -> None:
+        """Give the uncached ``slots`` write-back cache rows, in this order;
+        where ``copy`` holds (a bool, or one per slot) the row starts as the
+        medium's bytes — what a first *field* store does."""
+        crows = self._cache_rows(len(slots), stepwise)
+        self._cdir.update(zip(slots, crows))
+        self._crow[slots] = crows
+        copy = np.broadcast_to(copy, len(slots))
+        if copy.any():
+            self._crows[np.array(crows)[copy]] = \
+                self._rows[np.array(slots)[copy]]
+
+    def cache_in(self, handles, partial) -> None:
+        """Take write-back cache rows for the records of ``handles`` that
+        have none yet, in order of first occurrence: what the first store to
+        each does, so a batch whose stores land kind by kind still fills the
+        cache directory — the order a crash tears in — in its per-record
+        first-store order, and the row array grows as those stores would
+        grow it.  ``partial[i]`` marks a field store: where a record's first
+        store is one, that record must exist (or this raises, as the store
+        would) and its cache row starts as the medium's bytes."""
+        idx = self._indices(handles)
+        if self._volatile or idx.size == 0:
+            return
+        first = np.sort(np.unique(idx, return_index=True)[1])
+        idx = idx[first]
+        fresh = self._crow[idx] < 0
+        partial = np.asarray(partial, dtype=bool)[first][fresh]
+        idx = idx[fresh]
+        bad = partial & ~self._present[idx]
+        if bad.any():
+            raise self._never_written(self._tag | int(idx[bad.argmax()]))
+        self._claim_cache(idx.tolist(), partial, stepwise=True)
 
     # -- durability ----------------------------------------------------------
 

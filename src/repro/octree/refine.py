@@ -84,23 +84,15 @@ class RefinementEngine:
                                & (batch.levels < self.max_level)]
         voters = batch.locs[(actions == Action.COARSEN)
                             & (batch.levels > self.min_level)]
-        for loc in to_refine.tolist():
-            if tree.is_leaf(loc):  # a metered index search out of core
-                tree.refine(loc)
-                res.refined += 1
+        res.refined = tree.refine_leaves(to_refine.tolist())
         # A parent coarsens when all its children voted.  Parents are
         # visited in the order their first vote was cast (leaf order), so
         # the copy-on-write allocations happen in the per-leaf order.
         parents, first, votes = np.unique(voters >> dim, return_index=True,
                                           return_counts=True)
         agreed = votes == morton.fanout(dim)
-        for parent in parents[agreed][np.argsort(first[agreed])].tolist():
-            # Re-check children are all still leaves (none refined above).
-            if tree.exists(parent) and not tree.is_leaf(parent) \
-                    and all(tree.is_leaf(c)
-                            for c in morton.children_of(parent, dim)):
-                tree.coarsen(parent)
-                res.coarsened += 1
+        res.coarsened = tree.coarsen_parents(
+            parents[agreed][np.argsort(first[agreed])].tolist())
         if self.balance and (res.refined or res.coarsened):
             res.balance_refined = balance_tree(
                 tree, max_level=self.max_level,

@@ -131,6 +131,16 @@ class AdaptiveTree(Protocol):
         """Delete the (leaf) children of ``loc``, making it a leaf again."""
         ...
 
+    def refine_leaves(self, locs: Sequence[int]) -> int:
+        """``refine`` each of ``locs`` that is a leaf at its turn, in order;
+        returns how many were refined."""
+        ...
+
+    def coarsen_parents(self, parents: Sequence[int]) -> int:
+        """``coarsen`` each of ``parents`` that, at its turn, exists, is no
+        leaf and has only leaf children, in order; returns how many."""
+        ...
+
 
 class LoopBackedAccess:
     """Batch calls built only on the per-octant ones.
@@ -180,6 +190,27 @@ class LoopBackedAccess:
     def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
         # deciding costs the index searches Balance makes anyway
         return np.ones(len(locs), dtype=bool)
+
+    def refine_leaves(self, locs: Sequence[int]) -> int:
+        refined = 0
+        for loc in locs:
+            if self.is_leaf(loc):  # a metered index search out of core
+                self.refine(loc)
+                refined += 1
+        return refined
+
+    def coarsen_parents(self, parents: Sequence[int]) -> int:
+        from repro.octree import morton
+
+        coarsened = 0
+        for parent in parents:
+            # Re-check children are all still leaves (none refined above).
+            if self.exists(parent) and not self.is_leaf(parent) \
+                    and all(self.is_leaf(c)
+                            for c in morton.children_of(parent, self.dim)):
+                self.coarsen(parent)
+                coarsened += 1
+        return coarsened
 
 
 def leaf_levels(tree: AdaptiveTree) -> List[int]:

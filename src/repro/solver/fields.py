@@ -47,24 +47,6 @@ class FieldView:
             payload[slot] = value
         self.tree.set_payload(loc, tuple(payload))
 
-    def total(self, slot: int, weighted: bool = True) -> float:
-        """Sum (volume-weighted by default) of a field over the leaves.
-
-        The volume-weighted VOF total is the liquid volume — conserved by the
-        analytic geometry up to sampling error, which tests rely on.
-        """
-        from repro.octree import morton
-
-        acc = 0.0
-        for loc in self.tree.leaves():
-            w = (
-                morton.cell_size(loc, self.tree.dim) ** self.tree.dim
-                if weighted
-                else 1.0
-            )
-            acc += w * self.tree.get_payload(loc)[slot]
-        return acc
-
 
 def liquid_leaves(tree: AdaptiveTree, threshold: float = 0.5) -> List[int]:
     """Leaves that are mostly liquid (used by droplet counting).

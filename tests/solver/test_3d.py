@@ -9,6 +9,7 @@ from repro.octree.store import validate_tree
 from repro.solver.fields import VOF, FieldView
 from repro.solver.simulation import DropletSimulation
 from repro.solver.wave import WaveConfig, WaveSimulation
+from tests.solver.test_fields_advection import liquid_volume
 
 
 def test_droplet_3d_on_pointer_octree(octree3d):
@@ -65,8 +66,7 @@ def test_3d_volume_conservation(octree3d):
     geo = DropletGeometry(cfg)
     t = 0.3
     initialize_vof(octree3d, geo, t=t)
-    fv = FieldView(octree3d)
-    measured = fv.total(VOF)
+    measured = liquid_volume(octree3d)
     # analytic column: roughly pi * R^2 * tip height
     import math
 

@@ -27,6 +27,10 @@
   with one gather — no ``read_octant(``/``new_octant(`` in the merge, one
   ``soa.gather(`` in ``core/transform.py`` — and ``core`` asks the injector
   through its public queries, never ``injector._plans``/``injector.hits``.
+* copy-on-write is a batch: ``PMOctree._batch_store`` calls
+  ``scalar_store`` only in its record-by-record branch, and the refine
+  sweep hands the tree whole batches — no ``tree.refine(``/
+  ``tree.coarsen(`` in ``RefinementEngine._sweep``.
 * structure is a batch too: ``face_neighbor_leaves(`` is called only where
   it is defined (``octree/neighbors.py``) and by the loop-backed default in
   ``octree/store.py``; and ``src/repro`` imports nothing a clean
@@ -172,6 +176,31 @@ def test_persist_point_is_a_batch():
     reaching_in = _offenders(re.compile(r"injector\.(?:_plans|hits)\b"),
                              ("core",))
     assert not reaching_in, "\n".join(reaching_in)
+
+
+def test_copy_on_write_is_a_batch():
+    """A ``scalar_store`` call outside the ``_cow_record_by_record()``
+    branch is the per-item NVBM loop creeping back; a per-octant
+    ``tree.refine(``/``tree.coarsen(`` in the sweep bypasses the batch."""
+    store = ast.parse(_function_source(SRC_DIR / "core" / "pmoctree.py",
+                                       "PMOctree._batch_store"))
+    branches = [node for node in ast.walk(store)
+                if isinstance(node, ast.If)
+                and "_cow_record_by_record()" in ast.unparse(node.test)]
+    assert len(branches) == 1
+
+    def store_calls(tree):
+        return [node for node in ast.walk(tree)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) == "scalar_store"]
+
+    assert store_calls(store)
+    assert len(store_calls(store)) == sum(
+        len(store_calls(stmt)) for stmt in branches[0].body)
+    sweep = _function_source(SRC_DIR / "octree" / "refine.py",
+                             "RefinementEngine._sweep")
+    assert not re.search(r"tree\.(?:refine|coarsen)\(", sweep)
+    assert "tree.refine_leaves(" in sweep and "tree.coarsen_parents(" in sweep
 
 
 def test_arena_has_one_store_and_device_one_charge():
