@@ -10,16 +10,22 @@ PM-octree's §5.6 numbers are compared against.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import Optional
+
+import numpy as np
 
 from repro.errors import RecoveryError
 from repro.nvbm.arena import MemoryArena
+from repro.nvbm.records import FLAG_LEAF, PAYLOAD_SPAN, as_records
 from repro.octree import morton
-from repro.octree.tree import PointerOctree
+from repro.octree.soa import levels_of_codes
+from repro.octree.traversal import preorder
+from repro.octree.tree import PointerOctree, land_refines
 from repro.storage.filesystem import SimFileSystem
 
-#: Snapshot record: loc (Q), flags (B), 4 payload doubles.
-_SNAP = struct.Struct("<QB4d")
+#: Snapshot record: loc, flags, 4 payload doubles — packed, little-endian
+#: (the ``struct`` layout ``"<QB4d"``).
+_SNAP = np.dtype([("loc", "<u8"), ("flags", "u1"), ("payload", "<f8", (4,))])
 _HEADER = struct.Struct("<4sBQ")
 _MAGIC = b"GFS1"
 
@@ -35,16 +41,13 @@ class InCoreOctree(PointerOctree):
     # -- checkpointing -------------------------------------------------------
 
     def checkpoint(self, fs: SimFileSystem, name: str) -> int:
-        """Serialise every octant into a snapshot file; returns bytes written."""
-        from repro.octree.traversal import preorder
-
-        chunks: List[bytes] = []
-        count = 0
-        for loc in preorder(self):
-            rec = self.get_record(loc)
-            chunks.append(_SNAP.pack(rec.loc, rec.flags, *rec.payload))
-            count += 1
-        blob = _HEADER.pack(_MAGIC, self.dim, count) + b"".join(chunks)
+        """Serialise every octant, in preorder, into a snapshot file: one
+        whole-record read each, gathered; returns bytes written."""
+        recs = as_records(self.arena.read_rows(self._handles(preorder(self))))
+        snap = np.empty(len(recs), _SNAP)
+        for field in _SNAP.names:
+            snap[field] = recs[field]
+        blob = _HEADER.pack(_MAGIC, self.dim, len(snap)) + snap.tobytes()
         f = fs.create(name)
         f.append(blob)
         return len(blob)
@@ -52,7 +55,15 @@ class InCoreOctree(PointerOctree):
     @classmethod
     def restore_from(cls, fs: SimFileSystem, name: str, arena: MemoryArena
                      ) -> "InCoreOctree":
-        """Rebuild the tree from a snapshot file (the §5.6 recovery path)."""
+        """Rebuild the tree from a snapshot file (the §5.6 recovery path).
+
+        Charged as refining every internal entry and then storing every
+        entry's payload, entry by entry: the children are allocated in that
+        order, their records land one tree level at a time (a level's
+        parents are the previous level's children) and the payloads with
+        one scatter.  The snapshot must list exactly the octants of the
+        tree it implies, each once and after its parent — anything else is
+        a :class:`RecoveryError` before the arena is touched."""
         try:
             blob = fs.open(name).read_all()
         except Exception as exc:
@@ -62,29 +73,45 @@ class InCoreOctree(PointerOctree):
         magic, dim, count = _HEADER.unpack_from(blob, 0)
         if magic != _MAGIC:
             raise RecoveryError(f"snapshot {name!r} has bad magic {magic!r}")
-        expected = _HEADER.size + count * _SNAP.size
+        if dim not in (2, 3):
+            raise RecoveryError(f"snapshot {name!r} has bad dimension {dim}")
+        expected = _HEADER.size + count * _SNAP.itemsize
         if len(blob) < expected:
             raise RecoveryError(
                 f"snapshot {name!r} is truncated: {len(blob)} < {expected}"
             )
-        entries = []
-        off = _HEADER.size
-        for _ in range(count):
-            fields = _SNAP.unpack_from(blob, off)
-            off += _SNAP.size
-            entries.append((fields[0], fields[1], fields[2:6]))
-        tree = cls(arena, dim=dim)
-        # parents come before children in the preorder dump
-        from repro.nvbm.records import FLAG_LEAF
-
-        for loc, flags, payload in entries:
-            if loc != morton.ROOT_LOC and not tree.exists(loc):
+        entries = np.frombuffer(blob, _SNAP, count, _HEADER.size)
+        locs = entries["loc"].tolist()
+        inner = (entries["flags"] & FLAG_LEAF) == 0
+        # the implied tree: the root, then the children of every internal
+        # entry, each listed once and after its parent
+        pending = {morton.ROOT_LOC}
+        for loc, internal in zip(locs, inner.tolist()):
+            if loc not in pending:
                 raise RecoveryError(
-                    f"snapshot {name!r} lists orphan octant {loc:#x}"
-                )
-            if not (flags & FLAG_LEAF):
-                tree.refine(loc)
-            tree.set_payload(loc, payload)
+                    f"snapshot {name!r} lists octant {loc:#x} twice or "
+                    "before its parent")
+            pending.remove(loc)
+            if internal:
+                pending.update(morton.children_of(loc, dim))
+        if pending:
+            raise RecoveryError(
+                f"snapshot {name!r} omits {len(pending)} octants of its "
+                f"tree, e.g. {min(pending):#x}")
+        tree = cls(arena, dim=dim)
+        split = entries["loc"][inner]
+        parents, kids, kid_locs = tree._split(split.tolist())
+        levels = levels_of_codes(split, dim)
+        fanout = morton.fanout(dim)
+        parents = np.array(parents, np.uint64)
+        kids = np.array(kids, np.uint64).reshape(-1, fanout)
+        kid_locs = np.array(kid_locs, np.uint64).reshape(-1, fanout)
+        for level in np.unique(levels).tolist():
+            at = levels == level
+            land_refines(arena, parents[at], kids[at].ravel(),
+                         kid_locs[at].ravel(), epoch=0)
+        arena.write_rows(tree._handles(locs), PAYLOAD_SPAN[0],
+                         entries["payload"].copy().view(np.uint8))
         return tree
 
 

@@ -50,6 +50,7 @@ from repro.nvbm.records import (CHILDREN_OFFSET, EPOCH_SPAN, FLAG_DELETED,
 from repro.octree import morton
 from repro.octree.soa import LeafSetStructure, Predicate, levels_of_codes
 from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
+from repro.octree.tree import land_coarsens, land_refines
 
 #: Root-slot names in the NVBM arena.
 SLOT_PREV = "V_prev"
@@ -618,7 +619,7 @@ class PMOctree(LeafSetStructure):
             if not in_dram:
                 for child in children:
                     cow.touch(child, partial=False)
-                # a whole-record store, but _land_refines reads the record
+                # a whole-record store, but land_refines reads the record
                 # back first: a flushed one's cache row must hold its bytes
                 cow.touch(handle, partial=True)
             child_locs = morton.children_of(loc, self.dim)
@@ -641,34 +642,9 @@ class PMOctree(LeafSetStructure):
         cow.land()
         for in_dram, (parents, kids, kid_locs) in done.items():
             if parents:
-                self._land_refines(self.dram if in_dram else self.nvbm,
-                                   parents, kids, kid_locs)
+                land_refines(self.dram if in_dram else self.nvbm,
+                             parents, kids, kid_locs, epoch=self.epoch)
         return len(todo)
-
-    def _land_refines(self, arena: MemoryArena, parents: List[int],
-                      kids: List[int], kid_locs: List[int]) -> None:
-        """The record stores of refining the (in-place writable) records
-        ``parents`` into ``kids``: each child a leaf carrying its parent's
-        payload, each parent an internal octant pointing at its children —
-        the images :meth:`refine` packs, read and stored one call each."""
-        fanout = morton.fanout(self.dim)
-        rows = arena.read_rows(parents)
-        recs = as_records(rows)
-        kid_rows = np.zeros((len(kids), rows.shape[1]), dtype=np.uint8)
-        images = as_records(kid_rows)
-        images["loc"] = kid_locs
-        images["level"] = np.repeat(recs["level"] + 1, fanout)
-        images["flags"] = FLAG_LEAF
-        images["epoch"] = self.epoch
-        images["payload"] = np.repeat(recs["payload"], fanout, axis=0)
-        images["parent"] = np.repeat(np.array(parents, np.uint64), fanout)
-        recs["children"][:, :fanout] = np.array(kids, np.uint64) \
-            .reshape(len(parents), fanout)
-        recs["flags"] &= np.uint8(~FLAG_LEAF & 0xFF)
-        recs["pad"] = 0
-        recs["tail"] = 0
-        arena.write_rows(kids, 0, kid_rows)
-        arena.write_rows(parents, 0, rows)
 
     def coarsen_parents(self, parents) -> int:
         """Coarsen each of ``parents`` that, at its turn, exists, is no
@@ -756,13 +732,7 @@ class PMOctree(LeafSetStructure):
             self.nvbm.write_rows(nv_parents, FLAGS_SPAN[0], np.full(
                 (len(nv_parents), 1), FLAG_LEAF, np.uint8))
         if in_dram_parents:
-            rows = self.dram.read_rows(in_dram_parents)
-            recs = as_records(rows)
-            recs["children"][:, :morton.fanout(dim)] = NULL_HANDLE
-            recs["flags"] |= np.uint8(FLAG_LEAF)
-            recs["pad"] = 0
-            recs["tail"] = 0
-            self.dram.write_rows(in_dram_parents, 0, rows)
+            land_coarsens(self.dram, in_dram_parents, morton.fanout(dim))
         return len(todo)
 
     # --------------------------------------------------------------- COW machinery

@@ -41,12 +41,13 @@ class AdaptiveTree(Protocol):
     batch call is *defined* as the per-octant calls in order: ``batch_*`` for
     data, ``face_neighbors`` for structure (``face_neighbor_leaves`` of each
     code).  A tree may therefore aggregate the device charge of a batch
-    (PM-octree does) or answer it from arrays when the per-octant queries
-    are uncharged (:class:`repro.octree.soa.LeafSetStructure`), but never
-    change the total: on an out-of-core tree each structure query is an
-    index search, and that cost is part of what the evaluation compares.
+    (PM-octree and the in-core tree do) or answer it from arrays when the
+    per-octant queries are uncharged
+    (:class:`repro.octree.soa.LeafSetStructure`), but never change the
+    total: on an out-of-core tree each structure query is an index search,
+    and that cost is part of what the evaluation compares.
     :class:`LoopBackedAccess` derives every batch from the per-octant calls
-    for trees with nothing to aggregate.
+    for the tree whose every call is such a search.
     """
 
     dim: int
@@ -145,12 +146,14 @@ class AdaptiveTree(Protocol):
 class LoopBackedAccess:
     """Batch calls built only on the per-octant ones.
 
-    For trees whose smallest access is a whole payload (a DRAM record, a
-    4 KB page): a slot write is a payload read-modify-write and a batch is
-    the plain loop, so the device is charged exactly what the per-octant
-    calls charge.  The same goes for structure: ``face_neighbors`` is the
-    ``face_neighbor_leaves`` loop, every ``exists``/``is_leaf`` in it an
-    index search where the tree keeps its index out of core.
+    Its one user is :class:`repro.baselines.etree.EtreeOctree`, whose
+    smallest access is a 4 KB page and whose every ``exists``/``is_leaf`` is
+    a metered index search: a slot write is a page read-modify-write and a
+    batch is the plain loop, so the device is charged exactly what the
+    per-octant calls charge, searches included.  The same goes for
+    structure: ``face_neighbors`` is the ``face_neighbor_leaves`` loop.
+    PM-octree and the in-core pointer octree call ``refine_leaves``/
+    ``coarsen_parents`` from here as the fallback of their own batches.
     """
 
     def get_field(self, loc: int, slot: int) -> float:

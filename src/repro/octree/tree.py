@@ -9,22 +9,73 @@ is a record read-modify-write that gets charged to the simulated clock.  A
 *volatile* code→handle index accelerates lookup; it can always be rebuilt
 from the records (:meth:`PointerOctree.rebuild_index`), which is exactly
 what recovery does.
+
+A batch call is the per-octant calls in order, landed as one gather or
+scatter per record kind: the arena is DRAM (no cache, no seal, no media
+faults), so :meth:`MemoryArena.read_rows`/``write_rows`` charge exactly
+what the per-record loop charges.  :func:`land_refines` and
+:func:`land_coarsens` are the record images of a refine and a coarsen,
+shared with PM-octree's batches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Set
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.errors import ConsistencyError, ReproError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.pointers import NULL_HANDLE
-from repro.nvbm.records import OctantRecord
+from repro.nvbm.records import (FLAG_LEAF, PAYLOAD_SPAN, OctantRecord,
+                                as_records)
 from repro.octree import morton
 from repro.octree.soa import LeafSetStructure
 from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
 
 
-class PointerOctree(LeafSetStructure, LoopBackedAccess):
+def land_refines(arena: MemoryArena, parents, kids, kid_locs,
+                 epoch: int) -> None:
+    """The record stores of refining the (in-place writable) leaf records
+    ``parents`` into ``kids`` (``fanout`` per parent, in order): each child
+    a leaf of the given ``epoch`` carrying its parent's payload, each parent
+    an internal octant pointing at its children — the images ``refine``
+    packs, landed as one gather of the parents, one scatter of the children
+    and one of the parents."""
+    fanout = len(kids) // len(parents)
+    rows = arena.read_rows(parents)
+    recs = as_records(rows)
+    kid_rows = np.zeros((len(kids), rows.shape[1]), dtype=np.uint8)
+    images = as_records(kid_rows)
+    images["loc"] = kid_locs
+    images["level"] = np.repeat(recs["level"] + 1, fanout)
+    images["flags"] = FLAG_LEAF
+    images["epoch"] = epoch
+    images["payload"] = np.repeat(recs["payload"], fanout, axis=0)
+    images["parent"] = np.repeat(np.asarray(parents, np.uint64), fanout)
+    recs["children"][:, :fanout] = np.asarray(kids, np.uint64) \
+        .reshape(len(parents), fanout)
+    recs["flags"] &= np.uint8(~FLAG_LEAF & 0xFF)
+    recs["pad"] = 0
+    recs["tail"] = 0
+    arena.write_rows(kids, 0, kid_rows)
+    arena.write_rows(parents, 0, rows)
+
+
+def land_coarsens(arena: MemoryArena, parents, fanout: int) -> None:
+    """The record stores of coarsening the (in-place writable) records
+    ``parents`` whose children are gone: null child slots and the leaf bit,
+    the images ``coarsen`` packs, as one gather and one scatter."""
+    rows = arena.read_rows(parents)
+    recs = as_records(rows)
+    recs["children"][:, :fanout] = NULL_HANDLE
+    recs["flags"] |= np.uint8(FLAG_LEAF)
+    recs["pad"] = 0
+    recs["tail"] = 0
+    arena.write_rows(parents, 0, rows)
+
+
+class PointerOctree(LeafSetStructure):
     """A mutable octree whose octants are records in one arena."""
 
     def __init__(self, arena: MemoryArena, dim: int = 2,
@@ -73,6 +124,99 @@ class PointerOctree(LeafSetStructure, LoopBackedAccess):
     def get_record(self, loc: int) -> OctantRecord:
         """Full record view (tests and GC use this; solvers use payloads)."""
         return self.arena.read_octant(self.handle_of(loc))
+
+    # The smallest access is a whole payload: a slot read is a payload
+    # read, a slot write a payload read-modify-write.
+    get_field = LoopBackedAccess.get_field
+    set_field = LoopBackedAccess.set_field
+
+    # -- batches: one gather / scatter per call --------------------------------
+
+    def _handles(self, locs: Sequence[int]) -> List[int]:
+        index = self._index
+        try:
+            return [index[loc] for loc in locs]
+        except KeyError as exc:
+            raise ReproError(f"octant {exc.args[0]:#x} not in tree") from None
+
+    def batch_read_payloads(self, locs: Sequence[int]) -> np.ndarray:
+        return self.arena.read_rows(self._handles(locs),
+                                    *PAYLOAD_SPAN).view("<f8")
+
+    def batch_read_fields(self, locs: Sequence[int], slot: int) -> np.ndarray:
+        return self.batch_read_payloads(locs)[:, slot]
+
+    def batch_set_payloads(self, items) -> None:
+        items = list(items)
+        rows = np.array([payload for _, payload in items], dtype="<f8")
+        self.arena.write_rows(self._handles([loc for loc, _ in items]),
+                              PAYLOAD_SPAN[0],
+                              rows.reshape(len(items), 4).view(np.uint8))
+
+    def batch_set_fields(self, items, slot: int) -> None:
+        items = list(items)
+        handles = self._handles([loc for loc, _ in items])
+        rows = self.arena.read_rows(handles, *PAYLOAD_SPAN)
+        rows.view("<f8")[:, slot] = [value for _, value in items]
+        self.arena.write_rows(handles, PAYLOAD_SPAN[0], rows)
+
+    def _split(self, locs: Sequence[int]) -> Tuple[List[int], List[int],
+                                                   List[int]]:
+        """Allocate the children of the leaves ``locs``, loc by loc, and
+        enter them in the index and leaf set in ``refine``'s order; returns
+        the parent handles, the children and their codes for
+        :func:`land_refines`."""
+        index, leaf_set, alloc = self._index, self._leaf_set, self.arena.alloc
+        parents: List[int] = []
+        kids: List[int] = []
+        kid_locs: List[int] = []
+        for loc in locs:
+            parents.append(index[loc])
+            child_locs = morton.children_of(loc, self.dim)
+            for cloc in child_locs:
+                index[cloc] = kid = alloc()
+                leaf_set.add(cloc)
+                kids.append(kid)
+            leaf_set.discard(loc)
+            kid_locs.extend(child_locs)
+        return parents, kids, kid_locs
+
+    def refine_leaves(self, locs: Sequence[int]) -> int:
+        """The per-loc :meth:`refine` calls as one batch: one gather of the
+        parents, one scatter each of the children and the parents.  The
+        loop runs instead when a loc is not a leaf yet (a refine of this
+        very batch may create it)."""
+        locs = list(locs)
+        todo = list(dict.fromkeys(locs))  # a repeat is no leaf at its turn
+        if not all(loc in self._leaf_set for loc in todo):
+            return LoopBackedAccess.refine_leaves(self, locs)
+        if todo:
+            land_refines(self.arena, *self._split(todo), epoch=0)
+        return len(todo)
+
+    def coarsen_parents(self, parents: Sequence[int]) -> int:
+        """The per-parent :meth:`coarsen` calls as one batch: the children
+        are freed parent by parent (the free list's order is state), the
+        parents rewritten with one gather and one scatter.  The loop runs
+        instead when a parent's own parent is in the batch (coarsening one
+        can make the other eligible)."""
+        parents = list(parents)
+        index, leaf_set, dim = self._index, self._leaf_set, self.dim
+        queued = set(parents)
+        if any(p >> dim in queued for p in parents):
+            return LoopBackedAccess.coarsen_parents(self, parents)
+        todo = [p for p in dict.fromkeys(parents)
+                if p in index and p not in leaf_set
+                and all(c in leaf_set for c in morton.children_of(p, dim))]
+        for p in todo:
+            for cloc in morton.children_of(p, dim):
+                self.arena.free(index.pop(cloc))
+                leaf_set.discard(cloc)
+            leaf_set.add(p)
+        if todo:
+            land_coarsens(self.arena, [index[p] for p in todo],
+                          morton.fanout(dim))
+        return len(todo)
 
     def refine(self, loc: int) -> List[int]:
         """Split a leaf into its ``2**dim`` children (in-place pointer update)."""

@@ -1,17 +1,32 @@
-"""In-core baseline: meshing + snapshot checkpoint/restore."""
+"""In-core baseline: meshing + snapshot checkpoint/restore.
 
+The batches are twinned against their per-record definition on two trees
+built alike: ``refine_leaves``/``coarsen_parents`` against the
+``LoopBackedAccess`` loop, ``checkpoint``/``restore_from`` against their
+per-record bodies in ``tests/oracles/structure_walks.py``.  Equal means the
+same arena bytes, allocator (free-list order included), arena and device
+counters, wear, clock, index and leaf-set order.
+"""
+
+import dataclasses
+import random
+
+import numpy as np
 import pytest
 
 from repro.config import DRAM_SPEC, NVBM_FS_SPEC
-from repro.baselines.incore import CheckpointPolicy, InCoreOctree
+from repro.baselines.incore import (_HEADER, _MAGIC, _SNAP, CheckpointPolicy,
+                                    InCoreOctree)
 from repro.errors import RecoveryError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.pointers import ARENA_DRAM
+from repro.nvbm.records import FLAG_LEAF
 from repro.octree import morton
-from repro.octree.store import validate_tree
+from repro.octree.store import LoopBackedAccess, validate_tree
 from repro.storage.block import BlockDevice
 from repro.storage.filesystem import SimFileSystem
+from tests.oracles import structure_walks as oracle
 
 
 @pytest.fixture
@@ -134,3 +149,140 @@ def test_3d_roundtrip(clock, fs):
     t2 = InCoreOctree.restore_from(fs, "3d.gfs", fresh)
     assert t2.dim == 3
     assert t2.num_leaves() == 8
+
+
+# ------------------------------------------- batches vs per-record definition
+
+def _deep_state(tree):
+    arena, alloc = tree.arena, tree.arena.allocator
+    clock = arena.device.clock
+    return {
+        "rows": arena._rows.tobytes(),
+        "present": arena._present.tobytes(),
+        "allocator": (alloc._bump, list(alloc._free),
+                      alloc._allocated.tobytes()),
+        "arena": dataclasses.asdict(arena.stats),
+        "device": dataclasses.asdict(arena.device.stats),
+        # a scatter grows the wear array in one step, the loop in several
+        "wear": np.trim_zeros(arena.device._wear, "b").tolist(),
+        "clock": (clock.now_ns, dict(clock.by_phase),
+                  dict(clock.by_category)),
+        "index": list(tree._index.items()),
+        "leaves": list(tree._leaf_set),
+    }
+
+
+def _eligible(tree):
+    """Parents whose children are all leaves, ascending."""
+    dim = tree.dim
+    return sorted({p for p in (leaf >> dim for leaf in tree.leaves())
+                   if p and all(tree.is_leaf(c)
+                                for c in morton.children_of(p, dim))})
+
+
+def _grown(dim, seed):
+    """A random tree with holes in its free list (coarsens free children),
+    so an allocation order shows in the handles it hands out."""
+    rng = random.Random(seed)
+    tree = InCoreOctree(MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(),
+                                    1 << 14), dim=dim)
+    tree.refine_uniform(2)
+    for _ in range(12):
+        tree.refine(rng.choice(sorted(tree.leaves())))
+        tree.coarsen(rng.choice(_eligible(tree)))
+    for i, loc in enumerate(sorted(tree._index)):
+        tree.set_payload(loc, (rng.random(), float(i), 0.5, -1.0))
+    return tree
+
+
+def _batch_steps(tree, seed):
+    """Refine and coarsen batches, each drawn from the tree as the steps
+    before it left it: repeats, a code the same batch creates, a parent
+    with its grandparent (batched) and with its parent (the loop), leaves
+    and unknown codes among the parents, and empty batches."""
+    dim, rng = tree.dim, random.Random(seed + 1)
+    picks = rng.sample(sorted(tree.leaves()), 5)
+    yield "refine", picks + picks[:2]
+    leaf = rng.choice(sorted(tree.leaves()))
+    yield "refine", [leaf, morton.children_of(leaf, dim)[1]]
+    yield "refine", []
+    eligible = _eligible(tree)
+    yield "coarsen", eligible[::2] + eligible[:1] + [min(tree.leaves()),
+                                                     1 << 40]
+    parent = rng.choice([p for p in _eligible(tree)
+                         if morton.level_of(p, dim) >= 2])
+    yield "coarsen", [parent, parent >> 2 * dim]
+    parent = rng.choice(_eligible(tree))
+    child = morton.children_of(parent, dim)[0]
+    yield "refine", [child]
+    yield "coarsen", [child, parent]
+    yield "coarsen", []
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_refine_and_coarsen_batches_equal_the_loop(dim, seed):
+    ours, theirs = _grown(dim, seed), _grown(dim, seed)
+    assert _deep_state(ours) == _deep_state(theirs)
+    for kind, batch in _batch_steps(ours, seed):
+        if kind == "refine":
+            got = ours.refine_leaves(batch)
+            want = LoopBackedAccess.refine_leaves(theirs, batch)
+        else:
+            got = ours.coarsen_parents(batch)
+            want = LoopBackedAccess.coarsen_parents(theirs, batch)
+        assert got == want, (kind, batch)
+        assert _deep_state(ours) == _deep_state(theirs), (kind, batch)
+    validate_tree(ours)
+
+
+def _checkpointed(dim, seed, write):
+    tree = _grown(dim, seed)
+    fs = SimFileSystem(BlockDevice(NVBM_FS_SPEC, tree.arena.device.clock))
+    write(tree, fs, "snap.gfs")
+    return tree, fs
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("seed", range(3))
+def test_checkpoint_and_restore_equal_per_record_bodies(dim, seed):
+    """Same blob byte for byte and the same charges to write it; the
+    restored tree equal in every arena byte, allocator state, counter and
+    clock to the one ``refine`` + ``set_payload`` per entry builds."""
+    ours, fs_ours = _checkpointed(dim, seed, InCoreOctree.checkpoint)
+    theirs, fs_theirs = _checkpointed(dim, seed, oracle.incore_checkpoint)
+    blob = fs_ours.open("snap.gfs").read_all()
+    assert blob == fs_theirs.open("snap.gfs").read_all()
+    assert _deep_state(ours) == _deep_state(theirs)
+    assert fs_ours.device.stats == fs_theirs.device.stats
+
+    def restored(restore):
+        fresh = MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(), 1 << 14)
+        return restore(InCoreOctree, fs_ours, "snap.gfs", fresh)
+
+    got = restored(InCoreOctree.restore_from.__func__)
+    want = restored(oracle.incore_restore_from)
+    assert _deep_state(got) == _deep_state(want)
+    validate_tree(got)
+
+
+def _snapshot(fs, name, dim, entries):
+    f = fs.create(name)
+    f.append(_HEADER.pack(_MAGIC, dim, len(entries))
+             + np.array(entries, dtype=_SNAP).tobytes())
+
+
+def test_restore_rejects_an_internal_octant_listed_twice(fs, arena):
+    kids = [(c, FLAG_LEAF, (0.0,) * 4) for c in morton.children_of(1, 2)]
+    _snapshot(fs, "twice.gfs", 2, [(1, 0, (0.0,) * 4)] + kids
+              + [(1, 0, (0.0,) * 4)])
+    with pytest.raises(RecoveryError, match="twice"):
+        InCoreOctree.restore_from(fs, "twice.gfs", arena)
+    assert arena.stats.allocs == 0  # validated before the arena is touched
+
+
+def test_restore_rejects_an_internal_root_without_children(fs, arena):
+    _snapshot(fs, "bare.gfs", 2, [(1, 0, (1.0, 2.0, 3.0, 4.0))])
+    with pytest.raises(RecoveryError, match="omits 4 octants"):
+        InCoreOctree.restore_from(fs, "bare.gfs", arena)
+    assert arena.stats.allocs == 0

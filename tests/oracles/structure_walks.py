@@ -14,18 +14,29 @@ merge a chunk of postorder visits per arena call
 one of a clean origin, one ``new_octant`` and one ``merge.octant`` visit per
 octant.  :func:`inject_merge` swaps it in under the name ``evict_subtree``
 and ``merge_all_c0`` call.
+
+:func:`incore_checkpoint` and :func:`incore_restore_from` are
+``InCoreOctree.checkpoint``/``.restore_from`` (``self`` spelled ``tree``)
+from before ``src`` made them one gather and one level-at-a-time landing:
+one ``get_record`` per preorder octant, and one ``refine`` +
+``set_payload`` per snapshot entry.
 """
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, List, Set
 
+from repro.baselines.incore import _HEADER, _MAGIC
 from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
 from repro.errors import ConsistencyError, RecoveryError
 from repro.nvbm import sites
 from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
 from repro.nvbm.records import OctantRecord
 from repro.octree import morton
+
+#: Snapshot record: loc (Q), flags (B), 4 payload doubles.
+_SNAP = struct.Struct("<QB4d")
 
 
 def _mark(pmo: "PMOctree") -> Set[int]:
@@ -260,3 +271,56 @@ def inject_merge(monkeypatch) -> None:
     :func:`merge_subtree` for the rest of the test (or ``monkeypatch``
     context)."""
     monkeypatch.setattr("repro.core.merge.merge_subtree", merge_subtree)
+
+
+def incore_checkpoint(tree, fs, name: str) -> int:
+    """Serialise every octant into a snapshot file; returns bytes written."""
+    from repro.octree.traversal import preorder
+
+    chunks: List[bytes] = []
+    count = 0
+    for loc in preorder(tree):
+        rec = tree.get_record(loc)
+        chunks.append(_SNAP.pack(rec.loc, rec.flags, *rec.payload))
+        count += 1
+    blob = _HEADER.pack(_MAGIC, tree.dim, count) + b"".join(chunks)
+    f = fs.create(name)
+    f.append(blob)
+    return len(blob)
+
+
+def incore_restore_from(cls, fs, name: str, arena):
+    """Rebuild the tree from a snapshot file (the §5.6 recovery path)."""
+    try:
+        blob = fs.open(name).read_all()
+    except Exception as exc:
+        raise RecoveryError(f"cannot open snapshot {name!r}: {exc}") from exc
+    if len(blob) < _HEADER.size:
+        raise RecoveryError(f"snapshot {name!r} is truncated")
+    magic, dim, count = _HEADER.unpack_from(blob, 0)
+    if magic != _MAGIC:
+        raise RecoveryError(f"snapshot {name!r} has bad magic {magic!r}")
+    expected = _HEADER.size + count * _SNAP.size
+    if len(blob) < expected:
+        raise RecoveryError(
+            f"snapshot {name!r} is truncated: {len(blob)} < {expected}"
+        )
+    entries = []
+    off = _HEADER.size
+    for _ in range(count):
+        fields = _SNAP.unpack_from(blob, off)
+        off += _SNAP.size
+        entries.append((fields[0], fields[1], fields[2:6]))
+    tree = cls(arena, dim=dim)
+    # parents come before children in the preorder dump
+    from repro.nvbm.records import FLAG_LEAF
+
+    for loc, flags, payload in entries:
+        if loc != morton.ROOT_LOC and not tree.exists(loc):
+            raise RecoveryError(
+                f"snapshot {name!r} lists orphan octant {loc:#x}"
+            )
+        if not (flags & FLAG_LEAF):
+            tree.refine(loc)
+        tree.set_payload(loc, payload)
+    return tree

@@ -10,10 +10,10 @@ Three families:
   batch path read back exactly;
 * metering conservation, same three trees: the batch accessors charge the
   device *exactly* what the per-element calls charge — same counters, same
-  wear, same simulated clock (PMOctree aggregates the charge, the
-  baselines inherit the loop-backed accessors) — and so do the arenas' own
-  ``read_rows``/``write_rows`` underneath, through a crash and a media
-  fault.
+  wear, same simulated clock (PMOctree and InCoreOctree aggregate the
+  charge, Etree inherits the loop-backed accessors) — and so do the
+  arenas' own ``read_rows``/``write_rows`` underneath, through a crash and
+  a media fault.
 """
 
 import random
@@ -39,6 +39,7 @@ from repro.octree import morton, soa
 from repro.octree.store import AdaptiveTree
 from repro.octree.tree import PointerOctree
 from repro.storage.block import BlockDevice
+from tests.baselines.test_incore import _deep_state
 
 MAX_LEVEL = 5
 
@@ -239,7 +240,8 @@ def test_batch_metering_equals_scalar_metering(kind, seed):
     counter, in wear, and on the simulated clock.  On a PM rig the same
     holds one layer down, for the arenas' whole-record / child-slot batch
     reads and batch stores (:func:`_arena_level_accesses`), through a
-    crash and a media fault."""
+    crash and a media fault; on an in-core rig, for the DRAM arena's bytes,
+    allocator and the tree's index (``test_incore._deep_state``)."""
     rigs = {}
     for mode in ("batch", "scalar"):
         clock, tree, devices = RIGS[kind](seed)
@@ -260,8 +262,11 @@ def test_batch_metering_equals_scalar_metering(kind, seed):
                 tree.set_field(loc, 1, float(vals[i][1]))
             payloads = np.array([tree.get_payload(loc) for loc in locs])
             slot0 = np.array([tree.get_field(loc, 0) for loc in locs])
-        below = _arena_level_accesses(mode, tree, seed) \
-            if kind == "pm" else None
+        below = None
+        if kind == "pm":
+            below = _arena_level_accesses(mode, tree, seed)
+        elif kind == "incore":
+            below = _deep_state(tree)
         rigs[mode] = (clock, devices, payloads, slot0, below)
     cb, devs_b, payloads_b, slot0_b, below_b = rigs["batch"]
     cs, devs_s, payloads_s, slot0_s, below_s = rigs["scalar"]

@@ -35,6 +35,10 @@
   it is defined (``octree/neighbors.py``) and by the loop-backed default in
   ``octree/store.py``; and ``src/repro`` imports nothing a clean
   ``pip install -e .`` does not bring (stdlib, ``numpy``, ``scipy``).
+* the in-core comparator is a batch: ``InCoreOctree``'s ``batch_*``,
+  ``refine_leaves`` and ``coarsen_parents`` are its own, and the only class
+  in ``src`` that inherits ``LoopBackedAccess`` is ``EtreeOctree`` (its
+  index searches are metered, so its batches are the loop).
 * one crash runner, one migration audit, one chaos pool: nothing outside
   ``repro/analysis`` imports a private name from the sweep,
   ``SweepOutcome(`` is built only inside ``sweep_site``, the migration
@@ -252,6 +256,23 @@ def test_face_neighbor_walk_has_one_loop_backed_caller():
                for line in _offenders(re.compile(r"face_neighbor_leaves\("))}
     assert callers == {"src/repro/octree/neighbors.py",
                        "src/repro/octree/store.py"}
+
+
+def test_only_etree_inherits_the_loop():
+    from repro.baselines.incore import InCoreOctree
+    from repro.octree.store import LoopBackedAccess
+
+    for name in ("batch_read_payloads", "batch_read_fields",
+                 "batch_set_payloads", "batch_set_fields", "refine_leaves",
+                 "coarsen_parents"):
+        assert getattr(InCoreOctree, name) \
+            is not getattr(LoopBackedAccess, name), name
+    heirs = [f"{path.relative_to(ROOT)}: {node.name}"
+             for path in sorted(SRC_DIR.rglob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef)
+             and "LoopBackedAccess" in map(ast.unparse, node.bases)]
+    assert heirs == ["src/repro/baselines/etree.py: EtreeOctree"], heirs
 
 
 def test_src_imports_only_declared_dependencies():
