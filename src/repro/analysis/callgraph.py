@@ -247,18 +247,6 @@ class CallGraph:
             return []
         return seen
 
-    def callers_of(self) -> Dict[str, int]:
-        """qualname -> number of in-project call sites naming it (used to
-        pick analysis roots; recomputed on demand, not cached)."""
-        counts: Dict[str, int] = {q: 0 for q in self.functions}
-        for info in self.functions.values():
-            for node in ast.walk(info.node):
-                if isinstance(node, ast.Call):
-                    for callee in self.resolve_call(info, node):
-                        if callee.qualname != info.qualname:
-                            counts[callee.qualname] += 1
-        return counts
-
 
 def build_callgraph(paths: Iterable[Union[str, Path]]) -> CallGraph:
     """Parse every ``*.py`` under the given files/directories."""

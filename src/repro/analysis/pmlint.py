@@ -17,9 +17,10 @@ COW-checked exactly like full-record stores), ``RootSlots.set`` / ``swap``,
 ``bypass-cow``
     A function in ``core/`` stores to an existing NVBM record directly
     (``.nvbm.write`` / ``.nvbm.write_octant``) without going through
-    ``PMOctree._ensure_writable`` — the copy-on-write discipline invariant
-    I2 depends on.  Fresh allocations (``new_octant``) are exempt; reviewed
-    exceptions carry a ``# pmlint: allow-direct-write`` pragma stating why.
+    ``writable`` (``repro.core.cow.Landing.writable``, the one
+    copy-on-write entry point) — the discipline invariant I2 depends on.
+    Fresh allocations (``new_octant``) are exempt; reviewed exceptions
+    carry a ``# pmlint: allow-direct-write`` pragma stating why.
 ``unknown-site``
     An ``injector.site(...)`` argument that the central registry
     (:mod:`repro.nvbm.sites`) does not know.  A typo here fails silently —
@@ -221,8 +222,8 @@ class _ModuleChecker:
             return "publish", {"slot": "swap"}
         if attr == "site" and _receiver_mentions(recv, "injector"):
             return "site", {}
-        if attr == "_ensure_writable":
-            return "ensure_writable", {}
+        if attr == "writable":
+            return "writable", {}
         return None
 
     # -- rules --------------------------------------------------------------
@@ -264,8 +265,8 @@ class _ModuleChecker:
 
         # bypass-cow: direct in-place NVBM stores in core/ without the COW
         # discipline.
-        if self.in_core and name != "_ensure_writable":
-            guarded = any(kind == "ensure_writable" for _, kind, _ in events)
+        if self.in_core and name != "writable":
+            guarded = any(kind == "writable" for _, kind, _ in events)
             if not guarded:
                 for call, kind, info in events:
                     if kind == "write" and info.get("inplace") \
@@ -274,7 +275,7 @@ class _ModuleChecker:
                         self._emit(
                             "bypass-cow", call.lineno,
                             f"{name}: direct NVBM record store without "
-                            "_ensure_writable (COW bypass; if the record is "
+                            "writable() (COW bypass; if the record is "
                             "provably fresh, annotate with "
                             f"'# {ALLOW_DIRECT_WRITE_PRAGMA}: <reason>')",
                         )

@@ -18,9 +18,8 @@ from repro.errors import RecoveryError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.records import FLAG_LEAF, PAYLOAD_SPAN, as_records
 from repro.octree import morton
-from repro.octree.soa import levels_of_codes
 from repro.octree.traversal import preorder
-from repro.octree.tree import PointerOctree, land_refines
+from repro.octree.tree import PointerOctree
 from repro.storage.filesystem import SimFileSystem
 
 #: Snapshot record: loc, flags, 4 payload doubles — packed, little-endian
@@ -58,12 +57,13 @@ class InCoreOctree(PointerOctree):
         """Rebuild the tree from a snapshot file (the §5.6 recovery path).
 
         Charged as refining every internal entry and then storing every
-        entry's payload, entry by entry: the children are allocated in that
-        order, their records land one tree level at a time (a level's
-        parents are the previous level's children) and the payloads with
-        one scatter.  The snapshot must list exactly the octants of the
-        tree it implies, each once and after its parent — anything else is
-        a :class:`RecoveryError` before the arena is touched."""
+        entry's payload, entry by entry: the refines run in one
+        :meth:`batch` scope, so the children are allocated in that order and
+        their records land one tree level at a time (a level's parents are
+        the previous level's children), and the payloads take one scatter.
+        The snapshot must list exactly the octants of the tree it implies,
+        each once and after its parent — anything else is a
+        :class:`RecoveryError` before the arena is touched."""
         try:
             blob = fs.open(name).read_all()
         except Exception as exc:
@@ -81,36 +81,39 @@ class InCoreOctree(PointerOctree):
                 f"snapshot {name!r} is truncated: {len(blob)} < {expected}"
             )
         entries = np.frombuffer(blob, _SNAP, count, _HEADER.size)
-        locs = entries["loc"].tolist()
+        locs = entries["loc"]
         inner = (entries["flags"] & FLAG_LEAF) == 0
         # the implied tree: the root, then the children of every internal
-        # entry, each listed once and after its parent
-        pending = {morton.ROOT_LOC}
-        for loc, internal in zip(locs, inner.tolist()):
-            if loc not in pending:
-                raise RecoveryError(
-                    f"snapshot {name!r} lists octant {loc:#x} twice or "
-                    "before its parent")
-            pending.remove(loc)
-            if internal:
-                pending.update(morton.children_of(loc, dim))
-        if pending:
+        # entry, each listed once and after its (internal) parent
+        uniq, first = np.unique(locs, return_index=True)
+
+        def listed_at(codes: np.ndarray) -> np.ndarray:
+            """Where each code is first listed; ``count`` if it is not."""
+            if not count:
+                return np.full(codes.size, count)
+            at = np.searchsorted(uniq, codes).clip(max=uniq.size - 1)
+            return np.where(uniq[at] == codes, first[at], count)
+
+        order = np.arange(count)
+        parent_at = listed_at(locs >> np.uint64(dim))
+        bad = (listed_at(locs) != order) | (
+            (locs != morton.ROOT_LOC) & ~((parent_at < order)
+                                          & inner[parent_at.clip(max=order)]))
+        if bad.any():
             raise RecoveryError(
-                f"snapshot {name!r} omits {len(pending)} octants of its "
-                f"tree, e.g. {min(pending):#x}")
+                f"snapshot {name!r} lists octant {int(locs[bad.argmax()]):#x} "
+                "twice or before its parent")
+        # so every entry is one of the implied octants: the root (listed
+        # first) and ``fanout`` distinct children per internal entry
+        missing = 1 + morton.fanout(dim) * int(inner.sum()) - count
+        if missing:
+            raise RecoveryError(
+                f"snapshot {name!r} omits {missing} octants of its tree")
         tree = cls(arena, dim=dim)
-        split = entries["loc"][inner]
-        parents, kids, kid_locs = tree._split(split.tolist())
-        levels = levels_of_codes(split, dim)
-        fanout = morton.fanout(dim)
-        parents = np.array(parents, np.uint64)
-        kids = np.array(kids, np.uint64).reshape(-1, fanout)
-        kid_locs = np.array(kid_locs, np.uint64).reshape(-1, fanout)
-        for level in np.unique(levels).tolist():
-            at = levels == level
-            land_refines(arena, parents[at], kids[at].ravel(),
-                         kid_locs[at].ravel(), epoch=0)
-        arena.write_rows(tree._handles(locs), PAYLOAD_SPAN[0],
+        with tree.batch():
+            for loc in entries["loc"][inner].tolist():
+                tree.refine(loc)
+        arena.write_rows(tree._handles(locs.tolist()), PAYLOAD_SPAN[0],
                          entries["payload"].copy().view(np.uint8))
         return tree
 

@@ -25,13 +25,15 @@ import numpy as np
 from repro.errors import ConsistencyError
 from repro.nvbm import sites
 from repro.nvbm.pointers import NULL_HANDLE, is_dram
-from repro.nvbm.records import MAX_CHILDREN, as_records
+from repro.nvbm.records import (MAX_CHILDREN, as_records, child_span,
+                                pack_handles)
 from repro.octree import morton
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
 
-from repro.core.pmoctree import SLOT_CURR, C0Stats, media_faults_possible
+from repro.core.c0 import C0Stats
+from repro.core.pmoctree import SLOT_CURR, media_faults_possible
 
 
 def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
@@ -186,22 +188,22 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
 def splice_into_parent(pmo: "PMOctree", root_loc: int, new_handle: int) -> None:
     """Point the working version's parent of ``root_loc`` at ``new_handle``.
 
-    A single child-slot store (one cache line), not a record rewrite.
+    A single child-slot store (one cache line), not a record rewrite; a
+    shared NVBM parent is made writable first, in the same scope.
     """
     if root_loc == morton.ROOT_LOC:
         pmo.nvbm.roots.set(SLOT_CURR, new_handle)
         return
     parent_loc = morton.parent_of(root_loc, pmo.dim)
-    child_idx = morton.child_index_of(root_loc, pmo.dim)
+    slot = child_span(morton.child_index_of(root_loc, pmo.dim))[0]
     ph = pmo._index[parent_loc]
-    if is_dram(ph):
-        pmo.dram.write_child_slot(ph, child_idx, new_handle)
+    with pmo.batch() as buf:
+        if is_dram(ph):
+            pmo._dirty.add(parent_loc)
+        else:
+            ph = buf.writable(parent_loc)
+        buf.store(pmo._arena_of(ph), ph, slot, pack_handles((new_handle,)))
         pmo.stats.partial_writes += 1
-        pmo._dirty.add(parent_loc)
-        return
-    ph = pmo._ensure_writable(parent_loc)
-    pmo.nvbm.write_child_slot(ph, child_idx, new_handle)
-    pmo.stats.partial_writes += 1
 
 
 def evict_subtree(pmo: "PMOctree", root_loc: int) -> int:

@@ -26,40 +26,32 @@ surviving a crash.
 
 from __future__ import annotations
 
-import heapq
 import struct
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
 from repro.config import PMOctreeConfig
 from repro.core import walks
+from repro.core.c0 import C0Placement, C0Roots, C0Stats
+from repro.core.cow import COW_SITES, SLOT_CURR, SLOT_PREV, Landing
 from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
-from repro.nvbm.device import lines_spanned
 from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import (_INDEX_BITS, ARENA_DRAM, NULL_HANDLE,
                                  is_dram, is_nvbm)
 from repro.nvbm.records import (CHILDREN_OFFSET, EPOCH_SPAN, FLAG_DELETED,
                                 FLAG_LEAF, FLAGS_SPAN, PAYLOAD_SPAN,
-                                OctantRecord, as_records, child_span,
-                                pack_payload)
+                                OctantRecord, as_records, pack_payload,
+                                unpack_payload)
 from repro.octree import morton
 from repro.octree.soa import LeafSetStructure, Predicate, levels_of_codes
-from repro.octree.store import LoopBackedAccess, Payload, ZERO_PAYLOAD
-from repro.octree.tree import land_coarsens, land_refines
-
-#: Root-slot names in the NVBM arena.
-SLOT_PREV = "V_prev"
-SLOT_CURR = "V_curr"
+from repro.octree.store import Payload, ZERO_PAYLOAD
 
 _F64 = struct.Struct("<d")
-
-#: Crash sites between the per-item stores of a copy-on-write batch.
-_COW_SITES = (sites.COW_AFTER_COPY, sites.PAYLOAD_PARTIAL, sites.COARSEN_MID)
 
 
 def media_faults_possible(pmo: "PMOctree") -> bool:
@@ -69,51 +61,6 @@ def media_faults_possible(pmo: "PMOctree") -> bool:
     return any(arena.device.fault_model is not None
                and not arena.device.fault_model.quiescent
                for arena in (pmo.dram, pmo.nvbm))
-
-
-@dataclass
-class C0Stats:
-    """Per-C0-subtree bookkeeping for the eviction/transformation policies."""
-
-    size: int = 0          #: octants currently in this DRAM subtree
-    accesses: int = 0      #: operations routed into it (LFU eviction key)
-    #: every loc in this subtree, kept in step with refine/coarsen/merge so
-    #: ``subtree_locs`` answers in O(size) instead of scanning the index
-    locs: Set[int] = field(default_factory=set)
-
-
-class C0Roots(dict):
-    """The registered C0 subtree roots, ``loc -> C0Stats``, which also knows
-    the *levels* its roots sit at (deepest first).  The C0 root covering an
-    octant is its nearest registered ancestor-or-self, so only the ancestors
-    at those levels need testing — one, level 0, while the whole tree is
-    resident — instead of a climb parent by parent."""
-
-    def __init__(self, dim: int):
-        super().__init__()
-        self.dim = dim
-        self.levels: Tuple[int, ...] = ()
-
-    def _relevel(self) -> None:
-        self.levels = tuple(sorted(
-            {morton.level_of(loc, self.dim) for loc in self}, reverse=True))
-
-    def __setitem__(self, loc: int, stats: C0Stats) -> None:
-        super().__setitem__(loc, stats)
-        self._relevel()
-
-    def __delitem__(self, loc: int) -> None:
-        super().__delitem__(loc)
-        self._relevel()
-
-    def pop(self, loc: int, default=None):
-        stats = super().pop(loc, default)
-        self._relevel()
-        return stats
-
-    def clear(self) -> None:
-        super().clear()
-        self.levels = ()
 
 
 @dataclass
@@ -140,7 +87,7 @@ class PMStats:
     transform_loaded_subtrees: int = 0
 
 
-class PMOctree(LeafSetStructure):
+class PMOctree(C0Placement, LeafSetStructure):
     """Persistent merged octree over one DRAM and one NVBM arena.
 
     Implements the :class:`repro.octree.store.AdaptiveTree` protocol, so all
@@ -206,6 +153,8 @@ class PMOctree(LeafSetStructure):
         #: only maintained when an epoch pipeline is attached (the
         #: synchronous mark walks V_{i-1} itself and needs no delta).
         self._detached: List[int] = []
+        #: the landing buffer behind batch() scopes (repro.core.cow)
+        self._landing = Landing(self)
         #: attached EpochPipeline (asynchronous persistence); None means
         #: the synchronous persist path
         self._pipeline = None
@@ -233,52 +182,37 @@ class PMOctree(LeafSetStructure):
 
     # ------------------------------------------------------------------ protocol
 
-    def root_loc(self) -> int:
-        return morton.ROOT_LOC
-
-    def exists(self, loc: int) -> bool:
-        return loc in self._index
-
-    def is_leaf(self, loc: int) -> bool:
-        return loc in self._leaf_set
-
-    def leaves(self) -> Iterator[int]:
+    def leaves(self) -> Iterator[int]:  # named here: bench/trace.py wraps it
         return iter(list(self._leaf_set))
-
-    def num_octants(self) -> int:
-        return len(self._index)
-
-    def num_leaves(self) -> int:
-        return len(self._leaf_set)
-
-    def handle_of(self, loc: int) -> int:
-        try:
-            return self._index[loc]
-        except KeyError:
-            raise ReproError(f"octant {loc:#x} not in PM-octree") from None
 
     def _arena_of(self, handle: int) -> MemoryArena:
         return self.dram if is_dram(handle) else self.nvbm
 
-    def get_payload(self, loc: int) -> Payload:
+    def _load_span(self, loc: int, offset: int, size: int) -> bytes:
+        """One field-granular load of ``[offset, offset + size)``."""
+        self._landing.settle()
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
         self.stats.partial_reads += 1
-        return self._arena_of(handle).read_payload(handle)
+        return self._arena_of(handle).read_field(handle, offset, size)
+
+    def get_payload(self, loc: int) -> Payload:
+        return unpack_payload(self._load_span(loc, *PAYLOAD_SPAN))
 
     def _store_span(self, loc: int, offset: int, data: bytes) -> None:
         """One field-granular store: DRAM octants update in place, shared
         NVBM octants copy-on-write first; only the spanned lines dirty."""
         handle = self.handle_of(loc)
-        self._touch_c0(loc, handle)
         self.stats.partial_writes += 1
+        buf = self._landing
         if is_dram(handle):
-            self.dram.write_field(handle, offset, data)
+            self._touch_c0(loc, handle)
+            buf.store(self.dram, handle, offset, data)
             self._dirty.add(loc)
             self.stats.inplace_updates += 1
             return
-        self.nvbm.write_field(self._ensure_writable(loc), offset, data)
-        self.injector.site(sites.PAYLOAD_PARTIAL)
+        buf.store(self.nvbm, buf.writable(loc), offset, data)
+        buf.site(sites.PAYLOAD_PARTIAL)
 
     def set_payload(self, loc: int, payload: Payload) -> None:
         self._store_span(loc, PAYLOAD_SPAN[0], pack_payload(payload))
@@ -291,12 +225,8 @@ class PMOctree(LeafSetStructure):
         The §5.4 economy applied *inside* the record: a solver probe of one
         quantity (e.g. a neighbor's VOF) loads and meters 8 bytes, not the
         whole 32-byte payload."""
-        handle = self.handle_of(loc)
-        self._touch_c0(loc, handle)
-        self.stats.partial_reads += 1
-        offset = PAYLOAD_SPAN[0] + 8 * slot
-        data = self._arena_of(handle).read_field(handle, offset, 8)
-        return _F64.unpack(data)[0]
+        return _F64.unpack(self._load_span(loc, PAYLOAD_SPAN[0] + 8 * slot,
+                                           8))[0]
 
     def set_field(self, loc: int, slot: int, value: float) -> None:
         """Store one payload slot in place (8-byte field-granular write):
@@ -305,32 +235,29 @@ class PMOctree(LeafSetStructure):
 
     # ---------------------------------------------------- batched SoA access
 
-    def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray,
-                                            np.ndarray]:
+    def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray]:
         """``handle_of`` + ``_touch_c0`` of a whole batch: the handles
-        (uint64), which of them are DRAM handles, and the C0 root of each
-        DRAM one (0 where none)."""
+        (uint64) and which of them are DRAM handles."""
         index = self._index
         try:
             handles = np.array([index[loc] for loc in locs], dtype=np.uint64)
         except KeyError as exc:
-            raise ReproError(
-                f"octant {exc.args[0]:#x} not in PM-octree") from None
+            raise ReproError(f"octant {exc.args[0]:#x} not in tree") from None
         dram = (handles >> np.uint64(_INDEX_BITS)) == ARENA_DRAM
-        c0_roots = np.zeros(0, dtype=np.int64)
         if dram.any():
-            c0_roots = self._c0_roots_of(np.asarray(locs, dtype=np.int64)[dram])
-            roots, counts = np.unique(c0_roots, return_counts=True)
+            roots, counts = np.unique(self._c0_roots_of(
+                np.asarray(locs, dtype=np.int64)[dram]), return_counts=True)
             for root, count in zip(roots.tolist(), counts.tolist()):
                 if root:
                     self._c0_roots[root].accesses += count
-        return handles, dram, c0_roots
+        return handles, dram
 
     def _batch_read(self, locs, offset: int, size: int) -> np.ndarray:
         """Bytes ``[offset, offset + size)`` of the records of ``locs``,
         as ``(n, size) uint8``: ``n`` field-granular reads, one gather and
         one summed device charge per arena."""
-        handles, dram, _ = self._batch_handles(locs)
+        self._landing.settle()
+        handles, dram = self._batch_handles(locs)
         self.stats.partial_reads += len(handles)
         if dram.all():
             return self.dram.read_rows(handles, offset, size)
@@ -354,143 +281,75 @@ class PMOctree(LeafSetStructure):
         return self._batch_read(
             locs, PAYLOAD_SPAN[0] + 8 * slot, 8).view("<f8")[:, 0]
 
-    def _batch_store(self, items, offset: int, width: int,
-                     scalar_store: Callable) -> None:
+    def _batch_store(self, items, offset: int, width: int) -> None:
         """Store ``items[i][1]`` (``width`` float64s) at ``offset`` of the
-        record of ``items[i][0]``: ``scalar_store(*item)`` per item.
+        record of ``items[i][0]``, in one :meth:`batch` scope.
 
-        The DRAM-resident octants take one scatter and one summed charge.
-        The NVBM ones follow in order as one copy-on-write batch
-        (:class:`_CowBatch`), one scatter of their rows and their
-        ``payload.partial_store`` visits declared at once; while
-        :meth:`_cow_record_by_record` holds they run ``scalar_store`` one by
-        one instead.  (A crash between the two halves loses DRAM either
-        way.)"""
+        The DRAM-resident octants take one scatter and one summed charge;
+        the NVBM ones follow in order through :meth:`_store_span`, so their
+        copy-on-write and stores land together.  (A crash between the two
+        halves loses DRAM either way.)"""
         items = list(items)
         locs = [loc for loc, _ in items]
-        handles, dram, _ = self._batch_handles(locs)
-
-        def rows(picks: List[int]) -> np.ndarray:
-            return np.array([items[i][1] for i in picks], dtype="<f8") \
-                .reshape(len(picks), width).view(np.uint8)
-
-        hits = np.flatnonzero(dram).tolist()
-        if hits:
-            self.dram.write_rows(handles[hits], offset, rows(hits))
-            self.stats.partial_writes += len(hits)
-            self.stats.inplace_updates += len(hits)
-            self._dirty.update(locs[i] for i in hits)
-        rest = np.flatnonzero(~dram).tolist()
-        if not rest:
-            return
-        if self._cow_record_by_record():
-            for i in rest:
-                scalar_store(*items[i])
-            return
-        cow = _CowBatch(self, [locs[i] for i in rest])
-        targets = []
-        for i in rest:
-            targets.append(cow.writable(locs[i]))
-            cow.touch(targets[-1], partial=True)
-        cow.land()
-        # pmlint: allow-direct-write — every target is the in-place
-        # writable handle the copy-on-write batch just returned.
-        self.nvbm.write_rows(targets, offset, rows(rest))
-        self.stats.partial_writes += len(rest)
-        self.injector.site(sites.PAYLOAD_PARTIAL, count=len(rest))
+        handles, dram = self._batch_handles(locs)
+        rows = np.array([value for _, value in items], dtype="<f8") \
+            .reshape(len(items), width).view(np.uint8)
+        hits = np.flatnonzero(dram)
+        with self.batch() as buf:
+            if hits.size:
+                buf.settle(handles[hits].tolist())
+                self.dram.write_rows(handles[hits], offset, rows[hits])
+                self.stats.partial_writes += hits.size
+                self.stats.inplace_updates += hits.size
+                self._dirty.update(locs[i] for i in hits.tolist())
+            nvbm = np.flatnonzero(~dram).tolist()
+            buf.prefetch([locs[i] for i in nvbm])
+            raw, size = rows.tobytes(), rows.shape[1]
+            for i in nvbm:
+                self._store_span(locs[i], offset,
+                                 raw[i * size:(i + 1) * size])
 
     def batch_set_payloads(self, items) -> None:
         """Apply ``(loc, payload)`` stores: ``n`` :meth:`set_payload`
         calls (see :meth:`_batch_store`)."""
-        self._batch_store(items, PAYLOAD_SPAN[0], 4, self.set_payload)
+        self._batch_store(items, PAYLOAD_SPAN[0], 4)
 
     def batch_set_fields(self, items, slot: int) -> None:
         """Apply ``(loc, value)`` single-slot stores: ``n``
         :meth:`set_field` calls (see :meth:`_batch_store`)."""
-        self._batch_store(
-            items, PAYLOAD_SPAN[0] + 8 * slot, 1,
-            lambda loc, value: self.set_field(loc, slot, value))
+        self._batch_store(items, PAYLOAD_SPAN[0] + 8 * slot, 1)
 
     def get_record(self, loc: int) -> OctantRecord:
+        self._landing.settle()
         handle = self.handle_of(loc)
         return self._arena_of(handle).read_octant(handle)
-
-    def find_leaf_at(self, point) -> int:
-        """Leaf containing a point of the unit cube (point location)."""
-        if len(point) != self.dim:
-            raise ValueError(f"point must have {self.dim} coordinates")
-        loc = morton.ROOT_LOC
-        while loc not in self._leaf_set:
-            level = morton.level_of(loc, self.dim)
-            coords = morton.coords_of(loc, self.dim)
-            idx = 0
-            for axis in range(self.dim):
-                mid = (2 * coords[axis] + 1) / (1 << (level + 1))
-                if point[axis] >= mid:
-                    idx |= 1 << axis
-            loc = morton.child_of(loc, self.dim, idx)
-        return loc
 
     # ------------------------------------------------------------- refine/coarsen
 
     def refine(self, loc: int) -> List[int]:
         """Split a leaf; children are placed with their parent (§3.2 routing:
-        an octant goes to C0 or C1 "determined by its locational code")."""
+        an octant goes to C0 or C1 "determined by its locational code").  A
+        DRAM leaf whose C0 subtree had to be evicted for room refines in
+        NVBM, copy-on-write first."""
         if loc not in self._leaf_set:
             raise ReproError(f"cannot refine non-leaf {loc:#x}")
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
-        if is_dram(handle):
-            return self._refine_dram(loc, handle)
-        return self._refine_nvbm(loc)
-
-    def _refine_dram(self, loc: int, handle: int) -> List[int]:
-        fanout = morton.fanout(self.dim)
-        if not self._ensure_dram_capacity(fanout, protect=loc):
-            # C0 cannot grow: this very subtree was evicted to NVBM.
-            return self._refine_nvbm(loc)
-        rec = self.dram.read_octant(handle)
+        buf, index, leaf_set = self._landing, self._index, self._leaf_set
         child_locs = morton.children_of(loc, self.dim)
-        for i, cloc in enumerate(child_locs):
-            ch = self.dram.new_octant(OctantRecord(
-                loc=cloc, level=rec.level + 1, epoch=self.epoch,
-                payload=tuple(rec.payload), parent=handle,
-            ))
-            rec.children[i] = ch
-            self._index[cloc] = ch
-            self._leaf_set.add(cloc)
-        rec.set_leaf(False)
-        self.dram.write_octant(handle, rec)
-        self._leaf_set.discard(loc)
-        self._dirty.add(loc)
-        croot = self._c0_root_of(loc)
-        if croot is not None:
-            stats = self._c0_roots[croot]
-            stats.size += fanout
-            stats.locs.update(child_locs)
-        self.stats.inplace_updates += 1
-        return child_locs
-
-    def _refine_nvbm(self, loc: int) -> List[int]:
-        handle = self._ensure_writable(loc)
-        rec = self.nvbm.read_octant(handle)
-        child_locs = morton.children_of(loc, self.dim)
-        for i, cloc in enumerate(child_locs):
-            ch = self.nvbm.new_octant(OctantRecord(
-                loc=cloc, level=rec.level + 1, epoch=self.epoch,
-                payload=tuple(rec.payload), parent=handle,
-            ))
-            rec.children[i] = ch
-            self._index[cloc] = ch
-            self._leaf_set.add(cloc)
-        rec.set_leaf(False)
-        # pmlint: allow[raw-write]: handle is the fresh COW copy from
-        # _ensure_writable and every mutable field (all child slots plus
-        # the leaf flag) changes — the whole-record store IS the minimal
-        # update here, and field-granular stores would alter the charged
-        # line counts the locked bench envelope records.
-        self.nvbm.write_octant(handle, rec)
-        self._leaf_set.discard(loc)
+        in_dram = is_dram(handle) and self._ensure_dram_capacity(
+            len(child_locs), protect=loc)
+        if in_dram:
+            kids = buf.refine(self.dram, handle, child_locs)
+        else:
+            kids = buf.refine(self.nvbm, buf.writable(loc), child_locs)
+        index.update(zip(child_locs, kids))
+        leaf_set.update(child_locs)
+        leaf_set.discard(loc)
+        if in_dram:
+            self._dirty.add(loc)
+            self._grow_c0(loc, child_locs, 1)
+            self.stats.inplace_updates += 1
         return child_locs
 
     def coarsen(self, loc: int) -> None:
@@ -513,29 +372,24 @@ class PMOctree(LeafSetStructure):
                 )
         handle = self.handle_of(loc)
         self._touch_c0(loc, handle)
+        buf, index, fanout = self._landing, self._index, len(child_locs)
+        buf.settle([index[cloc] for cloc in child_locs])
         if is_dram(handle):
-            rec = self.dram.read_octant(handle)
-            for i, cloc in enumerate(child_locs):
-                self.dram.free(self._index.pop(cloc))
+            for cloc in child_locs:
+                buf.free(self.dram, index.pop(cloc))
                 self._leaf_set.discard(cloc)
                 origin = self._origin.pop(cloc, None)
                 if origin is not None:
                     self._detach(origin)
                 self._dirty.discard(cloc)
-                rec.children[i] = NULL_HANDLE
-            rec.set_leaf(True)
-            self.dram.write_octant(handle, rec)
+            buf.coarsened(self.dram, handle, fanout)
             self._dirty.add(loc)
-            croot = self._c0_root_of(loc)
-            if croot is not None:
-                stats = self._c0_roots[croot]
-                stats.size -= len(child_locs)
-                stats.locs.difference_update(child_locs)
+            self._grow_c0(loc, child_locs, -1)
             self._leaf_set.add(loc)
             return
-        handle = self._ensure_writable(loc)
+        handle = buf.writable(loc)
         for cloc in child_locs:
-            ch = self._index.pop(cloc)
+            ch = index.pop(cloc)
             self._leaf_set.discard(cloc)
             if is_dram(ch):
                 # Legal under I1: the child is itself a C0 subtree root
@@ -543,206 +397,54 @@ class PMOctree(LeafSetStructure):
                 # DRAM record can be deleted directly; tear down the C0
                 # bookkeeping with it and retire the NVBM origin the load
                 # left behind, if it is ours to retire.
-                self.dram.free(ch)
+                buf.settle()
+                buf.free(self.dram, ch)
                 self._c0_roots.pop(cloc, None)
                 origin = self._origin.pop(cloc, None)
                 self._dirty.discard(cloc)
-                if (
-                    origin is not None
-                    and self.nvbm.contains(origin)
-                    and self.nvbm.read_epoch(origin) == self.epoch
-                ):
+                if origin is None or not self.nvbm.contains(origin):
+                    continue
+                if self.nvbm.read_epoch(origin) == self.epoch:
                     # current-epoch origin: V_{i-1} cannot reach it, so it
                     # is dead the moment its DRAM copy goes
                     flags = self.nvbm.read_flags(origin)
-                    self.nvbm.set_flags(origin, flags | FLAG_DELETED)
+                    buf.store(self.nvbm, origin, FLAGS_SPAN[0],
+                              bytes((flags | FLAG_DELETED,)))
                     self.stats.partial_writes += 1
                     self.stats.marked_deleted += 1
-                elif origin is not None and self.nvbm.contains(origin):
+                else:
                     # old-epoch origin: a published predecessor still
                     # references it — it merely left the working version
                     self._detach(origin)
                 continue
-            if self.nvbm.read_epoch(ch) == self.epoch:
+            if buf.epoch_of(ch) == self.epoch:
                 # the child is a leaf, so its flags are exactly FLAG_LEAF;
                 # the deletion mark is a single-line absolute store
-                self.nvbm.set_flags(ch, FLAG_LEAF | FLAG_DELETED)
+                buf.store(self.nvbm, ch, FLAGS_SPAN[0],
+                          bytes((FLAG_LEAF | FLAG_DELETED,)))
                 self.stats.partial_writes += 1
                 self.stats.marked_deleted += 1
             else:
                 # old-epoch child: shared with V_{i-1}, which still needs
                 # it — record the detach instead of marking
                 self._detach(ch)
-        self.injector.site(sites.COARSEN_MID)
+        buf.site(sites.COARSEN_MID)
         # the parent was a live internal octant (flags == 0): clear its
         # child slots and set the leaf bit without rewriting the record
-        fanout = morton.fanout(self.dim)
-        self.nvbm.write_child_slots(handle, 0, [NULL_HANDLE] * fanout)
-        self.nvbm.set_flags(handle, FLAG_LEAF)
+        buf.store(self.nvbm, handle, CHILDREN_OFFSET, bytes(8 * fanout))
+        buf.store(self.nvbm, handle, FLAGS_SPAN[0], bytes((FLAG_LEAF,)))
         self.stats.partial_writes += 2
         self._leaf_set.add(loc)
-
-    # ------------------------------------------------- refine/coarsen batches
-
-    def refine_leaves(self, locs) -> int:
-        """Refine each of ``locs`` that is a leaf at its turn — the per-loc
-        :meth:`refine` calls in order — as one batch; returns how many.
-
-        The NVBM leaves copy their shared root paths as one
-        :class:`_CowBatch`; each arena then takes one gather of the parents
-        and one scatter each of the children and the parents, with every
-        allocation made in the per-loc order.  The per-loc calls run
-        instead while :meth:`_cow_record_by_record` holds, when a loc is not
-        a leaf yet (a refine of this very batch may create it), and when
-        C0 could drop below its ``threshold_dram`` headroom before the last
-        DRAM refine (an eviction would fall between two of them)."""
-        locs = list(locs)
-        todo = list(dict.fromkeys(locs))  # a repeat is no leaf at its turn
-        index, leaf_set, fanout = self._index, self._leaf_set, \
-            morton.fanout(self.dim)
-        n_dram = sum(is_dram(index.get(loc, NULL_HANDLE)) for loc in todo)
-        if (self._cow_record_by_record()
-                or not all(loc in leaf_set for loc in todo)
-                or (n_dram and self.c0_free - (n_dram - 1) * fanout
-                    < self._c0_free_floor(fanout))):
-            return LoopBackedAccess.refine_leaves(self, locs)
-        _, dram, c0_roots = self._batch_handles(todo)
-        c0_roots = iter(c0_roots.tolist())
-        nv = [loc for loc, d in zip(todo, dram.tolist()) if not d]
-        cow = _CowBatch(self, nv)
-        #: per arena (keyed "in DRAM?"): refined handles, children, codes
-        done = {True: ([], [], []), False: ([], [], [])}
-        for loc, in_dram in zip(todo, dram.tolist()):
-            arena = self.dram if in_dram else self.nvbm
-            handle = index[loc] if in_dram else cow.writable(loc)
-            children = [arena.alloc() for _ in range(fanout)]
-            if not in_dram:
-                for child in children:
-                    cow.touch(child, partial=False)
-                # a whole-record store, but land_refines reads the record
-                # back first: a flushed one's cache row must hold its bytes
-                cow.touch(handle, partial=True)
-            child_locs = morton.children_of(loc, self.dim)
-            for cloc, child in zip(child_locs, children):
-                index[cloc] = child
-                leaf_set.add(cloc)
-            leaf_set.discard(loc)
-            if in_dram:
-                self._dirty.add(loc)
-                root = next(c0_roots)
-                if root:
-                    stats = self._c0_roots[root]
-                    stats.size += fanout
-                    stats.locs.update(child_locs)
-                self.stats.inplace_updates += 1
-            parents, kids, kid_locs = done[in_dram]
-            parents.append(handle)
-            kids.extend(children)
-            kid_locs.extend(child_locs)
-        cow.land()
-        for in_dram, (parents, kids, kid_locs) in done.items():
-            if parents:
-                land_refines(self.dram if in_dram else self.nvbm,
-                             parents, kids, kid_locs, epoch=self.epoch)
-        return len(todo)
-
-    def coarsen_parents(self, parents) -> int:
-        """Coarsen each of ``parents`` that, at its turn, exists, is no
-        leaf and has only leaf children — the per-parent :meth:`coarsen`
-        calls in order — as one batch; returns how many.
-
-        The NVBM parents copy their shared root paths as one
-        :class:`_CowBatch`, read their children's epochs with one gather
-        and store the deletion marks, the nulled child slots and the leaf
-        flags with one scatter each; the DRAM parents free their children
-        in order and rewrite with one gather and one scatter.  The
-        per-parent calls run instead while :meth:`_cow_record_by_record`
-        holds, when a parent's own parent is in the batch (coarsening one
-        can make the other eligible), and when an NVBM parent has a DRAM
-        child (a C0 root of its own)."""
-        parents = list(parents)
-        index, leaf_set, dim = self._index, self._leaf_set, self.dim
-        queued = set(parents)
-        todo = [p for p in dict.fromkeys(parents)
-                if p in index and p not in leaf_set
-                and all(c in leaf_set for c in morton.children_of(p, dim))]
-        if (self._cow_record_by_record()
-                or any(p >> dim in queued for p in parents)
-                or any(not is_dram(index[p])
-                       and any(is_dram(index[c])
-                               for c in morton.children_of(p, dim))
-                       for p in todo)):
-            return LoopBackedAccess.coarsen_parents(self, parents)
-        _, dram, c0_roots = self._batch_handles(todo)
-        c0_roots = iter(c0_roots.tolist())
-        nv = [p for p, d in zip(todo, dram.tolist()) if not d]
-        cow = _CowBatch(self, nv)
-        if nv:
-            kid_epochs = iter(self.nvbm.read_rows(
-                [index[c] for p in nv for c in morton.children_of(p, dim)],
-                *EPOCH_SPAN).view("<u4")[:, 0].tolist())
-        in_dram_parents, nv_parents, deleted = [], [], []
-        for p, in_dram in zip(todo, dram.tolist()):
-            child_locs = morton.children_of(p, dim)
-            if in_dram:
-                for cloc in child_locs:
-                    self.dram.free(index.pop(cloc))
-                    leaf_set.discard(cloc)
-                    origin = self._origin.pop(cloc, None)
-                    if origin is not None:
-                        self._detach(origin)
-                    self._dirty.discard(cloc)
-                self._dirty.add(p)
-                root = next(c0_roots)
-                if root:
-                    stats = self._c0_roots[root]
-                    stats.size -= len(child_locs)
-                    stats.locs.difference_update(child_locs)
-                leaf_set.add(p)
-                in_dram_parents.append(index[p])
-                continue
-            handle = cow.writable(p)
-            for cloc in child_locs:
-                child = index.pop(cloc)
-                leaf_set.discard(cloc)
-                if next(kid_epochs) == self.epoch:
-                    cow.touch(child, partial=True)
-                    deleted.append(child)
-                    self.stats.partial_writes += 1
-                    self.stats.marked_deleted += 1
-                else:
-                    self._detach(child)
-            cow.touch(handle, partial=True)
-            self.stats.partial_writes += 2
-            leaf_set.add(p)
-            nv_parents.append(handle)
-        cow.land()
-        if deleted:
-            # pmlint: allow-direct-write — current-epoch leaves: V_{i-1}
-            # cannot reach them.
-            self.nvbm.write_rows(deleted, FLAGS_SPAN[0], np.full(
-                (len(deleted), 1), FLAG_LEAF | FLAG_DELETED, np.uint8))
-        if nv_parents:
-            self.injector.site(sites.COARSEN_MID, count=len(nv_parents))
-            fanout = morton.fanout(dim)
-            # pmlint: allow-direct-write — writable handles from the batch
-            self.nvbm.write_rows(nv_parents, CHILDREN_OFFSET, np.zeros(
-                (len(nv_parents), 8 * fanout), np.uint8))
-            # pmlint: allow-direct-write — writable handles from the batch
-            self.nvbm.write_rows(nv_parents, FLAGS_SPAN[0], np.full(
-                (len(nv_parents), 1), FLAG_LEAF, np.uint8))
-        if in_dram_parents:
-            land_coarsens(self.dram, in_dram_parents, morton.fanout(dim))
-        return len(todo)
 
     # --------------------------------------------------------------- COW machinery
 
     def _cow_record_by_record(self) -> bool:
-        """Must copy-on-write stores run item by item (the scalar calls)?
-        Yes while a crash plan waits on a site between them, while a media
-        fault can fail a read (:func:`media_faults_possible`), and while an
-        ordering tracer watches either arena store by store."""
-        return (any(map(self.injector.armed, _COW_SITES))
+        """Must a :meth:`batch` scope run every read, store and crash site
+        at its place?  Yes while a crash plan waits on a site between the
+        mutation bodies' stores, while a media fault can fail a read
+        (:func:`media_faults_possible`), and while an ordering tracer
+        watches either arena store by store."""
+        return (any(map(self.injector.armed, COW_SITES))
                 or self.nvbm.tracer is not None
                 or self.dram.tracer is not None
                 or media_faults_possible(self))
@@ -773,171 +475,6 @@ class PMOctree(LeafSetStructure):
         self.stats.marked_deleted += live.size
         return live.tolist()
 
-    def _path_to(self, loc: int) -> List[int]:
-        """Locational codes root -> loc."""
-        path = [loc]
-        while loc != morton.ROOT_LOC:
-            loc = morton.parent_of(loc, self.dim)
-            path.append(loc)
-        path.reverse()
-        return path
-
-    def _is_writable(self, handle: int) -> bool:
-        """In-place writable: DRAM, or an NVBM record of the current epoch."""
-        if is_dram(handle):
-            return True
-        self.stats.partial_reads += 1
-        return self.nvbm.read_epoch(handle) == self.epoch
-
-    def _ensure_writable(self, loc: int) -> int:
-        """Make the NVBM octant at ``loc`` in-place writable, copying the
-        shared suffix of its root path (Fig 4).  Returns its handle."""
-        handle = self._index[loc]
-        if is_dram(handle):
-            raise ConsistencyError(f"{loc:#x} is in DRAM; COW is for NVBM octants")
-        self.stats.partial_reads += 1
-        if self.nvbm.read_epoch(handle) == self.epoch:
-            return handle
-        path = self._path_to(loc)
-        # deepest ancestor that is already writable
-        first_shared = 0
-        for i in range(len(path) - 1, -1, -1):
-            h = self._index[path[i]]
-            if i < len(path) - 1 and self._is_writable(h):
-                first_shared = i + 1
-                break
-        else:
-            first_shared = 0
-        new_handle = NULL_HANDLE
-        for i in range(first_shared, len(path)):
-            ploc = path[i]
-            old = self._index[ploc]
-            rec = self.nvbm.read_octant(old)
-            rec.epoch = self.epoch
-            if i > first_shared:
-                rec.parent = self._index[path[i - 1]]
-            new = self.nvbm.new_octant(rec)
-            self.stats.cow_copies += 1
-            self._superseded.append(old)
-            self._index[ploc] = new
-            self.injector.site(sites.COW_AFTER_COPY)
-            # hook the copy into its parent
-            if i == first_shared:
-                if ploc == morton.ROOT_LOC:
-                    self.nvbm.roots.set(SLOT_CURR, new)
-                else:
-                    parent_loc = path[i - 1]
-                    ph = self._index[parent_loc]
-                    parena = self._arena_of(ph)
-                    parena.write_child_slot(
-                        ph, morton.child_index_of(ploc, self.dim), new
-                    )
-                    self.stats.partial_writes += 1
-                    if is_dram(ph):
-                        self._dirty.add(parent_loc)
-            else:
-                # parent is the copy we just made in the previous iteration:
-                # fix its child slot in place (it is current-epoch).
-                ph = self._index[path[i - 1]]
-                self.nvbm.write_child_slot(
-                    ph, morton.child_index_of(ploc, self.dim), new
-                )
-                self.stats.partial_writes += 1
-            new_handle = new
-        return new_handle
-
-    # --------------------------------------------------------------- C0 management
-
-    def _c0_root_of(self, loc: int) -> Optional[int]:
-        """The registered C0 subtree root covering ``loc``, if any: its
-        nearest registered ancestor-or-self."""
-        roots = self._c0_roots
-        dim = self.dim
-        level = (loc.bit_length() - 1) // dim
-        for root_level in roots.levels:
-            if root_level <= level:
-                ancestor = loc >> (dim * (level - root_level))
-                if ancestor in roots:
-                    return ancestor
-        return None
-
-    def _c0_roots_of(self, locs: np.ndarray) -> np.ndarray:
-        """:meth:`_c0_root_of` of an int64 array of locs (0 where none)."""
-        roots = np.fromiter(self._c0_roots, np.int64, len(self._c0_roots))
-        out = np.zeros(locs.size, dtype=np.int64)
-        levels = levels_of_codes(locs, self.dim)
-        for root_level in self._c0_roots.levels:
-            todo = np.flatnonzero((out == 0) & (levels >= root_level))
-            ancestors = locs[todo] >> (self.dim * (levels[todo] - root_level))
-            hit = np.isin(ancestors, roots)  # a code carries its level
-            out[todo[hit]] = ancestors[hit]
-        return out
-
-    def _touch_c0(self, loc: int, handle: int) -> None:
-        if is_dram(handle):
-            croot = self._c0_root_of(loc)
-            if croot is not None:
-                self._c0_roots[croot].accesses += 1
-
-    def dram_free_fraction(self) -> float:
-        return self.dram.free_fraction
-
-    @property
-    def c0_capacity(self) -> int:
-        """Octants C0 may hold: the configured budget, capped by the arena.
-
-        This is the paper's "DRAM size configured for the C0 tree" knob
-        (Fig 10) — the arena may be physically larger, but PM-octree only
-        uses its budgeted share.
-        """
-        return min(self.dram.capacity, self.config.dram_capacity_octants)
-
-    @property
-    def c0_free(self) -> int:
-        return max(0, self.c0_capacity - self.dram.used)
-
-    def _c0_free_floor(self, needed: int) -> int:
-        """Free C0 slots below which an allocation of ``needed`` evicts
-        first: ``needed``, or the ``threshold_dram`` share of C0."""
-        return max(needed, int(self.config.threshold_dram * self.c0_capacity))
-
-    def _ensure_dram_capacity(self, needed: int, protect: Optional[int] = None) -> bool:
-        """Evict LFU C0 subtrees until ``needed`` slots are free.
-
-        ``protect`` names a loc whose covering subtree should be evicted
-        last.  Returns False when the protected subtree itself had to go
-        (the caller must fall back to the NVBM path).
-        """
-        from repro.core.merge import evict_subtree
-
-        threshold_free = self._c0_free_floor(needed)
-        protected_root = self._c0_root_of(protect) if protect is not None else None
-        heap: Optional[List] = None
-        while self.c0_free < threshold_free:
-            if heap is None:
-                # LFU priority queue, built once for the whole eviction
-                # round: k evictions cost O(n + k log n) comparisons, not a
-                # full re-sort per victim.  Roots that disappear under us
-                # (nested evictions) are skipped as stale on pop.
-                heap = [
-                    (stats.accesses, root)
-                    for root, stats in self._c0_roots.items()
-                    if root != protected_root
-                ]
-                heapq.heapify(heap)
-            while heap and heap[0][1] not in self._c0_roots:
-                heapq.heappop(heap)
-            if not heap:
-                if protected_root is not None:
-                    evict_subtree(self, protected_root)
-                    self.stats.evictions += 1
-                    return False
-                return self.c0_free >= needed
-            _, victim = heapq.heappop(heap)
-            evict_subtree(self, victim)
-            self.stats.evictions += 1
-        return True
-
     # ------------------------------------------------------------------- features
 
     def register_feature(self, fn: Predicate) -> None:
@@ -964,6 +501,7 @@ class PMOctree(LeafSetStructure):
         background and the returned root is published at the drain's commit
         point — see :mod:`repro.core.pipeline`.
         """
+        self._landing.settle()
         if self._pipeline is not None:
             with self._obs_span("pm.persist.enqueue", epoch=self.epoch):
                 return self._pipeline.enqueue(transform, keep_resident)
@@ -1081,39 +619,13 @@ class PMOctree(LeafSetStructure):
             self.on_replica_ship = on_ship
         return session
 
-    def _load_static_chunk(self) -> None:
-        """Load the first budget-sized subtree (by locational code) into C0."""
-        from repro.core.merge import load_subtree
-
-        # one deepest-first pass computes every subtree's size; the descent
-        # below then looks sizes up instead of rescanning the index per level
-        sizes: Dict[int, int] = {}
-        for loc in sorted(self._index,
-                          key=lambda l: -morton.level_of(l, self.dim)):
-            sizes[loc] = 1 + sum(
-                sizes.get(c, 0) for c in morton.children_of(loc, self.dim)
-            )
-        loc = morton.ROOT_LOC
-        while True:
-            if sizes.get(loc, 0) <= self.c0_free:
-                load_subtree(self, loc)
-                return
-            if loc in self._leaf_set:
-                return
-            children = [
-                c for c in morton.children_of(loc, self.dim)
-                if c in self._index
-            ]
-            if not children:
-                return
-            loc = children[0]
-
     def gc(self):
         """Run mark-and-sweep (refused mid-merge, §3.2)."""
         from repro.core.gc import mark_and_sweep
 
         if self.merging:
             raise GCDisabledError("GC is disabled while a merge is in flight")
+        self._landing.settle()
         with self._obs_span("pm.gc"):
             return mark_and_sweep(self)
 
@@ -1152,8 +664,9 @@ class PMOctree(LeafSetStructure):
         charging their traversals to the :class:`SimClock` and the device
         counters made every metrics sample an observer-effect bug that
         inflated the bench numbers.  Data access is unaffected — only the
-        meter pauses.
+        meter pauses; a :meth:`batch` scope lands first, metered.
         """
+        self._landing.settle()
         with self.dram.device.unmetered(), self.nvbm.device.unmetered():
             yield
 
@@ -1205,9 +718,6 @@ class PMOctree(LeafSetStructure):
     def memory_usage_octants(self) -> int:
         """Total live records across both arenas (Fig 3's memory usage)."""
         return self.dram.used + self.nvbm.used
-
-    def c0_size(self) -> int:
-        return sum(s.size for s in self._c0_roots.values())
 
     def tree_depth(self) -> int:
         if not self._leaf_set:
@@ -1274,148 +784,3 @@ class PMOctree(LeafSetStructure):
                     "I2 violated: persistent record {:#x} is not older "
                     f"than the current epoch {self.epoch}")
 
-
-class _CowBatch:
-    """Copy-on-write for a batch of NVBM stores (§3.2, Fig 4): the
-    per-item :meth:`PMOctree._ensure_writable` sequence, planned in Python
-    and landed with one arena call per kind of store.
-
-    Built over the batch's locs, it reads the epoch of every record the
-    sequence will read, once each and one gather per tree level: the
-    items' records and the parents of those still shared (a shared
-    record's parent is always read next).  :meth:`writable` is then ``_ensure_writable`` of
-    the next item: the same decisions, allocations and bookkeeping
-    (``_index``, ``_superseded``, :class:`PMStats`, the root publish, the
-    splices into DRAM parents) in the same order, with every NVBM store
-    deferred.  The caller declares each of its own NVBM stores with
-    :meth:`touch` where the per-item sequence makes it, calls :meth:`land`,
-    then stores its own rows.  docs/performance.md, "Copy-on-write as a
-    batch", has why the result is the per-item sequence's.
-    """
-
-    def __init__(self, tree: PMOctree, locs: List[int]) -> None:
-        self.tree = tree
-        #: records read as shared (not of the current epoch); a record the
-        #: sequence reads is one of those read here, or a copy of this batch
-        self.stale: Set[int] = set()
-        self.first_reads = 0              #: records read here, once each
-        self.reads = 0                    #: epoch reads the sequence makes
-        self.originals: List[int] = []
-        self.copies: List[int] = []
-        #: position in ``copies`` -> the copy's parent, where that is a copy
-        #: too (the top copy of a path keeps its original's)
-        self.parents: Dict[int, int] = {}
-        #: child slot -> (records, child handles) spliced at that slot
-        self.splices: Dict[int, Tuple[List[int], List[int]]] = {}
-        #: the NVBM stores in order: record, and is it a field store
-        self.touched: List[int] = []
-        self.partial: List[bool] = []
-        # one gather per level, deepest first: a record at level L is an
-        # item or the parent of a shared record at L + 1, all known by then
-        index, dim = tree._index, tree.dim
-        pending: Dict[int, Dict[int, int]] = {}  # level -> {handle: loc}
-        for loc in locs:
-            pending.setdefault(morton.level_of(loc, dim), {})[index[loc]] = loc
-        while pending:
-            level = max(pending)
-            todo = pending.pop(level)
-            shared = tree.nvbm.read_rows(
-                np.fromiter(todo, np.uint64, len(todo)),
-                *EPOCH_SPAN).view("<u4")[:, 0] != tree.epoch
-            self.first_reads += len(todo)
-            for (handle, loc), old in zip(todo.items(), shared.tolist()):
-                if not old:
-                    continue
-                self.stale.add(handle)
-                if loc != morton.ROOT_LOC and is_nvbm(index[loc >> dim]):
-                    pending.setdefault(level - 1, {})[index[loc >> dim]] = \
-                        loc >> dim
-
-    def _current(self, handle: int) -> bool:
-        self.reads += 1
-        return handle not in self.stale
-
-    def writable(self, loc: int) -> int:
-        """Make the NVBM octant at ``loc`` in-place writable, copying the
-        shared suffix of its root path; returns its handle."""
-        tree = self.tree
-        index, dim = tree._index, tree.dim
-        handle = index[loc]
-        if is_dram(handle):
-            raise ConsistencyError(
-                f"{loc:#x} is in DRAM; COW is for NVBM octants")
-        if self._current(handle):
-            return handle
-        shared = [loc]  # deepest first
-        above = NULL_HANDLE  # the nearest writable ancestor, if any
-        while shared[-1] != morton.ROOT_LOC:
-            parent = index[shared[-1] >> dim]
-            if is_dram(parent) or self._current(parent):
-                above = parent
-                break
-            shared.append(shared[-1] >> dim)
-        stats, mask = tree.stats, morton.fanout(dim) - 1
-        new = NULL_HANDLE
-        for at in reversed(shared):
-            old, prev = index[at], new
-            new = tree.nvbm.alloc()
-            if prev:
-                self.parents[len(self.copies)] = prev
-            self.originals.append(old)
-            self.copies.append(new)
-            stats.cow_copies += 1
-            tree._superseded.append(old)
-            index[at] = new
-            self.touch(new, partial=False)
-            # hook the copy into its parent
-            if prev:
-                self._splice(prev, at & mask, new)
-            elif at == morton.ROOT_LOC:
-                tree.nvbm.roots.set(SLOT_CURR, new)
-            elif is_dram(above):
-                tree.dram.write_child_slot(above, at & mask, new)
-                stats.partial_writes += 1
-                tree._dirty.add(at >> dim)
-            else:
-                self.touch(above, partial=True)
-                self._splice(above, at & mask, new)
-        return new
-
-    def _splice(self, handle: int, slot: int, child: int) -> None:
-        handles, children = self.splices.setdefault(slot, ([], []))
-        handles.append(handle)
-        children.append(child)
-        self.tree.stats.partial_writes += 1
-
-    def touch(self, handle: int, partial: bool) -> None:
-        """A store to the NVBM record ``handle`` comes next in the per-item
-        sequence (``partial``: a field store, not a whole record)."""
-        self.touched.append(handle)
-        self.partial.append(partial)
-
-    def land(self) -> None:
-        """Charge the repeat epoch reads, hand out the write-back cache rows
-        in first-store order, then store the copies and the splices."""
-        tree, nvbm = self.tree, self.tree.nvbm
-        tree.stats.partial_reads += self.reads
-        repeats = self.reads - self.first_reads
-        nvbm.device.on_read_batch(repeats, repeats * EPOCH_SPAN[1],
-                                  repeats * lines_spanned(*EPOCH_SPAN))
-        nvbm.cache_in(self.touched, self.partial)
-        if not self.copies:
-            return
-        rows = nvbm.read_rows(self.originals)
-        images = as_records(rows)
-        images["epoch"] = tree.epoch
-        images["pad"] = 0  # as pack_record writes them
-        images["tail"] = 0
-        images["parent"][list(self.parents)] = list(self.parents.values())
-        # pmlint: allow-direct-write — fresh copies, allocated by writable()
-        nvbm.write_rows(self.copies, 0, rows)
-        for slot, (handles, children) in self.splices.items():
-            # pmlint: allow-direct-write — fresh copies, or the nearest
-            # current-epoch ancestors writable() found: V_{i-1} reaches none
-            nvbm.write_rows(handles, child_span(slot)[0],
-                            np.array(children, dtype="<u8")
-                            .view(np.uint8).reshape(len(children), 8))
-        tree.injector.site(sites.COW_AFTER_COPY, count=len(self.copies))

@@ -87,10 +87,6 @@ class ReplicaStore:
         #: sequence number of the last applied delta (0 = nothing applied)
         self.applied_seq: int = 0
 
-    @property
-    def known_handles(self) -> Set[int]:
-        return set(self.records)
-
     def bytes_stored(self) -> int:
         return len(self.records) * OCTANT_RECORD_SIZE
 

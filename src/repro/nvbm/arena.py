@@ -152,9 +152,6 @@ class RootSlots:
             self.tracer.on_publish(a, vb)
             self.tracer.on_publish(b, va)
 
-    def names(self) -> Iterator[str]:
-        return iter(self._slots)
-
 
 @dataclass
 class ArenaStats:
@@ -392,9 +389,12 @@ class MemoryArena:
             detail="sealed record failed CRC verification",
         )
 
-    def _load(self, handle: int, offset: int, size: int):
+    def _load(self, handle: int, offset: int, size: int,
+              charge: bool = True):
         """Check, charge and verify one read of ``[offset, offset + size)``;
-        returns ``(buffer, byte position of the span)``.
+        returns ``(buffer, byte position of the span)``.  ``charge=False``
+        leaves the device charge to the caller (a batch that charges its
+        reads together).
 
         Read-your-writes through the cache.  A read served by the *medium*
         passes media-fault checks on the spanned lines and CRC verification
@@ -411,7 +411,7 @@ class MemoryArena:
         first = offset // CACHE_LINE_SIZE
         nlines = (offset + (size or 1) - 1) // CACHE_LINE_SIZE - first + 1
         metered = not dev._unmetered
-        if metered:
+        if metered and charge:
             dev.on_read_batch(1, size, nlines)
         crow = self._cdir.get(idx)
         if crow is not None:
@@ -542,11 +542,14 @@ class MemoryArena:
     # itself — a read is charged before it is verified).  The vectorised
     # path serves the batch nothing goes wrong in.
 
-    def read_rows(self, handles, offset: int = 0,
-                  size: int = _REC) -> np.ndarray:
+    def read_rows(self, handles, offset: int = 0, size: int = _REC,
+                  charge: bool = True) -> Optional[np.ndarray]:
         """Bytes ``[offset, offset + size)`` of many records as an
         ``(n, size) uint8`` array: ``n`` :meth:`read_field` calls (whole
-        records by default: ``n`` :meth:`read` calls)."""
+        records by default: ``n`` :meth:`read` calls).  ``charge=False``
+        is a look-ahead: nothing is charged, and where the per-record
+        sequence would have to run (a read that can fail) the answer is
+        None."""
         idx = self._indices(handles)
         whole = offset == 0 and size == _REC
         span = slice(offset, offset + size)
@@ -573,6 +576,8 @@ class MemoryArena:
                 full = rows[sealed] if whole else self._rows[idx[sealed]]
                 clean = _row_crcs(full) == self._seal[idx[sealed]].tolist()
         if not clean:
+            if not charge:
+                return None
             # a read of this batch raises, or an armed fault model has to
             # see each read at its own clock and count: the per-record
             # sequence is the definition, so run it
@@ -580,7 +585,8 @@ class MemoryArena:
                 list(self.read_field(h, offset, size))
                 for h in np.asarray(handles, dtype=np.uint64).tolist()
             ], dtype=np.uint8).reshape(idx.size, size)
-        dev.on_read_batch(idx.size, idx.size * size, idx.size * nlines)
+        if charge:
+            dev.on_read_batch(idx.size, idx.size * size, idx.size * nlines)
         return rows
 
     def write_rows(self, handles, offset: int, data: np.ndarray) -> None:

@@ -48,8 +48,9 @@ def is_null(handle: int) -> bool:
 
 
 def is_dram(handle: int) -> bool:
-    return handle != NULL_HANDLE and arena_of(handle) == ARENA_DRAM
+    # NULL_HANDLE's arena tag is 0, neither arena's
+    return handle >> _INDEX_BITS == ARENA_DRAM
 
 
 def is_nvbm(handle: int) -> bool:
-    return handle != NULL_HANDLE and arena_of(handle) == ARENA_NVBM
+    return handle >> _INDEX_BITS == ARENA_NVBM

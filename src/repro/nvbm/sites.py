@@ -18,7 +18,7 @@ Tests that need ad-hoc sites can :func:`register` them first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Optional
+from typing import Dict, FrozenSet
 
 # -- copy-on-write ----------------------------------------------------------
 COW_AFTER_COPY = "cow.after_copy"
@@ -225,8 +225,3 @@ def unregister(name: str) -> None:
 
 def describe(name: str) -> str:
     return DESCRIPTIONS.get(name, "<unregistered>")
-
-
-def meta(name: str) -> Optional[SiteMeta]:
-    """Static metadata for one site, or None when unregistered."""
-    return METADATA.get(name)

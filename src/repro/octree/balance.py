@@ -42,8 +42,15 @@ def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
     every leaf is examined.  Leaves the tree already knows force nothing
     (``tree.unbalanced``) never enter the queue: refinement only makes
     neighbors finer, so a leaf that forces nothing when queued forces
-    nothing when popped, and the ``refine`` sequence is the same.
+    nothing when popped, and the ``refine`` sequence is the same.  The
+    ripple runs in one ``tree.batch()`` scope: its refines land together.
     """
+    with tree.batch():
+        return _ripple(tree, max_level, seeds)
+
+
+def _ripple(tree: AdaptiveTree, max_level: Optional[int],
+            seeds: Optional[Iterable[int]]) -> int:
     dim = tree.dim
     locs = list(seeds if seeds is not None else tree.leaves())
     queue = deque(compress(locs, tree.unbalanced(locs)))

@@ -84,20 +84,41 @@ class RefinementEngine:
                                & (batch.levels < self.max_level)]
         voters = batch.locs[(actions == Action.COARSEN)
                             & (batch.levels > self.min_level)]
-        res.refined = tree.refine_leaves(to_refine.tolist())
         # A parent coarsens when all its children voted.  Parents are
         # visited in the order their first vote was cast (leaf order), so
         # the copy-on-write allocations happen in the per-leaf order.
         parents, first, votes = np.unique(voters >> dim, return_index=True,
                                           return_counts=True)
         agreed = votes == morton.fanout(dim)
-        res.coarsened = tree.coarsen_parents(
-            parents[agreed][np.argsort(first[agreed])].tolist())
+        with tree.batch():
+            for loc in to_refine.tolist():
+                if tree.is_leaf(loc):  # a metered index search out of core
+                    tree.refine(loc)
+                    res.refined += 1
+            for parent in parents[agreed][np.argsort(first[agreed])].tolist():
+                # Re-check children are all still leaves (none refined above).
+                if tree.exists(parent) and not tree.is_leaf(parent) \
+                        and all(tree.is_leaf(c)
+                                for c in morton.children_of(parent, dim)):
+                    tree.coarsen(parent)
+                    res.coarsened += 1
         if self.balance and (res.refined or res.coarsened):
             res.balance_refined = balance_tree(
                 tree, max_level=self.max_level,
             )
         return res
+
+
+def refine_uniform(tree: AdaptiveTree, level: int) -> None:
+    """Refine every leaf until all leaves sit at ``level`` (*Construct*'s
+    base mesh), a level at a time, in one ``tree.batch()`` scope."""
+    dim = tree.dim
+    with tree.batch():
+        frontier = [loc for loc in tree.leaves()
+                    if morton.level_of(loc, dim) < level]
+        while frontier:
+            frontier = [child for loc in frontier for child in tree.refine(loc)
+                        if morton.level_of(child, dim) < level]
 
 
 def refine_where(tree: AdaptiveTree, predicate: Callable[[int], bool],

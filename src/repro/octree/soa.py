@@ -56,10 +56,11 @@ The kernels must be *provably* equivalent to the per-octant scalar oracle
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Sequence
 
 import numpy as np
 
+from repro.errors import ReproError
 from repro.octree import morton
 
 #: Maximum level (per dim) for which the int64 zorder-key arithmetic is
@@ -310,9 +311,56 @@ def index_in(locs: np.ndarray, codes: np.ndarray) -> np.ndarray:
 
 
 class LeafSetStructure:
-    """Batch structure queries for trees that keep their leaf codes in an
-    in-memory ``_leaf_set``: ``exists``/``is_leaf`` are uncharged set tests
-    there, so answering from the codes alone skips nothing metered."""
+    """Structure queries for trees that keep their codes in an in-memory
+    ``_index`` (code -> handle) and ``_leaf_set``: ``exists``/``is_leaf``
+    are uncharged set tests there, so answering a batch from the codes
+    alone skips nothing metered.  Their mutations land through a
+    ``_landing`` buffer (:class:`repro.core.cow.Landing`)."""
+
+    def batch(self):
+        """A scope whose mutations land together when the outermost one
+        closes; inner scopes join it."""
+        return self._landing
+
+    def root_loc(self) -> int:
+        return morton.ROOT_LOC
+
+    def exists(self, loc: int) -> bool:
+        return loc in self._index
+
+    def is_leaf(self, loc: int) -> bool:
+        return loc in self._leaf_set
+
+    def num_octants(self) -> int:
+        return len(self._index)
+
+    def num_leaves(self) -> int:
+        return len(self._leaf_set)
+
+    def leaves(self) -> Iterator[int]:
+        return iter(list(self._leaf_set))
+
+    def handle_of(self, loc: int) -> int:
+        try:
+            return self._index[loc]
+        except KeyError:
+            raise ReproError(f"octant {loc:#x} not in tree") from None
+
+    def find_leaf_at(self, point) -> int:
+        """Leaf containing a point of the unit cube (point location)."""
+        if len(point) != self.dim:
+            raise ValueError(f"point must have {self.dim} coordinates")
+        loc = morton.ROOT_LOC
+        while loc not in self._leaf_set:
+            level = morton.level_of(loc, self.dim)
+            coords = morton.coords_of(loc, self.dim)
+            idx = 0
+            for axis in range(self.dim):
+                mid = (2 * coords[axis] + 1) / (1 << (level + 1))
+                if point[axis] >= mid:
+                    idx |= 1 << axis
+            loc = morton.child_of(loc, self.dim, idx)
+        return loc
 
     def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
         return face_table(self._leaf_set, locs, self.dim)

@@ -11,7 +11,9 @@ private business.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from typing import (
+    ContextManager,
     Iterable,
     Iterator,
     List,
@@ -48,6 +50,12 @@ class AdaptiveTree(Protocol):
     and that cost is part of what the evaluation compares.
     :class:`LoopBackedAccess` derives every batch from the per-octant calls
     for the tree whose every call is such a search.
+
+    Mutations group the same way: ``refine``/``coarsen`` and the stores made
+    inside one ``with tree.batch():`` scope are the per-octant calls in
+    order, and a tree may land their record stores together when the
+    outermost scope closes (:mod:`repro.core.cow`).  A call made outside
+    any scope is a scope of one.
     """
 
     dim: int
@@ -132,14 +140,9 @@ class AdaptiveTree(Protocol):
         """Delete the (leaf) children of ``loc``, making it a leaf again."""
         ...
 
-    def refine_leaves(self, locs: Sequence[int]) -> int:
-        """``refine`` each of ``locs`` that is a leaf at its turn, in order;
-        returns how many were refined."""
-        ...
-
-    def coarsen_parents(self, parents: Sequence[int]) -> int:
-        """``coarsen`` each of ``parents`` that, at its turn, exists, is no
-        leaf and has only leaf children, in order; returns how many."""
+    def batch(self) -> ContextManager:
+        """A scope: the mutations made inside it, in order, may land
+        together when the outermost scope closes; inner scopes join it."""
         ...
 
 
@@ -151,9 +154,9 @@ class LoopBackedAccess:
     a metered index search: a slot write is a page read-modify-write and a
     batch is the plain loop, so the device is charged exactly what the
     per-octant calls charge, searches included.  The same goes for
-    structure: ``face_neighbors`` is the ``face_neighbor_leaves`` loop.
-    PM-octree and the in-core pointer octree call ``refine_leaves``/
-    ``coarsen_parents`` from here as the fallback of their own batches.
+    structure: ``face_neighbors`` is the ``face_neighbor_leaves`` loop,
+    and a ``batch()`` scope is no scope at all — every call already runs
+    at its place.
     """
 
     def get_field(self, loc: int, slot: int) -> float:
@@ -194,39 +197,8 @@ class LoopBackedAccess:
         # deciding costs the index searches Balance makes anyway
         return np.ones(len(locs), dtype=bool)
 
-    def refine_leaves(self, locs: Sequence[int]) -> int:
-        refined = 0
-        for loc in locs:
-            if self.is_leaf(loc):  # a metered index search out of core
-                self.refine(loc)
-                refined += 1
-        return refined
-
-    def coarsen_parents(self, parents: Sequence[int]) -> int:
-        from repro.octree import morton
-
-        coarsened = 0
-        for parent in parents:
-            # Re-check children are all still leaves (none refined above).
-            if self.exists(parent) and not self.is_leaf(parent) \
-                    and all(self.is_leaf(c)
-                            for c in morton.children_of(parent, self.dim)):
-                self.coarsen(parent)
-                coarsened += 1
-        return coarsened
-
-
-def leaf_levels(tree: AdaptiveTree) -> List[int]:
-    """Levels of all leaves — handy for tests and balance diagnostics."""
-    from repro.octree import morton
-
-    return [morton.level_of(loc, tree.dim) for loc in tree.leaves()]
-
-
-def tree_depth(tree: AdaptiveTree) -> int:
-    """Depth of the deepest leaf (used by eq. (1) for L_sub)."""
-    levels = leaf_levels(tree)
-    return max(levels) if levels else 0
+    def batch(self) -> ContextManager:
+        return nullcontext()
 
 
 def validate_tree(tree: AdaptiveTree) -> None:

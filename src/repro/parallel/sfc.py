@@ -135,22 +135,6 @@ def weighted_cut_indices(weights: Sequence[float], parts: int) -> List[int]:
     return [0] + [int(i) for i in inner] + [n]
 
 
-def weighted_partition_by_key(leaves: Sequence[int], dim: int,
-                              max_level: int, nranks: int, key_fn,
-                              weight_fn) -> Dict[int, int]:
-    """Weighted variant of :func:`partition_by_key`: cut the key-sorted
-    order so each rank's summed ``weight_fn(leaf)`` is near-equal.  Returns
-    {leaf: rank}; ranks remain contiguous ranges of the curve."""
-    ordered = sorted(leaves, key=lambda leaf: key_fn(leaf, dim, max_level))
-    bounds = weighted_cut_indices([weight_fn(leaf) for leaf in ordered],
-                                  nranks)
-    assignment: Dict[int, int] = {}
-    for r in range(nranks):
-        for i in range(bounds[r], bounds[r + 1]):
-            assignment[ordered[i]] = r
-    return assignment
-
-
 def edge_cut(tree: AdaptiveTree, assignment: Dict[int, int]) -> int:
     """Number of face adjacencies crossing rank boundaries.
 

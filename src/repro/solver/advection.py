@@ -37,7 +37,7 @@ from repro.config import SolverConfig
 from repro.octree import soa
 from repro.octree.neighbors import leaf_neighbor
 from repro.octree.store import AdaptiveTree
-from repro.solver.fields import PRESSURE, U, V, VOF, FieldView
+from repro.solver.fields import PRESSURE, U, V, VOF
 from repro.solver.geometry import DropletGeometry
 
 
@@ -45,15 +45,17 @@ def initialize_vof(tree: AdaptiveTree, geometry: DropletGeometry,
                    t: float = 0.0) -> None:
     """Fill the VOF and velocity fields from the geometry at time ``t``.
 
-    The geometry is evaluated once over all leaves; the stores stay one
-    read-modify-write per leaf, in leaf order."""
-    fields = FieldView(tree)
+    The geometry is evaluated once over all leaves, and the per-leaf
+    payload read-modify-writes are one ``batch_read_payloads`` and one
+    ``batch_set_payloads`` in leaf order: every leaf is read before any
+    store, and a store (copy-on-write included) moves no other leaf."""
     locs = list(tree.leaves())
     _h, mins, maxs, centers = soa.code_geometry(locs, tree.dim)
-    vof = geometry.vof_of_cells(mins, maxs, t).tolist()
-    speed = geometry.vertical_velocities(centers, t).tolist()
-    for loc, f, v in zip(locs, vof, speed):
-        fields.set_many(loc, {VOF: f, U: 0.0, V: v})
+    payloads = np.array(tree.batch_read_payloads(locs), dtype=np.float64)
+    payloads[:, VOF] = geometry.vof_of_cells(mins, maxs, t)
+    payloads[:, U] = 0.0
+    payloads[:, V] = geometry.vertical_velocities(centers, t)
+    tree.batch_set_payloads(zip(locs, payloads.tolist()))
 
 
 def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,

@@ -10,7 +10,7 @@ read-modify-write on the baselines — is each tree's business.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 import numpy as np
 import scipy.sparse as sp
@@ -25,8 +25,6 @@ PRESSURE = 1   #: cell pressure
 U = 2          #: horizontal velocity
 V = 3          #: vertical velocity (the jet direction)
 
-FIELD_NAMES = {"vof": VOF, "pressure": PRESSURE, "u": U, "v": V}
-
 
 class FieldView:
     """Slot-wise field access with a per-slot write API."""
@@ -39,13 +37,6 @@ class FieldView:
 
     def set(self, loc: int, slot: int, value: float) -> None:
         self.tree.set_field(loc, slot, value)
-
-    def set_many(self, loc: int, updates: Dict[int, float]) -> None:
-        """One read-modify-write for several slots (cheaper than N sets)."""
-        payload = list(self.tree.get_payload(loc))
-        for slot, value in updates.items():
-            payload[slot] = value
-        self.tree.set_payload(loc, tuple(payload))
 
 
 def liquid_leaves(tree: AdaptiveTree, threshold: float = 0.5) -> List[int]:

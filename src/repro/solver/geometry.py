@@ -129,9 +129,6 @@ class DropletGeometry:
             return abs(point[0] - 0.5)
         return math.hypot(point[0] - 0.5, point[1] - 0.5)
 
-    def _height(self, point: Sequence[float]) -> float:
-        return point[-1]
-
     def liquid_mask(self, pts: np.ndarray, t: float) -> np.ndarray:
         """Vectorised phase indicator over an ``(N, dim)`` point array."""
         cfg = self.config

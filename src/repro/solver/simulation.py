@@ -18,9 +18,8 @@ from typing import Callable, List, Optional
 from repro.config import SolverConfig
 from repro.nvbm.clock import SimClock
 from repro.obs.instrument import sim_phase
-from repro.octree import morton
 from repro.octree.balance import balance_tree
-from repro.octree.refine import RefinementEngine
+from repro.octree.refine import RefinementEngine, refine_uniform
 from repro.octree.store import AdaptiveTree
 from repro.solver.advection import advect_vof, initialize_vof
 from repro.solver.features import change_feature, interface_criterion
@@ -84,17 +83,7 @@ class DropletSimulation:
         """Build the initial mesh (*Construct*): refine to the base level,
         then adapt to the initial interface and fill the fields."""
         with sim_phase(self, "construct"):
-            frontier = [
-                leaf for leaf in self.tree.leaves()
-                if morton.level_of(leaf, self.tree.dim) < self.config.min_level
-            ]
-            while frontier:
-                nxt = []
-                for loc in frontier:
-                    for c in self.tree.refine(loc):
-                        if morton.level_of(c, self.tree.dim) < self.config.min_level:
-                            nxt.append(c)
-                frontier = nxt
+            refine_uniform(self.tree, self.config.min_level)
             self._adapt()
             balance_tree(self.tree, max_level=self.config.max_level)
             initialize_vof(self.tree, self.geometry, self.t)

@@ -30,7 +30,7 @@ from repro.nvbm.clock import SimClock
 from repro.obs.instrument import sim_phase
 from repro.octree import morton, soa
 from repro.octree.balance import balance_tree
-from repro.octree.refine import Action, RefinementEngine
+from repro.octree.refine import Action, RefinementEngine, refine_uniform
 from repro.octree.store import AdaptiveTree
 
 
@@ -155,17 +155,7 @@ class WaveSimulation:
 
     def construct(self) -> None:
         with sim_phase(self, "construct"):
-            frontier = [
-                leaf for leaf in self.tree.leaves()
-                if morton.level_of(leaf, self.tree.dim) < self.config.min_level
-            ]
-            while frontier:
-                nxt = []
-                for loc in frontier:
-                    for c in self.tree.refine(loc):
-                        if morton.level_of(c, self.tree.dim) < self.config.min_level:
-                            nxt.append(c)
-                frontier = nxt
+            refine_uniform(self.tree, self.config.min_level)
             self._adapt()
             balance_tree(self.tree, max_level=self.config.max_level)
             self._sweep()

@@ -116,7 +116,17 @@ def test_catches_direct_write_in_core():
     assert _rules(findings) == ["bypass-cow"]
 
 
-def test_ensure_writable_exempts_the_scope():
+def test_writable_exempts_the_scope():
+    findings = _lint(
+        """
+        def mutate(self, loc):
+            h = self._landing.writable(loc)
+            self.nvbm.write_octant(h, rec)
+        """,
+        path=CORE_PATH,
+    )
+    assert findings == []
+    # the retired entry point guards nothing: the planted bypass is found
     findings = _lint(
         """
         def mutate(self, loc):
@@ -125,7 +135,7 @@ def test_ensure_writable_exempts_the_scope():
         """,
         path=CORE_PATH,
     )
-    assert findings == []
+    assert _rules(findings) == ["bypass-cow"]
 
 
 def test_allow_direct_write_pragma_single_line():

@@ -1,11 +1,13 @@
 """In-core baseline: meshing + snapshot checkpoint/restore.
 
 The batches are twinned against their per-record definition on two trees
-built alike: ``refine_leaves``/``coarsen_parents`` against the
-``LoopBackedAccess`` loop, ``checkpoint``/``restore_from`` against their
-per-record bodies in ``tests/oracles/structure_walks.py``.  Equal means the
-same arena bytes, allocator (free-list order included), arena and device
-counters, wear, clock, index and leaf-set order.
+built alike: the refine/coarsen loops run inside one ``tree.batch()`` scope
+against the same loops on the per-item bodies
+(``structure_walks.inject_scalar_mutations``), ``checkpoint``/
+``restore_from`` against their per-record bodies in
+``tests/oracles/structure_walks.py``.  Equal means the same arena bytes,
+allocator (free-list order included), arena and device counters, wear,
+clock, index and leaf-set order.
 """
 
 import dataclasses
@@ -23,7 +25,7 @@ from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.pointers import ARENA_DRAM
 from repro.nvbm.records import FLAG_LEAF
 from repro.octree import morton
-from repro.octree.store import LoopBackedAccess, validate_tree
+from repro.octree.store import validate_tree
 from repro.storage.block import BlockDevice
 from repro.storage.filesystem import SimFileSystem
 from tests.oracles import structure_walks as oracle
@@ -221,16 +223,17 @@ def _batch_steps(tree, seed):
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("seed", range(3))
-def test_refine_and_coarsen_batches_equal_the_loop(dim, seed):
+def test_refine_and_coarsen_batches_equal_the_loop(monkeypatch, dim, seed):
     ours, theirs = _grown(dim, seed), _grown(dim, seed)
     assert _deep_state(ours) == _deep_state(theirs)
     for kind, batch in _batch_steps(ours, seed):
-        if kind == "refine":
-            got = ours.refine_leaves(batch)
-            want = LoopBackedAccess.refine_leaves(theirs, batch)
-        else:
-            got = ours.coarsen_parents(batch)
-            want = LoopBackedAccess.coarsen_parents(theirs, batch)
+        loop = {"refine": oracle.refine_leaves,
+                "coarsen": oracle.coarsen_parents}[kind]
+        with ours.batch():
+            got = loop(ours, batch)
+        with monkeypatch.context() as patch:
+            oracle.inject_scalar_mutations(patch)
+            want = loop(theirs, batch)
         assert got == want, (kind, batch)
         assert _deep_state(ours) == _deep_state(theirs), (kind, batch)
     validate_tree(ours)

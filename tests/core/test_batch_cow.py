@@ -1,38 +1,41 @@
-"""Batch copy-on-write equals the per-item calls.
+"""A ``tree.batch()`` scope lands exactly the per-item mutations.
 
-``PMOctree._batch_store`` (NVBM half), ``refine_leaves`` and
-``coarsen_parents`` plan the per-item ``_ensure_writable`` sequence in
-Python (``core.pmoctree._CowBatch``) and land each kind of store with one
-arena call.  The per-item calls — ``set_payload``/``set_field``, ``refine``,
-``coarsen`` — are what runs while ``PMOctree._cow_record_by_record`` holds,
-so a twin rig with that predicate patched to True is the oracle.  Built
-identically (the seeded runs of ``test_frontier_walks.py``: droplet and
-wave, 2-D and 3-D, tight and roomy C0, synchronous and pipelined), the two
-must agree after every step in everything a store leaves behind: the arena
-bytes on the medium and in the write-back cache, the cache directory's
-order (the order a crash tears in) and row capacity, both allocators,
-``_index``/``_leaf_set`` in iteration order, ``_origin``/``_dirty``/
-``_superseded``/``_detached``, every ``*Stats``, the ``SimClock`` tables,
-wear and the injector's hit counts.
+``PMOctree.refine``/``coarsen``/``_store_span`` and the copy-on-write step
+``Landing.writable`` are each one body (``repro.core.cow``): inside a
+scope — the refine sweep, Balance's ripple, a ``batch_set_*`` call — their
+stores wait and land with one arena call per kind of store when the scope
+closes.  The oracle is a twin rig running the per-item bodies moved to
+``tests/oracles/structure_walks.py`` (``inject_scalar_mutations``), every
+read, store and crash site at its place.  Built identically (the seeded runs
+of ``test_frontier_walks.py``: droplet and wave, 2-D and 3-D, tight and
+roomy C0, synchronous and pipelined), the two must agree after every step in
+everything a store leaves behind: the arena bytes on the medium and in the
+write-back cache, the cache directory's order (the order a crash tears in)
+and row capacity, both allocators, ``_index``/``_leaf_set`` in iteration
+order, ``_origin``/``_dirty``/``_superseded``/``_detached``, every
+``*Stats``, the ``SimClock`` tables, wear and the injector's hit counts.
 
 While a crash plan is armed on ``cow.after_copy``, ``payload.partial_store``
 or ``coarsen.mid`` (or a media fault can fail a read, or a tracer watches)
-the batch runs the per-item calls itself, so a crash at *any* hit leaves
-exactly the per-item arena, tears the same lines and recovers the same tree.
+a scope runs every read, store and site at its place, so a crash at *any*
+hit leaves exactly the per-item arena, tears the same lines and recovers
+the same tree.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.tracker import install_tracker
-from repro.core import pmoctree
 from repro.core.api import pm_restore
-from repro.core.pmoctree import SLOT_CURR, PMOctree
+from repro.core.cow import Landing
+from repro.core.pmoctree import SLOT_CURR
 from repro.errors import MediaError, SimulatedCrash
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
 from repro.nvbm.sites import COARSEN_MID, COW_AFTER_COPY, PAYLOAD_PARTIAL
 from repro.octree import morton
+from repro.octree.balance import balance_tree
 from tests.core.conftest import PMRig
+from tests.oracles import structure_walks as oracle
 from tests.core.test_batch_persist import _arena_state, _sim_rig, _state
 from tests.core.test_frontier_walks import CASES, ROOMY
 
@@ -59,24 +62,36 @@ def _agree(ours, theirs) -> None:
 
 
 def _per_item(patch) -> None:
-    patch.setattr(PMOctree, "_cow_record_by_record", lambda self: True)
+    oracle.inject_scalar_mutations(patch)
 
 
 @pytest.fixture
 def landed(monkeypatch):
-    """How many copy-on-write batches landed, per calling method."""
+    """How many landings had something to land, by who asked: a closing
+    scope (``__exit__``) or an operation that had to land it early."""
     counts = {}
-    land = pmoctree._CowBatch.land
+    land = Landing.land
 
     def counting(self):
         import inspect
 
-        caller = inspect.stack()[1].function
-        counts[caller] = counts.get(caller, 0) + 1
+        if self.pending or self.fresh or self.reads:  # anything to land
+            caller = inspect.stack()[1].function
+            counts[caller] = counts.get(caller, 0) + 1
         return land(self)
 
-    monkeypatch.setattr(pmoctree._CowBatch, "land", counting)
+    monkeypatch.setattr(Landing, "land", counting)
     return counts
+
+
+def _refine(tree, locs):
+    with tree.batch():
+        return oracle.refine_leaves(tree, locs)
+
+
+def _coarsen(tree, parents):
+    with tree.batch():
+        return oracle.coarsen_parents(tree, parents)
 
 
 # ------------------------------------------------------ seeded simulations
@@ -105,7 +120,7 @@ def test_batch_cow_equals_per_item_step_by_step(monkeypatch, landed, scenario,
         # C0 takes every octant back in: nothing NVBM-resident is stored
         # to, so nothing is copied
         assert ours.tree.stats.cow_copies == 0
-    assert landed.get("refine_leaves", 0) > 0
+    assert landed.get("__exit__", 0) > 0
     ours.tree.check_invariants()
 
 
@@ -158,7 +173,7 @@ def test_repeated_loc_in_one_batch(monkeypatch, landed):
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_payloads(
         [(leaf, (1.0, 2.0, 3.0, 4.0)), (leaf, (5.0, 6.0, 7.0, 8.0))]))
     assert ours.tree.get_payload(leaf) == (5.0, 6.0, 7.0, 8.0)
-    assert landed["_batch_store"] == 1
+    assert landed == {"__exit__": 1}
 
 
 def test_path_reaching_the_root_publishes_it(monkeypatch):
@@ -215,8 +230,8 @@ def test_refine_of_a_flushed_current_epoch_leaf(monkeypatch, landed):
         for loc in leaves[::3]:
             rig.tree.set_field(loc, 0, 0.5)
         rig.nvbm.flush()
-    _run(monkeypatch, ours, theirs, lambda t: t.refine_leaves(leaves[::2]))
-    assert landed == {"refine_leaves": 1}
+    _run(monkeypatch, ours, theirs, lambda t: _refine(t, leaves[::2]))
+    assert landed == {"__exit__": 1}
     child = morton.children_of(leaves[0], ours.dim)[2]
     assert ours.tree.get_field(child, 0) == 0.5
 
@@ -228,23 +243,23 @@ def test_mixed_dram_and_nvbm_batches(monkeypatch, landed):
 
         t = rig.tree
         assert merge.load_subtree(t, _leaves(t)[0] >> (2 * t.dim))
+    landed.clear()  # the loads' splices
     leaves = _leaves(ours.tree)
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_payloads(
         [(loc, (float(i), 1.0, 0.0, 0.0)) for i, loc in enumerate(leaves)]))
     _run(monkeypatch, ours, theirs,
-         lambda t: t.refine_leaves(leaves[::3] + leaves[:2]))
+         lambda t: _refine(t, leaves[::3] + leaves[:2]))
     # the refined leaves again, whose children are current-epoch records
     _run(monkeypatch, ours, theirs,
-         lambda t: t.coarsen_parents(leaves[:2] + leaves[6::6]))
-    assert landed == {"_batch_store": 1, "refine_leaves": 1,
-                      "coarsen_parents": 1}
+         lambda t: _coarsen(t, leaves[:2] + leaves[6::6]))
+    assert landed == {"__exit__": 3}
     assert ours.tree.stats.marked_deleted > 0
     ours.tree.check_invariants()
 
 
 def test_refine_batch_that_would_cross_threshold_dram(monkeypatch, landed):
-    """Too little C0 headroom for the whole batch: an eviction would fall
-    between two refines, so the per-loc calls run."""
+    """Too little C0 headroom for the whole batch: an eviction falls
+    between two refines, and the scope lands before it."""
     ours, theirs = (PMRig(dram_octants=64, nvbm_octants=1 << 12)
                     for _ in "ab")
     for rig in (ours, theirs):
@@ -252,30 +267,92 @@ def test_refine_batch_that_would_cross_threshold_dram(monkeypatch, landed):
             for leaf in list(rig.tree.leaves()):
                 rig.tree.refine(leaf)
     leaves = _leaves(ours.tree)
-    _run(monkeypatch, ours, theirs, lambda t: t.refine_leaves(leaves))
+    _run(monkeypatch, ours, theirs, lambda t: _refine(t, leaves))
     assert ours.tree.stats.evictions > 0
-    assert "refine_leaves" not in landed
-    _run(monkeypatch, ours, theirs, lambda t: t.refine_leaves(
-        _leaves(t)[:1]))
-    assert landed == {"refine_leaves": 1}
+    assert landed["settle"] > 0 and landed["__exit__"] == 1
+    landed.clear()
+    _run(monkeypatch, ours, theirs, lambda t: _refine(t, _leaves(t)[:1]))
+    assert landed == {"__exit__": 1}
 
 
 def test_refine_of_a_child_created_in_the_batch(monkeypatch, landed):
     ours, theirs = _twins()
     leaf = _leaves(ours.tree)[0]
     child = morton.children_of(leaf, ours.dim)[1]
-    _run(monkeypatch, ours, theirs, lambda t: t.refine_leaves([leaf, child]))
+    _run(monkeypatch, ours, theirs, lambda t: _refine(t, [leaf, child]))
     assert not ours.tree.is_leaf(child)
-    assert "refine_leaves" not in landed
+    # one landing, the child's refine a wave after its parent's
+    assert landed == {"__exit__": 1}
 
 
 def test_coarsen_of_a_parent_made_eligible_in_the_batch(monkeypatch, landed):
     ours, theirs = _twins()
     top = _leaves(ours.tree)[0] >> 2 * ours.dim
-    _run(monkeypatch, ours, theirs, lambda t: t.coarsen_parents(
-        morton.children_of(top, t.dim) + [top]))
+    _run(monkeypatch, ours, theirs, lambda t: _coarsen(
+        t, morton.children_of(top, t.dim) + [top]))
     assert ours.tree.is_leaf(top)
-    assert "coarsen_parents" not in landed
+    # coarsening ``top`` marks children whose stores are pending
+    assert landed == {"settle": 1, "__exit__": 1}
+
+
+# ---------------------------------------------------- Balance's ripple
+
+def _deep_chains(rig, depth: int, step: int) -> None:
+    """Below every ``step``-th leaf, refine the last child ``depth`` times:
+    Balance has a ripple to run around each chain."""
+    for loc in _leaves(rig.tree)[::step]:
+        for _ in range(depth):
+            loc = rig.tree.refine(loc)[-1]
+
+
+def test_balance_ripple_crossing_threshold_dram_mid_scope(monkeypatch,
+                                                          landed):
+    """A tight C0: the ripple's refines run out of DRAM headroom part way,
+    so the scope lands before each eviction and the rest of the ripple
+    keeps landing together."""
+    ours, theirs = (PMRig(dram_octants=80, nvbm_octants=1 << 12)
+                    for _ in "ab")
+    for rig in (ours, theirs):
+        for _ in range(2):
+            for leaf in list(rig.tree.leaves()):
+                rig.tree.refine(leaf)
+        _deep_chains(rig, depth=4, step=9)
+    evictions = ours.tree.stats.evictions
+    landed.clear()
+    _run(monkeypatch, ours, theirs, balance_tree)
+    assert ours.tree.stats.evictions > evictions
+    assert landed["settle"] > 0 and landed["__exit__"] == 1
+    ours.tree.check_invariants()
+
+
+def _armed_balance(k: int):
+    ours, theirs = _twins()
+    for rig in (ours, theirs):
+        _deep_chains(rig, depth=3, step=5)
+        rig.injector.reset_hits()
+        rig.injector.arm(COW_AFTER_COPY, at_hit=k)
+    return ours, theirs
+
+
+def test_balance_under_an_armed_cow_plan(monkeypatch, landed):
+    """Balance's copy-on-write under an armed ``cow.after_copy`` plan: the
+    scope runs store by store, so a crash at any hit of the ripple tears and
+    recovers exactly what the per-item refines leave."""
+    ours, theirs = _armed_balance(10 ** 6)
+    _run(monkeypatch, ours, theirs, balance_tree)
+    hits = ours.injector.hits[COW_AFTER_COPY]
+    assert hits > 5 and not landed
+    for k in sorted({1, 2, hits // 2, hits - 1, hits}):
+        ours, theirs = _armed_balance(k)
+        crash = _run(monkeypatch, ours, theirs, balance_tree)
+        assert isinstance(crash, SimulatedCrash), k
+        for rig in (ours, theirs):
+            rig.crash(seed=k)
+        _agree(ours, theirs)  # the same lines torn
+        mine, want = ours.restore(), theirs.restore()
+        assert {loc: mine.get_payload(loc) for loc in mine.leaves()} == \
+            {loc: want.get_payload(loc) for loc in want.leaves()}
+        _agree(ours, theirs)
 
 
 # ------------------------------------------------------- crash exactness
@@ -285,8 +362,8 @@ _ACTS = {
         [(loc, (1.0, 0.0, 0.0, 0.0)) for loc in _leaves(t)[::4]]),
     PAYLOAD_PARTIAL: lambda t: t.batch_set_fields(
         [(loc, 2.0) for loc in _leaves(t)[::3]], 0),
-    COARSEN_MID: lambda t: t.coarsen_parents(
-        list(dict.fromkeys(loc >> t.dim for loc in _leaves(t)[::2]))),
+    COARSEN_MID: lambda t: _coarsen(
+        t, list(dict.fromkeys(loc >> t.dim for loc in _leaves(t)[::2]))),
 }
 
 
@@ -365,7 +442,7 @@ def test_quiescent_fault_model_keeps_the_batch(monkeypatch, landed):
         assert not rig.tree._cow_record_by_record()
     for act in _ACTS.values():
         _run(monkeypatch, ours, theirs, act)
-    assert landed == {"_batch_store": 2, "coarsen_parents": 1}
+    assert landed == {"__exit__": 3}
 
 
 def test_an_attached_tracer_runs_item_by_item(monkeypatch, landed):

@@ -53,13 +53,16 @@ from repro.solver.geometry import DropletGeometry
 
 def initialize_vof(tree: AdaptiveTree, geometry: DropletGeometry,
                    t: float = 0.0) -> None:
-    fields = FieldView(tree)
     dim = tree.dim
     for loc in tree.leaves():
         lo, hi = morton.cell_bounds(loc, dim)
         vof = geometry.vof_of_cell(lo, hi, t)
         vel = geometry.velocity(morton.cell_center(loc, dim), t)
-        fields.set_many(loc, {VOF: vof, U: vel[0], V: vel[-1]})
+        # FieldView.set_many: one payload read-modify-write per leaf
+        payload = list(tree.get_payload(loc))
+        for slot, value in {VOF: vof, U: vel[0], V: vel[-1]}.items():
+            payload[slot] = value
+        tree.set_payload(loc, tuple(payload))
 
 
 def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,

@@ -29,10 +29,10 @@ from typing import Dict, List, Set
 
 from repro.baselines.incore import _HEADER, _MAGIC
 from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
-from repro.errors import ConsistencyError, RecoveryError
+from repro.errors import ConsistencyError, RecoveryError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.pointers import NULL_HANDLE, is_dram, is_nvbm
-from repro.nvbm.records import OctantRecord
+from repro.nvbm.records import FLAG_DELETED, FLAG_LEAF, OctantRecord
 from repro.octree import morton
 
 #: Snapshot record: loc (Q), flags (B), 4 payload doubles.
@@ -313,8 +313,6 @@ def incore_restore_from(cls, fs, name: str, arena):
         entries.append((fields[0], fields[1], fields[2:6]))
     tree = cls(arena, dim=dim)
     # parents come before children in the preorder dump
-    from repro.nvbm.records import FLAG_LEAF
-
     for loc, flags, payload in entries:
         if loc != morton.ROOT_LOC and not tree.exists(loc):
             raise RecoveryError(
@@ -324,3 +322,333 @@ def incore_restore_from(cls, fs, name: str, arena):
             tree.refine(loc)
         tree.set_payload(loc, payload)
     return tree
+
+
+# ------------------------------------------------- per-item mutation bodies
+#
+# ``PMOctree.refine``/``coarsen``/``_store_span`` and ``_ensure_writable``
+# with its helpers (``self`` spelled ``pmo``), ``PointerOctree.refine``/
+# ``coarsen`` (``self`` spelled ``tree``), ``merge.splice_into_parent`` and
+# the ``LoopBackedAccess.refine_leaves``/``coarsen_parents`` loops, from
+# before ``src`` gave each mutation one body whose stores land when a
+# ``tree.batch()`` scope closes (``repro.core.cow``).  Every read, store and
+# crash site runs at its place: the per-item sequence the scopes must land.
+
+
+def _path_to(pmo, loc: int) -> List[int]:
+    """Locational codes root -> loc."""
+    path = [loc]
+    while loc != morton.ROOT_LOC:
+        loc = morton.parent_of(loc, pmo.dim)
+        path.append(loc)
+    path.reverse()
+    return path
+
+
+def _is_writable(pmo, handle: int) -> bool:
+    """In-place writable: DRAM, or an NVBM record of the current epoch."""
+    if is_dram(handle):
+        return True
+    pmo.stats.partial_reads += 1
+    return pmo.nvbm.read_epoch(handle) == pmo.epoch
+
+
+def _ensure_writable(pmo, loc: int) -> int:
+    """Make the NVBM octant at ``loc`` in-place writable, copying the
+    shared suffix of its root path (Fig 4).  Returns its handle."""
+    handle = pmo._index[loc]
+    if is_dram(handle):
+        raise ConsistencyError(f"{loc:#x} is in DRAM; COW is for NVBM octants")
+    pmo.stats.partial_reads += 1
+    if pmo.nvbm.read_epoch(handle) == pmo.epoch:
+        return handle
+    path = _path_to(pmo, loc)
+    # deepest ancestor that is already writable
+    first_shared = 0
+    for i in range(len(path) - 1, -1, -1):
+        h = pmo._index[path[i]]
+        if i < len(path) - 1 and _is_writable(pmo, h):
+            first_shared = i + 1
+            break
+    else:
+        first_shared = 0
+    new_handle = NULL_HANDLE
+    for i in range(first_shared, len(path)):
+        ploc = path[i]
+        old = pmo._index[ploc]
+        rec = pmo.nvbm.read_octant(old)
+        rec.epoch = pmo.epoch
+        if i > first_shared:
+            rec.parent = pmo._index[path[i - 1]]
+        new = pmo.nvbm.new_octant(rec)
+        pmo.stats.cow_copies += 1
+        pmo._superseded.append(old)
+        pmo._index[ploc] = new
+        pmo.injector.site(sites.COW_AFTER_COPY)
+        # hook the copy into its parent
+        if i == first_shared:
+            if ploc == morton.ROOT_LOC:
+                pmo.nvbm.roots.set(SLOT_CURR, new)
+            else:
+                parent_loc = path[i - 1]
+                ph = pmo._index[parent_loc]
+                parena = pmo._arena_of(ph)
+                parena.write_child_slot(
+                    ph, morton.child_index_of(ploc, pmo.dim), new
+                )
+                pmo.stats.partial_writes += 1
+                if is_dram(ph):
+                    pmo._dirty.add(parent_loc)
+        else:
+            # parent is the copy we just made in the previous iteration:
+            # fix its child slot in place (it is current-epoch).
+            ph = pmo._index[path[i - 1]]
+            pmo.nvbm.write_child_slot(
+                ph, morton.child_index_of(ploc, pmo.dim), new
+            )
+            pmo.stats.partial_writes += 1
+        new_handle = new
+    return new_handle
+
+
+def pm_store_span(pmo, loc: int, offset: int, data: bytes) -> None:
+    """One field-granular store: DRAM octants update in place, shared
+    NVBM octants copy-on-write first; only the spanned lines dirty."""
+    handle = pmo.handle_of(loc)
+    pmo._touch_c0(loc, handle)
+    pmo.stats.partial_writes += 1
+    if is_dram(handle):
+        pmo.dram.write_field(handle, offset, data)
+        pmo._dirty.add(loc)
+        pmo.stats.inplace_updates += 1
+        return
+    pmo.nvbm.write_field(_ensure_writable(pmo, loc), offset, data)
+    pmo.injector.site(sites.PAYLOAD_PARTIAL)
+
+
+def pm_refine(pmo, loc: int) -> List[int]:
+    """Split a leaf; children are placed with their parent (§3.2 routing:
+    an octant goes to C0 or C1 "determined by its locational code")."""
+    if loc not in pmo._leaf_set:
+        raise ReproError(f"cannot refine non-leaf {loc:#x}")
+    handle = pmo.handle_of(loc)
+    pmo._touch_c0(loc, handle)
+    if is_dram(handle):
+        return _refine_dram(pmo, loc, handle)
+    return _refine_nvbm(pmo, loc)
+
+
+def _refine_dram(pmo, loc: int, handle: int) -> List[int]:
+    fanout = morton.fanout(pmo.dim)
+    if not pmo._ensure_dram_capacity(fanout, protect=loc):
+        # C0 cannot grow: this very subtree was evicted to NVBM.
+        return _refine_nvbm(pmo, loc)
+    rec = pmo.dram.read_octant(handle)
+    child_locs = morton.children_of(loc, pmo.dim)
+    for i, cloc in enumerate(child_locs):
+        ch = pmo.dram.new_octant(OctantRecord(
+            loc=cloc, level=rec.level + 1, epoch=pmo.epoch,
+            payload=tuple(rec.payload), parent=handle,
+        ))
+        rec.children[i] = ch
+        pmo._index[cloc] = ch
+        pmo._leaf_set.add(cloc)
+    rec.set_leaf(False)
+    pmo.dram.write_octant(handle, rec)
+    pmo._leaf_set.discard(loc)
+    pmo._dirty.add(loc)
+    croot = pmo._c0_root_of(loc)
+    if croot is not None:
+        stats = pmo._c0_roots[croot]
+        stats.size += fanout
+        stats.locs.update(child_locs)
+    pmo.stats.inplace_updates += 1
+    return child_locs
+
+
+def _refine_nvbm(pmo, loc: int) -> List[int]:
+    handle = _ensure_writable(pmo, loc)
+    rec = pmo.nvbm.read_octant(handle)
+    child_locs = morton.children_of(loc, pmo.dim)
+    for i, cloc in enumerate(child_locs):
+        ch = pmo.nvbm.new_octant(OctantRecord(
+            loc=cloc, level=rec.level + 1, epoch=pmo.epoch,
+            payload=tuple(rec.payload), parent=handle,
+        ))
+        rec.children[i] = ch
+        pmo._index[cloc] = ch
+        pmo._leaf_set.add(cloc)
+    rec.set_leaf(False)
+    pmo.nvbm.write_octant(handle, rec)
+    pmo._leaf_set.discard(loc)
+    return child_locs
+
+
+def pm_coarsen(pmo, loc: int) -> None:
+    """Remove the leaf children of ``loc`` from the working version."""
+    if loc in pmo._leaf_set:
+        raise ReproError(f"cannot coarsen a leaf {loc:#x}")
+    if loc not in pmo._index:
+        raise ReproError(f"octant {loc:#x} not in PM-octree")
+    child_locs = morton.children_of(loc, pmo.dim)
+    for cloc in child_locs:
+        if cloc not in pmo._leaf_set:
+            raise ReproError(
+                f"cannot coarsen {loc:#x}: child {cloc:#x} is not a leaf"
+            )
+    handle = pmo.handle_of(loc)
+    pmo._touch_c0(loc, handle)
+    if is_dram(handle):
+        rec = pmo.dram.read_octant(handle)
+        for i, cloc in enumerate(child_locs):
+            pmo.dram.free(pmo._index.pop(cloc))
+            pmo._leaf_set.discard(cloc)
+            origin = pmo._origin.pop(cloc, None)
+            if origin is not None:
+                pmo._detach(origin)
+            pmo._dirty.discard(cloc)
+            rec.children[i] = NULL_HANDLE
+        rec.set_leaf(True)
+        pmo.dram.write_octant(handle, rec)
+        pmo._dirty.add(loc)
+        croot = pmo._c0_root_of(loc)
+        if croot is not None:
+            stats = pmo._c0_roots[croot]
+            stats.size -= len(child_locs)
+            stats.locs.difference_update(child_locs)
+        pmo._leaf_set.add(loc)
+        return
+    handle = _ensure_writable(pmo, loc)
+    for cloc in child_locs:
+        ch = pmo._index.pop(cloc)
+        pmo._leaf_set.discard(cloc)
+        if is_dram(ch):
+            pmo.dram.free(ch)
+            pmo._c0_roots.pop(cloc, None)
+            origin = pmo._origin.pop(cloc, None)
+            pmo._dirty.discard(cloc)
+            if (
+                origin is not None
+                and pmo.nvbm.contains(origin)
+                and pmo.nvbm.read_epoch(origin) == pmo.epoch
+            ):
+                flags = pmo.nvbm.read_flags(origin)
+                pmo.nvbm.set_flags(origin, flags | FLAG_DELETED)
+                pmo.stats.partial_writes += 1
+                pmo.stats.marked_deleted += 1
+            elif origin is not None and pmo.nvbm.contains(origin):
+                pmo._detach(origin)
+            continue
+        if pmo.nvbm.read_epoch(ch) == pmo.epoch:
+            pmo.nvbm.set_flags(ch, FLAG_LEAF | FLAG_DELETED)
+            pmo.stats.partial_writes += 1
+            pmo.stats.marked_deleted += 1
+        else:
+            pmo._detach(ch)
+    pmo.injector.site(sites.COARSEN_MID)
+    fanout = morton.fanout(pmo.dim)
+    pmo.nvbm.write_child_slots(handle, 0, [NULL_HANDLE] * fanout)
+    pmo.nvbm.set_flags(handle, FLAG_LEAF)
+    pmo.stats.partial_writes += 2
+    pmo._leaf_set.add(loc)
+
+
+def splice_into_parent(pmo, root_loc: int, new_handle: int) -> None:
+    """Point the working version's parent of ``root_loc`` at ``new_handle``."""
+    if root_loc == morton.ROOT_LOC:
+        pmo.nvbm.roots.set(SLOT_CURR, new_handle)
+        return
+    parent_loc = morton.parent_of(root_loc, pmo.dim)
+    child_idx = morton.child_index_of(root_loc, pmo.dim)
+    ph = pmo._index[parent_loc]
+    if is_dram(ph):
+        pmo.dram.write_child_slot(ph, child_idx, new_handle)
+        pmo.stats.partial_writes += 1
+        pmo._dirty.add(parent_loc)
+        return
+    ph = _ensure_writable(pmo, parent_loc)
+    pmo.nvbm.write_child_slot(ph, child_idx, new_handle)
+    pmo.stats.partial_writes += 1
+
+
+def pointer_refine(tree, loc: int) -> List[int]:
+    """Split a leaf into its ``2**dim`` children (in-place pointer update)."""
+    if loc not in tree._leaf_set:
+        raise ReproError(f"cannot refine non-leaf {loc:#x}")
+    handle = tree._index[loc]
+    rec = tree.arena.read_octant(handle)
+    child_locs = morton.children_of(loc, tree.dim)
+    for i, cloc in enumerate(child_locs):
+        child = OctantRecord(
+            loc=cloc,
+            level=rec.level + 1,
+            payload=tuple(rec.payload),
+            parent=handle,
+        )
+        ch = tree.arena.new_octant(child)
+        rec.children[i] = ch
+        tree._index[cloc] = ch
+        tree._leaf_set.add(cloc)
+    rec.set_leaf(False)
+    tree.arena.write_octant(handle, rec)
+    tree._leaf_set.discard(loc)
+    return child_locs
+
+
+def pointer_coarsen(tree, loc: int) -> None:
+    """Remove the leaf children of ``loc``; it becomes a leaf again."""
+    if loc in tree._leaf_set:
+        raise ReproError(f"cannot coarsen a leaf {loc:#x}")
+    handle = tree._index[loc]
+    rec = tree.arena.read_octant(handle)
+    child_locs = morton.children_of(loc, tree.dim)
+    for cloc in child_locs:
+        if cloc not in tree._leaf_set:
+            raise ReproError(
+                f"cannot coarsen {loc:#x}: child {cloc:#x} is not a leaf"
+            )
+    for i, cloc in enumerate(child_locs):
+        tree.arena.free(tree._index.pop(cloc))
+        tree._leaf_set.discard(cloc)
+        rec.children[i] = NULL_HANDLE
+    rec.set_leaf(True)
+    tree.arena.write_octant(handle, rec)
+    tree._leaf_set.add(loc)
+
+
+def refine_leaves(tree, locs) -> int:
+    refined = 0
+    for loc in locs:
+        if tree.is_leaf(loc):  # a metered index search out of core
+            tree.refine(loc)
+            refined += 1
+    return refined
+
+
+def coarsen_parents(tree, parents) -> int:
+    coarsened = 0
+    for parent in parents:
+        # Re-check children are all still leaves (none refined above).
+        if tree.exists(parent) and not tree.is_leaf(parent) \
+                and all(tree.is_leaf(c)
+                        for c in morton.children_of(parent, tree.dim)):
+            tree.coarsen(parent)
+            coarsened += 1
+    return coarsened
+
+
+def inject_scalar_mutations(monkeypatch) -> None:
+    """Run every refine, coarsen, field store, copy-on-write and eviction
+    splice on the per-item bodies above for the rest of the test (or
+    ``monkeypatch`` context): ``tree.batch()`` scopes then have nothing to
+    land."""
+    from repro.core.pmoctree import PMOctree
+    from repro.octree.tree import PointerOctree
+
+    monkeypatch.setattr(PMOctree, "refine", pm_refine)
+    monkeypatch.setattr(PMOctree, "coarsen", pm_coarsen)
+    monkeypatch.setattr(PMOctree, "_store_span", pm_store_span)
+    monkeypatch.setattr(PointerOctree, "refine", pointer_refine)
+    monkeypatch.setattr(PointerOctree, "coarsen", pointer_coarsen)
+    monkeypatch.setattr("repro.core.merge.splice_into_parent",
+                        splice_into_parent)

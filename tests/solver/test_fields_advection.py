@@ -51,13 +51,6 @@ def test_field_view_set_get(tree):
     assert fv.get(loc, U) == 0.0
 
 
-def test_set_many_single_rmw(tree, clock):
-    fv = FieldView(tree)
-    loc = morton.loc_from_coords(4, (1, 1), 2)
-    fv.set_many(loc, {VOF: 1.0, U: 2.0, V: 3.0})
-    assert tree.get_payload(loc) == (1.0, 0.0, 2.0, 3.0)
-
-
 def test_initialize_vof(tree, geo):
     initialize_vof(tree, geo, t=0.1)
     fv = FieldView(tree)

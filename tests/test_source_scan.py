@@ -27,16 +27,20 @@
   with one gather — no ``read_octant(``/``new_octant(`` in the merge, one
   ``soa.gather(`` in ``core/transform.py`` — and ``core`` asks the injector
   through its public queries, never ``injector._plans``/``injector.hits``.
-* copy-on-write is a batch: ``PMOctree._batch_store`` calls
-  ``scalar_store`` only in its record-by-record branch, and the refine
-  sweep hands the tree whole batches — no ``tree.refine(``/
-  ``tree.coarsen(`` in ``RefinementEngine._sweep``.
+* copy-on-write is a batch: ``PMOctree._batch_store`` stores in one
+  ``batch()`` scope, its NVBM items through the one field-store body.
+* one body per mutation: no ``src`` file defines the per-item twins the
+  landing buffer replaced (``_ensure_writable``, ``refine_leaves``,
+  ``_CowBatch``, ...) or calls ``LoopBackedAccess.`` outside
+  ``octree/store.py``; ``refine``/``coarsen``/``set_payload``/``set_field``
+  go through the tree's landing buffer; and ``balance_tree`` and
+  ``RefinementEngine._sweep`` mutate inside ``tree.batch()``.
 * structure is a batch too: ``face_neighbor_leaves(`` is called only where
   it is defined (``octree/neighbors.py``) and by the loop-backed default in
   ``octree/store.py``; and ``src/repro`` imports nothing a clean
   ``pip install -e .`` does not bring (stdlib, ``numpy``, ``scipy``).
-* the in-core comparator is a batch: ``InCoreOctree``'s ``batch_*``,
-  ``refine_leaves`` and ``coarsen_parents`` are its own, and the only class
+* the in-core comparator is a batch: ``InCoreOctree``'s ``batch_*`` and
+  ``batch`` are its own, and the only class
   in ``src`` that inherits ``LoopBackedAccess`` is ``EtreeOctree`` (its
   index searches are metered, so its batches are the loop).
 * one crash runner, one migration audit, one chaos pool: nothing outside
@@ -183,28 +187,71 @@ def test_persist_point_is_a_batch():
 
 
 def test_copy_on_write_is_a_batch():
-    """A ``scalar_store`` call outside the ``_cow_record_by_record()``
-    branch is the per-item NVBM loop creeping back; a per-octant
-    ``tree.refine(``/``tree.coarsen(`` in the sweep bypasses the batch."""
-    store = ast.parse(_function_source(SRC_DIR / "core" / "pmoctree.py",
-                                       "PMOctree._batch_store"))
-    branches = [node for node in ast.walk(store)
-                if isinstance(node, ast.If)
-                and "_cow_record_by_record()" in ast.unparse(node.test)]
-    assert len(branches) == 1
+    """``_batch_store`` is one scope: the DRAM rows take one scatter, the
+    NVBM items the one field-store body (its copy-on-write included)."""
+    store = _function_source(SRC_DIR / "core" / "pmoctree.py",
+                             "PMOctree._batch_store")
+    assert "with self.batch() as buf:" in store
+    assert "self._store_span(" in store and "writable(" not in store
 
-    def store_calls(tree):
-        return [node for node in ast.walk(tree)
-                if isinstance(node, ast.Call)
-                and ast.unparse(node.func) == "scalar_store"]
 
-    assert store_calls(store)
-    assert len(store_calls(store)) == sum(
-        len(store_calls(stmt)) for stmt in branches[0].body)
-    sweep = _function_source(SRC_DIR / "octree" / "refine.py",
-                             "RefinementEngine._sweep")
-    assert not re.search(r"tree\.(?:refine|coarsen)\(", sweep)
-    assert "tree.refine_leaves(" in sweep and "tree.coarsen_parents(" in sweep
+#: per-item twins of the mutation bodies; their verbatim text is in
+#: tests/oracles/structure_walks.py
+DELETED = ("_ensure_writable", "_is_writable", "_path_to", "_refine_dram",
+           "_refine_nvbm", "refine_leaves", "coarsen_parents", "_split",
+           "_CowBatch", "set_many")
+
+
+def _within_batch_scopes(body: ast.AST):
+    """Nodes under a ``with tree.batch():`` block of ``body``."""
+    return [node for with_ in ast.walk(body) if isinstance(with_, ast.With)
+            and any(ast.unparse(item.context_expr) == "tree.batch()"
+                    for item in with_.items)
+            for node in ast.walk(with_)]
+
+
+def test_one_body_per_mutation():
+    defined = [f"{path.relative_to(ROOT)}: {node.name}"
+               for path in sorted(SRC_DIR.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in DELETED]
+    assert not defined, defined
+    looped = [hit for hit in _offenders(re.compile(r"LoopBackedAccess\.\w+\("))
+              if not hit.startswith("src/repro/octree/store.py")]
+    assert not looped, looped
+    # each mutation is one body, and it lands through the buffer
+    pm = SRC_DIR / "core" / "pmoctree.py"
+    for name in ("refine", "coarsen", "_store_span"):
+        body = _function_source(pm, f"PMOctree.{name}")
+        assert "buf." in body and not re.search(
+            r"\.(?:read|new|write)_octant\(|\.write_field\(|\.set_flags\(",
+            body), name
+    for name in ("set_payload", "set_field"):
+        assert "self._store_span(" in _function_source(pm, f"PMOctree.{name}")
+    pointer = SRC_DIR / "octree" / "tree.py"
+    for name in ("refine", "coarsen"):
+        body = _function_source(pointer, f"PointerOctree.{name}")
+        assert "self._landing." in body and "_octant(" not in body, name
+    # the sweep and Balance's ripple mutate inside one scope
+    sweep = ast.parse(_function_source(SRC_DIR / "octree" / "refine.py",
+                                       "RefinementEngine._sweep"))
+    mutations = [node for node in ast.walk(sweep)
+                 if isinstance(node, ast.Call)
+                 and re.fullmatch(r"tree\.(?:refine|coarsen)",
+                                  ast.unparse(node.func))]
+    scoped = _within_batch_scopes(sweep)
+    assert len(mutations) == 2 and all(m in scoped for m in mutations)
+    balance = ast.parse((SRC_DIR / "octree" / "balance.py").read_text())
+    ripples = [node for node in ast.walk(balance)
+               if isinstance(node, ast.Call)
+               and ast.unparse(node.func) == "_ripple"]
+    assert ripples and all(r in _within_batch_scopes(balance)
+                           for r in ripples)
+    refines = [node for node in ast.walk(balance)
+               if isinstance(node, ast.FunctionDef)
+               and "tree.refine(" in ast.unparse(node)]
+    assert [node.name for node in refines] == ["_ripple"]
 
 
 def test_arena_has_one_store_and_device_one_charge():
@@ -263,8 +310,7 @@ def test_only_etree_inherits_the_loop():
     from repro.octree.store import LoopBackedAccess
 
     for name in ("batch_read_payloads", "batch_read_fields",
-                 "batch_set_payloads", "batch_set_fields", "refine_leaves",
-                 "coarsen_parents"):
+                 "batch_set_payloads", "batch_set_fields", "batch"):
         assert getattr(InCoreOctree, name) \
             is not getattr(LoopBackedAccess, name), name
     heirs = [f"{path.relative_to(ROOT)}: {node.name}"
