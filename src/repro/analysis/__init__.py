@@ -3,19 +3,17 @@
 The PM-octree correctness argument (docs/crash-consistency.md) rests on one
 ordering invariant: *no root slot ever publishes a handle whose record lines
 are still sitting unflushed in the volatile cache*.  This package proves the
-invariant mechanically, four ways:
+invariant mechanically, three ways:
 
-* :mod:`repro.analysis.pmlint` — an AST static pass over ``src/repro`` that
-  knows the persistence API surface and flags code that can publish without
-  an intervening ``flush()``, bypasses the COW discipline in ``core/``, or
-  declares a crash site the registry does not know.
 * :mod:`repro.analysis.dataflow` (with :mod:`repro.analysis.callgraph`) —
-  the interprocedural layer: flush/publish obligations are tracked as
-  abstract state along inlined call chains, so a store three frames below
-  a publish still reaches it, and every finding carries a call-chain
-  witness.  :mod:`repro.analysis.coverage` builds on its path records to
-  *prove* every discovered mutate→publish window (and journal retire)
-  contains a registered, sweep-exercised crash site.
+  the static pass over ``src/repro``: flush/publish obligations are tracked
+  as abstract state along inlined call chains, so a store three frames
+  below a publish still reaches it, and every finding carries a call-chain
+  witness; the same pass flags in-place stores that bypass the COW
+  discipline in ``core/`` and crash sites the registry does not know.
+  :mod:`repro.analysis.coverage` builds on its path records to *prove*
+  every discovered mutate→publish window (and journal retire) contains a
+  registered, sweep-exercised crash site.
 * :mod:`repro.analysis.tracker` — a shadow-state observer installed into
   :class:`~repro.nvbm.arena.MemoryArena` / ``RootSlots`` that records a
   per-handle event trace (store -> flush -> publish) and raises on ordering
@@ -25,8 +23,8 @@ invariant mechanically, four ways:
   registered crash site in turn and asserts recovery lands on a persisted
   state.
 
-CLI: ``python -m repro analyze [--static|--trace|--sweep|--interprocedural|
---coverage] [--strict-epochs] [--baseline FILE] [--json]``.
+CLI: ``python -m repro analyze [--static|--trace|--sweep] [--strict-epochs]
+[--baseline FILE] [--json]``.
 """
 
 from repro.analysis.callgraph import CallGraph, build_callgraph
@@ -37,7 +35,6 @@ from repro.analysis.dataflow import (
     analyze_paths,
     analyze_repo,
 )
-from repro.analysis.pmlint import Finding, lint_paths, lint_repo, lint_source
 from repro.analysis.sweep import SweepOutcome, sweep_all, sweep_site, trace_run
 from repro.analysis.tracker import (
     OrderingTracker,
@@ -51,7 +48,6 @@ __all__ = [
     "CallGraph",
     "CoverageReport",
     "DataflowFinding",
-    "Finding",
     "OrderingTracker",
     "SweepOutcome",
     "Violation",
@@ -59,9 +55,6 @@ __all__ = [
     "analyze_repo",
     "build_callgraph",
     "install_tracker",
-    "lint_paths",
-    "lint_repo",
-    "lint_source",
     "prove_coverage",
     "sweep_all",
     "sweep_site",

@@ -116,7 +116,9 @@ class CallGraph:
         self._module_funcs: Dict[Tuple[str, str], str] = {}
         #: method name within one class: (module, cls, name) -> qualname
         self._class_methods: Dict[Tuple[str, str, str], str] = {}
-        self.parse_errors: List[Tuple[str, str]] = []
+        #: (rule, path, line, message) of each file that did not parse or
+        #: could not be read
+        self.parse_errors: List[Tuple[str, str, int, str]] = []
 
     # -- construction --------------------------------------------------------
 
@@ -125,13 +127,20 @@ class CallGraph:
         try:
             tree = ast.parse(source, filename=path)
         except SyntaxError as exc:
-            self.parse_errors.append((path, str(exc.msg)))
+            self.parse_errors.append(("syntax-error", path,
+                                      exc.lineno or 0, str(exc.msg)))
             return
         module = _module_name_for(Path(path))
         lines = source.splitlines()
         minfo = ModuleInfo(module=module, path=path, source_lines=lines)
         self._scan_imports(tree, minfo)
         self.modules[module] = minfo
+        # the module's top-level statements are a scope of their own; no
+        # call resolves to it
+        self.functions[f"{module}.<module>"] = FunctionInfo(
+            qualname=f"{module}.<module>", module=module, name="<module>",
+            cls=None, path=path, lineno=1, node=tree, source_lines=lines,
+        )
 
         def visit(node: ast.AST, cls: Optional[str]) -> None:
             for child in ast.iter_child_nodes(node):
@@ -144,6 +153,11 @@ class CallGraph:
                         cls=cls, path=path, lineno=child.lineno,
                         node=child, source_lines=lines,
                     )
+                    prior = self.functions.get(qual)
+                    if prior is not None:
+                        # same-named nested defs: calls resolve to the last
+                        # one, and each stays a scope of its own
+                        self.functions[f"{qual}@{prior.lineno}"] = prior
                     self.functions[qual] = info
                     if cls is None:
                         self._module_funcs[(module, child.name)] = qual
@@ -258,7 +272,8 @@ def build_callgraph(paths: Iterable[Union[str, Path]]) -> CallGraph:
             try:
                 source = file.read_text(encoding="utf-8")
             except OSError as exc:
-                graph.parse_errors.append((str(file), str(exc)))
+                graph.parse_errors.append(("io-error", str(file), 0,
+                                           str(exc)))
                 continue
             graph.add_module(file, source)
     return graph

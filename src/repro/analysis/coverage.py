@@ -2,7 +2,7 @@
 
 ``analyze --sweep`` can only exercise sites someone remembered to declare;
 this module closes the converse gap by *proving*, statically, that every
-mutate→publish path the interprocedural pass discovered has a crash site
+mutate→publish path the static pass discovered has a crash site
 inside its window — so the sweep genuinely tears every commit protocol the
 tree contains.
 
@@ -27,18 +27,21 @@ The prover also cross-references the registry against the site
 declarations the call graph actually contains: a registered site that no
 ``injector.site(...)`` in the scanned tree declares can never fire and is
 reported as ``unanchored-site`` (tests register ad-hoc names at runtime,
-so this rule only makes sense over ``src/repro`` — which is what
-``analyze`` scans).
+so this rule only makes sense over the whole of ``src/repro`` — which is
+what ``analyze --static`` scans unless ``--path`` narrows it, and then the
+rule is off).
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
-from repro.analysis.dataflow import AnalysisResult, DataflowFinding
+from repro.analysis.dataflow import (
+    AnalysisResult, DataflowFinding, site_name,
+)
 from repro.nvbm import sites as default_sites_module
 
 
@@ -88,36 +91,25 @@ class CoverageReport:
 
 def _declared_sites(result: AnalysisResult, sites_module) -> Set[str]:
     """Every site name an ``injector.site(...)`` call in the scanned tree
-    declares (resolved through the sites module, same as the dataflow
-    pass), plus the one RootSlots.swap fires internally."""
+    declares (resolved as the static pass resolves it)."""
     declared: Set[str] = set()
     for info in result.graph.functions.values():
         minfo = result.graph.modules.get(info.module)
         for node in ast.walk(info.node):
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "site" and node.args):
-                continue
-            arg = node.args[0]
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                declared.add(arg.value)
-            elif minfo is not None and isinstance(arg, ast.Attribute) \
-                    and isinstance(arg.value, ast.Name) \
-                    and arg.value.id in minfo.sites_aliases:
-                value = getattr(sites_module, arg.attr, None)
-                if isinstance(value, str):
-                    declared.add(value)
-            elif minfo is not None and isinstance(arg, ast.Name) \
-                    and arg.id in minfo.sites_names:
-                value = getattr(sites_module, arg.id, None)
-                if isinstance(value, str):
-                    declared.add(value)
+            if isinstance(node, ast.Call) \
+                    and isinstance(node.func, ast.Attribute) \
+                    and node.func.attr == "site" and node.args:
+                name = site_name(minfo, node.args[0], sites_module)
+                if name is not None:
+                    declared.add(name)
     return declared
 
 
-def prove_coverage(result: AnalysisResult,
-                   sites_module=None) -> CoverageReport:
-    """Check every discovered window and retire for site coverage."""
+def prove_coverage(result: AnalysisResult, sites_module=None,
+                   check_anchors: bool = True) -> CoverageReport:
+    """Check every discovered window and retire for site coverage, and
+    (``check_anchors``, for a scan of the whole package) that every
+    registered site is declared somewhere."""
     sites_module = sites_module or default_sites_module
     registered = sites_module.all_sites()
     findings: List[DataflowFinding] = []
@@ -194,7 +186,7 @@ def prove_coverage(result: AnalysisResult,
             ))
 
     declared = _declared_sites(result, sites_module)
-    unanchored = sorted(registered - declared)
+    unanchored = sorted(registered - declared) if check_anchors else []
     for name in unanchored:
         findings.append(DataflowFinding(
             rule="unanchored-site", path="<registry>", line=0,

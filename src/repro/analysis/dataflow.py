@@ -1,12 +1,18 @@
-"""Interprocedural flush/publish obligation analysis (pmlint v2 core).
+"""The static pass: flush/publish obligations along call chains, plus the
+copy-on-write and crash-site rules, over one parsed tree.
 
-Where :mod:`repro.analysis.pmlint` checks each function body in isolation,
-this pass evaluates an abstract *obligation state* along call chains: every
-function in the scanned tree is taken as an entry point with a clean state,
-and project calls discovered by :mod:`repro.analysis.callgraph` are inlined
-(cycle-guarded, depth- and budget-capped) so that a store issued three
-frames below a publish still reaches it.  The abstract state models what
-the runtime tracker (:mod:`repro.analysis.tracker`) observes dynamically:
+The pass knows the NVBM API surface — ``MemoryArena.write`` /
+``write_octant`` / ``new_octant``, the field-granular stores
+(``write_field`` / ``write_payload`` / ``write_child_slot`` /
+``write_child_slots`` / ``write_rows`` / ``set_flags``), ``RootSlots.set``
+/ ``swap``, ``flush()`` / ``flush_records()`` and ``injector.site(...)``.
+It evaluates an abstract *obligation state* along call chains: every
+function in the scanned tree (and every module's top-level statements) is
+taken as an entry point with a clean state, and project calls discovered
+by :mod:`repro.analysis.callgraph` are inlined (cycle-guarded, depth- and
+budget-capped) so that a store issued three frames below a publish still
+reaches it.  The abstract state models what the runtime tracker
+(:mod:`repro.analysis.tracker`) observes dynamically:
 
 * ``dirty`` — NVBM stores whose cache lines have not been flushed, each
   carrying the full call-chain witness of how the store was reached;
@@ -21,12 +27,15 @@ the runtime tracker (:mod:`repro.analysis.tracker`) observes dynamically:
   ``.state == "published"`` guard), so retiring an entry that was never
   published is reported as ``publish-before-retire``.
 
-Rules emitted here:
+Rules:
 
 ``missing-flush``
     a publish is reachable with dirty stores that were never preceded by a
-    flush on the path (interprocedural version of pmlint's rule, with a
-    call-chain witness).
+    flush on the path (with a call-chain witness); or a function publishes
+    a root slot and exits with stores of its *own* body issued after its
+    last flush.  Dirt a callee leaves behind is not an exit finding: a
+    function may leave stores for its caller, or the next epoch's persist,
+    to flush.
 ``double-flush-elision``
     a publish is reachable with dirty stores that were all issued *after*
     a flush on the path — the "we already flushed this" bug.
@@ -36,16 +45,29 @@ Rules emitted here:
     recovery depends on).
 ``raw-write``
     a store through the raw record accessors (``write`` /
-    ``write_octant``) instead of the field-granular API.  Sanctioned
-    exceptions carry ``# pmlint: allow[raw-write]: <reason>`` — the reason
-    string is mandatory; a bare pragma is itself reported.
+    ``write_octant``) instead of the field-granular API.
+``bypass-cow``
+    a function in ``core/`` stores to an existing NVBM record in place and
+    does not call ``writable`` (``repro.core.cow.Landing.writable``, the one
+    copy-on-write entry point) in its own body — the discipline invariant
+    I2 depends on.  Fresh allocations (``new_octant``) are exempt.
+``unknown-site``
+    an ``injector.site(...)`` argument — a literal, a ``sites.X``
+    attribute or a name imported from :mod:`repro.nvbm.sites` — that the
+    registry does not know.  A typo here fails silently: the armed crash
+    plan never fires.
+``syntax-error`` / ``io-error``
+    a scanned file that does not parse or cannot be read.
+
+A reviewed exception carries ``# pmlint: allow[<rule>]: <reason>`` on the
+flagged line or in the comment block directly above it.  The reason is
+mandatory: a bare pragma is itself reported as ``<rule>-no-reason``.
+``# pmlint: ignore`` suppresses any finding on its line.
 
 Control flow is branch-sensitive for ``if`` (both arms evaluated, states
 joined: dirty and observed sites union, journal evidence intersects) and
 linearized for loops (one body pass — the persistence call sites in this
-tree are not loop-carried).  The deliberate omission: no "exits dirty"
-rule.  A function may legitimately leave stores for its caller (or the
-next epoch's persist) to flush; only a *publish* turns dirt into a bug.
+tree are not loop-carried).  Nested functions are scopes of their own.
 """
 
 from __future__ import annotations
@@ -54,24 +76,28 @@ import ast
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.callgraph import (
-    CallGraph, FunctionInfo, build_callgraph, default_roots,
-)
-from repro.analysis.pmlint import (
-    IGNORE_PRAGMA, PUBLISH_SLOT_CONSTS, WRITE_ATTRS, _dotted,
-    _is_null_handle_arg, _is_publish_slot_arg, _receiver_mentions,
+    CallGraph, FunctionInfo, ModuleInfo, build_callgraph, default_roots,
 )
 from repro.nvbm import sites as default_sites_module
 
+#: attribute names whose call on an NVBM receiver counts as a store.
+WRITE_ATTRS = ("write", "write_octant", "new_octant", "write_field",
+               "write_payload", "write_child_slot", "write_child_slots",
+               "write_rows", "set_flags")
 #: Raw record accessors: whole-record stores that bypass the field-granular
 #: API.  ``new_octant`` is exempt — a fresh allocation has no old contents
-#: to tear.
+#: to tear (and is no in-place store either).
 RAW_WRITE_ATTRS = ("write", "write_octant")
+#: names of the slot constants / literals whose store is a commit point.
+PUBLISH_SLOT_CONSTS = ("SLOT_PREV",)
+PUBLISH_SLOT_LITERALS = ("V_prev",)
+NULL_HANDLE_NAMES = ("NULL_HANDLE",)
 
-ALLOW_RAW_WRITE_PRAGMA = "pmlint: allow[raw-write]"
-_RAW_PRAGMA_RE = re.compile(r"pmlint:\s*allow\[raw-write\]\s*:\s*(\S.*)")
+IGNORE_PRAGMA = "pmlint: ignore"
+_ALLOW_RE = re.compile(r"pmlint:\s*allow\[([\w-]+)\](?:\s*:\s*(\S.*))?")
 
 #: The crash site RootSlots.swap fires between its two device stores; the
 #: analyzer credits a swap-publish with it (the site is inside the arena,
@@ -82,6 +108,110 @@ SWAP_INTERNAL_SITE = "roots.swap.mid"
 #: whole evaluation of one root (multi-candidate calls fan out).
 MAX_INLINE_DEPTH = 12
 FRAME_BUDGET = 600
+
+
+# --------------------------------------------------------------- AST helpers
+
+def _dotted(node: ast.AST) -> str:
+    """Best-effort dotted name of an expression ('self.nvbm.roots', ...)."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    elif isinstance(node, ast.Call):
+        parts.append("()")
+    return ".".join(reversed(parts))
+
+
+def _receiver_mentions(node: ast.AST, needle: str) -> bool:
+    return needle in _dotted(node).split(".")
+
+
+def _is_publish_slot_arg(arg: ast.AST) -> bool:
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value in PUBLISH_SLOT_LITERALS
+    if isinstance(arg, ast.Name):
+        return arg.id in PUBLISH_SLOT_CONSTS
+    if isinstance(arg, ast.Attribute):
+        return arg.attr in PUBLISH_SLOT_CONSTS
+    return False
+
+
+def _is_null_handle_arg(arg: ast.AST) -> bool:
+    if isinstance(arg, ast.Name):
+        return arg.id in NULL_HANDLE_NAMES
+    if isinstance(arg, ast.Attribute):
+        return arg.attr in NULL_HANDLE_NAMES
+    return isinstance(arg, ast.Constant) and arg.value == 0
+
+
+def _calls(node: Optional[ast.AST]) -> List[ast.Call]:
+    """Every call under ``node``, itself included, in source order —
+    without entering nested function, class or lambda bodies (separate
+    scopes)."""
+    calls: List[ast.Call] = []
+
+    def visit(n: ast.AST) -> None:
+        if isinstance(n, ast.Call):
+            calls.append(n)
+        for child in ast.iter_child_nodes(n):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                      ast.ClassDef, ast.Lambda)):
+                visit(child)
+
+    if node is not None:
+        visit(node)
+    calls.sort(key=lambda c: (c.lineno, c.col_offset))
+    return calls
+
+
+def site_name(minfo: Optional[ModuleInfo], arg: ast.AST,
+              sites_module) -> Optional[str]:
+    """The crash-site name an ``injector.site(...)`` argument denotes: a
+    string literal, a ``sites.X`` attribute or a name imported from the
+    sites module (``"<X>"`` when the module has no such constant).  None
+    when the name is only known at runtime."""
+    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+        return arg.value
+    attr = None
+    if minfo is not None:
+        if isinstance(arg, ast.Attribute) and \
+                isinstance(arg.value, ast.Name) and \
+                arg.value.id in minfo.sites_aliases:
+            attr = arg.attr
+        elif isinstance(arg, ast.Name) and arg.id in minfo.sites_names:
+            attr = arg.id
+    if attr is None:
+        return None
+    value = getattr(sites_module, attr, None)
+    return value if isinstance(value, str) else f"<{attr}>"
+
+
+def _pragma_lines(lines: List[str], lineno: int) -> Iterator[str]:
+    """The line itself and the contiguous comment block directly above it
+    (multi-line pragma comments are common)."""
+    if 1 <= lineno <= len(lines):
+        yield lines[lineno - 1]
+    above = lineno - 1
+    while 1 <= above <= len(lines):
+        text = lines[above - 1].strip()
+        if not text.startswith("#"):
+            return
+        yield text
+        above -= 1
+
+
+def _allow_reason(lines: List[str], lineno: int,
+                  rule: str) -> Optional[str]:
+    """The reason of an ``allow[rule]`` pragma at/above the line; '' when
+    the pragma is bare; None when there is none."""
+    for text in _pragma_lines(lines, lineno):
+        for m in _ALLOW_RE.finditer(text):
+            if m.group(1) == rule:
+                return (m.group(2) or "").strip()
+    return None
 
 
 @dataclass
@@ -98,7 +228,7 @@ class Witness:
 
 @dataclass
 class DataflowFinding:
-    """One interprocedural finding with its call-chain witness."""
+    """One finding of the static pass, with its call-chain witness."""
 
     rule: str
     path: str
@@ -214,51 +344,27 @@ class _Analyzer:
         self.retire_records: List[RetireRecord] = []
         self.stats = {"roots": 0, "frames": 0, "budget_exhausted": 0}
         self._budget = 0
+        #: facts about the current root's own body (depth 0): its in-place
+        #: NVBM stores, and whether it published or called ``writable``
+        self._own_inplace: List[Witness] = []
+        self._own_published = False
+        self._own_writable = False
 
-    # -- pragma / source helpers ---------------------------------------------
-
-    def _lines_for(self, info: FunctionInfo) -> List[str]:
-        return info.source_lines
-
-    def _line_has(self, info: FunctionInfo, lineno: int, pragma: str) -> bool:
-        lines = self._lines_for(info)
-        if 1 <= lineno <= len(lines) and pragma in lines[lineno - 1]:
-            return True
-        candidate = lineno - 1
-        while 1 <= candidate <= len(lines):
-            text = lines[candidate - 1].strip()
-            if not text.startswith("#"):
-                break
-            if pragma in text:
-                return True
-            candidate -= 1
-        return False
-
-    def _raw_pragma_reason(self, info: FunctionInfo,
-                           lineno: int) -> Optional[str]:
-        """The reason string of an allow[raw-write] pragma at/above the
-        line; '' when the pragma is present but bare; None when absent."""
-        lines = self._lines_for(info)
-        candidates = []
-        if 1 <= lineno <= len(lines):
-            candidates.append(lines[lineno - 1])
-        above = lineno - 1
-        while 1 <= above <= len(lines):
-            text = lines[above - 1].strip()
-            if not text.startswith("#"):
-                break
-            candidates.append(text)
-            above -= 1
-        for text in candidates:
-            if ALLOW_RAW_WRITE_PRAGMA in text:
-                m = _RAW_PRAGMA_RE.search(text)
-                return m.group(1).strip() if m else ""
-        return None
+    # -- findings ------------------------------------------------------------
 
     def _emit(self, info: FunctionInfo, rule: str, witness: Witness,
               message: str) -> None:
-        if self._line_has(info, witness.line, IGNORE_PRAGMA):
+        lines = info.source_lines
+        if any(IGNORE_PRAGMA in text
+               for text in _pragma_lines(lines, witness.line)):
             return
+        reason = _allow_reason(lines, witness.line, rule)
+        if reason:
+            return
+        if reason == "":
+            message = (f"allow[{rule}] pragma has no reason string — the "
+                       "reason is mandatory")
+            rule = f"{rule}-no-reason"
         key = (rule, witness.path, witness.line)
         finding = DataflowFinding(rule=rule, path=witness.path,
                                   line=witness.line, message=message,
@@ -268,19 +374,6 @@ class _Analyzer:
             self._findings[key] = finding
 
     # -- classification ------------------------------------------------------
-
-    def _site_name(self, info: FunctionInfo, arg: ast.AST) -> str:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-        minfo = self.graph.modules.get(info.module)
-        if minfo is not None:
-            if isinstance(arg, ast.Attribute) and \
-                    isinstance(arg.value, ast.Name) and \
-                    arg.value.id in minfo.sites_aliases:
-                return getattr(self.sites_module, arg.attr, f"<{arg.attr}>")
-            if isinstance(arg, ast.Name) and arg.id in minfo.sites_names:
-                return getattr(self.sites_module, arg.id, f"<{arg.id}>")
-        return "<dynamic>"
 
     def _classify(self, call: ast.Call) -> Optional[Tuple[str, dict]]:
         func = call.func
@@ -313,6 +406,8 @@ class _Analyzer:
             return "journal-publish", {"var": _dotted(recv)}
         if attr == "retired" and not call.args:
             return "journal-retire", {"var": _dotted(recv)}
+        if attr == "writable":
+            return "writable", {}
         return None
 
     # -- event application ---------------------------------------------------
@@ -321,22 +416,16 @@ class _Analyzer:
                      state: _AbsState, chain: Tuple[str, ...]) -> None:
         witness = Witness(info.path, call.lineno, chain)
         if attr in RAW_WRITE_ATTRS:
-            reason = self._raw_pragma_reason(info, call.lineno)
-            if reason is None:
-                self._emit(
-                    info, "raw-write", witness,
-                    f"store through raw record accessor .{attr}() bypasses "
-                    "the field-granular API (write_field/write_payload/"
-                    "write_child_slot[s]); if the whole-record store is "
-                    "intentional, annotate with "
-                    f"'# {ALLOW_RAW_WRITE_PRAGMA}: <reason>'",
-                )
-            elif not reason:
-                self._emit(
-                    info, "raw-write-no-reason", witness,
-                    f"allow[raw-write] pragma on .{attr}() has no reason "
-                    "string — the reason is mandatory",
-                )
+            self._emit(
+                info, "raw-write", witness,
+                f"store through raw record accessor .{attr}() bypasses "
+                "the field-granular API (write_field/write_payload/"
+                "write_child_slot[s]); if the whole-record store is "
+                "intentional, annotate with "
+                "'# pmlint: allow[raw-write]: <reason>'",
+            )
+        if len(chain) == 1 and attr != "new_octant":
+            self._own_inplace.append(witness)
         evt = _StoreEvt(witness=witness, attr=attr,
                         after_flush=state.flush_seen)
         state.dirty.append(evt)
@@ -348,6 +437,7 @@ class _Analyzer:
                        state: _AbsState, chain: Tuple[str, ...],
                        root: str) -> None:
         witness = Witness(info.path, call.lineno, chain)
+        self._own_published |= len(chain) == 1
         if opts.get("swap"):
             # RootSlots.swap fires roots.swap.mid between its two device
             # stores — inside the window by construction.
@@ -386,11 +476,22 @@ class _Analyzer:
             state.first_dirty = None
             state.window_sites = []
 
-    def _apply_site(self, info: FunctionInfo, opts: dict,
-                    state: _AbsState) -> None:
-        if opts.get("arg") is None:
+    def _apply_site(self, info: FunctionInfo, call: ast.Call, opts: dict,
+                    state: _AbsState, chain: Tuple[str, ...]) -> None:
+        arg = opts.get("arg")
+        if arg is None:
             return
-        name = self._site_name(info, opts["arg"])
+        name = site_name(self.graph.modules.get(info.module), arg,
+                         self.sites_module)
+        if name is None:
+            name = "<dynamic>"
+        elif len(chain) == 1 and not self.sites_module.is_known(name):
+            self._emit(
+                info, "unknown-site", Witness(info.path, call.lineno, chain),
+                f"{info.name}: crash site {ast.unparse(arg)} is not in the "
+                "registry (repro.nvbm.sites) — an armed plan for it never "
+                "fires",
+            )
         if state.first_dirty is not None and name not in state.window_sites:
             state.window_sites.append(name)
         if name not in state.sites_seen:
@@ -415,28 +516,15 @@ class _Analyzer:
 
     # -- statement evaluation ------------------------------------------------
 
-    def _stmt_calls(self, stmt: ast.stmt) -> List[ast.Call]:
-        calls: List[ast.Call] = []
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                      ast.ClassDef, ast.Lambda)):
-                    continue
-                if isinstance(child, ast.Call):
-                    calls.append(child)
-                visit(child)
-
-        visit(stmt)
-        calls.sort(key=lambda c: (c.lineno, c.col_offset))
-        return calls
-
     def _eval_call(self, info: FunctionInfo, call: ast.Call,
                    state: _AbsState, chain: Tuple[str, ...],
                    root: str, depth: int) -> None:
-        classified = self._classify(call)
-        if classified is not None:
-            kind, opts = classified
+        kind, opts = self._classify(call) or (None, None)
+        if kind == "writable":
+            # the copy-on-write entry point: noted for bypass-cow, and
+            # inlined like any other call
+            self._own_writable |= depth == 0
+        elif kind is not None:
             if kind == "flush":
                 state.dirty = []
                 state.flush_seen = True
@@ -445,7 +533,7 @@ class _Analyzer:
             elif kind == "publish":
                 self._apply_publish(info, call, opts, state, chain, root)
             elif kind == "site":
-                self._apply_site(info, opts, state)
+                self._apply_site(info, call, opts, state, chain)
             elif kind == "journal-publish":
                 state.evidence.add(opts["var"])
             elif kind == "journal-retire":
@@ -503,7 +591,7 @@ class _Analyzer:
                                  ast.ClassDef)):
                 continue
             if isinstance(stmt, ast.If):
-                for call in self._stmt_calls_of_expr(stmt.test):
+                for call in _calls(stmt.test):
                     self._eval_call(info, call, state, chain, root, depth)
                 then = state.copy()
                 for var in self._guard_evidence(stmt.test):
@@ -518,7 +606,7 @@ class _Analyzer:
             if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
                 header = stmt.iter if isinstance(stmt, (ast.For, ast.AsyncFor)) \
                     else stmt.test
-                for call in self._stmt_calls_of_expr(header):
+                for call in _calls(header):
                     self._eval_call(info, call, state, chain, root, depth)
                 self._eval_stmts(info, stmt.body, state, chain, root, depth)
                 self._eval_stmts(info, stmt.orelse, state, chain, root,
@@ -536,37 +624,18 @@ class _Analyzer:
                 continue
             if isinstance(stmt, (ast.With, ast.AsyncWith)):
                 for item in stmt.items:
-                    for call in self._stmt_calls_of_expr(item.context_expr):
+                    for call in _calls(item.context_expr):
                         self._eval_call(info, call, state, chain, root,
                                         depth)
                 self._eval_stmts(info, stmt.body, state, chain, root, depth)
                 continue
             if isinstance(stmt, ast.Assign):
-                for call in self._stmt_calls(stmt):
+                for call in _calls(stmt):
                     self._eval_call(info, call, state, chain, root, depth)
                 self._eval_journal_assign(info, stmt, state, chain, root)
                 continue
-            for call in self._stmt_calls(stmt):
+            for call in _calls(stmt):
                 self._eval_call(info, call, state, chain, root, depth)
-
-    def _stmt_calls_of_expr(self, expr: Optional[ast.AST]) -> List[ast.Call]:
-        if expr is None:
-            return []
-        calls: List[ast.Call] = []
-
-        def visit(node: ast.AST) -> None:
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, (ast.Lambda,)):
-                    continue
-                if isinstance(child, ast.Call):
-                    calls.append(child)
-                visit(child)
-
-        if isinstance(expr, ast.Call):
-            calls.append(expr)
-        visit(expr)
-        calls.sort(key=lambda c: (c.lineno, c.col_offset))
-        return calls
 
     def _eval_journal_assign(self, info: FunctionInfo, stmt: ast.Assign,
                              state: _AbsState, chain: Tuple[str, ...],
@@ -603,9 +672,28 @@ class _Analyzer:
         info = self.graph.functions[qualname]
         self.stats["roots"] += 1
         self._budget = FRAME_BUDGET
+        self._own_inplace = []
+        self._own_published = self._own_writable = False
         state = _AbsState()
         chain = (f"{info.qualname} ({info.where()})",)
         self._eval_function(info, state, chain, qualname, 0)
+        own_dirty = [e for e in state.dirty if len(e.witness.chain) == 1]
+        if self._own_published and own_dirty:
+            self._emit(
+                info, "missing-flush", own_dirty[0].witness,
+                f"{info.name}: function publishes a root slot but exits "
+                "with NVBM stores issued after its last flush()",
+            )
+        if "core" in Path(info.path).parts and info.name != "writable" \
+                and not self._own_writable:
+            for witness in self._own_inplace:
+                self._emit(
+                    info, "bypass-cow", witness,
+                    f"{info.name}: direct NVBM record store without "
+                    "writable() (COW bypass; if the record is provably "
+                    "fresh, annotate with "
+                    "'# pmlint: allow[bypass-cow]: <reason>')",
+                )
 
     def findings(self) -> List[DataflowFinding]:
         return sorted(self._findings.values(),
@@ -628,7 +716,7 @@ def _copy_into(src: _AbsState, dst: _AbsState) -> None:
 
 @dataclass
 class AnalysisResult:
-    """Everything one interprocedural run produced."""
+    """Everything one run of the static pass produced."""
 
     findings: List[DataflowFinding]
     path_records: List[PathRecord]
@@ -642,13 +730,14 @@ class AnalysisResult:
 
 def analyze_paths(paths: Sequence[Union[str, Path]],
                   sites_module=None) -> AnalysisResult:
-    """Run the interprocedural pass over files/directories."""
+    """Run the static pass over files/directories."""
     graph = build_callgraph(paths)
     analyzer = _Analyzer(graph, sites_module or default_sites_module)
     for qualname in sorted(graph.functions):
         analyzer.analyze_root(qualname)
     return AnalysisResult(
-        findings=analyzer.findings(),
+        findings=analyzer.findings() + [DataflowFinding(*err)
+                                        for err in graph.parse_errors],
         path_records=analyzer.path_records,
         retire_records=analyzer.retire_records,
         graph=graph,

@@ -3,16 +3,20 @@
     python -m repro simulate --backend pm-octree --steps 50
     python -m repro experiment fig10
     python -m repro recover
-    python -m repro analyze --static --trace --sweep
+    python -m repro analyze --static --baseline ANALYZE_BASELINE.json
+    python -m repro analyze --trace --sweep
     python -m repro chaos --trials 25 --seed 0
     python -m repro export-vtk --out mesh.vtk --steps 40
     python -m repro list
 
 Every command prints the same tables the benchmark suite asserts on.
 ``analyze`` and ``chaos`` exit non-zero on any finding, so CI can gate
-on them.  ``chaos`` has one mode: every seeded schedule draws from one
-event pool (kills, partitions, loss bursts, torn migrations, NVBM media
-faults, mid-drain pipeline kills); ``--break-acks`` is its self-test.
+on them.  ``analyze --static`` is the one AST analysis: every static rule
+along inlined call chains, and the crash-site coverage proof over the same
+result; bare ``analyze`` runs it, the ordering trace and the site sweep.
+``chaos`` has one mode: every seeded schedule draws from one event pool
+(kills, partitions, loss bursts, torn migrations, NVBM media faults,
+mid-drain pipeline kills); ``--break-acks`` is its self-test.
 """
 
 from __future__ import annotations
@@ -207,8 +211,11 @@ def _baseline_diff(baseline_path: str, fingerprints: List[str]) -> List[dict]:
     return rows
 
 
-def _export_metrics(sections: dict, out_path: str) -> None:
-    """Export finding counts as obs metrics (one counter per section/rule).
+def _export_metrics(sections: dict, out_path: str,
+                    static_stats: Optional[dict] = None) -> None:
+    """Export finding counts as obs metrics (one counter per section/rule),
+    and the static pass's ``roots``/``frames``/``budget_exhausted`` as
+    ``analysis.static.*`` counters.
 
     The analyzer is offline — there is no simulated clock — so samples carry
     ``updated_ns == 0``; CI dashboards key on the label set, not the stamp.
@@ -216,6 +223,8 @@ def _export_metrics(sections: dict, out_path: str) -> None:
     from repro.obs import MetricsRegistry
 
     reg = MetricsRegistry()
+    for name, value in (static_stats or {}).items():
+        reg.counter(f"analysis.static.{name}").inc(value)
     for name, rows in sections.items():
         if name == "sweep":
             reg.counter("analysis.sweep.sites").inc(len(rows))
@@ -234,8 +243,9 @@ def _export_metrics(sections: dict, out_path: str) -> None:
 
 
 def _cmd_analyze(args) -> int:
-    """Crash-consistency analysis: pmlint / dataflow / coverage / trace /
-    site sweep, plus optional baseline gating and metrics export."""
+    """Crash-consistency analysis: the static pass with its coverage proof,
+    the ordering trace and the site sweep, plus optional baseline gating
+    and metrics export."""
     import os
 
     # A typo'd crash-site name armed during analysis must fail the run,
@@ -243,53 +253,34 @@ def _cmd_analyze(args) -> int:
     os.environ.setdefault("REPRO_STRICT_SITES", "1")
 
     from repro.analysis import (
-        analyze_paths, analyze_repo, lint_paths, lint_repo, prove_coverage,
-        sweep_all, trace_run,
+        analyze_paths, analyze_repo, prove_coverage, sweep_all, trace_run,
     )
     from repro.harness.report import render_json
 
-    run_all = not (args.static or args.trace or args.sweep
-                   or args.interprocedural or args.coverage)
+    run_all = not (args.static or args.trace or args.sweep)
     sections = {}
     ok = True
-    #: interprocedural + coverage findings are the baseline-gated set;
-    #: when --baseline is given the diff decides pass/fail for them.
-    gated = []
     coverage_summary = None
+    static_stats = None
     epoch_count = None
 
     if args.static or run_all:
-        if args.path:
-            findings = lint_paths(args.path)
-        else:
-            findings = lint_repo()
-        sections["static"] = [f.to_row() for f in findings]
-        ok = ok and not findings
-
-    result = None
-    if args.interprocedural or args.coverage or run_all:
-        if args.path:
-            result = analyze_paths(args.path)
-        else:
-            result = analyze_repo()
-
-    if args.interprocedural or run_all:
-        sections["interprocedural"] = [f.to_row() for f in result.findings]
-        gated.extend(result.findings)
-
-    if args.coverage or run_all:
-        report = prove_coverage(result)
+        result = analyze_paths(args.path) if args.path else analyze_repo()
+        # a --path scan sees part of the tree: registered sites it does
+        # not declare are not unanchored
+        report = prove_coverage(result, check_anchors=not args.path)
+        sections["static"] = result.finding_rows()
         sections["coverage"] = report.finding_rows()
         coverage_summary = report.summary()
-        gated.extend(report.findings)
-
-    if args.baseline:
-        diff = _baseline_diff(args.baseline,
-                              [f.fingerprint() for f in gated])
-        sections["baseline"] = diff
-        ok = ok and not diff
-    else:
-        ok = ok and not gated
+        static_stats = result.stats
+        gated = result.findings + report.findings
+        if args.baseline:
+            diff = _baseline_diff(args.baseline,
+                                  [f.fingerprint() for f in gated])
+            sections["baseline"] = diff
+            ok = not diff
+        else:
+            ok = not gated
 
     if args.trace or run_all:
         tracker = trace_run(steps=args.steps,
@@ -308,32 +299,27 @@ def _cmd_analyze(args) -> int:
         ok = ok and all(o.ok for o in outcomes)
 
     if args.metrics_out:
-        _export_metrics(sections, args.metrics_out)
+        _export_metrics(sections, args.metrics_out, static_stats)
 
     if args.json:
-        print(render_json(sections, ok))
+        stats = {"static": static_stats} if static_stats else None
+        print(render_json(sections, ok, stats=stats))
         return 0 if ok else 1
 
     if "static" in sections:
         rows = sections["static"]
         if rows:
-            print_table("pmlint findings", ["rule", "where", "message"],
-                        [(r["rule"], f"{r['path']}:{r['line']}", r["message"])
-                         for r in rows])
-        else:
-            print("pmlint: clean (0 findings)")
-    if "interprocedural" in sections:
-        rows = sections["interprocedural"]
-        if rows:
             print_table(
-                "dataflow findings", ["rule", "where", "witness chain"],
+                "static findings", ["rule", "where", "witness chain"],
                 [(r["rule"], f"{r['path']}:{r['line']}",
                   " -> ".join(r["chain"]) or "-") for r in rows],
             )
             for r in rows:
                 print(f"  {r['path']}:{r['line']}: {r['message']}")
-        else:
-            print("dataflow: clean (0 findings)")
+        verdict = f"{len(rows)} finding(s)" if rows else "clean (0 findings)"
+        print(f"static: {verdict}; {static_stats['roots']} roots, "
+              f"{static_stats['frames']} frames, budget_exhausted "
+              f"{static_stats['budget_exhausted']}")
     if "coverage" in sections:
         rows = sections["coverage"]
         if rows:
@@ -520,18 +506,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "analyze",
-        help="crash-consistency checks: static lint, interprocedural "
-             "dataflow, crash-site coverage proof, ordering trace, "
-             "exhaustive crash-site sweep (default: all five)",
+        help="crash-consistency checks: the static pass with its "
+             "crash-site coverage proof, ordering trace, exhaustive "
+             "crash-site sweep (default: all three)",
     )
     p.add_argument("--static", action="store_true",
-                   help="run pmlint over the library source")
-    p.add_argument("--interprocedural", action="store_true",
-                   help="run the interprocedural flush/publish dataflow "
-                        "pass (call-chain witnesses)")
-    p.add_argument("--coverage", action="store_true",
-                   help="prove every mutate->publish window and journal "
-                        "retire contains a registered crash site")
+                   help="run the static pass (flush/publish obligations "
+                        "along call chains, COW bypass, unknown sites, "
+                        "raw writes, journal retires) and prove every "
+                        "mutate->publish window contains a registered "
+                        "crash site")
     p.add_argument("--trace", action="store_true",
                    help="run the workload with the runtime ordering tracker")
     p.add_argument("--strict-epochs", action="store_true",
@@ -541,7 +525,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true",
                    help="arm every registered crash site and verify recovery")
     p.add_argument("--baseline", metavar="BASELINE.json",
-                   help="gate --interprocedural/--coverage findings against "
+                   help="gate --static findings (both sections) against "
                         "a committed fingerprint baseline: new findings and "
                         "stale baseline entries both fail")
     p.add_argument("--metrics-out", metavar="METRICS.jsonl",
@@ -551,8 +535,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=8,
                    help="workload steps for --trace/--sweep")
     p.add_argument("--path", nargs="*",
-                   help="files/directories for --static/--interprocedural "
-                        "(default: repro)")
+                   help="files/directories for --static (default: repro)")
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser(

@@ -9,8 +9,11 @@ time, in the per-item order, and hands its arena traffic to the tree's
 
 * outside any ``tree.batch()`` scope, and while the tree's
   ``_cow_record_by_record()`` holds (a crash plan armed on a site the bodies
-  visit, a media fault model that is not quiescent, an ordering tracer),
-  every read, store and crash site runs at its place: the per-item sequence;
+  visit, a media fault model that is not quiescent), every read, store and
+  crash site runs at its place: the per-item sequence.  An attached
+  ordering tracer does not force it: ``MemoryArena.write_rows`` reports
+  each handle of a grouped landing to the tracer, and the tree lands a
+  scope before it publishes, flushes or frees;
 * inside a scope the stores wait, and the epochs the bodies branch on are
   read uncharged (a record allocated in the scope is of the current epoch;
   known items are read ahead, :meth:`Landing.prefetch`) and charged at
@@ -92,7 +95,7 @@ def land_copies(arena: MemoryArena, originals, copies, parents,
     images["pad"] = 0  # as pack_record writes them
     images["tail"] = 0
     images["parent"][list(parents)] = list(parents.values())
-    # pmlint: allow-direct-write — fresh copies, allocated by Landing.copy
+    # pmlint: allow[bypass-cow]: fresh copies, allocated by Landing.copy
     arena.write_rows(copies, 0, rows)
 
 
@@ -396,7 +399,7 @@ class Landing:
         if copies:
             land_copies(tree.nvbm, originals, copies, parents, tree.epoch)
         for (offset, size), (handles, datas) in stores.items():
-            # pmlint: allow-direct-write — fresh copies, or records
+            # pmlint: allow[bypass-cow]: fresh copies, or records
             # writable() returned: V_{i-1} reaches none of them
             tree.nvbm.write_rows(handles, offset, np.frombuffer(
                 b"".join(datas), np.uint8).reshape(len(datas), size))

@@ -129,7 +129,7 @@ def _merge_chunk(pmo: "PMOctree", locs: List[int],
         images["epoch"] = pmo.epoch
         images["parent"] = NULL_HANDLE  # advisory
         images["children"] = new_children
-        # pmlint: allow-direct-write — the handles were allocated a few
+        # pmlint: allow[bypass-cow]: the handles were allocated a few
         # lines up: no version, published or working, references them yet.
         nvbm.write_rows([merged[locs[i]] for i in written], 0, new_rows)
         for i in written:

@@ -172,7 +172,6 @@ class EpochPipeline:
         persistent root handle (publication happens at the drain)."""
         from repro.core.merge import merge_all_c0
         from repro.core.pmoctree import SLOT_PREV  # noqa: F401 (docs)
-        from repro.core.transform import detect_and_transform
 
         pmo = self.pmo
         if keep_resident is None:
@@ -236,20 +235,7 @@ class EpochPipeline:
 
         if keep_resident and not transform and not pmo._c0_roots:
             pmo._load_static_chunk()
-        if pmo.nvbm.free_fraction < pmo.config.threshold_nvbm:
-            pmo.gc()
-        if pmo.replicator is not None:
-            report = pmo.replicator.ship()
-            if pmo.on_replica_ship is not None:
-                pmo.on_replica_ship(report.bytes_shipped)
-        elif pmo.replica is not None:
-            from repro.core.replication import ship_delta
-
-            shipped = ship_delta(pmo, pmo.replica)
-            if pmo.on_replica_ship is not None:
-                pmo.on_replica_ship(shipped)
-        if transform:
-            detect_and_transform(pmo)
+        pmo._after_persist(transform)
         return root
 
     # -- the background phase ----------------------------------------------

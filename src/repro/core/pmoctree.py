@@ -441,12 +441,11 @@ class PMOctree(C0Placement, LeafSetStructure):
     def _cow_record_by_record(self) -> bool:
         """Must a :meth:`batch` scope run every read, store and crash site
         at its place?  Yes while a crash plan waits on a site between the
-        mutation bodies' stores, while a media fault can fail a read
-        (:func:`media_faults_possible`), and while an ordering tracer
-        watches either arena store by store."""
+        mutation bodies' stores, and while a media fault can fail a read
+        (:func:`media_faults_possible`).  An ordering tracer needs no
+        such path: it sees a grouped landing's stores one handle each, and
+        the tree lands a scope before it publishes, flushes or frees."""
         return (any(map(self.injector.armed, COW_SITES))
-                or self.nvbm.tracer is not None
-                or self.dram.tracer is not None
                 or media_faults_possible(self))
 
     def _detach(self, handle: int) -> None:
@@ -469,7 +468,7 @@ class PMOctree(C0Placement, LeafSetStructure):
         handles = np.array(handles, dtype=np.uint64)
         live = handles[self.nvbm.contains_mask(handles)]
         flags = self.nvbm.read_rows(live, *FLAGS_SPAN)
-        # pmlint: allow-direct-write — superseded records belong to retired
+        # pmlint: allow[bypass-cow]: superseded records belong to retired
         # versions only; the freshly published root cannot reach them.
         self.nvbm.write_rows(live, FLAGS_SPAN[0], flags | FLAG_DELETED)
         self.stats.marked_deleted += live.size
@@ -521,7 +520,6 @@ class PMOctree(C0Placement, LeafSetStructure):
     def _persist_impl(self, transform: bool,
                       keep_resident: Optional[bool]) -> int:
         from repro.core.merge import merge_all_c0
-        from repro.core.transform import detect_and_transform
 
         if keep_resident is None:
             keep_resident = transform
@@ -567,50 +565,52 @@ class PMOctree(C0Placement, LeafSetStructure):
             # dead window id is a no-op
             if epoch_close is not None:
                 epoch_close(epoch_window)
+        self._after_persist(transform)
+        return root
+
+    def _after_persist(self, transform: bool) -> None:
+        """What follows every committed (or, pipelined, enqueued) persist:
+        NVBM GC when free space runs low, the replica ship, then §3.3's
+        dynamic transformation."""
+        from repro.core.transform import detect_and_transform
+
         if self.nvbm.free_fraction < self.config.threshold_nvbm:
             self.gc()
         if self.replicator is not None:
-            # Acknowledged protocol path: may retry/backoff on the sim
-            # clock and raises ReplicationTimeoutError if the peer stays
-            # unreachable — the local persist above already committed.
+            # §3.4: "when the crashed node will not be available, delta
+            # octants need to be copied to other compute nodes".  May
+            # retry/backoff on the sim clock and raises
+            # ReplicationTimeoutError if the peer stays unreachable — the
+            # local persist already committed.
             report = self.replicator.ship()
             if self.on_replica_ship is not None:
                 self.on_replica_ship(report.bytes_shipped)
-        elif self.replica is not None:
-            # §3.4: "when the crashed node will not be available, delta
-            # octants need to be copied to other compute nodes"
-            from repro.core.replication import ship_delta
-
-            shipped = ship_delta(self, self.replica)
-            if self.on_replica_ship is not None:
-                self.on_replica_ship(shipped)
         if transform:
             detect_and_transform(self)
-        return root
 
     def enable_replication(self, replica=None,
                            on_ship: Optional[Callable[[int], None]] = None):
-        """Turn on remote replication (the §3.4 user-enabled feature).
+        """Turn on remote replication (the §3.4 user-enabled feature): a
+        :class:`~repro.core.replication.ReplicaSession` over a zero-cost
+        :class:`~repro.core.replication.PerfectTransport`.
 
         ``replica`` defaults to a fresh :class:`~repro.core.replication.
         ReplicaStore`; ``on_ship`` receives the shipped byte count at each
         persist so the caller can charge its network model.  Returns the
         replica for placement on a peer (see ``choose_replica_peer``).
         """
-        from repro.core.replication import ReplicaStore
+        from repro.core.replication import ReplicaSession
 
-        self.replica = replica if replica is not None else ReplicaStore()
         self.on_replica_ship = on_ship
-        return self.replica
+        return self.attach_replication_session(
+            ReplicaSession(self, replica=replica)).replica
 
     def attach_replication_session(self, session,
                                    on_ship: Optional[Callable[[int], None]]
                                    = None):
-        """Replicate through an acknowledged :class:`ReplicaSession`.
-
-        Unlike :meth:`enable_replication` (direct apply, perfect network),
-        every persist now runs the sequenced retry/backoff protocol; a
-        persistently unreachable peer surfaces as
+        """Replicate through an acknowledged :class:`ReplicaSession`: every
+        persist runs the sequenced retry/backoff protocol; a persistently
+        unreachable peer surfaces as
         :class:`~repro.errors.ReplicationTimeoutError` from ``persist()``.
         """
         self.replicator = session

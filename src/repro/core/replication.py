@@ -462,7 +462,7 @@ def restore_from_replica(replica: ReplicaStore, dram: MemoryArena,
     recs["children"] = swizzle(recs["children"])
     recs["pad"] = 0
     recs["tail"] = 0
-    # pmlint: allow-direct-write — every target slot was freshly
+    # pmlint: allow[bypass-cow]: every target slot was freshly
     # allocated above; nothing persistent can reach it yet.
     # pmlint: allow[raw-write]: materialising a replica record fills
     # every byte of a just-allocated slot — there is no smaller field

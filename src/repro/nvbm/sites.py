@@ -9,8 +9,9 @@ the test passed without testing anything.  Now:
 * code references the constants below (so a typo is an ``AttributeError``),
 * :meth:`repro.nvbm.failure.FailureInjector.arm` warns when handed a name
   that is not registered, and
-* the static checker (:mod:`repro.analysis.pmlint`) flags any site literal
-  in ``src/repro`` that the registry does not know.
+* the static pass (:mod:`repro.analysis.dataflow`) flags any site literal,
+  ``sites.X`` attribute or imported name in ``src/repro`` that the
+  registry does not know.
 
 Tests that need ad-hoc sites can :func:`register` them first.
 """

@@ -297,3 +297,35 @@ def test_injected_cross_epoch_write_on_live_pipeline():
     with pytest.raises(OrderingViolationError, match="cross-epoch-waf"):
         rig.nvbm.write_payload(victim, payload)
     tree._pipeline.reset()                 # do not leak the armed window
+
+
+# ------------------------------------------ the tracker sees grouped scopes
+
+def test_attached_tracker_leaves_scopes_grouped():
+    """An ordering tracker does not force record-by-record landing: with no
+    crash plan armed, a ``tree.batch()`` scope defers its stores."""
+    from repro.analysis.sweep import _Rig
+
+    rig = _Rig().grow(1)
+    assert rig.nvbm.tracer is rig.tracker
+    with rig.tree.batch():
+        assert rig.tree._landing.immediate is False
+    assert rig.tree._landing.immediate is True
+
+
+def test_store_to_published_inside_a_scope_is_reported():
+    """A planted in-place store to the published root, made inside a scope,
+    is seen when the scope lands as one grouped store."""
+    from repro.analysis.sweep import _Rig
+    from repro.nvbm.records import PAYLOAD_SPAN
+
+    rig = _Rig().grow(1)
+    rig.tree.persist(transform=False)
+    root = rig.nvbm.roots.get("V_prev")
+    assert rig.tracker.violations == []
+    with rig.tree.batch() as buf:
+        # BUG planted: no writable(), straight onto the published record
+        buf.store(rig.nvbm, root, PAYLOAD_SPAN[0], bytes(8))
+        assert rig.tracker.violations == []      # still pending
+    assert [v.kind for v in rig.tracker.violations] == ["store-to-published"]
+    assert rig.tracker.violations[0].handle == root

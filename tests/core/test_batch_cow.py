@@ -16,8 +16,7 @@ order, ``_origin``/``_dirty``/``_superseded``/``_detached``, every
 ``*Stats``, the ``SimClock`` tables, wear and the injector's hit counts.
 
 While a crash plan is armed on ``cow.after_copy``, ``payload.partial_store``
-or ``coarsen.mid`` (or a media fault can fail a read, or a tracer watches)
-a scope runs every read, store and site at its place, so a crash at *any*
+or ``coarsen.mid`` (or a media fault can fail a read) a scope runs every read, store and site at its place, so a crash at *any*
 hit leaves exactly the per-item arena, tears the same lines and recovers
 the same tree.
 """
@@ -445,16 +444,20 @@ def test_quiescent_fault_model_keeps_the_batch(monkeypatch, landed):
     assert landed == {"__exit__": 3}
 
 
-def test_an_attached_tracer_runs_item_by_item(monkeypatch, landed):
+def test_an_attached_tracer_keeps_the_batch(monkeypatch, landed):
+    """An ordering tracker watches the grouped landing itself, and sees
+    what it sees of the per-item sequence: the same stores, flushes and
+    verdicts."""
     ours, theirs = _twins()
     trackers = [install_tracker(rig.nvbm, strict=False)
                 for rig in (ours, theirs)]
-    assert ours.tree._cow_record_by_record()
+    assert not ours.tree._cow_record_by_record()
     for act in _ACTS.values():
         _run(monkeypatch, ours, theirs, act)
-    assert not landed
+    assert landed == {"__exit__": 3}
     assert trackers[0].counts == trackers[1].counts
     assert trackers[0].counts["stores"] > 0
+    assert trackers[0].violations == trackers[1].violations == []
 
 
 # ------------------------------------------------- the arena's half

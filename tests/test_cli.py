@@ -53,19 +53,30 @@ def test_export_vtk(tmp_path, capsys):
     assert "SCALARS vof double 1" in content
 
 
-def test_analyze_static(capsys):
+def test_analyze_static(capsys, monkeypatch, repo_analysis):
+    monkeypatch.setattr("repro.analysis.analyze_repo", lambda: repo_analysis)
     assert main(["analyze", "--static"]) == 0
-    assert "pmlint: clean" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "static: clean (0 findings)" in out
+    # truncation is visible: the summary line carries the pass's stats
+    stats = repo_analysis.stats
+    assert f"{stats['roots']} roots, {stats['frames']} frames, " \
+        f"budget_exhausted {stats['budget_exhausted']}" in out
+    assert "coverage: proven" in out
 
 
-def test_analyze_static_json(capsys):
+def test_analyze_static_json(capsys, monkeypatch, repo_analysis):
     import json
 
+    monkeypatch.setattr("repro.analysis.analyze_repo", lambda: repo_analysis)
     assert main(["analyze", "--static", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
-    assert payload["sections"]["static"] == []
-    assert payload["counts"]["static"] == 0
+    assert payload["sections"] == {"static": [], "coverage": []}
+    assert payload["counts"] == {"static": 0, "coverage": 0}
+    assert payload["stats"] == {"static": repo_analysis.stats}
+    assert set(repo_analysis.stats) == {"roots", "frames",
+                                        "budget_exhausted"}
 
 
 def test_analyze_static_flags_planted_bug(tmp_path, capsys):
@@ -135,7 +146,7 @@ PLANTED_INTERPROCEDURAL = (
 def test_analyze_interprocedural_flags_planted_bug(tmp_path, capsys):
     bad = tmp_path / "planted.py"
     bad.write_text(PLANTED_INTERPROCEDURAL)
-    assert main(["analyze", "--interprocedural", "--path", str(bad)]) == 1
+    assert main(["analyze", "--static", "--path", str(bad)]) == 1
     out = capsys.readouterr().out
     assert "missing-flush" in out
     # the witness chain names the frames the store flowed through
@@ -144,54 +155,60 @@ def test_analyze_interprocedural_flags_planted_bug(tmp_path, capsys):
 
 def test_analyze_deep_json_golden_snapshot(capsys, monkeypatch,
                                            repo_analysis):
-    """Clean-tree golden envelope: the deep analysis over the real source
+    """Clean-tree golden envelope: the static pass over the real source
     must report exactly nothing, in the schema-versioned shape CI diffs.
-    The 10 s interprocedural pass itself is the session's shared result."""
+    The ~20 s pass itself is the session's shared result."""
     import json
     import pathlib
 
     monkeypatch.setattr("repro.analysis.analyze_repo", lambda: repo_analysis)
     baseline = pathlib.Path(__file__).parents[1] / "ANALYZE_BASELINE.json"
-    assert main(["analyze", "--interprocedural", "--coverage",
+    assert main(["analyze", "--static",
                  "--baseline", str(baseline), "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload == {
         "schema": "repro-analyze/v1",
         "ok": True,
-        "sections": {"interprocedural": [], "coverage": [], "baseline": []},
-        "counts": {"interprocedural": 0, "coverage": 0, "baseline": 0},
+        "sections": {"static": [], "coverage": [], "baseline": []},
+        "counts": {"static": 0, "coverage": 0, "baseline": 0},
+        "stats": {"static": repo_analysis.stats},
     }
 
 
 def test_analyze_baseline_accepts_known_and_flags_drift(tmp_path, capsys):
     import json
 
-    from repro.analysis import analyze_paths
+    from repro.analysis import analyze_paths, prove_coverage
 
     bad = tmp_path / "planted.py"
     bad.write_text(PLANTED_INTERPROCEDURAL)
-    fps = sorted({f.fingerprint()
-                  for f in analyze_paths([bad]).findings})
-    assert fps  # the plant fired
+    result = analyze_paths([bad])
+    gated = result.findings \
+        + prove_coverage(result, check_anchors=False).findings
+    fps = sorted({f.fingerprint() for f in gated})
+    # the plant fired in both sections: the missing flush, and the
+    # store->publish window with no crash site in it
+    assert {fp.split("//")[0] for fp in fps} == {"missing-flush",
+                                                 "uncovered-path"}
 
     # new finding vs an empty baseline: fail
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"fingerprints": []}))
-    assert main(["analyze", "--interprocedural", "--path", str(bad),
+    assert main(["analyze", "--static", "--path", str(bad),
                  "--baseline", str(empty)]) == 1
     assert "new" in capsys.readouterr().out
 
     # the same finding accepted in the baseline: pass
     known = tmp_path / "known.json"
     known.write_text(json.dumps({"fingerprints": fps}))
-    assert main(["analyze", "--interprocedural", "--path", str(bad),
+    assert main(["analyze", "--static", "--path", str(bad),
                  "--baseline", str(known)]) == 0
     assert "baseline: matches" in capsys.readouterr().out
 
     # a stale entry (finding since fixed): fail until it is deleted
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"fingerprints": fps + ["gone//x.py//f"]}))
-    assert main(["analyze", "--interprocedural", "--path", str(bad),
+    assert main(["analyze", "--static", "--path", str(bad),
                  "--baseline", str(stale)]) == 1
     assert "stale" in capsys.readouterr().out
 
@@ -199,10 +216,12 @@ def test_analyze_baseline_accepts_known_and_flags_drift(tmp_path, capsys):
 def test_analyze_metrics_export(tmp_path, capsys):
     import json
 
+    from repro.analysis import analyze_paths
+
     bad = tmp_path / "planted.py"
     bad.write_text(PLANTED_INTERPROCEDURAL)
     out_file = tmp_path / "metrics.jsonl"
-    assert main(["analyze", "--interprocedural", "--path", str(bad),
+    assert main(["analyze", "--static", "--path", str(bad),
                  "--metrics-out", str(out_file)]) == 1
     capsys.readouterr()
     samples = [json.loads(line)
@@ -210,10 +229,19 @@ def test_analyze_metrics_export(tmp_path, capsys):
     by_key = {(s["name"], tuple(sorted(s["labels"].items()))): s["value"]
               for s in samples}
     assert by_key[("analysis.findings.total",
-                   (("section", "interprocedural"),))] == 1
+                   (("section", "static"),))] == 1
     assert by_key[("analysis.findings",
                    (("rule", "missing-flush"),
-                    ("section", "interprocedural")))] == 1
+                    ("section", "static")))] == 1
+    assert by_key[("analysis.findings",
+                   (("rule", "uncovered-path"),
+                    ("section", "coverage")))] == 1
+    # the pass's own size is exported, report-only
+    result = analyze_paths([bad])
+    for name in ("roots", "frames", "budget_exhausted"):
+        assert by_key[(f"analysis.static.{name}", ())] \
+            == result.stats[name]
+    assert by_key[("analysis.static.roots", ())] > 0
 
 
 def test_analyze_trace_strict_epochs(capsys):

@@ -49,6 +49,10 @@
   audit's text and ``def _signature`` occur once under ``src``, and the
   chaos mode flags (``media=``/``pipeline=``, their pools, ``--media``/
   ``--pipeline`` in the CLI, docs and CI) stay gone.
+* one static pass: ``analysis/pmlint.py`` stays gone, ``def _classify``
+  occurs once under ``src/repro/analysis``, the retired
+  ``allow-direct-write`` pragma is nowhere in ``src``, and ``analyze`` has
+  no ``--interprocedural``/``--coverage`` flag.
 """
 
 import ast
@@ -378,3 +382,12 @@ def test_chaos_has_one_event_pool_and_no_mode_flags():
         if path.exists() and re.search(r"--media\b|--pipeline\b",
                                        path.read_text())]
     assert not flagged, flagged
+
+
+def test_one_static_pass():
+    assert not (SRC_DIR / "analysis" / "pmlint.py").exists()
+    classify = [hit for hit in _offenders(re.compile(r"def _classify\b"))
+                if hit.startswith("src/repro/analysis/")]
+    assert len(classify) == 1, classify
+    assert not _offenders(re.compile(r"allow-direct-write"))
+    assert not _offenders(re.compile(r"--interprocedural|--coverage\b"))
