@@ -123,6 +123,7 @@ class C0Placement:
 
     @property
     def c0_free(self) -> int:
+        self._landing.land_frees(self.dram)  # they count as free slots
         return max(0, self.c0_capacity - self.dram.used)
 
     def c0_size(self) -> int:

@@ -3,9 +3,9 @@
 ``PMOctree.refine``/``coarsen``/``_store_span``, :meth:`Landing.writable`
 and ``PointerOctree.refine``/``coarsen`` are the only bodies of those
 operations.  Each updates the volatile state (index, leaf set, C0 stats,
-``_superseded``, ``_detached``, ``PMStats``) and allocates and frees at call
-time, in the per-item order, and hands its arena traffic to the tree's
-:class:`Landing`:
+``_superseded``, ``_detached``, ``PMStats``) and allocates at call time, in
+the per-item order, and hands its arena traffic (a volatile record's free
+too) to the tree's :class:`Landing`:
 
 * outside any ``tree.batch()`` scope, and while the tree's
   ``_cow_record_by_record()`` holds (a crash plan armed on a site the bodies
@@ -18,11 +18,12 @@ time, in the per-item order, and hands its arena traffic to the tree's
   read uncharged (a record allocated in the scope is of the current epoch;
   known items are read ahead, :meth:`Landing.prefetch`) and charged at
   once.  When the outermost scope closes the buffer lands with one arena
-  call per kind of store: cache rows claimed in first-touch order
-  (``MemoryArena.cache_in``), the copies, the field stores by span,
-  the coarsens, the refines a *wave* at a time (a refine of a child made in
-  the scope lands after the refine that made it), and the crash sites
-  declared with ``count=``.
+  call per kind of store: the frees of volatile records (``free_rows``,
+  also before the arena's next allocation), cache rows claimed in
+  first-touch order (``MemoryArena.cache_in``), the copies, the field
+  stores by span, the coarsens, the refines a *wave* at a time (a refine
+  of a child made in the scope lands after the refine that made it), and
+  the crash sites declared with ``count=``.
 
 An operation that must see, or must not precede, a pending store lands the
 scope first: reads through the tree, evictions, persist and GC, a store to a
@@ -150,6 +151,8 @@ class Landing:
         self.stores: Dict[Tuple[int, int], Tuple[List[int], List[bytes]]] = {}
         self.spans: Dict[int, List[Tuple[int, int]]] = {}
         self.coarsens: Dict[MemoryArena, List[int]] = {}
+        #: volatile records freed in the scope, per arena, in free order
+        self.frees: Dict[MemoryArena, List[int]] = {}
         #: (wave, arena) -> parents, children, child codes
         self.refines: Dict[tuple, Tuple[List[int], List[int], List[int]]] = {}
         self.sites: Dict[str, int] = {}
@@ -173,7 +176,8 @@ class Landing:
         """Land the scope now if anything waits — or, given ``handles``, if
         a store to one of those does."""
         if handles is None:
-            if self.pending or self.fresh or self.reads or self.known:
+            if self.pending or self.fresh or self.reads or self.known \
+                    or self.frees:
                 self.land()
         elif (self.pending or self.fresh) and not (
                 self.pending.isdisjoint(handles)
@@ -279,14 +283,26 @@ class Landing:
         self.pending.add(handle)
 
     def free(self, arena: MemoryArena, handle: int) -> None:
+        """Free ``handle``; in a scope a volatile one waits (:meth:`land_frees`)."""
         self.settle((handle,))
-        arena.free(handle)
+        if self.immediate or not arena.spec.volatile:
+            arena.free(handle)
+        else:
+            self.frees.setdefault(arena, []).append(handle)
+
+    def land_frees(self, arena: MemoryArena) -> None:
+        """Land the frees waiting on ``arena`` as one ``free_rows``: before
+        its next allocation, or a count of its free slots, and in :meth:`land`."""
+        handles = self.frees.pop(arena, None)
+        if handles:
+            arena.free_rows(handles)
 
     def refine(self, arena: MemoryArena, handle: int,
                child_locs: List[int]) -> List[int]:
         """Split the in-place writable leaf record ``handle``: one child
         per code of ``child_locs``, allocated in order, each a leaf of the
         tree's epoch carrying the parent's payload; returns the children."""
+        self.land_frees(arena)
         kids = [arena.alloc() for _ in child_locs]
         if self.immediate:
             land_refines(arena, [handle], kids, child_locs, self.tree.epoch)
@@ -386,10 +402,12 @@ class Landing:
         reads, touched, fresh = self.reads, self.touched, self.fresh
         originals, copies, parents = self.originals, self.copies, \
             self.parents
-        stores, coarsens, refines, declared = self.stores, self.coarsens, \
-            self.refines, self.sites
+        stores, coarsens, refines, declared, frees = self.stores, \
+            self.coarsens, self.refines, self.sites, self.frees
         self._reset()
         tree = self.tree
+        for arena, handles in frees.items():
+            arena.free_rows(handles)
         if reads:
             tree.nvbm.device.on_read_batch(
                 reads, reads * EPOCH_SPAN[1],

@@ -80,6 +80,11 @@ class RecordAllocator:
         self._alloc_mv[index] = False
         self._free.append(index)
 
+    def free_many(self, indices: List[int]) -> None:
+        """:meth:`free` of each of the (validated, distinct) ``indices``."""
+        self._allocated[indices] = False
+        self._free += indices
+
     def retire(self, index: int) -> None:
         """Permanently remove a slot whose media went bad.
 
@@ -149,6 +154,10 @@ class WearLevelingAllocator(RecordAllocator):
         self._validate(index)
         self._alloc_mv[index] = False
         self._fifo.append(index)
+
+    def free_many(self, indices: List[int]) -> None:
+        self._allocated[indices] = False
+        self._fifo += indices
 
     @property
     def used(self) -> int:

@@ -357,6 +357,28 @@ class MemoryArena:
         """Release a record slot (GC only, per §3.2's deferred deletion)."""
         self._drop(handle, self.allocator.free)
 
+    def free_rows(self, handles: List[int]) -> None:
+        """:meth:`free` of each handle in order (free-list order, stats,
+        ``tracer.on_free``, cache rows), one array update of slot state."""
+        h = np.asarray(handles, dtype=np.uint64)
+        idx = self.slots_of(h)
+        if not self.contains_mask(h).all() or len(np.unique(idx)) < len(idx):
+            for handle in handles:  # the bad one fails where its free would
+                self.free(handle)
+            return
+        if self.tracer is not None:
+            for handle in handles:
+                self.tracer.on_free(handle)
+        self.stats.frees += len(handles)
+        self.allocator.free_many(idx.tolist())
+        self._present[idx] = False
+        self._seal[idx] = -1
+        cached = idx[self._crow[idx] >= 0].tolist()
+        if cached:
+            self._crows_free += [self._cdir.pop(i) for i in cached]
+            self._crow[cached] = -1
+            self._dirty_mask[cached] = 0
+
     def retire(self, handle: int) -> None:
         """Release a slot *and* take its media out of rotation: the repair
         ladder's answer to stuck or worn-out lines — the allocator's

@@ -3,14 +3,14 @@
 Two leaves sharing a face may differ by at most one level.  Balancing is the
 classic ripple algorithm: refining an octant can un-balance its own
 neighbors, so newly-created leaves are pushed back onto the work queue until
-a fixed point is reached.
+a fixed point is reached.  The queue runs a generation at a time, one
+``tree.forcing_faces`` call each keeping the per-entry body off the faces
+that force nothing (docs/performance.md, "The adapt step as a batch").
 """
 
 from __future__ import annotations
 
-from collections import deque
-from itertools import compress
-from typing import Iterable, Optional
+from typing import Iterable, List, Optional
 
 import numpy as np
 
@@ -39,11 +39,8 @@ def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
 
     ``seeds`` narrows the initial work queue to leaves whose neighborhood may
     have changed (incremental balance after a refinement batch); by default
-    every leaf is examined.  Leaves the tree already knows force nothing
-    (``tree.unbalanced``) never enter the queue: refinement only makes
-    neighbors finer, so a leaf that forces nothing when queued forces
-    nothing when popped, and the ``refine`` sequence is the same.  The
-    ripple runs in one ``tree.batch()`` scope: its refines land together.
+    every leaf is examined.  The ripple runs in one ``tree.batch()`` scope:
+    its refines land together.
     """
     with tree.batch():
         return _ripple(tree, max_level, seeds)
@@ -51,22 +48,31 @@ def balance_tree(tree: AdaptiveTree, max_level: Optional[int] = None,
 
 def _ripple(tree: AdaptiveTree, max_level: Optional[int],
             seeds: Optional[Iterable[int]]) -> int:
+    """The FIFO queue one *generation* at a time (the seeds, then the
+    children the last generation's refines pushed, in push order: the
+    queue's own order), the per-entry body only on the faces flagged when
+    the generation starts.  Exact: refinement only makes neighbours finer,
+    so a face that forces nothing then forces nothing when reached."""
     dim = tree.dim
-    locs = list(seeds if seeds is not None else tree.leaves())
-    queue = deque(compress(locs, tree.unbalanced(locs)))
+    generation = list(seeds if seeds is not None else tree.leaves())
     refined = 0
-    while queue:
-        loc = queue.popleft()
-        if not tree.exists(loc) or not tree.is_leaf(loc):
-            continue  # stale entry: got refined while queued
-        level = morton.level_of(loc, dim)
-        # A leaf at `level` forces every face-adjacent region to be refined
-        # to at least `level - 1`.
-        if level <= 1:
-            continue
-        for axis in range(dim):
-            for direction in (-1, 1):
-                code = morton.neighbor_of(loc, dim, axis, direction)
+    while generation:
+        flags = tree.forcing_faces(generation)
+        pushed: List[int] = []
+        for loc, faces in zip(generation, flags.tolist()):
+            if not any(faces) or not tree.exists(loc) \
+                    or not tree.is_leaf(loc):
+                continue  # nothing to force, or stale: refined while queued
+            level = morton.level_of(loc, dim)
+            # A leaf at `level` forces every face-adjacent region to be
+            # refined to at least `level - 1`.
+            if level <= 1:
+                continue
+            for face, forcing in enumerate(faces):
+                if not forcing:
+                    continue
+                code = morton.neighbor_of(loc, dim, face >> 1,
+                                          2 * (face & 1) - 1)
                 if code is None:
                     continue
                 # Find the existing ancestor covering this neighbor code.
@@ -79,11 +85,11 @@ def _ripple(tree: AdaptiveTree, max_level: Optional[int],
                 while anc_level < level - 1:
                     if max_level is not None and anc_level >= max_level:
                         break
-                    children = tree.refine(anc)
-                    refined += 1
                     # Each new child may in turn violate 2:1 with *its*
-                    # neighbors: ripple.
-                    queue.extend(children)
+                    # neighbors: ripple, in the next generation.
+                    pushed += tree.refine(anc)
+                    refined += 1
                     anc = morton.ancestor_at(code, dim, anc_level + 1)
                     anc_level += 1
+        generation = pushed
     return refined

@@ -103,19 +103,31 @@ def loc_from_coords(level: int, coords: Sequence[int], dim: int) -> int:
     return (1 << (dim * level)) | bits
 
 
-@lru_cache(maxsize=1 << 17)
+def axis_mask(sentinel, dim: int, axis: int):
+    """The bits of ``axis`` below a code's ``sentinel`` (int or int64s)."""
+    return (sentinel - 1) // ((1 << dim) - 1) << axis
+
+
 def neighbor_of(loc: int, dim: int, axis: int, direction: int) -> Optional[int]:
-    """Same-level face neighbor along ``axis`` (+1/-1); None at the boundary."""
+    """Same-level face neighbor along ``axis`` (+1/-1); None at the boundary:
+    a dilated-integer step, one add or subtract on the axis' bits."""
     if direction not in (-1, 1):
         raise ValueError("direction must be +1 or -1")
     if not 0 <= axis < dim:
         raise ValueError(f"axis {axis} out of range for dim {dim}")
-    level = level_of(loc, dim)
-    coords = list(coords_of(loc, dim))
-    coords[axis] += direction
-    if not 0 <= coords[axis] < (1 << level):
-        return None
-    return loc_from_coords(level, coords, dim)
+    sentinel = 1 << dim * level_of(loc, dim)
+    bits = loc ^ sentinel
+    mask = axis_mask(sentinel, dim, axis)
+    along = bits & mask
+    if direction < 0:
+        if not along:
+            return None
+        moved = (along - 1) & mask
+    else:
+        if along == mask:
+            return None
+        moved = ((bits | ~mask) + 1) & mask
+    return sentinel | (bits & ~mask) | moved
 
 
 def neighbors_all(loc: int, dim: int) -> List[int]:

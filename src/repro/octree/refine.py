@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable
 
 import numpy as np
 
@@ -119,24 +118,3 @@ def refine_uniform(tree: AdaptiveTree, level: int) -> None:
         while frontier:
             frontier = [child for loc in frontier for child in tree.refine(loc)
                         if morton.level_of(child, dim) < level]
-
-
-def refine_where(tree: AdaptiveTree, predicate: Callable[[int], bool],
-                 max_level: int) -> int:
-    """Refine every leaf satisfying ``predicate`` until none qualify below
-    ``max_level``; returns the number of refinements."""
-    n = 0
-    frontier = [loc for loc in tree.leaves() if predicate(loc)]
-    while frontier:
-        nxt = []
-        for loc in frontier:
-            if not tree.is_leaf(loc):
-                continue
-            if morton.level_of(loc, tree.dim) >= max_level:
-                continue
-            for child in tree.refine(loc):
-                if predicate(child):
-                    nxt.append(child)
-            n += 1
-        frontier = nxt
-    return n

@@ -26,15 +26,15 @@ neighbours of many codes at once from nothing but the leaf codes (one
 stable sort of the leaves' z-order positions, one ``searchsorted`` per
 face), and a batch is *defined* as the per-octant
 ``neighbors.face_neighbor_leaves`` calls in order, exactly as a data batch
-is the per-octant accessor calls.  Trees whose ``exists``/``is_leaf`` are
-uncharged in-memory set tests (``PointerOctree``, ``PMOctree``) answer
-``face_neighbors`` through :class:`LeafSetStructure`; the out-of-core
-baseline keeps the loop-backed default in :mod:`repro.octree.store`,
-because there each such query is a B-tree search — one of the §5.4 costs
-the evaluation measures — and resolving neighbours from gathered arrays
-would silently skip it.  The advect kernel's upwind probe
-(``leaf_neighbor``, one face per leaf) deliberately stays per-leaf: it is
-~1.3 % of a step (docs/performance.md).
+is the per-octant accessor calls; :func:`face_steps` is the neighbour-code
+step it, Balance's ``forcing_faces`` and the advect kernel's upwind probe
+(``face_leaves``: ``leaf_neighbor`` + ``is_leaf`` per code) share.  Trees
+whose ``exists``/``is_leaf`` are uncharged in-memory set tests
+(``PointerOctree``, ``PMOctree``) answer these through
+:class:`LeafSetStructure`; the out-of-core baseline keeps the loop-backed
+default in :mod:`repro.octree.store`, because there each such query is a
+B-tree search — one of the §5.4 costs the evaluation measures — and
+resolving neighbours from gathered arrays would silently skip it.
 
 Bit-identity discipline
 -----------------------
@@ -227,6 +227,21 @@ class FaceTable(NamedTuple):
                          np.diff(self.offsets))
 
 
+def face_steps(locs, levels, dim: int, axis, direction: int):
+    """Vectorised :func:`morton.neighbor_of` (``axis`` may be an array,
+    broadcast against the codes): ``(inside, codes)``, each code
+    meaningful only where ``inside`` (not on that domain boundary)."""
+    sentinel = np.int64(1) << dim * levels
+    bits = _as_int64(locs) ^ sentinel
+    mask = morton.axis_mask(sentinel, dim, axis)
+    along = bits & mask
+    if direction < 0:
+        inside, moved = along != 0, (along - 1) & mask
+    else:
+        inside, moved = along != mask, ((bits | ~mask) + 1) & mask
+    return inside, sentinel | (bits & ~mask) | moved
+
+
 def face_table(leaf_codes: Iterable[int], locs, dim: int) -> FaceTable:
     """The :class:`FaceTable` of ``locs`` on the complete tree whose leaves
     are ``leaf_codes`` — a pure function of the codes.
@@ -248,24 +263,18 @@ def face_table(leaf_codes: Iterable[int], locs, dim: int) -> FaceTable:
     leaves, levels, start = leaves[order], levels[order], start[order]
     last = start + (1 << dim * (depth - levels)) - 1  # max corner
 
-    bits = loc_arr - (1 << dim * loc_levels)
-    in_use = (1 << dim * loc_levels) - 1
+    sentinel = 1 << dim * loc_levels
     shift = dim * (depth - loc_levels)
     nfaces = 2 * dim
     slots, codes = [], []
     for axis in range(dim):
-        lane = sum(1 << dim * i + axis for i in range(depth))
-        mask = lane & in_use          # this axis' coordinate bits, per loc
-        along = bits & mask
+        lane = morton.axis_mask(1 << dim * depth, dim, axis)
         for direction in (-1, 1):
-            # dilated-integer step along one axis of a Morton code
-            if direction < 0:
-                inside, moved = along != 0, (along - 1) & mask
-            else:
-                inside, moved = along != mask, ((bits | ~mask) + 1) & mask
+            inside, code = face_steps(loc_arr, loc_levels, dim, axis,
+                                      direction)
             sel = np.nonzero(inside)[0]
             slot = sel * nfaces + 2 * axis + (direction > 0)
-            key = ((moved | (bits & ~mask)) << shift)[sel]
+            key = ((code ^ sentinel) << shift)[sel]
             pos = np.searchsorted(start, key, side="right") - 1
             finer = levels[pos] > loc_levels[sel]
             slots.append(slot[~finer])
@@ -365,8 +374,33 @@ class LeafSetStructure:
     def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
         return face_table(self._leaf_set, locs, self.dim)
 
-    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
-        table = self.face_neighbors(locs)
-        out = np.zeros(len(locs), dtype=bool)
-        out[table.rows()[level_gaps(table, locs, self.dim) < -1]] = True
-        return out
+    def forcing_faces(self, locs: Sequence[int]) -> np.ndarray:
+        # exact: the tree is complete, so the leaf covering a same-level
+        # neighbour is over one level coarser iff its parent is no octant
+        loc_arr, dim = _as_int64(locs), self.dim
+        levels, axes = levels_of_codes(loc_arr, dim)[:, None], np.arange(dim)
+        out = np.empty((len(loc_arr), dim, 2), dtype=bool)  # −1, +1 per axis
+        for side, direction in enumerate((-1, 1)):
+            inside, codes = face_steps(loc_arr[:, None], levels, dim, axes,
+                                       direction)
+            up = (codes[inside] >> dim).tolist()
+            inside[inside] = ~np.fromiter(map(self._index.__contains__, up),
+                                          bool, len(up))
+            out[:, :, side] = inside
+        return out.reshape(len(loc_arr), 2 * dim)
+
+    def face_leaves(self, locs: Sequence[int], axis: int,
+                    direction: int) -> np.ndarray:
+        loc_arr = _as_int64(locs)
+        inside, codes = face_steps(loc_arr, levels_of_codes(loc_arr, self.dim),
+                                   self.dim, axis, direction)
+        out = np.zeros(len(loc_arr), dtype=np.int64)
+        todo = np.flatnonzero(inside)
+        codes, index = codes[todo], self._index
+        while todo.size:  # up the ancestors to the first octant: the root
+            found = np.fromiter(map(index.__contains__, codes.tolist()), bool,
+                                len(codes))
+            out[todo[found]] = codes[found]
+            todo, codes = todo[~found], codes[~found] >> self.dim
+        return np.where(np.fromiter(map(self._leaf_set.__contains__,
+                                        out.tolist()), bool, len(out)), out, 0)

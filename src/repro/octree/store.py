@@ -25,7 +25,7 @@ from typing import (
 
 import numpy as np
 
-from repro.octree.neighbors import face_neighbor_leaves
+from repro.octree.neighbors import face_neighbor_leaves, leaf_neighbor
 from repro.octree.soa import FaceTable
 
 Payload = Tuple[float, float, float, float]
@@ -122,10 +122,17 @@ class AdaptiveTree(Protocol):
         ``neighbors.face_neighbor_leaves`` calls."""
         ...
 
-    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
-        """One bool per code; False only where the tree can show *without a
-        charged query* that no face of the leaf is covered by a leaf more
-        than one level coarser (Balance has nothing to do there)."""
+    def forcing_faces(self, locs: Sequence[int]) -> np.ndarray:
+        """``(n, 2 * dim)`` bools (faces axis-major, −1 first); False only
+        where the tree shows *without a charged query* that a leaf at most
+        one level coarser covers the face (Balance has nothing to do)."""
+        ...
+
+    def face_leaves(self, locs: Sequence[int], axis: int,
+                    direction: int) -> np.ndarray:
+        """Per code the equal-or-coarser leaf across its ``axis`` face on
+        side ``direction``, 0 at the boundary or where that side is finer:
+        ``n`` ``neighbors.leaf_neighbor`` + ``is_leaf`` calls."""
         ...
 
     def refine(self, loc: int) -> List[int]:
@@ -154,7 +161,7 @@ class LoopBackedAccess:
     a metered index search: a slot write is a page read-modify-write and a
     batch is the plain loop, so the device is charged exactly what the
     per-octant calls charge, searches included.  The same goes for
-    structure: ``face_neighbors`` is the ``face_neighbor_leaves`` loop,
+    structure: ``face_neighbors`` and ``face_leaves`` are their loops,
     and a ``batch()`` scope is no scope at all — every call already runs
     at its place.
     """
@@ -193,9 +200,15 @@ class LoopBackedAccess:
             .reshape(len(entries), 3).T
         return FaceTable(np.array(offsets), codes, axes, dirs)
 
-    def unbalanced(self, locs: Sequence[int]) -> np.ndarray:
+    def forcing_faces(self, locs: Sequence[int]) -> np.ndarray:
         # deciding costs the index searches Balance makes anyway
-        return np.ones(len(locs), dtype=bool)
+        return np.ones((len(locs), 2 * self.dim), dtype=bool)
+
+    def face_leaves(self, locs: Sequence[int], axis: int,
+                    direction: int) -> np.ndarray:
+        codes = (leaf_neighbor(self, loc, axis, direction) for loc in locs)
+        return np.array([code if code is not None and self.is_leaf(code)
+                         else 0 for code in codes], dtype=np.int64)
 
     def batch(self) -> ContextManager:
         return nullcontext()

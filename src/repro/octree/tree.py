@@ -13,9 +13,9 @@ what recovery does.
 Data batches are the per-octant calls in order, landed as one gather or
 scatter per call: the arena is DRAM (no cache, no seal, no media faults),
 so :meth:`MemoryArena.read_rows`/``write_rows`` charge exactly what the
-per-record loop charges.  ``refine`` allocates and ``coarsen`` frees at
-call time; inside a :meth:`PointerOctree.batch` scope their record stores
-land together when it closes (:class:`repro.core.cow.Landing`).
+per-record loop charges.  ``refine`` allocates at call time; inside a
+:meth:`PointerOctree.batch` scope ``coarsen``'s frees and their record
+stores land together when it closes (:class:`repro.core.cow.Landing`).
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ crisp, moving interface.
 
 The sweep has one body, written over arrays: gather every leaf into a
 :class:`repro.octree.soa.LeafBatch` through the tree protocol's
-``batch_read_payloads``, resolve each leaf's upwind neighbor with
-``leaf_neighbor`` + ``is_leaf`` (a structural query *on the tree* — on the
-Etree baseline it is the B-tree search §5.4 charges for, so it is never
-answered from the gathered arrays), read the hit neighbors' VOF with one
+``batch_read_payloads``, resolve each leaf's upwind neighbor with one
+``face_leaves`` call on the tree (``leaf_neighbor`` + ``is_leaf`` per leaf:
+on the Etree baseline the B-tree search §5.4 charges for, never answered
+from the gathered arrays), read the hit neighbors' VOF with one
 ``batch_read_fields``, evaluate the transport/sharpening arithmetic
 elementwise and replay the write-back in leaf order through
 ``batch_set_payloads``.  Every tree runs this same body; PM-octree
@@ -35,7 +35,6 @@ import numpy as np
 
 from repro.config import SolverConfig
 from repro.octree import soa
-from repro.octree.neighbors import leaf_neighbor
 from repro.octree.store import AdaptiveTree
 from repro.solver.fields import PRESSURE, U, V, VOF
 from repro.solver.geometry import DropletGeometry
@@ -87,28 +86,19 @@ def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,
 
     # Upwind (below) neighbor of each leaf, asked of the tree.  A hit is a
     # leaf at-or-above the same-level neighbor code; a domain-boundary or
-    # finer-region neighbor misses.
-    hit_pos = []
-    nb_locs = []
-    miss_pos = []
-    for i, loc in enumerate(batch.loc_list):
-        below = leaf_neighbor(tree, loc, vertical_axis, -1)
-        if below is not None and tree.is_leaf(below):
-            hit_pos.append(i)
-            nb_locs.append(below)
-        else:
-            miss_pos.append(i)
-
+    # finer-region neighbor misses (0).
+    below = tree.face_leaves(batch.loc_list, vertical_axis, -1)
+    hit = below != 0
     vof_up = np.zeros(n, dtype=np.float64)
-    if nb_locs:
+    if hit.any():
         # the probe needs one quantity, so it is a field read (8 bytes
         # where the tree is byte-addressable), not a whole-payload load
-        vof_up[hit_pos] = tree.batch_read_fields(nb_locs, VOF)
+        vof_up[hit] = tree.batch_read_fields(below[hit].tolist(), VOF)
     # misses: inflow of gas at the bottom boundary, except the nozzle,
     # which keeps feeding liquid.  The small miss set goes through the
     # scalar geometry predicate (math.hypot in 3-D has no bit-equal numpy
     # twin).
-    for i in miss_pos:
+    for i in np.flatnonzero(~hit).tolist():
         center = tuple(batch.centers[i])
         if geometry.axis_distance(center) <= config.nozzle_radius:
             vof_up[i] = 1.0
@@ -139,6 +129,6 @@ def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,
         for i in write_pos
     ]
     tree.batch_set_payloads(items)
-    reads = n + len(nb_locs)
+    reads = n + int(hit.sum())
     writes = len(items)
     return {"reads": reads, "writes": writes, "skipped": n - writes}

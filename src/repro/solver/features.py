@@ -114,21 +114,38 @@ def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
     Coarsening is decided on the *parent* cell's band: children created for
     an interface their parent still straddles must not vote themselves away
     on the next sweep, or the adaptation loop ping-pongs forever.
+
+    A code's band answer depends on its box and ``t`` alone, so the closure
+    (one per adapt, for one ``t``) judges each code once: leaves and parents
+    earlier rounds judged are looked up, not re-sampled.
     """
     dim = config.dim
+    judged = np.zeros(1, dtype=np.int64)  # sorted codes (0 is none) ...
+    answers = np.zeros(1, dtype=bool)     # ... and their band answers
+
+    def near(codes: np.ndarray, boxes) -> np.ndarray:
+        # boxes(rows): (mins, maxs) of codes[rows], asked for unjudged ones
+        nonlocal judged, answers
+        at = np.searchsorted(judged, codes).clip(max=len(judged) - 1)
+        rows = np.flatnonzero(judged[at] != codes)
+        new, first = np.unique(codes[rows], return_index=True)
+        if new.size:
+            at = np.searchsorted(judged, new)
+            judged = np.insert(judged, at, new)
+            answers = np.insert(answers, at, geometry.near_interface_cells(
+                *boxes(rows[first]), t))
+        return answers[np.searchsorted(judged, codes)]
 
     def criterion(batch: soa.LeafBatch) -> np.ndarray:
-        near = geometry.near_interface_cells(batch.mins, batch.maxs, t)
+        near_leaf = near(batch.locs,
+                         lambda rows: (batch.mins[rows], batch.maxs[rows]))
         actions = np.full(len(batch), Action.KEEP, dtype=np.int8)
-        actions[near & (batch.levels < config.max_level)] = Action.REFINE
-        cand = np.nonzero(~near & (batch.levels > config.min_level))[0]
+        actions[near_leaf & (batch.levels < config.max_level)] = Action.REFINE
+        cand = np.nonzero(~near_leaf & (batch.levels > config.min_level))[0]
         if cand.size:
-            # siblings share a parent: evaluate each parent's band once
-            parents, inverse = np.unique(batch.locs[cand] >> dim,
-                                         return_inverse=True)
-            _h, los, his, _centers = soa.code_geometry(parents, dim)
-            parent_near = geometry.near_interface_cells(los, his, t)
-            actions[cand[~parent_near[inverse]]] = Action.COARSEN
+            up = batch.locs[cand] >> dim
+            actions[cand[~near(up, lambda rows: soa.code_geometry(
+                up[rows], dim)[1:3])]] = Action.COARSEN
         return actions
 
     return criterion

@@ -6,7 +6,10 @@ loc)`` for each ``loc`` in order.  The array implementation
 the loop-backed default entry for entry — code, axis, direction, order — and
 touch neither ``DeviceStats`` nor the ``SimClock``; the loop-backed default
 (``EtreeOctree``) must charge exactly what the loop charges.
-``tree.unbalanced`` may only ever say False where Balance has nothing to do.
+``tree.forcing_faces`` may only ever say False where Balance has nothing to
+do on that face, and on the array trees it is exact: a face forces iff the
+level gap across it is below −1.  ``tree.face_leaves`` (the advect kernel's
+upwind probe) is defined as ``leaf_neighbor`` + ``is_leaf`` per code.
 """
 
 import dataclasses
@@ -23,7 +26,7 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree import morton, soa
-from repro.octree.neighbors import face_neighbor_leaves
+from repro.octree.neighbors import face_neighbor_leaves, leaf_neighbor
 from repro.octree.store import LoopBackedAccess
 from repro.octree.tree import PointerOctree
 from repro.storage.block import BlockDevice
@@ -91,20 +94,37 @@ def _assert_tables_equal(got, want):
 
 
 def _forcing(tree, loc):
-    """The per-leaf Balance test: some face of ``loc`` is covered by a leaf
-    more than one level coarser."""
+    """The per-leaf Balance test, per face (axis-major, −1 before +1): the
+    face of ``loc`` is covered by a leaf more than one level coarser."""
     dim = tree.dim
     level = morton.level_of(loc, dim)
+    out = []
     for axis in range(dim):
         for direction in (-1, 1):
             anc = morton.neighbor_of(loc, dim, axis, direction)
-            if anc is None:
-                continue
-            while not tree.exists(anc):
-                anc = morton.parent_of(anc, dim)
-            if tree.is_leaf(anc) and morton.level_of(anc, dim) < level - 1:
-                return True
-    return False
+            if anc is not None:
+                while not tree.exists(anc):
+                    anc = morton.parent_of(anc, dim)
+            out.append(anc is not None and tree.is_leaf(anc)
+                       and morton.level_of(anc, dim) < level - 1)
+    return out
+
+
+def _gap_faces(table, locs, dim):
+    """Per (loc, face): some entry across it has a level gap below −1."""
+    out = np.zeros((len(locs), 2 * dim), dtype=bool)
+    low = soa.level_gaps(table, locs, dim) < -1
+    out[table.rows()[low], (2 * table.axes + (table.dirs > 0))[low]] = True
+    return out
+
+
+def _probe(tree, locs, axis, direction):
+    """``face_leaves`` by its definition: the per-code loop."""
+    out = []
+    for loc in locs:
+        code = leaf_neighbor(tree, loc, axis, direction)
+        out.append(code if code is not None and tree.is_leaf(code) else 0)
+    return out
 
 
 trees = dict(
@@ -125,13 +145,17 @@ def test_array_table_is_the_loop_and_is_free(make, dim, shape, picks,
     for locs in (sorted(tree.leaves()), _subset(tree, order_seed)):
         before = _machine(clock, devices)
         table = tree.face_neighbors(locs)
-        todo = tree.unbalanced(locs)
+        todo = tree.forcing_faces(locs)
         assert _machine(clock, devices) == before
         _assert_tables_equal(table, LoopBackedAccess.face_neighbors(tree, locs))
         assert table.offsets[-1] == len(table.codes) == len(table.rows())
-        forcing = np.array([_forcing(tree, loc) for loc in locs], dtype=bool)
+        forcing = np.array([_forcing(tree, loc) for loc in locs],
+                           dtype=bool).reshape(len(locs), 2 * dim)
         assert todo.dtype == bool and todo.shape == forcing.shape
         assert not (forcing & ~todo).any()
+        # exact on the array trees: the level gaps below −1, per face
+        assert np.array_equal(todo, _gap_faces(table, locs, dim))
+        assert np.array_equal(todo, forcing)
 
 
 @settings(max_examples=15, deadline=None)
@@ -154,7 +178,61 @@ def test_loop_backed_table_charges_what_the_loop_charges(dim, shape, picks,
     # the same answer the array implementation gives for these leaf codes
     _assert_tables_equal(
         table, soa.face_table(list(tree.leaves()), locs, dim))
-    # deciding would cost index searches: every leaf stays in Balance's queue
+    # deciding would cost index searches: every face stays in Balance's queue
     before = _machine(clock, devices)
-    assert tree.unbalanced(locs).all()
+    todo = tree.forcing_faces(locs)
+    assert todo.shape == (len(locs), 2 * dim) and todo.all()
     assert _machine(clock, devices) == before
+
+
+@pytest.mark.parametrize("make", [_pointer, _pm], ids=["pointer", "pm"])
+@settings(max_examples=30, deadline=None)
+@given(**trees)
+def test_face_leaves_is_the_probe_loop_and_is_free(make, dim, shape, picks,
+                                                  order_seed):
+    tree, clock, devices = make(dim)
+    _grow(tree, shape, picks)
+    inner = [loc for loc in tree._index if loc not in tree._leaf_set]
+    for locs in (sorted(tree.leaves()), _subset(tree, order_seed), inner):
+        for axis in range(dim):
+            for direction in (-1, 1):
+                before = _machine(clock, devices)
+                got = tree.face_leaves(locs, axis, direction)
+                assert _machine(clock, devices) == before
+                assert got.dtype == np.int64
+                assert got.tolist() == _probe(tree, locs, axis, direction)
+
+
+def test_face_leaves_misses_the_boundary_and_the_finer_side():
+    tree, _clock, _devices = _pointer(2)
+    west, east = tree.refine(morton.ROOT_LOC)[:2]
+    tree.refine(east)
+    north = morton.child_of(morton.ROOT_LOC, 2, 2)
+    # west's +x face sees east's children (finer): a miss; its −x face is
+    # the domain boundary: a miss; east's first child sees west (coarser),
+    # west's +y face a leaf of its own level
+    for axis, direction, loc, want in ((0, 1, west, 0), (0, -1, west, 0),
+                                       (0, -1, east << 2, west),
+                                       (1, 1, west, north)):
+        assert tree.face_leaves([loc], axis, direction).tolist() == [want]
+        assert _probe(tree, [loc], axis, direction) == [want]
+
+
+@settings(max_examples=15, deadline=None)
+@given(**trees)
+def test_loop_backed_face_leaves_charges_what_the_loop_charges(
+        dim, shape, picks, order_seed):
+    tree, clock, devices = _etree(dim)
+    _grow(tree, shape, picks[:6])
+    locs = _subset(tree, order_seed)
+    for axis in range(dim):
+        for direction in (-1, 1):
+            start = _machine(clock, devices)
+            want = _probe(tree, locs, axis, direction)
+            loop = _machine(clock, devices)
+            got = tree.face_leaves(locs, axis, direction)
+            batch = _machine(clock, devices)
+            assert got.tolist() == want
+            assert batch[0] - loop[0] == loop[0] - start[0]
+            reads = [m[2][0]["page_reads"] for m in (start, loop, batch)]
+            assert reads[2] - reads[1] == reads[1] - reads[0]

@@ -7,9 +7,10 @@ hold for *every* code, not just the hand-picked ones in test_morton.py.
 
 import random
 
+import numpy as np
 import pytest
 
-from repro.octree import morton
+from repro.octree import morton, soa
 
 DIMS = (2, 3)
 MAX_LEVEL = 7
@@ -151,3 +152,42 @@ def test_cell_bounds_nest_in_parent(dim):
         plo, phi = morton.cell_bounds(morton.parent_of(loc, dim), dim)
         assert all(pl <= l_ and h <= ph
                    for pl, l_, h, ph in zip(plo, lo, hi, phi))
+
+
+def _neighbor_by_coords(loc, dim, axis, direction):
+    """The coords round trip ``neighbor_of`` used to be."""
+    level = morton.level_of(loc, dim)
+    coords = list(morton.coords_of(loc, dim))
+    coords[axis] += direction
+    if not 0 <= coords[axis] < (1 << level):
+        return None
+    return morton.loc_from_coords(level, coords, dim)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_neighbor_step_is_the_coords_round_trip(dim):
+    """The dilated-integer step (scalar and array) equals the coords round
+    trip on every face, at levels 0-20, with both domain boundaries drawn
+    often on every axis."""
+    rng = random.Random(8000 + dim)
+    locs = []
+    for level in range(21):
+        side = 1 << level
+        for _ in range(40):
+            coords = [rng.choice((0, side - 1, rng.randrange(side)))
+                      for _ in range(dim)]
+            locs.append(morton.loc_from_coords(level, coords, dim))
+    arr = np.array(locs, dtype=np.int64)
+    levels = soa.levels_of_codes(arr, dim)
+    edges = 0
+    for axis in range(dim):
+        for direction in (-1, 1):
+            want = [_neighbor_by_coords(loc, dim, axis, direction)
+                    for loc in locs]
+            assert [morton.neighbor_of(loc, dim, axis, direction)
+                    for loc in locs] == want
+            inside, codes = soa.face_steps(arr, levels, dim, axis, direction)
+            assert inside.tolist() == [w is not None for w in want]
+            assert codes[inside].tolist() == [w for w in want if w is not None]
+            edges += want.count(None)
+    assert edges > 200  # both boundaries, every axis, are exercised

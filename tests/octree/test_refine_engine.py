@@ -9,7 +9,7 @@ import pytest
 
 from repro.octree import morton, soa
 from repro.octree.balance import is_balanced
-from repro.octree.refine import Action, RefinementEngine, refine_where
+from repro.octree.refine import Action, RefinementEngine
 from repro.octree.store import validate_tree
 
 
@@ -129,15 +129,3 @@ def test_batch_sweep_matches_per_leaf_sweep(balance, monkeypatch):
     assert batch == per_leaf
     assert batch[0].refined > 0 and batch[0].coarsened > 0
 
-
-def test_refine_where(quadtree):
-    n = refine_where(
-        quadtree,
-        lambda loc: morton.cell_bounds(loc, 2)[0][0] < 0.3,
-        max_level=3,
-    )
-    assert n > 0
-    leaf = quadtree.find_leaf_at((0.05, 0.5))
-    assert morton.level_of(leaf, 2) == 3
-    coarse = quadtree.find_leaf_at((0.9, 0.9))
-    assert morton.level_of(coarse, 2) < 3

@@ -89,6 +89,33 @@ def test_droplet_predicates_equal_oracle(droplet, t):
     assert features.interface_criterion(geo, cfg, t)(batch).dtype == np.int8
 
 
+def test_droplet_criterion_memo_is_per_closure(droplet):
+    """One criterion closure judges each code once: the repeated,
+    overlapping and permuted batches of one adapt's rounds — and a closure
+    for another ``t`` on the same codes — each give the per-octant
+    oracle's actions."""
+    geo, cfg = droplet.geometry, droplet.config
+    batch = _batch_with_parents(droplet.tree, seed=5)
+    n = len(batch)
+    rng = np.random.default_rng(11)
+    perm = rng.permutation(n)
+    picks = [np.arange(n // 2), np.arange(n // 3, n), perm, perm[: n // 4],
+             np.concatenate([perm[:9], perm[:9]]), np.arange(n)]
+    times = (0.0, 0.9, 0.0)
+    for t in times:
+        criterion = features.interface_criterion(geo, cfg, t)
+        want_fn = soa.per_octant(oracle.interface_criterion(geo, cfg, t))
+        for pick in picks:
+            sub = soa.LeafBatch(batch.dim, [batch.loc_list[i] for i in pick],
+                                batch.payloads[pick])
+            got, want = criterion(sub), want_fn(sub)
+            assert np.array_equal(got, want), t
+    # the times disagree on this batch, so a memo shared across t would show
+    early, late = (soa.per_octant(oracle.interface_criterion(geo, cfg, t))(
+        batch) for t in times[:2])
+    assert not np.array_equal(early, late)
+
+
 @pytest.mark.parametrize("t", TIMES)
 def test_near_interface_cells_equals_per_cell(droplet, t):
     geo, dim = droplet.geometry, droplet.config.dim
