@@ -7,9 +7,10 @@ invariant mechanically, three ways:
 
 * :mod:`repro.analysis.dataflow` (with :mod:`repro.analysis.callgraph`) —
   the static pass over ``src/repro``: flush/publish obligations are tracked
-  as abstract state along inlined call chains, so a store three frames
-  below a publish still reaches it, and every finding carries a call-chain
-  witness; the same pass flags in-place stores that bypass the COW
+  as abstract state, one effect summary per function composed along the
+  call graph, so a store any number of frames below a publish reaches it,
+  and every finding carries a call-chain witness; the same pass flags
+  in-place stores that bypass the COW
   discipline in ``core/`` and crash sites the registry does not know.
   :mod:`repro.analysis.coverage` builds on its path records to *prove*
   every discovered mutate→publish window (and journal retire) contains a

@@ -12,7 +12,9 @@ module parses every ``*.py`` file under the analysis roots once and builds:
   imported from project modules) so site constants and cross-module calls
   resolve;
 * best-effort call resolution: a ``Call`` node maps to the project
-  functions it may invoke.
+  functions it may invoke;
+* the graph's strongly connected components, callees first — the order
+  the dataflow pass summarises functions in.
 
 Resolution is deliberately name-based (this is Python): a bare call
 resolves to the same-module function or an imported project function; an
@@ -210,10 +212,6 @@ class CallGraph:
                     src = minfo.from_imports.get(name)
                     if src is not None:
                         qual = self._module_funcs.get((src, name))
-                        if qual is None and src in {
-                            f.module for f in self.functions.values()
-                        }:
-                            qual = None
             if qual is None:
                 # class instantiation: Name matching a known class resolves
                 # to its __init__
@@ -277,6 +275,35 @@ def build_callgraph(paths: Iterable[Union[str, Path]]) -> CallGraph:
                 continue
             graph.add_module(file, source)
     return graph
+
+
+def strongly_connected(edges: Dict[str, Sequence[str]]) -> List[List[str]]:
+    """The strongly connected components of a call graph, callees before
+    callers (Tarjan's algorithm; the recursion is as deep as the longest
+    acyclic call chain)."""
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    stack: List[str] = []
+    out: List[List[str]] = []
+
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        for nxt in edges.get(node, ()):
+            if nxt not in index:
+                visit(nxt)
+                low[node] = min(low[node], low[nxt])
+            elif nxt in stack:
+                low[node] = min(low[node], index[nxt])
+        if low[node] == index[node]:
+            cut = stack.index(node)
+            out.append(stack[cut:])
+            del stack[cut:]
+
+    for node in edges:
+        if node not in index:
+            visit(node)
+    return out
 
 
 def default_roots() -> Sequence[Path]:

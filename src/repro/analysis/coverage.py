@@ -105,6 +105,21 @@ def _declared_sites(result: AnalysisResult, sites_module) -> Set[str]:
     return declared
 
 
+def _aggregate(records, sites_of, registered):
+    """(key, registered sites, roots, first record with none) per unique
+    key of ``records``, in key order: one entry over every call chain."""
+    by_key: Dict[tuple, list] = {}
+    for rec in records:
+        entry = by_key.setdefault(rec.key(), [set(), set(), None])
+        entry[1].add(rec.root)
+        good = [s for s in sites_of(rec) if s in registered]
+        entry[0].update(good)
+        if not good and entry[2] is None:
+            entry[2] = rec      # witness of the uncovered chain
+    return [(key, tuple(sorted(by_key[key][0])), tuple(sorted(by_key[key][1])),
+             by_key[key][2]) for key in sorted(by_key)]
+
+
 def prove_coverage(result: AnalysisResult, sites_module=None,
                    check_anchors: bool = True) -> CoverageReport:
     """Check every discovered window and retire for site coverage, and
@@ -114,30 +129,15 @@ def prove_coverage(result: AnalysisResult, sites_module=None,
     registered = sites_module.all_sites()
     findings: List[DataflowFinding] = []
 
-    # -- windows -------------------------------------------------------------
-    by_key: Dict[Tuple[str, int, str, int], dict] = {}
-    for rec in result.path_records:
-        entry = by_key.setdefault(rec.key(), {
-            "sites": set(), "roots": set(), "bare": None,
-        })
-        entry["roots"].add(rec.root)
-        good = [s for s in rec.sites if s in registered]
-        entry["sites"].update(good)
-        if not good and entry["bare"] is None:
-            entry["bare"] = rec       # witness of the uncovered chain
     windows: List[WindowReport] = []
-    for key in sorted(by_key):
-        entry = by_key[key]
-        bare = entry["bare"]
-        covered = bare is None
+    for key, sites, roots, bare in _aggregate(
+            result.path_records, lambda rec: rec.sites, registered):
         first_dirty = f"{Path(key[0]).name}:{key[1]}"
-        publish = f"{Path(key[2]).name}:{key[3]}"
         windows.append(WindowReport(
-            first_dirty=first_dirty, publish=publish,
-            sites=tuple(sorted(entry["sites"])), covered=covered,
-            roots=tuple(sorted(entry["roots"])),
+            first_dirty=first_dirty, publish=f"{Path(key[2]).name}:{key[3]}",
+            sites=sites, covered=bare is None, roots=roots,
         ))
-        if not covered:
+        if bare is not None:
             findings.append(DataflowFinding(
                 rule="uncovered-path", path=key[2], line=key[3],
                 message=(
@@ -151,29 +151,13 @@ def prove_coverage(result: AnalysisResult, sites_module=None,
                 chain=bare.publish.chain,
             ))
 
-    # -- retires -------------------------------------------------------------
-    retire_by_key: Dict[Tuple[str, int], dict] = {}
-    for rec in result.retire_records:
-        entry = retire_by_key.setdefault(rec.key(), {
-            "sites": set(), "roots": set(), "bare": None,
-        })
-        entry["roots"].add(rec.root)
-        good = [s for s in rec.sites_before if s in registered]
-        entry["sites"].update(good)
-        if not good and entry["bare"] is None:
-            entry["bare"] = rec
     retires: List[Dict[str, object]] = []
-    for key in sorted(retire_by_key):
-        entry = retire_by_key[key]
-        bare = entry["bare"]
-        covered = bare is None
+    for key, sites, roots, bare in _aggregate(
+            result.retire_records, lambda rec: rec.sites_before, registered):
         where = f"{Path(key[0]).name}:{key[1]}"
-        retires.append({
-            "retire": where, "covered": covered,
-            "sites": sorted(entry["sites"]),
-            "roots": sorted(entry["roots"]),
-        })
-        if not covered:
+        retires.append({"retire": where, "covered": bare is None,
+                        "sites": list(sites), "roots": list(roots)})
+        if bare is not None:
             findings.append(DataflowFinding(
                 rule="uncovered-retire", path=key[0], line=key[1],
                 message=(

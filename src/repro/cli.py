@@ -12,8 +12,9 @@
 Every command prints the same tables the benchmark suite asserts on.
 ``analyze`` and ``chaos`` exit non-zero on any finding, so CI can gate
 on them.  ``analyze --static`` is the one AST analysis: every static rule
-along inlined call chains, and the crash-site coverage proof over the same
-result; bare ``analyze`` runs it, the ordering trace and the site sweep.
+over per-function effect summaries composed along the call graph, and the
+crash-site coverage proof over the same result; bare ``analyze`` runs it,
+the ordering trace and the site sweep.
 ``chaos`` has one mode: every seeded schedule draws from one event pool
 (kills, partitions, loss bursts, torn migrations, NVBM media faults,
 mid-drain pipeline kills); ``--break-acks`` is its self-test.
@@ -211,11 +212,8 @@ def _baseline_diff(baseline_path: str, fingerprints: List[str]) -> List[dict]:
     return rows
 
 
-def _export_metrics(sections: dict, out_path: str,
-                    static_stats: Optional[dict] = None) -> None:
-    """Export finding counts as obs metrics (one counter per section/rule),
-    and the static pass's ``roots``/``frames``/``budget_exhausted`` as
-    ``analysis.static.*`` counters.
+def _export_metrics(sections: dict, out_path: str) -> None:
+    """Export finding counts as obs metrics (one counter per section/rule).
 
     The analyzer is offline — there is no simulated clock — so samples carry
     ``updated_ns == 0``; CI dashboards key on the label set, not the stamp.
@@ -223,8 +221,6 @@ def _export_metrics(sections: dict, out_path: str,
     from repro.obs import MetricsRegistry
 
     reg = MetricsRegistry()
-    for name, value in (static_stats or {}).items():
-        reg.counter(f"analysis.static.{name}").inc(value)
     for name, rows in sections.items():
         if name == "sweep":
             reg.counter("analysis.sweep.sites").inc(len(rows))
@@ -261,7 +257,6 @@ def _cmd_analyze(args) -> int:
     sections = {}
     ok = True
     coverage_summary = None
-    static_stats = None
     epoch_count = None
 
     if args.static or run_all:
@@ -272,7 +267,6 @@ def _cmd_analyze(args) -> int:
         sections["static"] = result.finding_rows()
         sections["coverage"] = report.finding_rows()
         coverage_summary = report.summary()
-        static_stats = result.stats
         gated = result.findings + report.findings
         if args.baseline:
             diff = _baseline_diff(args.baseline,
@@ -299,11 +293,10 @@ def _cmd_analyze(args) -> int:
         ok = ok and all(o.ok for o in outcomes)
 
     if args.metrics_out:
-        _export_metrics(sections, args.metrics_out, static_stats)
+        _export_metrics(sections, args.metrics_out)
 
     if args.json:
-        stats = {"static": static_stats} if static_stats else None
-        print(render_json(sections, ok, stats=stats))
+        print(render_json(sections, ok))
         return 0 if ok else 1
 
     if "static" in sections:
@@ -317,9 +310,7 @@ def _cmd_analyze(args) -> int:
             for r in rows:
                 print(f"  {r['path']}:{r['line']}: {r['message']}")
         verdict = f"{len(rows)} finding(s)" if rows else "clean (0 findings)"
-        print(f"static: {verdict}; {static_stats['roots']} roots, "
-              f"{static_stats['frames']} frames, budget_exhausted "
-              f"{static_stats['budget_exhausted']}")
+        print(f"static: {verdict}")
     if "coverage" in sections:
         rows = sections["coverage"]
         if rows:

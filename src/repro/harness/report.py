@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import json
 import numbers
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Sequence
 
 #: Version tag of the benchmark envelope (see docs/observability.md).
 BENCH_SCHEMA = "repro-bench/v1"
@@ -69,27 +69,22 @@ def seconds(ns: float) -> float:
 
 
 def json_payload(sections: Dict[str, Iterable[Dict[str, Any]]],
-                 ok: bool, stats: Optional[Dict[str, Any]] = None
-                 ) -> Dict[str, Any]:
+                 ok: bool) -> Dict[str, Any]:
     """Normalise analysis results into one machine-readable envelope.
 
     ``sections`` maps a section name (e.g. ``"static"``) to dict rows, one
     per finding/outcome.  The envelope carries an overall verdict so CI can
     gate on ``payload["ok"]`` (or the process exit code) alone, and a
     schema tag (:data:`ANALYZE_SCHEMA`) so baseline diffs stay stable
-    across additive field changes.  ``stats``, when given, rides along as
-    report-only counters (the static pass's roots, frames and budget hits).
+    across additive field changes.
     """
     norm = {name: [dict(r) for r in rows] for name, rows in sections.items()}
-    payload = {
+    return {
         "schema": ANALYZE_SCHEMA,
         "ok": bool(ok),
         "sections": norm,
         "counts": {name: len(rows) for name, rows in norm.items()},
     }
-    if stats:
-        payload["stats"] = stats
-    return payload
 
 
 def validate_analyze_envelope(env: Dict[str, Any]) -> List[str]:
@@ -122,8 +117,8 @@ def validate_analyze_envelope(env: Dict[str, Any]) -> List[str]:
 
 
 def render_json(sections: Dict[str, Iterable[Dict[str, Any]]],
-                ok: bool, stats: Optional[Dict[str, Any]] = None) -> str:
-    return json.dumps(json_payload(sections, ok, stats), indent=2,
+                ok: bool) -> str:
+    return json.dumps(json_payload(sections, ok), indent=2,
                       sort_keys=True)
 
 

@@ -3,24 +3,31 @@
 The fixtures package (``tests/analysis/fixtures``) plants one bug per file;
 each detector must fire there — with the call-chain witness naming the
 frames the bug actually flows through — and stay silent on the clean
-variants.  The real tree is then held to the golden standard: zero findings
-and zero uncovered paths at HEAD.
+variants.  ``fixtures/unbounded`` plants the same missing flush past any
+inlining bound — 13 frames deep, behind a 781-frame fan-out, and through
+a mutual recursion — for the summary pass to find.  The real tree is then
+held to the golden standard: zero findings and zero uncovered paths at
+HEAD.
 """
 
+import ast
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from repro.analysis import analyze_paths, prove_coverage
+from repro.analysis.callgraph import strongly_connected
 from repro.analysis.dataflow import DataflowFinding
 
 from tests.analysis.fixtures import FIXTURES_DIR
+from tests.analysis.fixtures.unbounded import UNBOUNDED_DIR
 
 
 @pytest.fixture(scope="module")
 def result():
-    return analyze_paths([FIXTURES_DIR])
+    # the top-level fixtures only: ``fixtures/unbounded`` has its own tests
+    return analyze_paths(sorted(FIXTURES_DIR.glob("*.py")))
 
 
 def _by_rule(result, rule):
@@ -98,6 +105,59 @@ def test_fingerprint_is_line_stable(result):
                               chain=tuple(c.replace(":18", ":58")
                                           for c in f.chain))
     assert shifted.fingerprint() == fp
+
+
+# ------------------------------------------ no bound on depth or fan-out
+
+@pytest.fixture(scope="module")
+def unbounded():
+    return analyze_paths([UNBOUNDED_DIR])
+
+
+def _missing_flush_in(result, name):
+    found = [f for f in _by_rule(result, "missing-flush")
+             if Path(f.path).name == name]
+    assert len(found) == 1, [f.describe() for f in result.findings]
+    return found[0]
+
+
+def test_store_thirteen_frames_down_reaches_its_publish(unbounded):
+    f = _missing_flush_in(unbounded, "deep_chain.py")
+    assert f.line == 61
+    assert f.chain == ("deep_chain.dc_persist (deep_chain.py:59)",)
+    # the store's witness runs the whole chain, 14 frames
+    store_chain = f.message.split("(store via ")[1][:-1].split(" -> ")
+    assert len(store_chain) == 14
+    assert "dc_persist" in store_chain[0]
+    assert store_chain[-1] == "deep_chain.dc_store (at deep_chain.py:12)"
+
+
+def test_store_behind_wide_fanout_reaches_its_publish(unbounded):
+    f = _missing_flush_in(unbounded, "wide_fanout.py")
+    assert f.chain == ("wide_fanout.wf_persist (wide_fanout.py:48)",)
+    assert "wide_fanout.py:45" in f.message
+    assert "wf_store (at wide_fanout.py:50)" in f.message
+
+
+def test_mutual_recursion_reaches_its_fixpoint(unbounded):
+    # the pair is one component, summarised to a fixpoint (the pass
+    # returned, so the iteration terminated)
+    graph = unbounded.graph
+    edges = {qual: [callee.qualname
+                    for call in ast.walk(info.node)
+                    if isinstance(call, ast.Call)
+                    for callee in graph.resolve_call(info, call)]
+             for qual, info in graph.functions.items()}
+    assert ["mutual_recursion.mr_ping", "mutual_recursion.mr_pong"] in [
+        sorted(c) for c in strongly_connected(edges)]
+    f = _missing_flush_in(unbounded, "mutual_recursion.py")
+    assert f.line == 18
+    # ping's second call to pong publishes the store its first call made
+    assert "mr_ping" in f.chain[0]
+    assert f.chain[-1] == \
+        "mutual_recursion.mr_pong (at mutual_recursion.py:12)"
+    assert "mutual_recursion.py:14" in f.message
+    assert [g.rule for g in unbounded.findings] == ["missing-flush"] * 3
 
 
 # ------------------------------------------------------- coverage prover

@@ -12,7 +12,7 @@ from repro.octree.tree import PointerOctree
 @pytest.fixture(scope="session")
 def repo_analysis():
     """The static pass over the real ``src/repro`` tree, computed once per
-    session (~20 s): the dataflow verdict tests and the CLI ``--static``
+    session (~1 s): the dataflow verdict tests and the CLI ``--static``
     tests read the same result."""
     from repro.analysis import analyze_repo
 

@@ -52,7 +52,11 @@
 * one static pass: ``analysis/pmlint.py`` stays gone, ``def _classify``
   occurs once under ``src/repro/analysis``, the retired
   ``allow-direct-write`` pragma is nowhere in ``src``, and ``analyze`` has
-  no ``--interprocedural``/``--coverage`` flag.
+  no ``--interprocedural``/``--coverage`` flag.  Nor does the pass bound
+  its reach: no frame budget, depth cap or truncation counter
+  (``FRAME_BUDGET``, ``MAX_INLINE_DEPTH``, ``budget_exhausted``,
+  ``analysis.static.*``) in ``src``, ``docs``, ``.github`` or the verify
+  skill.
 """
 
 import ast
@@ -391,3 +395,12 @@ def test_one_static_pass():
     assert len(classify) == 1, classify
     assert not _offenders(re.compile(r"allow-direct-write"))
     assert not _offenders(re.compile(r"--interprocedural|--coverage\b"))
+    bounds = re.compile(r"FRAME_BUDGET|MAX_INLINE_DEPTH|budget_exhausted"
+                        r"|analysis\.static\.")
+    files = [*SRC_DIR.rglob("*.py"), *(ROOT / "docs").rglob("*"),
+             *(ROOT / ".github").rglob("*"),
+             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+    hits = [f"{path.relative_to(ROOT)}: {m.group(0)}"
+            for path in files if path.is_file()
+            for m in bounds.finditer(path.read_text())]
+    assert not hits, hits
