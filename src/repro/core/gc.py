@@ -49,10 +49,6 @@ class GCResult:
     marked: int
     swept: int
 
-    @property
-    def reclaimed(self) -> int:
-        return self.swept
-
 
 def _mark(pmo: "PMOctree") -> np.ndarray:
     """The slots reachable from the live roots, as a bool mask over the

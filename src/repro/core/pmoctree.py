@@ -29,7 +29,7 @@ from __future__ import annotations
 import struct
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -132,11 +132,8 @@ class PMOctree(C0Placement, LeafSetStructure):
         self.epoch = 1
         self.merging = False
         self.features: List[Predicate] = []
-        #: attached remote replica (§3.4's V^P), shipped to at every persist
-        self.replica = None
-        self.on_replica_ship: Optional[Callable[[int], None]] = None
-        #: attached ReplicaSession; when set, persist ships through the
-        #: acknowledged retry/backoff protocol instead of a direct apply
+        #: attached ReplicaSession (§3.4's remote replica V^P); when set,
+        #: every persist ships through its acknowledged retry/backoff protocol
         self.replicator = None
 
         # volatile acceleration state (rebuilt by recovery)
@@ -582,41 +579,18 @@ class PMOctree(C0Placement, LeafSetStructure):
             # retry/backoff on the sim clock and raises
             # ReplicationTimeoutError if the peer stays unreachable — the
             # local persist already committed.
-            report = self.replicator.ship()
-            if self.on_replica_ship is not None:
-                self.on_replica_ship(report.bytes_shipped)
+            self.replicator.ship()
         if transform:
             detect_and_transform(self)
 
-    def enable_replication(self, replica=None,
-                           on_ship: Optional[Callable[[int], None]] = None):
-        """Turn on remote replication (the §3.4 user-enabled feature): a
-        :class:`~repro.core.replication.ReplicaSession` over a zero-cost
-        :class:`~repro.core.replication.PerfectTransport`.
-
-        ``replica`` defaults to a fresh :class:`~repro.core.replication.
-        ReplicaStore`; ``on_ship`` receives the shipped byte count at each
-        persist so the caller can charge its network model.  Returns the
-        replica for placement on a peer (see ``choose_replica_peer``).
-        """
-        from repro.core.replication import ReplicaSession
-
-        self.on_replica_ship = on_ship
-        return self.attach_replication_session(
-            ReplicaSession(self, replica=replica)).replica
-
-    def attach_replication_session(self, session,
-                                   on_ship: Optional[Callable[[int], None]]
-                                   = None):
-        """Replicate through an acknowledged :class:`ReplicaSession`: every
-        persist runs the sequenced retry/backoff protocol; a persistently
-        unreachable peer surfaces as
-        :class:`~repro.errors.ReplicationTimeoutError` from ``persist()``.
+    def attach_replication_session(self, session):
+        """Turn on remote replication (the §3.4 user-enabled feature)
+        through an acknowledged :class:`ReplicaSession`: every persist runs
+        the sequenced retry/backoff protocol; a persistently unreachable
+        peer surfaces as :class:`~repro.errors.ReplicationTimeoutError`
+        from ``persist()``.  The replica is ``session.replica``.
         """
         self.replicator = session
-        self.replica = session.replica
-        if on_ship is not None:
-            self.on_replica_ship = on_ship
         return session
 
     def gc(self):

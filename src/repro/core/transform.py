@@ -40,10 +40,6 @@ class TransformationResult:
     loaded: List[int] = field(default_factory=list)
     evicted: List[int] = field(default_factory=list)
 
-    @property
-    def transformed(self) -> bool:
-        return bool(self.loaded or self.evicted)
-
 
 def subtree_level(pmo: "PMOctree") -> int:
     """Eq. (1): the level whose subtrees are about C0-sized."""

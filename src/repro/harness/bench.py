@@ -1,6 +1,6 @@
 """The pinned benchmark suite behind ``python -m repro bench``.
 
-Three components run with fixed seeds against the observability layer:
+Five components run with fixed seeds against the observability layer:
 
 * **droplet** — the §5.1 workload on PM-octree with a persist + GC every
   step, reporting simulated makespan, NVBM traffic, COW volume, flush
@@ -9,6 +9,11 @@ Three components run with fixed seeds against the observability layer:
   materialise a replica onto a fresh node.
 * **replication** — the acknowledged delta-shipping protocol over a seeded
   lossy network, reporting shipped bytes, retries and backoff time.
+* **partition** — threshold-gated incremental repartitioning against an
+  eager cut every step, reporting partition share of makespan and migrated
+  bytes per step.
+* **media** — the makespan cost of a quiescent fault model (gated at
+  none), a clean scrub, and the repair of planted media faults.
 
 Every number is a *simulated* quantity (clock ticks, access counts), so the
 resulting :func:`repro.harness.report.bench_envelope` is byte-identical

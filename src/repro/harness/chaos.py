@@ -281,7 +281,6 @@ class _TrialState:
         self.replica_store = None
         self.replica_peer = None
         self.tree.replicator = None
-        self.tree.replica = None
 
 
 def _exercise_migration_kill(cluster, tree, site: str, result) -> None:

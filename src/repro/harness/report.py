@@ -87,35 +87,6 @@ def json_payload(sections: Dict[str, Iterable[Dict[str, Any]]],
     }
 
 
-def validate_analyze_envelope(env: Dict[str, Any]) -> List[str]:
-    """Schema check for an analyze envelope; returns a list of problems."""
-    problems: List[str] = []
-    if not isinstance(env, dict):
-        return ["envelope is not a JSON object"]
-    if env.get("schema") != ANALYZE_SCHEMA:
-        problems.append(
-            f"schema is {env.get('schema')!r}, expected {ANALYZE_SCHEMA!r}"
-        )
-    if not isinstance(env.get("ok"), bool):
-        problems.append("ok is not a boolean")
-    sections = env.get("sections")
-    if not isinstance(sections, dict):
-        problems.append("sections is not an object")
-        return problems
-    for name, rows in sections.items():
-        if not isinstance(rows, list) \
-                or not all(isinstance(r, dict) for r in rows):
-            problems.append(f"section {name!r} is not a list of objects")
-    counts = env.get("counts")
-    if not isinstance(counts, dict):
-        problems.append("counts is not an object")
-    else:
-        for name, rows in sections.items():
-            if counts.get(name) != len(rows):
-                problems.append(f"counts[{name!r}] does not match section")
-    return problems
-
-
 def render_json(sections: Dict[str, Iterable[Dict[str, Any]]],
                 ok: bool) -> str:
     return json.dumps(json_payload(sections, ok), indent=2,

@@ -1,16 +1,15 @@
-"""Record allocators for memory arenas.
+"""The record allocator of a memory arena.
 
-:class:`RecordAllocator` is a plain LIFO free-list allocator.  §3.2's
-deletion optimisation — deleted NVBM octants are only *marked* and their
-slots recycled by GC later — maps to :meth:`RecordAllocator.free` being
-called by the garbage collector, never by the deletion path itself.
+§3.2's deletion optimisation — deleted NVBM octants are only *marked* and
+their slots recycled by GC later — maps to :meth:`RecordAllocator.free`
+being called by the garbage collector, never by the deletion path itself.
 
-LIFO recycling concentrates writes on a few slots, which is exactly wrong
-for a medium with a 1e6-1e8 writes/bit endurance budget (Table 2).
-:class:`WearLevelingAllocator` recycles FIFO instead, rotating allocations
-across the whole slot space so per-cell wear approaches the theoretical
-minimum (total writes / capacity).  The endurance ablation benchmark
-measures the difference.
+The recycling order is data: LIFO by default, FIFO under
+``MemoryArena(wear_leveling=True)``.  LIFO concentrates writes on a few
+slots, which is exactly wrong for a medium with a 1e6-1e8 writes/bit
+endurance budget (Table 2); FIFO rotates allocations across the whole slot
+space so per-cell wear approaches the theoretical minimum (total writes /
+capacity).  The endurance ablation benchmark measures the difference.
 """
 
 from __future__ import annotations
@@ -26,18 +25,25 @@ from repro.errors import InvalidHandleError, OutOfMemoryError
 class RecordAllocator:
     """Allocates integer record indices in ``[0, capacity)``.
 
-    Freed indices are recycled LIFO, which concentrates reuse on a small set
-    of slots; the wear tracker in :class:`repro.nvbm.device.MemoryDevice`
-    makes that policy's endurance cost observable.
+    Freed indices wait in one free deque.  LIFO (``fifo=False``) pops the
+    newest one before touching the bump pointer; FIFO (``fifo=True``) takes
+    never-used bump slots first, then the oldest free one, so over a steady
+    churn of an N-slot working set in a C-slot arena the max per-slot wear
+    approaches total_writes/C instead of total_writes/N (the §1 endurance
+    motivation).  The wear tracker in
+    :class:`repro.nvbm.device.MemoryDevice` makes either order's cost
+    observable.
     """
 
-    def __init__(self, capacity: int, name: str = "arena"):
+    def __init__(self, capacity: int, name: str = "arena",
+                 fifo: bool = False):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
         self.name = name
+        self.fifo = fifo
         self._bump = 0
-        self._free: List[int] = []
+        self._free: Deque[int] = deque()
         self._allocated = np.zeros(capacity, dtype=bool)
         #: the same flags through the buffer protocol: a scalar test or set
         #: is a plain byte access, not a numpy scalar round trip
@@ -61,12 +67,15 @@ class RecordAllocator:
 
     def alloc(self) -> int:
         """Return a fresh record index; raise OutOfMemoryError when full."""
+        free = self._free
         while True:
-            if self._free:
-                idx = self._free.pop()
+            if free and not self.fifo:
+                idx = free.pop()
             elif self._bump < self.capacity:
                 idx = self._bump
                 self._bump += 1
+            elif free:
+                idx = free.popleft()
             else:
                 raise OutOfMemoryError(self.name, self.capacity)
             if idx not in self._retired:
@@ -118,51 +127,3 @@ class RecordAllocator:
         self._free.clear()
         self._allocated[:] = False
         self._retired.clear()
-
-
-class WearLevelingAllocator(RecordAllocator):
-    """FIFO-recycling allocator that spreads writes across all slots.
-
-    Allocation order: unexhausted fresh slots round-robin with the
-    longest-freed slots, so a slot freed now is the *last* candidate for
-    reuse.  Over a steady churn of N-slot working set in a C-slot arena the
-    max per-slot wear approaches total_writes/C instead of
-    total_writes/N — extending device lifetime by ~C/N (the §1 endurance
-    motivation).
-    """
-
-    def __init__(self, capacity: int, name: str = "arena"):
-        super().__init__(capacity, name)
-        self._fifo: Deque[int] = deque()
-
-    def alloc(self) -> int:
-        # prefer never-used slots first: they have zero wear by definition
-        while True:
-            if self._bump < self.capacity:
-                idx = self._bump
-                self._bump += 1
-            elif self._fifo:
-                idx = self._fifo.popleft()
-            else:
-                raise OutOfMemoryError(self.name, self.capacity)
-            if idx not in self._retired:
-                break
-        self._alloc_mv[idx] = True
-        return idx
-
-    def free(self, index: int) -> None:
-        self._validate(index)
-        self._alloc_mv[index] = False
-        self._fifo.append(index)
-
-    def free_many(self, indices: List[int]) -> None:
-        self._allocated[indices] = False
-        self._fifo += indices
-
-    @property
-    def used(self) -> int:
-        return int(self._allocated.sum())
-
-    def reset(self) -> None:
-        super().reset()
-        self._fifo.clear()

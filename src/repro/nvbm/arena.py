@@ -187,13 +187,8 @@ class MemoryArena:
         #: optional ordering observer (see repro.analysis.tracker); checked
         #: on every store/flush/free, None in normal operation.
         self.tracer = None
-        if wear_leveling:
-            from repro.nvbm.allocator import WearLevelingAllocator
-
-            self.allocator = WearLevelingAllocator(capacity_octants,
-                                                   name=self.name)
-        else:
-            self.allocator = RecordAllocator(capacity_octants, name=self.name)
+        self.allocator = RecordAllocator(capacity_octants, name=self.name,
+                                         fifo=wear_leveling)
         self._volatile = spec.volatile
         self._tag = arena_id << _INDEX_BITS
         self._allocated_mv = self.allocator._alloc_mv

@@ -91,6 +91,3 @@ class ClockSnapshot:
     now_ns: float
     by_category: Dict[str, float]
     by_phase: Dict[str, float]
-
-    def elapsed_since(self, earlier: "ClockSnapshot") -> float:
-        return self.now_ns - earlier.now_ns

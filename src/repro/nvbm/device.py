@@ -50,20 +50,6 @@ class DeviceStats:
     lines_read: int = 0
     lines_written: int = 0
 
-    @property
-    def lines_touched(self) -> int:
-        return self.lines_read + self.lines_written
-
-    def merged_with(self, other: "DeviceStats") -> "DeviceStats":
-        return DeviceStats(
-            reads=self.reads + other.reads,
-            writes=self.writes + other.writes,
-            bytes_read=self.bytes_read + other.bytes_read,
-            bytes_written=self.bytes_written + other.bytes_written,
-            lines_read=self.lines_read + other.lines_read,
-            lines_written=self.lines_written + other.lines_written,
-        )
-
 
 class MediaFaultModel:
     """Deterministic, seeded model of NVBM media faults surfacing on read.

@@ -24,7 +24,6 @@ offset bytes field
 from __future__ import annotations
 
 import struct
-import zlib
 from dataclasses import dataclass, field, replace
 from typing import List, Tuple
 
@@ -89,9 +88,10 @@ _EPOCH_STRUCT = struct.Struct("<I")
 
 # -- end-to-end record integrity ---------------------------------------------
 #
-# The 8 pad bytes after the packed struct carry a CRC32 over bytes
-# ``[0, 120)``, written ("sealed") when a record's lines are flushed to the
-# medium and checked on every metered read of a sealed record.  An unsealed
+# A CRC32 over bytes ``[0, 120)`` (everything before :data:`CRC_SPAN`) is
+# computed ("sealed") when a record's lines are flushed to the medium, kept
+# out-of-band by the arena, and checked on every metered read of a sealed
+# record.  An unsealed
 # record (still write-back-cached, or torn by a crash before its sealing
 # flush) carries no integrity claim — recovery never trusts those bytes
 # anyway (they are unreachable from the published root or garbage awaiting
@@ -102,26 +102,6 @@ _EPOCH_STRUCT = struct.Struct("<I")
 #: ``(offset, size)`` of the CRC32 field inside the padded record.
 CRC_SPAN = (_STRUCT.size, 4)
 assert CRC_SPAN[0] + CRC_SPAN[1] <= OCTANT_RECORD_SIZE
-
-_CRC_STRUCT = struct.Struct("<I")
-
-
-def record_crc(data: bytes) -> int:
-    """CRC32 over the covered prefix (everything before the CRC field)."""
-    return zlib.crc32(data[: CRC_SPAN[0]]) & 0xFFFFFFFF
-
-
-def seal_record(data: bytes) -> bytes:
-    """Return ``data`` with its CRC field stamped from the current bytes."""
-    off, size = CRC_SPAN
-    return data[:off] + _CRC_STRUCT.pack(record_crc(data)) + data[off + size:]
-
-
-def verify_record(data: bytes) -> bool:
-    """True iff a sealed record's bytes still match its stamped CRC."""
-    off, size = CRC_SPAN
-    (stored,) = _CRC_STRUCT.unpack(data[off: off + size])
-    return stored == record_crc(data)
 
 
 def child_span(index: int, count: int = 1) -> Tuple[int, int]:
@@ -178,12 +158,6 @@ class OctantRecord:
             self.flags |= FLAG_LEAF
         else:
             self.flags &= ~FLAG_LEAF
-
-    def set_deleted(self, deleted: bool) -> None:
-        if deleted:
-            self.flags |= FLAG_DELETED
-        else:
-            self.flags &= ~FLAG_DELETED
 
     def live_children(self) -> List[int]:
         """Non-null child handles."""

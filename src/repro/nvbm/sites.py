@@ -18,7 +18,6 @@ Tests that need ad-hoc sites can :func:`register` them first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet
 
 # -- copy-on-write ----------------------------------------------------------
@@ -131,72 +130,6 @@ DESCRIPTIONS: Dict[str, str] = {
 }
 
 
-@dataclass(frozen=True)
-class SiteMeta:
-    """Static metadata the coverage prover cross-references.
-
-    ``module`` is the module whose code declares the site (where the
-    ``injector.site(...)`` call lives); ``bracket`` names the protocol
-    window the site tears:
-
-    * ``mutate-publish`` — between the first dirty NVBM store and the
-      root-slot publish that commits it;
-    * ``publish-point`` — inside the persist commit sequence itself;
-    * ``publish-retire`` — between a migration batch's publish and the
-      sender-side retire (including the recovery re-drive);
-    * ``protocol`` — inside a replication message exchange.
-    """
-
-    name: str
-    description: str
-    module: str = ""
-    bracket: str = "mutate-publish"
-
-
-#: name -> static metadata (owning module, expected bracket).
-METADATA: Dict[str, SiteMeta] = {}
-
-
-def _declare(name: str, module: str, bracket: str) -> None:
-    METADATA[name] = SiteMeta(name=name, description=DESCRIPTIONS[name],
-                              module=module, bracket=bracket)
-
-
-for _name, _module, _bracket in (
-    (COW_AFTER_COPY, "repro.core.pmoctree", "mutate-publish"),
-    (MERGE_OCTANT, "repro.core.merge", "mutate-publish"),
-    (MERGE_SUBTREE_DONE, "repro.core.merge", "mutate-publish"),
-    (EVICT_BEGIN, "repro.core.merge", "mutate-publish"),
-    (LOAD_OCTANT, "repro.core.merge", "mutate-publish"),
-    (COARSEN_MID, "repro.core.pmoctree", "mutate-publish"),
-    (PAYLOAD_PARTIAL, "repro.core.pmoctree", "mutate-publish"),
-    (TRANSFORM_MID, "repro.core.transform", "mutate-publish"),
-    (PERSIST_BEGIN, "repro.core.pmoctree", "publish-point"),
-    (PERSIST_BEFORE_FLUSH, "repro.core.pmoctree", "publish-point"),
-    (PERSIST_BEFORE_ROOT_SWAP, "repro.core.pmoctree", "publish-point"),
-    (PERSIST_AFTER_ROOT_SWAP, "repro.core.pmoctree", "publish-point"),
-    (ROOTS_SWAP_MID, "repro.nvbm.arena", "publish-point"),
-    (EPOCH_ENQUEUE_MID, "repro.core.pipeline", "publish-point"),
-    (EPOCH_DRAIN_MID, "repro.core.pipeline", "publish-point"),
-    (EPOCH_COMMIT_PRE_PUBLISH, "repro.core.pipeline", "publish-point"),
-    (EPOCH_OVERLAP_NEXT_STEP, "repro.core.pipeline", "publish-point"),
-    (MIGRATE_PRE_PUBLISH, "repro.parallel.partition", "publish-retire"),
-    (MIGRATE_MID_BATCH, "repro.parallel.partition", "publish-retire"),
-    (MIGRATE_PRE_RETIRE, "repro.parallel.partition", "publish-retire"),
-    (MIGRATE_RECOVER_MID, "repro.parallel.partition", "publish-retire"),
-    (MEDIA_REPAIR_PRE_PUBLISH, "repro.core.recovery", "mutate-publish"),
-    (MEDIA_REPAIR_PRE_RETIRE, "repro.core.recovery", "publish-retire"),
-    (MEDIA_SCRUB_MID, "repro.core.recovery", "mutate-publish"),
-    (REPLICA_BEFORE_PUBLISH, "repro.core.replication", "mutate-publish"),
-    (REPLICA_SHIP_BEFORE_SEND, "repro.core.replication", "protocol"),
-    (REPLICA_SHIP_AFTER_APPLY, "repro.core.replication", "protocol"),
-    (REPLICA_SHIP_BEFORE_ACK, "repro.core.replication", "protocol"),
-    (REPLICA_RESYNC_BEGIN, "repro.core.replication", "protocol"),
-):
-    _declare(_name, _module, _bracket)
-del _name, _module, _bracket
-
-
 def all_sites() -> FrozenSet[str]:
     """The current registry contents (including test-registered names)."""
     return frozenset(DESCRIPTIONS)
@@ -206,22 +139,17 @@ def is_known(name: str) -> bool:
     return name in DESCRIPTIONS
 
 
-def register(name: str, description: str = "ad-hoc site", *,
-             module: str = "", bracket: str = "mutate-publish") -> str:
+def register(name: str, description: str = "ad-hoc site") -> str:
     """Add a site at runtime (for tests and downstream extensions)."""
     if not name or not isinstance(name, str):
         raise ValueError(f"crash-site name must be a non-empty string: {name!r}")
     DESCRIPTIONS.setdefault(name, description)
-    METADATA.setdefault(name, SiteMeta(name=name,
-                                       description=DESCRIPTIONS[name],
-                                       module=module, bracket=bracket))
     return name
 
 
 def unregister(name: str) -> None:
     """Remove a runtime-registered site (tests cleaning up after themselves)."""
     DESCRIPTIONS.pop(name, None)
-    METADATA.pop(name, None)
 
 
 def describe(name: str) -> str:

@@ -28,11 +28,7 @@ from repro.obs.metrics import (  # noqa: F401
 )
 from repro.obs.trace import Span, Tracer  # noqa: F401
 from repro.obs.instrument import (  # noqa: F401
-    observe_arena,
     observe_rig,
-    observe_session,
-    observe_simulation,
-    observe_tree,
     snapshot_clock,
     snapshot_wear,
 )

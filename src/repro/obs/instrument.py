@@ -1,9 +1,9 @@
 """Wiring helpers: attach one Observability to a built rig.
 
 Components expose an optional ``obs`` attachment point (arena/device,
-PM-octree, replication session, simulation driver); these helpers flip them
-all on in one call and snapshot derived state (wear histograms, per-rank
-phase timers) into the registry.
+PM-octree, replication session, simulation driver); :func:`observe_rig`
+flips them all on in one call, and the snapshot helpers record derived
+state (wear histograms, per-rank phase timers) into the registry.
 """
 
 from __future__ import annotations
@@ -13,27 +13,6 @@ from typing import TYPE_CHECKING, Iterable
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.obs import Observability
-
-
-def observe_arena(obs: "Observability", arena) -> None:
-    """Attach counters to one arena and its device."""
-    arena.attach_obs(obs)
-
-
-def observe_tree(obs: "Observability", tree) -> None:
-    """Attach PM-octree counters (no-op for baseline trees)."""
-    if hasattr(tree, "attach_obs"):
-        tree.attach_obs(obs)
-
-
-def observe_session(obs: "Observability", session) -> None:
-    """Attach replication-protocol counters to a ReplicaSession."""
-    session.attach_obs(obs)
-
-
-def observe_simulation(obs: "Observability", sim) -> None:
-    """Attach phase/step spans to a simulation driver."""
-    sim.obs = obs
 
 
 def sim_phase(sim, name: str) -> ExitStack:
@@ -52,15 +31,19 @@ def sim_phase(sim, name: str) -> ExitStack:
 
 def observe_rig(obs: "Observability", *, arenas: Iterable = (),
                 tree=None, session=None, sim=None) -> "Observability":
-    """Attach everything at once; returns ``obs`` for chaining."""
+    """Attach everything at once; returns ``obs`` for chaining.
+
+    Counters go on each arena and its device, on the PM-octree (baseline
+    trees have none), and on the replication session's protocol; the
+    simulation driver gets phase/step spans."""
     for arena in arenas:
-        observe_arena(obs, arena)
-    if tree is not None:
-        observe_tree(obs, tree)
+        arena.attach_obs(obs)
+    if tree is not None and hasattr(tree, "attach_obs"):
+        tree.attach_obs(obs)
     if session is not None:
-        observe_session(obs, session)
+        session.attach_obs(obs)
     if sim is not None:
-        observe_simulation(obs, sim)
+        sim.obs = obs
     return obs
 
 

@@ -95,13 +95,6 @@ class Tracer:
 
     # -- queries -------------------------------------------------------------
 
-    def named(self, name: str) -> List[Span]:
-        return [s for s in self.spans if s.name == name]
-
-    def total_ns(self, name: str) -> float:
-        """Summed duration of all *closed* spans with this name."""
-        return sum(s.duration_ns for s in self.named(name) if not s.open)
-
     def children_of(self, span: Span) -> List[Span]:
         return [s for s in self.spans if s.parent_id == span.span_id]
 

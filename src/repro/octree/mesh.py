@@ -44,18 +44,6 @@ class ExtractedMesh:
     def num_elements(self) -> int:
         return len(self.elements)
 
-    @property
-    def anchored(self) -> Set[int]:
-        return set(self.vertex_ids.values()) - self.dangling
-
-    def vertex_position(self, vid: int) -> Tuple[float, ...]:
-        """Unit-cube coordinates of a vertex id."""
-        for coord, v in self.vertex_ids.items():
-            if v == vid:
-                scale = 1 << self.max_level
-                return tuple(c / scale for c in coord)
-        raise KeyError(f"no vertex {vid}")
-
 
 def _leaf_corners(loc: int, dim: int, max_level: int) -> List[Coord]:
     level = morton.level_of(loc, dim)

@@ -18,7 +18,7 @@ interleave of ``dim`` coordinates in ``[0, 2**L)``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 #: Locational code of the root octant.
 ROOT_LOC = 1
@@ -69,12 +69,6 @@ def ancestor_at(loc: int, dim: int, level: int) -> int:
     if level > own or level < 0:
         raise ValueError(f"no ancestor of level-{own} code at level {level}")
     return loc >> (dim * (own - level))
-
-
-def is_ancestor(a: int, b: int, dim: int) -> bool:
-    """True when ``a`` is a strict ancestor of ``b``."""
-    la, lb = level_of(a, dim), level_of(b, dim)
-    return la < lb and (b >> (dim * (lb - la))) == a
 
 
 @lru_cache(maxsize=1 << 17)
@@ -130,35 +124,6 @@ def neighbor_of(loc: int, dim: int, axis: int, direction: int) -> Optional[int]:
     return sentinel | (bits & ~mask) | moved
 
 
-def neighbors_all(loc: int, dim: int) -> List[int]:
-    """All same-level face/edge/corner neighbors (up to 8 in 2-D, 26 in 3-D).
-
-    This is the search set §5.4 blames for the out-of-core balance cost:
-    a linear octree "needs to search all its 26 neighbors".
-    """
-    level = level_of(loc, dim)
-    base = coords_of(loc, dim)
-    side = 1 << level
-    out = []
-    deltas: Iterator[Tuple[int, ...]]
-    if dim == 2:
-        deltas = ((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1))
-    else:
-        deltas = (
-            (dx, dy, dz)
-            for dx in (-1, 0, 1)
-            for dy in (-1, 0, 1)
-            for dz in (-1, 0, 1)
-        )
-    for delta in deltas:
-        if all(d == 0 for d in delta):
-            continue
-        coords = tuple(b + d for b, d in zip(base, delta))
-        if all(0 <= c < side for c in coords):
-            out.append(loc_from_coords(level, coords, dim))
-    return out
-
-
 def cell_bounds(loc: int, dim: int) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
     """(min, max) corners of the octant in the unit cube."""
     level = level_of(loc, dim)
@@ -192,22 +157,3 @@ def zorder_key(loc: int, dim: int, max_level: int) -> int:
         raise ValueError(f"code level {level} exceeds max_level {max_level}")
     aligned = (loc - (1 << (dim * level))) << (dim * (max_level - level))
     return (aligned << 6) | level  # 6 bits of level break the tie
-
-
-def containing_leaf_path(loc_root: int, target_coords: Sequence[int],
-                         target_level: int, dim: int) -> Iterator[int]:
-    """Yield the codes on the path from ``loc_root`` toward the point.
-
-    The point is the min corner of the (virtual) cell at ``target_level``
-    with ``target_coords``.  Used by point location in trees.
-    """
-    loc = loc_root
-    yield loc
-    root_level = level_of(loc_root, dim)
-    for lvl in range(root_level, target_level):
-        shift = target_level - lvl - 1
-        idx = 0
-        for axis in range(dim):
-            idx |= ((target_coords[axis] >> shift) & 1) << axis
-        loc = child_of(loc, dim, idx)
-        yield loc

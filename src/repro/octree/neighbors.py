@@ -11,9 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterator, List, Optional, Tuple
 
-import numpy as np
-
-from repro.octree import morton, soa
+from repro.octree import morton
 
 if TYPE_CHECKING:  # store builds its loop-backed default on this module
     from repro.octree.store import AdaptiveTree
@@ -79,9 +77,3 @@ def face_neighbor_leaves(tree: AdaptiveTree, loc: int) -> Iterator[Tuple[int, in
                 n = leaf_neighbor(tree, loc, axis, direction)
                 if n is not None and tree.is_leaf(n):
                     yield n, axis, direction
-
-
-def neighbor_level_gap(tree: AdaptiveTree, loc: int) -> int:
-    """Largest |level(loc) - level(neighbor leaf)| over the faces of ``loc``."""
-    gaps = soa.level_gaps(tree.face_neighbors([loc]), [loc], tree.dim)
-    return int(np.abs(gaps).max(initial=0))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.octree import morton
 from repro.octree.store import AdaptiveTree
@@ -21,51 +21,3 @@ def preorder(tree: AdaptiveTree, start: Optional[int] = None) -> Iterator[int]:
             # Reverse so child 0 pops first.
             stack.extend(reversed(morton.children_of(loc, dim)))
 
-
-def postorder(tree: AdaptiveTree, start: Optional[int] = None) -> Iterator[int]:
-    """Depth-first, children before parents (used by restriction sweeps)."""
-    root = start if start is not None else tree.root_loc()
-    stack = [(root, False)]
-    dim = tree.dim
-    while stack:
-        loc, expanded = stack.pop()
-        if not tree.exists(loc):
-            continue
-        if expanded or tree.is_leaf(loc):
-            yield loc
-        else:
-            stack.append((loc, True))
-            stack.extend(
-                (c, False) for c in reversed(morton.children_of(loc, dim))
-            )
-
-
-def leaves_zorder(tree: AdaptiveTree) -> Iterator[int]:
-    """Leaves in space-filling-curve order (partitioning relies on this)."""
-    for loc in preorder(tree):
-        if tree.is_leaf(loc):
-            yield loc
-
-
-def levelorder(tree: AdaptiveTree) -> Iterator[int]:
-    """Breadth-first by level."""
-    from collections import deque
-
-    queue = deque([tree.root_loc()])
-    dim = tree.dim
-    while queue:
-        loc = queue.popleft()
-        if not tree.exists(loc):
-            continue
-        yield loc
-        if not tree.is_leaf(loc):
-            queue.extend(morton.children_of(loc, dim))
-
-
-def foreach_leaf(tree: AdaptiveTree, fn: Callable[[int], None]) -> int:
-    """Apply ``fn`` to every leaf in Z order; returns the leaf count."""
-    n = 0
-    for loc in leaves_zorder(tree):
-        fn(loc)
-        n += 1
-    return n

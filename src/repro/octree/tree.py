@@ -6,9 +6,9 @@ survives a crash.  It doubles as the building block of PM-octree's C0 tree.
 
 Ground truth lives in the arena's packed records — every structural change
 is a record read-modify-write that gets charged to the simulated clock.  A
-*volatile* code→handle index accelerates lookup; it can always be rebuilt
-from the records (:meth:`PointerOctree.rebuild_index`), which is exactly
-what recovery does.
+*volatile* code→handle index accelerates lookup; it is a cache of the
+records (:meth:`PointerOctree.check_record_consistency` checks the two
+agree).
 
 Data batches are the per-octant calls in order, landed as one gather or
 scatter per call: the arena is DRAM (no cache, no seal, no media faults),
@@ -20,7 +20,7 @@ stores land together when it closes (:class:`repro.core.cow.Landing`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Sequence, Set
 
 import numpy as np
 
@@ -146,29 +146,6 @@ class PointerOctree(LeafSetStructure):
         refine_uniform(self, level)
 
     # -- recovery / validation ---------------------------------------------------
-
-    def rebuild_index(self, root_handle: Optional[int] = None) -> None:
-        """Rebuild the volatile index from records, starting at the root.
-
-        ``root_handle`` lets recovery point the tree at a different record
-        (e.g. the persistent V_{i-1} root after a crash).
-        """
-        self._landing.settle()
-        if root_handle is not None:
-            self._root_handle = root_handle
-        self._index.clear()
-        self._leaf_set.clear()
-        stack = [self._root_handle]
-        while stack:
-            handle = stack.pop()
-            rec = self.arena.read_octant(handle)
-            if rec.is_deleted:
-                continue
-            self._index[rec.loc] = handle
-            if rec.is_leaf:
-                self._leaf_set.add(rec.loc)
-            else:
-                stack.extend(rec.live_children())
 
     def check_record_consistency(self) -> None:
         """Verify the volatile index matches the packed records."""

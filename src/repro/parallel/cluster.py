@@ -55,10 +55,6 @@ class SimulatedCluster:
     def nranks(self) -> int:
         return len(self.ranks)
 
-    @property
-    def nnodes(self) -> int:
-        return self.ranks[-1].node + 1
-
     def ranks_on_node(self, node: int) -> List[RankContext]:
         return [r for r in self.ranks if r.node == node]
 

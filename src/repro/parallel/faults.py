@@ -22,7 +22,7 @@ ranks span two groups raise
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.parallel.network import Network
@@ -176,9 +176,6 @@ class FaultyNetwork:
 
     def p2p_ns(self, nbytes: int) -> float:
         return self.base.p2p_ns(nbytes)
-
-    def multi_ns(self, message_bytes) -> float:
-        return self.base.multi_ns(message_bytes)
 
     def collective_ns(self, nbytes: int, nranks: int) -> float:
         return self.base.collective_ns(nbytes, nranks)

@@ -27,13 +27,6 @@ class Network:
         self.bytes_moved += nbytes
         return self.spec.transfer_ns(nbytes)
 
-    def multi_ns(self, message_bytes) -> float:
-        """Cost of one rank issuing several messages back-to-back."""
-        total = 0.0
-        for nbytes in message_bytes:
-            total += self.p2p_ns(nbytes)
-        return total
-
     def collective_ns(self, nbytes: int, nranks: int) -> float:
         """Cost of a tree-based collective carrying ``nbytes`` per stage."""
         if nranks <= 1:

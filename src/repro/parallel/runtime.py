@@ -127,13 +127,6 @@ class RunResult:
     partition_bytes_moved: float = 0.0
     step_reports: list = field(default_factory=list)
 
-    @property
-    def breakdown_percent(self) -> Dict[str, float]:
-        total = sum(self.phase_seconds.values())
-        if total <= 0:
-            return {k: 0.0 for k in self.phase_seconds}
-        return {k: 100.0 * v / total for k, v in self.phase_seconds.items()}
-
 
 def _build_backend(backend: Backend, probe: SimClock, cfg: RunConfig):
     """Instantiate the global tree + its persistence hook on the probe clock."""

@@ -3,9 +3,8 @@
 A :class:`RankContext` bundles what one MPI rank owns: its id, its simulated
 clock, and (filled in by :mod:`repro.parallel.cluster`) its memory arenas.
 The :class:`SimCommunicator` implements the collectives the meshing driver
-needs — barrier, allreduce, allgather, alltoallv — moving Python payloads
-directly (one process) while charging each endpoint's clock with the network
-model.
+needs — barrier and allgather — moving Python payloads directly (one
+process) while charging each endpoint's clock with the network model.
 
 Synchronisation semantics: a collective acts as a barrier.  Every
 participating clock is first advanced to the maximum ``now_ns`` (ranks wait
@@ -17,7 +16,7 @@ makespan the paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Sequence
+from typing import Any, Dict, List, Sequence
 
 from repro.errors import AllRanksDeadError, NetworkPartitionError
 from repro.nvbm.clock import Category, SimClock
@@ -96,24 +95,6 @@ class SimCommunicator:
 
     # -- collectives --------------------------------------------------------------
 
-    def allreduce(self, values: Sequence[Any],
-                  op: Callable[[Any, Any], Any] = lambda a, b: a + b,
-                  nbytes: int = 8) -> Any:
-        """Reduce one value per rank to a single result known by all."""
-        live = self._live()
-        if len(values) != len(live):
-            raise ValueError(
-                f"expected {len(live)} values (one per live rank), got {len(values)}"
-            )
-        self.barrier()
-        cost = self.network.collective_ns(nbytes, len(live))
-        for r in live:
-            r.clock.advance(cost, Category.COMM)
-        acc = values[0]
-        for v in values[1:]:
-            acc = op(acc, v)
-        return acc
-
     def allgather(self, values: Sequence[Any], nbytes_each: int = 8) -> List[Any]:
         """Every rank contributes one value; all ranks see the full list."""
         live = self._live()
@@ -124,36 +105,6 @@ class SimCommunicator:
         for r in live:
             r.clock.advance(cost, Category.COMM)
         return list(values)
-
-    def alltoallv(self, sends: Sequence[Dict[int, Any]],
-                  nbytes_of: Callable[[Any], int]) -> List[Dict[int, Any]]:
-        """Each rank sends a payload dict ``{dst: payload}``.
-
-        Returns per-rank receive dicts ``{src: payload}``.  Each endpoint is
-        charged latency per message plus bytes/bandwidth; self-sends are
-        free.
-        """
-        live = self._live()
-        live_ids = {r.rank for r in live}
-        if len(sends) != len(live):
-            raise ValueError("one send-dict per live rank required")
-        self.barrier()
-        recvs: List[Dict[int, Any]] = [dict() for _ in live]
-        pos = {r.rank: i for i, r in enumerate(live)}
-        for i, (ctx, outbox) in enumerate(zip(live, sends)):
-            for dst, payload in outbox.items():
-                if dst not in live_ids:
-                    raise ValueError(f"rank {ctx.rank} sends to dead/absent rank {dst}")
-                if dst == ctx.rank:
-                    recvs[i][ctx.rank] = payload
-                    continue
-                nbytes = nbytes_of(payload)
-                cost = self.network.p2p_ns(nbytes)
-                ctx.clock.advance(cost, Category.COMM)
-                live[pos[dst]].clock.advance(cost, Category.COMM)
-                recvs[pos[dst]][ctx.rank] = payload
-        self.barrier()
-        return recvs
 
     # -- time accounting -----------------------------------------------------
 

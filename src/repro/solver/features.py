@@ -13,9 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import SolverConfig
-from repro.octree import morton, soa
+from repro.octree import soa
 from repro.octree.refine import Action
-from repro.octree.store import Payload
 from repro.solver.fields import VOF
 from repro.solver.geometry import DropletGeometry
 
@@ -71,9 +70,9 @@ def mixed_cell_feature(dim: int) -> soa.Predicate:
     return fn
 
 
-def octant_work_weight(loc: int, payload: Payload, dim: int,
-                       max_level: int) -> float:
-    """Partition cost weight of one octant.
+def partition_work_weights(lin) -> np.ndarray:
+    """Partition cost weight of each octant of a
+    :class:`~repro.octree.linear.LinearOctree` (curve order preserved).
 
     The weight is the same feature intensity the refine criterion reads —
     §3.3's "no extra programming burden" point again: a mixed cell is where
@@ -81,18 +80,6 @@ def octant_work_weight(loc: int, payload: Payload, dim: int,
     so the weighted SFC cut places fewer interface cells per rank than
     pure-background cells.
     """
-    w = 1.0
-    vof = payload[VOF]
-    if 1e-6 < vof < 1.0 - 1e-6:
-        w += INTERFACE_WORK
-    level = morton.level_of(loc, dim)
-    w += CHURN_WORK * level / max(1, max_level)
-    return w
-
-
-def partition_work_weights(lin) -> np.ndarray:
-    """Vectorised :func:`octant_work_weight` over a
-    :class:`~repro.octree.linear.LinearOctree` (curve order preserved)."""
     n = len(lin)
     if n == 0:
         return np.zeros(0, dtype=np.float64)

@@ -60,14 +60,6 @@ class DropletGeometry:
         return min(1.0, max(0.0, t / self.config.breakup_time))\
             * self.config.perturbation_amplitude
 
-    def column_radius(self, y: float, t: float) -> float:
-        """Jet column radius at height ``y`` (normalised so it never exceeds
-        the nozzle radius)."""
-        cfg = self.config
-        a = self.amplitude(t)
-        phase = 2.0 * math.pi * (y - cfg.jet_speed * t) / cfg.perturbation_wavelength
-        return cfg.nozzle_radius * (1.0 + a * math.cos(phase)) / (1.0 + a)
-
     def has_broken(self, t: float) -> bool:
         return t >= self.config.breakup_time
 

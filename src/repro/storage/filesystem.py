@@ -78,6 +78,3 @@ class SimFileSystem:
         if name not in self._files:
             raise StorageError(f"no such file: {name!r}")
         del self._files[name]
-
-    def listdir(self) -> List[str]:
-        return sorted(self._files)

@@ -1,29 +1,33 @@
-"""Replication integrated into the persist path (the §3.4 user switch)."""
+"""Replication integrated into the persist path (the §3.4 user switch):
+``attach_replication_session`` is the one way to turn it on."""
 
 
 from repro.config import OCTANT_RECORD_SIZE
-from repro.core.replication import ReplicaStore, restore_from_replica
+from repro.core.replication import (
+    ReplicaSession, ReplicaStore, restore_from_replica,
+)
 from repro.nvbm.pointers import NULL_HANDLE
 from repro.octree import morton
 
 
 def test_persist_ships_automatically(rig):
     t = rig.tree
-    shipped = []
-    replica = t.enable_replication(on_ship=shipped.append)
+    session = t.attach_replication_session(ReplicaSession(t))
     for leaf in list(t.leaves()):
         t.refine(leaf)
     t.persist(transform=False)
-    assert shipped == [5 * OCTANT_RECORD_SIZE]
-    assert len(replica.records) == 5
+    assert (session.stats.ships, session.stats.bytes_shipped) \
+        == (1, 5 * OCTANT_RECORD_SIZE)
+    assert len(session.replica.records) == 5
     # a second persist with one change ships only the delta
     t.set_payload(sorted(t.leaves())[0], (1.0, 0, 0, 0))
     t.persist(transform=False)
-    assert shipped[-1] == 2 * OCTANT_RECORD_SIZE  # leaf + root rewritten
+    assert session.stats.ships == 2
+    assert session.stats.bytes_shipped == 7 * OCTANT_RECORD_SIZE  # leaf + root
 
 
 def test_disabled_by_default(rig):
-    assert rig.tree.replica is None
+    assert rig.tree.replicator is None
     rig.tree.refine(morton.ROOT_LOC)
     rig.tree.persist()  # must not try to ship anywhere
 
@@ -33,7 +37,7 @@ def test_replica_recovers_full_simulation_state(rig):
     from repro.solver.simulation import DropletSimulation
 
     t = rig.tree
-    replica = t.enable_replication()
+    replica = t.attach_replication_session(ReplicaSession(t)).replica
     sim = DropletSimulation(
         t, SolverConfig(dim=2, min_level=2, max_level=4, dt=0.01),
         clock=rig.clock, persistence=lambda s: s.tree.persist(),
@@ -58,8 +62,9 @@ def test_replica_recovers_full_simulation_state(rig):
 
 def test_external_replica_object_accepted(rig):
     mine = ReplicaStore()
-    got = rig.tree.enable_replication(replica=mine)
-    assert got is mine
+    session = rig.tree.attach_replication_session(
+        ReplicaSession(rig.tree, replica=mine))
+    assert session.replica is mine
     rig.tree.refine(morton.ROOT_LOC)
     rig.tree.persist(transform=False)
     assert mine.root != NULL_HANDLE

@@ -77,11 +77,3 @@ def test_register_feature(rig):
     fn = soa.per_octant(lambda loc, p: True)
     rig.tree.register_feature(fn)
     assert fn in rig.tree.features
-
-
-def test_gc_result_reclaimed_alias(rig):
-    t = rig.tree
-    t.refine(morton.ROOT_LOC)
-    t.persist(transform=False)
-    res = t.gc()
-    assert res.reclaimed == res.swept

@@ -67,7 +67,7 @@ def test_sample_frequency_reflects_features():
 def test_no_features_no_transformation():
     rig, t = _persisted(levels=3, dram=32)
     res = detect_and_transform(t)
-    assert not res.transformed
+    assert not res.loaded and not res.evicted
     assert t.c0_size() == 0
 
 

@@ -94,27 +94,10 @@ def test_seconds():
 
 
 def test_analyze_envelope_schema_versioned():
-    from repro.harness.report import (
-        ANALYZE_SCHEMA, json_payload, validate_analyze_envelope,
-    )
+    from repro.harness.report import ANALYZE_SCHEMA, json_payload
 
     env = json_payload({"static": [], "coverage": [{"rule": "x"}]}, ok=False)
     assert env["schema"] == ANALYZE_SCHEMA == "repro-analyze/v1"
+    assert env["ok"] is False
+    assert env["sections"] == {"static": [], "coverage": [{"rule": "x"}]}
     assert env["counts"] == {"static": 0, "coverage": 1}
-    assert validate_analyze_envelope(env) == []
-
-
-def test_validate_analyze_envelope_rejects_malformed():
-    from repro.harness.report import json_payload, validate_analyze_envelope
-
-    assert validate_analyze_envelope([]) == ["envelope is not a JSON object"]
-    env = json_payload({"static": []}, ok=True)
-    env["schema"] = "repro-analyze/v999"
-    env["counts"]["static"] = 7
-    problems = validate_analyze_envelope(env)
-    assert any("schema" in p for p in problems)
-    assert any("counts['static']" in p for p in problems)
-    env2 = json_payload({}, ok=True)
-    env2["sections"] = {"bad": [1, 2]}
-    assert any("list of objects" in p
-               for p in validate_analyze_envelope(env2))

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.config import DRAM_SPEC, NVBM_SPEC
 from repro.nvbm.clock import Category, SimClock
-from repro.nvbm.device import DeviceStats, MemoryDevice
+from repro.nvbm.device import MemoryDevice
 
 
 def test_read_write_charge_per_line():
@@ -35,15 +35,6 @@ def test_stats_counters():
     assert dev.stats.writes == 1
     assert dev.stats.bytes_read == 100
     assert dev.stats.bytes_written == 200
-
-
-def test_stats_merged_with():
-    a = DeviceStats(reads=1, writes=2, bytes_read=10, bytes_written=20)
-    b = DeviceStats(reads=3, writes=4, bytes_read=30, bytes_written=40)
-    m = a.merged_with(b)
-    assert (m.reads, m.writes, m.bytes_read, m.bytes_written) == (4, 6, 40, 60)
-    # originals untouched
-    assert a.reads == 1 and b.reads == 3
 
 
 def test_wear_tracking_grows_lazily():

@@ -51,8 +51,8 @@ def _arena(spec, wear_leveling):
 
 
 def _state(arena):
+    # the free deque (either order) is _arena_state's "free"
     return (_arena_state(arena), arena.allocator._allocated.tolist(),
-            list(getattr(arena.allocator, "_fifo", [])),
             list(arena._cdir.items()), list(arena._crows_free),
             arena.tracer.freed)
 

@@ -16,9 +16,6 @@ from repro.nvbm.records import (
     OctantRecord,
     PAYLOAD_SPAN,
     pack_record,
-    record_crc,
-    seal_record,
-    verify_record,
 )
 
 
@@ -74,31 +71,39 @@ def test_wear_max_counts_per_line_writes(nvbm):
         1.0 - 10 / NVBM_SPEC.endurance_writes)
 
 
-# ------------------------------------------------------------ CRC seal helpers
-
-
-def test_seal_and_verify_roundtrip():
-    data = pack_record(_rec(loc=7))
-    sealed = seal_record(data)
-    assert len(sealed) == OCTANT_RECORD_SIZE
-    assert verify_record(sealed)
-    assert sealed[: CRC_SPAN[0]] == data[: CRC_SPAN[0]]
-
-
-def test_verify_detects_any_covered_byte_flip():
-    sealed = seal_record(pack_record(_rec(loc=7)))
-    for off in (0, CRC_SPAN[0] // 2, CRC_SPAN[0] - 1):
-        corrupt = bytearray(sealed)
-        corrupt[off] ^= 0x01
-        assert not verify_record(bytes(corrupt))
-
-
-def test_record_crc_is_stable_and_ignores_crc_field():
-    data = pack_record(_rec(loc=9))
-    assert record_crc(data) == record_crc(seal_record(data))
-
-
 # ----------------------------------------------------- arena-level CRC sealing
+
+
+def test_seal_and_verify_roundtrip(nvbm):
+    h = nvbm.new_octant(_rec(loc=7))
+    idx = index_of(h)
+    assert nvbm._seal[idx] == -1  # write-back cached: no claim yet
+    nvbm.flush()  # sealing point
+    assert nvbm._seal[idx] >= 0
+    assert nvbm.read_octant(h).loc == 7  # the metered read verifies it
+
+
+def test_verify_detects_any_covered_byte_flip(nvbm):
+    for off in (0, CRC_SPAN[0] // 2, CRC_SPAN[0] - 1):
+        h = nvbm.new_octant(_rec(loc=7))
+        nvbm.flush()  # sealing point
+        nvbm._rows[index_of(h), off] ^= 0x01
+        with pytest.raises(MediaError) as ei:
+            nvbm.read(h)
+        assert ei.value.kind == "crc"
+
+
+def test_record_crc_is_stable_and_ignores_crc_field(nvbm):
+    h = nvbm.new_octant(_rec(loc=9))
+    nvbm.flush()
+    idx = index_of(h)
+    seal = int(nvbm._seal[idx])
+    nvbm.write(h, nvbm.read(h))  # the same bytes again
+    nvbm.flush()
+    assert int(nvbm._seal[idx]) == seal
+    off, size = CRC_SPAN
+    nvbm._rows[idx, off:off + size] ^= 0xFF  # outside what the seal covers
+    assert nvbm.read_octant(h).loc == 9
 
 
 def test_backing_corruption_raises_crc_media_error(clock, nvbm):

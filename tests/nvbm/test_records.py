@@ -60,9 +60,6 @@ def test_flag_setters():
     rec = OctantRecord()
     rec.set_leaf(False)
     assert not rec.is_leaf
-    rec.set_deleted(True)
-    assert rec.is_deleted
-    rec.set_deleted(False)
     rec.set_leaf(True)
     assert rec.is_leaf and not rec.is_deleted
 

@@ -1,11 +1,11 @@
-"""Wear-leveling allocator: correctness + endurance benefit."""
+"""FIFO (wear-leveling) recycling: correctness + endurance benefit."""
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.config import NVBM_SPEC
 from repro.errors import InvalidHandleError, OutOfMemoryError
-from repro.nvbm.allocator import WearLevelingAllocator
+from repro.nvbm.allocator import RecordAllocator
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_NVBM
@@ -13,7 +13,7 @@ from repro.nvbm.records import OctantRecord
 
 
 def test_fifo_recycling_rotates_slots():
-    alloc = WearLevelingAllocator(4)
+    alloc = RecordAllocator(4, fifo=True)
     a = alloc.alloc()
     alloc.free(a)
     # fresh slots go first; 'a' comes back only after the arena wraps
@@ -23,7 +23,7 @@ def test_fifo_recycling_rotates_slots():
 
 
 def test_exhaustion_and_validation():
-    alloc = WearLevelingAllocator(2)
+    alloc = RecordAllocator(2, fifo=True)
     a = alloc.alloc()
     alloc.alloc()
     with pytest.raises(OutOfMemoryError):
@@ -35,7 +35,7 @@ def test_exhaustion_and_validation():
 
 
 def test_used_and_free_fraction():
-    alloc = WearLevelingAllocator(8)
+    alloc = RecordAllocator(8, fifo=True)
     idxs = [alloc.alloc() for _ in range(4)]
     assert alloc.used == 4
     alloc.free(idxs[0])
@@ -44,7 +44,7 @@ def test_used_and_free_fraction():
 
 
 def test_reset():
-    alloc = WearLevelingAllocator(4)
+    alloc = RecordAllocator(4, fifo=True)
     a = alloc.alloc()
     alloc.free(a)
     alloc.reset()
@@ -55,7 +55,7 @@ def test_reset():
 @given(ops=st.lists(st.booleans(), max_size=120))
 def test_behaves_like_allocator_property(ops):
     """Same external contract as the base allocator under any op mix."""
-    alloc = WearLevelingAllocator(16)
+    alloc = RecordAllocator(16, fifo=True)
     live = []
     for do_alloc in ops:
         if do_alloc:

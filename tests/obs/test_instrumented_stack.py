@@ -167,14 +167,14 @@ def test_obs_is_invisible_to_the_simulation(driver):
 def test_simulation_spans_nest_under_step(rig):
     obs, clock, dram, nvbm, tree = rig
     _run_droplet(clock, tree, steps=3, obs=obs)
-    steps = obs.tracer.named("sim.step")
+    steps = [s for s in obs.tracer.spans if s.name == "sim.step"]
     assert len(steps) == 3
     for sp in steps:
         child_names = {c.name for c in obs.tracer.children_of(sp)}
         assert {"sim.refine", "sim.balance",
                 "sim.solve", "sim.persist.enqueue"} <= child_names
     # pm.persist nests under the compute-path half of the persist point
-    persists = obs.tracer.named("pm.persist")
+    persists = [s for s in obs.tracer.spans if s.name == "pm.persist"]
     assert persists
     parent_names = {
         next(s.name for s in obs.tracer.spans
@@ -191,7 +191,7 @@ def test_simulation_spans_nest_under_step(rig):
                           persistence=lambda sim_: sim_.tree.persist())
     wave.obs = obs
     wave.step()
-    wave_step = obs.tracer.named("sim.step")[-1]
+    wave_step = [s for s in obs.tracer.spans if s.name == "sim.step"][-1]
     assert {c.name for c in obs.tracer.children_of(wave_step)} \
         == {"sim.refine", "sim.balance", "sim.solve", "sim.persist.enqueue"}
 
@@ -221,7 +221,7 @@ def test_run_parallel_accepts_obs_and_binds_probe_clock():
     assert makespan.value == pytest.approx(result.makespan_s * 1e9)
     # device counters rode along via the resources dict
     assert obs.metrics.total("device.writes") > 0
-    assert obs.tracer.named("parallel.step")
+    assert [s for s in obs.tracer.spans if s.name == "parallel.step"]
     # and the un-observed run still works exactly as before
     result2 = run_parallel(cfg)
     assert result2.makespan_s == pytest.approx(result.makespan_s)

@@ -5,21 +5,21 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.errors import ConsistencyError
 from repro.octree import morton
-from repro.octree.linear import LinearOctree, _fill_interval
+from tests.octree.bottom_up import complete, fill_interval, is_ancestor
 
 
 def test_fill_whole_domain_is_root():
     # level 0: the whole span collapses to the root octant
-    assert _fill_interval(0, 16, 2, 2) == [morton.ROOT_LOC]
+    assert fill_interval(0, 16, 2, 2) == [morton.ROOT_LOC]
 
 
 def test_fill_empty_interval():
-    assert _fill_interval(5, 5, 2, 3) == []
+    assert fill_interval(5, 5, 2, 3) == []
 
 
 def test_fill_unaligned_interval():
     # [1, 4) at max_level 2 (span 16): three level-2 cells? positions 1,2,3
-    out = _fill_interval(1, 4, 2, 2)
+    out = fill_interval(1, 4, 2, 2)
     # position 1 aligned only to 1 -> level-2 cell; [2,4) aligned to 2? 2 %
     # 4 != 0 at k=1 width=4... width at k=1 is 4, 2%4!=0 -> level-2 cells
     assert len(out) == 3
@@ -28,20 +28,20 @@ def test_fill_unaligned_interval():
 
 def test_fill_aligned_block_coarsens():
     # [4, 8) at max_level 2 is exactly one level-1 quadrant
-    out = _fill_interval(4, 8, 2, 2)
+    out = fill_interval(4, 8, 2, 2)
     assert len(out) == 1
     assert morton.level_of(out[0], 2) == 1
 
 
 def test_complete_empty_seed_set_is_root():
-    lin = LinearOctree.complete(2, [])
+    lin = complete(2, [])
     assert list(lin) == [morton.ROOT_LOC]
     lin.validate_complete()
 
 
 def test_complete_single_deep_seed():
     seed = morton.loc_from_coords(3, (5, 2), 2)
-    lin = LinearOctree.complete(2, [seed])
+    lin = complete(2, [seed])
     lin.validate_complete()
     assert lin.contains(seed)
     # minimal: only 3 siblings per ancestor level beyond the seed
@@ -51,7 +51,7 @@ def test_complete_single_deep_seed():
 def test_complete_two_seeds():
     a = morton.loc_from_coords(2, (0, 0), 2)
     b = morton.loc_from_coords(2, (3, 3), 2)
-    lin = LinearOctree.complete(2, [a, b])
+    lin = complete(2, [a, b])
     lin.validate_complete()
     assert lin.contains(a) and lin.contains(b)
 
@@ -60,12 +60,12 @@ def test_complete_rejects_overlapping_seeds():
     parent = morton.loc_from_coords(1, (0, 0), 2)
     child = morton.child_of(parent, 2, 0)
     with pytest.raises(ConsistencyError):
-        LinearOctree.complete(2, [parent, child])
+        complete(2, [parent, child])
 
 
 def test_complete_3d():
     seed = morton.loc_from_coords(2, (1, 2, 3), 3)
-    lin = LinearOctree.complete(3, [seed])
+    lin = complete(3, [seed])
     lin.validate_complete()
     assert lin.contains(seed)
     assert len(lin) == 1 + 7 * 2  # 7 siblings per ancestor level
@@ -107,13 +107,13 @@ def test_complete_properties(dim, data):
         # keep the seed set overlap-free
         ok = all(
             cand != s
-            and not morton.is_ancestor(cand, s, dim)
-            and not morton.is_ancestor(s, cand, dim)
+            and not is_ancestor(cand, s, dim)
+            and not is_ancestor(s, cand, dim)
             for s in seeds
         )
         if ok:
             seeds.add(cand)
-    lin = LinearOctree.complete(dim, seeds, max_level=max_level)
+    lin = complete(dim, seeds, max_level=max_level)
     lin.validate_complete()
     for s in seeds:
         assert lin.contains(s)

@@ -1,5 +1,6 @@
-"""Linear octree tests: ordering, search, splitting, completeness."""
+"""Linear octree tests: ordering, search, slicing, completeness."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConsistencyError
@@ -20,7 +21,7 @@ def test_from_tree_roundtrip(quadtree):
     lin = LinearOctree.from_tree(quadtree)
     assert len(lin) == 7
     assert set(lin) == set(quadtree.leaves())
-    assert lin.payload_of(loc) == (3.0, 1.0, 0.0, 0.0)
+    assert tuple(lin.payloads[lin.index_of(loc)]) == (3.0, 1.0, 0.0, 0.0)
 
 
 def test_sorted_by_zorder(quadtree):
@@ -39,25 +40,6 @@ def test_index_of_and_contains(quadtree):
     assert lin.index_of(absent) == -1
 
 
-def test_payload_of_missing_raises(quadtree):
-    lin = LinearOctree.from_tree(quadtree)
-    with pytest.raises(KeyError):
-        lin.payload_of(morton.loc_from_coords(2, (0, 0), 2))
-
-
-def test_find_enclosing(quadtree):
-    _adaptive_quadtree(quadtree)
-    lin = LinearOctree.from_tree(quadtree)
-    # a virtual deep cell inside the (0,0) quadrant resolves to that leaf
-    deep = morton.loc_from_coords(3, (1, 1), 2)
-    i = lin.find_enclosing(deep)
-    assert i >= 0
-    assert int(lin.locs[i]) == morton.loc_from_coords(1, (0, 0), 2)
-    # exact hit
-    exact = morton.loc_from_coords(1, (0, 0), 2)
-    assert int(lin.locs[lin.find_enclosing(exact)]) == exact
-
-
 def test_validate_complete_accepts_tiling(quadtree):
     _adaptive_quadtree(quadtree)
     lin = LinearOctree.from_tree(quadtree)
@@ -72,44 +54,13 @@ def test_validate_complete_rejects_gap():
         lin.validate_complete()
 
 
-def test_split_ranges_cover_everything(quadtree):
-    quadtree.refine_uniform(3)
-    lin = LinearOctree.from_tree(quadtree)
-    ranges = lin.split_ranges(5)
-    assert len(ranges) == 5
-    assert ranges[0][0] == 0
-    assert ranges[-1][1] == len(lin)
-    for (_a, b), (c, _d) in zip(ranges, ranges[1:]):
-        assert b == c
-    sizes = [b - a for a, b in ranges]
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_split_more_parts_than_leaves(quadtree):
-    lin = LinearOctree.from_tree(quadtree)  # 1 leaf
-    ranges = lin.split_ranges(4)
-    nonempty = [r for r in ranges if r[1] > r[0]]
-    assert len(nonempty) == 1
-
-
-def test_split_rejects_nonpositive(quadtree):
-    lin = LinearOctree.from_tree(quadtree)
-    with pytest.raises(ValueError):
-        lin.split_ranges(0)
-
-
 def test_slice_and_merge_roundtrip(quadtree):
     quadtree.refine_uniform(2)
     lin = LinearOctree.from_tree(quadtree)
-    (a0, a1), (b0, b1) = lin.split_ranges(2)
-    left, right = lin.slice(a0, a1), lin.slice(b0, b1)
-    merged = left.merged_with(right)
-    assert set(merged) == set(lin)
+    half = len(lin) // 2
+    left, right = lin.slice(0, half), lin.slice(half, len(lin))
+    merged = LinearOctree(lin.dim, [*right, *left],
+                          np.vstack([right.payloads, left.payloads]))
+    assert list(merged) == list(lin)
+    assert (merged.payloads == lin.payloads).all()
     merged.validate_complete()
-
-
-def test_merge_dim_mismatch():
-    a = LinearOctree(2, [morton.ROOT_LOC])
-    b = LinearOctree(3, [morton.ROOT_LOC])
-    with pytest.raises(ValueError):
-        a.merged_with(b)

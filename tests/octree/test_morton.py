@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.octree import morton
+from tests.octree.bottom_up import is_ancestor
 
 
 @pytest.mark.parametrize("dim,expected", [(2, 4), (3, 8)])
@@ -73,9 +74,9 @@ def test_ancestor_at_and_is_ancestor():
     loc = morton.loc_from_coords(3, (5, 2), 2)
     anc1 = morton.ancestor_at(loc, 2, 1)
     assert morton.level_of(anc1, 2) == 1
-    assert morton.is_ancestor(anc1, loc, 2)
-    assert not morton.is_ancestor(loc, anc1, 2)
-    assert not morton.is_ancestor(loc, loc, 2)
+    assert is_ancestor(anc1, loc, 2)
+    assert not is_ancestor(loc, anc1, 2)
+    assert not is_ancestor(loc, loc, 2)
     assert morton.ancestor_at(loc, 2, 3) == loc
     with pytest.raises(ValueError):
         morton.ancestor_at(loc, 2, 4)
@@ -105,17 +106,6 @@ def test_neighbor_of_validates():
         morton.neighbor_of(loc, 2, 2, 1)
 
 
-def test_neighbors_all_counts():
-    # interior cell in 2-D has 8 neighbors, corner has 3
-    interior = morton.loc_from_coords(2, (1, 1), 2)
-    assert len(morton.neighbors_all(interior, 2)) == 8
-    corner = morton.loc_from_coords(2, (0, 0), 2)
-    assert len(morton.neighbors_all(corner, 2)) == 3
-    # interior cell in 3-D has 26
-    interior3 = morton.loc_from_coords(2, (1, 1, 1), 3)
-    assert len(morton.neighbors_all(interior3, 3)) == 26
-
-
 def test_cell_geometry():
     loc = morton.loc_from_coords(1, (1, 0), 2)
     lo, hi = morton.cell_bounds(loc, 2)
@@ -143,16 +133,6 @@ def test_zorder_rejects_too_deep():
     loc = morton.loc_from_coords(3, (0, 0), 2)
     with pytest.raises(ValueError):
         morton.zorder_key(loc, 2, 2)
-
-
-def test_containing_leaf_path():
-    target = morton.loc_from_coords(3, (5, 2), 2)
-    path = list(morton.containing_leaf_path(morton.ROOT_LOC, (5, 2), 3, 2))
-    assert path[0] == morton.ROOT_LOC
-    assert path[-1] == target
-    assert len(path) == 4
-    for parent, child in zip(path, path[1:]):
-        assert morton.parent_of(child, 2) == parent
 
 
 @given(

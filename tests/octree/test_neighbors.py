@@ -1,13 +1,13 @@
 """Leaf-neighbor resolution on adaptive (non-uniform) trees."""
 
+import numpy as np
 import pytest
 
-from repro.octree import morton
+from repro.octree import morton, soa
 from repro.octree.neighbors import (
     face_neighbor_leaves,
     finer_face_neighbors,
     leaf_neighbor,
-    neighbor_level_gap,
 )
 
 
@@ -73,15 +73,21 @@ def test_face_neighbor_leaves_enumeration(adaptive):
 
 
 def test_neighbor_level_gap(adaptive):
+    """Largest face level gap of a leaf, read off the face table the way
+    Balance's ``find_violation`` reads it."""
+    def gap(loc):
+        gaps = soa.level_gaps(adaptive.face_neighbors([loc]), [loc], 2)
+        return int(np.abs(gaps).max(initial=0))
+
     fine = morton.loc_from_coords(2, (1, 1), 2)
-    assert neighbor_level_gap(adaptive, fine) == 1
+    assert gap(fine) == 1
     # quadrant (1,1) only touches the refined quadrant at a corner, so its
     # *face* gap is 0
     quadtree_leaf = morton.loc_from_coords(1, (1, 1), 2)
-    assert neighbor_level_gap(adaptive, quadtree_leaf) == 0
+    assert gap(quadtree_leaf) == 0
     # quadrant (1,0) shares a face with the two fine west cells -> gap 1
     east = morton.loc_from_coords(1, (1, 0), 2)
-    assert neighbor_level_gap(adaptive, east) == 1
+    assert gap(east) == 1
 
 
 def test_3d_neighbors(octree3d):

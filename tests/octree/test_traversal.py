@@ -1,13 +1,7 @@
 """Traversal-order tests."""
 
 from repro.octree import morton
-from repro.octree.traversal import (
-    foreach_leaf,
-    leaves_zorder,
-    levelorder,
-    postorder,
-    preorder,
-)
+from repro.octree.traversal import preorder
 
 
 def test_preorder_parent_before_children(quadtree):
@@ -21,38 +15,13 @@ def test_preorder_parent_before_children(quadtree):
     assert len(seen) == quadtree.num_octants()
 
 
-def test_postorder_children_before_parent(quadtree):
-    quadtree.refine_uniform(2)
-    seen = {}
-    for i, loc in enumerate(postorder(quadtree)):
-        seen[loc] = i
-    for loc in seen:
-        if loc != morton.ROOT_LOC:
-            assert seen[morton.parent_of(loc, 2)] > seen[loc]
-    assert len(seen) == quadtree.num_octants()
-
-
 def test_leaves_zorder_is_sorted_by_zkey(quadtree):
     kids = quadtree.refine(morton.ROOT_LOC)
     quadtree.refine(kids[2])
-    leaves = list(leaves_zorder(quadtree))
+    leaves = [loc for loc in preorder(quadtree) if quadtree.is_leaf(loc)]
     assert set(leaves) == set(quadtree.leaves())
     keys = [morton.zorder_key(leaf, 2, 4) for leaf in leaves]
     assert keys == sorted(keys)
-
-
-def test_levelorder_is_monotone_in_level(quadtree):
-    quadtree.refine_uniform(2)
-    levels = [morton.level_of(leaf, 2) for leaf in levelorder(quadtree)]
-    assert levels == sorted(levels)
-
-
-def test_foreach_leaf_counts(quadtree):
-    quadtree.refine_uniform(2)
-    visited = []
-    n = foreach_leaf(quadtree, visited.append)
-    assert n == 16
-    assert len(visited) == 16
 
 
 def test_preorder_subtree_start(quadtree):

@@ -115,19 +115,6 @@ def test_memory_traffic_charged(clock, quadtree):
     assert clock.category_ns(Category.MEM_DRAM) > before
 
 
-def test_rebuild_index_matches(quadtree):
-    quadtree.refine_uniform(2)
-    loc = morton.loc_from_coords(2, (1, 2), 2)
-    quadtree.set_payload(loc, (5.0, 0.0, 0.0, 0.0))
-    index_before = dict(quadtree._index)
-    leaves_before = set(quadtree._leaf_set)
-    quadtree.rebuild_index()
-    assert quadtree._index == index_before
-    assert quadtree._leaf_set == leaves_before
-    assert quadtree.get_payload(loc)[0] == 5.0
-    quadtree.check_record_consistency()
-
-
 def test_record_parent_child_links(quadtree):
     kids = quadtree.refine(morton.ROOT_LOC)
     root_rec = quadtree.get_record(morton.ROOT_LOC)

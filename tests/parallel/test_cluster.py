@@ -48,7 +48,7 @@ def test_kill_node_loses_dram_keeps_persisted_nvbm():
 
 def test_kill_node_hits_every_rank_on_the_node():
     cluster = SimulatedCluster(4, spec=replace(TITAN, cores_per_node=2))
-    assert cluster.nnodes == 2
+    assert [r.node for r in cluster.ranks] == [0, 0, 1, 1]
     assert sorted(cluster.kill_node(1)) == [2, 3]
     assert cluster.ranks[0].alive and cluster.ranks[1].alive
 

@@ -49,15 +49,6 @@ def test_counters():
     assert net.bytes_moved == 100 + 200 + 2 * 8
 
 
-def test_multi_ns_sums():
-    net = Network(GEMINI_SPEC)
-    total = net.multi_ns([100, 200, 300])
-    net2 = Network(GEMINI_SPEC)
-    assert total == pytest.approx(
-        net2.p2p_ns(100) + net2.p2p_ns(200) + net2.p2p_ns(300)
-    )
-
-
 def test_barrier_is_one_small_collective():
     net = Network(GEMINI_SPEC)
     assert net.barrier_ns(16) == pytest.approx(

@@ -22,12 +22,12 @@ import numpy as np
 from repro.config import TITAN
 from repro.errors import ConsistencyError
 from repro.octree import morton
-from repro.octree.linear import LinearOctree
 from repro.parallel.faults import FaultyNetwork, LinkFaults, NetworkFaultPlan
 from repro.parallel.network import Network
 from repro.parallel.partition import repartition
 from repro.parallel.sfc import weighted_cut_indices
 from repro.parallel.simmpi import RankContext, SimCommunicator
+from tests.octree.bottom_up import complete
 
 SEED = 20170806
 TRIALS = 20
@@ -51,7 +51,7 @@ def _random_forest(rng, dim=2, max_level=4):
             coords = tuple(rng.randrange(1 << level) for _ in range(dim))
             seeds.add(morton.loc_from_coords(level, coords, dim))
         try:
-            lin = LinearOctree.complete(dim, seeds, max_level=max_level)
+            lin = complete(dim, seeds, max_level=max_level)
         except ConsistencyError:
             continue
         # give every leaf a distinct payload so tearing is detectable

@@ -32,11 +32,6 @@ def test_all_backends_run(backend):
     assert "solve" in res.phase_seconds
 
 
-def test_breakdown_percent_sums_to_100():
-    res = _run()
-    assert sum(res.breakdown_percent.values()) == pytest.approx(100.0)
-
-
 def test_out_of_core_slowest_in_core_fastest():
     times = {b: _run(backend=b).makespan_s for b in Backend}
     assert times[Backend.IN_CORE] < times[Backend.PM_OCTREE]

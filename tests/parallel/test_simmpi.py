@@ -36,59 +36,15 @@ def test_barrier_charges_wait_as_comm():
     assert ranks[1].clock.category_ns(Category.COMM) >= 500.0
 
 
-def test_allreduce_sum():
-    comm, _ = _comm(4)
-    assert comm.allreduce([1, 2, 3, 4]) == 10
-
-
-def test_allreduce_custom_op():
-    comm, _ = _comm(3)
-    assert comm.allreduce([5, 9, 2], op=max) == 9
-
-
-def test_allreduce_validates_arity():
-    comm, _ = _comm(3)
-    with pytest.raises(ValueError):
-        comm.allreduce([1, 2])
-
-
 def test_allgather():
     comm, _ = _comm(3)
     assert comm.allgather(["a", "b", "c"]) == ["a", "b", "c"]
 
 
-def test_alltoallv_delivery():
-    comm, _ = _comm(3)
-    sends = [
-        {1: "r0->r1", 2: "r0->r2"},
-        {0: "r1->r0"},
-        {2: "self"},
-    ]
-    recvs = comm.alltoallv(sends, nbytes_of=lambda s: len(s))
-    assert recvs[1][0] == "r0->r1"
-    assert recvs[2][0] == "r0->r2"
-    assert recvs[0][1] == "r1->r0"
-    assert recvs[2][2] == "self"
-
-
-def test_alltoallv_charges_both_endpoints():
-    comm, ranks = _comm(2)
-    comm.alltoallv([{1: "x" * 1000}, {}], nbytes_of=len)
-    # both endpoints saw comm time beyond the barrier cost
-    assert ranks[0].clock.category_ns(Category.COMM) > 0
-    assert ranks[1].clock.category_ns(Category.COMM) > 0
-
-
-def test_alltoallv_to_unknown_rank_rejected():
-    comm, _ = _comm(2)
-    with pytest.raises(ValueError):
-        comm.alltoallv([{5: "x"}, {}], nbytes_of=len)
-
-
 def test_single_rank_collectives_are_cheap():
     comm, ranks = _comm(1)
     comm.barrier()
-    assert comm.allreduce([7]) == 7
+    assert comm.allgather([7]) == [7]
     assert ranks[0].clock.now_ns == 0.0  # log2(1) == 0 stages
 
 
@@ -110,7 +66,7 @@ def test_phase_breakdown_is_max_over_ranks():
 def test_dead_ranks_excluded():
     comm, ranks = _comm(3)
     ranks[1].alive = False
-    assert comm.allreduce([1, 1]) == 2  # only two live ranks contribute
+    assert comm.allgather([1, 1]) == [1, 1]  # only two live ranks contribute
 
 
 def test_all_ranks_dead_is_typed():
@@ -123,11 +79,7 @@ def test_all_ranks_dead_is_typed():
     with pytest.raises(AllRanksDeadError):
         comm.makespan_ns()
     with pytest.raises(AllRanksDeadError):
-        comm.allreduce([])
-    with pytest.raises(AllRanksDeadError):
         comm.allgather([])
-    with pytest.raises(AllRanksDeadError):
-        comm.alltoallv([], nbytes_of=len)
 
 
 def _faulty_comm(n, plan):
@@ -145,7 +97,7 @@ def test_barrier_across_partition_raises():
     assert exc.value.groups == ((0, 1), (2, 3))
     # collectives funnel through the barrier, so they refuse too
     with pytest.raises(NetworkPartitionError):
-        comm.allreduce([1, 1, 1, 1])
+        comm.allgather([1, 1, 1, 1])
     w.heal(max(r.clock.now_ns for r in ranks))
     comm.barrier()  # healed: business as usual
 
@@ -159,4 +111,4 @@ def test_partition_of_dead_ranks_does_not_block():
     # the unreachable side is dead, not partitioned-away: the survivors
     # form one component and the collective proceeds
     comm.barrier()
-    assert comm.allreduce([1, 1]) == 2
+    assert comm.allgather([1, 1]) == [1, 1]

@@ -29,14 +29,6 @@ def test_amplitude_grows_to_config_max(geo):
     )
 
 
-def test_column_radius_bounded(geo):
-    cfg = geo.config
-    for t in (0.0, 0.2, 0.5):
-        for y in np.linspace(0, 1, 31):
-            r = geo.column_radius(float(y), t)
-            assert 0.0 < r <= cfg.nozzle_radius + 1e-12
-
-
 def test_axis_liquid_column(geo):
     t = 0.2
     assert geo.is_liquid((0.5, 0.05), t)  # on the axis, below the tip

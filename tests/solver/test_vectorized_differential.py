@@ -52,8 +52,7 @@ from repro.nvbm.clock import SimClock
 from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree import morton
-from repro.octree.balance import balance_tree, find_violation
-from repro.octree.neighbors import neighbor_level_gap
+from repro.octree.balance import balance_tree, find_violation, is_balanced
 from repro.octree.tree import PointerOctree
 from repro.parallel.runtime import Backend, RunConfig, run_parallel
 from repro.solver.fields import VOF, count_droplets
@@ -424,10 +423,6 @@ def _recording(tree):
     return calls
 
 
-def _gap_max(tree) -> int:
-    return max(neighbor_level_gap(tree, loc) for loc in tree.leaves())
-
-
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("max_level", [None, 3, 5])
 @pytest.mark.parametrize("seed", range(4))
@@ -438,7 +433,7 @@ def test_balance_refine_sequence_matches_oracle(dim, max_level, seed):
     tree_v, _ = _random_tree(dim, seed, splits=25)
     tree_s, _ = _random_tree(dim, seed, splits=25)
     assert find_violation(tree_v) == scalar_kernels.find_violation(tree_v)
-    assert _gap_max(tree_v) >= 2
+    assert not is_balanced(tree_v)
     calls_v, calls_s = _recording(tree_v), _recording(tree_s)
     assert balance_tree(tree_v, max_level=max_level) \
         == scalar_kernels.balance_tree(tree_s, max_level=max_level)

@@ -134,7 +134,9 @@ def _single_rank_final(steps):
     for _ in range(steps):
         sim.step()
     lin = LinearOctree.from_tree(tree)
-    return _canonical(lin.locs, lin.payload_of)
+    payload_of = {int(loc): tuple(row) for loc, row in zip(lin.locs,
+                                                           lin.payloads)}
+    return _canonical(lin.locs, payload_of.__getitem__)
 
 
 def _distributed_final(nranks, steps, threshold=1.01):

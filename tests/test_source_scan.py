@@ -57,9 +57,15 @@
   (``FRAME_BUDGET``, ``MAX_INLINE_DEPTH``, ``budget_exhausted``,
   ``analysis.static.*``) in ``src``, ``docs``, ``.github`` or the verify
   skill.
+* ``src`` keeps only code that runs outside its tests: every public
+  function, class, method and property has a use in ``src`` outside its
+  own body or in ``bench``/``benchmarks``/``examples``/``tests/oracles``,
+  except a short allowlist of invariant checkers, test hooks and
+  read-only introspection, each with its reason.
 """
 
 import ast
+import collections
 import importlib
 import pathlib
 import re
@@ -404,3 +410,109 @@ def test_one_static_pass():
             for path in files if path.is_file()
             for m in bounds.finditer(path.read_text())]
     assert not hits, hits
+
+
+# ------------------------------------------------- no test-only surface
+
+#: directories whose code calls ``src`` the way the system does: the
+#: benchmark, the paper's experiments, the examples and the reference bodies
+CALLER_DIRS = ("bench", "benchmarks", "examples", "tests/oracles")
+
+#: ``repro.<module>.<qualname>`` of public definitions only tests call, each
+#: kept on purpose
+TEST_ONLY_ALLOWED = {
+    "repro.octree.store.validate_tree":
+        "invariant checker every structure test leans on",
+    "repro.octree.linear.LinearOctree.validate_complete":
+        "invariant checker for linear octrees",
+    "repro.octree.soa.LeafSetStructure.find_leaf_at":
+        "invariant checker: point location against the leaf set",
+    "repro.nvbm.sites.register":
+        "test hook: plants a site in the process-global registry",
+    "repro.nvbm.sites.unregister":
+        "test hook: removes a planted site again",
+    "repro.nvbm.failure.FailureInjector.armed_sites":
+        "read-only introspection; the alternative is injector._plans",
+    "repro.nvbm.arena.MemoryArena.dirty_records":
+        "read-only introspection; the alternative is the dirty bitmap",
+    "repro.nvbm.allocator.RecordAllocator.is_retired":
+        "read-only introspection; the alternative is the retired set",
+    "repro.analysis.tracker.OrderingTracker.trace_of":
+        "read-only introspection; the alternative is the tracker's log",
+    "repro.analysis.tracker.OrderingTracker.open_epochs":
+        "read-only introspection; the alternative is the open-epoch dict",
+    "repro.core.autotune.autotuned_persistence":
+        "persistence hook of the documented §6 auto-tuner, whose class "
+        "examples/seismic_wave.py runs; the module's future is open",
+}
+
+#: a string constant that may name code: ``getattr(x, "name")``, bench's
+#: ``"repro.core.pmoctree.PMOctree.persist"``, ``"...MemoryArena.*"``
+_IDENT = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*(?:\.\*)?")
+
+
+def _uses(tree: ast.AST) -> "collections.Counter":
+    """Names a piece of code uses: ``Name`` ids, ``Attribute`` attrs, import
+    aliases and the parts of identifier-like string constants (an
+    ``__all__`` list exports names, it does not use them)."""
+    exported = {id(node) for assign in ast.walk(tree)
+                if isinstance(assign, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in assign.targets)
+                for node in ast.walk(assign.value)}
+    used = collections.Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+            if node.asname:
+                used[node.asname] += 1
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in exported and _IDENT.fullmatch(node.value)):
+            used.update(node.value.rstrip(".*").split("."))
+    return used
+
+
+def _public_definitions(path: pathlib.Path, tree: ast.Module):
+    """``(dotted name, node)`` of the module's public functions and classes
+    and of those classes' public methods and properties."""
+    module = ".".join(path.relative_to(SRC_DIR.parent).with_suffix("").parts)
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                or node.name.startswith("_"):
+            continue
+        yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) \
+                        and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def test_src_has_no_test_only_surface():
+    """Every public definition in ``src`` has a caller outside ``tests/``:
+    ``src`` itself (outside the definition's own body) or a directory in
+    :data:`CALLER_DIRS`.  A helper only tests reach is code the system
+    never runs; delete it (and the tests that check only it), or allowlist
+    it with a reason."""
+    modules = {path: ast.parse(path.read_text())
+               for path in sorted(SRC_DIR.rglob("*.py"))}
+    used = collections.Counter()
+    for tree in modules.values():
+        used += _uses(tree)
+    for caller_dir in CALLER_DIRS:
+        for path in sorted((ROOT / caller_dir).rglob("*.py")):
+            used += _uses(ast.parse(path.read_text()))
+    test_only = sorted(
+        dotted for path, tree in modules.items()
+        for dotted, node in _public_definitions(path, tree)
+        if used[node.name] == _uses(node)[node.name])
+    unlisted = [name for name in test_only if name not in TEST_ONLY_ALLOWED]
+    assert not unlisted, (
+        f"{len(unlisted)} public definitions in src have no caller outside "
+        "tests/:\n" + "\n".join(unlisted))
+    stale = sorted(set(TEST_ONLY_ALLOWED) - set(test_only))
+    assert not stale, f"allowlisted but no longer test-only: {stale}"
