@@ -41,7 +41,6 @@ from repro.analysis.tracker import (
     OrderingTracker,
     Violation,
     install_tracker,
-    uninstall_tracker,
 )
 
 __all__ = [
@@ -60,5 +59,4 @@ __all__ = [
     "sweep_all",
     "sweep_site",
     "trace_run",
-    "uninstall_tracker",
 ]

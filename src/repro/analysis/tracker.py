@@ -335,10 +335,3 @@ def install_tracker(*arenas, publish_slots: Sequence[str] = DEFAULT_PUBLISH_SLOT
         arena.tracer = tracker
         arena.roots.tracer = tracker
     return tracker
-
-
-def uninstall_tracker(*arenas) -> None:
-    """Detach any tracker from the given arenas."""
-    for arena in arenas:
-        arena.tracer = None
-        arena.roots.tracer = None

@@ -7,13 +7,8 @@ operations.  Each updates the volatile state (index, leaf set, C0 stats,
 the per-item order, and hands its arena traffic (a volatile record's free
 too) to the tree's :class:`Landing`:
 
-* outside any ``tree.batch()`` scope, and while the tree's
-  ``_cow_record_by_record()`` holds (a crash plan armed on a site the bodies
-  visit, a media fault model that is not quiescent), every read, store and
-  crash site runs at its place: the per-item sequence.  An attached
-  ordering tracer does not force it: ``MemoryArena.write_rows`` reports
-  each handle of a grouped landing to the tracer, and the tree lands a
-  scope before it publishes, flushes or frees;
+* outside any ``tree.batch()`` scope every read, store and crash site runs
+  at its place: the per-item sequence;
 * inside a scope the stores wait, and the epochs the bodies branch on are
   read uncharged (a record allocated in the scope is of the current epoch;
   known items are read ahead, :meth:`Landing.prefetch`) and charged at
@@ -28,7 +23,10 @@ too) to the tree's :class:`Landing`:
 An operation that must see, or must not precede, a pending store lands the
 scope first: reads through the tree, evictions, persist and GC, a store to a
 record a pending refine rewrites, a coarsen of pending children.  Landing
-early is always exact; it only makes the groups smaller.
+early is always exact, so crash plans and media faults need no other path:
+a site visit that would fire (:meth:`Landing.site`) and a read that could
+fail (:func:`read_could_fail`: the epoch, a copy's original, an NVBM
+refine's parent) land the scope, then run at their place.
 docs/performance.md, "One body per mutation", has why.
 """
 
@@ -39,6 +37,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
+from repro.config import OCTANT_RECORD_SIZE
 from repro.errors import ConsistencyError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
@@ -52,20 +51,29 @@ from repro.octree import morton
 SLOT_PREV = "V_prev"
 SLOT_CURR = "V_curr"
 
-#: Crash sites the mutation bodies visit between their per-item stores.
-COW_SITES = (sites.COW_AFTER_COPY, sites.PAYLOAD_PARTIAL, sites.COARSEN_MID)
+
+def read_could_fail(arena: MemoryArena, handles, offset: int = 0,
+                    size: int = OCTANT_RECORD_SIZE) -> bool:
+    """Could a metered read of ``[offset, offset + size)`` of ``handles``
+    fail?  Only while ``arena``'s media fault model is not quiescent, and
+    then ``read_rows(..., charge=False)`` answers: None."""
+    model = arena.device.fault_model
+    return model is not None and not model.quiescent and arena.read_rows(
+        handles, offset, size, charge=False) is None
 
 
 def land_refines(arena: MemoryArena, parents, kids, kid_locs,
-                 epoch: int) -> None:
+                 epoch: int) -> List[int]:
     """The record stores of refining the (in-place writable) leaf records
-    ``parents`` into ``kids`` (``fanout`` per parent, in order): each child
-    a leaf of the given ``epoch`` carrying its parent's payload, each parent
-    an internal octant pointing at its children — the images ``refine``
-    packs, landed as one gather of the parents, one scatter of the children
-    and one of the parents."""
-    fanout = len(kids) // len(parents)
+    ``parents`` into ``kids`` (``fanout`` per parent, in order; None:
+    allocated after the read, as a lone refine does): each child a leaf of
+    the given ``epoch`` carrying its parent's payload, each parent an
+    internal octant pointing at its children — the images ``refine`` packs,
+    landed as one gather of the parents, one scatter of the children and
+    one of the parents.  Returns the children."""
     rows = arena.read_rows(parents)
+    kids = kids or [arena.alloc() for _ in kid_locs]
+    fanout = len(kids) // len(parents)
     recs = as_records(rows)
     kid_rows = np.zeros((len(kids), rows.shape[1]), dtype=np.uint8)
     images = as_records(kid_rows)
@@ -82,22 +90,26 @@ def land_refines(arena: MemoryArena, parents, kids, kid_locs,
     recs["tail"] = 0
     arena.write_rows(kids, 0, kid_rows)
     arena.write_rows(parents, 0, rows)
+    return kids
 
 
 def land_copies(arena: MemoryArena, originals, copies, parents,
-                epoch: int) -> None:
+                epoch: int) -> List[int]:
     """The record stores of copying the records ``originals`` into the
-    fresh ``copies``: each image of the given ``epoch``, its parent pointer
-    the ``parents`` entry at its position where there is one — the images
-    ``copy`` packs, landed as one gather and one scatter."""
+    fresh ``copies`` (None: allocated after the read, as a lone copy does):
+    each image of the given ``epoch``, its parent pointer the ``parents``
+    entry at its position where there is one — the images ``copy`` packs,
+    landed as one gather and one scatter.  Returns the copies."""
     rows = arena.read_rows(originals)
+    copies = copies or [arena.alloc() for _ in originals]
     images = as_records(rows)
     images["epoch"] = epoch
     images["pad"] = 0  # as pack_record writes them
     images["tail"] = 0
     images["parent"][list(parents)] = list(parents.values())
-    # pmlint: allow[bypass-cow]: fresh copies, allocated by Landing.copy
+    # pmlint: allow[bypass-cow]: fresh copies, allocated above or by copy()
     arena.write_rows(copies, 0, rows)
+    return copies
 
 
 def land_coarsens(arena: MemoryArena, parents, fanout: int) -> None:
@@ -116,15 +128,14 @@ def land_coarsens(arena: MemoryArena, parents, fanout: int) -> None:
 class Landing:
     """A tree's landing buffer and its ``batch()`` scope (module docstring).
 
-    ``tree`` needs ``epoch``, ``dim`` and ``_cow_record_by_record()``
-    (asked when the outermost scope opens) and, for the copy-on-write half,
+    ``tree`` needs ``epoch`` and ``dim`` and, for the copy-on-write half,
     ``nvbm``, ``dram``, ``_index``, ``_superseded``, ``_dirty``, ``stats``
     and ``injector``.  It is held weakly: the tree owns its buffer."""
 
     def __init__(self, tree) -> None:
         self.tree = weakref.proxy(tree)
         self.depth = 0
-        #: run every read, store and site at its place
+        #: outside a scope: run every read, store and site at its place
         self.immediate = True
         self._reset()
 
@@ -160,9 +171,8 @@ class Landing:
     # -------------------------------------------------------------- the scope
 
     def __enter__(self) -> "Landing":
-        if not self.depth:
-            self.immediate = self.tree._cow_record_by_record()
         self.depth += 1
+        self.immediate = False
         return self
 
     def __exit__(self, *exc) -> bool:
@@ -185,20 +195,32 @@ class Landing:
                 and self.fresh.keys().isdisjoint(handles)):
             self.land()
 
+    def _landed_before_read(self, arena: MemoryArena, handle: int,
+                            *span: int) -> bool:
+        """If a read of ``handle`` could fail, land the scope now and say
+        so: the read then runs after the stores the per-item sequence makes
+        before it."""
+        could = read_could_fail(arena, [handle], *span)
+        if could:
+            self.land()
+        return could
+
     # ------------------------------------------------------- the primitives
 
     def epoch_of(self, handle: int) -> int:
         """The epoch of the NVBM record ``handle`` — one metered 4-byte
         read."""
-        if self.immediate:
-            return self.tree.nvbm.read_epoch(handle)
+        nvbm = self.tree.nvbm
+        if self.immediate or handle not in self.fresh and \
+                self._landed_before_read(nvbm, handle, *EPOCH_SPAN):
+            return nvbm.read_epoch(handle)
         self.reads += 1
         if handle in self.fresh:
             return self.tree.epoch
         epoch = self.known.get(handle)
         if epoch is None:
             # charged with the scope's other epoch reads when it lands
-            epoch = unpack_epoch(*self.tree.nvbm._load(
+            epoch = unpack_epoch(*nvbm._load(
                 handle, *EPOCH_SPAN, charge=False))
         return epoch
 
@@ -233,11 +255,11 @@ class Landing:
     def copy(self, old: int, parent: int) -> int:
         """A current-epoch copy of the shared NVBM record ``old`` whose
         parent pointer is ``parent`` (a copy made just before) if given."""
-        new = self.tree.nvbm.alloc()
-        if self.immediate:
-            land_copies(self.tree.nvbm, [old], [new],
-                        {0: parent} if parent else {}, self.tree.epoch)
-            return new
+        nvbm = self.tree.nvbm
+        if self.immediate or self._landed_before_read(nvbm, old):
+            return land_copies(nvbm, [old], None, {0: parent} if parent
+                               else {}, self.tree.epoch)[0]
+        new = nvbm.alloc()
         if parent:
             self.parents[len(self.copies)] = parent
         self.originals.append(old)
@@ -303,10 +325,11 @@ class Landing:
         per code of ``child_locs``, allocated in order, each a leaf of the
         tree's epoch carrying the parent's payload; returns the children."""
         self.land_frees(arena)
+        if self.immediate or not arena.spec.volatile and \
+                self._landed_before_read(arena, handle):
+            return land_refines(arena, [handle], None, child_locs,
+                                self.tree.epoch)
         kids = [arena.alloc() for _ in child_locs]
-        if self.immediate:
-            land_refines(arena, [handle], kids, child_locs, self.tree.epoch)
-            return kids
         fresh = self.fresh
         wave = fresh.get(handle, -1) + 1
         try:
@@ -337,11 +360,16 @@ class Landing:
         self.pending.add(handle)
 
     def site(self, name: str) -> None:
-        if self.immediate:
-            self.tree.injector.site(name)
-        else:
-            declared = self.sites
-            declared[name] = declared.get(name, 0) + 1
+        """Visit the crash site ``name``; in a scope the visit waits unless
+        it fires: then the scope lands first, its other visits declared."""
+        injector = self.tree.injector
+        if not self.immediate:
+            count = self.sites.get(name, 0) + 1
+            if injector.visits_before_fire(name, count) == count:
+                self.sites[name] = count
+                return
+            self.land()
+        injector.site(name)
 
     # ------------------------------------------------------- copy-on-write
 

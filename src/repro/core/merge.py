@@ -33,7 +33,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
 
 from repro.core.c0 import C0Stats
-from repro.core.pmoctree import SLOT_CURR, media_faults_possible
+from repro.core.cow import read_could_fail
+from repro.core.pmoctree import SLOT_CURR
 
 
 def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
@@ -63,14 +64,6 @@ _CHUNK = 1024
 _NO_CHILDREN = [NULL_HANDLE] * MAX_CHILDREN
 
 
-def _record_by_record(pmo: "PMOctree") -> bool:
-    """Must the merge visit one record per arena call?  Yes while a crash
-    plan waits between two records, and while a media fault model can fail
-    a read."""
-    return pmo.injector.armed(sites.MERGE_OCTANT) \
-        or media_faults_possible(pmo)
-
-
 def _merge_chunk(pmo: "PMOctree", locs: List[int],
                  merged: Dict[int, int]) -> int:
     """Merge ``locs`` — consecutive postorder visits — into NVBM, filling
@@ -82,7 +75,8 @@ def _merge_chunk(pmo: "PMOctree", locs: List[int],
     detach the origin and declare ``merge.octant`` — with each kind of
     arena access gathered into one call: same values, same allocation and
     cache-directory order, same stats, clock and wear totals.  A chunk of
-    one *is* the per-record sequence.
+    one *is* the per-record sequence: a chunk whose origin was freed, or
+    whose reads could fail, runs as chunks of one.
     """
     nvbm, dim, leaf_set = pmo.nvbm, pmo.dim, pmo._leaf_set
     handles = [pmo._index[loc] for loc in locs]
@@ -96,9 +90,12 @@ def _merge_chunk(pmo: "PMOctree", locs: List[int],
              if origins[i] is not None and loc not in pmo._dirty]
     clean_origins = np.array([origins[i] for i in clean], dtype=np.uint64)
     live = nvbm.contains_mask(clean_origins)
-    if len(locs) > 1 and not live.all():
+    if len(locs) > 1 and (not live.all()
+                          or read_could_fail(pmo.dram, handles)
+                          or read_could_fail(nvbm, clean_origins)):
         # a freed origin's slot may be handed out again by an allocation of
-        # this very chunk: only the visit itself can tell
+        # this very chunk, and a failing read must fail after the visits
+        # before it: only the visit itself can tell
         return sum(_merge_chunk(pmo, [loc], merged) for loc in locs)
     rows = pmo.dram.read_rows(handles)
     #: position in the chunk -> child slots of its (clean, live) origin
@@ -157,10 +154,14 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
     if root_loc not in pmo._c0_roots:
         raise ConsistencyError(f"{root_loc:#x} is not a C0 subtree root")
     locs = _postorder_locs(pmo, root_loc)
-    step = 1 if _record_by_record(pmo) else _CHUNK
     merged: Dict[int, int] = {}
-    written = sum(_merge_chunk(pmo, locs[lo:lo + step], merged)
-                  for lo in range(0, len(locs), step))
+    written = lo = 0
+    while lo < len(locs):
+        # a record visits merge.octant at most once: a firing one ends it
+        step = 1 + pmo.injector.visits_before_fire(sites.MERGE_OCTANT,
+                                                   _CHUNK - 1)
+        written += _merge_chunk(pmo, locs[lo:lo + step], merged)
+        lo += step
     pmo.stats.merges += 1
     pmo.stats.merge_octants_shared += len(merged) - written
     pmo.stats.merge_octants_written += written

@@ -36,7 +36,7 @@ import numpy as np
 from repro.config import PMOctreeConfig
 from repro.core import walks
 from repro.core.c0 import C0Placement, C0Roots, C0Stats
-from repro.core.cow import COW_SITES, SLOT_CURR, SLOT_PREV, Landing
+from repro.core.cow import SLOT_CURR, SLOT_PREV, Landing
 from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
@@ -52,15 +52,6 @@ from repro.octree.soa import LeafSetStructure, Predicate, levels_of_codes
 from repro.octree.store import Payload, ZERO_PAYLOAD
 
 _F64 = struct.Struct("<d")
-
-
-def media_faults_possible(pmo: "PMOctree") -> bool:
-    """Can a metered read of either arena fail?  A media fault model that
-    is not quiescent judges every read at that read's own clock and wear,
-    so a batch that gathers its reads must then read record by record."""
-    return any(arena.device.fault_model is not None
-               and not arena.device.fault_model.quiescent
-               for arena in (pmo.dram, pmo.nvbm))
 
 
 @dataclass
@@ -434,16 +425,6 @@ class PMOctree(C0Placement, LeafSetStructure):
         self._leaf_set.add(loc)
 
     # --------------------------------------------------------------- COW machinery
-
-    def _cow_record_by_record(self) -> bool:
-        """Must a :meth:`batch` scope run every read, store and crash site
-        at its place?  Yes while a crash plan waits on a site between the
-        mutation bodies' stores, and while a media fault can fail a read
-        (:func:`media_faults_possible`).  An ordering tracer needs no
-        such path: it sees a grouped landing's stores one handle each, and
-        the tree lands a scope before it publishes, flushes or frees."""
-        return (any(map(self.injector.armed, COW_SITES))
-                or media_faults_possible(self))
 
     def _detach(self, handle: int) -> None:
         """Record that an NVBM handle left the working version while still

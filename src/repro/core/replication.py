@@ -151,7 +151,8 @@ def compute_delta(pmo: "PMOctree", replica: ReplicaStore
 
 def _record_images(nvbm: MemoryArena, handles) -> Dict[int, bytes]:
     """``handle -> record bytes`` for ``handles``, in order: one metered
-    :meth:`~repro.nvbm.arena.MemoryArena.read` each, as one gather."""
+    whole-record :meth:`~repro.nvbm.arena.MemoryArena.read_field` each,
+    as one gather."""
     blob = nvbm.read_rows(np.array(handles, dtype=np.uint64)).tobytes()
     return {h: blob[i * OCTANT_RECORD_SIZE:(i + 1) * OCTANT_RECORD_SIZE]
             for i, h in enumerate(handles)}

@@ -27,9 +27,7 @@ from repro.nvbm.pointers import (
     arena_of,
     index_of,
     is_dram,
-    is_null,
     is_nvbm,
-    make_handle,
 )
 from repro.nvbm.allocator import RecordAllocator
 from repro.nvbm.arena import MemoryArena, RootSlots
@@ -60,9 +58,7 @@ __all__ = [
     "arena_of",
     "index_of",
     "is_dram",
-    "is_null",
     "is_nvbm",
-    "make_handle",
     "pack_record",
     "unpack_record",
 ]

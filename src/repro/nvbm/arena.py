@@ -491,10 +491,6 @@ class MemoryArena:
         self._cmv[pos:pos + size] = data
         self._dirty_mv[idx] |= ((1 << nlines) - 1) << first
 
-    def read(self, handle: int) -> bytes:
-        """Load a whole record."""
-        return self.read_field(handle, 0, _REC)
-
     def write(self, handle: int, data: bytes) -> None:
         """Store a whole record."""
         if len(data) != _REC:
@@ -563,10 +559,9 @@ class MemoryArena:
                   charge: bool = True) -> Optional[np.ndarray]:
         """Bytes ``[offset, offset + size)`` of many records as an
         ``(n, size) uint8`` array: ``n`` :meth:`read_field` calls (whole
-        records by default: ``n`` :meth:`read` calls).  ``charge=False``
-        is a look-ahead: nothing is charged, and where the per-record
-        sequence would have to run (a read that can fail) the answer is
-        None."""
+        records by default).  ``charge=False`` is a look-ahead: nothing is
+        charged, and where the per-record sequence would have to run (a
+        read that can fail) the answer is None."""
         idx = self._indices(handles)
         whole = offset == 0 and size == _REC
         span = slice(offset, offset + size)

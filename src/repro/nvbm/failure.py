@@ -68,20 +68,13 @@ class CrashPlan:
             if not self.hits or self.hits[0] < 1:
                 raise ValueError("hits must be a non-empty list of ints >= 1")
 
-    def fires_at(self, hit: int) -> bool:
+    def next_fire(self, hit: int) -> Optional[int]:
+        """The first hit after ``hit`` that fires, or None."""
         if self.every_hit:
-            return True
+            return hit + 1
         if self.hits is not None:
-            return hit in self.hits
-        return hit == self.at_hit
-
-    def exhausted_after(self, hit: int) -> bool:
-        """True when no later hit can fire (plan can be dropped)."""
-        if self.every_hit:
-            return False
-        if self.hits is not None:
-            return hit >= self.hits[-1]
-        return hit >= self.at_hit
+            return next((h for h in self.hits if h > hit), None)
+        return self.at_hit if self.at_hit > hit else None
 
 
 class FailureInjector:
@@ -139,29 +132,31 @@ class FailureInjector:
         else:
             self._plans.pop(site, None)
 
-    def armed(self, site: str) -> bool:
-        """True while a crash plan is armed on ``site``: a batch with that
-        site between its records must then run record by record, so the
-        crash still falls between two of them."""
-        return site in self._plans
+    def visits_before_fire(self, name: str, limit: int) -> int:
+        """How many of the next visits of ``name`` pass before one fires,
+        at most ``limit`` — asked, not made: a batch that stands for
+        several visits declares the ones that pass grouped and the one that
+        fires at its place."""
+        plan = self._plans.get(name)
+        if plan is None:
+            return limit
+        hit = self.hits.get(name, 0)
+        fire = plan.next_fire(hit)
+        return limit if fire is None else min(limit, fire - hit - 1)
 
     def site(self, name: str, count: int = 1) -> None:
         """Declare a crash site; raises SimulatedCrash when an armed plan
         fires.  ``count`` declares that many visits in a row — what a batch
-        owes for the per-record visits it stands for: a bare counter bump
-        while nothing is armed on ``name``, the visits one by one (stopping
-        at the one that fires) otherwise."""
-        plan = self._plans.get(name)
-        if plan is None:
-            self.hits[name] = self.hits.get(name, 0) + count
-            return
-        for _ in range(count):
-            hit = self.hits[name] = self.hits.get(name, 0) + 1
-            if plan.fires_at(hit):
-                if plan.exhausted_after(hit):
-                    del self._plans[name]
-                self.fired.append(name)
-                raise SimulatedCrash(name)
+        owes for the per-record visits it stands for, stopping at the one
+        that fires."""
+        passed = self.visits_before_fire(name, count)
+        hit = self.hits[name] = self.hits.get(name, 0) + passed
+        if passed < count:
+            self.hits[name] = hit + 1
+            if self._plans[name].next_fire(hit + 1) is None:
+                del self._plans[name]  # spent
+            self.fired.append(name)
+            raise SimulatedCrash(name)
 
     def reset_hits(self) -> None:
         self.hits.clear()

@@ -24,15 +24,6 @@ _INDEX_BITS = 48
 _INDEX_MASK = (1 << _INDEX_BITS) - 1
 
 
-def make_handle(arena_id: int, index: int) -> int:
-    """Build a handle from an arena tag and a record index."""
-    if arena_id <= 0 or arena_id > 0xFFFF:
-        raise ValueError(f"invalid arena id {arena_id}")
-    if index < 0 or index > _INDEX_MASK:
-        raise ValueError(f"record index out of range: {index}")
-    return (arena_id << _INDEX_BITS) | index
-
-
 def arena_of(handle: int) -> int:
     """Arena tag of a non-null handle."""
     return handle >> _INDEX_BITS
@@ -41,10 +32,6 @@ def arena_of(handle: int) -> int:
 def index_of(handle: int) -> int:
     """Record index of a non-null handle."""
     return handle & _INDEX_MASK
-
-
-def is_null(handle: int) -> bool:
-    return handle == NULL_HANDLE
 
 
 def is_dram(handle: int) -> bool:

@@ -52,11 +52,6 @@ class PointerOctree(LeafSetStructure):
         self._leaf_set: Set[int] = {morton.ROOT_LOC}
         self._landing = Landing(self)
 
-    def _cow_record_by_record(self) -> bool:
-        """Never: no crash site, fault model or tracer watches the in-core
-        tree store by store, so its scopes always land together."""
-        return False
-
     # -- protocol ------------------------------------------------------------
 
     def get_payload(self, loc: int) -> Payload:

@@ -25,7 +25,7 @@ fidelity; see DESIGN.md's substitution table.
 
 from repro.solver.geometry import DropletGeometry
 from repro.solver.fields import FieldView, PRESSURE, U, V, VOF
-from repro.solver.features import interface_band_feature, interface_criterion
+from repro.solver.features import interface_criterion
 from repro.solver.advection import advect_vof, initialize_vof
 from repro.solver.poisson import pressure_solve
 from repro.solver.simulation import DropletSimulation, StepReport
@@ -41,7 +41,6 @@ __all__ = [
     "VOF",
     "advect_vof",
     "initialize_vof",
-    "interface_band_feature",
     "interface_criterion",
     "pressure_solve",
 ]

@@ -28,19 +28,6 @@ INTERFACE_WORK = 4.0
 CHURN_WORK = 1.0
 
 
-def interface_band_feature(geometry: DropletGeometry,
-                           t: float) -> soa.Predicate:
-    """Feature: is this octant in the interface band at time ``t``?
-
-    PM-octree pre-executes this on sampled octants to find hot subtrees.
-    """
-
-    def fn(batch: soa.LeafBatch) -> np.ndarray:
-        return geometry.near_interface_cells(batch.mins, batch.maxs, t)
-
-    return fn
-
-
 def change_feature(geometry: DropletGeometry, t_next: float) -> soa.Predicate:
     """Feature: will the solver *write* this octant next step?
 

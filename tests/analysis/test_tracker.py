@@ -4,7 +4,7 @@ crash-consistency argument says it must, and legitimate persist flows pass."""
 import numpy as np
 import pytest
 
-from repro.analysis import OrderingTracker, install_tracker, uninstall_tracker
+from repro.analysis import OrderingTracker, install_tracker
 from repro.config import DRAM_SPEC, NVBM_SPEC
 from repro.errors import OrderingViolationError
 from repro.nvbm.arena import MemoryArena
@@ -140,13 +140,6 @@ def test_trace_records_event_order(nvbm):
     events = [e.split(":", 1)[1] for e in tracker.trace_of(h)]
     assert events == ["store", "flush", "publish[V_prev]"]
 
-
-def test_uninstall_detaches(nvbm):
-    tracker = install_tracker(nvbm, strict=True)
-    uninstall_tracker(nvbm)
-    h = nvbm.new_octant(_rec())
-    nvbm.roots.set("V_prev", h)  # unobserved: no raise
-    assert tracker.violations == []
 
 
 def test_one_tracker_may_watch_two_arenas(dram, nvbm):

@@ -15,8 +15,11 @@ and row capacity, both allocators, ``_index``/``_leaf_set`` in iteration
 order, ``_origin``/``_dirty``/``_superseded``/``_detached``, every
 ``*Stats``, the ``SimClock`` tables, wear and the injector's hit counts.
 
-While a crash plan is armed on ``cow.after_copy``, ``payload.partial_store``
-or ``coarsen.mid`` (or a media fault can fail a read) a scope runs every read, store and site at its place, so a crash at *any*
+A crash plan armed on ``cow.after_copy``, ``payload.partial_store`` or
+``coarsen.mid`` does not change how a scope lands: the site visit that
+fires lands the scope's pending prefix first, grouped, and then raises; a
+read that could fail (a media fault model that is not quiescent) lands the
+scope first and runs at its place.  So a crash or a media error at *any*
 hit leaves exactly the per-item arena, tears the same lines and recovers
 the same tree.
 """
@@ -335,16 +338,31 @@ def _armed_balance(k: int):
 
 def test_balance_under_an_armed_cow_plan(monkeypatch, landed):
     """Balance's copy-on-write under an armed ``cow.after_copy`` plan: the
-    scope runs store by store, so a crash at any hit of the ripple tears and
-    recovers exactly what the per-item refines leave."""
+    ripple's scope lands grouped — the visit that fires lands the pending
+    prefix, many stores at once, and raises — so a crash at any hit of the
+    ripple tears and recovers exactly what the per-item refines leave."""
     ours, theirs = _armed_balance(10 ** 6)
     _run(monkeypatch, ours, theirs, balance_tree)
     hits = ours.injector.hits[COW_AFTER_COPY]
-    assert hits > 5 and not landed
+    assert hits > 5 and landed == {"__exit__": 1}
+    prefix = []  # items pending when the visit that fires lands them
+    site = Landing.site
+
+    def recording(self, name):
+        pending = len(self.pending)
+        try:
+            site(self, name)
+        except SimulatedCrash:
+            prefix.append(pending)
+            raise
+
+    monkeypatch.setattr(Landing, "site", recording)
     for k in sorted({1, 2, hits // 2, hits - 1, hits}):
         ours, theirs = _armed_balance(k)
+        prefix.clear()
         crash = _run(monkeypatch, ours, theirs, balance_tree)
         assert isinstance(crash, SimulatedCrash), k
+        assert len(prefix) == 1 and (prefix[0] > 1 or k == 1), (k, prefix)
         for rig in (ours, theirs):
             rig.crash(seed=k)
         _agree(ours, theirs)  # the same lines torn
@@ -417,8 +435,9 @@ def test_repeated_crashes_equal_per_item(monkeypatch, site, plan):
 
 def test_rotted_records_raise_as_the_per_item_calls_do(monkeypatch):
     """Three planted rot lines on the path records: the model is not
-    quiescent, so the batch runs item by item and raises at the first
-    rotted read, after exactly the per-item charges."""
+    quiescent, so a read that could fail lands the scope first and runs at
+    its place, and the batch raises at the first rotted read after exactly
+    the per-item charges."""
     ours, theirs = _twins()
     for rig in (ours, theirs):
         model = MediaFaultModel(seed=3)
@@ -428,17 +447,45 @@ def test_rotted_records_raise_as_the_per_item_calls_do(monkeypatch):
             slot = int(rig.nvbm.slots_of(np.array(
                 [t._index[loc]], dtype=np.uint64))[0])
             model.plant_rot(slot * LINES_PER_RECORD)
-        assert t._cow_record_by_record()
     error = _run(monkeypatch, ours, theirs, _ACTS[COW_AFTER_COPY])
     assert isinstance(error, MediaError) and error.kind == "rot"
     assert ours.nvbm.stats.stores > 0  # it was partway through the batch
+
+
+def test_rotted_copy_source_raises_as_the_per_item_calls_do(monkeypatch):
+    """Rot planted past the epoch field: each epoch read passes, and the
+    copy's read of its original is the read that fails — so the copy lands
+    the scope first and raises at its place, not when the scope closes."""
+    ours, theirs = _twins()
+    for rig in (ours, theirs):
+        model = MediaFaultModel(seed=3)
+        rig.nvbm.attach_fault_model(model)
+        t = rig.tree
+        for loc in _leaves(t)[8::12][:3]:
+            slot = int(rig.nvbm.slots_of(np.array(
+                [t._index[loc]], dtype=np.uint64))[0])
+            model.plant_rot(slot * LINES_PER_RECORD + 1)
+    error = _run(monkeypatch, ours, theirs, _ACTS[COW_AFTER_COPY])
+    assert isinstance(error, MediaError) and error.kind == "rot"
+    assert ours.nvbm.stats.stores > 0  # it was partway through the batch
+
+
+@pytest.mark.parametrize("site", sorted(_ACTS))
+def test_rate_driven_faults_equal_per_item(monkeypatch, site):
+    """A rate-driven model judges each read at its own read count: every
+    read in the scope could fail, so each lands the scope first, and the
+    batch fails or finishes exactly where the per-item calls do."""
+    ours, theirs = _twins()
+    for rig in (ours, theirs):
+        rig.nvbm.attach_fault_model(MediaFaultModel(seed=3,
+                                                    transient_rate=0.005))
+    _run(monkeypatch, ours, theirs, _ACTS[site])
 
 
 def test_quiescent_fault_model_keeps_the_batch(monkeypatch, landed):
     ours, theirs = _twins()
     for rig in (ours, theirs):
         rig.nvbm.attach_fault_model(MediaFaultModel(seed=3))
-        assert not rig.tree._cow_record_by_record()
     for act in _ACTS.values():
         _run(monkeypatch, ours, theirs, act)
     assert landed == {"__exit__": 3}
@@ -451,7 +498,6 @@ def test_an_attached_tracer_keeps_the_batch(monkeypatch, landed):
     ours, theirs = _twins()
     trackers = [install_tracker(rig.nvbm, strict=False)
                 for rig in (ours, theirs)]
-    assert not ours.tree._cow_record_by_record()
     for act in _ACTS.values():
         _run(monkeypatch, ours, theirs, act)
     assert landed == {"__exit__": 3}

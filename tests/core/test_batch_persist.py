@@ -11,10 +11,12 @@ medium and in the write-back cache, the cache directory's order, both
 allocators, ``_index``/``_origin``/``_dirty``/``_detached``, every ``*Stats``,
 the ``SimClock`` tables, the wear arrays and the injector's hit counts.
 
-While a crash plan is armed on ``merge.octant`` (or a media fault can fail a
-read) the chunk is one record, so a crash at *any* visit must leave exactly
-the oracle's arena — before and after the torn-line ``crash()`` — and
-recover the same tree.
+A crash plan armed on ``merge.octant`` sizes the chunks so that the visit
+that fires is the last record of its chunk, and a chunk whose reads could
+fail (a media fault model that is not quiescent) runs as chunks of one;
+either way a crash or a media error at *any* visit must leave exactly the
+oracle's arena — before and after the torn-line ``crash()`` — and recover
+the same tree.
 """
 
 import dataclasses
@@ -216,6 +218,20 @@ def _persist(rig: PMRig, use_oracle: bool, monkeypatch):
     return None
 
 
+@pytest.fixture
+def chunks(monkeypatch):
+    """The record count of every chunk the merge moves, in call order."""
+    sizes = []
+    chunk = merge._merge_chunk
+
+    def counting(pmo, locs, merged):
+        sizes.append(len(locs))
+        return chunk(pmo, locs, merged)
+
+    monkeypatch.setattr(merge, "_merge_chunk", counting)
+    return sizes
+
+
 def _visits_of_one_persist(monkeypatch) -> int:
     rig = _grown()
     before = rig.injector.hits.get(MERGE_OCTANT, 0)
@@ -242,11 +258,28 @@ def test_crash_at_every_visit_equals_oracle(monkeypatch):
         _agree(ours, theirs)
 
 
+def test_armed_merge_moves_grouped_chunks(monkeypatch, chunks):
+    """Under ``at_hit=k`` the merge still moves many records per chunk:
+    each chunk holds one record more than the visits that pass before the
+    plan fires, so the first holds ``k`` and only the last visits before
+    the crash go one record at a time."""
+    k = 12
+    ours, theirs = _grown(), _grown()
+    chunks.clear()  # the persists that grew them
+    for rig, use_oracle in ((ours, False), (theirs, True)):
+        rig.injector.reset_hits()
+        rig.injector.arm(MERGE_OCTANT, at_hit=k)
+        assert isinstance(_persist(rig, use_oracle, monkeypatch),
+                          SimulatedCrash)
+    _agree(ours, theirs)
+    assert chunks[0] == k and len(chunks) < sum(chunks) / 2
+
+
 @pytest.mark.parametrize("plan", [dict(hits=[2, 5, 6]), dict(every_hit=True)],
                          ids=["hits-list", "every-hit"])
 def test_repeated_crashes_equal_oracle(monkeypatch, plan):
-    """A plan that outlives its first crash keeps the merge record by
-    record: restore, redo the step, crash again."""
+    """A plan that outlives its first crash keeps sizing the chunks from
+    the visits left: restore, redo the step, crash again."""
     ours, theirs = _grown(), _grown()
     for rig in (ours, theirs):
         rig.injector.reset_hits()
@@ -255,7 +288,7 @@ def test_repeated_crashes_equal_oracle(monkeypatch, plan):
         for rig, use_oracle in ((ours, False), (theirs, True)):
             crash = _persist(rig, use_oracle, monkeypatch)
             assert isinstance(crash, SimulatedCrash)
-            assert rig.injector.armed(MERGE_OCTANT) == (
+            assert (MERGE_OCTANT in rig.injector.armed_sites) == (
                 round_ < 2 or "every_hit" in plan)
         _agree(ours, theirs)
         for rig in (ours, theirs):
@@ -315,15 +348,15 @@ def test_rotted_origins_raise_as_the_oracle_does(monkeypatch):
     assert ours.nvbm.stats.stores > 0  # it was partway through the merge
 
 
-def test_quiescent_fault_model_keeps_the_batch(monkeypatch):
+def test_quiescent_fault_model_keeps_the_batch(monkeypatch, chunks):
     """An attached model with nothing armed or planted cannot fail a read:
     the merge stays chunked, and still equals the oracle."""
     ours, theirs = _grown(), _grown()
     for rig, use_oracle in ((ours, False), (theirs, True)):
         rig.nvbm.attach_fault_model(MediaFaultModel(seed=3))
-        assert not merge._record_by_record(rig.tree)
         assert _persist(rig, use_oracle, monkeypatch) is None
     _agree(ours, theirs)
+    assert chunks and min(chunks) > 1
 
 
 def test_freed_origin_is_judged_at_its_own_visit(monkeypatch):
@@ -347,11 +380,11 @@ def test_bulk_site_visit_is_the_visits_in_order():
     for _ in range(5):
         single.site(MERGE_OCTANT)
     assert bulk.hits == single.hits == {MERGE_OCTANT: 5}
-    assert not bulk.armed(MERGE_OCTANT)
+    assert bulk.armed_sites == []
     bulk.arm(MERGE_OCTANT, at_hit=8)
-    assert bulk.armed(MERGE_OCTANT) and not bulk.armed("persist.begin")
+    assert bulk.armed_sites == [MERGE_OCTANT]
     with pytest.raises(SimulatedCrash):
         bulk.site(MERGE_OCTANT, count=5)
     # stopped at the visit that fired, and the spent plan is gone
     assert bulk.hits[MERGE_OCTANT] == 8
-    assert not bulk.armed(MERGE_OCTANT)
+    assert bulk.armed_sites == []

@@ -27,8 +27,7 @@ from repro.errors import ConsistencyError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.failure import default_injector
-from repro.nvbm.pointers import (ARENA_DRAM, ARENA_NVBM, NULL_HANDLE,
-                                 make_handle)
+from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, NULL_HANDLE
 from repro.nvbm.records import FLAG_DELETED
 from repro.octree import morton
 from repro.solver.simulation import DropletSimulation
@@ -171,7 +170,7 @@ def test_reachable_from_equals_oracle(scenario, dim, budget, inflight):
     assert len(got) > 20
     assert _meters(rig) == before  # an inspection probe charges nothing
     assert rig.tree.reachable_from(NULL_HANDLE) == set()
-    assert rig.tree.reachable_from(make_handle(ARENA_DRAM, 0)) == set()
+    assert rig.tree.reachable_from(ARENA_DRAM << 48) == set()
 
 
 # ------------------------------------------------------------ the restore audit
@@ -216,7 +215,7 @@ def _corrupt_null_child(rig, root, child):
 
 
 def _corrupt_dram_pointer(rig, root, child):
-    rig.nvbm.write_child_slot(root, 2, make_handle(ARENA_DRAM, 3))
+    rig.nvbm.write_child_slot(root, 2, ARENA_DRAM << 48 | 3)
     return root
 
 

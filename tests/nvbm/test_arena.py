@@ -59,7 +59,7 @@ def test_latency_charged_per_cache_line(clock, nvbm):
     # 128-byte record = 2 cache lines at 150 ns NVBM write latency.
     assert clock.category_ns(Category.MEM_NVBM) - before == pytest.approx(300.0)
     before = clock.category_ns(Category.MEM_NVBM)
-    nvbm.read(h)
+    nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert clock.category_ns(Category.MEM_NVBM) - before == pytest.approx(200.0)
 
 
@@ -74,14 +74,14 @@ def test_dram_faster_than_nvbm(clock, dram, nvbm):
 def test_wrong_arena_handle_rejected(dram, nvbm):
     h = dram.new_octant(_rec())
     with pytest.raises(InvalidHandleError):
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
 def test_unallocated_handle_rejected(nvbm):
     h = nvbm.new_octant(_rec())
     nvbm.free(h)
     with pytest.raises(InvalidHandleError):
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
 def test_wrong_size_write_rejected(nvbm):
@@ -93,7 +93,7 @@ def test_wrong_size_write_rejected(nvbm):
 def test_allocated_never_written_read_fails(nvbm):
     h = nvbm.alloc()
     with pytest.raises(ConsistencyError):
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
 def test_flush_persists(nvbm):
@@ -170,7 +170,7 @@ def test_crash_tears_whole_lines_only():
         nvbm.flush()
         nvbm.write(h, new)
         nvbm.crash(np.random.default_rng(seed))
-        merged = nvbm.read(h)
+        merged = nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
         pattern = []
         for line in range(lines):
             lo, hi = line * CACHE_LINE_SIZE, (line + 1) * CACHE_LINE_SIZE
@@ -190,7 +190,7 @@ def test_crash_seeded_rng_is_reproducible():
         nvbm.flush()
         nvbm.write_octant(h, _rec(loc=77))
         nvbm.crash(np.random.default_rng(seed))
-        return nvbm.read(h)
+        return nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
     assert run(11) == run(11)
 
@@ -303,7 +303,7 @@ def test_never_persisted_slot_reads_as_dangling_whatever_its_row_holds(nvbm):
     fresh = nvbm.new_octant(_rec(loc=3))
     nvbm.crash(_ScriptedRng(1.0, 1.0))
     with pytest.raises(ConsistencyError):
-        nvbm.read(fresh)
+        nvbm.read_field(fresh, 0, OCTANT_RECORD_SIZE)
     with pytest.raises(ConsistencyError):
         nvbm.read_rows([fresh])
     with pytest.raises(ConsistencyError):
@@ -315,11 +315,11 @@ def test_never_persisted_slot_reads_as_dangling_whatever_its_row_holds(nvbm):
     again = nvbm.alloc()
     assert again == old  # LIFO recycling: same slot, stale row
     with pytest.raises(ConsistencyError):
-        nvbm.read(again)
+        nvbm.read_field(again, 0, OCTANT_RECORD_SIZE)
     nvbm.write_octant(again, _rec(loc=6))
     nvbm.crash(_ScriptedRng(1.0, 1.0))
     with pytest.raises(ConsistencyError):
-        nvbm.read(again)
+        nvbm.read_field(again, 0, OCTANT_RECORD_SIZE)
     with pytest.raises(ConsistencyError):  # a field store needs a record
         nvbm.write_payload(again, (1.0,) * 4)
 
@@ -352,11 +352,12 @@ def test_crash_tear_equals_line_merge(nvbm):
     """Byte-level: a torn record is old and new lines side by side."""
     h = nvbm.new_octant(_rec(loc=1))
     nvbm.flush()
-    old = nvbm.read(h)
+    old = nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     new = pack_record(OctantRecord(loc=2, children=[9] * 8))
     nvbm.write(h, new)
     nvbm.crash(_ScriptedRng(0.9, 0.0))  # drop line 0, persist line 1
-    assert nvbm.read(h) == old[:CACHE_LINE_SIZE] + new[CACHE_LINE_SIZE:]
+    assert nvbm.read_field(h, 0, OCTANT_RECORD_SIZE) == \
+        old[:CACHE_LINE_SIZE] + new[CACHE_LINE_SIZE:]
 
 
 @pytest.mark.parametrize("release", ["free", "retire"])
@@ -376,7 +377,7 @@ def test_release_voids_backing_cache_dirty_mask_and_seal(nvbm, release):
         again = nvbm.alloc()
         assert again == h
         with pytest.raises(ConsistencyError):
-            nvbm.read(again)
+            nvbm.read_field(again, 0, OCTANT_RECORD_SIZE)
 
 
 def test_store_grows_lazily_and_survives_growth(clock):

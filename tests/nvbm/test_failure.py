@@ -117,9 +117,34 @@ def test_hits_list_fires_at_each_listed_visit():
 def test_hits_list_deduplicated_and_sorted():
     plan = CrashPlan("x", hits=(5, 2, 5))
     assert plan.hits == (2, 5)
-    assert plan.fires_at(2) and plan.fires_at(5)
-    assert not plan.exhausted_after(2)
-    assert plan.exhausted_after(5)
+    assert plan.next_fire(0) == 2 and plan.next_fire(2) == 5
+    assert plan.next_fire(5) is None
+
+
+@pytest.mark.parametrize("plan,hits,limit,want", [
+    (dict(), 0, 5, 5),                          # nothing armed
+    (dict(at_hit=4), 0, 5, 3),                  # visit 4 fires: 3 pass
+    (dict(at_hit=4), 1, 5, 2),
+    (dict(at_hit=4), 0, 2, 2),                  # beyond the limit
+    (dict(at_hit=4), 4, 5, 5),                  # already passed
+    (dict(hits=[2, 6]), 0, 9, 1),
+    (dict(hits=[2, 6]), 2, 9, 3),
+    (dict(hits=[2, 6]), 6, 9, 9),
+    (dict(every_hit=True), 7, 9, 0),            # the next visit fires
+])
+def test_visits_before_fire_asks_without_visiting(plan, hits, limit, want):
+    inj = FailureInjector()
+    if plan:
+        inj.arm(sites.PERSIST_BEGIN, **plan)
+    if hits:
+        inj.hits[sites.PERSIST_BEGIN] = hits
+    before = (dict(inj.hits), list(inj.armed_sites))
+    assert inj.visits_before_fire(sites.PERSIST_BEGIN, limit) == want
+    assert (dict(inj.hits), list(inj.armed_sites)) == before
+    if want < limit:  # the answer is the visits, one at a time
+        inj.site(sites.PERSIST_BEGIN, count=want)
+        with pytest.raises(SimulatedCrash):
+            inj.site(sites.PERSIST_BEGIN)
 
 
 def test_every_hit_fires_until_disarmed():

@@ -89,7 +89,7 @@ def test_verify_detects_any_covered_byte_flip(nvbm):
         nvbm.flush()  # sealing point
         nvbm._rows[index_of(h), off] ^= 0x01
         with pytest.raises(MediaError) as ei:
-            nvbm.read(h)
+            nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
         assert ei.value.kind == "crc"
 
 
@@ -98,7 +98,8 @@ def test_record_crc_is_stable_and_ignores_crc_field(nvbm):
     nvbm.flush()
     idx = index_of(h)
     seal = int(nvbm._seal[idx])
-    nvbm.write(h, nvbm.read(h))  # the same bytes again
+    # the same bytes again
+    nvbm.write(h, nvbm.read_field(h, 0, OCTANT_RECORD_SIZE))
     nvbm.flush()
     assert int(nvbm._seal[idx]) == seal
     off, size = CRC_SPAN
@@ -112,7 +113,7 @@ def test_backing_corruption_raises_crc_media_error(clock, nvbm):
     idx = index_of(h)
     nvbm._rows[idx, 4] ^= 0xFF  # silent medium corruption, no fault model
     with pytest.raises(MediaError) as ei:
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert ei.value.kind == "crc"
     assert ei.value.slot == idx
 
@@ -149,9 +150,9 @@ def test_flush_reseals_and_unmetered_skips_checks(nvbm):
     idx = index_of(h)
     nvbm._rows[idx, 4] ^= 0xFF
     with nvbm.device.unmetered():  # inspection probes never trip faults
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     with pytest.raises(MediaError):
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
 # ------------------------------------------------------------ MediaFaultModel
@@ -161,7 +162,7 @@ def test_unattached_model_changes_nothing(clock, nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
     t0 = clock.now_ns
-    nvbm.read(h)
+    nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     cost_plain = clock.now_ns - t0
     nvbm.attach_fault_model(MediaFaultModel(seed=5))  # quiescent
     t0 = clock.now_ns
@@ -176,7 +177,7 @@ def test_planted_rot_faults_until_rewritten(clock, nvbm):
     nvbm.attach_fault_model(model)
     model.plant_rot(_gline(h))
     with pytest.raises(UncorrectableError) as ei:
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert ei.value.kind == "rot"
     nvbm.write_octant(h, _rec(loc=4))  # rewrite refreshes the cells
     nvbm.flush()
@@ -192,7 +193,7 @@ def test_stuck_line_survives_rewrite(nvbm):
     nvbm.write_octant(h, _rec(loc=4))
     nvbm.flush()
     with pytest.raises(UncorrectableError) as ei:
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert ei.value.kind == "stuck"
 
 
@@ -207,7 +208,7 @@ def test_field_read_checks_only_spanned_lines(nvbm):
     assert PAYLOAD_SPAN[0] // CACHE_LINE_SIZE == 0
     nvbm.read_payload(h)  # line 0 only: clean
     with pytest.raises(UncorrectableError):
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
 def test_transient_clears_on_reread(clock, nvbm):
@@ -216,7 +217,7 @@ def test_transient_clears_on_reread(clock, nvbm):
     model = MediaFaultModel(seed=5, transient_rate=1.0)
     nvbm.attach_fault_model(model)
     with pytest.raises(UncorrectableError) as ei:
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert ei.value.kind == "transient"
     # rate 1.0 keeps faulting, but each read consumes its own draw — a
     # realistic rate lets the retry rung clear it deterministically
@@ -233,7 +234,7 @@ def test_wear_out_faults_past_fraction(clock, nvbm):
         nvbm.write(h, pack_record(_rec(loc=i)))
     nvbm.flush()
     with pytest.raises(UncorrectableError) as ei:
-        nvbm.read(h)
+        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     assert ei.value.kind == "wear"
 
 
@@ -332,7 +333,8 @@ def test_batch_samples_the_rot_deadline_per_read():
             outcomes.append(_outcome(
                 clock, nvbm,
                 (lambda: nvbm.read_rows(handles).tobytes()) if batch else
-                (lambda: b"".join(nvbm.read(h) for h in handles))))
+                (lambda: b"".join(nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
+                                  for h in handles))))
         assert outcomes[0] == outcomes[1]
         if isinstance(outcomes[0][0], tuple) and not any(at_start):
             mid_batch += 1

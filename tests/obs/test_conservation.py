@@ -9,7 +9,7 @@ silently dropping or double-counting events without the other noticing.
 
 import pytest
 
-from repro.analysis import install_tracker, uninstall_tracker
+from repro.analysis import install_tracker
 from repro.config import PMOctreeConfig, SolverConfig
 from repro.core import pm_create
 from repro.obs import Observability, observe_rig
@@ -35,8 +35,7 @@ def observed_run(clock, dram_arena, nvbm_arena):
 
     DropletSimulation(tree, solver, clock=clock,
                       persistence=persistence).run(6)
-    yield obs, tracker, dram_arena, nvbm_arena
-    uninstall_tracker(dram_arena, nvbm_arena)
+    return obs, tracker, dram_arena, nvbm_arena
 
 
 def test_store_totals_agree(observed_run):

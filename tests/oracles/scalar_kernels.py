@@ -339,17 +339,6 @@ def interface_criterion(geometry: DropletGeometry, config: SolverConfig,
     return criterion
 
 
-def interface_band_feature(geometry: DropletGeometry,
-                           t: float) -> Callable[[int, Payload], bool]:
-    dim = geometry.config.dim
-
-    def fn(loc: int, payload: Payload) -> bool:
-        lo, hi = morton.cell_bounds(loc, dim)
-        return geometry.near_interface(lo, hi, t)
-
-    return fn
-
-
 def change_feature(geometry: DropletGeometry,
                    t_next: float) -> Callable[[int, Payload], bool]:
     dim = geometry.config.dim

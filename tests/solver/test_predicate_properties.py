@@ -76,8 +76,6 @@ def test_droplet_predicates_equal_oracle(droplet, t):
         (features.interface_criterion(geo, cfg, t),
          oracle.interface_criterion(geo, cfg, t)),
         (features.change_feature(geo, t), oracle.change_feature(geo, t)),
-        (features.interface_band_feature(geo, t),
-         oracle.interface_band_feature(geo, t)),
         (features.mixed_cell_feature(cfg.dim),
          oracle.mixed_cell_feature(cfg.dim)),
     ]

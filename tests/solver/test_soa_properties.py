@@ -203,7 +203,8 @@ def _arena_level_accesses(mode: str, tree: PMOctree, seed: int) -> dict:
             arena.write_rows(handles[:5], 0, np.frombuffer(
                 b"".join(images), np.uint8).reshape(-1, OCTANT_RECORD_SIZE))
         else:
-            records = b"".join(arena.read(h) for h in handles)
+            records = b"".join(arena.read_field(h, 0, OCTANT_RECORD_SIZE)
+                               for h in handles)
             slots = b"".join(arena.read_field(h, child_off, child_size)
                              for h in handles)
             for h, row in zip(handles, payloads):
@@ -217,7 +218,8 @@ def _arena_level_accesses(mode: str, tree: PMOctree, seed: int) -> dict:
     nvbm.crash(np.random.default_rng(seed + 8))
     live = [h for h in nvbm.live_handles() if nvbm._present[index_of(h)]]
     with nvbm.device.unmetered():
-        out["torn"] = b"".join(nvbm.read(h) for h in live)
+        out["torn"] = b"".join(nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
+                               for h in live)
     # planted rot on the line-1 of one survivor: same error, same charges
     model = MediaFaultModel(seed=seed)
     nvbm.attach_fault_model(model)
@@ -227,7 +229,7 @@ def _arena_level_accesses(mode: str, tree: PMOctree, seed: int) -> dict:
             nvbm.read_rows(live)
         else:
             for h in live:
-                nvbm.read(h)
+                nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     out["media"] = (type(err.value).__name__, err.value.kind, err.value.slot,
                     err.value.lines, str(err.value))
     return out
