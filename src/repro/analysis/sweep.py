@@ -500,17 +500,19 @@ def _media(site: str, max_steps: int, seed: int) -> Scenario:
 
 
 def _epoch(site: str, max_steps: int, seed: int) -> Scenario:
-    """epoch.*: tear the asynchronous persistence pipeline mid-flight.
+    """epoch.*: tear the persist pipeline mid-flight.
 
     The rig runs pipelined (``max_inflight=1``).  Epoch A is persisted and
     fully drained (so a committed predecessor is always published), epoch B
     is enqueued and left *in flight*, then a third persist is issued with
-    the site armed — its enqueue path walks every pipeline window in order
+    the site armed — its enqueue path walks every persist site in order
     (the overlap site while B still drains, the backpressure settle of B
-    with its mid-drain and pre-publish sites, then epoch C's own merge and
-    mid-enqueue site).  After the simulated power loss, recovery must land
-    bit-for-bit on epoch B's state (B's drain committed before the tear) or
-    epoch A's (it did not) — never a blend, never anything older.
+    with its mid-drain, pre- and post-publish sites, then epoch C's own
+    merge and before-flush site).  After the simulated power loss, recovery
+    must land bit-for-bit on epoch B's state (B's drain committed before
+    the tear) or epoch A's (it did not) — never a blend, never anything
+    older.  The ``persist.*`` sites are swept on the default workload,
+    whose persists settle inline.
     """
     rig = _Rig(max_inflight=1).grow(2)
     tree = rig.tree
@@ -553,7 +555,8 @@ _DRIVERS: Dict[str, Callable[[str, int, int], Scenario]] = {
     site_registry.MIGRATE_RECOVER_MID: _migration,
     **dict.fromkeys(site_registry.MIGRATE_SITES, _migration),
     **dict.fromkeys(site_registry.MEDIA_SITES, _media),
-    **dict.fromkeys(site_registry.EPOCH_SITES, _epoch),
+    site_registry.EPOCH_OVERLAP_NEXT_STEP: _epoch,
+    site_registry.EPOCH_DRAIN_MID: _epoch,
 }
 
 

@@ -23,28 +23,24 @@ event trace, and classifies ordering violations the instant they occur:
     records reachable from ``V_{i-1}`` are never written in place.
 
 ``cross-epoch-waf``
-    (epoch happens-before checker) a store landed on a record that an
-    *earlier, still-open* persist epoch snapshotted as pending-flush — a
-    write-after-flush race that only an overlapped (asynchronous) persist
-    pipeline can produce.  Epoch windows are opened/closed by the persist
-    point (``on_epoch_open`` / ``on_epoch_close``); each window carries a
-    vector-clock-style position ``(epoch, rank, record)`` — the epoch
-    counter, the arena rank that opened it, and the snapshot of dirty
-    record handles it is responsible for flushing.  A store is attributed
-    to the *innermost* open window; touching a handle pending in any
-    **outer** window means the newer epoch raced the older epoch's flush
-    set.  On today's synchronous pipeline at most one window is ever open,
-    so the checker is a structural no-op — it exists to gate the
-    ROADMAP's pipelined-persistence work (Ben-David et al. delay-free
-    epochs) from day one.
+    (epoch happens-before checker) a store landed on a record that a
+    still-open persist epoch snapshotted as pending-flush — a
+    write-after-flush race.  Epoch windows are opened/closed by the
+    persist point (``on_epoch_open`` / ``on_epoch_close``); each window
+    carries a vector-clock-style position ``(epoch, rank, record)`` — the
+    epoch counter, the arena rank that opened it, and the pending set its
+    opener passes: the dirty records the epoch's drain must flush.  That
+    set is final the moment the epoch is enqueued, so any store touching
+    it before the drain flushed it raced the drain.  At a persist window
+    of 0 the drain runs before any later store, so only an overlapped
+    (Ben-David et al. delay-free) pipeline can trip the rule.
 
 In ``strict`` mode (default) a violation raises
 :class:`~repro.errors.OrderingViolationError` at the offending call, so the
 failing stack trace points at the buggy store/publish, not at a later
 recovery.  In non-strict mode violations accumulate in
 :attr:`OrderingTracker.violations` for reporting.  ``strict_epochs``
-controls the cross-epoch rule separately (the async pipeline will turn it
-on in CI before the overlap lands).
+controls the cross-epoch rule separately.
 """
 
 from __future__ import annotations
@@ -97,13 +93,8 @@ class _EpochWindow:
 
     epoch: int                 #: monotonic epoch counter (the clock)
     rank: int                  #: arena rank that opened the window
-    pending: Set[int]          #: dirty handles snapshotted at open —
+    pending: Set[int]          #: dirty handles snapshotted at enqueue —
     #: the records THIS epoch's flush is responsible for making durable
-    #: A *sealed* window's snapshot is final (the asynchronous pipeline
-    #: enqueued it): stores may no longer touch its pending set even while
-    #: it is the innermost window.  Synchronous persist opens unsealed
-    #: windows, whose own merge stores are legitimately attributed to them.
-    sealed: bool = False
 
     def position(self, handle: int) -> Tuple[int, int, int]:
         return (self.epoch, self.rank, handle)
@@ -165,57 +156,36 @@ class OrderingTracker:
     @property
     def open_epochs(self) -> Tuple[int, ...]:
         """Epoch numbers of the currently open persist windows, oldest
-        first (the synchronous pipeline never has more than one)."""
+        first."""
         return tuple(w.epoch for w in self._windows)
 
     # -- epoch hooks --------------------------------------------------------
 
-    def on_epoch_open(self, rank: int = 0, sealed: bool = False,
-                      pending: Set[int] = None) -> int:
-        """A persist epoch begins: snapshot the dirty set this epoch's
-        flush is responsible for, and advance the epoch clock.
-
-        The pipelined enqueue passes ``sealed=True`` (its snapshot is final
-        the moment the epoch is queued — any later store hitting it is a
-        cross-epoch race even before another window opens) and may pass the
-        exact ``pending`` set it enqueued instead of the tracker's dirty
-        snapshot."""
+    def on_epoch_open(self, pending: Iterable[int], rank: int = 0) -> int:
+        """A persist epoch was enqueued with the dirty set ``pending`` its
+        drain must flush: advance the epoch clock and return the window
+        id."""
         self._epoch_clock += 1
         self.counts["epochs"] += 1
-        if pending is None:
-            pending = {h for h, st in self._state.items() if st.dirty}
-        else:
-            pending = set(pending)
         self._windows.append(
             _EpochWindow(epoch=self._epoch_clock, rank=rank,
-                         pending=pending, sealed=sealed)
+                         pending=set(pending))
         )
         return self._epoch_clock
 
-    def on_epoch_close(self, epoch: int = 0) -> None:
-        """A persist epoch retired.  ``epoch`` of 0 closes the innermost
-        window (the synchronous caller does not need to thread the id)."""
-        if not self._windows:
-            return
-        if epoch == 0:
-            self._windows.pop()
-            return
+    def on_epoch_close(self, epoch: int) -> None:
+        """A persist epoch retired (an unknown id is a no-op)."""
         for i, win in enumerate(self._windows):
             if win.epoch == epoch:
                 del self._windows[i]
                 return
 
     def _check_epoch_store(self, handle: int) -> None:
-        """A store is attributed to the innermost open window; landing on
-        a handle an **outer** open window still has pending means the new
-        epoch raced the old epoch's flush set.  Sealed windows (pipelined
-        enqueues) are checkable even while innermost: their snapshot is
-        final, so any store into it is a race with the in-flight drain."""
+        """A store landing on a handle an open window still has pending
+        raced that epoch's drain."""
         for win in self._windows:
-            if not (win.sealed or win is not self._windows[-1]):
-                continue
             if handle in win.pending:
-                current = (self._windows[-1].epoch if self._windows else 0)
+                current = self._windows[-1].epoch
                 v = Violation(
                     kind="cross-epoch-waf", handle=handle,
                     detail=(

@@ -511,8 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="run the workload with the runtime ordering tracker")
     p.add_argument("--strict-epochs", action="store_true",
                    help="raise on cross-epoch write-after-flush races in "
-                        "--trace (a no-op on the synchronous pipeline; "
-                        "gates the future pipelined persist)")
+                        "--trace (whose workload persists with a window "
+                        "of 1, so epochs overlap the next step)")
     p.add_argument("--sweep", action="store_true",
                    help="arm every registered crash site and verify recovery")
     p.add_argument("--baseline", metavar="BASELINE.json",

@@ -164,10 +164,10 @@ class PMOctreeConfig:
     merging / on-demand GC trigger; ``t_transform`` is the Ratio_access
     threshold for a layout transformation; ``n_sample_max`` caps the
     feature-directed sample size (``N_sample = min(100, size)`` in §3.3);
-    ``max_inflight_epochs`` bounds the asynchronous persist pipeline's
-    in-flight window (0 = synchronous stop-the-world persist, the
-    byte-identical legacy behaviour; >= 1 enables background epoch drains
-    with backpressure, see :mod:`repro.core.pipeline`).
+    ``max_inflight_epochs`` is the persist pipeline's window: how many
+    epochs may still be draining when ``persist()`` returns (0 publishes
+    before it returns; >= 1 drains in the background with backpressure,
+    see :mod:`repro.core.pipeline`).
     """
 
     dram_capacity_octants: int = 4096

@@ -14,12 +14,13 @@ everything not reachable from the live roots:
   reachable from no root slot, and possibly not from the index either once
   the next step coarsens; sweeping one would dangle its scheduled publish).
 
-Under the epoch pipeline the published tree can lag the working version by
-several epochs; rather than traversing each retained version (re-reading
-every record unique to it), the mark *pins* the per-epoch deltas — COW
-``superseded`` originals plus non-COW ``detached`` departures — which
-reconstruct every retained version's reachable set from the working
-version's by pure set union, with no device reads.
+Every retained version is the working version plus per-epoch deltas, so
+the mark walks only the working version and *pins* the deltas — COW
+``superseded`` originals plus non-COW ``detached`` departures, the
+unsettled epochs' and the current one's — which reconstruct every
+retained version's reachable set by pure set union, with no device reads.
+The published tree may lag the working version by the whole in-flight
+window; traversing it would re-read every record unique to it.
 
 GC must not run during a merge (the structure is mid-flight); the paper
 disables it there and so do we (:class:`repro.errors.GCDisabledError` is
@@ -34,7 +35,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core import walks
-from repro.nvbm.pointers import NULL_HANDLE, is_nvbm
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
@@ -55,27 +55,17 @@ def _mark(pmo: "PMOctree") -> np.ndarray:
     arena's slots: one gather per tree level (:func:`walks.reach`) from the
     roots, plus the pins (module docstring) — no reads for those."""
     nvbm = pmo.nvbm
-    roots = []
-    pins = []
-    if pmo._pipeline is not None:
-        # pin, don't traverse: old-version-only records plus the root
-        # slots and in-flight roots themselves (their interiors are
-        # covered by the working-version walk + the pins).  The union
-        # happens *after* the walk — a pin that is also a working-version
-        # record must still be traversed normally.
-        pins = pmo._pipeline.pinned_handles()
-        pins.extend(pmo._superseded)
-        pins.extend(pmo._detached)
-        pins.extend(pmo._pipeline.live_roots())
-        for slot in (SLOT_PREV, SLOT_CURR):
-            pins.append(nvbm.roots.get(slot))
-    else:
-        for slot in (SLOT_PREV, SLOT_CURR):
-            h = nvbm.roots.get(slot)
-            if h != NULL_HANDLE and is_nvbm(h):
-                roots.append(h)
-    roots.extend(pmo._index.values())
-    roots.extend(pmo._origin.values())
+    # pin, don't traverse: old-version-only records plus the root slots
+    # and in-flight roots themselves (their interiors are covered by the
+    # working-version walk + the pins).  The union happens *after* the
+    # walk — a pin that is also a working-version record must still be
+    # traversed normally.
+    pins = pmo._pipeline.pinned_handles()
+    pins.extend(pmo._superseded)
+    pins.extend(pmo._detached)
+    pins.extend(pmo._pipeline.live_roots())
+    pins.extend(nvbm.roots.get(slot) for slot in (SLOT_PREV, SLOT_CURR))
+    roots = [*pmo._index.values(), *pmo._origin.values()]
 
     marked = np.zeros(nvbm.slots, dtype=bool)
     levels, _ = walks.reach(nvbm, np.array(roots, dtype=np.uint64), pmo.dim)

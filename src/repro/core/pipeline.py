@@ -1,45 +1,49 @@
-"""The asynchronous epoch pipeline: delay-free persistence for PM-octree.
+"""The persist point (§3.2) as an epoch pipeline: merge C0 into C1, flush,
+then publish the root with one atomic 8-byte store.
 
-Synchronous persist (:meth:`repro.core.pmoctree.PMOctree._persist_impl`)
-stops the world: the epoch's merge *and* its flush train run on the compute
-path, so NVBM write latency lands directly on the step makespan.  The C0
-working set exists precisely so it does not have to — step *i+1* computes on
-DRAM while step *i*'s flush train drains in the background (Ben-David et
-al.'s delay-free epochs; Blelloch et al.'s parallel persistent memory
-model).  This module is that overlap, split into two phases:
+There is one protocol and one body for it, in two phases;
+``max_inflight`` only sizes the window of epochs whose flush train may
+still be draining when :meth:`EpochPipeline.enqueue` returns:
 
-**enqueue** (compute path, cheap)
-    The C0 merge runs immediately — its *state* mutations must be visible
-    to step i+1 — but the NVBM write time it would have charged is
-    redirected into a per-epoch :class:`DrainCost` accumulator
-    (:meth:`repro.nvbm.device.MemoryDevice.deferred_writes`).  The epoch's
-    durability obligations (the dirty-record snapshot, the root to publish,
-    the superseded records to mark) are captured in an
-    :class:`InFlightEpoch` and queued.  The tree's epoch counter advances
-    at enqueue, so step i+1's mutations COW the queued records instead of
+**enqueue** (compute path)
+    The C0 merge runs at once — its *state* mutations must be visible to
+    step i+1.  The epoch's durability obligations (the dirty-record
+    snapshot, the root to publish, the superseded records to mark, the
+    detached records GC must pin) are captured in an
+    :class:`InFlightEpoch`.  The tree's epoch counter advances at enqueue,
+    so step i+1's mutations COW the snapshot's records instead of
     rewriting them in place — the snapshot is immutable from the moment it
     is taken.
 
-**drain** (background device time)
-    A single FIFO flush engine: epoch i's drain completes at
-    ``ready_i = max(enqueue_now, ready_{i-1}) + cost_i`` on the simulated
-    clock.  The durability *actions* — selective flush of the snapshot,
-    the atomic root-slot publish (THE commit point), the superseded
-    marking, the closing flush — execute when the pipeline settles the
-    epoch, under :meth:`unmetered` (their time was already accounted by
-    the cost model).  Settling happens lazily: at the next enqueue for
-    every epoch whose ``ready_ns`` has passed (it genuinely overlapped),
-    via **backpressure** when the bounded in-flight window is full (the
-    clock advances to the oldest epoch's ``ready_ns``; the wait is a
-    *stall*, charged under the ``persist.drain`` phase), or via
-    :meth:`drain_all` at a barrier.
+**settle** (the drain)
+    Flush the snapshot, the atomic root-slot publish (THE commit point),
+    mark the superseded records, flush the marks.
 
-Because a queued epoch's stores still sit in the volatile write-back cache
-until its settle, a crash mid-flight tears them and the root slot still
-names the previous published epoch — recovery deterministically lands on
-epoch *i* or *i−1*, never a blend.  The registered crash sites
-(``epoch.enqueue.mid``, ``epoch.drain.mid``, ``epoch.commit.pre_publish``,
-``epoch.overlap.next_step``) pin exactly those windows for the sweep.
+A window of 0 settles the epoch inline, metered, before ``persist()``
+returns: the synchronous persist point, a capsule (Blelloch et al.) that
+drains before it returns.  It schedules no background drain, so
+``drain_ns`` and ``stall_ns`` stay 0.
+
+A window of k >= 1 is Ben-David et al.'s delay-free overlap: the merge's
+NVBM write time is redirected into a per-epoch :class:`DrainCost`
+(:meth:`repro.nvbm.device.MemoryDevice.deferred_writes`) and the epoch
+queues behind a single FIFO flush engine — epoch i's drain completes at
+``ready_i = max(enqueue_now, ready_{i-1}) + cost_i`` on the simulated
+clock.  Its actions run unmetered (the cost model already accounted their
+time) when it settles: at the next enqueue once ``ready_ns`` has passed
+(it genuinely overlapped), via **backpressure** when the window is full
+(the clock advances to the oldest epoch's ``ready_ns``; the wait is a
+*stall*, charged under the ``persist.drain`` phase), or at
+:meth:`EpochPipeline.drain_all`'s barrier.
+
+A queued epoch's stores still sit in the volatile write-back cache until
+its settle, so a crash mid-flight tears them while the root slot still
+names the previous published epoch — recovery lands on epoch *i* or
+*i−1*, never a blend.  The registered sites, in protocol order:
+``epoch.overlap.next_step`` (an enqueue reached while an epoch drains),
+``persist.begin``, ``persist.before_flush`` (merged, nothing flushed), and
+in the settle ``epoch.drain.mid`` (part of a queued snapshot flushed),
+``persist.before_root_swap`` and ``persist.after_root_swap``.
 
 ``overlap_fraction = 1 - stall_ns / drain_ns`` is the headline number: the
 fraction of total drain time that disappeared behind compute.
@@ -49,7 +53,8 @@ from __future__ import annotations
 
 import weakref
 from collections import deque
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Deque, List, Optional
 
 from repro.errors import ConsistencyError
@@ -71,7 +76,7 @@ class DrainCost:
 
 @dataclass
 class InFlightEpoch:
-    """One queued epoch: its durability obligations and schedule."""
+    """One epoch's durability obligations and schedule."""
 
     epoch: int            #: the PM-octree epoch this drain will publish
     root: int             #: NVBM root handle to publish at the commit point
@@ -79,11 +84,9 @@ class InFlightEpoch:
     superseded: List[int]  #: COW originals to mark deleted *after* publish
     #: non-COW departures from the working version (coarsened old-epoch
     #: children, merge-replaced origins) — GC pins, never marked deleted
-    detached: List[int] = field(default_factory=list)
-    enqueue_ns: float = 0.0  #: sim time the epoch was enqueued
-    ready_ns: float = 0.0    #: sim time its background drain completes
-    cost_ns: float = 0.0     #: total device time of the drain train
-    window: int = 0       #: tracker epoch-window id (0 when no tracker)
+    detached: List[int]
+    window: int           #: tracker epoch-window id (0 when no tracker)
+    ready_ns: float = 0.0  #: sim time its background drain completes
 
 
 @dataclass
@@ -103,13 +106,14 @@ class EpochPipeline:
 
     ``max_inflight`` bounds the number of epochs whose drains may be
     outstanding at once; an enqueue finding the window full stalls the
-    compute clock until the oldest epoch's drain completes.
+    compute clock until the oldest epoch's drain completes.  0 settles
+    every epoch before its enqueue returns.
     """
 
     def __init__(self, pmo: "PMOctree", max_inflight: int = 1):
-        if max_inflight < 1:
+        if max_inflight < 0:
             raise ValueError(
-                f"max_inflight must be >= 1, got {max_inflight}"
+                f"max_inflight must be >= 0, got {max_inflight}"
             )
         self._pmo = weakref.ref(pmo)
         self.max_inflight = max_inflight
@@ -149,8 +153,7 @@ class EpochPipeline:
         every epoch from *k+1* on — COW never mutates an old record in
         place, so anything that left the working set is in exactly one
         delta.  GC pins this union instead of traversing from the old
-        published root, which is what keeps the pipelined mark as cheap as
-        the synchronous one (no second walk of a 99%-shared tree).
+        published root (no second walk of a 99%-shared tree).
         """
         pins: List[int] = []
         for e in self._queue:
@@ -168,10 +171,10 @@ class EpochPipeline:
 
     def enqueue(self, transform: bool = True,
                 keep_resident: Optional[bool] = None) -> int:
-        """Snapshot/enqueue phase of one persist point; returns the new
-        persistent root handle (publication happens at the drain)."""
+        """One persist point; returns the new persistent root handle
+        (published before this returns at a window of 0, at the epoch's
+        settle otherwise)."""
         from repro.core.merge import merge_all_c0
-        from repro.core.pmoctree import SLOT_PREV  # noqa: F401 (docs)
 
         pmo = self.pmo
         if keep_resident is None:
@@ -180,12 +183,14 @@ class EpochPipeline:
         # the queue holds only genuinely in-flight work; a crash at the
         # overlap site then tears exactly the epochs that were still
         # draining.
-        self._settle_due()
+        clock = pmo.nvbm.device.clock
+        while self._queue and self._queue[0].ready_ns <= clock.now_ns:
+            self._settle(self._queue.popleft())
         if self._queue:
             pmo.injector.site(sites.EPOCH_OVERLAP_NEXT_STEP)
-        self._backpressure()
+        self._wait_out(max(self.max_inflight - 1, 0), backpressure=True)
 
-        cost = DrainCost()
+        cost = DrainCost() if self.max_inflight else None
         pmo.injector.site(sites.PERSIST_BEGIN)
         pmo.merging = True
         try:
@@ -195,110 +200,97 @@ class EpochPipeline:
                 raise ConsistencyError("root still volatile after merge")
         finally:
             pmo.merging = False
-        pmo.injector.site(sites.EPOCH_ENQUEUE_MID)
+        pmo.injector.site(sites.PERSIST_BEFORE_FLUSH)
 
         pending = pmo.nvbm.dirty_handles()
-        superseded = list(pmo._superseded)
-        detached = list(pmo._detached)
-        pmo._superseded.clear()
-        pmo._detached.clear()
         tracer = getattr(pmo.nvbm, "tracer", None)
         epoch_open = getattr(tracer, "on_epoch_open", None)
-        window = (
-            epoch_open(sealed=True, pending=pending)
-            if epoch_open is not None else 0
+        entry = InFlightEpoch(
+            epoch=pmo.epoch, root=root, pending=pending,
+            superseded=list(pmo._superseded), detached=list(pmo._detached),
+            window=epoch_open(pending) if epoch_open is not None else 0,
         )
-        epoch = pmo.epoch
+        pmo._superseded.clear()
+        pmo._detached.clear()
         pmo.epoch += 1
         pmo.stats.persists += 1
-
-        # The drain train's device time: the deferred merge writes, a fence
-        # for the snapshot flush, the 8-byte publish, one single-line store
-        # per superseded mark, and the closing fence.
-        write_ns = pmo.nvbm.device.spec.write_latency_ns
-        cost_ns = (
-            cost.ns + FENCE_NS + write_ns
-            + len(superseded) * write_ns + FENCE_NS
-        )
-        clock = pmo.nvbm.device.clock
-        ready = max(clock.now_ns, self._engine_free_ns) + cost_ns
-        self._engine_free_ns = ready
-        self._queue.append(InFlightEpoch(
-            epoch=epoch, root=root, pending=pending, superseded=superseded,
-            detached=detached, enqueue_ns=clock.now_ns, ready_ns=ready,
-            cost_ns=cost_ns, window=window,
-        ))
         self.stats.enqueued += 1
-        self.stats.drain_ns += cost_ns
-        self.stats.max_inflight_seen = max(self.stats.max_inflight_seen,
-                                           len(self._queue))
+        if cost is None:
+            self._settle(entry)
+        else:
+            # The drain train's device time: the deferred merge writes, a
+            # fence for the snapshot flush, the 8-byte publish, one
+            # single-line store per superseded mark, and the closing fence.
+            write_ns = pmo.nvbm.device.spec.write_latency_ns
+            cost_ns = (cost.ns + FENCE_NS + write_ns
+                       + len(entry.superseded) * write_ns + FENCE_NS)
+            entry.ready_ns = max(clock.now_ns, self._engine_free_ns) + cost_ns
+            self._engine_free_ns = entry.ready_ns
+            self._queue.append(entry)
+            self.stats.drain_ns += cost_ns
+            self.stats.max_inflight_seen = max(self.stats.max_inflight_seen,
+                                               len(self._queue))
 
         if keep_resident and not transform and not pmo._c0_roots:
+            # Static (brute-force) layout: when pressure evictions have
+            # emptied C0, re-fill it with the first subtree that fits, by
+            # locational-code order — no access-pattern knowledge (Fig 5a).
             pmo._load_static_chunk()
         pmo._after_persist(transform)
         return root
 
-    # -- the background phase ----------------------------------------------
+    # -- the drain ---------------------------------------------------------
 
-    def _settle_due(self) -> None:
-        """Settle every queued epoch whose drain already completed."""
+    def _wait_out(self, keep: int, backpressure: bool = False) -> None:
+        """Stall until at most ``keep`` epochs are in flight, settling the
+        oldest ones.  The waits count as stalls: no compute is left to
+        hide them behind."""
         clock = self.pmo.nvbm.device.clock
-        while self._queue and self._queue[0].ready_ns <= clock.now_ns:
-            self._settle(self._queue.popleft())
-
-    def _backpressure(self) -> None:
-        """Stall until the in-flight window has room for one more epoch."""
-        clock = self.pmo.nvbm.device.clock
-        while len(self._queue) >= self.max_inflight:
+        while len(self._queue) > keep:
             entry = self._queue.popleft()
             wait = entry.ready_ns - clock.now_ns
             if wait > 0:
                 with clock.phase("persist.drain"):
                     clock.advance(wait, Category.MEM_NVBM)
                 self.stats.stall_ns += wait
-                self.stats.backpressure_waits += 1
+                if backpressure:
+                    self.stats.backpressure_waits += 1
             self._settle(entry)
 
     def drain_all(self) -> None:
-        """Barrier: wait out and settle every in-flight epoch.
-
-        Residual waits count as stalls — at a barrier there is no compute
-        left to hide them behind.
-        """
-        clock = self.pmo.nvbm.device.clock
-        while self._queue:
-            entry = self._queue.popleft()
-            wait = entry.ready_ns - clock.now_ns
-            if wait > 0:
-                with clock.phase("persist.drain"):
-                    clock.advance(wait, Category.MEM_NVBM)
-                self.stats.stall_ns += wait
-            self._settle(entry)
+        """Barrier: wait out and settle every in-flight epoch."""
+        self._wait_out(0)
 
     def _settle(self, entry: InFlightEpoch) -> None:
-        """Execute one epoch's durability actions (its time is already on
-        the clock via the cost model, so the actions run unmetered)."""
+        """Execute one epoch's durability actions: metered when the window
+        is 0, unmetered otherwise (the cost model put their time on the
+        clock at enqueue)."""
         from repro.core.pmoctree import SLOT_PREV
 
         pmo = self.pmo
         nvbm = pmo.nvbm
-        with self.pmo._obs_span("pm.persist.drain", epoch=entry.epoch):
-            with nvbm.device.unmetered():
-                half = len(entry.pending) // 2
-                if half:
-                    nvbm.flush_records(entry.pending[:half])
-                pmo.injector.site(sites.EPOCH_DRAIN_MID)
-                nvbm.flush_records(entry.pending[half:])
-                pmo.injector.site(sites.EPOCH_COMMIT_PRE_PUBLISH)
-                # THE commit point: one atomic 8-byte root-slot store.
-                nvbm.roots.set(SLOT_PREV, entry.root)
-                # Superseded records were reachable from the root published
-                # a moment ago's *predecessor*; only now that V_{i-1} moved
-                # past them may they be marked as GC food.
-                nvbm.flush_records(pmo._mark_deleted(entry.superseded))
-        tracer = getattr(nvbm, "tracer", None)
-        epoch_close = getattr(tracer, "on_epoch_close", None)
-        if epoch_close is not None and entry.window:
+        inline = not self.max_inflight
+        with pmo._obs_span("pm.persist.drain", epoch=entry.epoch), \
+                (nullcontext() if inline else nvbm.device.unmetered()):
+            # an inline flush stays whole: a split would cost a fence
+            half = 0 if inline else len(entry.pending) // 2
+            if half:
+                nvbm.flush_records(entry.pending[:half])
+            pmo.injector.site(sites.EPOCH_DRAIN_MID)
+            nvbm.flush_records(entry.pending[half:])
+            pmo.injector.site(sites.PERSIST_BEFORE_ROOT_SWAP)
+            # THE commit point: one atomic 8-byte root-slot store.
+            nvbm.roots.set(SLOT_PREV, entry.root)
+            pmo.injector.site(sites.PERSIST_AFTER_ROOT_SWAP)
+            # Superseded records were reachable from the root published a
+            # moment ago's *predecessor*; only now that V_{i-1} moved past
+            # them may they be marked as GC food.
+            marked = pmo._mark_deleted(entry.superseded)
+            pmo.stats.partial_writes += len(marked)
+            nvbm.flush_records(marked)
+        epoch_close = getattr(getattr(nvbm, "tracer", None),
+                              "on_epoch_close", None)
+        if epoch_close is not None:
             epoch_close(entry.window)
         self.stats.drained += 1
 

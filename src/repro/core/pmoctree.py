@@ -37,6 +37,7 @@ from repro.config import PMOctreeConfig
 from repro.core import walks
 from repro.core.c0 import C0Placement, C0Roots, C0Stats
 from repro.core.cow import SLOT_CURR, SLOT_PREV, Landing
+from repro.core.pipeline import EpochPipeline
 from repro.errors import ConsistencyError, GCDisabledError, ReproError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
@@ -137,20 +138,14 @@ class PMOctree(C0Placement, LeafSetStructure):
         #: NVBM records that left the working version *without* being COW
         #: originals (coarsened old-epoch children, merge-replaced origins).
         #: They are still reachable from published predecessor versions, so
-        #: the pipelined GC pins them instead of re-traversing the old tree;
-        #: only maintained when an epoch pipeline is attached (the
-        #: synchronous mark walks V_{i-1} itself and needs no delta).
+        #: GC pins them instead of re-traversing the old tree.
         self._detached: List[int] = []
         #: the landing buffer behind batch() scopes (repro.core.cow)
         self._landing = Landing(self)
-        #: attached EpochPipeline (asynchronous persistence); None means
-        #: the synchronous persist path
-        self._pipeline = None
-        if self.config.max_inflight_epochs > 0:
-            from repro.core.pipeline import EpochPipeline
-
-            self._pipeline = EpochPipeline(
-                self, max_inflight=self.config.max_inflight_epochs)
+        #: the persist point (repro.core.pipeline); its window is
+        #: ``config.max_inflight_epochs``
+        self._pipeline = EpochPipeline(
+            self, max_inflight=self.config.max_inflight_epochs)
 
     # -------------------------------------------------------------- observability
 
@@ -160,8 +155,7 @@ class PMOctree(C0Placement, LeafSetStructure):
         :class:`repro.obs.Observability` (see docs/observability.md)."""
         self.obs = obs
         obs.metrics.fold("pm", self.stats)
-        if self._pipeline is not None:
-            obs.metrics.fold("pipeline", self._pipeline.stats)
+        obs.metrics.fold("pipeline", self._pipeline.stats)
 
     def _obs_span(self, name: str, **labels):
         if self.obs is not None:
@@ -428,16 +422,13 @@ class PMOctree(C0Placement, LeafSetStructure):
 
     def _detach(self, handle: int) -> None:
         """Record that an NVBM handle left the working version while still
-        (possibly) shared with a published predecessor.
-
-        Only tracked under the epoch pipeline, where GC marks the old trees
-        by delta-pinning rather than traversal.  Pinning is conservative —
-        a handle that turns out to be current-epoch garbage just survives
-        one extra collection — so callers need not spend metered reads on
-        an exact epoch check.
+        (possibly) shared with a published predecessor, which GC pins
+        instead of traversing.  Pinning is conservative — a handle that
+        turns out to be current-epoch garbage just survives one extra
+        collection — so callers need not spend metered reads on an exact
+        epoch check.
         """
-        if self._pipeline is not None:
-            self._detached.append(handle)
+        self._detached.append(handle)
 
     def _mark_deleted(self, handles) -> List[int]:
         """Set ``FLAG_DELETED`` on the still-allocated records among
@@ -472,82 +463,26 @@ class PMOctree(C0Placement, LeafSetStructure):
         stay DRAM-resident across the persist (incremental copying) —
         ``keep_resident`` overrides that default.
 
-        With ``config.max_inflight_epochs > 0`` this is the *enqueue* phase
-        of the asynchronous epoch pipeline: the merge runs now (its state
-        mutations must be visible), but the flush train drains in the
-        background and the returned root is published at the drain's commit
-        point — see :mod:`repro.core.pipeline`.
+        The merge runs now (its state mutations must be visible); with
+        ``config.max_inflight_epochs`` of 0 the root is published before
+        this returns, otherwise the flush train drains in the background
+        and the root is published at the drain's commit point — see
+        :mod:`repro.core.pipeline`.
         """
         self._landing.settle()
-        if self._pipeline is not None:
-            with self._obs_span("pm.persist.enqueue", epoch=self.epoch):
-                return self._pipeline.enqueue(transform, keep_resident)
         with self._obs_span("pm.persist", epoch=self.epoch):
-            return self._persist_impl(transform, keep_resident)
+            return self._pipeline.enqueue(transform, keep_resident)
 
     def drain_persists(self) -> None:
         """Barrier: wait out and settle every in-flight persist epoch.
 
-        A no-op on the synchronous path.  Call before a final measurement,
-        a planned shutdown, or anything that must observe the last persist
-        as published.
+        Call before a final measurement, a planned shutdown, or anything
+        that must observe the last persist as published.
         """
-        if self._pipeline is not None:
-            self._pipeline.drain_all()
-
-    def _persist_impl(self, transform: bool,
-                      keep_resident: Optional[bool]) -> int:
-        from repro.core.merge import merge_all_c0
-
-        if keep_resident is None:
-            keep_resident = transform
-        # Epoch happens-before bracket: the tracker (when installed)
-        # snapshots this epoch's flush obligations at open and retires the
-        # window after the epoch's last flush.  Synchronous today — the
-        # pipelined-persistence work overlaps these windows, and the
-        # tracker's cross-epoch-waf rule is armed from day one.
-        tracer = getattr(self.nvbm, "tracer", None)
-        epoch_open = getattr(tracer, "on_epoch_open", None)
-        epoch_close = getattr(tracer, "on_epoch_close", None)
-        epoch_window = epoch_open() if epoch_open is not None else 0
-        try:
-            self.injector.site(sites.PERSIST_BEGIN)
-            self.merging = True
-            try:
-                root = merge_all_c0(self, keep_resident=keep_resident)
-                if not is_nvbm(root):
-                    raise ConsistencyError("root still volatile after merge")
-                self.injector.site(sites.PERSIST_BEFORE_FLUSH)
-                self.nvbm.flush()
-                self.injector.site(sites.PERSIST_BEFORE_ROOT_SWAP)
-                # THE commit point: one atomic 8-byte root-slot store.
-                self.nvbm.roots.set(SLOT_PREV, root)
-                self.injector.site(sites.PERSIST_AFTER_ROOT_SWAP)
-            finally:
-                self.merging = False
-            self.epoch += 1
-            self.stats.persists += 1
-            if keep_resident and not transform and not self._c0_roots:
-                # Static (brute-force) layout: when pressure evictions have
-                # emptied C0, re-fill it with the first subtree that fits, by
-                # locational-code order — no access-pattern knowledge (Fig 5a).
-                self._load_static_chunk()
-            # Mark records superseded by COW during the finished step: they
-            # are V_{i-2}-only now and become GC food.
-            self.stats.partial_writes += len(
-                self._mark_deleted(self._superseded))
-            self._superseded.clear()
-            self.nvbm.flush()
-        finally:
-            # a crash already tore the window down via on_crash; closing a
-            # dead window id is a no-op
-            if epoch_close is not None:
-                epoch_close(epoch_window)
-        self._after_persist(transform)
-        return root
+        self._pipeline.drain_all()
 
     def _after_persist(self, transform: bool) -> None:
-        """What follows every committed (or, pipelined, enqueued) persist:
+        """What follows every enqueued persist (committed at a window of 0):
         NVBM GC when free space runs low, the replica ship, then §3.3's
         dynamic transformation."""
         from repro.core.transform import detect_and_transform
@@ -592,8 +527,7 @@ class PMOctree(C0Placement, LeafSetStructure):
 
     def delete_all(self) -> None:
         """pm_delete: drop every octant on both arenas and reset roots."""
-        if self._pipeline is not None:
-            self._pipeline.reset()
+        self._pipeline.reset()
         for h in list(self.dram.live_handles()):
             self.dram.free(h)
         for h in list(self.nvbm.live_handles()):
@@ -652,13 +586,11 @@ class PMOctree(C0Placement, LeafSetStructure):
         the next merge, so only one persistent record exists for it.
         """
         with self.unmetered_inspection():
-            prev_root = self.nvbm.roots.get(SLOT_PREV)
-            if self._pipeline is not None:
-                # the newest snapshot may still be draining: V_{i-1} is the
-                # last *enqueued* version, not necessarily the published one
-                inflight = self._pipeline.live_roots()
-                if inflight:
-                    prev_root = inflight[-1]
+            # the newest snapshot may still be draining: V_{i-1} is the
+            # last *enqueued* version, not necessarily the published one
+            inflight = self._pipeline.live_roots()
+            prev_root = (inflight[-1] if inflight
+                         else self.nvbm.roots.get(SLOT_PREV))
             if prev_root == NULL_HANDLE:
                 return 0.0
             prev = self.reachable_from(prev_root)

@@ -74,10 +74,9 @@ def restore_inplace(pmo: "PMOctree", replica=None, transport=None) -> int:
 
 def _restore_traverse(pmo: "PMOctree") -> int:
     pmo.merging = False
-    if pmo._pipeline is not None:
-        # in-flight epochs died with the volatile caches; their publishes
-        # never happened and must not be replayed against the restored tree
-        pmo._pipeline.reset()
+    # in-flight epochs died with the volatile caches; their publishes never
+    # happened and must not be replayed against the restored tree
+    pmo._pipeline.reset()
     root = pmo.nvbm.roots.get(SLOT_PREV)
     if root == NULL_HANDLE:
         raise RecoveryError("no persistent version exists (never persisted)")

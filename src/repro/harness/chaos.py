@@ -86,9 +86,9 @@ _EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
     ("media_rot", 3),
     ("media_stuck", 3),
     ("kill_peer_then_rot", 2),
-    # the simulated power cord is pulled while an epoch's flush train is
-    # still draining behind the solver, at one of the ``epoch.*`` crash
-    # sites — recovery must land bit-for-bit on epoch i or epoch i-1
+    # the simulated power cord is pulled on the way to an epoch's commit,
+    # at one of the ``EPOCH_SITES`` — recovery must land bit-for-bit on
+    # epoch i or epoch i-1
     ("kill_mid_drain", 2),
 )
 
@@ -103,7 +103,8 @@ class ChaosEvent:
     ``returns`` only applies to ``kill_host`` (the node reboots and its NVBM
     survives); ``duration`` (steps) and ``drop`` only to windowed kinds;
     ``site`` only to ``kill_migration`` / ``kill_mid_drain`` (which
-    ``migrate.*`` / ``epoch.*`` crash site tears the protocol).
+    ``migrate.*`` site or which of the ``EPOCH_SITES`` tears the
+    protocol).
     """
 
     kind: str
@@ -543,9 +544,9 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         elif ev.kind == "kill_migration":
             _exercise_migration_kill(cluster, st.tree, ev.site, result)
         elif ev.kind == "kill_mid_drain":
-            # pull the cord at an ``epoch.*`` site while a flush train
-            # drains — the site's sweep scenario on a fresh pipelined rig:
-            # recovery must land bit-for-bit on epoch i or i-1
+            # pull the cord at one of the ``EPOCH_SITES`` — the site's
+            # sweep scenario on a fresh rig: recovery must land
+            # bit-for-bit on epoch i or i-1
             out = sweep_site(ev.site,
                              seed=schedule.seed * 8191 + schedule.trial)
             if not out.fired:

@@ -738,19 +738,18 @@ class MemoryArena:
 
     def flush(self) -> None:
         """Persist every dirty cached record (persist-point fence)."""
-        self._persist(list(self._cdir))
-        self._drop_cache()
+        self.flush_records(self.dirty_handles())
 
     def flush_records(self, handles) -> None:
         """Persist (and seal) exactly the given records, leaving the rest
         of the write-back cache dirty.
 
-        The selective analogue of :meth:`flush` for the epoch pipeline: an
-        in-flight epoch drains only the records *it* snapshotted, so a
-        later epoch's still-cooking stores are not prematurely persisted
-        (which would re-order durability across epochs).  Handles that are
-        no longer cached (already flushed, or freed by GC) are skipped, and
-        so is a handle named twice.
+        The epoch pipeline drains only the records an epoch snapshotted,
+        so a later epoch's still-cooking stores are not prematurely
+        persisted (which would re-order durability across epochs).
+        Handles that are no longer cached (already flushed, or freed by
+        GC) are skipped, and so is a handle named twice.  A flush that
+        empties the cache drops it.
         """
         h = np.asarray(handles, dtype=np.uint64)
         idx = self.slots_of(h[(h >> _BITS64) == self.arena_id])
@@ -760,6 +759,8 @@ class MemoryArena:
         slots = idx[np.sort(np.unique(idx, return_index=True)[1])].tolist()
         self._persist(slots)
         self._crows_free.extend(map(self._cdir.pop, slots))
+        if not self._cdir:
+            self._drop_cache()
 
     def crash(self, rng: Optional[np.random.Generator] = None) -> None:
         """Apply power-loss semantics (see module docstring)."""

@@ -240,7 +240,8 @@ class MemoryDevice:
         """Redirect write *time* into ``sink`` for the duration of the block.
 
         ``sink`` is any object with a mutable ``ns`` attribute (the epoch
-        pipeline passes a :class:`~repro.core.pipeline.DrainCost`).  Inside
+        pipeline passes a :class:`~repro.core.pipeline.DrainCost`; at a
+        window of 0 it passes None, and writes charge the clock).  Inside
         the block each metered write accumulates ``lines * write_latency_ns``
         onto ``sink.ns`` instead of advancing the clock; everything else
         about the write (stats, wear, fault-model refresh) is

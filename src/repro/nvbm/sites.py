@@ -45,16 +45,15 @@ PERSIST_AFTER_ROOT_SWAP = "persist.after_root_swap"
 # -- root-slot machinery -----------------------------------------------------
 ROOTS_SWAP_MID = "roots.swap.mid"
 
-# -- the asynchronous epoch pipeline ------------------------------------------
-EPOCH_ENQUEUE_MID = "epoch.enqueue.mid"
+# -- the epoch pipeline's overlap (a window of 1 or more) ---------------------
 EPOCH_DRAIN_MID = "epoch.drain.mid"
-EPOCH_COMMIT_PRE_PUBLISH = "epoch.commit.pre_publish"
 EPOCH_OVERLAP_NEXT_STEP = "epoch.overlap.next_step"
 
-#: The epoch pipeline's sites in protocol order (sweep/chaos iterate these;
-#: recovery must land on exactly epoch i or i-1 at each — never a blend).
-EPOCH_SITES = (EPOCH_OVERLAP_NEXT_STEP, EPOCH_ENQUEUE_MID, EPOCH_DRAIN_MID,
-               EPOCH_COMMIT_PRE_PUBLISH)
+#: The sites a pipelined persist crosses before its commit, in protocol
+#: order (chaos draws from these; recovery must land on exactly epoch i or
+#: i-1 at each — never a blend).
+EPOCH_SITES = (EPOCH_OVERLAP_NEXT_STEP, PERSIST_BEFORE_FLUSH, EPOCH_DRAIN_MID,
+               PERSIST_BEFORE_ROOT_SWAP)
 
 # -- octant migration (repartitioning) ---------------------------------------
 MIGRATE_PRE_PUBLISH = "migrate.pre_publish"
@@ -100,12 +99,8 @@ DESCRIPTIONS: Dict[str, str] = {
     PERSIST_BEFORE_ROOT_SWAP: "flushed, an instant before the atomic publish",
     PERSIST_AFTER_ROOT_SWAP: "an instant after the atomic publish",
     ROOTS_SWAP_MID: "between the two device stores of a root-slot swap",
-    EPOCH_ENQUEUE_MID: "mid epoch enqueue: working version merged into the "
-                       "write-back cache, epoch not yet queued",
     EPOCH_DRAIN_MID: "mid epoch drain: part of the epoch's records flushed "
                      "to the medium, the rest still cached",
-    EPOCH_COMMIT_PRE_PUBLISH: "epoch fully flushed, an instant before the "
-                              "root-slot publish that commits it",
     EPOCH_OVERLAP_NEXT_STEP: "next step's enqueue reached while the previous "
                              "epoch is still in flight",
     MIGRATE_PRE_PUBLISH: "migration batch journalled at the sender, nothing "

@@ -101,8 +101,8 @@ class RunConfig:
     #: which AMR application drives the run: "droplet" (the paper's §5.1
     #: workload) or "wave" (the §6-style second workload).
     workload: str = "droplet"
-    #: bounded in-flight window of the asynchronous persist pipeline
-    #: (PM-octree backend only); 0 = synchronous stop-the-world persist.
+    #: the persist pipeline's window (PM-octree backend only): epochs
+    #: that may still be draining when a persist returns; 0 publishes first.
     max_inflight_epochs: int = 1
     seed: int = 2017
 

@@ -1,8 +1,8 @@
 """Planted bug: two persist epochs overlap and the newer one stores into a
 record the still-draining older epoch snapshotted as pending-flush.
 
-This is the exact race the asynchronous epoch pipeline makes possible: an
-enqueued epoch's dirty snapshot is sealed the moment it is queued, and any
+This is the exact race an overlapped epoch pipeline makes possible: an
+enqueued epoch's dirty snapshot is final the moment it is queued, and any
 later store landing inside that snapshot would be flushed with the *new*
 epoch's bytes — torn durability the root-slot publish cannot express.  The
 vector-clock checker (``OrderingTracker``) must flag it as
@@ -15,20 +15,20 @@ directly — the static analyzers have nothing to say about this file.
 
 
 def oe_race(tracker, handle):
-    """Drive the overlap race; returns the sealed epoch's window id."""
+    """Drive the overlap race; returns the older epoch's window id."""
     tracker.on_store(handle)  # the record epoch i will be responsible for
     # epoch i: a pipelined enqueue — its snapshot is final immediately
-    sealed = tracker.on_epoch_open(rank=0, sealed=True, pending={handle})
+    window = tracker.on_epoch_open({handle}, rank=0)
     # epoch i+1 starts computing while epoch i's flush train is in the air
-    tracker.on_epoch_open(rank=1, sealed=True, pending=set())
+    tracker.on_epoch_open(set(), rank=1)
     tracker.on_store(handle)  # BUG: rewrites a record epoch i must flush
-    return sealed
+    return window
 
 
 def oe_clean(tracker, handle):
     """The correct shape: COW gives epoch i+1 its own record."""
     tracker.on_store(handle)
-    sealed = tracker.on_epoch_open(rank=0, sealed=True, pending={handle})
-    tracker.on_epoch_open(rank=1, sealed=True, pending=set())
+    window = tracker.on_epoch_open({handle}, rank=0)
+    tracker.on_epoch_open(set(), rank=1)
     tracker.on_store(handle + 1)  # the copy, not the snapshotted original
-    return sealed
+    return window

@@ -159,13 +159,13 @@ def test_standalone_tracker_custom_publish_slots():
 # ------------------------------------------- epoch happens-before checker
 
 def test_sync_pipeline_epochs_are_clean(nvbm):
-    """One window open at a time — the synchronous persist shape — can
-    never produce a cross-epoch violation (the checker is a structural
-    no-op until persists overlap)."""
+    """One window open at a time, its pending set flushed before the next
+    store — the window-0 persist shape — never produces a cross-epoch
+    violation."""
     tracker = install_tracker(nvbm, strict=True, strict_epochs=True)
     for loc in (1, 2, 3):
         h = nvbm.new_octant(_rec(loc))
-        epoch = tracker.on_epoch_open()
+        epoch = tracker.on_epoch_open(nvbm.dirty_handles())
         nvbm.flush()
         nvbm.roots.set("V_prev", h)
         tracker.on_epoch_close(epoch)
@@ -180,8 +180,8 @@ def test_cross_epoch_waf_detected():
     tracker = OrderingTracker(strict=False)
     h = 0x1000001
     tracker.on_store(h)            # dirty before epoch 1 opens
-    e1 = tracker.on_epoch_open(rank=0)
-    e2 = tracker.on_epoch_open(rank=1)   # pipelined persist overlaps
+    e1 = tracker.on_epoch_open({h}, rank=0)
+    e2 = tracker.on_epoch_open(set(), rank=1)  # pipelined persist overlaps
     tracker.on_store(h)            # epoch 2 races epoch 1's flush set
     kinds = [v.kind for v in tracker.violations]
     assert kinds == ["cross-epoch-waf"]
@@ -196,8 +196,8 @@ def test_strict_epochs_raises_at_the_store():
     tracker = OrderingTracker(strict=False, strict_epochs=True)
     h = 0x1000002
     tracker.on_store(h)
-    tracker.on_epoch_open()
-    tracker.on_epoch_open()
+    tracker.on_epoch_open({h})
+    tracker.on_epoch_open(set())
     with pytest.raises(OrderingViolationError, match="cross-epoch-waf"):
         tracker.on_store(h)
 
@@ -208,8 +208,8 @@ def test_flush_discharges_epoch_pending():
     tracker = OrderingTracker(strict=False, strict_epochs=True)
     h = 0x1000003
     tracker.on_store(h)
-    tracker.on_epoch_open()
-    tracker.on_epoch_open()
+    tracker.on_epoch_open({h})
+    tracker.on_epoch_open(set())
     tracker.on_flush([h])
     tracker.on_store(h)            # no raise: the obligation was met
     assert tracker.violations == []
@@ -217,12 +217,12 @@ def test_flush_discharges_epoch_pending():
 
 def test_epoch_close_by_id_and_innermost():
     tracker = OrderingTracker(strict=False)
-    e1 = tracker.on_epoch_open()
-    e2 = tracker.on_epoch_open()
-    e3 = tracker.on_epoch_open()
+    e1 = tracker.on_epoch_open(set())
+    e2 = tracker.on_epoch_open(set())
+    e3 = tracker.on_epoch_open(set())
     tracker.on_epoch_close(e2)       # close the middle window by id
     assert tracker.open_epochs == (e1, e3)
-    tracker.on_epoch_close()         # 0 closes the innermost
+    tracker.on_epoch_close(e3)       # and the innermost one
     assert tracker.open_epochs == (e1,)
     tracker.on_epoch_close(999)      # unknown id: no-op
     assert tracker.open_epochs == (e1,)
@@ -232,11 +232,11 @@ def test_crash_kills_open_epoch_windows():
     tracker = OrderingTracker(strict=False, strict_epochs=True)
     h = 0x1000004
     tracker.on_store(h)
-    tracker.on_epoch_open()
-    tracker.on_epoch_open()
+    tracker.on_epoch_open({h})
+    tracker.on_epoch_open(set())
     tracker.on_crash()
     assert tracker.open_epochs == ()
-    tracker.on_epoch_open()          # recovery re-drives a fresh epoch
+    tracker.on_epoch_open(set())     # recovery re-drives a fresh epoch
     tracker.on_store(h)              # no stale pending set survives
     assert tracker.violations == []
 
@@ -261,9 +261,9 @@ def test_overlapping_epochs_fixture_is_flagged():
 
     tracker = OrderingTracker(strict=False)
     h = 0x1000010
-    sealed = oe_race(tracker, h)
+    window = oe_race(tracker, h)
     assert [v.kind for v in tracker.violations] == ["cross-epoch-waf"]
-    assert f"({sealed}, 0, {h})" in tracker.violations[0].detail
+    assert f"({window}, 0, {h})" in tracker.violations[0].detail
 
     clean = OrderingTracker(strict=False, strict_epochs=True)
     oe_clean(clean, 0x1000020)

@@ -24,6 +24,8 @@ hit leaves exactly the per-item arena, tears the same lines and recovers
 the same tree.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -480,6 +482,104 @@ def test_rate_driven_faults_equal_per_item(monkeypatch, site):
         rig.nvbm.attach_fault_model(MediaFaultModel(seed=3,
                                                     transient_rate=0.005))
     _run(monkeypatch, ours, theirs, _ACTS[site])
+
+
+def _checked_reads(monkeypatch, rig, act) -> list:
+    """``(slot, first line, lines, clock)`` of every media check the
+    per-item ``act`` makes on ``rig``, under a rot model armed but too slow
+    to fire (an armed model runs every read at its place)."""
+    reads = []
+    check = rig.nvbm.device.check_media
+
+    def recording(slot, line0=0, lines=0):
+        reads.append((slot, line0, lines, rig.clock.now_ns))
+        return check(slot, line0, lines)
+
+    rig.nvbm.attach_fault_model(MediaFaultModel(seed=0, rot_mtbf_ns=1e30))
+    with monkeypatch.context() as patch:
+        _per_item(patch)
+        patch.setattr(rig.nvbm.device, "check_media", recording)
+        act(rig.tree)
+    return reads
+
+
+def _rot_at(reads, target: int, deadline: float, attach_ns: float):
+    """A rot model whose deadline for line ``target`` is ``deadline`` and
+    every other line's falls after the last read of it in ``reads``: the
+    seed is the first whose draws put ``target`` first, found from the
+    draws alone (``MediaFaultModel.check``: born at attach, deadline
+    ``attach + mtbf * -log(1 - u)``)."""
+    for seed in range(20000):
+        model = MediaFaultModel(seed=seed)
+
+        def draw(line):
+            return -math.log(1.0 - model._u("rot", line, 0))
+
+        mtbf = (deadline - attach_ns) / draw(target)
+        if all(attach_ns + mtbf * draw(line) > now
+               for slot, line0, lines, now in reads
+               for line in range(slot * LINES_PER_RECORD + line0,
+                                 slot * LINES_PER_RECORD + line0 + lines)
+               if line != target):
+            return MediaFaultModel(seed=seed, rot_mtbf_ns=mtbf)
+    raise AssertionError("no seed puts the target's deadline first")
+
+
+def test_clock_driven_rot_in_an_epoch_read_of_a_scope(monkeypatch):
+    """A rot deadline that falls between two epoch reads of one scope, just
+    before the later read: the per-item calls fail there.  The scope gets
+    there with stores still pending, whose time the per-item sequence has
+    already spent — so the epoch read lands the scope first and fails at
+    its place, not at a clock that has not yet seen those stores."""
+    act = _ACTS[PAYLOAD_PARTIAL]
+    probe, ours, theirs = _grown(), _grown(), _grown()
+    attach_ns = probe.clock.now_ns
+    reads = _checked_reads(monkeypatch, probe, act)
+    # the target: the last epoch read of a line no earlier read touched
+    seen = set()
+    for i, (slot, line0, lines, now) in enumerate(reads):
+        line = slot * LINES_PER_RECORD + line0
+        if lines == 1 and i and line not in seen:
+            target, deadline = line, now - 0.5
+        seen.update(range(line, line + lines))
+    for rig in (ours, theirs):
+        assert rig.clock.now_ns == attach_ns
+        rig.nvbm.attach_fault_model(
+            _rot_at(reads, target, deadline, attach_ns))
+    error = _run(monkeypatch, ours, theirs, act)
+    assert isinstance(error, MediaError) and error.kind == "rot"
+    assert error.lines == (target,)
+    assert ours.nvbm.stats.stores > 0  # it was partway through the batch
+
+
+def test_rotted_refine_parent_raises_as_the_per_item_calls_do(monkeypatch):
+    """A refine's parent read back from the medium — a current-epoch leaf
+    a mid-epoch flush wrote out — with rot planted past its epoch field:
+    the epoch read passes and stays in the scope, so the refine is the
+    read that fails, and it lands the scope and raises at its place, not
+    when the scope closes after the next leaf's reads.  (A rate-driven
+    model cannot tell this apart: under one every read in a scope lands
+    it first, the next leaf's epoch read too, so nothing charged ever
+    sits between a refine and its landing.)"""
+    ours, theirs = _twins()
+    leaves = _leaves(ours.tree)
+    flushed, cached = leaves[0::8][:3], leaves[4::8][:3]
+    for rig in (ours, theirs):
+        t = rig.tree
+        for loc in flushed:
+            t.set_field(loc, 0, 0.5)   # current-epoch copies ...
+        rig.nvbm.flush()               # ... read back from the medium
+        for loc in cached:
+            t.set_field(loc, 0, 0.25)  # ... and ones still cached
+        model = MediaFaultModel(seed=3)
+        rig.nvbm.attach_fault_model(model)
+        slot = int(rig.nvbm.slots_of(np.array(
+            [t._index[flushed[1]]], dtype=np.uint64))[0])
+        model.plant_rot(slot * LINES_PER_RECORD + 1)
+    order = [loc for pair in zip(flushed, cached) for loc in pair]
+    error = _run(monkeypatch, ours, theirs, lambda t: _refine(t, order))
+    assert isinstance(error, MediaError) and error.kind == "rot"
+    assert ours.nvbm.stats.stores > 0  # it was partway through the batch
 
 
 def test_quiescent_fault_model_keeps_the_batch(monkeypatch, landed):

@@ -113,3 +113,42 @@ def test_gc_sweeps_torn_crash_garbage(rig):
     res = t.gc()
     assert res.swept >= 20
     assert rig.nvbm.used == baseline
+
+
+@pytest.mark.parametrize("max_inflight", [0, 1])
+def test_mark_covers_every_retained_version(max_inflight):
+    """One mark at every window: before and after each step's persist, the
+    pins stand in for walking ``V_prev`` — every record the published
+    version or the working version reaches is marked."""
+    import numpy as np
+
+    from repro.config import SolverConfig
+    from repro.core.gc import _mark
+    from repro.core.pmoctree import SLOT_PREV
+    from repro.nvbm.pointers import is_nvbm
+    from repro.solver.simulation import DropletSimulation
+    from tests.core.conftest import PMRig
+
+    rig = PMRig(dram_octants=1 << 14, nvbm_octants=1 << 16,
+                dram_capacity_octants=96, max_inflight_epochs=max_inflight)
+    checked = []
+
+    def check(tree) -> None:
+        need = tree.reachable_from(rig.nvbm.roots.get(SLOT_PREV))
+        need.update(h for h in tree._index.values() if is_nvbm(h))
+        need.update(tree._origin.values())
+        need = np.fromiter(need, np.uint64, len(need))
+        marked = _mark(tree)
+        assert marked[rig.nvbm.slots_of(need)].all()
+        checked.append(need.size)
+
+    def persistence(sim_):
+        check(sim_.tree)
+        sim_.tree.persist()
+        check(sim_.tree)
+        sim_.tree.gc()
+
+    solver = SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01)
+    DropletSimulation(rig.tree, solver, clock=rig.clock,
+                      persistence=persistence).run(6)
+    assert len(checked) == 12 and min(checked[1:]) > 0

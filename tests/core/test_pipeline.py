@@ -19,6 +19,7 @@ import pytest
 from repro.analysis.sweep import _Rig, _signature
 from repro.config import DRAM_SPEC, NVBM_SPEC, PMOctreeConfig, SolverConfig
 from repro.core.api import pm_create
+from repro.core.pmoctree import SLOT_PREV
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
@@ -27,7 +28,7 @@ from repro.obs import Observability
 from repro.solver.simulation import DropletSimulation
 
 
-def _droplet_rig(max_inflight, obs=None, steps=5):
+def _droplet_rig(max_inflight, obs=None, steps=5, max_level=4):
     """Run the droplet workload with a persist+gc point every step."""
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
@@ -40,7 +41,7 @@ def _droplet_rig(max_inflight, obs=None, steps=5):
             obs.bind_clock(clock)
         nvbm.attach_obs(obs)
         tree.attach_obs(obs)
-    solver = SolverConfig(dim=2, min_level=2, max_level=4, dt=0.01)
+    solver = SolverConfig(dim=2, min_level=2, max_level=max_level, dt=0.01)
 
     def persistence(sim_):
         sim_.tree.persist()
@@ -111,25 +112,30 @@ def test_parallel_differential_sync_vs_pipelined(nranks):
 
 # ------------------------------------------------------- recovery landing
 
-#: which epoch a crash at each pipeline site must restore (max_inflight=1):
-#: before the publish executes the slot still names epoch i-1; the
-#: enqueue.mid site is reached only after backpressure published epoch i.
+#: which epoch a crash at each persist site must restore on a pipelined rig
+#: (max_inflight=1): before the publish executes the slot still names epoch
+#: i-1, after it epoch i; the before-flush site is reached only after
+#: backpressure published epoch i.
 _EXPECTED_LANDING = {
     sites.EPOCH_OVERLAP_NEXT_STEP: "epoch-i-1",
     sites.EPOCH_DRAIN_MID: "epoch-i-1",
-    sites.EPOCH_COMMIT_PRE_PUBLISH: "epoch-i-1",
-    sites.EPOCH_ENQUEUE_MID: "epoch-i",
+    sites.PERSIST_BEFORE_ROOT_SWAP: "epoch-i-1",
+    sites.PERSIST_AFTER_ROOT_SWAP: "epoch-i",
+    sites.PERSIST_BEFORE_FLUSH: "epoch-i",
 }
 
 
 @pytest.mark.parametrize("site", sorted(_EXPECTED_LANDING))
-def test_mid_drain_crash_lands_on_a_whole_epoch(site):
-    """Recovery after a tear at each pipeline site restores bit-for-bit
-    epoch i or epoch i-1 — and deterministically the one the commit-point
-    argument predicts — never a blend of the two."""
-    from repro.analysis.sweep import sweep_site
+def test_mid_drain_crash_lands_on_a_whole_epoch(site, monkeypatch):
+    """Recovery after a tear at each persist site of a pipelined rig
+    restores bit-for-bit epoch i or epoch i-1 — and deterministically the
+    one the commit-point argument predicts — never a blend of the two.
+    The ``persist.*`` sites are swept on the inline-settling workload, so
+    their pipelined scenario is routed here by hand."""
+    from repro.analysis import sweep
 
-    out = sweep_site(site, max_steps=8)
+    monkeypatch.setitem(sweep._DRIVERS, site, sweep._epoch)
+    out = sweep.sweep_site(site, max_steps=8)
     assert out.fired, f"{site} never fired"
     assert out.recovered, f"{site}: {out.detail}"
     assert out.matched == _EXPECTED_LANDING[site]
@@ -214,7 +220,33 @@ def test_overlap_fraction_gauge_and_phase_split():
     assert pipe.stats.drained == pipe.stats.enqueued
 
 
-def test_sync_mode_has_no_pipeline():
-    clock, dram, nvbm, tree = _droplet_rig(max_inflight=0, steps=2)
-    assert tree._pipeline is None
-    tree.drain_persists()                 # a no-op barrier, not an error
+def test_window_zero_settles_before_persist_returns():
+    """A window of 0 is the pipeline draining inline: every persist returns
+    with its root already in ``V_prev`` and nothing queued, and no
+    background drain is ever scheduled."""
+    rig = _Rig(max_inflight=0).grow(1)
+    tree, pipe = rig.tree, rig.tree._pipeline
+    for stamp in (1.0, 2.0, 3.0):
+        tree.set_payload(sorted(tree.leaves())[0], (stamp, 0.0, 0.0, 0.0))
+        root = tree.persist(transform=False)
+        assert rig.nvbm.roots.get(SLOT_PREV) == root
+        assert pipe.inflight == 0 and pipe.live_roots() == []
+    assert pipe.stats.enqueued == pipe.stats.drained == 3
+    assert (pipe.stats.drain_ns, pipe.stats.stall_ns) == (0.0, 0.0)
+    assert pipe.overlap_fraction() == 0.0
+    tree.drain_persists()                 # nothing in flight: a no-op
+
+
+def test_windows_count_the_same_work():
+    """The window changes when durability work happens, not what is
+    counted: one workload at windows 0 and 1 reports equal ``PMStats`` —
+    the superseded marks included."""
+    sync = _droplet_rig(max_inflight=0, steps=6, max_level=5)[3]
+    pipe = _droplet_rig(max_inflight=1, steps=6, max_level=5)[3]
+    for tree in (sync, pipe):
+        # a last collection once nothing is in flight: the pipelined run's
+        # GCs pinned the epoch still draining at each of them
+        tree.drain_persists()
+        tree.gc()
+    assert sync.stats.marked_deleted > 0
+    assert pipe.stats == sync.stats

@@ -10,6 +10,7 @@ from repro.harness.chaos import (
     run_trial,
     shrink_schedule,
 )
+from repro.nvbm import sites as site_registry
 from repro.parallel.faults import LinkFaults
 
 
@@ -43,7 +44,7 @@ def test_schedule_shape():
             if ev.kind == "kill_migration":
                 assert ev.site.startswith("migrate.")
             if ev.kind == "kill_mid_drain":
-                assert ev.site.startswith("epoch.")
+                assert ev.site in site_registry.EPOCH_SITES
         assert 0.0 <= sched.faults.drop <= 0.25
         assert 0.0 <= sched.faults.duplicate <= 0.15
         assert sched.describe()   # human-readable, never raises

@@ -6,6 +6,7 @@ import json
 
 from repro.harness.chaos import derive_schedule, run_chaos
 from repro.harness.report import render_json
+from repro.nvbm import sites as site_registry
 
 
 def _serialize(report):
@@ -29,7 +30,7 @@ def test_pipeline_schedules_contain_mid_drain_kills():
     assert hits, "the pool never drew kill_mid_drain in 60 trials"
     sch = derive_schedule(0, hits[0], steps=10)
     ev = next(e for e in sch.events if e.kind == "kill_mid_drain")
-    assert ev.site.startswith("epoch.")
+    assert ev.site in site_registry.EPOCH_SITES
     assert f"kill_mid_drain[{ev.site}]" in sch.describe()
 
 

@@ -40,43 +40,30 @@ _SNAP = struct.Struct("<QB4d")
 
 
 def _mark(pmo: "PMOctree") -> Set[int]:
-    """BFS over NVBM records from all live roots.
+    """BFS over NVBM records from the working version, plus the pins.
 
-    Synchronous mode traverses both root slots: ``V_{i-1}`` and the working
-    version share almost every record, so the visited set makes the second
-    walk nearly free.  Under the epoch pipeline the published root lags the
-    working version by up to ``max_inflight`` epochs and a traversal of the
-    old tree would *re-read* every record unique to it — exactly the volume
-    the deferred drain hides, cancelling the overlap win.  Instead the
-    pipelined mark walks only the working version and **pins** the
-    per-epoch deltas (COW originals and detached records): version *k*'s
-    reachable set is the working version's plus the deltas of every later
-    epoch, so the union is exact, with zero reads.
+    The published root lags the working version by up to ``max_inflight``
+    epochs, and a traversal of the old tree would *re-read* every record
+    unique to it.  Instead the mark walks only the working version and
+    **pins** the per-epoch deltas (COW originals and detached records):
+    version *k*'s reachable set is the working version's plus the deltas
+    of every later epoch, so the union is exact, with zero reads.
     """
     seen: Set[int] = set()
-    roots = []
-    pins: Set[int] = set()
-    if pmo._pipeline is not None:
-        # pin, don't traverse: old-version-only records plus the root
-        # slots and in-flight roots themselves (their interiors are
-        # covered by the working-version walk + the pins).  The union
-        # happens *after* the walk — a pin that is also a working-version
-        # record must still be traversed normally.
-        raw = pmo._pipeline.pinned_handles()
-        raw.extend(pmo._superseded)
-        raw.extend(pmo._detached)
-        raw.extend(pmo._pipeline.live_roots())
-        for slot in (SLOT_PREV, SLOT_CURR):
-            raw.append(pmo.nvbm.roots.get(slot))
-        pins.update(h for h in raw
-                    if h != NULL_HANDLE and is_nvbm(h)
-                    and pmo.nvbm.contains(h))
-    else:
-        for slot in (SLOT_PREV, SLOT_CURR):
-            h = pmo.nvbm.roots.get(slot)
-            if h != NULL_HANDLE and is_nvbm(h):
-                roots.append(h)
-    roots.extend(h for h in pmo._index.values() if is_nvbm(h))
+    # pin, don't traverse: old-version-only records plus the root slots
+    # and in-flight roots themselves (their interiors are covered by the
+    # working-version walk + the pins).  The union happens *after* the
+    # walk — a pin that is also a working-version record must still be
+    # traversed normally.
+    raw = pmo._pipeline.pinned_handles()
+    raw.extend(pmo._superseded)
+    raw.extend(pmo._detached)
+    raw.extend(pmo._pipeline.live_roots())
+    for slot in (SLOT_PREV, SLOT_CURR):
+        raw.append(pmo.nvbm.roots.get(slot))
+    pins = {h for h in raw
+            if h != NULL_HANDLE and is_nvbm(h) and pmo.nvbm.contains(h)}
+    roots = [h for h in pmo._index.values() if is_nvbm(h)]
     roots.extend(h for h in pmo._origin.values() if is_nvbm(h))
 
     stack = [h for h in roots if pmo.nvbm.contains(h)]
@@ -114,10 +101,9 @@ def reachable_from(pmo, root_handle: int) -> Set[int]:
 
 def _restore_traverse(pmo: "PMOctree") -> int:
     pmo.merging = False
-    if pmo._pipeline is not None:
-        # in-flight epochs died with the volatile caches; their publishes
-        # never happened and must not be replayed against the restored tree
-        pmo._pipeline.reset()
+    # in-flight epochs died with the volatile caches; their publishes never
+    # happened and must not be replayed against the restored tree
+    pmo._pipeline.reset()
     root = pmo.nvbm.roots.get(SLOT_PREV)
     if root == NULL_HANDLE:
         raise RecoveryError("no persistent version exists (never persisted)")

@@ -146,14 +146,16 @@ def _pinnable(obs):
 
 
 PINNED_PM = {
-    # (scenario, max_inflight_epochs): _pinnable(_observables(...)) at 930f3fe
+    # (scenario, max_inflight_epochs): _pinnable(_observables(...)) at
+    # 930f3fe; the window-0 clocks and NVBM reads re-pinned when GC's mark
+    # stopped walking V_{i-1} there (it pins the per-epoch deltas instead)
     ("droplet", 0): {
-        "clock_ns": 1650510.0,
+        "clock_ns": 1649910.0,
         "dram_stats": {"reads": 2542, "writes": 689, "bytes_read": 105248,
                       "bytes_written": 41632, "lines_read": 3026,
                       "lines_written": 972},
-        "nvbm_stats": {"reads": 6305, "writes": 2306, "bytes_read": 270743,
-                      "bytes_written": 136275, "lines_read": 7830,
+        "nvbm_stats": {"reads": 6302, "writes": 2306, "bytes_read": 270359,
+                      "bytes_written": 136275, "lines_read": 7824,
                       "lines_written": 3281},
         "wear": "5af6d2e6cdaf27c8", "history": "e883713e7faff257",
         "recovered": "d0f9fffa0ecd864d",
@@ -170,12 +172,12 @@ PINNED_PM = {
         "recovered": "d0f9fffa0ecd864d",
     },
     ("wave", 0): {
-        "clock_ns": 3609530.0,
+        "clock_ns": 3609130.0,
         "dram_stats": {"reads": 2345, "writes": 565, "bytes_read": 120256,
                       "bytes_written": 42464, "lines_read": 2816,
                       "lines_written": 832},
-        "nvbm_stats": {"reads": 16012, "writes": 6621, "bytes_read": 745297,
-                      "bytes_written": 389236, "lines_read": 19712,
+        "nvbm_stats": {"reads": 16010, "writes": 6621, "bytes_read": 745041,
+                      "bytes_written": 389236, "lines_read": 19708,
                       "lines_written": 9443},
         "wear": "c9511796d165531c", "history": "95580896a2f6fcd3",
         "recovered": "49c81ee27da83deb",

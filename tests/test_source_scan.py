@@ -430,6 +430,16 @@ def test_one_landing_path():
     assert not _mentions(gone), _mentions(gone)
 
 
+def test_one_persist_path():
+    """A persist at every window is the epoch pipeline's enqueue and
+    settle: no second persist body, no guard that picks one, and no
+    crash-site alias for a position the ``persist.*`` sites name."""
+    gone = re.compile(r"_persist_impl|EPOCH_ENQUEUE_MID"
+                      r"|EPOCH_COMMIT_PRE_PUBLISH|epoch\.enqueue\.mid"
+                      r"|epoch\.commit\.pre_publish|_pipeline is (not )?None")
+    assert not _mentions(gone), _mentions(gone)
+
+
 # ------------------------------------------------- no test-only surface
 
 #: directories whose code calls ``src`` the way the system does: the
