@@ -489,7 +489,7 @@ def _media(site: str, max_steps: int, seed: int) -> Scenario:
 
     published = sorted(tree.reachable_from(rig.nvbm.roots.get(SLOT_PREV)))
     bad = published[seed % len(published)]
-    model = MediaFaultModel(seed=seed)
+    model = MediaFaultModel()
     rig.nvbm.attach_fault_model(model)
     model.plant_stuck(index_of(bad) * LINES_PER_RECORD)
 

@@ -25,8 +25,16 @@ scope first: reads through the tree, evictions, persist and GC, a store to a
 record a pending refine rewrites, a coarsen of pending children.  Landing
 early is always exact, so crash plans and media faults need no other path:
 a site visit that would fire (:meth:`Landing.site`) and a read that could
-fail (:func:`read_could_fail`: the epoch, a copy's original, an NVBM
-refine's parent) land the scope, then run at their place.
+fail (:func:`read_could_fail`: a copy's original, an NVBM refine's parent)
+land the scope, then run at their place.
+
+An epoch read needs no such check.  Media faults are planted, so a read's
+outcome is fixed for the whole scope except where a rewrite clears rot, and
+no store of the scope precedes the first epoch read of the record it
+writes (``writable`` reads the epoch before it stores).  The in-scope
+uncharged ``_load`` therefore runs the media check at the read's place and
+raises what the per-item read raises; the read is counted before the load,
+and the closing scope lands the stores and charges it.
 docs/performance.md, "One body per mutation", has why.
 """
 
@@ -37,7 +45,6 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from repro.config import OCTANT_RECORD_SIZE
 from repro.errors import ConsistencyError
 from repro.nvbm import sites
 from repro.nvbm.arena import MemoryArena
@@ -52,14 +59,13 @@ SLOT_PREV = "V_prev"
 SLOT_CURR = "V_curr"
 
 
-def read_could_fail(arena: MemoryArena, handles, offset: int = 0,
-                    size: int = OCTANT_RECORD_SIZE) -> bool:
-    """Could a metered read of ``[offset, offset + size)`` of ``handles``
-    fail?  Only while ``arena``'s media fault model is not quiescent, and
-    then ``read_rows(..., charge=False)`` answers: None."""
+def read_could_fail(arena: MemoryArena, handles) -> bool:
+    """Could a metered read of the records ``handles`` fail?  Only while
+    ``arena``'s media fault model has something planted, and then
+    ``read_rows(..., charge=False)`` answers: None."""
     model = arena.device.fault_model
     return model is not None and not model.quiescent and arena.read_rows(
-        handles, offset, size, charge=False) is None
+        handles, charge=False) is None
 
 
 def land_refines(arena: MemoryArena, parents, kids, kid_locs,
@@ -195,12 +201,11 @@ class Landing:
                 and self.fresh.keys().isdisjoint(handles)):
             self.land()
 
-    def _landed_before_read(self, arena: MemoryArena, handle: int,
-                            *span: int) -> bool:
+    def _landed_before_read(self, arena: MemoryArena, handle: int) -> bool:
         """If a read of ``handle`` could fail, land the scope now and say
         so: the read then runs after the stores the per-item sequence makes
         before it."""
-        could = read_could_fail(arena, [handle], *span)
+        could = read_could_fail(arena, [handle])
         if could:
             self.land()
         return could
@@ -211,15 +216,15 @@ class Landing:
         """The epoch of the NVBM record ``handle`` — one metered 4-byte
         read."""
         nvbm = self.tree.nvbm
-        if self.immediate or handle not in self.fresh and \
-                self._landed_before_read(nvbm, handle, *EPOCH_SPAN):
+        if self.immediate:
             return nvbm.read_epoch(handle)
         self.reads += 1
         if handle in self.fresh:
             return self.tree.epoch
         epoch = self.known.get(handle)
         if epoch is None:
-            # charged with the scope's other epoch reads when it lands
+            # charged with the scope's other epoch reads when it lands; a
+            # planted fault raises here, at its place
             epoch = unpack_epoch(*nvbm._load(
                 handle, *EPOCH_SPAN, charge=False))
         return epoch

@@ -349,7 +349,8 @@ class ScrubReport:
     """Outcome of one :func:`scrub` pass over the published tree."""
 
     scanned: int = 0
-    #: fault kind -> detections ("rot"/"wear"/"stuck"/"transient"/"crc")
+    #: fault kind -> detections ("rot"/"stuck"/"crc"; a re-read that
+    #: clears counts its first error's kind too)
     detected: Dict[str, int] = field(default_factory=dict)
     repaired_retry: int = 0     #: cleared by the bounded re-read rung
     repaired_local: int = 0     #: rebuilt from a clean C0 (DRAM) copy
@@ -373,8 +374,9 @@ class ScrubReport:
 def _read_retrying(pmo: "PMOctree", handle: int):
     """First rung: bounded re-read.  Returns ``(record, first_error)``.
 
-    A transient upset clears on re-read; everything else keeps raising and
-    the last error escapes to the caller after the budget is spent.
+    A one-off read error clears on re-read (each re-read is a metered
+    read); a planted fault keeps raising and the last error escapes to the
+    caller after the budget is spent.
     """
     exc: Optional[MediaError] = None
     for _ in range(MEDIA_READ_RETRIES):
@@ -481,7 +483,7 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
     if nvbm.roots.get(SLOT_CURR) == old_handles[0]:
         nvbm.roots.set(SLOT_CURR, new_handles[0])
     pmo.injector.site(sites.MEDIA_REPAIR_PRE_RETIRE)
-    if kind in ("stuck", "wear"):
+    if kind == "stuck":
         # the medium itself is bad: take the slot's lines out of rotation
         nvbm.retire(bad_old)
         report.retired_lines += LINES_PER_RECORD
@@ -508,11 +510,12 @@ def scrub(pmo: "PMOctree", replica=None, transport=None) -> ScrubReport:
     Walks the persistent tree (``V_prev``) top-down on the simulated clock,
     driving each detected fault through the repair ladder:
 
-    1. bounded re-read (clears transient upsets);
+    1. bounded re-read (clears a one-off read error; each re-read is a
+       metered read);
     2. rebuild from a clean local C0 copy or from ``replica`` (fetch
        charged to ``transport``/the clock);
     3. relocate the record to a fresh slot and atomically republish;
-    4. retire stuck/worn lines through the allocator's retired-set.
+    4. retire stuck lines through the allocator's retired-set.
 
     Records with no redundancy left are reported (not raised) in
     ``ScrubReport.unrepaired`` — their subtrees are unreadable, and the

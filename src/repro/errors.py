@@ -54,10 +54,10 @@ class MediaError(ReproError):
 
     The base class covers *detected* corruption: a record whose sealed CRC
     no longer matches its bytes.  ``kind`` distinguishes the failure mode
-    (``"crc"`` here; the device-level subclass adds ``"rot"``, ``"wear"``,
-    ``"stuck"`` and ``"transient"``).  ``slot`` is the record index inside
-    the arena and ``lines`` the global cache-line ids implicated, so the
-    repair ladder knows exactly what to retire.
+    (``"crc"`` here; the device-level subclass adds ``"rot"`` and
+    ``"stuck"``).  ``slot`` is the record index inside the arena and
+    ``lines`` the global cache-line ids implicated, so the repair ladder
+    knows exactly what to retire.
     """
 
     def __init__(self, arena: str, slot: int, kind: str,
@@ -77,10 +77,11 @@ class MediaError(ReproError):
 class UncorrectableError(MediaError):
     """The medium returned an uncorrectable error on read.
 
-    Raised by :class:`repro.nvbm.device.MediaFaultModel` when a read
-    touches a line that has rotted (``"rot"``), exceeded its endurance
-    budget (``"wear"``), is stuck (``"stuck"``), or suffered a one-off
-    transient upset (``"transient"`` — a bounded re-read clears it).
+    Raised by :meth:`repro.nvbm.device.MemoryDevice.check_media` when a
+    read touches a line planted in its
+    :class:`~repro.nvbm.device.MediaFaultModel`: rotted (``"rot"``,
+    cleared by a rewrite) or stuck (``"stuck"``, until the slot is
+    retired).
     """
 
 

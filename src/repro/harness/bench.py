@@ -50,7 +50,6 @@ from repro.core.replication import (
 from repro.harness.report import BENCH_SCHEMA, bench_envelope
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.obs import Observability, snapshot_clock, snapshot_wear
 from repro.parallel.faults import FaultyNetwork, LinkFaults, NetworkFaultPlan
@@ -103,7 +102,6 @@ SUITE = "droplet+recovery+replication+partition+media"
 def _rig(seed: int = 2017, dram_budget: Optional[int] = None,
          max_inflight: int = 0):
     """One PM-octree rig on a fresh clock (mirrors the experiment harness)."""
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)
@@ -309,7 +307,7 @@ def bench_media(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     def droplet(quiet_model: bool):
         clock, dram, nvbm, tree = _rig()
         if quiet_model:
-            nvbm.attach_fault_model(MediaFaultModel(seed=11))
+            nvbm.attach_fault_model(MediaFaultModel())
         solver = SolverConfig(dim=2, min_level=2, max_level=max_level,
                               dt=0.01)
         sim = DropletSimulation(tree, solver, clock=clock,

@@ -451,8 +451,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             return  # nothing published yet; the fault has nothing to hit
         dev = cluster.ranks[st.host_rank].resources["nvbm"].device
         if dev.fault_model is None:  # attached on the host's first fault
-            dev.attach_fault_model(MediaFaultModel(
-                seed=schedule.seed * 7919 + schedule.trial))
+            dev.attach_fault_model(MediaFaultModel())
         if ev.kind == "media_stuck":
             dev.fault_model.plant_stuck(gline)
         else:

@@ -29,7 +29,6 @@ from repro.core.replication import ReplicaStore, restore_from_replica, ship_delt
 from repro.core.transform import detect_and_transform
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree import morton, soa
 from repro.parallel.runtime import Backend, RunConfig, RunResult, run_parallel
@@ -44,9 +43,6 @@ SCALING_SOLVER = SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01)
 
 def _pm_rig(dram_octants: int = 1 << 16, nvbm_octants: int = 1 << 20,
             dram_budget: Optional[int] = None, seed: int = 2017):
-    # Each rig is one experiment repetition: clear the shared injector so
-    # hit counters and fired history never leak across repetitions.
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, dram_octants)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, nvbm_octants)

@@ -376,7 +376,7 @@ class MemoryArena:
 
     def retire(self, handle: int) -> None:
         """Release a slot *and* take its media out of rotation: the repair
-        ladder's answer to stuck or worn-out lines — the allocator's
+        ladder's answer to stuck lines — the allocator's
         retired-set guarantees the slot is never handed out again."""
         self._drop(handle, self.allocator.retire)
 
@@ -580,9 +580,9 @@ class MemoryArena:
         if clean and not dev._unmetered:
             fm = dev.fault_model
             if fm is not None and not fm.quiescent:
-                clean = not fm.armed and not fm.planted_among(
+                clean = fm.fault((
                     (idx[on_medium] * _LINES_PER_RECORD + first)[:, None]
-                    + np.arange(nlines))
+                    + np.arange(nlines)).ravel().tolist()) is None
             sealed = np.flatnonzero(on_medium & (self._seal[idx] >= 0))
             if clean and sealed.size:
                 full = rows[sealed] if whole else self._rows[idx[sealed]]
@@ -590,9 +590,8 @@ class MemoryArena:
         if not clean:
             if not charge:
                 return None
-            # a read of this batch raises, or an armed fault model has to
-            # see each read at its own clock and count: the per-record
-            # sequence is the definition, so run it
+            # a read of this batch raises: the per-record sequence is the
+            # definition, so run it
             return np.array([
                 list(self.read_field(h, offset, size))
                 for h in np.asarray(handles, dtype=np.uint64).tolist()

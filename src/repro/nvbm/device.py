@@ -1,18 +1,19 @@
-"""Memory-device latency and wear model.
+"""Memory-device latency, wear and media-fault model.
 
 A :class:`MemoryDevice` does no storage itself — it is the *meter* through
 which an arena charges simulated time and counts accesses.  The latency model
 follows the paper's emulator: a fixed per-access latency (Table 2), charged
 once per cache line touched, which is how a CPU actually issues the traffic.
+An attached :class:`MediaFaultModel` holds planted faults (stuck and rotted
+lines), which a metered read of the medium surfaces; nothing about it
+depends on the clock, the wear or how often a line was read.
 """
 
 from __future__ import annotations
 
-import math
-import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional, Set
+from typing import Iterator, Optional, Set, Tuple
 
 import numpy as np
 
@@ -52,118 +53,62 @@ class DeviceStats:
 
 
 class MediaFaultModel:
-    """Deterministic, seeded model of NVBM media faults surfacing on read.
+    """Planted NVBM media faults surfacing on read.
 
-    The medium itself is no longer assumed perfect: reads of a cache line
+    The medium itself is no longer assumed perfect: a read of a cache line
     can return an *uncorrectable error* (UE) — the DIMM's internal ECC
-    detected corruption it could not fix.  Four mechanisms are modelled,
-    each driven purely by the simulated clock and a seeded hash (no
-    wall-clock, no ambient ``random``), so a given (seed, access sequence)
-    always produces the same faults:
+    detected corruption it could not fix.  A fault is *planted* on a global
+    line id, where a checker chooses to put it (chaos, the crash-site
+    sweep, the bench's repair scenario); nothing is sampled, so a read's
+    outcome depends only on what is planted:
 
     ``stuck``
-        A line from a chaos-supplied plan (:meth:`plant_stuck`) fails every
-        read until the slot is retired.  Rewrites do not help.
+        :meth:`plant_stuck`: every read of the line fails until its slot is
+        retired.  Rewrites do not help.
     ``rot``
-        Background bit-rot.  Each line gets a per-generation exponential
-        age-to-failure deadline drawn from ``rot_mtbf_ns``; once the sim
-        clock passes it, reads fail until the line is rewritten (a write
-        refreshes the cells and redraws the deadline).  Chaos can also
-        plant an immediate rot (:meth:`plant_rot`).
-    ``wear``
-        Endurance exhaustion.  Each line draws a deterministic write-count
-        limit around ``wear_fraction * spec.endurance_writes``; once its
-        tracked wear crosses the limit, reads fail permanently — the line
-        must be retired.
-    ``transient``
-        A one-off upset with probability ``transient_rate`` per read; the
-        next read of the same line succeeds (bounded re-read clears it).
+        :meth:`plant_rot`: reads of the line fail until a metered write
+        rewrites it (a write refreshes the cells).
 
-    All mechanisms default *off* (rate/fraction 0.0 and nothing planted);
-    a constructed-but-idle model injects nothing.
+    ``seed`` is accepted and ignored: a planted fault draws nothing.
     """
 
-    def __init__(self, seed: int, rot_mtbf_ns: float = 0.0,
-                 wear_fraction: float = 0.0, transient_rate: float = 0.0):
-        self.seed = int(seed)
-        self.rot_mtbf_ns = float(rot_mtbf_ns)
-        self.wear_fraction = float(wear_fraction)
-        self.transient_rate = float(transient_rate)
+    def __init__(self, seed: int = 0):
         self._stuck: Set[int] = set()
-        self._rotted: Set[int] = set()   # chaos-planted, cleared by rewrite
-        self._gen: Dict[int, int] = {}   # rewrite generation per line
-        self._born_ns: Dict[int, float] = {}
-        self._reads: Dict[int, int] = {}
-        self._endurance = 0
-        self._attach_ns = 0.0
-
-    def _u(self, tag: str, *ints) -> float:
-        """Deterministic uniform in [0, 1) from the seed and integer keys."""
-        key = f"{tag}:{self.seed}:" + ":".join(str(i) for i in ints)
-        return zlib.crc32(key.encode("ascii")) / 2**32
-
-    # -- chaos plan hooks --------------------------------------------------
+        self._rotted: Set[int] = set()
 
     def plant_stuck(self, gline: int) -> None:
         """Mark a global line as stuck: every read fails until retirement."""
         self._stuck.add(int(gline))
 
     def plant_rot(self, gline: int) -> None:
-        """Rot a global line immediately (cleared by the next rewrite)."""
+        """Rot a global line (cleared by the next rewrite)."""
         self._rotted.add(int(gline))
-
-    # -- device callbacks --------------------------------------------------
-
-    @property
-    def armed(self) -> bool:
-        """True when a rate-driven mechanism is on (a read's outcome then
-        depends on the clock, the wear or the read count)."""
-        return (self.wear_fraction > 0.0 or self.rot_mtbf_ns > 0.0
-                or self.transient_rate > 0.0)
 
     @property
     def quiescent(self) -> bool:
-        """Nothing armed and nothing planted: no read can fault."""
-        return not (self._stuck or self._rotted or self.armed)
+        """Nothing planted: no read can fault."""
+        return not (self._stuck or self._rotted)
 
-    def note_write(self, gline: int, now_ns: float) -> None:
-        """A metered write refreshed this line's cells."""
-        self._rotted.discard(gline)
-        self._gen[gline] = self._gen.get(gline, 0) + 1
-        self._born_ns[gline] = now_ns
+    def rewritten(self, glines) -> None:
+        """A metered write refreshed ``glines`` (a ``range`` or an int64
+        array): their rot clears.  Free while nothing is rotted."""
+        if self._rotted:
+            self._rotted.difference_update(
+                glines if type(glines) is range else glines.tolist())
 
-    def check(self, gline: int, now_ns: float, wear: int) -> Optional[str]:
-        """Return the fault kind a read of ``gline`` hits now, or ``None``."""
-        if gline in self._stuck:
-            return "stuck"
-        if gline in self._rotted:
-            return "rot"
-        if self.wear_fraction > 0.0 and self._endurance > 0:
-            limit = self._endurance * self.wear_fraction
-            limit *= 1.0 + 0.5 * self._u("wl", gline)
-            if wear > limit:
-                return "wear"
-        if self.rot_mtbf_ns > 0.0:
-            gen = self._gen.get(gline, 0)
-            u = self._u("rot", gline, gen)
-            deadline = self._born_ns.get(gline, self._attach_ns)
-            deadline += self.rot_mtbf_ns * -math.log(1.0 - u)
-            if now_ns >= deadline:
-                return "rot"
-        if self.transient_rate > 0.0:
-            n = self._reads.get(gline, 0)
-            self._reads[gline] = n + 1
-            if self._u("tr", gline, n) < self.transient_rate:
-                return "transient"
+    def fault(self, glines) -> Optional[Tuple[int, str]]:
+        """The first of ``glines`` (global line ids in read order) a read
+        fails on and its kind, or None: the one media check, of one
+        record's lines or of a whole batch's."""
+        stuck, rotted = self._stuck, self._rotted
+        if stuck.isdisjoint(glines) and rotted.isdisjoint(glines):
+            return None
+        for g in glines:
+            if g in stuck:
+                return g, "stuck"
+            if g in rotted:
+                return g, "rot"
         return None
-
-    def planted_among(self, glines: np.ndarray) -> bool:
-        """True when a planted (stuck or rotted) line is among ``glines``.
-        With no rate armed that is all a read's outcome depends on, so a
-        whole batch of reads is cleared by one set intersection."""
-        planted = self._stuck | self._rotted
-        return bool(np.isin(
-            glines, np.fromiter(planted, np.int64, len(planted))).any())
 
 
 class MemoryDevice:
@@ -185,8 +130,7 @@ class MemoryDevice:
     advance is bit-identical to the per-access advance sequence.
 
     A per-cache-line write counter lets benches report endurance headroom
-    (writes/line vs ``spec.endurance_writes``) and the media-fault model
-    trigger wear-out faults.  Wear is indexed by *global line id*
+    (writes/line vs ``spec.endurance_writes``).  Wear is indexed by *global line id*
     (``slot * LINES_PER_RECORD + line``): a multi-line write ages every
     line it spans, not just the record's first.
     """
@@ -289,9 +233,8 @@ class MemoryDevice:
         ``line_ids`` holds the global id of every line written, once per
         write that spans it — a ``range`` for one record's contiguous lines
         (the scalar stores), an int64 array for a scatter.  The latency goes
-        to the active :meth:`deferred_writes` sink, else to the clock.  An
-        attached fault model sees every line refreshed at the post-charge
-        clock.
+        to the active :meth:`deferred_writes` sink, else to the clock.  The
+        rewrite clears an attached fault model's rot on those lines.
         """
         if self._unmetered or count <= 0:
             return
@@ -321,9 +264,7 @@ class MemoryDevice:
         else:
             np.add.at(self._wear, line_ids, 1)
         if self.fault_model is not None:
-            now = self.clock.now_ns
-            for g in (line_ids if scalar else line_ids.tolist()):
-                self.fault_model.note_write(g, now)
+            self.fault_model.rewritten(line_ids)
 
     def on_write(self, nbytes: int, slot: int = -1, lines: int = 0,
                  line0: int = 0) -> None:
@@ -345,8 +286,6 @@ class MemoryDevice:
 
     def attach_fault_model(self, model: MediaFaultModel) -> None:
         """Arm a media-fault model against this device's lines."""
-        model._endurance = self.spec.endurance_writes
-        model._attach_ns = self.clock.now_ns
         self.fault_model = model
 
     def check_media(self, slot: int, line0: int = 0, lines: int = 0) -> None:
@@ -363,12 +302,10 @@ class MemoryDevice:
         if lines <= 0:
             lines = LINES_PER_RECORD
         base = slot * LINES_PER_RECORD + line0
-        now = self.clock.now_ns
-        for g in range(base, base + lines):
-            wear = self._wear_mv[g] if g < self._wear.size else 0
-            kind = fm.check(g, now, wear)
-            if kind is not None:
-                raise UncorrectableError(self.spec.name, slot, kind, lines=(g,))
+        hit = fm.fault(range(base, base + lines))
+        if hit is not None:
+            raise UncorrectableError(self.spec.name, slot, hit[1],
+                                     lines=(hit[0],))
 
     # -- wear reporting ----------------------------------------------------
 

@@ -18,13 +18,12 @@ order, ``_origin``/``_dirty``/``_superseded``/``_detached``, every
 A crash plan armed on ``cow.after_copy``, ``payload.partial_store`` or
 ``coarsen.mid`` does not change how a scope lands: the site visit that
 fires lands the scope's pending prefix first, grouped, and then raises; a
-read that could fail (a media fault model that is not quiescent) lands the
-scope first and runs at its place.  So a crash or a media error at *any*
-hit leaves exactly the per-item arena, tears the same lines and recovers
-the same tree.
+copy or refine whose read could fail (a planted media fault) lands the
+scope first and runs at its place, and an epoch read raises at its place
+inside the scope, which then lands the stores before it.  So a crash or a
+media error at *any* hit leaves exactly the per-item arena, tears the same
+lines and recovers the same tree.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -436,13 +435,12 @@ def test_repeated_crashes_equal_per_item(monkeypatch, site, plan):
 
 
 def test_rotted_records_raise_as_the_per_item_calls_do(monkeypatch):
-    """Three planted rot lines on the path records: the model is not
-    quiescent, so a read that could fail lands the scope first and runs at
-    its place, and the batch raises at the first rotted read after exactly
-    the per-item charges."""
+    """Three planted rot lines on the path records' epoch line: the epoch
+    read raises at its place inside the scope, the closing scope lands the
+    stores before it, and the batch leaves exactly the per-item charges."""
     ours, theirs = _twins()
     for rig in (ours, theirs):
-        model = MediaFaultModel(seed=3)
+        model = MediaFaultModel()
         rig.nvbm.attach_fault_model(model)
         t = rig.tree
         for loc in _leaves(t)[9::11][:3]:
@@ -460,7 +458,7 @@ def test_rotted_copy_source_raises_as_the_per_item_calls_do(monkeypatch):
     the scope first and raises at its place, not when the scope closes."""
     ours, theirs = _twins()
     for rig in (ours, theirs):
-        model = MediaFaultModel(seed=3)
+        model = MediaFaultModel()
         rig.nvbm.attach_fault_model(model)
         t = rig.tree
         for loc in _leaves(t)[8::12][:3]:
@@ -472,95 +470,12 @@ def test_rotted_copy_source_raises_as_the_per_item_calls_do(monkeypatch):
     assert ours.nvbm.stats.stores > 0  # it was partway through the batch
 
 
-@pytest.mark.parametrize("site", sorted(_ACTS))
-def test_rate_driven_faults_equal_per_item(monkeypatch, site):
-    """A rate-driven model judges each read at its own read count: every
-    read in the scope could fail, so each lands the scope first, and the
-    batch fails or finishes exactly where the per-item calls do."""
-    ours, theirs = _twins()
-    for rig in (ours, theirs):
-        rig.nvbm.attach_fault_model(MediaFaultModel(seed=3,
-                                                    transient_rate=0.005))
-    _run(monkeypatch, ours, theirs, _ACTS[site])
-
-
-def _checked_reads(monkeypatch, rig, act) -> list:
-    """``(slot, first line, lines, clock)`` of every media check the
-    per-item ``act`` makes on ``rig``, under a rot model armed but too slow
-    to fire (an armed model runs every read at its place)."""
-    reads = []
-    check = rig.nvbm.device.check_media
-
-    def recording(slot, line0=0, lines=0):
-        reads.append((slot, line0, lines, rig.clock.now_ns))
-        return check(slot, line0, lines)
-
-    rig.nvbm.attach_fault_model(MediaFaultModel(seed=0, rot_mtbf_ns=1e30))
-    with monkeypatch.context() as patch:
-        _per_item(patch)
-        patch.setattr(rig.nvbm.device, "check_media", recording)
-        act(rig.tree)
-    return reads
-
-
-def _rot_at(reads, target: int, deadline: float, attach_ns: float):
-    """A rot model whose deadline for line ``target`` is ``deadline`` and
-    every other line's falls after the last read of it in ``reads``: the
-    seed is the first whose draws put ``target`` first, found from the
-    draws alone (``MediaFaultModel.check``: born at attach, deadline
-    ``attach + mtbf * -log(1 - u)``)."""
-    for seed in range(20000):
-        model = MediaFaultModel(seed=seed)
-
-        def draw(line):
-            return -math.log(1.0 - model._u("rot", line, 0))
-
-        mtbf = (deadline - attach_ns) / draw(target)
-        if all(attach_ns + mtbf * draw(line) > now
-               for slot, line0, lines, now in reads
-               for line in range(slot * LINES_PER_RECORD + line0,
-                                 slot * LINES_PER_RECORD + line0 + lines)
-               if line != target):
-            return MediaFaultModel(seed=seed, rot_mtbf_ns=mtbf)
-    raise AssertionError("no seed puts the target's deadline first")
-
-
-def test_clock_driven_rot_in_an_epoch_read_of_a_scope(monkeypatch):
-    """A rot deadline that falls between two epoch reads of one scope, just
-    before the later read: the per-item calls fail there.  The scope gets
-    there with stores still pending, whose time the per-item sequence has
-    already spent — so the epoch read lands the scope first and fails at
-    its place, not at a clock that has not yet seen those stores."""
-    act = _ACTS[PAYLOAD_PARTIAL]
-    probe, ours, theirs = _grown(), _grown(), _grown()
-    attach_ns = probe.clock.now_ns
-    reads = _checked_reads(monkeypatch, probe, act)
-    # the target: the last epoch read of a line no earlier read touched
-    seen = set()
-    for i, (slot, line0, lines, now) in enumerate(reads):
-        line = slot * LINES_PER_RECORD + line0
-        if lines == 1 and i and line not in seen:
-            target, deadline = line, now - 0.5
-        seen.update(range(line, line + lines))
-    for rig in (ours, theirs):
-        assert rig.clock.now_ns == attach_ns
-        rig.nvbm.attach_fault_model(
-            _rot_at(reads, target, deadline, attach_ns))
-    error = _run(monkeypatch, ours, theirs, act)
-    assert isinstance(error, MediaError) and error.kind == "rot"
-    assert error.lines == (target,)
-    assert ours.nvbm.stats.stores > 0  # it was partway through the batch
-
-
 def test_rotted_refine_parent_raises_as_the_per_item_calls_do(monkeypatch):
     """A refine's parent read back from the medium — a current-epoch leaf
     a mid-epoch flush wrote out — with rot planted past its epoch field:
     the epoch read passes and stays in the scope, so the refine is the
     read that fails, and it lands the scope and raises at its place, not
-    when the scope closes after the next leaf's reads.  (A rate-driven
-    model cannot tell this apart: under one every read in a scope lands
-    it first, the next leaf's epoch read too, so nothing charged ever
-    sits between a refine and its landing.)"""
+    when the scope closes after the next leaf's reads."""
     ours, theirs = _twins()
     leaves = _leaves(ours.tree)
     flushed, cached = leaves[0::8][:3], leaves[4::8][:3]
@@ -571,7 +486,7 @@ def test_rotted_refine_parent_raises_as_the_per_item_calls_do(monkeypatch):
         rig.nvbm.flush()               # ... read back from the medium
         for loc in cached:
             t.set_field(loc, 0, 0.25)  # ... and ones still cached
-        model = MediaFaultModel(seed=3)
+        model = MediaFaultModel()
         rig.nvbm.attach_fault_model(model)
         slot = int(rig.nvbm.slots_of(np.array(
             [t._index[flushed[1]]], dtype=np.uint64))[0])
@@ -585,7 +500,7 @@ def test_rotted_refine_parent_raises_as_the_per_item_calls_do(monkeypatch):
 def test_quiescent_fault_model_keeps_the_batch(monkeypatch, landed):
     ours, theirs = _twins()
     for rig in (ours, theirs):
-        rig.nvbm.attach_fault_model(MediaFaultModel(seed=3))
+        rig.nvbm.attach_fault_model(MediaFaultModel())
     for act in _ACTS.values():
         _run(monkeypatch, ours, theirs, act)
     assert landed == {"__exit__": 3}

@@ -330,7 +330,7 @@ def test_rotted_origins_raise_as_the_oracle_does(monkeypatch):
     ours, theirs = _grown(), _grown()
     errors = []
     for rig, use_oracle in ((ours, False), (theirs, True)):
-        model = MediaFaultModel(seed=3)
+        model = MediaFaultModel()
         rig.nvbm.attach_fault_model(model)
         origins = _clean_origins(rig.tree)
         assert len(origins) > 30
@@ -353,7 +353,7 @@ def test_quiescent_fault_model_keeps_the_batch(monkeypatch, chunks):
     the merge stays chunked, and still equals the oracle."""
     ours, theirs = _grown(), _grown()
     for rig, use_oracle in ((ours, False), (theirs, True)):
-        rig.nvbm.attach_fault_model(MediaFaultModel(seed=3))
+        rig.nvbm.attach_fault_model(MediaFaultModel())
         assert _persist(rig, use_oracle, monkeypatch) is None
     _agree(ours, theirs)
     assert chunks and min(chunks) > 1

@@ -6,7 +6,8 @@ from repro.core.api import pm_restore
 from repro.core.pmoctree import SLOT_PREV
 from repro.core.recovery import scrub
 from repro.core.replication import ReplicaStore, ship_delta
-from repro.errors import MediaUnrepairableError
+from repro.config import OCTANT_RECORD_SIZE
+from repro.errors import MediaUnrepairableError, UncorrectableError
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
 from repro.nvbm.pointers import index_of
 
@@ -35,8 +36,8 @@ def _published(rig):
     return root, sorted(rig.tree.reachable_from(root))
 
 
-def _attach(rig, **kwargs):
-    model = MediaFaultModel(seed=13, **kwargs)
+def _attach(rig):
+    model = MediaFaultModel()
     rig.nvbm.attach_fault_model(model)
     return model
 
@@ -48,15 +49,36 @@ def _gline(handle, line=0):
 # ------------------------------------------------------------------- rung 1
 
 
-def test_transient_upsets_clear_on_retry():
+def test_transient_upsets_clear_on_retry(monkeypatch):
+    """A read error the next read does not repeat: the bounded re-read
+    rung clears it, and each re-read is a metered read."""
     rig = _persisted_rig()
     before = _signature(rig.tree)
-    model = _attach(rig, transient_rate=0.25)
+    root, _ = _published(rig)
+    read = rig.nvbm.read_octant
+    failed = []
+
+    def fails_once(handle):
+        if handle == root and not failed:
+            failed.append(handle)
+            rig.nvbm.device.on_read(OCTANT_RECORD_SIZE)
+            raise UncorrectableError("nvbm", index_of(handle), "transient",
+                                     lines=(_gline(handle),))
+        return read(handle)
+
+    stats = rig.nvbm.device.stats
+    start = stats.reads
+    clean = scrub(rig.tree)
+    clean_reads = stats.reads - start
+    monkeypatch.setattr(rig.nvbm, "read_octant", fails_once)
+    start = stats.reads
     report = scrub(rig.tree)
     assert report.ok
-    assert report.repaired_retry > 0       # the bounded re-read rung fired
+    assert report.detected == {"transient": 1}
+    assert report.repaired_retry == 1      # the bounded re-read rung fired
     assert report.relocated == 0           # nothing was actually damaged
-    model.transient_rate = 0.0             # quiesce before the byte compare
+    assert report.scanned == clean.scanned
+    assert stats.reads - start == clean_reads + 1
     assert _signature(rig.tree) == before
 
 

@@ -164,7 +164,7 @@ def test_unattached_model_changes_nothing(clock, nvbm):
     t0 = clock.now_ns
     nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
     cost_plain = clock.now_ns - t0
-    nvbm.attach_fault_model(MediaFaultModel(seed=5))  # quiescent
+    nvbm.attach_fault_model(MediaFaultModel())  # quiescent
     t0 = clock.now_ns
     assert nvbm.read_octant(h).loc == 3
     assert clock.now_ns - t0 == cost_plain  # verification charges nothing
@@ -173,7 +173,7 @@ def test_unattached_model_changes_nothing(clock, nvbm):
 def test_planted_rot_faults_until_rewritten(clock, nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
-    model = MediaFaultModel(seed=5)
+    model = MediaFaultModel()
     nvbm.attach_fault_model(model)
     model.plant_rot(_gline(h))
     with pytest.raises(UncorrectableError) as ei:
@@ -187,7 +187,7 @@ def test_planted_rot_faults_until_rewritten(clock, nvbm):
 def test_stuck_line_survives_rewrite(nvbm):
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
-    model = MediaFaultModel(seed=5)
+    model = MediaFaultModel()
     nvbm.attach_fault_model(model)
     model.plant_stuck(_gline(h))
     nvbm.write_octant(h, _rec(loc=4))
@@ -202,7 +202,7 @@ def test_field_read_checks_only_spanned_lines(nvbm):
     a whole-record read, which spans it."""
     h = nvbm.new_octant(_rec(loc=3))
     nvbm.flush()
-    model = MediaFaultModel(seed=5)
+    model = MediaFaultModel()
     nvbm.attach_fault_model(model)
     model.plant_stuck(_gline(h, line=1))
     assert PAYLOAD_SPAN[0] // CACHE_LINE_SIZE == 0
@@ -211,60 +211,26 @@ def test_field_read_checks_only_spanned_lines(nvbm):
         nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
 
 
-def test_transient_clears_on_reread(clock, nvbm):
-    h = nvbm.new_octant(_rec(loc=3))
-    nvbm.flush()
-    model = MediaFaultModel(seed=5, transient_rate=1.0)
-    nvbm.attach_fault_model(model)
-    with pytest.raises(UncorrectableError) as ei:
-        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
-    assert ei.value.kind == "transient"
-    # rate 1.0 keeps faulting, but each read consumes its own draw — a
-    # realistic rate lets the retry rung clear it deterministically
-    model.transient_rate = 0.0
-    assert nvbm.read_octant(h).loc == 3
-
-
-def test_wear_out_faults_past_fraction(clock, nvbm):
-    h = nvbm.alloc()
-    spec_limit = NVBM_SPEC.endurance_writes
-    model = MediaFaultModel(seed=5, wear_fraction=3.0 / spec_limit)
-    nvbm.attach_fault_model(model)
-    for i in range(8):  # drive wear far past limit * 1.5 (the max jitter)
-        nvbm.write(h, pack_record(_rec(loc=i)))
-    nvbm.flush()
-    with pytest.raises(UncorrectableError) as ei:
-        nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
-    assert ei.value.kind == "wear"
-
-
-def test_fault_model_is_deterministic():
-    a = MediaFaultModel(seed=9, rot_mtbf_ns=1e6, transient_rate=0.3)
-    b = MediaFaultModel(seed=9, rot_mtbf_ns=1e6, transient_rate=0.3)
-    a._endurance = b._endurance = 10**7
-    seq = [(g, t) for g in range(6) for t in (0.0, 5e5, 5e6, 5e7)]
-    got_a = [a.check(g, t, wear=0) for g, t in seq]
-    got_b = [b.check(g, t, wear=0) for g, t in seq]
-    assert got_a == got_b
-    assert any(k is not None for k in got_a)  # the model actually fires
-
-
 # ------------------------------------------------------------ batch media check
 
 
-def _batch_rig(**model_kwargs):
+def _batch_rig(rewrite: bool):
     """32 sealed records, a re-dirtied (cache-served) one among them, and a
-    fault model with two planted lines."""
+    fault model with planted lines — with ``rewrite``, record 20's rotted
+    line is then rewritten and flushed, which clears its rot."""
     clock = SimClock()
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, capacity_octants=64)
     handles = [nvbm.new_octant(_rec(loc=i + 1)) for i in range(32)]
     nvbm.flush()
     nvbm.write_payload(handles[5], (1.0,) * 4)  # served from the cache
-    model = MediaFaultModel(seed=21, **model_kwargs)
+    model = MediaFaultModel()
     nvbm.attach_fault_model(model)
     model.plant_rot(_gline(handles[20], line=1))
     model.plant_stuck(_gline(handles[11], line=0))
     model.plant_rot(_gline(handles[5], line=0))  # masked by the cache
+    if rewrite:
+        nvbm.write_field(handles[20], 64, bytes(8))
+        nvbm.flush_records([handles[20]])
     return clock, nvbm, handles
 
 
@@ -273,23 +239,21 @@ def _outcome(clock, nvbm, fn):
         value = fn()
     except MediaError as exc:
         value = (type(exc).__name__, exc.kind, exc.slot, exc.lines, str(exc))
+    model = nvbm.device.fault_model
     return (value, dataclasses.asdict(nvbm.device.stats), clock.now_ns,
-            dict(nvbm.device.fault_model._reads))
+            sorted(model._stuck), sorted(model._rotted))
 
 
 @pytest.mark.parametrize("span", [(0, OCTANT_RECORD_SIZE), PAYLOAD_SPAN,
                                   (64, 8)],
                          ids=["record", "payload", "line1-field"])
-@pytest.mark.parametrize("model_kwargs", [
-    {},                                          # planted faults only
-    {"transient_rate": 0.08},                    # counts reads
-    {"rot_mtbf_ns": 4e4},                        # samples the clock per read
-    {"transient_rate": 0.05, "rot_mtbf_ns": 2e5, "wear_fraction": 1e-7},
-], ids=["planted", "transient", "rot", "all-armed"])
-def test_batch_media_check_equals_per_read_sequence(span, model_kwargs):
+@pytest.mark.parametrize("rewrite", [False, True],
+                         ids=["planted", "rewritten"])
+def test_batch_media_check_equals_per_read_sequence(span, rewrite):
     """``read_rows`` raises what the per-record loop raises — the first
     faulting record in batch order, same error fields — after the same
-    charges, and leaves the fault model in the same state."""
+    charges, and leaves the same lines planted; a rewrite clears its rot
+    for both."""
     offset, size = span
 
     def scalar(nvbm, handles):
@@ -300,45 +264,20 @@ def test_batch_media_check_equals_per_read_sequence(span, model_kwargs):
 
     got = []
     for read in (scalar, batch):
-        clock, nvbm, handles = _batch_rig(**model_kwargs)
+        clock, nvbm, handles = _batch_rig(rewrite)
         first = _outcome(clock, nvbm, lambda: read(nvbm, handles))
-        # and again from the faulting state (transient draws moved on)
+        # and again past the stuck record
         second = _outcome(clock, nvbm, lambda: read(nvbm, handles[12:]))
         got.append((first, second))
     assert got[0] == got[1]
-    (value, *_), _ = got[0]
-    if not model_kwargs and size == OCTANT_RECORD_SIZE:
-        # planted only: record 11 (stuck, line 0) precedes record 20
+    (value, *_), (later, *_) = got[0]
+    if size == OCTANT_RECORD_SIZE:
+        # record 11 (stuck, line 0) precedes record 20
         assert value[:3] == ("UncorrectableError", "stuck",
                              index_of(handles[11]))
-
-
-def test_batch_samples_the_rot_deadline_per_read():
-    """A line whose rot deadline passes *during* the batch faults exactly
-    where the per-record loop finds it: each read is evaluated at the clock
-    its own charge leaves, not at the clock the batch started on."""
-    mid_batch = 0
-    for seed in range(12):
-        outcomes = []
-        for batch in (False, True):
-            clock = SimClock()
-            nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock,
-                               capacity_octants=128)
-            handles = [nvbm.new_octant(_rec(loc=i + 1)) for i in range(64)]
-            nvbm.flush()
-            model = MediaFaultModel(seed=seed, rot_mtbf_ns=3e5)
-            nvbm.attach_fault_model(model)
-            at_start = [model.check(g, clock.now_ns, 0)
-                        for g in range(2 * len(handles))]
-            outcomes.append(_outcome(
-                clock, nvbm,
-                (lambda: nvbm.read_rows(handles).tobytes()) if batch else
-                (lambda: b"".join(nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
-                                  for h in handles))))
-        assert outcomes[0] == outcomes[1]
-        if isinstance(outcomes[0][0], tuple) and not any(at_start):
-            mid_batch += 1
-    assert mid_batch >= 3  # the scenario does occur at this MTBF
+    if offset == 64:
+        # record 20's line 1 fails until it is rewritten
+        assert isinstance(later, tuple) != rewrite
 
 
 def test_batch_crc_failure_charges_like_the_loop():

@@ -221,7 +221,7 @@ def _arena_level_accesses(mode: str, tree: PMOctree, seed: int) -> dict:
         out["torn"] = b"".join(nvbm.read_field(h, 0, OCTANT_RECORD_SIZE)
                                for h in live)
     # planted rot on the line-1 of one survivor: same error, same charges
-    model = MediaFaultModel(seed=seed)
+    model = MediaFaultModel()
     nvbm.attach_fault_model(model)
     model.plant_rot(index_of(live[len(live) // 2]) * LINES_PER_RECORD + 1)
     with pytest.raises(MediaError) as err:

@@ -60,6 +60,9 @@
 * one landing path: ``_cow_record_by_record``, ``_record_by_record``,
   ``media_faults_possible``, ``COW_SITES`` and ``.armed(`` stay out of
   ``src``, ``docs``, ``.github`` and the verify skill.
+* media faults are planted: ``rot_mtbf_ns``, ``wear_fraction``,
+  ``transient_rate``, ``note_write(`` and ``fm.armed`` stay out of the same
+  places.
 * ``src`` keeps only code that runs outside its tests: every public
   function, class, method and property has a use in ``src`` outside its
   own body or in ``bench``/``benchmarks``/``examples``/``tests/oracles``,
@@ -437,6 +440,16 @@ def test_one_persist_path():
     gone = re.compile(r"_persist_impl|EPOCH_ENQUEUE_MID"
                       r"|EPOCH_COMMIT_PRE_PUBLISH|epoch\.enqueue\.mid"
                       r"|epoch\.commit\.pre_publish|_pipeline is (not )?None")
+    assert not _mentions(gone), _mentions(gone)
+
+
+
+def test_media_faults_are_planted():
+    """A media fault is a planted line, so a read's outcome depends on
+    nothing but what is planted: no rate, clock or wear knob, no per-line
+    write hook and no armed fallback in the batch read."""
+    gone = re.compile(r"rot_mtbf_ns|wear_fraction|transient_rate"
+                      r"|note_write\(|fm\.armed")
     assert not _mentions(gone), _mentions(gone)
 
 
