@@ -3,9 +3,9 @@
 
 The paper's future work (§6) is to exercise PM-octree with other AMR
 simulations; this example runs the :mod:`repro.solver.wave` workload — a
-radially expanding pulse whose hot region sweeps the whole domain — with
-the C0 auto-tuner adjusting the DRAM budget as the front (and therefore the
-working set) grows and then leaves the domain.
+radially expanding pulse whose hot region sweeps the whole domain — on a
+fixed C0 DRAM budget, so the layout transformation has to follow the front
+(and therefore the working set) as it grows and then leaves the domain.
 
 Run:  python examples/seismic_wave.py [steps]
 """
@@ -14,7 +14,6 @@ import sys
 
 from repro.config import DRAM_SPEC, NVBM_SPEC, PMOctreeConfig
 from repro.core import pm_create
-from repro.core.autotune import C0AutoTuner
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
@@ -27,35 +26,29 @@ def main() -> None:
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 14)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 19)
-    tree = pm_create(dram, nvbm, dim=2,
-                     config=PMOctreeConfig(dram_capacity_octants=96))
-    tuner = C0AutoTuner(min_budget=64, grow_step=128)
+    config = PMOctreeConfig(dram_capacity_octants=1024)
+    tree = pm_create(dram, nvbm, dim=2, config=config)
 
-    def persist_and_tune(sim_):
+    def persist_and_gc(sim_):
         sim_.tree.persist(keep_resident=True)
         sim_.tree.gc()
-        tuner.observe(sim_.tree)
 
     cfg = WaveConfig(dim=2, min_level=2, max_level=6, dt=0.02, speed=0.6)
     sim = WaveSimulation(tree, cfg, clock=clock,
-                         persistence=persist_and_tune)
+                         persistence=persist_and_gc)
 
     print(f"expanding wavefront for {steps} steps "
-          f"(epicenter {cfg.epicenter}, speed {cfg.speed})\n")
+          f"(epicenter {cfg.epicenter}, speed {cfg.speed}, "
+          f"C0 budget {config.dram_capacity_octants} octants)\n")
     for r in sim.run(steps):
         if r.step % 5 == 0:
-            budget = tuner.current_budget or 0
             print(f"  step {r.step:3d}  t={r.t:4.2f}  front r={r.front_radius:4.2f}  "
-                  f"leaves={r.leaves:5d}  written={r.cells_written:5d}  "
-                  f"C0 budget={budget:5d}")
+                  f"leaves={r.leaves:5d}  written={r.cells_written:5d}")
 
     print(f"\nsimulated execution time: {clock.now_s:.4f} s")
     print(f"NVBM writes: {nvbm.device.stats.writes}, "
           f"evictions: {tree.stats.evictions}, "
           f"transformations: {tree.stats.transformations}")
-    actions = [d.action for d in tuner.history]
-    print(f"auto-tuner actions: grow={actions.count('grow')}, "
-          f"shrink={actions.count('shrink')}, hold={actions.count('hold')}")
 
     out = "wavefront.vtk"
     with open(out, "w") as fh:

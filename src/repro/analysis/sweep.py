@@ -52,7 +52,7 @@ from repro.nvbm.clock import SimClock
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
 from repro.nvbm.failure import FailureInjector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, index_of, is_nvbm
-from repro.octree import morton, soa
+from repro.octree import morton
 from repro.octree.linear import LinearOctree
 from repro.parallel.network import Network
 from repro.parallel.partition import (
@@ -199,10 +199,10 @@ def _setup_workload(rig: _Rig) -> List[int]:
     """
     tree = rig.grow(2).tree
     hot = [morton.loc_from_coords(1, (0, 0), 2)]
-    tree.register_feature(soa.per_octant(
-        lambda loc, p: loc != morton.ROOT_LOC
-        and morton.ancestor_at(loc, 2, 1) == hot[0]
-    ))
+    # quadrant hot[0] and every octant under it (the root, code 1, never
+    # matches a level-1 code)
+    tree.register_feature(
+        lambda b: (b.locs >> b.dim * np.maximum(b.levels - 1, 0)) == hot[0])
     return hot
 
 
@@ -511,8 +511,9 @@ def _epoch(site: str, max_steps: int, seed: int) -> Scenario:
     merge and before-flush site).  After the simulated power loss, recovery
     must land bit-for-bit on epoch B's state (B's drain committed before
     the tear) or epoch A's (it did not) — never a blend, never anything
-    older.  The ``persist.*`` sites are swept on the default workload,
-    whose persists settle inline.
+    older.  Of the ``persist.*`` sites only ``persist.before_root_swap``
+    is swept here, where it tears B; the others run on the default
+    workload, whose persists settle inline.
     """
     rig = _Rig(max_inflight=1).grow(2)
     tree = rig.tree
@@ -555,8 +556,7 @@ _DRIVERS: Dict[str, Callable[[str, int, int], Scenario]] = {
     site_registry.MIGRATE_RECOVER_MID: _migration,
     **dict.fromkeys(site_registry.MIGRATE_SITES, _migration),
     **dict.fromkeys(site_registry.MEDIA_SITES, _media),
-    site_registry.EPOCH_OVERLAP_NEXT_STEP: _epoch,
-    site_registry.EPOCH_DRAIN_MID: _epoch,
+    **dict.fromkeys(site_registry.EPOCH_SITES, _epoch),
 }
 
 

@@ -519,12 +519,6 @@ class PMOctree(C0Placement, LeafSetStructure):
         with self._obs_span("pm.gc"):
             return mark_and_sweep(self)
 
-    def restore(self):
-        """Recover from the last persist point (see repro.core.recovery)."""
-        from repro.core.recovery import restore_inplace
-
-        return restore_inplace(self)
-
     def delete_all(self) -> None:
         """pm_delete: drop every octant on both arenas and reset roots."""
         self._pipeline.reset()

@@ -157,7 +157,7 @@ def detect_and_transform(pmo: "PMOctree",
                     free = pmo.c0_free
                 if free < sizes[hot]:
                     # a hot subtree stays spilled to NVBM: the C0 budget is
-                    # the bottleneck — the autotuner's grow signal
+                    # the bottleneck
                     pmo.stats.hot_spills += 1
                     break  # cannot make room without an unjustified swap
             pmo.injector.site(sites.TRANSFORM_MID)

@@ -30,7 +30,7 @@ from repro.core.transform import detect_and_transform
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
-from repro.octree import morton, soa
+from repro.octree import morton
 from repro.parallel.runtime import Backend, RunConfig, RunResult, run_parallel
 from repro.solver.simulation import DropletSimulation
 from repro.storage.block import BlockDevice
@@ -174,10 +174,11 @@ def exp_fig5(max_level: int = 5) -> Fig5Result:
         tree.config = PMOctreeConfig(dram_capacity_octants=quadrant // 2)
         tree.persist(transform=False)
         region = hot if aware else cold
-        tree.register_feature(soa.per_octant(
-            lambda loc, p: loc != morton.ROOT_LOC
-            and morton.ancestor_at(loc, 2, 1) == region
-        ))
+        # the region and every octant under it (the root, code 1, never
+        # matches a level-1 code)
+        tree.register_feature(
+            lambda b: (b.locs >> b.dim * np.maximum(b.levels - 1, 0))
+            == region)
         detect_and_transform(tree)
         w0 = nvbm.device.stats.writes
         # the update burst hits every leaf of the hot quadrant

@@ -49,10 +49,12 @@ ROOTS_SWAP_MID = "roots.swap.mid"
 EPOCH_DRAIN_MID = "epoch.drain.mid"
 EPOCH_OVERLAP_NEXT_STEP = "epoch.overlap.next_step"
 
-#: The sites a pipelined persist crosses before its commit, in protocol
-#: order (chaos draws from these; recovery must land on exactly epoch i or
-#: i-1 at each — never a blend).
-EPOCH_SITES = (EPOCH_OVERLAP_NEXT_STEP, PERSIST_BEFORE_FLUSH, EPOCH_DRAIN_MID,
+#: The sites a pipelined persist crosses while the epoch before it is still
+#: unpublished, in protocol order (chaos draws from these; recovery must
+#: land on exactly epoch i or i-1 at each — never a blend).
+#: ``persist.before_flush`` is not one: it fires after the settle that
+#: publishes the earlier epoch.
+EPOCH_SITES = (EPOCH_OVERLAP_NEXT_STEP, EPOCH_DRAIN_MID,
                PERSIST_BEFORE_ROOT_SWAP)
 
 # -- octant migration (repartitioning) ---------------------------------------

@@ -132,14 +132,6 @@ class PointerOctree(LeafSetStructure):
         self._landing.coarsened(self.arena, handle, len(child_locs))
         self._leaf_set.add(loc)
 
-    # -- construction helpers --------------------------------------------------
-
-    def refine_uniform(self, level: int) -> None:
-        """Refine every leaf until all leaves sit at ``level`` (Construct)."""
-        from repro.octree.refine import refine_uniform
-
-        refine_uniform(self, level)
-
     # -- recovery / validation ---------------------------------------------------
 
     def check_record_consistency(self) -> None:

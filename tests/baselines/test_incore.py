@@ -25,6 +25,7 @@ from repro.nvbm.clock import Category, SimClock
 from repro.nvbm.pointers import ARENA_DRAM
 from repro.nvbm.records import FLAG_LEAF
 from repro.octree import morton
+from repro.octree.refine import refine_uniform
 from repro.octree.store import validate_tree
 from repro.storage.block import BlockDevice
 from repro.storage.filesystem import SimFileSystem
@@ -188,7 +189,7 @@ def _grown(dim, seed):
     rng = random.Random(seed)
     tree = InCoreOctree(MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(),
                                     1 << 14), dim=dim)
-    tree.refine_uniform(2)
+    refine_uniform(tree, 2)
     for _ in range(12):
         tree.refine(rng.choice(sorted(tree.leaves())))
         tree.coarsen(rng.choice(_eligible(tree)))

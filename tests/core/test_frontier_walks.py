@@ -26,7 +26,6 @@ from repro.core.pmoctree import SLOT_CURR, SLOT_PREV, PMOctree
 from repro.errors import ConsistencyError
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, NULL_HANDLE
 from repro.nvbm.records import FLAG_DELETED
 from repro.octree import morton
@@ -61,7 +60,6 @@ class Rig:
 def _build(scenario: str, dim: int, budget: int, inflight: int) -> Rig:
     """A seeded run: five persisted steps, then one whose epoch is still in
     flight (its stores dirty in the write-back cache)."""
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 18)

@@ -96,6 +96,15 @@ def test_transformation_respects_capacity():
     t.check_invariants()
 
 
+def test_transform_reports_hot_spills():
+    """A hot working set larger than the C0 budget stays spilled to NVBM,
+    and ``detect_and_transform`` counts it (bench's ``core.hot_spills``)."""
+    rig, t = _persisted(levels=3, dram=512, dram_capacity_octants=16)
+    t.register_feature(soa.per_octant(lambda loc, p: True))  # all hot
+    detect_and_transform(t)
+    assert t.stats.hot_spills > 0
+
+
 def test_hot_swap_replaces_cold_subtree():
     """When the feature moves, the old C0 subtree is evicted for the new."""
     rig, t = _persisted(levels=3, dram=30)  # room for exactly one subtree

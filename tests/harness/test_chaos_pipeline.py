@@ -4,6 +4,9 @@ determinism contract promises still holds for trials that draw them."""
 
 import json
 
+from repro.analysis import sweep
+from repro.core.pmoctree import SLOT_PREV
+from repro.errors import SimulatedCrash
 from repro.harness.chaos import derive_schedule, run_chaos
 from repro.harness.report import render_json
 from repro.nvbm import sites as site_registry
@@ -43,3 +46,44 @@ def test_mid_drain_kill_trials_pass_and_are_deterministic():
     assert a.ok, a.trials[0].violations
     assert any("kill_mid_drain" in e for e in a.trials[0].events_applied)
     assert _serialize(a) == _serialize(b)
+
+
+def test_every_kill_mid_drain_draw_tears_an_unpublished_epoch(monkeypatch):
+    """Every site a ``kill_mid_drain`` event can draw runs, through
+    ``sweep_site``, a pipelined scenario, and the epoch enqueued before the
+    armed persist is still unpublished when the site fires.  A site that
+    fires on a window of 0, or only after the earlier epoch's publish,
+    tears no in-flight epoch."""
+    fired = {}
+    real_init = sweep._Rig.__init__
+
+    def spied_init(rig, *args, **kwargs):
+        real_init(rig, *args, **kwargs)
+        pipeline, injector = rig.tree._pipeline, rig.injector
+        enqueue, site = pipeline.enqueue, injector.site
+        in_flight = []  # the roots still queued when the latest persist began
+
+        def spied_enqueue(*a, **kw):
+            in_flight[:] = pipeline.live_roots()
+            return enqueue(*a, **kw)
+
+        def spied_site(name, *a, **kw):
+            try:
+                return site(name, *a, **kw)
+            except SimulatedCrash:
+                fired[name] = (pipeline.max_inflight, list(in_flight),
+                               rig.nvbm.roots.get(SLOT_PREV))
+                raise
+
+        monkeypatch.setattr(pipeline, "enqueue", spied_enqueue)
+        monkeypatch.setattr(injector, "site", spied_site)
+
+    monkeypatch.setattr(sweep._Rig, "__init__", spied_init)
+    for site in site_registry.EPOCH_SITES:
+        out = sweep.sweep_site(site)
+        assert out.fired and out.recovered, (site, out.detail)
+        window, in_flight, published = fired[site]
+        assert window >= 1, f"{site} swept at a window of {window}"
+        assert in_flight, f"{site}: no epoch in flight when its persist began"
+        assert published != in_flight[-1], \
+            f"{site} fired after the earlier epoch was published"

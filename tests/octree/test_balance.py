@@ -8,6 +8,7 @@ from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM
 from repro.octree import morton
 from repro.octree.balance import balance_tree, find_violation, is_balanced
+from repro.octree.refine import refine_uniform
 from repro.octree.store import validate_tree
 from repro.octree.tree import PointerOctree
 
@@ -19,7 +20,7 @@ def _fresh_tree(dim=2):
 
 
 def test_uniform_tree_is_balanced(quadtree):
-    quadtree.refine_uniform(3)
+    refine_uniform(quadtree, 3)
     assert is_balanced(quadtree)
     assert balance_tree(quadtree) == 0  # no work needed
 

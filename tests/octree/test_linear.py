@@ -6,6 +6,7 @@ import pytest
 from repro.errors import ConsistencyError
 from repro.octree import morton
 from repro.octree.linear import LinearOctree
+from repro.octree.refine import refine_uniform
 
 
 def _adaptive_quadtree(quadtree):
@@ -55,7 +56,7 @@ def test_validate_complete_rejects_gap():
 
 
 def test_slice_and_merge_roundtrip(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     lin = LinearOctree.from_tree(quadtree)
     half = len(lin) // 2
     left, right = lin.slice(0, half), lin.slice(half, len(lin))

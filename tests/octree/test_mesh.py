@@ -2,10 +2,11 @@
 
 from repro.octree import morton
 from repro.octree.mesh import extract_mesh
+from repro.octree.refine import refine_uniform
 
 
 def test_uniform_mesh_counts(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     mesh = extract_mesh(quadtree)
     assert mesh.num_elements == 16
     assert mesh.num_vertices == 25  # (4+1)^2 grid
@@ -54,7 +55,7 @@ def test_elements_reference_valid_vertices(quadtree):
 
 
 def test_3d_uniform_mesh(octree3d):
-    octree3d.refine_uniform(1)
+    refine_uniform(octree3d, 1)
     mesh = extract_mesh(octree3d)
     assert mesh.num_elements == 8
     assert mesh.num_vertices == 27  # 3^3

@@ -9,7 +9,7 @@ import pytest
 
 from repro.octree import morton, soa
 from repro.octree.balance import is_balanced
-from repro.octree.refine import Action, RefinementEngine
+from repro.octree.refine import Action, RefinementEngine, refine_uniform
 from repro.octree.store import validate_tree
 
 
@@ -44,7 +44,7 @@ def test_engine_respects_max_level(quadtree):
 
 
 def test_engine_coarsens_on_unanimous_vote(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     engine = RefinementEngine(soa.per_octant(lambda lv, p: Action.COARSEN),
                               min_level=1)
     res = engine.adapt(quadtree, rounds=10)
@@ -54,7 +54,7 @@ def test_engine_coarsens_on_unanimous_vote(quadtree):
 
 
 def test_engine_mixed_votes_do_not_coarsen(quadtree):
-    quadtree.refine_uniform(1)
+    refine_uniform(quadtree, 1)
 
     def one_holdout(loc, payload):
         # leaf (0,0) wants to stay; everyone else wants to coarsen
@@ -81,7 +81,7 @@ def test_engine_validates_levels():
 
 
 def test_payload_criterion(quadtree):
-    quadtree.refine_uniform(1)
+    refine_uniform(quadtree, 1)
     target = morton.loc_from_coords(1, (1, 1), 2)
     quadtree.set_payload(target, (1.0, 0, 0, 0))
 
@@ -117,7 +117,7 @@ def test_batch_sweep_matches_per_leaf_sweep(balance, monkeypatch):
         clock = SimClock()
         arena = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 14)
         tree = PointerOctree(arena, dim=2)
-        tree.refine_uniform(3)
+        refine_uniform(tree, 3)
         engine = RefinementEngine(soa.per_octant(_near_corner), min_level=1,
                                   max_level=5, balance=balance)
         res = engine.adapt(tree, rounds=6)

@@ -1,11 +1,12 @@
 """Traversal-order tests."""
 
 from repro.octree import morton
+from repro.octree.refine import refine_uniform
 from repro.octree.traversal import preorder
 
 
 def test_preorder_parent_before_children(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     seen = {}
     for i, loc in enumerate(preorder(quadtree)):
         seen[loc] = i

@@ -5,6 +5,7 @@ import pytest
 from repro.errors import ReproError
 from repro.nvbm.clock import Category
 from repro.octree import morton
+from repro.octree.refine import refine_uniform
 from repro.octree.store import validate_tree
 from repro.octree.tree import PointerOctree
 
@@ -72,7 +73,7 @@ def test_coarsen_with_grandchildren_rejected(quadtree):
 
 
 def test_refine_uniform(quadtree):
-    quadtree.refine_uniform(3)
+    refine_uniform(quadtree, 3)
     leaves = list(quadtree.leaves())
     assert len(leaves) == 4**3
     assert all(morton.level_of(leaf, 2) == 3 for leaf in leaves)
@@ -97,7 +98,7 @@ def test_payload_of_missing_rejected(quadtree):
 
 
 def test_find_leaf_at(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     loc = quadtree.find_leaf_at((0.9, 0.1))
     assert morton.coords_of(loc, 2) == (3, 0)
     loc = quadtree.find_leaf_at((0.0, 0.0))
@@ -111,7 +112,7 @@ def test_find_leaf_at_validates_dim(quadtree):
 
 def test_memory_traffic_charged(clock, quadtree):
     before = clock.category_ns(Category.MEM_DRAM)
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     assert clock.category_ns(Category.MEM_DRAM) > before
 
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.octree import morton
 from repro.octree.mesh import extract_mesh
+from repro.octree.refine import refine_uniform
 from repro.octree.vtkout import mesh_to_vtk, tree_to_vtk
 
 
@@ -41,7 +42,7 @@ def test_quad_winding_is_ccw(quadtree):
 
 
 def test_uniform_mesh_counts(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     mesh = extract_mesh(quadtree)
     vtk = mesh_to_vtk(mesh)
     assert "POINTS 25 double" in vtk

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.octree import morton
+from repro.octree.refine import refine_uniform
 from repro.parallel.sfc import (
     compare_curves,
     edge_cut,
@@ -83,7 +84,7 @@ def test_hilbert_key_orders_mixed_levels():
 
 
 def test_partition_by_key_balanced(quadtree):
-    quadtree.refine_uniform(3)
+    refine_uniform(quadtree, 3)
     leaves = list(quadtree.leaves())
     assignment = partition_by_key(leaves, 2, 3, 4, hilbert_key)
     counts = [list(assignment.values()).count(r) for r in range(4)]
@@ -92,7 +93,7 @@ def test_partition_by_key_balanced(quadtree):
 
 
 def test_edge_cut_counts_boundary_faces(quadtree):
-    quadtree.refine_uniform(2)
+    refine_uniform(quadtree, 2)
     # split the 4x4 grid into left/right halves by hand: cut = 4 faces
     assignment = {
         loc: (0 if morton.coords_of(loc, 2)[0] < 2 else 1)
@@ -104,7 +105,7 @@ def test_edge_cut_counts_boundary_faces(quadtree):
 def test_hilbert_matches_morton_on_aligned_counts(quadtree):
     """With power-of-two rank counts both curves cut the grid into the same
     aligned blocks — the cuts tie exactly."""
-    quadtree.refine_uniform(4)
+    refine_uniform(quadtree, 4)
     cuts = compare_curves(quadtree, nranks=8)
     assert cuts["hilbert"] == cuts["morton"]
 
@@ -112,7 +113,7 @@ def test_hilbert_matches_morton_on_aligned_counts(quadtree):
 def test_hilbert_beats_morton_on_unaligned_counts(quadtree):
     """Off power-of-two, Morton's diagonal jumps fragment the ranges while
     Hilbert's stay compact: smaller boundary surface in aggregate."""
-    quadtree.refine_uniform(4)
+    refine_uniform(quadtree, 4)
     total = {"morton": 0, "hilbert": 0}
     for p in (3, 6, 7, 12):
         cuts = compare_curves(quadtree, nranks=p)
@@ -140,7 +141,7 @@ def test_hilbert_no_worse_on_random_adaptive_trees():
         tree = PointerOctree(
             MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(), 1 << 15), dim=2
         )
-        tree.refine_uniform(2)
+        refine_uniform(tree, 2)
         for _ in range(8):
             leaves = [leaf for leaf in tree.leaves() if morton.level_of(leaf, 2) < 5]
             if leaves:

@@ -5,6 +5,7 @@ import pytest
 from repro.config import SolverConfig
 from repro.octree import morton
 from repro.octree.balance import is_balanced
+from repro.octree.refine import refine_uniform
 from repro.octree.store import validate_tree
 from repro.solver.fields import VOF, FieldView
 from repro.solver.simulation import DropletSimulation
@@ -61,7 +62,7 @@ def test_3d_volume_conservation(octree3d):
     from repro.solver.advection import initialize_vof
     from repro.solver.geometry import DropletGeometry
 
-    octree3d.refine_uniform(3)
+    refine_uniform(octree3d, 3)
     cfg = SolverConfig(dim=3)
     geo = DropletGeometry(cfg)
     t = 0.3

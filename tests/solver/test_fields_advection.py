@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import SolverConfig
 from repro.octree import morton, soa
+from repro.octree.refine import refine_uniform
 from repro.solver.advection import advect_vof, initialize_vof
 from repro.solver.fields import (
     PRESSURE,
@@ -36,7 +37,7 @@ def geo(cfg):
 
 @pytest.fixture
 def tree(quadtree):
-    quadtree.refine_uniform(4)
+    refine_uniform(quadtree, 4)
     return quadtree
 
 

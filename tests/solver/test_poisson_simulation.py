@@ -6,6 +6,7 @@ from repro.config import SolverConfig
 from repro.nvbm.clock import SimClock
 from repro.octree import morton
 from repro.octree.balance import is_balanced
+from repro.octree.refine import refine_uniform
 from repro.octree.store import validate_tree
 from repro.solver.advection import initialize_vof
 from repro.solver.fields import PRESSURE, VOF, FieldView
@@ -16,7 +17,7 @@ from tests.solver.test_fields_advection import liquid_volume
 
 
 def test_pressure_solve_on_uniform_mesh(quadtree):
-    quadtree.refine_uniform(4)
+    refine_uniform(quadtree, 4)
     cfg = SolverConfig(dim=2)
     initialize_vof(quadtree, DropletGeometry(cfg), t=0.3)
     diag = pressure_solve(quadtree)

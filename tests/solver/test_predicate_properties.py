@@ -21,7 +21,7 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM
 from repro.octree import morton, soa
-from repro.octree.refine import RefinementEngine
+from repro.octree.refine import RefinementEngine, refine_uniform
 from repro.octree.tree import PointerOctree
 from repro.solver import features
 from repro.solver.advection import initialize_vof
@@ -162,7 +162,7 @@ def test_initialize_vof_equals_per_leaf_oracle(droplet):
     runs = []
     for fill in (initialize_vof, oracle.initialize_vof):
         tree = _tree(dim)
-        tree.refine_uniform(2)
+        refine_uniform(tree, 2)
         for loc in sorted(tree.leaves())[::3]:
             tree.refine(loc)
         fill(tree, geo, 0.61)

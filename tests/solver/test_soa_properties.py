@@ -32,7 +32,6 @@ from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.device import (LINES_PER_RECORD, MediaFaultModel,
                                MemoryDevice, lines_spanned)
-from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM, index_of
 from repro.nvbm.records import PAYLOAD_SPAN, child_span
 from repro.octree import morton, soa
@@ -107,7 +106,6 @@ def test_code_arithmetic_matches_morton(seed, dim):
 
 
 def _pm_rig(seed: int):
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)
@@ -290,7 +288,6 @@ def test_batch_write_charge_is_sum_of_lines_spanned():
     (generous budget, no persist) so the payload stores are the *only*
     device traffic — no COW or eviction side-writes to untangle.
     """
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)

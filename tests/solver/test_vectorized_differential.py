@@ -49,7 +49,6 @@ from repro.config import (
 from repro.core.api import pm_create, pm_restore
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
-from repro.nvbm.failure import default_injector
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
 from repro.octree import morton
 from repro.octree.balance import balance_tree, find_violation, is_balanced
@@ -66,7 +65,6 @@ SEED = 7
 
 
 def _rig(max_inflight: int):
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)
@@ -325,7 +323,6 @@ def _solve_rig(kind: str, max_inflight: int):
         clock = SimClock()
         dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
         return clock, [dram], InCoreOctree(dram, dim=2), None
-    default_injector().reset()
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)

@@ -63,6 +63,9 @@
 * media faults are planted: ``rot_mtbf_ns``, ``wear_fraction``,
   ``transient_rate``, ``note_write(`` and ``fm.armed`` stay out of the same
   places.
+* the C0 budget is configuration: ``autotune``, ``C0AutoTuner`` and
+  ``autotuned_persistence`` stay out of the same places, the examples,
+  README.md, DESIGN.md and EXPERIMENTS.md.
 * ``src`` keeps only code that runs outside its tests: every public
   function, class, method and property has a use in ``src`` outside its
   own body or in ``bench``/``benchmarks``/``examples``/``tests/oracles``,
@@ -412,12 +415,12 @@ def test_one_static_pass():
     assert not _mentions(bounds), _mentions(bounds)
 
 
-def _mentions(pattern):
-    """``file: match`` for every hit in ``src``, ``docs``, ``.github`` and
-    the verify skill."""
+def _mentions(pattern, also=()):
+    """``file: match`` for every hit in ``src``, ``docs``, ``.github``, the
+    verify skill and the files ``also`` names."""
     files = [*SRC_DIR.rglob("*.py"), *(ROOT / "docs").rglob("*"),
              *(ROOT / ".github").rglob("*"),
-             ROOT / ".claude" / "skills" / "verify" / "SKILL.md"]
+             ROOT / ".claude" / "skills" / "verify" / "SKILL.md", *also]
     return [f"{path.relative_to(ROOT)}: {m.group(0)}"
             for path in files if path.is_file()
             for m in pattern.finditer(path.read_text())]
@@ -453,6 +456,17 @@ def test_media_faults_are_planted():
     assert not _mentions(gone), _mentions(gone)
 
 
+def test_c0_budget_is_configuration():
+    """The C0 DRAM budget is ``PMOctreeConfig.dram_capacity_octants``,
+    set when the tree is built: no controller rewrites a live tree's
+    budget between steps."""
+    gone = re.compile(r"autotune|C0AutoTuner|autotuned_persistence")
+    hits = _mentions(gone, also=[*(ROOT / "examples").rglob("*.py"),
+                                 ROOT / "README.md", ROOT / "DESIGN.md",
+                                 ROOT / "EXPERIMENTS.md"])
+    assert not hits, hits
+
+
 # ------------------------------------------------- no test-only surface
 
 #: directories whose code calls ``src`` the way the system does: the
@@ -482,9 +496,6 @@ TEST_ONLY_ALLOWED = {
         "read-only introspection; the alternative is the tracker's log",
     "repro.analysis.tracker.OrderingTracker.open_epochs":
         "read-only introspection; the alternative is the open-epoch dict",
-    "repro.core.autotune.autotuned_persistence":
-        "persistence hook of the documented §6 auto-tuner, whose class "
-        "examples/seismic_wave.py runs; the module's future is open",
     "repro.core.api.pm_delete":
         "one of the paper's four API calls",
 }
