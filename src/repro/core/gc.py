@@ -82,8 +82,7 @@ def mark_and_sweep(pmo: "PMOctree") -> GCResult:
     nvbm = pmo.nvbm
     live = nvbm.allocator.live_indices()
     dead = nvbm.handles_of(live[~marked[live]]).tolist()
-    for h in dead:
-        nvbm.free(h)
+    nvbm.free_rows(dead)
     pmo.stats.gc_runs += 1
     pmo.stats.octants_reclaimed += len(dead)
     return GCResult(marked=int(np.count_nonzero(marked)), swept=len(dead))

@@ -12,19 +12,20 @@ payload never changed and whose merged children are exactly its NVBM
 origin's children re-links to the origin record instead of writing a new
 one.  That is what keeps NVBM write volume proportional to what actually
 changed ("PM-octree only needs to write new and updated octants", §5.4) and
-drives the Fig 3 overlap ratios.
+drives the Fig 3 overlap ratios.  Each chunk of the postorder decides its
+re-links with array ops (:func:`_merge_chunk`).
 """
 
 from __future__ import annotations
 
-from itertools import compress
 from typing import TYPE_CHECKING, Dict, List
 
 import numpy as np
 
 from repro.errors import ConsistencyError
 from repro.nvbm import sites
-from repro.nvbm.pointers import NULL_HANDLE, is_dram
+from repro.nvbm.pointers import (_INDEX_BITS, ARENA_DRAM, ARENA_NVBM,
+                                 NULL_HANDLE, is_dram)
 from repro.nvbm.records import (MAX_CHILDREN, as_records, child_span,
                                 pack_handles)
 from repro.octree import morton
@@ -32,27 +33,17 @@ from repro.octree import morton
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
 
+from repro.core import walks
 from repro.core.c0 import C0Stats
 from repro.core.cow import read_could_fail
 from repro.core.pmoctree import SLOT_CURR
 
 
-def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
-    """Children-before-parents order over the working tree below root_loc."""
-    out: List[int] = []
-    stack = [(root_loc, False)]
-    while stack:
-        loc, expanded = stack.pop()
-        if loc not in pmo._index:
-            continue
-        if expanded or loc in pmo._leaf_set:
-            out.append(loc)
-        else:
-            stack.append((loc, True))
-            stack.extend(
-                (c, False) for c in morton.children_of(loc, pmo.dim)
-            )
-    return out
+def _postorder_locs(pmo: "PMOctree", root_loc: int) -> np.ndarray:
+    """Children-before-parents order over the working tree below root_loc:
+    one sort of its locs (:func:`repro.core.walks.postorder`)."""
+    return walks.postorder(
+        np.array(subtree_locs(pmo, root_loc), dtype=np.int64), pmo.dim)
 
 
 #: C0 records one pass of the merge moves per arena call.  Bounded so the
@@ -61,81 +52,104 @@ def _postorder_locs(pmo: "PMOctree", root_loc: int) -> List[int]:
 #: point as a batch").
 _CHUNK = 1024
 
-_NO_CHILDREN = [NULL_HANDLE] * MAX_CHILDREN
 
-
-def _merge_chunk(pmo: "PMOctree", locs: List[int],
+def _merge_chunk(pmo: "PMOctree", codes: np.ndarray,
                  merged: Dict[int, int]) -> int:
-    """Merge ``locs`` — consecutive postorder visits — into NVBM, filling
+    """Merge ``codes`` — consecutive postorder visits — into NVBM, filling
     ``merged`` (loc -> NVBM handle); returns how many records it wrote.
 
     A chunk is its per-record visits in order — load the DRAM record; load
     the origin of a clean one; re-link to the origin when its child slots
     are the children's merged handles, else allocate, store the new image,
     detach the origin and declare ``merge.octant`` — with each kind of
-    arena access gathered into one call: same values, same allocation and
-    cache-directory order, same stats, clock and wear totals.  A chunk of
-    one *is* the per-record sequence: a chunk whose origin was freed, or
-    whose reads could fail, runs as chunks of one.
+    arena access one call and the re-links decided with array ops: a fresh
+    record matches no slot that names a live one, so an octant re-links
+    exactly when it and every octant below it in the chunk pass the slot
+    compare.  A chunk of one *is* the per-record sequence: a chunk whose
+    reads could fail, or whose clean origins name a freed record, runs as
+    chunks of one.
     """
-    nvbm, dim, leaf_set = pmo.nvbm, pmo.dim, pmo._leaf_set
-    handles = [pmo._index[loc] for loc in locs]
-    for loc, handle in zip(locs, handles):
-        if not is_dram(handle):
-            raise ConsistencyError(
-                f"I1 violated: {loc:#x} inside C0 subtree but not in DRAM"
-            )
-    origins = [pmo._origin.get(loc) for loc in locs]
-    clean = [i for i, loc in enumerate(locs)
-             if origins[i] is not None and loc not in pmo._dirty]
-    clean_origins = np.array([origins[i] for i in clean], dtype=np.uint64)
-    live = nvbm.contains_mask(clean_origins)
-    if len(locs) > 1 and (not live.all()
-                          or read_could_fail(pmo.dram, handles)
-                          or read_could_fail(nvbm, clean_origins)):
-        # a freed origin's slot may be handed out again by an allocation of
-        # this very chunk, and a failing read must fail after the visits
-        # before it: only the visit itself can tell
-        return sum(_merge_chunk(pmo, [loc], merged) for loc in locs)
+    nvbm, dim, m = pmo.nvbm, pmo.dim, len(codes)
+    locs = codes.tolist()
+    origin, dirty = pmo._origin, pmo._dirty
+    handles = np.array([pmo._index[loc] for loc in locs], dtype=np.uint64)
+    foreign = np.flatnonzero(handles >> np.uint64(_INDEX_BITS) != ARENA_DRAM)
+    if foreign.size:
+        raise ConsistencyError(f"I1 violated: {locs[foreign[0]]:#x} inside "
+                               "C0 subtree but not in DRAM")
+    # the origins of the clean octants (NULL elsewhere) and the live ones
+    origins = np.array([NULL_HANDLE if loc in dirty
+                        else origin.get(loc, NULL_HANDLE) for loc in locs],
+                       dtype=np.uint64)
+    live = nvbm.contains_mask(origins)
+    reads = origins[live]
+    if m > 1 and (np.count_nonzero(origins) != reads.size
+                  or read_could_fail(pmo.dram, handles)
+                  or read_could_fail(nvbm, reads)
+                  or reads.size and _names_freed(nvbm, reads)):
+        # an allocation of this very chunk may hand a freed slot out again,
+        # and a failing read must fail after the visits before it
+        return sum(_merge_chunk(pmo, codes[i:i + 1], merged)
+                   for i in range(m))
     rows = pmo.dram.read_rows(handles)
-    #: position in the chunk -> child slots of its (clean, live) origin
-    origin_children: Dict[int, List[int]] = {}
-    if live.any():
-        origin_rows = nvbm.read_rows(clean_origins[live])
-        origin_children = dict(zip(
-            compress(clean, live.tolist()),
-            as_records(origin_rows)["children"].tolist()))
-    written: List[int] = []  # positions in the chunk, postorder
-    new_children: List[List[int]] = []
-    null_tail = _NO_CHILDREN[morton.fanout(dim):]
-    for i, loc in enumerate(locs):
-        if loc in leaf_set:
-            children = _NO_CHILDREN
-        else:
-            children = [merged.get(c, NULL_HANDLE)
-                        for c in morton.children_of(loc, dim)] + null_tail
-        if origin_children.get(i) == children:
-            merged[loc] = origins[i]  # unchanged: share with V_{i-1}
-            continue
-        merged[loc] = nvbm.alloc()
-        written.append(i)
-        new_children.append(children)
-    if written:
+    slots = np.zeros((m, MAX_CHILDREN), dtype=np.uint64)
+    if reads.size:
+        slots[live] = as_records(nvbm.read_rows(reads))["children"]
+    # each child's merged handle if the chunk shares it: the origin of a
+    # child in the chunk, the merged handle of one an earlier chunk merged
+    fanout = 1 << dim
+    kids = (codes[:, None] << dim) | np.arange(fanout)
+    order = codes.argsort()
+    at = order[np.searchsorted(codes[order], kids).clip(max=m - 1)]
+    inside = codes[at] == kids
+    want = np.zeros((m, MAX_CHILDREN), dtype=np.uint64)  # NULL past fanout
+    want[:, :fanout] = origins[at] * inside
+    if merged:
+        # only the chunk's first octant and its ancestors can have a child
+        # before the chunk: a child ends its run right before its parent
+        outer = inside.any(axis=1)
+        outer[0] = True
+        for r, s in zip(*np.nonzero(outer[:, None] & ~inside)):
+            want[r, s] = merged.get(int(kids[r, s]), NULL_HANDLE)
+    ok = live & (slots == want).all(axis=1)
+    keys, spans = walks.postorder_keys(codes, dim)
+    failed = np.concatenate(([0], np.cumsum(~ok)))
+    written = np.flatnonzero(
+        failed[1:] != failed[np.searchsorted(keys, keys - spans)])
+    handle_of = origins.copy()
+    handle_of[written] = [nvbm.alloc() for _ in range(written.size)]
+    merged.update(zip(locs, handle_of.tolist()))
+    if written.size:
         new_rows = rows[written]
         images = as_records(new_rows)
         images["epoch"] = pmo.epoch
         images["parent"] = NULL_HANDLE  # advisory
-        images["children"] = new_children
+        images["children"] = want[written]
+        images["children"][:, :fanout] = np.where(
+            inside[written], handle_of[at[written]], want[written, :fanout])
         # pmlint: allow[bypass-cow]: the handles were allocated a few
         # lines up: no version, published or working, references them yet.
-        nvbm.write_rows([merged[locs[i]] for i in written], 0, new_rows)
-        for i in written:
-            if origins[i] is not None:
+        nvbm.write_rows(handle_of[written], 0, new_rows)
+        for i in written.tolist():
+            if locs[i] in origin:
                 # the shadow was rewritten: the old origin leaves the working
                 # version but published predecessors may still reference it
-                pmo._detach(origins[i])
-        pmo.injector.site(sites.MERGE_OCTANT, count=len(written))
-    return len(written)
+                pmo._detach(origin[locs[i]])
+        pmo.injector.site(sites.MERGE_OCTANT, count=written.size)
+    return written.size
+
+
+def _names_freed(nvbm, origins: np.ndarray) -> bool:
+    """Does a child slot of the records ``origins`` name an NVBM record
+    that is no longer allocated?  An unmetered look-ahead at their bytes."""
+    with nvbm.device.unmetered():
+        rows = nvbm.read_rows(origins, *child_span(0, MAX_CHILDREN),
+                              charge=False)
+    if rows is None:
+        return True
+    slots = rows.view("<u8").ravel()
+    slots = slots[slots >> np.uint64(_INDEX_BITS) == ARENA_NVBM]
+    return not nvbm.contains_mask(slots).all()
 
 
 def merge_subtree(pmo: "PMOctree", root_loc: int,
@@ -153,14 +167,14 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
     """
     if root_loc not in pmo._c0_roots:
         raise ConsistencyError(f"{root_loc:#x} is not a C0 subtree root")
-    locs = _postorder_locs(pmo, root_loc)
+    codes = _postorder_locs(pmo, root_loc)
     merged: Dict[int, int] = {}
     written = lo = 0
-    while lo < len(locs):
+    while lo < len(codes):
         # a record visits merge.octant at most once: a firing one ends it
         step = 1 + pmo.injector.visits_before_fire(sites.MERGE_OCTANT,
                                                    _CHUNK - 1)
-        written += _merge_chunk(pmo, locs[lo:lo + step], merged)
+        written += _merge_chunk(pmo, codes[lo:lo + step], merged)
         lo += step
     pmo.stats.merges += 1
     pmo.stats.merge_octants_shared += len(merged) - written

@@ -263,19 +263,18 @@ class PMOctree(C0Placement, LeafSetStructure):
         return self._batch_read(
             locs, PAYLOAD_SPAN[0] + 8 * slot, 8).view("<f8")[:, 0]
 
-    def _batch_store(self, items, offset: int, width: int) -> None:
-        """Store ``items[i][1]`` (``width`` float64s) at ``offset`` of the
-        record of ``items[i][0]``, in one :meth:`batch` scope.
+    def _batch_store(self, locs, values, offset: int) -> None:
+        """Store row ``i`` of ``values`` (``(n, width)`` float64s) at
+        ``offset`` of the record of ``locs[i]``, in one :meth:`batch` scope.
 
         The DRAM-resident octants take one scatter and one summed charge;
         the NVBM ones follow in order through :meth:`_store_span`, so their
         copy-on-write and stores land together.  (A crash between the two
         halves loses DRAM either way.)"""
-        items = list(items)
-        locs = [loc for loc, _ in items]
         handles, dram = self._batch_handles(locs)
-        rows = np.array([value for _, value in items], dtype="<f8") \
-            .reshape(len(items), width).view(np.uint8)
+        rows = np.ascontiguousarray(values, dtype="<f8").view(np.uint8)
+        if len(rows) != len(locs):
+            raise ValueError(f"{len(locs)} locs but {len(rows)} rows")
         hits = np.flatnonzero(dram)
         with self.batch() as buf:
             if hits.size:
@@ -283,7 +282,7 @@ class PMOctree(C0Placement, LeafSetStructure):
                 self.dram.write_rows(handles[hits], offset, rows[hits])
                 self.stats.partial_writes += hits.size
                 self.stats.inplace_updates += hits.size
-                self._dirty.update(locs[i] for i in hits.tolist())
+                self._dirty.update(map(locs.__getitem__, hits.tolist()))
             nvbm = np.flatnonzero(~dram).tolist()
             buf.prefetch([locs[i] for i in nvbm])
             raw, size = rows.tobytes(), rows.shape[1]
@@ -291,15 +290,15 @@ class PMOctree(C0Placement, LeafSetStructure):
                 self._store_span(locs[i], offset,
                                  raw[i * size:(i + 1) * size])
 
-    def batch_set_payloads(self, items) -> None:
-        """Apply ``(loc, payload)`` stores: ``n`` :meth:`set_payload`
+    def batch_set_payloads(self, locs, payloads) -> None:
+        """Store payload row ``i`` at ``locs[i]``: ``n`` :meth:`set_payload`
         calls (see :meth:`_batch_store`)."""
-        self._batch_store(items, PAYLOAD_SPAN[0], 4)
+        self._batch_store(locs, np.reshape(payloads, (-1, 4)), PAYLOAD_SPAN[0])
 
-    def batch_set_fields(self, items, slot: int) -> None:
-        """Apply ``(loc, value)`` single-slot stores: ``n``
+    def batch_set_fields(self, locs, values, slot: int) -> None:
+        """Store ``values[i]`` in one slot of ``locs[i]``: ``n``
         :meth:`set_field` calls (see :meth:`_batch_store`)."""
-        self._batch_store(items, PAYLOAD_SPAN[0] + 8 * slot, 1)
+        self._batch_store(locs, np.reshape(values, (-1, 1)), PAYLOAD_SPAN[0] + 8 * slot)
 
     def get_record(self, loc: int) -> OctantRecord:
         self._landing.settle()

@@ -13,6 +13,7 @@ returns.  The stack walks visit in pre-order with siblings in *descending*
 slot order; a node's **key** is its root path with every slot digit
 complemented, so that order is "ascending key, ancestors first"
 (:func:`dfs_order`; docs/performance.md, "Level-order structure walks").
+The persist merge's postorder pads the same keys with ones instead.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.records import MAX_CHILDREN, as_records
+from repro.octree.soa import levels_of_codes
 
 
 def child_keys(parent_keys: np.ndarray, slot: np.ndarray,
@@ -45,6 +47,28 @@ def dfs_order(level_keys: List[np.ndarray], dim: int) -> np.ndarray:
     levels = np.concatenate([
         np.full(k.size, level) for level, k in enumerate(level_keys)])
     return np.lexsort((levels, keys))
+
+
+def postorder_keys(codes: np.ndarray,
+                   dim: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(keys, spans)`` of the int64 ``codes`` of one subtree: each path
+    with every slot digit complemented and padded with ones to the deepest
+    level, and ``(1 << padding bits) - 1``.  Ascending ``(key, span)`` is
+    the postorder with siblings in descending slot order (a node ties with
+    its slot-0 descendants, which the smaller span puts first), and a
+    node's subtree is the run of keys in ``[key - span, key]``."""
+    levels = levels_of_codes(codes, dim)
+    depth = int(levels.max(initial=0))
+    pad = dim * (depth - levels)
+    path = codes ^ (np.int64(1) << dim * levels)  # drop the sentinel
+    keys = ((np.int64(1) << dim * depth) - 1) ^ (path << pad)
+    return keys, (np.int64(1) << pad) - 1
+
+
+def postorder(codes: np.ndarray, dim: int) -> np.ndarray:
+    """The int64 ``codes`` of one subtree in :func:`postorder_keys` order."""
+    keys, spans = postorder_keys(codes, dim)
+    return codes[np.lexsort((spans, keys))]
 
 
 def reach(arena: MemoryArena, roots: np.ndarray,

@@ -14,7 +14,6 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import (
     ContextManager,
-    Iterable,
     Iterator,
     List,
     Protocol,
@@ -41,7 +40,8 @@ class AdaptiveTree(Protocol):
     Everything is available per octant (``exists``/``is_leaf``/``refine``/
     ``coarsen``, ``get_payload``/``get_field``/...) and in batches, and a
     batch call is *defined* as the per-octant calls in order: ``batch_*`` for
-    data, ``face_neighbors`` for structure (``face_neighbor_leaves`` of each
+    data — codes in, float64 arrays out and in, row ``i`` for ``locs[i]`` —
+    and ``face_neighbors`` for structure (``face_neighbor_leaves`` of each
     code).  A tree may therefore aggregate the device charge of a batch
     (PM-octree and the in-core tree do) or answer it from arrays when the
     per-octant queries are uncharged
@@ -108,13 +108,16 @@ class AdaptiveTree(Protocol):
         """One slot per loc, as ``n`` ``get_field`` calls."""
         ...
 
-    def batch_set_payloads(self, items: Iterable[Tuple[int, Payload]]) -> None:
-        """Apply ``(loc, payload)`` stores in order."""
+    def batch_set_payloads(self, locs: Sequence[int],
+                           payloads: np.ndarray) -> None:
+        """Store ``(n, 4)`` float64 payload rows, as ``n`` ``set_payload``
+        calls in order (a repeated loc is stored once per row)."""
         ...
 
-    def batch_set_fields(self, items: Iterable[Tuple[int, float]],
+    def batch_set_fields(self, locs: Sequence[int], values: np.ndarray,
                          slot: int) -> None:
-        """Apply ``(loc, value)`` stores to one slot in order."""
+        """Store ``(n,)`` float64s in one slot, as ``n`` ``set_field``
+        calls in order."""
         ...
 
     def face_neighbors(self, locs: Sequence[int]) -> FaceTable:
@@ -182,13 +185,13 @@ class LoopBackedAccess:
         return np.array([self.get_field(loc, slot) for loc in locs],
                         dtype=np.float64)
 
-    def batch_set_payloads(self, items: Iterable[Tuple[int, Payload]]) -> None:
-        for loc, payload in items:
-            self.set_payload(loc, payload)
+    def batch_set_payloads(self, locs: Sequence[int], payloads: np.ndarray) -> None:
+        for loc, payload in zip(locs, np.asarray(payloads).tolist()):
+            self.set_payload(loc, tuple(payload))
 
-    def batch_set_fields(self, items: Iterable[Tuple[int, float]],
+    def batch_set_fields(self, locs: Sequence[int], values: np.ndarray,
                          slot: int) -> None:
-        for loc, value in items:
+        for loc, value in zip(locs, np.asarray(values).tolist()):
             self.set_field(loc, slot, value)
 
     def face_neighbors(self, locs: Sequence[int]) -> FaceTable:

@@ -89,18 +89,17 @@ class PointerOctree(LeafSetStructure):
     def batch_read_fields(self, locs: Sequence[int], slot: int) -> np.ndarray:
         return self.batch_read_payloads(locs)[:, slot]
 
-    def batch_set_payloads(self, items) -> None:
-        items = list(items)
-        rows = np.array([payload for _, payload in items], dtype="<f8")
-        self.arena.write_rows(self._handles([loc for loc, _ in items]),
-                              PAYLOAD_SPAN[0],
-                              rows.reshape(len(items), 4).view(np.uint8))
+    def batch_set_payloads(self, locs: Sequence[int], payloads) -> None:
+        self.arena.write_rows(
+            self._handles(locs), PAYLOAD_SPAN[0],
+            np.ascontiguousarray(payloads, dtype="<f8").reshape(-1, 4)
+            .view(np.uint8))
 
-    def batch_set_fields(self, items, slot: int) -> None:
-        items = list(items)
-        handles = self._handles([loc for loc, _ in items])
+    def batch_set_fields(self, locs: Sequence[int], values,
+                         slot: int) -> None:
+        handles = self._handles(locs)
         rows = self.arena.read_rows(handles, *PAYLOAD_SPAN)
-        rows.view("<f8")[:, slot] = [value for _, value in items]
+        rows.view("<f8")[:, slot] = values
         self.arena.write_rows(handles, PAYLOAD_SPAN[0], rows)
 
     def refine(self, loc: int) -> List[int]:

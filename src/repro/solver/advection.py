@@ -54,7 +54,7 @@ def initialize_vof(tree: AdaptiveTree, geometry: DropletGeometry,
     payloads[:, VOF] = geometry.vof_of_cells(mins, maxs, t)
     payloads[:, U] = 0.0
     payloads[:, V] = geometry.vertical_velocities(centers, t)
-    tree.batch_set_payloads(zip(locs, payloads.tolist()))
+    tree.batch_set_payloads(locs, payloads)
 
 
 def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,
@@ -121,14 +121,9 @@ def advect_vof(tree: AdaptiveTree, geometry: DropletGeometry,
             & (np.abs(batch.payloads[:, U] - 0.0) < 1e-12) \
             & (np.abs(batch.payloads[:, V] - speed) < 1e-12)
         write_pos = np.nonzero(~unchanged)[0]
-    pressure = batch.payloads[:, PRESSURE]
-    loc_list = batch.loc_list
-    items = [
-        (loc_list[i],
-         (float(new_vof[i]), float(pressure[i]), 0.0, float(speed[i])))
-        for i in write_pos
-    ]
-    tree.batch_set_payloads(items)
+    rows = np.column_stack((new_vof, batch.payloads[:, PRESSURE],
+                            np.zeros(n), speed))[write_pos]
+    tree.batch_set_payloads(batch.locs[write_pos].tolist(), rows)
     reads = n + int(hit.sum())
-    writes = len(items)
+    writes = len(rows)
     return {"reads": reads, "writes": writes, "skipped": n - writes}

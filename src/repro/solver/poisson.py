@@ -87,7 +87,7 @@ def pressure_solve(tree: AdaptiveTree, rtol: float = 1e-8,
         p = spla.spsolve(a.tocsc(), rhs)
     residual = float(np.linalg.norm(a @ p - rhs))
 
-    tree.batch_set_fields(zip(leaves, p.tolist()), PRESSURE)
+    tree.batch_set_fields(leaves, p, PRESSURE)
     return {"n": float(n), "residual": residual}
 
 
@@ -143,7 +143,7 @@ def smooth_pressure(tree: AdaptiveTree, sweeps: int = 2,
             p[pos] = (rhs[pos] + acc) / diag[pos]
 
     changed = np.nonzero(np.abs(p - p0) > 1e-12)[0]
-    tree.batch_set_fields(
-        [(leaves[i], float(p[i])) for i in changed], PRESSURE)
+    tree.batch_set_fields([leaves[i] for i in changed.tolist()], p[changed],
+                          PRESSURE)
     return {"n": float(n), "written": float(len(changed)),
             "sweeps": float(sweeps)}

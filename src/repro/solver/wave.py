@@ -185,15 +185,10 @@ class WaveSimulation:
         new = self.field.values(batch.centers, self.t)
         payloads = batch.payloads
         write_pos = np.nonzero(np.abs(payloads[:, 0] - new) > 1e-12)[0]
-        loc_list = batch.loc_list
-        items = [
-            (loc_list[i],
-             (float(new[i]), float(payloads[i, 1]),
-              float(payloads[i, 2]), float(payloads[i, 3])))
-            for i in write_pos
-        ]
-        self.tree.batch_set_payloads(items)
-        return len(items)
+        rows = payloads[write_pos]
+        rows[:, 0] = new[write_pos]
+        self.tree.batch_set_payloads(batch.locs[write_pos].tolist(), rows)
+        return len(rows)
 
     def step(self) -> WaveStepReport:
         self.step_count += 1

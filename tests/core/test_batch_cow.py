@@ -174,7 +174,7 @@ def test_repeated_loc_in_one_batch(monkeypatch, landed):
     ours, theirs = _twins()
     leaf = _leaves(ours.tree)[5]
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_payloads(
-        [(leaf, (1.0, 2.0, 3.0, 4.0)), (leaf, (5.0, 6.0, 7.0, 8.0))]))
+        [leaf, leaf], np.array([(1.0, 2.0, 3.0, 4.0), (5.0, 6.0, 7.0, 8.0)])))
     assert ours.tree.get_payload(leaf) == (5.0, 6.0, 7.0, 8.0)
     assert landed == {"__exit__": 1}
 
@@ -184,7 +184,7 @@ def test_path_reaching_the_root_publishes_it(monkeypatch):
     old_root = ours.tree._index[morton.ROOT_LOC]
     leaves = _leaves(ours.tree)
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_fields(
-        [(loc, float(i)) for i, loc in enumerate(leaves[::7])], 2))
+        leaves[::7], np.arange(len(leaves[::7]), dtype=float), 2))
     new_root = ours.tree._index[morton.ROOT_LOC]
     assert new_root != old_root
     with ours.tree.unmetered_inspection():
@@ -204,7 +204,7 @@ def test_dram_first_writable_ancestor(monkeypatch):
         t._index[parent] = dh
     leaves = _leaves(ours.tree)
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_payloads(
-        [(loc, (9.0, 0.0, 0.0, 0.0)) for loc in leaves[:4]]))
+        leaves[:4], np.tile((9.0, 0.0, 0.0, 0.0), (4, 1))))
     assert parent in ours.tree._dirty
     assert ours.tree.stats.cow_copies == 4  # the four leaves under it
 
@@ -220,7 +220,7 @@ def test_flushed_current_epoch_leaf_takes_its_cache_row_in_order(
             rig.tree.set_field(loc, 0, 0.5)  # now current-epoch copies
         rig.nvbm.flush()
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_fields(
-        [(loc, float(i)) for i, loc in enumerate(leaves[::2])], 1))
+        leaves[::2], np.arange(len(leaves[::2]), dtype=float), 1))
     assert ours.nvbm.dirty_records > 0
 
 
@@ -249,7 +249,7 @@ def test_mixed_dram_and_nvbm_batches(monkeypatch, landed):
     landed.clear()  # the loads' splices
     leaves = _leaves(ours.tree)
     _run(monkeypatch, ours, theirs, lambda t: t.batch_set_payloads(
-        [(loc, (float(i), 1.0, 0.0, 0.0)) for i, loc in enumerate(leaves)]))
+        leaves, [(float(i), 1.0, 0.0, 0.0) for i in range(len(leaves))]))
     _run(monkeypatch, ours, theirs,
          lambda t: _refine(t, leaves[::3] + leaves[:2]))
     # the refined leaves again, whose children are current-epoch records
@@ -377,9 +377,10 @@ def test_balance_under_an_armed_cow_plan(monkeypatch, landed):
 
 _ACTS = {
     COW_AFTER_COPY: lambda t: t.batch_set_payloads(
-        [(loc, (1.0, 0.0, 0.0, 0.0)) for loc in _leaves(t)[::4]]),
+        _leaves(t)[::4], np.tile((1.0, 0.0, 0.0, 0.0),
+                                 (len(_leaves(t)[::4]), 1))),
     PAYLOAD_PARTIAL: lambda t: t.batch_set_fields(
-        [(loc, 2.0) for loc in _leaves(t)[::3]], 0),
+        _leaves(t)[::3], np.full(len(_leaves(t)[::3]), 2.0), 0),
     COARSEN_MID: lambda t: _coarsen(
         t, list(dict.fromkeys(loc >> t.dim for loc in _leaves(t)[::2]))),
 }

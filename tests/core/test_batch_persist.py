@@ -372,6 +372,51 @@ def test_freed_origin_is_judged_at_its_own_visit(monkeypatch):
     assert _leaves(ours.tree) == _leaves(theirs.tree)
 
 
+def test_origin_naming_a_freed_child_runs_as_chunks_of_one(monkeypatch,
+                                                         chunks):
+    """A clean octant whose origin names a freed record in a child slot:
+    the merge's first allocation hands that slot out again, to the dirty
+    child, so the slot compare matches at the parent's visit — only the
+    visit can tell.  The look-ahead that finds the freed slot charges
+    nothing, the chunk runs as chunks of one, and the merge equals the
+    oracle.  (The child is dirty, so its own origin is never read; GC pins
+    it, so this takes a rogue ``free``.)"""
+    ours, theirs = (PMRig(dram_octants=1024, nvbm_octants=1 << 12)
+                    for _ in "ab")
+    for rig in (ours, theirs):
+        t = rig.tree
+        for _ in range(3):
+            for leaf in list(t.leaves()):
+                t.refine(leaf)
+        t.persist(transform=False, keep_resident=True)
+        child = max(t.leaves())  # the merge's first visit
+        t.set_payload(child, (7.0, 1.0, 0.0, 0.0))
+        rig.nvbm.free(t._origin[child])
+    parent = child >> ours.dim
+    assert parent not in ours.tree._dirty
+
+    origins = np.array(_clean_origins(ours.tree), dtype=np.uint64)
+    nvbm = ours.nvbm
+    before = (dataclasses.asdict(nvbm.stats),
+              dataclasses.asdict(nvbm.device.stats), ours.clock.now_ns)
+    assert nvbm.contains_mask(origins).all()
+    assert merge._names_freed(nvbm, origins)
+    assert before == (dataclasses.asdict(nvbm.stats),
+                      dataclasses.asdict(nvbm.device.stats),
+                      ours.clock.now_ns)
+
+    chunks.clear()
+    written = ours.tree.stats.merge_octants_written
+    for rig, use_oracle in ((ours, False), (theirs, True)):
+        assert _persist(rig, use_oracle, monkeypatch) is None
+    n = len(ours.tree._index)
+    assert chunks == [n] + [1] * n
+    _agree(ours, theirs)
+    # the child's new record took the freed slot its parent's origin names:
+    # the re-links the compare alone could not foresee
+    assert ours.tree.stats.merge_octants_written == written + 1
+
+
 # ----------------------------------------------------- the injector's half
 
 def test_bulk_site_visit_is_the_visits_in_order():

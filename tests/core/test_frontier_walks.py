@@ -257,3 +257,34 @@ def test_dfs_order_is_preorder_with_descending_siblings():
     assert [names[i] for i in order] == [
         "r", "c3", "c2", "c23", "c22", "c21", "c20", "c1", "c0"]
     assert morton.fanout(dim) == 4
+
+
+@pytest.mark.parametrize("scenario,dim,budget,inflight", CASES)
+def test_postorder_equals_the_stack_walk(scenario, dim, budget, inflight):
+    """The persist merge's one-sort postorder lists the working tree below
+    the root and below every registered C0 root exactly as the stack walk
+    does.  Every internal octant has a child in slot 0, whose key ties
+    with its parent's."""
+    from repro.core import merge
+
+    tree = _build(scenario, dim, budget, inflight).tree
+    roots = [morton.ROOT_LOC, *tree._c0_roots]
+    for root in roots:
+        want = oracle._postorder_locs(tree, root)
+        assert merge._postorder_locs(tree, root).tolist() == want, root
+    assert len(want) > 1
+
+
+def test_postorder_puts_slot_0_children_before_their_parent():
+    """The tie-break in isolation: a hand-built 2-D chain down slot 0,
+    where a parent's padded key equals its children's."""
+    from repro.core import walks
+
+    dim = 2
+    codes = [1, *morton.children_of(1, dim), *morton.children_of(4, dim),
+             *morton.children_of(16, dim)]
+    shuffled = np.random.default_rng(0).permutation(codes)
+    assert walks.postorder(shuffled, dim).tolist() == [
+        7, 6, 5, 19, 18, 17, 67, 66, 65, 64, 16, 4, 1]
+    keys, spans = walks.postorder_keys(np.array([1, 4, 16, 64]), dim)
+    assert len(set(keys.tolist())) == 1 and spans.tolist() == [63, 15, 3, 0]

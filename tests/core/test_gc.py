@@ -152,3 +152,45 @@ def test_mark_covers_every_retained_version(max_inflight):
     DropletSimulation(rig.tree, solver, clock=rig.clock,
                       persistence=persistence).run(6)
     assert len(checked) == 12 and min(checked[1:]) > 0
+
+
+class _FreeOrder:
+    """A tracer that keeps the order records are freed in."""
+
+    def __init__(self):
+        self.freed = []
+
+    def on_free(self, handle):
+        self.freed.append(handle)
+
+    def on_store(self, handle, cached):
+        pass
+
+    def on_flush(self, handles):
+        pass
+
+
+@pytest.mark.parametrize("inflight", [0, 1], ids=["window-0", "window-1"])
+@pytest.mark.parametrize("scenario", ["droplet", "wave"])
+def test_sweep_frees_as_the_per_handle_loop(monkeypatch, scenario, inflight):
+    """The sweep's one ``free_rows`` call is a ``free`` per dead handle in
+    order: twin seeded runs, one freeing handle by handle, leave the same
+    free deque, ``ArenaStats`` and arena bytes, and the tracer sees the
+    same ``on_free`` order."""
+    from tests.core.test_batch_persist import _agree, _sim_rig
+
+    ours, theirs = (_sim_rig(scenario, 2, 96, inflight, None) for _ in "ab")
+    monkeypatch.setattr(theirs.nvbm, "free_rows",
+                        lambda handles: [theirs.nvbm.free(h)
+                                         for h in handles] and None)
+    for rig in (ours, theirs):
+        rig.nvbm.tracer = _FreeOrder()
+        rig.sim.construct()
+        for _ in range(4):
+            rig.sim.step()
+        rig.tree.drain_persists()
+        rig.tree.gc()
+    _agree(ours, theirs)
+    assert ours.nvbm.tracer.freed == theirs.nvbm.tracer.freed
+    assert ours.tree.stats.octants_reclaimed == len(ours.nvbm.tracer.freed)
+    assert ours.nvbm.stats.frees > 0

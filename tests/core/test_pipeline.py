@@ -130,12 +130,13 @@ def test_mid_drain_crash_lands_on_a_whole_epoch(site, monkeypatch):
     """Recovery after a tear at each persist site of a pipelined rig
     restores bit-for-bit epoch i or epoch i-1 — and deterministically the
     one the commit-point argument predicts — never a blend of the two.
-    The ``persist.*`` sites outside ``EPOCH_SITES`` are swept on the
-    inline-settling workload, so their pipelined scenario is routed here by
-    hand."""
+    ``sweep._DRIVERS`` routes the ``EPOCH_SITES`` to the pipelined scenario
+    already; the ``persist.*`` sites outside them are swept on the
+    inline-settling workload, so only those are routed here by hand."""
     from repro.analysis import sweep
 
-    monkeypatch.setitem(sweep._DRIVERS, site, sweep._epoch)
+    if site not in sites.EPOCH_SITES:
+        monkeypatch.setitem(sweep._DRIVERS, site, sweep._epoch)
     out = sweep.sweep_site(site, max_steps=8)
     assert out.fired, f"{site} never fired"
     assert out.recovered, f"{site}: {out.detail}"

@@ -165,17 +165,14 @@ def test_gather_scatter_round_trip(kind, seed):
     assert tree.num_leaves() == len(list(tree.leaves()))
     batch = soa.gather(tree, tree.leaves())
     # write back exactly what was read: values must be unchanged
-    tree.batch_set_payloads(
-        [(loc, tuple(batch.payloads[i]))
-         for i, loc in enumerate(batch.loc_list)])
+    tree.batch_set_payloads(batch.loc_list, batch.payloads)
     again = soa.gather(tree, tree.leaves())
     assert again.loc_list == batch.loc_list
     assert np.array_equal(again.payloads, batch.payloads)
     # fresh random payloads survive a batch write -> batch read round trip
     rng = np.random.default_rng(seed)
     fresh = rng.random((len(batch), 4))
-    tree.batch_set_payloads(
-        [(loc, tuple(fresh[i])) for i, loc in enumerate(batch.loc_list)])
+    tree.batch_set_payloads(batch.loc_list, fresh)
     assert np.array_equal(
         soa.gather(tree, tree.leaves()).payloads, fresh)
 
@@ -250,9 +247,8 @@ def test_batch_metering_equals_scalar_metering(kind, seed):
         vals = np.random.default_rng(seed + 99).random((len(locs), 4))
         items = [(loc, tuple(vals[i])) for i, loc in enumerate(locs)]
         if mode == "batch":
-            tree.batch_set_payloads(items)
-            tree.batch_set_fields(
-                [(loc, float(vals[i][1])) for i, loc in enumerate(locs)], 1)
+            tree.batch_set_payloads(locs, vals)
+            tree.batch_set_fields(locs, vals[:, 1], 1)
             payloads = tree.batch_read_payloads(locs)
             slot0 = tree.batch_read_fields(locs, 0)
         else:
@@ -299,14 +295,14 @@ def test_batch_write_charge_is_sum_of_lines_spanned():
     stats = dram.device.stats
 
     before_lines, before_writes = stats.lines_written, stats.writes
-    tree.batch_set_payloads(
-        [(loc, (0.5, 1.0, 2.0, 3.0)) for loc in locs])
+    tree.batch_set_payloads(locs, np.tile((0.5, 1.0, 2.0, 3.0),
+                                          (len(locs), 1)))
     assert stats.lines_written - before_lines \
         == len(locs) * lines_spanned(16, 32)
     assert stats.writes - before_writes == len(locs)
 
     before_lines, before_writes = stats.lines_written, stats.writes
-    tree.batch_set_fields([(loc, 7.0) for loc in locs], 1)
+    tree.batch_set_fields(locs, np.full(len(locs), 7.0), 1)
     assert stats.lines_written - before_lines \
         == len(locs) * lines_spanned(16 + 8 * 1, 8)
     assert stats.writes - before_writes == len(locs)
