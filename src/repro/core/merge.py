@@ -14,6 +14,9 @@ one.  That is what keeps NVBM write volume proportional to what actually
 changed ("PM-octree only needs to write new and updated octants", §5.4) and
 drives the Fig 3 overlap ratios.  Each chunk of the postorder decides its
 re-links with array ops (:func:`_merge_chunk`).
+
+The §3.3 C1 -> C0 load is its mirror: top-down chunks of one gather, one
+batch allocation and one store each (:func:`_load_chunk`).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from repro.nvbm.pointers import (_INDEX_BITS, ARENA_DRAM, ARENA_NVBM,
 from repro.nvbm.records import (MAX_CHILDREN, as_records, child_span,
                                 pack_handles)
 from repro.octree import morton
+from repro.octree.soa import levels_of_codes
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.pmoctree import PMOctree
@@ -51,6 +55,16 @@ def _postorder_locs(pmo: "PMOctree", root_loc: int) -> np.ndarray:
 #: (``peak_rss_mb`` is a gated metric; docs/performance.md, "The persist
 #: point as a batch").
 _CHUNK = 1024
+
+
+def _chunks(pmo: "PMOctree", site: str, codes: np.ndarray):
+    """``codes`` in runs of at most ``_CHUNK``: a record visits ``site``
+    once, so a firing visit is the last record of its run."""
+    lo = 0
+    while lo < len(codes):
+        step = 1 + pmo.injector.visits_before_fire(site, _CHUNK - 1)
+        yield codes[lo:lo + step]
+        lo += step
 
 
 def _merge_chunk(pmo: "PMOctree", codes: np.ndarray,
@@ -117,7 +131,7 @@ def _merge_chunk(pmo: "PMOctree", codes: np.ndarray,
     written = np.flatnonzero(
         failed[1:] != failed[np.searchsorted(keys, keys - spans)])
     handle_of = origins.copy()
-    handle_of[written] = [nvbm.alloc() for _ in range(written.size)]
+    handle_of[written] = nvbm.alloc_rows(written.size)
     merged.update(zip(locs, handle_of.tolist()))
     if written.size:
         new_rows = rows[written]
@@ -167,15 +181,9 @@ def merge_subtree(pmo: "PMOctree", root_loc: int,
     """
     if root_loc not in pmo._c0_roots:
         raise ConsistencyError(f"{root_loc:#x} is not a C0 subtree root")
-    codes = _postorder_locs(pmo, root_loc)
     merged: Dict[int, int] = {}
-    written = lo = 0
-    while lo < len(codes):
-        # a record visits merge.octant at most once: a firing one ends it
-        step = 1 + pmo.injector.visits_before_fire(sites.MERGE_OCTANT,
-                                                   _CHUNK - 1)
-        written += _merge_chunk(pmo, codes[lo:lo + step], merged)
-        lo += step
+    written = sum(_merge_chunk(pmo, chunk, merged) for chunk in _chunks(
+        pmo, sites.MERGE_OCTANT, _postorder_locs(pmo, root_loc)))
     pmo.stats.merges += 1
     pmo.stats.merge_octants_shared += len(merged) - written
     pmo.stats.merge_octants_written += written
@@ -298,31 +306,51 @@ def load_subtree(pmo: "PMOctree", root_loc: int) -> bool:
     locs = subtree_locs(pmo, root_loc)
     if len(locs) > pmo.c0_free:
         return False
-    # copy top-down so parents exist before children
-    locs.sort(key=lambda leaf: morton.level_of(leaf, pmo.dim))
+    # copy top-down so parents exist before children; the stable sort keeps
+    # subtree_locs order within a level, and that is the allocation order
+    codes = np.array(locs, dtype=np.int64)
+    codes = codes[np.argsort(levels_of_codes(codes, pmo.dim), kind="stable")]
     copied: Dict[int, int] = {}
-    for loc in locs:
-        nv = pmo._index[loc]
-        rec = pmo.nvbm.read_octant(nv)
-        new_rec = rec.copy()
-        new_rec.parent = copied.get(
-            morton.parent_of(loc, pmo.dim), NULL_HANDLE
-        ) if loc != morton.ROOT_LOC else NULL_HANDLE
-        new_rec.children = [NULL_HANDLE] * 8
-        new_rec.epoch = pmo.epoch
-        dh = pmo.dram.new_octant(new_rec)
-        copied[loc] = dh
-        pmo._origin[loc] = nv
-        if loc != root_loc:
-            ph = copied[morton.parent_of(loc, pmo.dim)]
-            pmo.dram.write_child_slot(
-                ph, morton.child_index_of(loc, pmo.dim), dh
-            )
-            pmo.stats.partial_writes += 1
-        pmo.injector.site(sites.LOAD_OCTANT)
-    for loc, dh in copied.items():
-        pmo._index[loc] = dh
+    for chunk in _chunks(pmo, sites.LOAD_OCTANT, codes):
+        _load_chunk(pmo, chunk, root_loc, copied)
+    pmo._index.update(copied)
     pmo._c0_roots[root_loc] = C0Stats(size=len(locs), locs=set(locs))
     pmo.stats.c1_to_c0_octants += len(locs)
     splice_into_parent(pmo, root_loc, copied[root_loc])
     return True
+
+
+def _load_chunk(pmo: "PMOctree", codes: np.ndarray, root_loc: int,
+                copied: Dict[int, int]) -> None:
+    """Copy ``codes`` (consecutive top-down visits) into DRAM, filling
+    ``copied``: :func:`_merge_chunk`'s mirror.  Per record a read, an alloc,
+    a store of the DRAM copy (parent the parent's copy, no children, this
+    epoch), a splice into its parent and a ``load.octant`` visit, each kind
+    one call (splices one per slot index); reads that may fail go singly."""
+    nvbm, dram, dim, m = pmo.nvbm, pmo.dram, pmo.dim, len(codes)
+    locs = codes.tolist()
+    origins = np.array([pmo._index[loc] for loc in locs], dtype=np.uint64)
+    if m > 1 and read_could_fail(nvbm, origins):
+        for i in range(m):
+            _load_chunk(pmo, codes[i:i + 1], root_loc, copied)
+        return
+    rows = nvbm.read_rows(origins)
+    handles = dram.alloc_rows(m)
+    copied.update(zip(locs, handles.tolist()))
+    # the subtree root's parent is outside the subtree: NULL
+    parents = np.array([copied.get(loc >> dim, NULL_HANDLE) for loc in locs],
+                       dtype=np.uint64)
+    images = as_records(rows)
+    images["parent"] = parents
+    images["children"] = NULL_HANDLE
+    images["epoch"] = pmo.epoch
+    images[["pad", "tail"]] = 0
+    dram.write_rows(handles, 0, rows)
+    kid, slot_of = codes != root_loc, codes & ((1 << dim) - 1)
+    links = handles.astype("<u8").view(np.uint8).reshape(m, 8)
+    for slot in range(1 << dim):
+        at = kid & (slot_of == slot)
+        dram.write_rows(parents[at], child_span(slot)[0], links[at])
+    pmo.stats.partial_writes += int(np.count_nonzero(kid))
+    pmo._origin.update(zip(locs, origins.tolist()))
+    pmo.injector.site(sites.LOAD_OCTANT, count=m)

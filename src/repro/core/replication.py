@@ -445,7 +445,7 @@ def restore_from_replica(replica: ReplicaStore, dram: MemoryArena,
     if replica.root == NULL_HANDLE or not replica.records:
         raise RecoveryError("replica is empty; cannot recover from it")
     old = np.fromiter(replica.records, np.uint64, len(replica.records))
-    new = np.array([nvbm.alloc() for _ in replica.records], dtype=np.uint64)
+    new = nvbm.alloc_rows(len(replica.records))
     by_old = np.argsort(old)
     old_sorted, new_sorted = old[by_old], new[by_old]
 

@@ -83,6 +83,27 @@ class RecordAllocator:
         self._alloc_mv[idx] = True
         return idx
 
+    def alloc_many(self, n: int) -> List[int]:
+        """:meth:`alloc` ``n`` times while slots last: the indices in order,
+        fewer only on a full arena (the caller raises).  A bump slot is never
+        retired (slots retire from allocated, below the bump pointer)."""
+        free, retired = self._free, self._retired
+        pop = free.popleft if self.fifo else free.pop
+        out: List[int] = []
+        if self.fifo:
+            out.extend(range(self._bump, min(self._bump + n, self.capacity)))
+            self._bump += len(out)
+        while free and len(out) < n:
+            idx = pop()
+            if idx not in retired:
+                out.append(idx)
+        if not self.fifo:
+            k = min(n - len(out), self.capacity - self._bump)
+            out.extend(range(self._bump, self._bump + k))
+            self._bump += k
+        self._allocated[out] = True
+        return out
+
     def free(self, index: int) -> None:
         """Return an index to the free list."""
         self._validate(index)

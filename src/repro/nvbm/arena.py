@@ -220,9 +220,10 @@ class MemoryArena:
         self._seal_mv = memoryview(self._seal)
 
     def _grow(self, idx: int) -> None:
-        """Extend the per-slot arrays to cover slot ``idx``."""
-        old = self._present.size
-        size = min(self.capacity, max(idx + 1, 3 * old // 2, 1024))
+        """Extend the per-slot arrays to cover slot ``idx`` in 1.5x steps."""
+        old = size = self._present.size
+        while idx >= size:
+            size = min(self.capacity, max(size + 1, 3 * size // 2, 1024))
         self._unbind()
         for arr in (self._rows, self._present, self._crow, self._dirty_mask,
                     self._seal):
@@ -331,6 +332,16 @@ class MemoryArena:
         if idx >= self._present.size:
             self._grow(idx)
         return self._tag | idx
+
+    def alloc_rows(self, n: int) -> np.ndarray:
+        """:meth:`alloc` ``n`` times: the handles in order, as uint64."""
+        idx = self.allocator.alloc_many(n)
+        self.stats.allocs += len(idx)
+        if idx and max(idx) >= self._present.size:
+            self._grow(max(idx))
+        if len(idx) < n:
+            self.alloc()  # the arena is full: fails as the next call would
+        return self.handles_of(np.array(idx, dtype=np.intp))
 
     def _drop(self, handle: int, release) -> None:
         """Hand a slot back through ``release`` (the allocator's ``free`` or

@@ -15,6 +15,13 @@ one of a clean origin, one ``new_octant`` and one ``merge.octant`` visit per
 octant.  :func:`inject_merge` swaps it in under the name ``evict_subtree``
 and ``merge_all_c0`` call.
 
+:func:`load_subtree` moved here when ``src`` made the C1 -> C0 load a
+chunk of top-down visits per arena call (``repro.core.merge._load_chunk``):
+one ``read_octant``, one ``new_octant``, one ``write_child_slot`` and one
+``load.octant`` visit per octant.  Its calls of ``evict_subtree``,
+``subtree_locs`` and ``splice_into_parent`` go through ``repro.core.merge``
+(whatever is injected there); :func:`inject_load` swaps it in.
+
 :func:`incore_checkpoint` and :func:`incore_restore_from` are
 ``InCoreOctree.checkpoint``/``.restore_from`` (``self`` spelled ``tree``)
 from before ``src`` made them one gather and one level-at-a-time landing:
@@ -28,6 +35,8 @@ import struct
 from typing import Dict, List, Set
 
 from repro.baselines.incore import _HEADER, _MAGIC
+from repro.core import merge
+from repro.core.c0 import C0Stats
 from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
 from repro.errors import ConsistencyError, RecoveryError, ReproError
 from repro.nvbm import sites
@@ -257,6 +266,73 @@ def inject_merge(monkeypatch) -> None:
     :func:`merge_subtree` for the rest of the test (or ``monkeypatch``
     context)."""
     monkeypatch.setattr("repro.core.merge.merge_subtree", merge_subtree)
+
+
+def load_subtree(pmo: "PMOctree", root_loc: int) -> bool:
+    """Bring the NVBM subtree at ``root_loc`` into DRAM as a C0 subtree.
+
+    Returns False (and does nothing) when it does not fit in free DRAM.
+    Nested C0 subtrees below ``root_loc`` are evicted first so the loaded
+    subtree is contiguous in DRAM (invariant I1).
+    """
+    handle = pmo._index.get(root_loc)
+    if handle is None:
+        raise ConsistencyError(f"{root_loc:#x} not in working version")
+    # evict any C0 subtree nested below the target
+    level = morton.level_of(root_loc, pmo.dim)
+    nested = [
+        c0
+        for c0 in pmo._c0_roots
+        if c0 != root_loc
+        and morton.level_of(c0, pmo.dim) > level
+        and morton.ancestor_at(c0, pmo.dim, level) == root_loc
+    ]
+    for c0 in nested:
+        merge.evict_subtree(pmo, c0)
+        pmo.stats.evictions += 1
+    handle = pmo._index[root_loc]
+    if is_dram(handle):
+        return True  # already resident (was a nested-or-equal C0 root)
+    locs = merge.subtree_locs(pmo, root_loc)
+    if len(locs) > pmo.c0_free:
+        return False
+    # copy top-down so parents exist before children
+    locs.sort(key=lambda leaf: morton.level_of(leaf, pmo.dim))
+    copied: Dict[int, int] = {}
+    for loc in locs:
+        nv = pmo._index[loc]
+        rec = pmo.nvbm.read_octant(nv)
+        new_rec = rec.copy()
+        new_rec.parent = copied.get(
+            morton.parent_of(loc, pmo.dim), NULL_HANDLE
+        ) if loc != morton.ROOT_LOC else NULL_HANDLE
+        new_rec.children = [NULL_HANDLE] * 8
+        new_rec.epoch = pmo.epoch
+        dh = pmo.dram.new_octant(new_rec)
+        copied[loc] = dh
+        pmo._origin[loc] = nv
+        if loc != root_loc:
+            ph = copied[morton.parent_of(loc, pmo.dim)]
+            pmo.dram.write_child_slot(
+                ph, morton.child_index_of(loc, pmo.dim), dh
+            )
+            pmo.stats.partial_writes += 1
+        pmo.injector.site(sites.LOAD_OCTANT)
+    for loc, dh in copied.items():
+        pmo._index[loc] = dh
+    pmo._c0_roots[root_loc] = C0Stats(size=len(locs), locs=set(locs))
+    pmo.stats.c1_to_c0_octants += len(locs)
+    merge.splice_into_parent(pmo, root_loc, copied[root_loc])
+    return True
+
+
+def inject_load(monkeypatch) -> None:
+    """Run every C1 -> C0 load (a transformation's, the static layout's,
+    a direct ``merge.load_subtree``) on the per-record
+    :func:`load_subtree` for the rest of the test (or ``monkeypatch``
+    context)."""
+    monkeypatch.setattr("repro.core.merge.load_subtree", load_subtree)
+    monkeypatch.setattr("repro.core.transform.load_subtree", load_subtree)
 
 
 def incore_checkpoint(tree, fs, name: str) -> int:
