@@ -16,13 +16,12 @@ from repro.config import (
     NVBM_FS_SPEC,
     NVBM_SPEC,
     PFS_SPEC,
-    PMOctreeConfig,
     SolverConfig,
 )
 from repro.baselines.etree import EtreeOctree
 from repro.baselines.incore import CheckpointPolicy, InCoreOctree
 from repro.core import pm_create, pm_restore
-from repro.core.replication import ReplicaStore, restore_from_replica, ship_delta
+from repro.core.replication import ReplicaSession, restore_from_replica
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
@@ -43,13 +42,10 @@ def run_pm():
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 15)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 19)
     tree = pm_create(dram, nvbm, dim=2)
-    replica = ReplicaStore()
-
-    def persist(sim):
-        sim.tree.persist()
-        ship_delta(sim.tree, replica)
-
-    sim = DropletSimulation(tree, SOLVER, clock=clock, persistence=persist)
+    # every persist ships its write set to the peer's replica
+    replica = tree.attach_replication_session(ReplicaSession(tree)).replica
+    sim = DropletSimulation(tree, SOLVER, clock=clock,
+                            persistence=lambda s: s.tree.persist())
     sim.run(KILL_STEP)
     before = leaves_signature(tree)
 

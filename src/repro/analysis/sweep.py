@@ -35,9 +35,7 @@ from repro.core.pmoctree import SLOT_CURR, SLOT_PREV
 from repro.core.recovery import scrub
 from repro.core.replication import (
     ReplicaSession,
-    ReplicaStore,
     restore_from_replica,
-    ship_delta,
 )
 from repro.errors import (
     ConsistencyError,
@@ -315,8 +313,9 @@ def _replica(site: str, max_steps: int, seed: int) -> Scenario:
     rig = _Rig().grow(1)
     rig.tree.persist(transform=False)
     accepted = {"last-persist": _signature(rig.tree)}
-    replica = ReplicaStore()
-    ship_delta(rig.tree, replica)
+    session = ReplicaSession(rig.tree)
+    session.ship()
+    replica = session.replica
     injector = FailureInjector()
     dram2, nvbm2 = _Rig.blank_node()
 
@@ -484,8 +483,9 @@ def _media(site: str, max_steps: int, seed: int) -> Scenario:
     tree = rig.tree
     tree.persist(transform=False)
     accepted = {"last-persist": _signature(tree)}
-    replica = ReplicaStore()
-    ship_delta(tree, replica)
+    session = ReplicaSession(tree)
+    session.ship()
+    replica = session.replica
 
     published = sorted(tree.reachable_from(rig.nvbm.roots.get(SLOT_PREV)))
     bad = published[seed % len(published)]

@@ -17,7 +17,11 @@ still be draining when :meth:`EpochPipeline.enqueue` returns:
 
 **settle** (the drain)
     Flush the snapshot, the atomic root-slot publish (THE commit point),
-    mark the superseded records, flush the marks.
+    hand the tree's replica sessions the epoch's *write set* — the NVBM
+    slots it allocated (the arena's ``alloc_log``) less those it discarded
+    in place or detached again, and its departures less those same slots —
+    mark the superseded records, flush the marks.  (The dirty snapshot is
+    no write set: epoch i-1's settle may flush a slot epoch i reused.)
 
 A window of 0 settles the epoch inline, metered, before ``persist()``
 returns: the synchronous persist point, a capsule (Blelloch et al.) that
@@ -85,6 +89,8 @@ class InFlightEpoch:
     #: non-COW departures from the working version (coarsened old-epoch
     #: children, merge-replaced origins) — GC pins, never marked deleted
     detached: List[int]
+    written: List[int]    #: records the publish adds (the write set)
+    dropped: List[int]    #: records the publish removes
     window: int           #: tracker epoch-window id (0 when no tracker)
     ready_ns: float = 0.0  #: sim time its background drain completes
 
@@ -203,11 +209,15 @@ class EpochPipeline:
         pmo.injector.site(sites.PERSIST_BEFORE_FLUSH)
 
         pending = pmo.nvbm.dirty_handles()
+        allocs, pmo.nvbm.alloc_log = pmo.nvbm.alloc_log, {}
         tracer = getattr(pmo.nvbm, "tracer", None)
         epoch_open = getattr(tracer, "on_epoch_open", None)
         entry = InFlightEpoch(
             epoch=pmo.epoch, root=root, pending=pending,
             superseded=list(pmo._superseded), detached=list(pmo._detached),
+            written=[h for h, kept in allocs.items() if kept],
+            dropped=[h for h in (*pmo._superseded, *pmo._detached)
+                     if h not in allocs],
             window=epoch_open(pending) if epoch_open is not None else 0,
         )
         pmo._superseded.clear()
@@ -279,8 +289,11 @@ class EpochPipeline:
             pmo.injector.site(sites.EPOCH_DRAIN_MID)
             nvbm.flush_records(entry.pending[half:])
             pmo.injector.site(sites.PERSIST_BEFORE_ROOT_SWAP)
+            with nvbm.device.unmetered():  # bookkeeping, not a device read
+                base = nvbm.roots.get(SLOT_PREV)
             # THE commit point: one atomic 8-byte root-slot store.
             nvbm.roots.set(SLOT_PREV, entry.root)
+            pmo._published(base, entry.root, entry.written, entry.dropped)
             pmo.injector.site(sites.PERSIST_AFTER_ROOT_SWAP)
             # Superseded records were reachable from the root published a
             # moment ago's *predecessor*; only now that V_{i-1} moved past

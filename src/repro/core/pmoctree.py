@@ -27,6 +27,7 @@ surviving a crash.
 from __future__ import annotations
 
 import struct
+import weakref
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -127,6 +128,10 @@ class PMOctree(C0Placement, LeafSetStructure):
         #: attached ReplicaSession (§3.4's remote replica V^P); when set,
         #: every persist ships through its acknowledged retry/backoff protocol
         self.replicator = None
+        #: the ReplicaSessions built on this tree (:meth:`_published`)
+        self._sessions = weakref.WeakSet()
+        #: this epoch's NVBM allocations, False once one left again
+        nvbm.alloc_log = {}
 
         # volatile acceleration state (rebuilt by recovery)
         self._index: Dict[int, int] = {}
@@ -388,6 +393,7 @@ class PMOctree(C0Placement, LeafSetStructure):
                 if self.nvbm.read_epoch(origin) == self.epoch:
                     # current-epoch origin: V_{i-1} cannot reach it, so it
                     # is dead the moment its DRAM copy goes
+                    self._discard(origin)
                     flags = self.nvbm.read_flags(origin)
                     buf.store(self.nvbm, origin, FLAGS_SPAN[0],
                               bytes((flags | FLAG_DELETED,)))
@@ -401,6 +407,7 @@ class PMOctree(C0Placement, LeafSetStructure):
             if buf.epoch_of(ch) == self.epoch:
                 # the child is a leaf, so its flags are exactly FLAG_LEAF;
                 # the deletion mark is a single-line absolute store
+                self._discard(ch)
                 buf.store(self.nvbm, ch, FLAGS_SPAN[0],
                           bytes((FLAG_LEAF | FLAG_DELETED,)))
                 self.stats.partial_writes += 1
@@ -427,7 +434,22 @@ class PMOctree(C0Placement, LeafSetStructure):
         collection — so callers need not spend metered reads on an exact
         epoch check.
         """
+        self._discard(handle)
         self._detached.append(handle)
+
+    def _discard(self, handle: int) -> None:
+        """A record this epoch allocated left the working version again:
+        it is no part of the epoch's write set."""
+        if handle in self.nvbm.alloc_log:
+            self.nvbm.alloc_log[handle] = False
+
+    def _published(self, base: int, root: int, written: List[int],
+                   dropped: List[int]) -> None:
+        """The published version moved from ``base`` to ``root``, writing
+        ``written`` and dropping ``dropped``: tell every session built on
+        this tree, whose next DELTA carries the change."""
+        for session in self._sessions:
+            session.note_published(base, root, written, dropped)
 
     def _mark_deleted(self, handles) -> List[int]:
         """Set ``FLAG_DELETED`` on the still-allocated records among
@@ -488,10 +510,11 @@ class PMOctree(C0Placement, LeafSetStructure):
 
         if self.nvbm.free_fraction < self.config.threshold_nvbm:
             self.gc()
-        if self.replicator is not None:
+        if self.replicator is not None and self._pipeline.stats.drained:
             # §3.4: "when the crashed node will not be available, delta
-            # octants need to be copied to other compute nodes".  May
-            # retry/backoff on the sim clock and raises
+            # octants need to be copied to other compute nodes": the last
+            # *published* version (none for a window k's first k persists).
+            # May retry/backoff on the sim clock and raises
             # ReplicationTimeoutError if the peer stays unreachable — the
             # local persist already committed.
             self.replicator.ship()
@@ -527,6 +550,7 @@ class PMOctree(C0Placement, LeafSetStructure):
             self.nvbm.free(h)
         self.nvbm.roots.set(SLOT_PREV, NULL_HANDLE)
         self.nvbm.roots.set(SLOT_CURR, NULL_HANDLE)
+        self.nvbm.alloc_log = {}
         self._index.clear()
         self._leaf_set.clear()
         self._c0_roots.clear()
@@ -556,8 +580,10 @@ class PMOctree(C0Placement, LeafSetStructure):
         """NVBM handles reachable from an NVBM root (DRAM pointers skipped).
 
         One gather per tree level (:mod:`repro.core.walks`); the set is
-        filled in depth-first visit order, which its iteration order —
-        and through it the order replica deltas are built in — depends on.
+        filled in depth-first visit order, which its iteration order
+        depends on.  Replica DELTAs do not walk: they carry the published
+        epochs' write sets (:mod:`repro.core.replication`); only a
+        whole-version ship follows this order.
         """
         if not is_nvbm(root_handle):
             return set()

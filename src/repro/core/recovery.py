@@ -96,6 +96,7 @@ def _restore_traverse(pmo: "PMOctree") -> int:
     pmo._dirty.clear()
     pmo._superseded.clear()
     pmo._detached.clear()
+    pmo.nvbm.alloc_log = {}
 
     # One gather per tree level; ``locs``/``keys`` are what the walk
     # *expects* at each handle, derived from the parent's.
@@ -278,12 +279,13 @@ def recover_host(cluster, host_rank: int, *,
     (:func:`reprotect`): the system must re-enter a protected state or
     explicitly report that it could not.
     """
-    lost = tuple(r.rank for r in cluster.ranks if not r.alive)
+    from repro.core.replication import restore_from_replica
 
+    lost = tuple(r.rank for r in cluster.ranks if not r.alive)
+    peer_alive = (replica_peer is not None
+                  and cluster.ranks[replica_peer].alive)
     if host_node_returns:
         ctx = cluster.revive_rank(host_rank)
-        peer_alive = (replica_peer is not None
-                      and cluster.ranks[replica_peer].alive)
         try:
             tree = attach_and_restore(
                 ctx.resources["dram"], ctx.resources["nvbm"],
@@ -300,11 +302,9 @@ def recover_host(cluster, host_rank: int, *,
                             lost_ranks=lost)
         kind, serving = "local", host_rank
     else:
-        peer_alive = (replica_peer is not None
-                      and cluster.ranks[replica_peer].alive)
-        if replica is None or not replica.records or not peer_alive:
-            why = ("replica peer died with the host"
-                   if replica is not None and replica.records
+        held = replica is not None and replica.bytes_stored() > 0
+        if not held or not peer_alive:
+            why = ("replica peer died with the host" if held
                    else "no replica was ever shipped")
             return Degraded(
                 reason=f"host rank {host_rank} lost and {why}",
@@ -318,8 +318,9 @@ def recover_host(cluster, host_rank: int, *,
                 lost_ranks=lost,
             )
         try:
-            tree = restore_from_replica_arenas(replica, ctx, dim=dim,
-                                               config=config)
+            tree = restore_from_replica(replica, ctx.resources["dram"],
+                                        ctx.resources["nvbm"], dim=dim,
+                                        config=config)
         except ReproError as exc:
             return Degraded(reason=f"replica materialisation failed: {exc}",
                             lost_ranks=lost)
@@ -330,15 +331,6 @@ def recover_host(cluster, host_rank: int, *,
     return Recovered(kind=kind, host_rank=serving, tree=tree,
                      protected=session is not None, replica_peer=peer,
                      session=session, detail=detail)
-
-
-def restore_from_replica_arenas(replica, ctx, dim: int = 2,
-                                config: Optional[PMOctreeConfig] = None):
-    """Materialise ``replica`` into a rank context's own arenas."""
-    from repro.core.replication import restore_from_replica
-
-    return restore_from_replica(replica, ctx.resources["dram"],
-                                ctx.resources["nvbm"], dim=dim, config=config)
 
 
 # ----------------------------------------------------------- media repair ladder
@@ -411,7 +403,7 @@ def _rebuild_source(pmo: "PMOctree", path, replica, transport):
             rec.epoch = min(rec.epoch, pmo.epoch - 1)
             return pack_record(rec), "local"
     if replica is not None:
-        src = replica.records.get(bad)
+        src = replica.fetch(bad)
         if src is not None and unpack_record(src).loc == loc:
             if transport is not None:
                 delivered = False
@@ -437,7 +429,8 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
     commits through the same single atomic root-slot store the persist
     point uses — a crash anywhere in here leaves either the old root (bad
     record still faulty, repair re-runs) or the new root (repair complete).
-    Epochs are preserved: the repaired tree is still version V_{i-1}.
+    Epochs are preserved: the repaired tree is still version V_{i-1}.  Like
+    a settle, the republish hands the replica sessions its write set.
 
     ``path`` frames (``[loc, handle, record]``) are remapped in place so the
     caller's traversal continues over the relocated chain.
@@ -480,6 +473,10 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
     nvbm.flush()
     pmo.injector.site(sites.MEDIA_REPAIR_PRE_PUBLISH)
     nvbm.roots.set(SLOT_PREV, new_handles[0])
+    # the fresh chain is published now, not part of the epoch in progress
+    for h in new_handles:
+        del nvbm.alloc_log[h]
+    pmo._published(old_handles[0], new_handles[0], new_handles, old_handles)
     if nvbm.roots.get(SLOT_CURR) == old_handles[0]:
         nvbm.roots.set(SLOT_CURR, new_handles[0])
     pmo.injector.site(sites.MEDIA_REPAIR_PRE_RETIRE)
@@ -498,6 +495,9 @@ def _relocate_and_republish(pmo: "PMOctree", path, src_bytes: bytes,
     for loc, origin in list(pmo._origin.items()):
         if origin in remap:
             pmo._origin[loc] = remap[origin]
+    # the epoch's departures from the old chain now leave the fresh one
+    pmo._superseded[:] = [remap.get(h, h) for h in pmo._superseded]
+    pmo._detached[:] = [remap.get(h, h) for h in pmo._detached]
     for frame, nh, rec in zip(path, new_handles, recs):
         frame[1] = nh
         frame[2] = rec

@@ -2,17 +2,16 @@
 
 When a crashed node never comes back, the local NVBM is gone with it, so
 PM-octree can keep a replica ``V_{i-1}^P`` of the persistent version on a
-peer node.  Only *deltas* are shipped per persist — the records the peer has
-not seen yet — which is cheap because the overlap ratio between adjacent
-persistent versions is high (Fig 3).
+peer node.  Only *deltas* are shipped, which is cheap because the overlap
+ratio between adjacent persistent versions is high (Fig 3).
 
-Shipping is a real protocol, not a function call: a
-:class:`ReplicaSession` sequences every delta, requires an acknowledgement
-from the peer, retries with exponential backoff (charged to the simulated
-clock) when the network loses the delta or the ack, is idempotent under
-duplicate delivery, and falls back to a full resync when the peer's state
-chain diverges from what the host expects.  See
-``docs/fault-tolerance.md`` for the protocol state machine.
+A :class:`ReplicaSession` ships each DELTA ``(seq, base_root, written
+records, dropped handles, new_root)`` through a sequenced, acknowledged,
+idempotent protocol with backoff and a resync fallback.  Its base is the
+last root the peer acknowledged; its content, the write sets that every
+settle and media-repair republish hands the tree's sessions — so a slot
+GC reused is replaced, not skipped as held.  No DELTA walks the tree or
+reads the peer's store.  See ``docs/fault-tolerance.md``.
 
 Recovering onto a replacement node materialises the replica into a fresh
 NVBM arena.  Handles embed the arena they belong to, so every parent/child
@@ -23,8 +22,8 @@ pointer must be rewritten for the new arena — the pointer-swizzling chore
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -43,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover
 
 from repro.core.pmoctree import SLOT_PREV
 
-#: Wire overhead of one DELTA message (seq, base root, new root, counts).
+#: Wire overhead of one DELTA message (seq, base root, new root, counts);
+#: its dropped handles are not charged.
 DELTA_HEADER_BYTES = 64
 
 
@@ -78,7 +78,9 @@ class ReplicaStore:
     The store is the *peer side* of the replication protocol: it tracks the
     monotonic sequence number of the last applied delta and only accepts a
     delta whose base root matches its current root — out-of-order or
-    replayed messages are classified instead of blindly applied.
+    replayed messages are classified instead of blindly applied.  The host
+    reaches it only through messages: a DELTA or RESYNC, a new session's
+    question whether it applied anything, and a repair's :meth:`fetch`.
     """
 
     def __init__(self) -> None:
@@ -107,46 +109,26 @@ class ReplicaStore:
         return "diverged"
 
     def apply_delta(self, seq: int, base_root: int,
-                    records: Dict[int, bytes], new_root: int,
-                    reachable: Set[int]) -> str:
-        """Idempotently apply one DELTA message; returns the classification."""
+                    records: Dict[int, bytes], dropped: Iterable[int],
+                    new_root: int, resync: bool = False) -> str:
+        """Idempotently apply one DELTA — or, with ``resync``, replace the
+        whole store unless it is a duplicate; returns the classification.
+        The dropped handles go before the records are stored."""
         status = self.classify(seq, base_root, new_root)
-        if status != "apply":
+        if status == "duplicate" or status == "diverged" and not resync:
             return status
+        if resync:
+            self.records = {}
+        for h in dropped:
+            self.records.pop(h, None)
         self.records.update(records)
         self.root = new_root
-        # Drop records no longer part of the persistent version (the peer
-        # garbage-collects too, or the replica would grow without bound).
-        for h in list(self.records):
-            if h not in reachable:
-                del self.records[h]
         self.applied_seq = seq
         return "applied"
 
-    def force_sync(self, seq: int, records: Dict[int, bytes],
-                   root: int) -> None:
-        """Full resync: replace the entire store (divergence recovery)."""
-        self.records = dict(records)
-        self.root = root
-        self.applied_seq = seq
-
-
-def compute_delta(pmo: "PMOctree", replica: ReplicaStore
-                  ) -> Tuple[Dict[int, bytes], int, Set[int]]:
-    """Records of the current persistent version the replica lacks.
-
-    Returns ``(records, root_handle, reachable)`` — the reachable set is
-    computed exactly once here and reused by the caller for replica GC
-    (recomputing it per ship was a measurable waste; the regression test
-    counts the traversals).  Raises when nothing was persisted.
-    """
-    root = pmo.nvbm.roots.get(SLOT_PREV)
-    if root == NULL_HANDLE:
-        raise RecoveryError("nothing persisted yet; no delta to replicate")
-    reachable = pmo.reachable_from(root)
-    delta = _record_images(
-        pmo.nvbm, [h for h in reachable if h not in replica.records])
-    return delta, root, reachable
+    def fetch(self, handle: int) -> Optional[bytes]:
+        """A repair's request for one record image (None: not held)."""
+        return self.records.get(handle)
 
 
 def _record_images(nvbm: MemoryArena, handles) -> Dict[int, bytes]:
@@ -156,24 +138,6 @@ def _record_images(nvbm: MemoryArena, handles) -> Dict[int, bytes]:
     blob = nvbm.read_rows(np.array(handles, dtype=np.uint64)).tobytes()
     return {h: blob[i * OCTANT_RECORD_SIZE:(i + 1) * OCTANT_RECORD_SIZE]
             for i, h in enumerate(handles)}
-
-
-def ship_delta(pmo: "PMOctree", replica: ReplicaStore) -> int:
-    """Apply the delta to the replica directly; returns bytes shipped.
-
-    This is the *perfect-network* path (one process, no loss): the caller
-    charges the returned byte count to its network model.  Over a lossy
-    network use :class:`ReplicaSession`, which adds sequencing, acks and
-    retry/backoff on top of the same delta computation.
-    """
-    delta, root, reachable = compute_delta(pmo, replica)
-    replica.records.update(delta)
-    replica.root = root
-    for h in list(replica.records):
-        if h not in reachable:
-            del replica.records[h]
-    replica.applied_seq += 1
-    return len(delta) * OCTANT_RECORD_SIZE
 
 
 # --------------------------------------------------------------------- protocol
@@ -268,11 +232,12 @@ class ReplicaSession:
     """Sequenced, acknowledged, idempotent delta shipping to one peer.
 
     Host-side state is volatile (it dies with the host process): the
-    monotonic ``next_seq`` and ``peer_root`` — the persistent root the host
-    believes the peer holds.  A freshly constructed session therefore
-    assumes nothing (``peer_root = NULL``); if the peer's store is actually
-    non-empty the first DELTA is classified ``diverged`` and the session
-    falls back to a full resync, which is always safe.
+    monotonic ``next_seq``, ``peer_root`` (the last root the peer
+    acknowledged) and the write sets composed since
+    (:meth:`note_published`).  A fresh session sends an empty peer the
+    whole published version; any other peer gets a DELTA built on the
+    tree's published root at construction, which its fresh ``seq`` makes
+    ``diverged``, and a full resync follows — always safe.
 
     One ``ship()`` = one state-machine run::
 
@@ -305,6 +270,21 @@ class ReplicaSession:
         self.break_acks = break_acks
         self.next_seq = 1
         self.peer_root = NULL_HANDLE
+        #: the root the next DELTA is built on (NULL: the whole version);
+        #: a session opens by asking the peer whether it applied anything
+        self._base = NULL_HANDLE
+        if self.replica.applied_seq:
+            with pmo.nvbm.device.unmetered():
+                self._base = pmo.nvbm.roots.get(SLOT_PREV)
+        #: the root the composed write sets reach (None: a change did not
+        #: chain on it, so only a resync brings the peer up to date)
+        self._tip: Optional[int] = self._base
+        #: the composition since ``_base``: records written and still
+        #: published, ``_base``'s handles dropped, handles ``_base`` lacks
+        self._written: Dict[int, None] = {}
+        self._dropped: Set[int] = set()
+        self._fresh: Set[int] = set()
+        pmo._sessions.add(self)
         self.stats = SessionStats()
         #: attempts-per-acknowledged-ship histogram (attach_obs), or None
         self._m_attempts = None
@@ -339,6 +319,39 @@ class ReplicaSession:
         current = self.pmo.nvbm.roots.get(SLOT_PREV)
         return current != NULL_HANDLE and self.peer_root == current
 
+    # -- the write sets ------------------------------------------------------
+
+    def note_published(self, base: int, root: int, written: List[int],
+                       dropped: List[int]) -> None:
+        """Compose one change of the published version onto the DELTA.
+
+        A handle the change drops that an earlier change wrote was never
+        the peer's; one it writes that an earlier change dropped is a
+        reused slot the peer still holds under its old record."""
+        if self._base == NULL_HANDLE or self._tip is None:
+            return  # the ship sends a whole version anyway
+        if base != self._tip:
+            self._tip = None
+            return
+        wrote, gone, was_dropped = set(written), set(dropped), self._dropped
+        self._dropped = (was_dropped - wrote) | (gone - self._fresh)
+        self._fresh = (self._fresh - gone) | (wrote - was_dropped)
+        for h in dropped:
+            self._written.pop(h, None)
+        self._written.update(dict.fromkeys(written))
+        self._tip = root
+
+    def _whole_version(self, root: int) -> Dict[int, bytes]:
+        """Every record of the version at ``root``: one walk."""
+        pmo = self.pmo
+        return _record_images(pmo.nvbm, list(pmo.reachable_from(root)))
+
+    def _begin_resync(self, root: int) -> Dict[int, bytes]:
+        """Count a resync and build its message: the whole version."""
+        self.injector.site(sites.REPLICA_RESYNC_BEGIN)
+        self.stats.resyncs += 1
+        return self._whole_version(root)
+
     # -- the protocol --------------------------------------------------------
 
     def ship(self) -> ShipReport:
@@ -348,85 +361,68 @@ class ReplicaSession:
         ``max_retries`` unacknowledged attempts, and
         :class:`~repro.errors.RecoveryError` when nothing was persisted.
         """
-        delta, root, reachable = compute_delta(self.pmo, self.replica)
-        if root == self.peer_root and self.replica.root == root:
+        root = self.pmo.nvbm.roots.get(SLOT_PREV)
+        if root == NULL_HANDLE:
+            raise RecoveryError("nothing persisted yet; no delta to replicate")
+        seq, base, dropped = self.next_seq, self._base, list(self._dropped)
+        if root == self.peer_root == self._tip and not self._written \
+                and not dropped:
             # peer already holds this exact version: nothing to ship
-            return ShipReport(seq=self.next_seq - 1, bytes_shipped=0,
-                              records=0, attempts=0, resynced=False,
-                              duplicates_ignored=0, wait_ns=0.0)
-        seq = self.next_seq
-        base = self.peer_root
-        records = delta
-        resync = False
-        resynced = False
-        attempts = 0
-        dups = 0
+            return ShipReport(seq - 1, 0, 0, 0, False, 0, 0.0)
+        resync = resynced = base != NULL_HANDLE and self._tip != root
+        if resync:
+            records = self._begin_resync(root)
+        elif base == NULL_HANDLE:
+            records = self._whole_version(root)
+        else:
+            records = _record_images(self.pmo.nvbm, list(self._written))
+        attempts = dups = 0
         wait_ns = 0.0
         last_reason = "delta lost"
         while attempts <= self.policy.max_retries:
             attempts += 1
-            nbytes = len(records) * OCTANT_RECORD_SIZE + DELTA_HEADER_BYTES
             self.injector.site(sites.REPLICA_SHIP_BEFORE_SEND)
-            d = self.transport.send_data(nbytes)
+            d = self.transport.send_data(
+                len(records) * OCTANT_RECORD_SIZE + DELTA_HEADER_BYTES)
             self._charge(d.cost_ns)
-            if d.delivered:
-                status = self._peer_receive(seq, base, records, root,
-                                            reachable, resync)
-                if d.copies > 1:
-                    for _ in range(d.copies - 1):
-                        second = self._peer_receive(seq, base, records, root,
-                                                    reachable, resync)
-                        if second == "duplicate":
-                            dups += 1
-                if status in ("applied", "duplicate"):
-                    self.injector.site(sites.REPLICA_SHIP_AFTER_APPLY)
-                    ack = self.transport.send_ack()
-                    self._charge(ack.cost_ns)
-                    if ack.delivered and not self.break_acks:
-                        self.injector.site(sites.REPLICA_SHIP_BEFORE_ACK)
-                        self.peer_root = root
-                        self.next_seq = seq + 1
-                        shipped = len(records) * OCTANT_RECORD_SIZE
-                        self.stats.ships += 1
-                        self.stats.bytes_shipped += shipped
-                        self.stats.duplicates_ignored += dups
-                        if self._m_attempts is not None:
-                            self._m_attempts.observe(attempts)
-                        return ShipReport(
-                            seq=seq, bytes_shipped=shipped,
-                            records=len(records), attempts=attempts,
-                            resynced=resynced, duplicates_ignored=dups,
-                            wait_ns=wait_ns,
-                        )
-                    self.stats.acks_lost += 1
-                    last_reason = "ack lost"
-                else:  # diverged: switch to a full resync and resend now
-                    self.injector.site(sites.REPLICA_RESYNC_BEGIN)
-                    resync = resynced = True
-                    self.stats.resyncs += 1
-                    records = _record_images(self.pmo.nvbm, list(reachable))
-                    continue  # the NACK came back; no timeout to wait out
-            else:
+            if not d.delivered:
                 self.stats.deltas_lost += 1
                 last_reason = f"delta lost ({d.reason})" if d.reason \
                     else "delta lost"
+            else:
+                status, *copies = [
+                    self.replica.apply_delta(seq, base, records, dropped,
+                                             root, resync)
+                    for _ in range(d.copies)]
+                dups += copies.count("duplicate")
+                if status == "diverged":  # a full resync, resent now:
+                    resync = resynced = True  # the NACK came back, so
+                    records = self._begin_resync(root)  # no timeout
+                    continue
+                self.injector.site(sites.REPLICA_SHIP_AFTER_APPLY)
+                ack = self.transport.send_ack()
+                self._charge(ack.cost_ns)
+                if ack.delivered and not self.break_acks:
+                    self.injector.site(sites.REPLICA_SHIP_BEFORE_ACK)
+                    self.peer_root = self._base = self._tip = root
+                    self._written, self._dropped, self._fresh = {}, set(), set()
+                    self.next_seq = seq + 1
+                    shipped = len(records) * OCTANT_RECORD_SIZE
+                    self.stats.ships += 1
+                    self.stats.bytes_shipped += shipped
+                    self.stats.duplicates_ignored += dups
+                    if self._m_attempts is not None:
+                        self._m_attempts.observe(attempts)
+                    return ShipReport(seq, shipped, len(records), attempts,
+                                      resynced, dups, wait_ns)
+                self.stats.acks_lost += 1
+                last_reason = "ack lost"
             pause = self.policy.ack_timeout_ns + self.policy.backoff_ns(attempts)
             self._charge(pause)
             wait_ns += pause
             self.stats.retries += 1
             self.stats.wait_ns += pause
         raise ReplicationTimeoutError(seq, attempts, last_reason)
-
-    def _peer_receive(self, seq: int, base: int, records: Dict[int, bytes],
-                      root: int, reachable: Set[int], resync: bool) -> str:
-        """Deliver one DELTA/RESYNC message to the peer store."""
-        if resync:
-            status = self.replica.classify(seq, base, root)
-            if status == "duplicate":
-                return "duplicate"
-            self.replica.force_sync(seq, records, root)
-            return "applied"
-        return self.replica.apply_delta(seq, base, records, root, reachable)
 
 
 def restore_from_replica(replica: ReplicaStore, dram: MemoryArena,

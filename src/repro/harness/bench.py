@@ -34,6 +34,7 @@ import numpy as np
 from repro.config import (
     DRAM_SPEC,
     NVBM_SPEC,
+    OCTANT_RECORD_SIZE,
     PMOctreeConfig,
     SolverConfig,
     TITAN,
@@ -42,10 +43,8 @@ from repro.core import pm_create, pm_restore
 from repro.core.replication import (
     FaultyTransport,
     ReplicaSession,
-    ReplicaStore,
     RetryPolicy,
     restore_from_replica,
-    ship_delta,
 )
 from repro.harness.report import BENCH_SCHEMA, bench_envelope
 from repro.nvbm.arena import MemoryArena
@@ -175,15 +174,10 @@ def bench_droplet(steps: int = 12, max_level: int = 5,
 def bench_recovery(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     """Local-NVBM restart and replica materialisation, on simulated clocks."""
     clock, dram, nvbm, tree = _rig()
-    replica = ReplicaStore()
+    replica = tree.attach_replication_session(ReplicaSession(tree)).replica
     solver = SolverConfig(dim=2, min_level=2, max_level=max_level, dt=0.01)
-
-    def persistence(sim_):
-        sim_.tree.persist()
-        ship_delta(sim_.tree, replica)
-
     sim = DropletSimulation(tree, solver, clock=clock,
-                            persistence=persistence)
+                            persistence=lambda s: s.tree.persist())
     sim.run(steps)
 
     # scenario 1: same node reboots; local NVBM survives (seeded torn lines)
@@ -204,7 +198,8 @@ def bench_recovery(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     return {
         "recovery.local_restore_ns": local_ns,
         "recovery.replica_restore_ns": replica_ns,
-        "recovery.replica_records": float(len(replica.records)),
+        "recovery.replica_records":
+            float(replica.bytes_stored() // OCTANT_RECORD_SIZE),
     }
 
 
@@ -324,8 +319,9 @@ def bench_media(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     clean = scrub(tree)
     scrub_clean_ns = clock.now_ns - t0
 
-    replica = ReplicaStore()
-    ship_delta(tree, replica)
+    session = ReplicaSession(tree)
+    session.ship()
+    replica = session.replica
     model = nvbm.device.fault_model
     root = nvbm.roots.get(SLOT_PREV)
     published = sorted(tree.reachable_from(root))

@@ -25,7 +25,7 @@ from repro.config import (
     SolverConfig,
 )
 from repro.core.api import pm_create, pm_restore
-from repro.core.replication import ReplicaStore, restore_from_replica, ship_delta
+from repro.core.replication import ReplicaSession, restore_from_replica
 from repro.core.transform import detect_and_transform
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
@@ -398,15 +398,9 @@ def exp_recovery(target_elements: float = 6.75e6, nranks: int = 100,
 
     # ---------------- PM-octree ------------------------------------------
     clock, dram, nvbm, tree = _pm_rig()
-    replica = ReplicaStore()
-    shipped_bytes = [0]
-
-    def persist_and_replicate(sim_):
-        sim_.tree.persist()
-        shipped_bytes[0] = ship_delta(sim_.tree, replica)
-
+    replica = tree.attach_replication_session(ReplicaSession(tree)).replica
     sim = DropletSimulation(tree, solver, clock=clock,
-                            persistence=persist_and_replicate)
+                            persistence=lambda s: s.tree.persist())
     sim.run(kill_step)
     n_actual = tree.num_octants()
     per_rank_scale = (target_elements / nranks) / n_actual

@@ -187,6 +187,9 @@ class MemoryArena:
         #: optional ordering observer (see repro.analysis.tracker); checked
         #: on every store/flush/free, None in normal operation.
         self.tracer = None
+        #: when a dict, every allocation enters its handle (True), in order:
+        #: a PM-octree's NVBM arena logs each epoch's write set here
+        self.alloc_log: Optional[Dict[int, bool]] = None
         self.allocator = RecordAllocator(capacity_octants, name=self.name,
                                          fifo=wear_leveling)
         self._volatile = spec.volatile
@@ -331,6 +334,8 @@ class MemoryArena:
         idx = self.allocator.alloc()
         if idx >= self._present.size:
             self._grow(idx)
+        if self.alloc_log is not None:
+            self.alloc_log[self._tag | idx] = True
         return self._tag | idx
 
     def alloc_rows(self, n: int) -> np.ndarray:
@@ -341,7 +346,10 @@ class MemoryArena:
             self._grow(max(idx))
         if len(idx) < n:
             self.alloc()  # the arena is full: fails as the next call would
-        return self.handles_of(np.array(idx, dtype=np.intp))
+        handles = self.handles_of(np.array(idx, dtype=np.intp))
+        if self.alloc_log is not None:
+            self.alloc_log.update(dict.fromkeys(handles.tolist(), True))
+        return handles
 
     def _drop(self, handle: int, release) -> None:
         """Hand a slot back through ``release`` (the allocator's ``free`` or

@@ -252,8 +252,14 @@ class MemoryDevice:
         scalar = type(line_ids) is range
         end = line_ids.stop if scalar else int(line_ids.max()) + 1
         if end > self._wear.size:
-            grown = np.zeros(max(end, 2 * self._wear.size, 1024),
-                             dtype=np.int64)
+            # as the per-write calls (one row of line_ids each) would grow it
+            peaks = (np.array([end]) if scalar else np.maximum.accumulate(
+                line_ids.reshape(count, -1).max(axis=1) + 1))
+            size = self._wear.size
+            while peaks[-1] > size:
+                size = max(int(peaks[np.searchsorted(peaks, size, "right")]),
+                           2 * size, 1024)
+            grown = np.zeros(size, dtype=np.int64)
             grown[: self._wear.size] = self._wear
             self._wear = grown
             self._wear_mv = memoryview(grown)

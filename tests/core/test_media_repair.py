@@ -5,7 +5,7 @@ import pytest
 from repro.core.api import pm_restore
 from repro.core.pmoctree import SLOT_PREV
 from repro.core.recovery import scrub
-from repro.core.replication import ReplicaStore, ship_delta
+from repro.core.replication import ReplicaSession
 from repro.config import OCTANT_RECORD_SIZE
 from repro.errors import MediaUnrepairableError, UncorrectableError
 from repro.nvbm.device import LINES_PER_RECORD, MediaFaultModel
@@ -88,8 +88,9 @@ def test_transient_upsets_clear_on_retry(monkeypatch):
 def test_rot_rebuilt_from_replica_frees_slot():
     rig = _persisted_rig()
     before = _signature(rig.tree)
-    replica = ReplicaStore()
-    ship_delta(rig.tree, replica)
+    session = ReplicaSession(rig.tree)
+    session.ship()
+    replica = session.replica
     root, _published_handles = _published(rig)
     model = _attach(rig)
     model.plant_rot(_gline(root))          # internal: local rung cannot help
@@ -111,8 +112,9 @@ def test_rot_rebuilt_from_replica_frees_slot():
 
 def test_stuck_line_retires_slot():
     rig = _persisted_rig()
-    replica = ReplicaStore()
-    ship_delta(rig.tree, replica)
+    session = ReplicaSession(rig.tree)
+    session.ship()
+    replica = session.replica
     root, published = _published(rig)
     victim = published[len(published) // 2]
     model = _attach(rig)
@@ -133,8 +135,9 @@ def test_repair_survives_crash_and_restore():
     repair must land restore on the same payloads."""
     rig = _persisted_rig()
     before = _signature(rig.tree)
-    replica = ReplicaStore()
-    ship_delta(rig.tree, replica)
+    session = ReplicaSession(rig.tree)
+    session.ship()
+    replica = session.replica
     root, _ = _published(rig)
     model = _attach(rig)
     model.plant_stuck(_gline(root))

@@ -52,7 +52,7 @@ def test_end_to_end_replica_on_chosen_peer():
     """Ship deltas to the scheduler-chosen peer's NVBM arena and recover."""
     from repro.config import PMOctreeConfig
     from repro.core.api import pm_create
-    from repro.core.replication import ReplicaStore, restore_from_replica, ship_delta
+    from repro.core.replication import ReplicaSession, restore_from_replica
     from repro.octree import morton
 
     cluster = _cluster(nranks=32)
@@ -62,8 +62,9 @@ def test_end_to_end_replica_on_chosen_peer():
     tree.refine(morton.ROOT_LOC)
     tree.persist(transform=False)
     peer = choose_replica_peer(cluster, host_rank=0)
-    replica = ReplicaStore()
-    shipped = ship_delta(tree, replica)
+    session = ReplicaSession(tree)
+    shipped = session.ship().bytes_shipped
+    replica = session.replica
     assert shipped > 0
     # node 0 dies; recover on the peer's node using its arenas
     cluster.kill_node(0)

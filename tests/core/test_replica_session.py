@@ -2,15 +2,13 @@
 
 import pytest
 
-from repro.config import GEMINI_SPEC, OCTANT_RECORD_SIZE
+from repro.config import GEMINI_SPEC, SolverConfig
 from repro.core.replication import (
     FaultyTransport,
-    PerfectTransport,
     ReplicaSession,
     ReplicaStore,
     RetryPolicy,
     restore_from_replica,
-    ship_delta,
 )
 from repro.errors import RecoveryError, ReplicationTimeoutError
 from repro.nvbm.clock import Category
@@ -198,6 +196,56 @@ def test_fresh_session_against_populated_peer_resyncs(rig):
     assert _sig(t2) == _sig(t)
 
 
+# -------------------------------------------------------- reused handles
+
+
+class _Outage:
+    """Transport that loses every data message while ``down``."""
+
+    down = False
+
+    def send_data(self, nbytes):
+        if self.down:
+            return Delivery(False, 0, 0.0, "outage")
+        return Delivery(True, 1, 0.0)
+
+    def send_ack(self):
+        return Delivery(True, 1, 0.0)
+
+
+def test_replica_restores_after_a_missed_ship_and_slot_reuse(rig):
+    """One ship times out; GC then frees slots the replica still holds and
+    the next epoch reuses them.  Every acked DELTA from then on must leave
+    a replica that restores the host's last persisted leaves."""
+    from repro.solver.simulation import DropletSimulation
+    from tests.core.test_replication import _fresh_arenas
+
+    t = rig.tree
+    outage = _Outage()
+    session = t.attach_replication_session(ReplicaSession(
+        t, transport=outage, policy=RetryPolicy(max_retries=1)))
+    timeouts, restored = [], []
+
+    def persistence(sim_):
+        outage.down = sim_.step_count == 3
+        try:
+            sim_.tree.persist()
+        except ReplicationTimeoutError as exc:
+            timeouts.append(exc)
+        sim_.tree.gc()
+        if timeouts and session.protected:
+            dram2, nvbm2 = _fresh_arenas()
+            t2 = restore_from_replica(session.replica, dram2, nvbm2, dim=2)
+            restored.append(_sig(t2) == _sig(sim_.tree))
+
+    sim = DropletSimulation(
+        t, SolverConfig(dim=2, min_level=2, max_level=6, dt=0.01),
+        clock=rig.clock, persistence=persistence)
+    sim.run(6)
+    assert len(timeouts) == 1
+    assert restored == [True] * 3
+
+
 # ------------------------------------------- lossy end-to-end convergence
 
 
@@ -230,22 +278,32 @@ def test_converges_over_20pct_lossy_network(rig):
     assert _sig(t2) == _sig(t)
 
 
-# ------------------------------------------------- satellite: delta reuse
+# ------------------------------------------------- the write set, not a walk
 
 
-def test_reachable_computed_exactly_once_per_ship(rig):
-    """ship_delta must reuse compute_delta's reachable set, not re-walk."""
+def test_delta_ship_walks_nothing_resync_walks_once(rig):
+    """A DELTA carries the published epochs' write sets: shipping one never
+    walks the tree.  A resync (and a first ship to an empty peer) sends the
+    whole version and walks it once."""
     t = _prepare(rig)
     calls = []
     orig = t.reachable_from
     t.reachable_from = lambda root: (calls.append(root) or orig(root))
 
-    replica = ReplicaStore()
-    shipped = ship_delta(t, replica)
+    session = ReplicaSession(t)
+    first = session.ship()            # empty peer: the whole version
     assert len(calls) == 1
-    assert shipped == len(replica.records) * OCTANT_RECORD_SIZE
+    assert first.bytes_shipped == session.replica.bytes_stored()
 
     calls.clear()
-    session = ReplicaSession(t, replica=ReplicaStore())
-    session.ship()
-    assert len(calls) == 1
+    t.set_payload(sorted(t.leaves())[0], (5.0, 0, 0, 0))
+    t.persist(transform=False)
+    delta = session.ship()
+    assert calls == [] and 0 < delta.records < first.records
+
+    calls.clear()
+    fresh = ReplicaSession(t, replica=session.replica)  # host restarted
+    t.set_payload(sorted(t.leaves())[1], (6.0, 0, 0, 0))
+    t.persist(transform=False)
+    report = fresh.ship()             # a fresh seq diverges: one resync
+    assert report.resynced and len(calls) == 1

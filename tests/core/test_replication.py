@@ -4,10 +4,9 @@ import pytest
 
 from repro.config import DRAM_SPEC, NVBM_SPEC, OCTANT_RECORD_SIZE
 from repro.core.replication import (
+    ReplicaSession,
     ReplicaStore,
-    compute_delta,
     restore_from_replica,
-    ship_delta,
 )
 from repro.errors import RecoveryError
 from repro.nvbm.arena import MemoryArena
@@ -31,7 +30,7 @@ def _signature(tree):
 
 def test_delta_before_persist_rejected(rig):
     with pytest.raises(RecoveryError):
-        compute_delta(rig.tree, ReplicaStore())
+        ReplicaSession(rig.tree).ship()
 
 
 def test_first_ship_is_full_tree(rig):
@@ -39,8 +38,9 @@ def test_first_ship_is_full_tree(rig):
     for leaf in list(t.leaves()):
         t.refine(leaf)
     t.persist(transform=False)
-    replica = ReplicaStore()
-    shipped = ship_delta(t, replica)
+    session = ReplicaSession(t)
+    shipped = session.ship().bytes_shipped
+    replica = session.replica
     assert shipped == 5 * OCTANT_RECORD_SIZE
     assert len(replica.records) == 5
     assert replica.root == rig.nvbm.roots.get("V_prev")
@@ -52,13 +52,13 @@ def test_subsequent_ships_are_deltas(rig):
         for leaf in list(t.leaves()):
             t.refine(leaf)
     t.persist(transform=False)
-    replica = ReplicaStore()
-    full = ship_delta(t, replica)
+    session = ReplicaSession(t)
+    full = session.ship().bytes_shipped
     # one leaf changes -> only the rewritten path ships
     leaf = morton.loc_from_coords(2, (2, 2), 2)
     t.set_payload(leaf, (4.0, 0, 0, 0))
     t.persist(transform=False)
-    delta = ship_delta(t, replica)
+    delta = session.ship().bytes_shipped
     assert delta == 3 * OCTANT_RECORD_SIZE  # leaf + parent + root
     assert delta < full
 
@@ -68,11 +68,12 @@ def test_replica_prunes_stale_records(rig):
     for leaf in list(t.leaves()):
         t.refine(leaf)
     t.persist(transform=False)
-    replica = ReplicaStore()
-    ship_delta(t, replica)
+    session = ReplicaSession(t)
+    session.ship()
     t.coarsen(morton.ROOT_LOC)
     t.persist(transform=False)
-    ship_delta(t, replica)
+    session.ship()
+    replica = session.replica
     # replica holds exactly the live persistent version (1 root octant)
     assert len(replica.records) == 1
 
@@ -87,8 +88,9 @@ def test_restore_on_replacement_node(rig):
         t.set_payload(leaf, (float(i), 0, 0, 0))
     t.persist(transform=False)
     sig = _signature(t)
-    replica = ReplicaStore()
-    ship_delta(t, replica)
+    session = ReplicaSession(t)
+    session.ship()
+    replica = session.replica
 
     # node lost entirely: new arenas on a replacement node
     new_dram, new_nvbm = _fresh_arenas()
@@ -113,8 +115,9 @@ def test_swizzling_rewrites_all_pointers(rig):
     for leaf in list(t.leaves()):
         t.refine(leaf)
     t.persist(transform=False)
-    replica = ReplicaStore()
-    ship_delta(t, replica)
+    session = ReplicaSession(t)
+    session.ship()
+    replica = session.replica
     new_dram, new_nvbm = _fresh_arenas()
     restore_from_replica(replica, new_dram, new_nvbm, dim=2)
     for h in list(new_nvbm.live_handles()):
@@ -131,13 +134,14 @@ def test_replica_survives_while_host_churns(rig):
         for leaf in list(t.leaves()):
             t.refine(leaf)
     t.persist(transform=False)
-    replica = ReplicaStore()
-    ship_delta(t, replica)
+    session = ReplicaSession(t)
+    session.ship()
     for step in range(3):
         t.set_payload(sorted(t.leaves())[step], (float(step), 0, 0, 0))
         t.persist(transform=False)
-        ship_delta(t, replica)
+        session.ship()
         t.gc()
+    replica = session.replica
     sig = _signature(t)
     new_dram, new_nvbm = _fresh_arenas()
     t2 = restore_from_replica(replica, new_dram, new_nvbm, dim=2)

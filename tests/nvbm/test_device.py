@@ -1,6 +1,7 @@
 """MemoryDevice: latency charging, stats merging, wear accounting."""
 
 import numpy as np
+import pytest
 
 from repro.config import DRAM_SPEC, NVBM_SPEC
 from repro.nvbm.clock import Category, SimClock
@@ -45,6 +46,33 @@ def test_wear_tracking_grows_lazily():
     assert dev.wear_max() == 2
     assert dev.wear_total() == 3
     assert 0.0 < dev.wear_headroom() < 1.0
+
+
+@pytest.mark.parametrize("before, batch", [(300, 1000), (0, 5000),
+                                           (511, 2), (1, 1)])
+def test_batch_write_grows_wear_like_the_per_write_calls(before, batch):
+    """A ``write_rows`` of fresh records leaves the wear array as long as
+    the ``write`` calls it stands for: each call whose lines reach past
+    the array at least doubles it."""
+    from repro.nvbm.arena import MemoryArena
+    from repro.nvbm.pointers import ARENA_DRAM
+    from repro.nvbm.records import OctantRecord, pack_record
+
+    twins = []
+    for mode in ("batch", "per-write"):
+        arena = MemoryArena(ARENA_DRAM, DRAM_SPEC, SimClock(), 1 << 14)
+        for i in range(before):
+            arena.new_octant(OctantRecord(loc=1 + i))
+        handles = arena.alloc_rows(batch)
+        rows = np.frombuffer(pack_record(OctantRecord(loc=7)) * batch,
+                             dtype=np.uint8).reshape(batch, -1)
+        if mode == "batch":
+            arena.write_rows(handles, 0, rows)
+        else:
+            for h, row in zip(handles.tolist(), rows):
+                arena.write(h, row.tobytes())
+        twins.append((arena.device._wear.tolist(), arena.device.stats))
+    assert twins[0] == twins[1]
 
 
 def test_stats_object_is_never_replaced():

@@ -467,6 +467,15 @@ def test_c0_budget_is_configuration():
     assert not hits, hits
 
 
+def test_replica_is_fed_by_the_write_set():
+    """A replica DELTA carries the published epochs' write sets: no
+    whole-tree delta walk and no second ship path beside
+    ``ReplicaSession.ship``."""
+    gone = re.compile(r"compute_delta|ship_delta")
+    hits = _mentions(gone, also=[*(ROOT / "examples").rglob("*.py")])
+    assert not hits, hits
+
+
 # ------------------------------------------------- no test-only surface
 
 #: directories whose code calls ``src`` the way the system does: the
