@@ -142,10 +142,11 @@ class C0Placement:
         # evict below ``needed`` free slots, or the threshold_dram share
         threshold_free = max(
             needed, int(self.config.threshold_dram * self.c0_capacity))
-        protected_root = self._c0_root_of(protect) if protect is not None else None
         heap: Optional[List] = None
         while self.c0_free < threshold_free:
             if heap is None:
+                protected_root = None if protect is None \
+                    else self._c0_root_of(protect)
                 # LFU priority queue, built once for the whole eviction
                 # round: k evictions cost O(n + k log n) comparisons, not a
                 # full re-sort per victim.  Roots that disappear under us

@@ -224,19 +224,23 @@ class PMOctree(C0Placement, LeafSetStructure):
 
     def _batch_handles(self, locs) -> Tuple[np.ndarray, np.ndarray]:
         """``handle_of`` + ``_touch_c0`` of a whole batch: the handles
-        (uint64) and which of them are DRAM handles."""
-        index = self._index
+        (uint64) and which of them are DRAM handles.  While the root is the
+        only C0 root it covers every DRAM octant: one credit, no codes."""
         try:
-            handles = np.array([index[loc] for loc in locs], dtype=np.uint64)
+            handles = np.fromiter(map(self._index.__getitem__, locs),
+                                  np.uint64, len(locs))
         except KeyError as exc:
             raise ReproError(f"octant {exc.args[0]:#x} not in tree") from None
         dram = (handles >> np.uint64(_INDEX_BITS)) == ARENA_DRAM
-        if dram.any():
+        c0 = self._c0_roots
+        if c0.levels == (0,):
+            c0[morton.ROOT_LOC].accesses += int(np.count_nonzero(dram))
+        elif dram.any():
             roots, counts = np.unique(self._c0_roots_of(
                 np.asarray(locs, dtype=np.int64)[dram]), return_counts=True)
             for root, count in zip(roots.tolist(), counts.tolist()):
                 if root:
-                    self._c0_roots[root].accesses += count
+                    c0[root].accesses += count
         return handles, dram
 
     def _batch_read(self, locs, offset: int, size: int) -> np.ndarray:

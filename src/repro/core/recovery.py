@@ -520,8 +520,12 @@ def scrub(pmo: "PMOctree", replica=None, transport=None) -> ScrubReport:
     Records with no redundancy left are reported (not raised) in
     ``ScrubReport.unrepaired`` — their subtrees are unreadable, and the
     caller decides whether that degrades the run.
+
+    A scrub is a persist barrier: a repair republishes ``V_prev``, so no
+    in-flight epoch may still share the chain it relocates.
     """
     report = ScrubReport()
+    pmo.drain_persists()
     root = pmo.nvbm.roots.get(SLOT_PREV)
     if root == NULL_HANDLE or not is_nvbm(root):
         return report

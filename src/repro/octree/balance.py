@@ -59,10 +59,10 @@ def _ripple(tree: AdaptiveTree, max_level: Optional[int],
     while generation:
         flags = tree.forcing_faces(generation)
         pushed: List[int] = []
-        for loc, faces in zip(generation, flags.tolist()):
-            if not any(faces) or not tree.exists(loc) \
-                    or not tree.is_leaf(loc):
-                continue  # nothing to force, or stale: refined while queued
+        for i in np.flatnonzero(flags.any(axis=1)).tolist():
+            loc, faces = generation[i], flags[i].tolist()
+            if not tree.exists(loc) or not tree.is_leaf(loc):
+                continue  # stale: refined while queued
             level = morton.level_of(loc, dim)
             # A leaf at `level` forces every face-adjacent region to be
             # refined to at least `level - 1`.

@@ -72,6 +72,8 @@ _EXACT_FLOAT_LIMIT = 1 << 53
 
 
 def _as_int64(locs) -> np.ndarray:
+    if isinstance(locs, list):  # no dtype inference pass over the ints
+        return np.fromiter(locs, np.int64, len(locs))
     arr = np.asarray(locs)
     return arr.astype(np.int64) if arr.dtype != np.int64 else arr
 
@@ -92,21 +94,40 @@ def levels_of_codes(locs, dim: int) -> np.ndarray:
     return (bit_length - 1) // dim
 
 
+#: Mask compaction per dim: ``(first, steps)``.  After ``& first`` keeps
+#: every ``dim``-th bit, each ``(shift, mask)`` step folds runs of 1, 2, 4,
+#: ... coordinate bits together, so bit ``dim * i`` lands on bit ``i``.
+_COMPACT = {
+    2: (0x5555555555555555, ((1, 0x3333333333333333),
+                             (2, 0x0F0F0F0F0F0F0F0F),
+                             (4, 0x00FF00FF00FF00FF),
+                             (8, 0x0000FFFF0000FFFF),
+                             (16, 0x00000000FFFFFFFF))),
+    3: (0x1249249249249249, ((2, 0x10C30C30C30C30C3),
+                             (4, 0x100F00F00F00F00F),
+                             (8, 0x001F0000FF0000FF),
+                             (16, 0x001F00000000FFFF),
+                             (32, 0x00000000001FFFFF))),
+}
+
+
 def coords_of_codes(locs, levels: np.ndarray, dim: int) -> np.ndarray:
     """Vectorised ``morton.coords_of``: (n, dim) int64 min-corner coords.
 
-    Bits above a code's own level are zero, so one loop to the deepest
-    level needs no per-element masking.
+    With the sentinel removed, axis ``a``'s coordinate is bits ``a``,
+    ``a + dim``, ... of the code: compacted by :data:`_COMPACT`'s six
+    integer shift-and-mask steps per axis, exact for every code below
+    2**53 (32 levels in 2-D, 21 in 3-D fit the masks).
     """
-    loc_arr = _as_int64(locs)
-    n = loc_arr.size
-    coords = np.zeros((n, dim), dtype=np.int64)
-    if n == 0:
-        return coords
-    bits = loc_arr - (np.int64(1) << (dim * levels))
-    for i in range(int(levels.max())):
-        for axis in range(dim):
-            coords[:, axis] |= ((bits >> np.int64(dim * i + axis)) & 1) << i
+    bits = _as_int64(locs) - (np.int64(1) << (dim * levels))
+    first, steps = _COMPACT[dim]
+    coords = np.empty((bits.size, dim), dtype=np.int64)
+    for axis in range(dim):
+        c = (bits >> axis) & first
+        for shift, mask in steps:
+            c |= c >> shift
+            c &= mask
+        coords[:, axis] = c
     return coords
 
 
@@ -376,18 +397,19 @@ class LeafSetStructure:
 
     def forcing_faces(self, locs: Sequence[int]) -> np.ndarray:
         # exact: the tree is complete, so the leaf covering a same-level
-        # neighbour is over one level coarser iff its parent is no octant
+        # neighbour is over one level coarser iff its parent is no octant;
+        # siblings share neighbour parents, so each distinct one is looked
+        # up once
         loc_arr, dim = _as_int64(locs), self.dim
         levels, axes = levels_of_codes(loc_arr, dim)[:, None], np.arange(dim)
-        out = np.empty((len(loc_arr), dim, 2), dtype=bool)  # −1, +1 per axis
-        for side, direction in enumerate((-1, 1)):
-            inside, codes = face_steps(loc_arr[:, None], levels, dim, axes,
-                                       direction)
-            up = (codes[inside] >> dim).tolist()
-            inside[inside] = ~np.fromiter(map(self._index.__contains__, up),
-                                          bool, len(up))
-            out[:, :, side] = inside
-        return out.reshape(len(loc_arr), 2 * dim)
+        steps = [face_steps(loc_arr[:, None], levels, dim, axes, direction)
+                 for direction in (-1, 1)]
+        inside = np.stack([s[0] for s in steps], axis=-1)  # −1, +1 per axis
+        codes = np.stack([s[1] for s in steps], axis=-1)
+        up, at = np.unique(codes[inside] >> dim, return_inverse=True)
+        inside[inside] = ~np.fromiter(map(self._index.__contains__,
+                                          up.tolist()), bool, len(up))[at]
+        return inside.reshape(len(loc_arr), 2 * dim)
 
     def face_leaves(self, locs: Sequence[int], axis: int,
                     direction: int) -> np.ndarray:

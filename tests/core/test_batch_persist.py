@@ -433,3 +433,52 @@ def test_bulk_site_visit_is_the_visits_in_order():
     # stopped at the visit that fired, and the spent plan is gone
     assert bulk.hits[MERGE_OCTANT] == 8
     assert bulk.armed_sites == []
+
+
+# ------------------------------------------------ the C0 touch of a gather
+
+def _c0_rig(kind: str) -> PMRig:
+    """``resident``: the whole tree in one C0 subtree at the root;
+    ``tight``: a 64-octant C0 holding three loaded subtrees at three
+    levels, one per quadrant, the rest of the tree in NVBM."""
+    if kind == "resident":
+        rig = _grown()
+        assert rig.tree._c0_roots.levels == (0,)
+        return rig
+    rig = PMRig(dram_octants=64)
+    t = rig.tree
+    for _ in range(3):
+        for leaf in sorted(t.leaves()):
+            if t.is_leaf(leaf):
+                t.refine(leaf)
+    t.persist(transform=False)
+    by_quadrant = {}
+    for leaf in sorted(t.leaves()):
+        by_quadrant.setdefault(morton.ancestor_at(leaf, t.dim, 1), leaf)
+    (_q0, deep), (_q1, other), (q2, _) = list(by_quadrant.items())[:3]
+    for loc in (deep, morton.ancestor_at(other, t.dim, 2), q2):
+        assert merge.load_subtree(t, loc)
+    assert len(t._c0_roots.levels) == 3 and 0 not in t._c0_roots.levels
+    return rig
+
+
+@pytest.mark.parametrize("kind", ["resident", "tight"])
+def test_gather_touches_c0_as_get_payload_calls(kind):
+    """A gather credits each C0 root what ``n`` ``get_payload`` calls in
+    leaf order would: one access per DRAM octant it covers, on the
+    one-root fast path and on roots at several levels alike."""
+    from repro.octree import soa
+
+    gathered, looped = _c0_rig(kind), _c0_rig(kind)
+    before = {r: s.accesses for r, s in gathered.tree._c0_roots.items()}
+    batch = soa.gather(gathered.tree, gathered.tree.leaves())
+    rows = [looped.tree.get_payload(loc) for loc in looped.tree.leaves()]
+    assert batch.loc_list == list(looped.tree.leaves())
+    assert batch.payloads.tolist() == [list(row) for row in rows]
+    _agree(gathered, looped)
+    touched = {r: s.accesses - before[r]
+               for r, s in gathered.tree._c0_roots.items()}
+    if kind == "resident":
+        assert touched == {morton.ROOT_LOC: len(batch)}
+    else:  # every root covers some leaves, and some leaves sit in NVBM
+        assert all(touched.values()) and sum(touched.values()) < len(batch)

@@ -193,3 +193,42 @@ def test_scrub_on_clean_tree_is_pure_read():
     assert rig.clock.now_ns > t0
     assert _signature(rig.tree) == before
     rig.tree.check_invariants()
+
+
+# ------------------------------------------------- scrub with an epoch in flight
+
+
+def test_scrub_drains_an_epoch_in_flight_before_repairing():
+    """A repair republishes ``V_prev``: an unpublished epoch whose root
+    reaches the relocated chain would, once it settles, publish a tree
+    that names the freed slot.  The scrub is a persist barrier, so the
+    restore after the drain lands on the host's payloads."""
+    rig = PMRig(dram_octants=2048, nvbm_octants=1 << 15,
+                max_inflight_epochs=1)
+    tree = rig.tree
+    for _ in range(2):
+        for leaf in list(tree.leaves()):
+            tree.refine(leaf)
+    leaves = sorted(tree.leaves())
+    assert len(leaves) == 16
+    for i, leaf in enumerate(leaves):
+        tree.set_payload(leaf, (0.0, float(i), 1.0, 2.0))
+    tree.persist(transform=False)
+    tree.drain_persists()
+    session = ReplicaSession(tree)
+    session.ship()
+    for i, leaf in enumerate(leaves[:4]):
+        tree.set_payload(leaf, (1.0, float(i), 3.0, 4.0))
+    tree.persist(transform=False)
+    [inflight] = tree._pipeline.live_roots()
+    _root, published = _published(rig)
+    shared = sorted(set(published) & set(tree.reachable_from(inflight)))
+    victim = next(h for h in shared if rig.nvbm.read_octant(h).is_leaf)
+    before = _signature(tree)
+    _attach(rig).plant_stuck(_gline(victim))
+    assert scrub(tree, replica=session.replica).ok
+    tree.drain_persists()
+    rig.crash(seed=3)
+    restored = rig.restore()
+    assert _signature(restored) == before
+    restored.check_invariants()

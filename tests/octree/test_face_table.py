@@ -158,6 +158,35 @@ def test_array_table_is_the_loop_and_is_free(make, dim, shape, picks,
         assert np.array_equal(todo, forcing)
 
 
+@pytest.mark.parametrize("make", [_pointer, _pm], ids=["pointer", "pm"])
+@pytest.mark.parametrize("dim", [2, 3])
+def test_deduplicated_forcing_faces_equal_the_per_face_lookup(make, dim):
+    """One lookup per distinct neighbour parent answers what the per-face
+    Balance test does, on a tree where most faces share a neighbour parent: a
+    uniform level-2 tree whose first cell is refined to level 5 (gaps of
+    three levels) and whose last once (gaps of one), asked for every leaf,
+    shuffled, with repeats."""
+    tree, _clock, _devices = make(dim)
+    _grow(tree, "uniform", [1])
+    corner, far = min(tree.leaves()), max(tree.leaves())
+    for _ in range(3):
+        for loc in sorted(tree.leaves()):
+            if loc >> dim * (morton.level_of(loc, dim) - 2) == corner:
+                tree.refine(loc)
+    tree.refine(far)
+    locs = sorted(tree.leaves())
+    random.Random(dim).shuffle(locs)
+    locs += locs[:len(locs) // 3]
+    todo = tree.forcing_faces(locs)
+    assert np.array_equal(todo, np.array([_forcing(tree, loc) for loc in locs],
+                                         dtype=bool).reshape(todo.shape))
+    assert todo.any() and not todo.all()
+    ups = [code >> dim for loc in locs for axis in range(dim)
+           for direction in (-1, 1)
+           if (code := morton.neighbor_of(loc, dim, axis, direction))]
+    assert len(set(ups)) * 4 < len(ups)
+
+
 @settings(max_examples=15, deadline=None)
 @given(**trees)
 def test_loop_backed_table_charges_what_the_loop_charges(dim, shape, picks,

@@ -105,6 +105,26 @@ def test_code_arithmetic_matches_morton(seed, dim):
         assert float(h[i]) == morton.cell_size(loc, dim)
 
 
+@pytest.mark.parametrize("dim,top", [(2, 26), (3, 17)])
+def test_code_decode_at_every_level(dim, top):
+    """The decode at every level up to the float-exact limit (the deepest
+    level whose codes stay below 2**53), so every mask step is used:
+    random codes and the all-ones code of each level."""
+    assert 1 << dim * top < soa._EXACT_FLOAT_LIMIT <= 1 << dim * (top + 1)
+    rng = random.Random(dim)
+    codes = []
+    for level in range(top + 1):
+        sentinel = 1 << dim * level
+        codes += [sentinel | rng.getrandbits(dim * level) for _ in range(40)]
+        codes.append(2 * sentinel - 1)
+    levels = soa.levels_of_codes(codes, dim)
+    coords = soa.coords_of_codes(codes, levels, dim)
+    assert levels.tolist() == [morton.level_of(c, dim) for c in codes]
+    assert [tuple(row) for row in coords.tolist()] \
+        == [morton.coords_of(c, dim) for c in codes]
+    assert coords.max() == (1 << top) - 1
+
+
 def _pm_rig(seed: int):
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
