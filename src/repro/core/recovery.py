@@ -228,9 +228,11 @@ def reprotect(cluster, tree, host_rank: int, policy=None,
     """Mandatory post-recovery re-replication onto a freshly chosen peer.
 
     Returns ``(session, peer_rank, detail)``; session/peer are ``None``
-    when no live peer exists on another node or the full ship could not be
-    acknowledged (the host then runs unprotected until the next persist
-    retries through the attached session or the caller re-calls this).
+    when the tree has published nothing yet (nothing is attached; re-call
+    once an epoch publishes), when no live peer exists on another node, or
+    when the full ship could not be acknowledged (the host then runs
+    unprotected until the next persist retries through the attached
+    session or the caller re-calls this).
     """
     from repro.core.replication import (
         FaultyTransport,
@@ -240,6 +242,9 @@ def reprotect(cluster, tree, host_rank: int, policy=None,
     )
     from repro.parallel.faults import FaultyNetwork
 
+    with tree.nvbm.device.unmetered():  # bookkeeping, not a device read
+        if tree.nvbm.roots.get(SLOT_PREV) == NULL_HANDLE:
+            return None, None, "nothing published yet"
     peer = choose_replica_peer(cluster, host_rank)
     if peer is None:
         return None, None, "no live peer on another node"

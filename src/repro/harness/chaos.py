@@ -7,12 +7,15 @@ host+peer kills, partition windows, message-loss bursts, torn octant
 migrations, NVBM media faults, mid-drain kills of the epoch pipeline) — and
 runs the droplet workload on a
 :class:`~repro.parallel.cluster.SimulatedCluster` whose interconnect obeys
-that schedule.  After every recovery, and again at the end of the trial, the
+that schedule.  The host persists pipelined (``max_inflight_epochs=1``)
+with a replica attached, so its ship trails the newest persist by one
+epoch.  After every recovery, and again at the end of the trial, the
 harness asserts the fault-tolerance invariants:
 
-* a restored tree is identical to the last successfully persisted version
-  (local restore) or to a persisted-and-replicated version no older than the
-  last acknowledged ship (replica restore);
+* a restored tree is identical to the *published* version (local restore;
+  a tear mid-drain may also land on the epoch that was draining) or to a
+  published-and-replicated version no older than the last acknowledged
+  ship (replica restore);
 * replica protection is re-established on a live peer after every recovery,
   or the trial ends in an explicit :class:`~repro.core.recovery.Degraded`
   outcome — never an unhandled exception;
@@ -20,10 +23,10 @@ harness asserts the fault-tolerance invariants:
   changing a payload byte; one that strikes while the replica lags (or is
   gone) ends the trial ``degraded`` naming what was lost — never silently.
 
-Crash verdicts are shared with the sweep (:mod:`repro.analysis.sweep`): a
-mid-drain kill *is* ``sweep_site``, a restored tree is located among the
-persisted versions by ``Scenario.landed_on``, a torn migration is judged
-by :func:`~repro.parallel.partition.audit_migration`.
+Every host loss runs one path (detect, recover, verdict, rewire); a restored
+tree is located among the persisted versions by the sweep's
+``Scenario.landed_on``, a torn migration is judged by
+:func:`~repro.parallel.partition.audit_migration`.
 
 A failing trial is *shrunk*: events are removed one at a time (and the link
 faults zeroed) while the failure reproduces, yielding a minimal seeded
@@ -40,7 +43,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis.sweep import Scenario, sweep_site
+from repro.analysis.sweep import Scenario
 from repro.config import PMOctreeConfig, SolverConfig, TITAN
 from repro.core.api import pm_create
 from repro.core.pmoctree import SLOT_PREV
@@ -68,6 +71,7 @@ from repro.parallel.partition import (
 )
 from repro.parallel.simmpi import SimCommunicator
 from repro.solver.features import partition_work_weights
+from repro.solver.fields import PRESSURE
 from repro.solver.simulation import DropletSimulation
 
 #: Event kinds a schedule may contain, with selection weights — one pool,
@@ -87,10 +91,16 @@ _EVENT_KINDS: Tuple[Tuple[str, int], ...] = (
     ("media_stuck", 3),
     ("kill_peer_then_rot", 2),
     # the simulated power cord is pulled on the way to an epoch's commit,
-    # at one of the ``EPOCH_SITES`` — recovery must land bit-for-bit on
+    # at one of the ``_MID_DRAIN_SITES`` — recovery must land bit-for-bit on
     # epoch i or epoch i-1
     ("kill_mid_drain", 2),
 )
+
+#: The ``EPOCH_SITES`` a ``kill_mid_drain`` draws: the two the trial host
+#: crosses with an epoch unpublished.  Its ship outlasts that epoch's drain,
+#: so it almost never reaches the overlap site, which the sweep covers.
+_MID_DRAIN_SITES = (site_registry.EPOCH_DRAIN_MID,
+                    site_registry.PERSIST_BEFORE_ROOT_SWAP)
 
 #: The kinds that plant an NVBM media fault (``drop`` picks the victim).
 _MEDIA_KINDS = ("media_rot", "media_stuck", "kill_peer_then_rot")
@@ -103,7 +113,7 @@ class ChaosEvent:
     ``returns`` only applies to ``kill_host`` (the node reboots and its NVBM
     survives); ``duration`` (steps) and ``drop`` only to windowed kinds;
     ``site`` only to ``kill_migration`` / ``kill_mid_drain`` (which
-    ``migrate.*`` site or which of the ``EPOCH_SITES`` tears the
+    ``migrate.*`` site or which of the ``_MID_DRAIN_SITES`` tears the
     protocol).
     """
 
@@ -170,7 +180,7 @@ def derive_schedule(seed: int, trial: int, steps: int = 10) -> ChaosSchedule:
         elif kind == "kill_migration":
             ev.site = rng.choice(site_registry.MIGRATE_SITES)
         elif kind == "kill_mid_drain":
-            ev.site = rng.choice(site_registry.EPOCH_SITES)
+            ev.site = rng.choice(_MID_DRAIN_SITES)
         elif kind in _MEDIA_KINDS:
             # drop doubles as the deterministic victim selector: the event
             # targets published record floor(drop * n) of the sorted set
@@ -231,7 +241,7 @@ class _TrialState:
         self.replica_peer: Optional[int] = None
         self.replica_store = None
         self.sessions: list = []     #: every session ever created (stats)
-        self.history: List[Dict[int, tuple]] = []
+        self.history: List[Dict[int, tuple]] = []  #: every enqueued version
         self.last_acked_idx = -1     #: history index of last acked ship
         self.degraded: Optional[Degraded] = None
 
@@ -246,9 +256,15 @@ class _TrialState:
     def protected(self) -> bool:
         return self.session is not None and self.session.protected
 
+    @property
+    def published_idx(self) -> int:
+        """History index of the published version: the last enqueued one
+        less the epochs still in flight."""
+        return len(self.history) - 1 - self.tree._pipeline.inflight
+
     def note_acked_if_protected(self) -> None:
-        if self.protected:
-            self.last_acked_idx = len(self.history) - 1
+        if self.protected:  # the peer holds the published version
+            self.last_acked_idx = self.published_idx
 
     def reprotect(self) -> None:
         """Re-replicate onto a freshly chosen live peer, if there is one."""
@@ -338,6 +354,13 @@ def _exercise_migration_kill(cluster, tree, site: str, result) -> None:
         result.violations.append(f"{site}: {breach}")
 
 
+def _state(tree) -> Dict[int, tuple]:
+    """A tree's leaf payloads, probed unmetered (an epoch in flight keeps
+    its drain window)."""
+    with tree.unmetered_inspection():
+        return Scenario.signature(tree)
+
+
 def _detect_failure(cluster, dead_rank: int) -> bool:
     """Heartbeat-driven detection gate: recovery only starts once the
     observer's failure detector actually suspects the dead rank."""
@@ -371,7 +394,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
 
     st = _TrialState(cluster, policy, break_acks)
     ctx0 = cluster.ranks[0]
-    pmcfg = PMOctreeConfig(dram_capacity_octants=4096)
+    pmcfg = PMOctreeConfig(dram_capacity_octants=4096, max_inflight_epochs=1)
     st.tree = pm_create(ctx0.resources["dram"], ctx0.resources["nvbm"],
                         dim=2, config=pmcfg, injector=ctx0.injector)
 
@@ -380,7 +403,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             sim_.tree.persist(transform=False)
         except ReplicationTimeoutError:
             pass  # local persist committed; remote protection stalled
-        st.history.append(Scenario.signature(sim_.tree))
+        st.history.append(_state(sim_.tree))
         st.note_acked_if_protected()
 
     solver = SolverConfig(dim=2, min_level=2, max_level=4, dt=0.01)
@@ -388,7 +411,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
                             persistence=persist_cb)
     sim.construct()
     persist_cb(sim)
-
+    st.tree.drain_persists()  # start published, so protected from step 1
     st.reprotect()
 
     #: (step, undo) of every open partition window and loss-burst link
@@ -397,20 +420,22 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
     def now() -> float:
         return cluster.ranks[st.host_rank].clock.now_ns
 
-    def check_restore(rec) -> None:
+    def check_restore(rec, local: Tuple[int, ...]) -> None:
         try:
             rec.tree.check_invariants()
         except ReproError as exc:
             result.violations.append(f"restored tree inconsistent: {exc}")
             return
         # which persisted version is this — the newest one that matches
-        idx = Scenario.landed_on(Scenario.signature(rec.tree),
-                                 reversed(list(enumerate(st.history))))
+        state, history = _state(rec.tree), list(enumerate(st.history))
         if rec.kind == "local":
-            if idx != len(st.history) - 1:
+            idx = Scenario.landed_on(state, (history[i]
+                                             for i in reversed(local)))
+            if idx is None:
                 result.violations.append(
-                    "local restore does not match the last persisted version")
+                    "local restore does not match the published version")
         else:
+            idx = Scenario.landed_on(state, reversed(history))
             if idx is None:
                 result.violations.append(
                     "replica restore matches no persisted version")
@@ -439,9 +464,14 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         return index_of(root) * LINES_PER_RECORD
 
     def apply_media_fault(ev: ChaosEvent, step: int) -> None:
-        before = Scenario.signature(st.tree)
+        # A scrub is a persist barrier: drain first and ship what the drain
+        # published, so the victim comes from the version the scrub checks.
+        st.tree.drain_persists()
         if ev.kind == "kill_peer_then_rot" and st.kill_peer():
             st.drop_protection()
+        if st.session is not None:
+            st.reship()
+        before = _state(st.tree)
         # The repair ladder looks the bad record up *by handle* in the
         # replica, and the replica holds what the last acked ship carried:
         # only a protected session guarantees the fault is repairable.
@@ -473,7 +503,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
                        f"{len(report.unrepaired)} subtree(s) unreadable",
                 lost_locs=report.unrepaired)
             return
-        if Scenario.signature(st.tree) != before:
+        if _state(st.tree) != before:
             result.violations.append(
                 f"{ev.kind}: media repair changed payload bytes")
             return
@@ -490,6 +520,61 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
             # find nothing to rebuild from
             st.reship()
 
+    def lose_host(step: int, returns: bool, local: Tuple[int, ...]) -> None:
+        """The one host-loss path: kill the node, detect, recover, judge (a
+        local restore must land on a ``local`` history index), rewire."""
+        dead = st.host_rank
+        cluster.kill_node(cluster.ranks[dead].node)
+        if not any(c.alive for c in cluster.ranks):
+            # total cluster loss: nobody is left to run a detector or
+            # drive recovery — a declared degradation, not a harness
+            # invariant breach (same contract as media loss with no
+            # replica: the loss is loud, never silent)
+            st.degraded = Degraded(
+                reason=f"every rank dead at step {step}: no surviving "
+                       "observer to detect or recover the host",
+                lost_locs=[])
+            return
+        if not _detect_failure(cluster, dead):
+            result.violations.append(
+                f"detector never suspected dead rank {dead}")
+            return
+        rec = recover_host(
+            cluster, dead,
+            replica=st.replica_store, replica_peer=st.replica_peer,
+            host_node_returns=returns,
+            dim=2, config=pmcfg, policy=policy, break_acks=break_acks,
+        )
+        if rec.degraded:
+            st.degraded = rec
+            return
+        result.recoveries += 1
+        check_restore(rec, local)
+        # rewire the trial onto the recovered tree and its new host
+        st.tree = sim.tree = rec.tree
+        st.host_rank = rec.host_rank
+        st.adopt_session(rec.session, rec.replica_peer)
+        sim.clock = cluster.ranks[rec.host_rank].clock
+        rec.tree.register_feature(sim._next_step_feature)
+
+    def tear_mid_drain(ev: ChaosEvent, step: int) -> None:
+        """Leave epoch B (four leaves stamped) in flight and kill epoch C's
+        persist at ``ev.site``: the restore must be B or the published A."""
+        tree = st.tree
+        stamp = float(len(result.events_applied))  # unique in the trial
+        for leaf in sorted(tree.leaves())[:4]:
+            tree.set_field(leaf, PRESSURE, stamp)
+        persist_cb(sim)  # epoch B, left in flight
+        accepted = (st.published_idx, len(st.history) - 1)
+        injector = tree.injector
+        injector.arm(ev.site, at_hit=injector.hits.get(ev.site, 0) + 1)
+        try:
+            persist_cb(sim)  # epoch C
+        except SimulatedCrash:
+            lose_host(step, True, accepted)
+        else:
+            result.violations.append(f"{ev.site}: mid-drain kill never fired")
+
     def apply_event(ev: ChaosEvent, step: int) -> None:
         result.events_applied.append(ev.describe())
         if ev.kind in _MEDIA_KINDS:
@@ -497,39 +582,8 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         elif ev.kind in ("kill_host", "kill_both"):
             if ev.kind == "kill_both":
                 st.kill_peer()  # the host dies next: nothing left to rewire
-            dead = st.host_rank
-            cluster.kill_node(cluster.ranks[dead].node)
-            if not any(c.alive for c in cluster.ranks):
-                # total cluster loss: nobody is left to run a detector or
-                # drive recovery — a declared degradation, not a harness
-                # invariant breach (same contract as media loss with no
-                # replica: the loss is loud, never silent)
-                st.degraded = Degraded(
-                    reason=f"every rank dead at step {step}: no surviving "
-                           "observer to detect or recover the host",
-                    lost_locs=[])
-                return
-            if not _detect_failure(cluster, dead):
-                result.violations.append(
-                    f"detector never suspected dead rank {dead}")
-                return
-            rec = recover_host(
-                cluster, dead,
-                replica=st.replica_store, replica_peer=st.replica_peer,
-                host_node_returns=(ev.kind == "kill_host" and ev.returns),
-                dim=2, config=pmcfg, policy=policy, break_acks=break_acks,
-            )
-            if rec.degraded:
-                st.degraded = rec
-                return
-            result.recoveries += 1
-            check_restore(rec)
-            # rewire the trial onto the recovered tree and its new host
-            st.tree = sim.tree = rec.tree
-            st.host_rank = rec.host_rank
-            st.adopt_session(rec.session, rec.replica_peer)
-            sim.clock = cluster.ranks[rec.host_rank].clock
-            rec.tree.register_feature(sim._next_step_feature)
+            lose_host(step, ev.kind == "kill_host" and ev.returns,
+                      (st.published_idx,))
         elif ev.kind == "kill_peer":
             if not st.kill_peer():
                 return  # nothing protecting us; nothing to kill
@@ -543,18 +597,7 @@ def run_trial(schedule: ChaosSchedule, break_acks: bool = False,
         elif ev.kind == "kill_migration":
             _exercise_migration_kill(cluster, st.tree, ev.site, result)
         elif ev.kind == "kill_mid_drain":
-            # pull the cord at one of the ``EPOCH_SITES`` — the site's
-            # sweep scenario on a fresh rig: recovery must land
-            # bit-for-bit on epoch i or i-1
-            out = sweep_site(ev.site,
-                             seed=schedule.seed * 8191 + schedule.trial)
-            if not out.fired:
-                result.violations.append(
-                    f"{ev.site}: mid-drain kill never fired")
-            elif not out.recovered:
-                result.violations.append(
-                    f"{ev.site}: recovery landed on neither epoch i nor "
-                    f"i-1 ({out.detail})")
+            tear_mid_drain(ev, step)
         elif ev.kind == "loss_burst":
             burst = LinkFaults(drop=ev.drop)
             targets = [c.rank for c in cluster.ranks

@@ -48,6 +48,27 @@ def test_reprotect_picks_live_peer_and_ships_full():
     assert tree.replicator is session  # future persists ship automatically
 
 
+def test_reprotect_waits_for_a_published_version():
+    """A pipelined tree's first epoch is still in flight after its first
+    persist: there is nothing to ship, so ``reprotect`` attaches nothing
+    and says so, and the same call protects the host once it publishes."""
+    cluster = SimulatedCluster(2, spec=ONE_PER_NODE)
+    ctx = cluster.ranks[0]
+    tree = pm_create(ctx.resources["dram"], ctx.resources["nvbm"], dim=2,
+                     config=replace(PMCFG, max_inflight_epochs=1),
+                     injector=ctx.injector)
+    for leaf in list(tree.leaves()):
+        tree.refine(leaf)
+    tree.persist(transform=False)
+    assert reprotect(cluster, tree, 0) == (None, None,
+                                           "nothing published yet")
+    assert tree.replicator is None
+    tree.drain_persists()
+    session, peer = _protect(cluster, tree)
+    assert peer == 1 and session.protected
+    assert tree.replicator is session
+
+
 def test_host_reboot_restores_locally_and_reprotects():
     cluster, tree = _cluster_with_host()
     session, peer = _protect(cluster, tree)

@@ -106,21 +106,23 @@ def test_back_to_back_faults_are_repaired_after_the_reship():
 
 
 #: a partition makes the ships time out, then a fault hits a record newer
-#: than the last acknowledged ship: (seed, trial, events, lost loc)
+#: than the last acknowledged ship: (seed, trial, events, lost loc).  A
+#: media event drains and reships before it plants, so each of these
+#: partitions outlasts that reship on a window-1 host.
 _LAGGING_REPLICA = [
-    (2, 9, [dict(kind="partition", step=5, duration=2),
-            dict(kind="media_stuck", step=7, drop=0.742)], "0x59"),
+    (2, 11, [dict(kind="partition", step=2, duration=2),
+             dict(kind="media_stuck", step=3, drop=0.71)], "0x4c"),
     (3, 18, [dict(kind="media_stuck", step=2, drop=0.288),
              dict(kind="partition", step=3, duration=2),
              dict(kind="media_stuck", step=4, drop=0.642)], "0x13"),
-    (6, 54, [dict(kind="partition", step=2, duration=2),
-             dict(kind="media_rot", step=4, drop=0.967),
-             dict(kind="media_stuck", step=5, drop=0.251)], "0x148"),
-    (8, 30, [dict(kind="partition", step=2, duration=2),
-             dict(kind="media_rot", step=4, drop=0.614),
-             dict(kind="media_rot", step=6, drop=0.813)], "0x1"),
-    (9, 41, [dict(kind="partition", step=4, duration=1),
-             dict(kind="media_stuck", step=5, drop=0.736)], "0x4e"),
+    (4, 46, [dict(kind="partition", step=2, duration=2),
+             dict(kind="media_rot", step=3, drop=0.757)], "0x4f"),
+    (24, 22, [dict(kind="media_rot", step=2, drop=0.675),
+              dict(kind="partition", step=4, duration=2),
+              dict(kind="media_rot", step=5, drop=0.74)], "0x4e"),
+    (26, 19, [dict(kind="loss_burst", step=4, drop=0.745),
+              dict(kind="partition", step=4, duration=2),
+              dict(kind="media_stuck", step=5, drop=0.697)], "0x16"),
 ]
 
 
@@ -130,9 +132,9 @@ def test_loss_with_a_lagging_replica_is_degraded_not_failed(seed, trial,
     """The repair ladder finds records by handle in what the last *acked*
     ship carried.  With the session unprotected at fault time the loss is
     real — and must end the trial loudly ``degraded``, naming the lagging
-    replica and the lost locs (these five schedules ended ``failed`` with
-    "unrepaired despite a live replica" before the verdict keyed on the
-    session being protected)."""
+    replica and the lost locs (schedules of this shape ended ``failed``
+    with "unrepaired despite a live replica" before the verdict keyed on
+    the session being protected)."""
     result = run_trial(_schedule(seed, trial, events))
     assert result.ok, result.violations
     assert result.outcome == "degraded"

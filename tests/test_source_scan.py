@@ -48,7 +48,8 @@
   ``SweepOutcome(`` is built only inside ``sweep_site``, the migration
   audit's text and ``def _signature`` occur once under ``src``, and the
   chaos mode flags (``media=``/``pipeline=``, their pools, ``--media``/
-  ``--pipeline`` in the CLI, docs and CI) stay gone.
+  ``--pipeline`` in the CLI, docs and CI) and chaos's second crash rig
+  (``sweep_site``) stay gone.
 * one static pass: ``analysis/pmlint.py`` stays gone, ``def _classify``
   occurs once under ``src/repro/analysis``, the retired
   ``allow-direct-write`` pragma is nowhere in ``src``, and ``analyze`` has
@@ -390,7 +391,7 @@ def test_chaos_has_one_event_pool_and_no_mode_flags():
     chaos = (SRC_DIR / "harness" / "chaos.py").read_text()
     gone = re.findall(
         r"\b(?:media|pipeline)(?::\s*bool)?\s*=(?!=)"
-        r"|_(?:MEDIA|PIPELINE)_EVENT_KINDS", chaos)
+        r"|_(?:MEDIA|PIPELINE)_EVENT_KINDS|\bsweep_site\b", chaos)
     assert not gone, gone
     flagged = [
         str(path.relative_to(ROOT))
