@@ -398,57 +398,14 @@ def _cmd_chaos(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    """Run the pinned benchmark suite; optionally gate against a baseline."""
+    """Print the pinned suite's metrics and gates: the ``BENCH_pr<N>.json``
+    pin, byte for byte."""
     import json
 
-    from repro.harness.bench import compare_envelopes, run_bench
-    from repro.harness.report import render_json, validate_envelope
+    from repro.harness.bench import GATES, run_bench
 
-    if args.current:
-        with open(args.current) as fh:
-            env = json.load(fh)
-    else:
-        env = run_bench(pr=args.pr)
-    problems = validate_envelope(env)
-    if problems:
-        for p in problems:
-            print(f"bench: invalid envelope: {p}", file=sys.stderr)
-        return 2
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(env, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        print(f"wrote {args.out}", file=sys.stderr)
-
-    if args.compare:
-        with open(args.compare) as fh:
-            baseline = json.load(fh)
-        base_problems = validate_envelope(baseline)
-        if base_problems:
-            for p in base_problems:
-                print(f"bench: invalid baseline: {p}", file=sys.stderr)
-            return 2
-        rep = compare_envelopes(baseline, env)
-        if args.json:
-            print(render_json({"regressions": rep.rows()}, rep.ok))
-        elif rep.ok:
-            print(f"bench: OK — {rep.checked} gates within tolerance")
-        else:
-            print_table(
-                "bench regressions",
-                ["metric", "kind", "baseline", "current", "tolerance"],
-                [(r.metric, r.kind, r.baseline, r.current,
-                  f"{r.tolerance:.0%}") for r in rep.regressions],
-            )
-            for r in rep.regressions:
-                print(f"  {r.describe()}")
-        return 0 if rep.ok else 1
-
-    if args.json:
-        print(json.dumps(env, indent=2, sort_keys=True))
-    else:
-        print_table("bench metrics", ["metric", "value"],
-                    sorted(env["metrics"].items()))
+    print(json.dumps({"metrics": run_bench(), "gates": GATES}, indent=2,
+                     sort_keys=True))
     return 0
 
 
@@ -553,19 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "bench",
-        help="run the pinned benchmark suite; with --compare, exit non-zero "
-             "on any regression beyond the baseline's gate tolerances",
+        help="print the pinned benchmark suite's metrics and gates as JSON "
+             "(the committed BENCH_pr<N>.json)",
     )
-    p.add_argument("--pr", type=int, default=0,
-                   help="PR number stamped into the envelope")
-    p.add_argument("--out", help="write the envelope JSON to this path")
-    p.add_argument("--compare", metavar="BASELINE.json",
-                   help="gate the run against a committed baseline envelope")
-    p.add_argument("--current", metavar="CURRENT.json",
-                   help="use this pre-computed envelope instead of running "
-                        "the suite (file-to-file comparison)")
-    p.add_argument("--json", action="store_true",
-                   help="emit machine-readable JSON")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("export-vtk", help="simulate and write a VTK mesh")

@@ -15,18 +15,18 @@ Five components run with fixed seeds against the observability layer:
 * **media** — the makespan cost of a quiescent fault model (gated at
   none), a clean scrub, and the repair of planted media faults.
 
-Every number is a *simulated* quantity (clock ticks, access counts), so the
-resulting :func:`repro.harness.report.bench_envelope` is byte-identical
-across machines and commits cleanly as ``BENCH_pr<N>.json``.
-:func:`compare_envelopes` applies the :data:`GATES` tolerances between a
-committed baseline and a fresh run — the CI regression gate.
+Every number is a *simulated* quantity (clock ticks, access counts), so
+``python -m repro bench`` prints the same :func:`run_bench` metrics and
+:data:`GATES` on every machine.  That output is committed as the pin
+``BENCH_pr<N>.json``, which ``tests/harness/test_bench.py`` asserts a
+fresh run equals exactly; it also checks the gates of the older
+``BENCH_pr4.json`` against the pin (see docs/observability.md).
 
 Host wall-clock is measured end to end by ``python3 bench/run.py``, not here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -35,18 +35,17 @@ from repro.config import (
     DRAM_SPEC,
     NVBM_SPEC,
     OCTANT_RECORD_SIZE,
-    PMOctreeConfig,
     SolverConfig,
     TITAN,
 )
-from repro.core import pm_create, pm_restore
+from repro.core import pm_restore
 from repro.core.replication import (
     FaultyTransport,
     ReplicaSession,
     RetryPolicy,
     restore_from_replica,
 )
-from repro.harness.report import BENCH_SCHEMA, bench_envelope
+from repro.harness.experiments import _pm_rig
 from repro.nvbm.arena import MemoryArena
 from repro.nvbm.clock import SimClock
 from repro.nvbm.pointers import ARENA_DRAM, ARENA_NVBM
@@ -95,21 +94,6 @@ GATES: List[Dict[str, Any]] = [
     {"metric": "droplet.stall_ns", "tolerance": 0.25, "direction": "lower"},
 ]
 
-SUITE = "droplet+recovery+replication+partition+media"
-
-
-def _rig(seed: int = 2017, dram_budget: Optional[int] = None,
-         max_inflight: int = 0):
-    """One PM-octree rig on a fresh clock (mirrors the experiment harness)."""
-    clock = SimClock()
-    dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, 1 << 16)
-    nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, 1 << 20)
-    cfg = PMOctreeConfig(dram_capacity_octants=dram_budget or (1 << 16),
-                         seed=seed, max_inflight_epochs=max_inflight)
-    tree = pm_create(dram, nvbm, dim=2, config=cfg)
-    return clock, dram, nvbm, tree
-
-
 def bench_droplet(steps: int = 12, max_level: int = 5,
                   obs: Optional[Observability] = None) -> Dict[str, float]:
     """Droplet workload with a persist point every step, fully observed.
@@ -119,7 +103,7 @@ def bench_droplet(steps: int = 12, max_level: int = 5,
     everything-resident path — otherwise the COW and eviction gates would
     sit on a meaningless zero baseline.
     """
-    clock, dram, nvbm, tree = _rig(dram_budget=96, max_inflight=1)
+    clock, dram, nvbm, tree = _pm_rig(dram_budget=96, max_inflight=1)
     obs = obs if obs is not None else Observability()
     if obs.metrics.clock is None:
         obs.bind_clock(clock)
@@ -173,7 +157,7 @@ def bench_droplet(steps: int = 12, max_level: int = 5,
 
 def bench_recovery(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     """Local-NVBM restart and replica materialisation, on simulated clocks."""
-    clock, dram, nvbm, tree = _rig()
+    clock, dram, nvbm, tree = _pm_rig()
     replica = tree.attach_replication_session(ReplicaSession(tree)).replica
     solver = SolverConfig(dim=2, min_level=2, max_level=max_level, dt=0.01)
     sim = DropletSimulation(tree, solver, clock=clock,
@@ -207,7 +191,7 @@ def bench_replication(steps: int = 6, max_level: int = 4,
                       obs: Optional[Observability] = None
                       ) -> Dict[str, float]:
     """Acknowledged delta shipping over a seeded lossy link."""
-    clock, dram, nvbm, tree = _rig()
+    clock, dram, nvbm, tree = _pm_rig()
     obs = obs if obs is not None else Observability()
     if obs.metrics.clock is None:
         obs.bind_clock(clock)
@@ -300,7 +284,7 @@ def bench_media(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     from repro.nvbm.pointers import index_of
 
     def droplet(quiet_model: bool):
-        clock, dram, nvbm, tree = _rig()
+        clock, dram, nvbm, tree = _pm_rig()
         if quiet_model:
             nvbm.attach_fault_model(MediaFaultModel())
         solver = SolverConfig(dim=2, min_level=2, max_level=max_level,
@@ -351,115 +335,12 @@ def bench_media(steps: int = 6, max_level: int = 4) -> Dict[str, float]:
     }
 
 
-def run_bench(pr: int = 0) -> Dict[str, Any]:
-    """Run the pinned suite and return the versioned envelope."""
+def run_bench() -> Dict[str, float]:
+    """Run the pinned suite and return its metrics."""
     metrics: Dict[str, float] = {}
     metrics.update(bench_droplet())
     metrics.update(bench_recovery())
     metrics.update(bench_replication())
     metrics.update(bench_partition())
     metrics.update(bench_media())
-    return bench_envelope(pr=pr, suite=SUITE, metrics=metrics, gates=GATES)
-
-
-# ------------------------------------------------------------------ comparison
-
-
-@dataclass
-class Regression:
-    """One failed gate (or structural problem) in a bench comparison."""
-
-    metric: str
-    kind: str  #: "regression" | "missing" | "schema"
-    direction: str = ""
-    tolerance: float = 0.0
-    baseline: float = 0.0
-    current: float = 0.0
-
-    @property
-    def ratio(self) -> float:
-        if self.baseline == 0:
-            return float("inf") if self.current else 1.0
-        return self.current / self.baseline
-
-    def describe(self) -> str:
-        if self.kind == "schema":
-            return f"{self.metric}: {self.direction}"
-        if self.kind == "missing":
-            return f"{self.metric}: present in baseline, absent in current"
-        worse = "above" if self.direction == "lower" else "below"
-        return (
-            f"{self.metric}: {self.current:g} vs baseline {self.baseline:g} "
-            f"({self.ratio:.3f}x) is {worse} the "
-            f"{self.tolerance:.0%} tolerance"
-        )
-
-    def to_row(self) -> Dict[str, Any]:
-        return {
-            "metric": self.metric, "kind": self.kind,
-            "direction": self.direction, "tolerance": self.tolerance,
-            "baseline": self.baseline, "current": self.current,
-            "detail": self.describe(),
-        }
-
-
-@dataclass
-class CompareReport:
-    """Typed verdict of ``bench --compare``."""
-
-    ok: bool
-    checked: int
-    regressions: List[Regression] = field(default_factory=list)
-
-    def rows(self) -> List[Dict[str, Any]]:
-        return [r.to_row() for r in self.regressions]
-
-
-def compare_envelopes(baseline: Dict[str, Any],
-                      current: Dict[str, Any]) -> CompareReport:
-    """Apply the *baseline's* gates between two envelopes.
-
-    The baseline's gate list governs so a PR cannot silently loosen its own
-    thresholds; schema mismatches and metrics that vanished are failures in
-    their own right, not skips.
-    """
-    regressions: List[Regression] = []
-    for env, label in ((baseline, "baseline"), (current, "current")):
-        if env.get("schema") != BENCH_SCHEMA:
-            regressions.append(Regression(
-                metric="schema", kind="schema",
-                direction=f"{label} schema {env.get('schema')!r} != "
-                          f"{BENCH_SCHEMA!r}",
-            ))
-    if regressions:
-        return CompareReport(ok=False, checked=0, regressions=regressions)
-
-    base_metrics = baseline.get("metrics", {})
-    curr_metrics = current.get("metrics", {})
-    checked = 0
-    for gate in baseline.get("gates", []):
-        name = gate["metric"]
-        tol = float(gate["tolerance"])
-        direction = gate["direction"]
-        if name not in base_metrics:
-            continue  # the baseline never measured it; nothing to gate
-        if name not in curr_metrics:
-            regressions.append(Regression(
-                metric=name, kind="missing", direction=direction,
-                tolerance=tol, baseline=float(base_metrics[name]),
-            ))
-            continue
-        checked += 1
-        base_v = float(base_metrics[name])
-        curr_v = float(curr_metrics[name])
-        if direction == "lower":
-            bad = curr_v > base_v * (1.0 + tol) + 1e-12
-        else:
-            bad = curr_v < base_v * (1.0 - tol) - 1e-12
-        if bad:
-            regressions.append(Regression(
-                metric=name, kind="regression", direction=direction,
-                tolerance=tol, baseline=base_v, current=curr_v,
-            ))
-    return CompareReport(ok=not regressions, checked=checked,
-                         regressions=regressions)
+    return metrics

@@ -42,12 +42,14 @@ SCALING_SOLVER = SolverConfig(dim=2, min_level=2, max_level=5, dt=0.01)
 
 
 def _pm_rig(dram_octants: int = 1 << 16, nvbm_octants: int = 1 << 20,
-            dram_budget: Optional[int] = None, seed: int = 2017):
+            dram_budget: Optional[int] = None, seed: int = 2017,
+            max_inflight: int = 0):
     clock = SimClock()
     dram = MemoryArena(ARENA_DRAM, DRAM_SPEC, clock, dram_octants)
     nvbm = MemoryArena(ARENA_NVBM, NVBM_SPEC, clock, nvbm_octants)
     cfg = PMOctreeConfig(
         dram_capacity_octants=dram_budget or dram_octants, seed=seed,
+        max_inflight_epochs=max_inflight,
     )
     tree = pm_create(dram, nvbm, dim=2, config=cfg)
     return clock, dram, nvbm, tree

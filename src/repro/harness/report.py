@@ -7,9 +7,6 @@ import json
 import numbers
 from typing import Any, Dict, Iterable, List, Sequence
 
-#: Version tag of the benchmark envelope (see docs/observability.md).
-BENCH_SCHEMA = "repro-bench/v1"
-
 #: Version tag of the ``repro analyze --json`` envelope.  Bump only on
 #: breaking shape changes; *additive* fields (new sections, new row keys)
 #: keep the version, which is what lets CI diff baselines across them.
@@ -91,58 +88,3 @@ def render_json(sections: Dict[str, Iterable[Dict[str, Any]]],
                 ok: bool) -> str:
     return json.dumps(json_payload(sections, ok), indent=2,
                       sort_keys=True)
-
-
-def bench_envelope(pr: int, suite: str, metrics: Dict[str, float],
-                   gates: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
-    """Build the schema-versioned benchmark envelope CI gates on.
-
-    Deliberately carries **no wall-clock timestamp**: every metric is a
-    simulated quantity, so the same commit produces byte-identical
-    envelopes on any machine — which is what makes committing
-    ``BENCH_pr<N>.json`` meaningful.
-    """
-    return {
-        "schema": BENCH_SCHEMA,
-        "pr": int(pr),
-        "suite": suite,
-        "metrics": {k: metrics[k] for k in sorted(metrics)},
-        "gates": [dict(g) for g in gates],
-    }
-
-
-def validate_envelope(env: Dict[str, Any]) -> List[str]:
-    """Schema check for a bench envelope; returns a list of problems."""
-    problems: List[str] = []
-    if not isinstance(env, dict):
-        return ["envelope is not a JSON object"]
-    if env.get("schema") != BENCH_SCHEMA:
-        problems.append(
-            f"schema is {env.get('schema')!r}, expected {BENCH_SCHEMA!r}"
-        )
-    if not isinstance(env.get("pr"), int):
-        problems.append("pr is not an integer")
-    if not isinstance(env.get("suite"), str):
-        problems.append("suite is not a string")
-    metrics = env.get("metrics")
-    if not isinstance(metrics, dict) or not metrics:
-        problems.append("metrics is not a non-empty object")
-    else:
-        for k, v in metrics.items():
-            if not isinstance(v, numbers.Real) or isinstance(v, bool):
-                problems.append(f"metric {k!r} is not a number")
-    gates = env.get("gates")
-    if not isinstance(gates, list):
-        problems.append("gates is not a list")
-    else:
-        for g in gates:
-            if not isinstance(g, dict) or "metric" not in g \
-                    or "tolerance" not in g or "direction" not in g:
-                problems.append(f"malformed gate entry: {g!r}")
-            elif g.get("direction") not in ("lower", "higher"):
-                problems.append(
-                    f"gate {g['metric']!r} direction must be lower|higher"
-                )
-            elif isinstance(metrics, dict) and g["metric"] not in metrics:
-                problems.append(f"gate {g['metric']!r} has no metric value")
-    return problems

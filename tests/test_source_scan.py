@@ -67,6 +67,10 @@
 * the C0 budget is configuration: ``autotune``, ``C0AutoTuner`` and
   ``autotuned_persistence`` stay out of the same places, the examples,
   README.md, DESIGN.md and EXPERIMENTS.md.
+* one sim gate: ``compare_envelopes``, ``bench_envelope``,
+  ``validate_envelope``, ``BENCH_SCHEMA``, ``bench --compare``,
+  ``--current`` and ``--pr <N>`` stay out of ``src``, ``docs``,
+  ``.github`` and the verify skill.
 * ``src`` keeps only code that runs outside its tests: every public
   function, class, method and property has a use in ``src`` outside its
   own body or in ``bench``/``benchmarks``/``examples``/``tests/oracles``,
@@ -454,6 +458,15 @@ def test_media_faults_are_planted():
     write hook and no armed fallback in the batch read."""
     gone = re.compile(r"rot_mtbf_ns|wear_fraction|transient_rate"
                       r"|note_write\(|fm\.armed")
+    assert not _mentions(gone), _mentions(gone)
+
+
+def test_one_sim_gate():
+    """The sim gate is ``repro bench``'s output pinned exactly: no envelope
+    schema, no tolerance compare and no ``bench`` option that feeds one."""
+    gone = re.compile(r"compare_envelopes|bench_envelope|validate_envelope"
+                      r"|BENCH_SCHEMA|bench --compare|--current\b"
+                      r"|--pr <N>|--pr \d")
     assert not _mentions(gone), _mentions(gone)
 
 
